@@ -11,8 +11,11 @@ import (
 // Delta is an incremental dataset update: the membership and value edits a
 // daily feed drop carries, applied to a compiled snapshot without paying a
 // full recompile. The 83-day longitudinal ingest replaces a few providers'
-// worth of addresses per day out of hundreds of thousands served; ApplyDelta
-// makes that reload cost proportional to the edit, not the dataset.
+// worth of addresses per day out of hundreds of thousands served. ApplyDelta
+// recompresses only the body segments (one per address top byte) that the
+// edit touches, so its cost follows the edit when the churn is clustered in
+// a few /8s; churn scattered across the address space touches every segment
+// and costs about as much as a full compile.
 type Delta struct {
 	// AddNAT sets the user lower bound per address, inserting new members
 	// and overwriting existing ones.

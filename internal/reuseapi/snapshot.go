@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -62,10 +63,12 @@ type compiledPrefix struct {
 // The body is assembled from ordered segments, each compressed as an
 // independent gzip member (a gzip stream is a concatenation of members, and
 // both Go's gzip.Reader and browsers decode multistream bodies
-// transparently). Segments are retained so ApplyDelta can re-render and
-// recompress only the segments a delta touches and splice the cached members
-// of the rest — compression is what dominates Compile, so this is what makes
-// a delta reload cheap.
+// transparently). Compression dominates Compile, so members come from
+// pooled level-6 writers (see gzipMember). Segments are retained so ApplyDelta
+// can re-render and recompress only the segments a delta touches and splice
+// the cached members of the rest; that saving is large only when the edit
+// is clustered in a few top bytes, since scattered churn touches every
+// segment.
 type precomputedBody struct {
 	body []byte
 	gz   []byte        // concatenated gzip members of body; nil when gzip would not help
@@ -231,6 +234,11 @@ func precomputeSegments(segs []bodySegment) precomputedBody {
 	for i := range segs {
 		if segs[i].gz == nil {
 			segs[i].gz = gzipMember(segs[i].body)
+			// Pooled compression seldom reaches a point where the scheduler
+			// switches goroutines, so without a yield a reload keeps its P
+			// until the runtime's 10 ms preemption tick and requests queued
+			// behind it wait that long (DESIGN.md §9).
+			runtime.Gosched()
 		}
 		nBody += len(segs[i].body)
 		nGz += len(segs[i].gz)
@@ -255,12 +263,28 @@ func precomputeSegments(segs []bodySegment) precomputedBody {
 	return pb
 }
 
-// gzipMember compresses b as one complete gzip member.
+// gzipWriters recycles gzip writers between members: a writer carries
+// about a megabyte of compressor state, which a fresh writer per segment
+// would allocate on every compile. Level 6 (the default) is used because
+// on these line-per-entry bodies it compresses about as well as level 9
+// for much less CPU (DESIGN.md §9).
+var gzipWriters = sync.Pool{
+	New: func() any {
+		w, _ := gzip.NewWriterLevel(nil, gzip.DefaultCompression)
+		return w
+	},
+}
+
+// gzipMember compresses b as one complete gzip member. Reset returns a
+// pooled writer to its NewWriterLevel state, so the member is byte-identical
+// to one from a fresh writer.
 func gzipMember(b []byte) []byte {
 	var gz bytes.Buffer
-	w, _ := gzip.NewWriterLevel(&gz, gzip.BestCompression)
+	w := gzipWriters.Get().(*gzip.Writer)
+	w.Reset(&gz)
 	_, _ = w.Write(b)
 	_ = w.Close()
+	gzipWriters.Put(w)
 	return gz.Bytes()
 }
 
