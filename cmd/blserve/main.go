@@ -9,19 +9,22 @@
 //	blserve -dataset NAME=NATED,DYN [-dataset NAME2=NATED2,DYN2 ...] [-watch]
 //	blserve -generate [-seed N] [-scale F] [-addr :8080] [-pprof]
 //
+// Every server is a set of named datasets behind one listener (a
+// reuseapi.Registry). -dataset (repeatable) names each one; -nated/-dynamic
+// is shorthand for -dataset default=NATED,DYN, and -generate serves the
+// synthetic study's list as dataset "default". Either file in a spec may be
+// empty ("pools=nated.txt," serves a NATed list with no dynamic prefixes).
+// Each dataset reloads (and, with -shed, sheds) independently.
+//
 // Endpoints: /v1/check?ip=A.B.C.D (GET) and batch POST /v1/check, /v1/list,
 // /v1/prefixes, /v1/stats, /v1/greylist?ip=A.B.C.D (the Section 6
-// mitigation: recommended action + greylisting window per address), plus
+// mitigation: recommended action + greylisting window per address), each
+// also at /v1/NAME/...; the unprefixed routes alias the first dataset. Plus
 // observability: /metrics (Prometheus text; with -generate it carries the
 // study's deterministic counters alongside live request counts and
-// per-endpoint latency histograms), /debug/manifest (the run manifest JSON,
-// including live serving/reload status), and — behind -pprof — /debug/pprof/.
-//
-// -dataset (repeatable) serves several named datasets behind one listener:
-// every endpoint is also available at /v1/NAME/..., the first -dataset is
-// the default the unprefixed routes alias, and each dataset reloads (and,
-// with -shed, sheds) independently. Either file in a spec may be empty
-// ("pools=nated.txt," serves a NATed list with no dynamic prefixes).
+// per-endpoint latency histograms, all labelled by dataset), /debug/manifest
+// (the run manifest JSON, including each dataset's live serving/reload
+// status), and — behind -pprof — /debug/pprof/.
 //
 // The server is hardened for real traffic: read/write/idle timeouts bound
 // slow clients, -watch polls the input files and atomically swaps in a
@@ -69,16 +72,9 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// serveOptions carries the parsed flags into dataset construction and server
-// hardening.
+// serveOptions carries the parsed flags into server hardening and the
+// reloaders.
 type serveOptions struct {
-	natedF, dynF string
-	generate     bool
-	seed         int64
-	scale        float64
-
-	datasets []datasetSpec
-
 	watch         bool
 	watchInterval time.Duration
 
@@ -88,7 +84,12 @@ type serveOptions struct {
 	shutdownGrace time.Duration
 }
 
-// datasetSpec is one -dataset flag: a named pair of input files.
+// defaultDataset names the dataset -nated/-dynamic and -generate serve.
+const defaultDataset = "default"
+
+// datasetSpec is one served dataset: a name and its input files. The
+// -generate study dataset is the one spec with no files; it lives only in
+// memory.
 type datasetSpec struct {
 	name         string
 	natedF, dynF string
@@ -147,7 +148,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return nil
 	})
 	var (
-
 		shedOn         = fs.Bool("shed", false, "enable overload resilience: admission control, load shedding, degraded mode, /healthz + /readyz")
 		shedCheap      = fs.Int("shed-cheap-concurrency", 256, "concurrent requests admitted on the cheap class (single checks, stats)")
 		shedHeavy      = fs.Int("shed-heavy-concurrency", 32, "concurrent requests admitted on the heavy class (list, prefixes, batch checks)")
@@ -178,124 +178,98 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := serveOptions{
-		natedF: *natedF, dynF: *dynF, generate: *generate, seed: *seed, scale: *scale,
-		datasets: datasets,
-		watch:    *watch, watchInterval: *watchInterval,
+		watch: *watch, watchInterval: *watchInterval,
 		readTimeout: *readTimeout, writeTimeout: *writeTimeout,
 		idleTimeout: *idleTimeout, shutdownGrace: *shutdownGrace,
 	}
-	if len(datasets) > 0 && (opts.generate || opts.natedF != "" || opts.dynF != "") {
+	if len(datasets) > 0 && (*generate || *natedF != "" || *dynF != "") {
 		fmt.Fprintln(stderr, "blserve: -dataset cannot be combined with -generate or -nated/-dynamic")
 		return 1
 	}
-	if opts.watch && len(datasets) == 0 && (opts.generate || (opts.natedF == "" && opts.dynF == "")) {
+	switch {
+	case *generate:
+		datasets = []datasetSpec{{name: defaultDataset}}
+	case *natedF != "" || *dynF != "":
+		datasets = []datasetSpec{{name: defaultDataset, natedF: *natedF, dynF: *dynF}}
+	case len(datasets) == 0:
+		fmt.Fprintln(stderr, "blserve: provide -nated/-dynamic files or -generate")
+		return 1
+	}
+	if opts.watch && *generate {
 		fmt.Fprintln(stderr, "blserve: -watch needs -nated/-dynamic files to poll")
 		return 1
 	}
 
-	// shedConfig builds one admission controller per dataset (every dataset
-	// gets its own gates, quotas and mode machine; a flood against one feed
-	// must not degrade the others); nil when -shed is off.
-	shedConfig := func(dataset string, reg *obs.Registry) *shed.Controller {
-		if !*shedOn {
-			return nil
-		}
-		return shed.New(shed.Config{
-			CheapConcurrency: *shedCheap, HeavyConcurrency: *shedHeavy, QueueLimit: *shedQueue,
-			Target: *shedTarget, Interval: *shedInterval, MaxWait: *shedMaxWait,
-			RatePerClient: *shedRate, Burst: *shedBurst,
-			ClientPrefixBits: *shedPrefixBits, TrustForwarded: *shedForwarded, MaxClients: *shedClients,
-			DegradeAfter: *shedDegrade, RecoverAfter: *shedRecover, RetryAfter: *shedRetryAfter,
-			DegradedMaxBatchIPs: *shedBatch,
-			Dataset:             dataset,
-		}, reg)
-	}
-
-	var (
-		handler http.Handler
-		rels    []*reloader
-	)
-	if len(datasets) > 0 {
-		reg := obs.NewRegistry()
-		manifest := obs.NewManifest()
-		if *datasetFaults != "" {
-			manifest.FaultScenario = *datasetFaults
-		}
-		registry := reuseapi.NewRegistry()
-		registry.Obs = reg
-		registry.EnablePprof = *pprofOn
-		for i, spec := range datasets {
-			data, stamps, err := loadDataset(spec.natedF, spec.dynF)
-			if err != nil {
-				fmt.Fprintf(stderr, "blserve: dataset %s: %v\n", spec.name, err)
-				return 1
-			}
-			srv := reuseapi.NewServer(data)
-			srv.Obs = reg
-			srv.Shed = shedConfig(spec.name, reg)
-			if err := registry.Register(spec.name, srv); err != nil {
-				fmt.Fprintln(stderr, "blserve:", err)
-				return 1
-			}
-			rels = append(rels, newReloader(spec.name, i == 0, spec.natedF, spec.dynF,
-				opts.watch, opts.watchInterval, srv, reg, srv.Shed, data, stamps))
-			fmt.Fprintf(stdout, "dataset %s: %d NATed addresses, %d dynamic prefixes%s\n",
-				spec.name, len(data.NATUsers), data.DynamicPrefixes.Len(),
-				map[bool]string{true: " (default)"}[i == 0])
-		}
-		allRels := rels
-		registry.Manifest = func() *obs.Manifest {
-			m := *manifest
-			m.Metrics = reg.Snapshot(true)
-			// Top-level serving block describes the default dataset (so
-			// single-dataset manifest consumers keep working); the Datasets
-			// slice carries every dataset's own lifecycle block.
-			m.Serving = allRels[0].status()
-			if c := allRels[0].shed; c != nil {
-				m.Serving.Overload = c.Status()
-			}
-			for _, rel := range allRels {
-				m.Serving.Datasets = append(m.Serving.Datasets, rel.datasetStatus())
-			}
-			return &m
-		}
-		handler = registry.Handler()
-	} else {
-		data, stamps, reg, manifest, err := buildDataset(opts)
-		if err != nil {
+	reg := obs.NewRegistry()
+	manifest := obs.NewManifest()
+	var generated *reuseapi.Dataset
+	if *generate {
+		var err error
+		if generated, manifest, err = generateDataset(*seed, *scale, reg); err != nil {
 			fmt.Fprintln(stderr, "blserve:", err)
 			return 1
 		}
-		if *datasetFaults != "" {
-			// Crawl provenance travels with the dataset: a list collected under
-			// a fault scenario says so in its manifest, even though the files
-			// themselves carry no such metadata.
-			manifest.FaultScenario = *datasetFaults
-		}
+	}
+	if *datasetFaults != "" {
+		// Crawl provenance travels with the dataset: a list collected under
+		// a fault scenario says so in its manifest, even though the files
+		// themselves carry no such metadata.
+		manifest.FaultScenario = *datasetFaults
+	}
 
-		srv := reuseapi.NewServer(data)
-		srv.Obs = reg
-		srv.EnablePprof = *pprofOn
-		ctrl := shedConfig("", reg)
-		srv.Shed = ctrl
-
-		rel := newReloader("", true, opts.natedF, opts.dynF,
-			opts.watch, opts.watchInterval, srv, reg, ctrl, data, stamps)
-		rels = append(rels, rel)
-		// Serve the manifest with a live metric snapshot and the reload status
-		// so request counters and dataset swaps since startup are visible too.
-		srv.Manifest = func() *obs.Manifest {
-			m := *manifest
-			m.Metrics = reg.Snapshot(true)
-			m.Serving = rel.status()
-			if ctrl != nil {
-				m.Serving.Overload = ctrl.Status()
+	registry := reuseapi.NewRegistry()
+	registry.Obs = reg
+	registry.EnablePprof = *pprofOn
+	rels := make([]*reloader, 0, len(datasets))
+	for i, spec := range datasets {
+		data, stamps := generated, map[string]fileStamp(nil)
+		if spec.natedF != "" || spec.dynF != "" {
+			var err error
+			if data, stamps, err = loadDataset(spec.natedF, spec.dynF); err != nil {
+				fmt.Fprintf(stderr, "blserve: dataset %s: %v\n", spec.name, err)
+				return 1
 			}
-			return &m
 		}
-		fmt.Fprintf(stdout, "serving %d NATed addresses and %d dynamic prefixes\n",
-			len(data.NATUsers), data.DynamicPrefixes.Len())
-		handler = srv.Handler()
+		srv := reuseapi.NewServer(data)
+		// Every dataset gets its own admission controller — gates, quotas
+		// and mode machine — so a flood against one feed cannot degrade
+		// the others; nil when -shed is off.
+		if *shedOn {
+			srv.Shed = shed.New(shed.Config{
+				CheapConcurrency: *shedCheap, HeavyConcurrency: *shedHeavy, QueueLimit: *shedQueue,
+				Target: *shedTarget, Interval: *shedInterval, MaxWait: *shedMaxWait,
+				RatePerClient: *shedRate, Burst: *shedBurst,
+				ClientPrefixBits: *shedPrefixBits, TrustForwarded: *shedForwarded, MaxClients: *shedClients,
+				DegradeAfter: *shedDegrade, RecoverAfter: *shedRecover, RetryAfter: *shedRetryAfter,
+				DegradedMaxBatchIPs: *shedBatch,
+				Dataset:             spec.name,
+			}, reg)
+		}
+		if err := registry.Register(spec.name, srv); err != nil {
+			fmt.Fprintln(stderr, "blserve:", err)
+			return 1
+		}
+		rels = append(rels, newReloader(spec, i == 0, opts.watchInterval, srv, reg, data, stamps))
+		fmt.Fprintf(stdout, "dataset %s: %d NATed addresses, %d dynamic prefixes%s\n",
+			spec.name, len(data.NATUsers), data.DynamicPrefixes.Len(),
+			map[bool]string{true: " (default)"}[i == 0])
+	}
+	// Serve the manifest with a live metric snapshot and every dataset's
+	// lifecycle block, so request counters and reloads since startup are
+	// visible too.
+	registry.Manifest = func() *obs.Manifest {
+		m := *manifest
+		m.Metrics = reg.Snapshot(true)
+		m.Serving = &obs.ServingStatus{Watching: opts.watch}
+		for _, rel := range rels {
+			m.Serving.Datasets = append(m.Serving.Datasets, rel.status())
+		}
+		// The top-level fields describe the default dataset, so readers
+		// that predate the Datasets array keep working.
+		def := m.Serving.Datasets[0]
+		m.Serving.Reloads, m.Serving.LastReload, m.Serving.LastError = def.Reloads, def.LastReload, def.LastError
+		m.Serving.DatasetGenerated, m.Serving.Overload = def.Generated, def.Overload
+		return &m
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -314,7 +288,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	httpSrv := newHTTPServer(handler, opts)
+	httpSrv := newHTTPServer(registry.Handler(), opts)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 	select {
@@ -356,19 +330,15 @@ func newHTTPServer(h http.Handler, opts serveOptions) *http.Server {
 // reuseapi.ApplyDelta, so a few churned addresses don't pay a full
 // recompile-and-recompress of a 100k-line list.
 type reloader struct {
-	name      string
-	isDefault bool
-	natedF    string
-	dynF      string
-	interval  time.Duration
-	watching  bool
+	spec     datasetSpec
+	interval time.Duration
 
+	// srv's Shed controller, when non-nil, is degraded immediately on a
+	// failed reload (the served snapshot is stale) and allowed to recover
+	// once a reload lands.
 	srv          *reuseapi.Server
 	reloads      *obs.Counter
 	deltaReloads *obs.Counter
-	// shed, when non-nil, is degraded immediately on a failed reload (the
-	// served snapshot is stale) and allowed to recover once a reload lands.
-	shed *shed.Controller
 
 	mu       sync.Mutex
 	st       obs.DatasetServingStatus
@@ -385,38 +355,20 @@ type fileStamp struct {
 	sum   [sha256.Size]byte
 }
 
-func newReloader(name string, isDefault bool, natedF, dynF string,
-	watching bool, interval time.Duration,
-	srv *reuseapi.Server, reg *obs.Registry, ctrl *shed.Controller,
+func newReloader(spec datasetSpec, isDefault bool, interval time.Duration,
+	srv *reuseapi.Server, reg *obs.Registry,
 	data *reuseapi.Dataset, stamps map[string]fileStamp) *reloader {
-	counterName := func(base string) string {
-		if name != "" {
-			return obs.Name(base, "dataset", name)
-		}
-		return base
-	}
 	r := &reloader{
-		name:      name,
-		isDefault: isDefault,
-		natedF:    natedF, dynF: dynF,
-		interval: interval,
-		watching: watching,
-		srv:      srv,
-		reloads:  reg.Counter(counterName(obs.WallPrefix + "dataset_reloads_total")),
-		deltaReloads: reg.Counter(counterName(
-			obs.WallPrefix + "dataset_delta_reloads_total")),
-		shed:     ctrl,
-		stamps:   stamps,
-		lastData: data,
+		spec:         spec,
+		interval:     interval,
+		srv:          srv,
+		reloads:      reg.Counter(obs.Name(obs.WallPrefix+"dataset_reloads_total", "dataset", spec.name)),
+		deltaReloads: reg.Counter(obs.Name(obs.WallPrefix+"dataset_delta_reloads_total", "dataset", spec.name)),
+		stamps:       stamps,
+		lastData:     data,
 	}
-	if r.stamps == nil {
-		r.stamps = map[string]fileStamp{}
-	}
-	r.st.Name = name
+	r.st.Name = spec.name
 	r.st.Default = isDefault
-	if data != nil {
-		r.st.Generated = data.Generated
-	}
 	return r
 }
 
@@ -441,7 +393,7 @@ func (r *reloader) watch(ctx context.Context) {
 // and the next tick will see the settled result. A failed parse keeps the
 // old dataset serving and surfaces the error in the manifest.
 func (r *reloader) checkOnce() {
-	data, stamps, err := loadDataset(r.natedF, r.dynF)
+	data, stamps, err := loadDataset(r.spec.natedF, r.spec.dynF)
 	if errors.Is(err, errInputsMoved) {
 		return
 	}
@@ -484,8 +436,8 @@ func (r *reloader) checkOnce() {
 	if appliedDelta {
 		r.deltaReloads.Inc()
 	}
-	if r.shed != nil {
-		r.shed.SetReloadFailed(false)
+	if r.srv.Shed != nil {
+		r.srv.Shed.SetReloadFailed(false)
 	}
 	r.mu.Lock()
 	r.stamps = stamps
@@ -496,7 +448,6 @@ func (r *reloader) checkOnce() {
 	}
 	r.st.LastReload = time.Now().UTC()
 	r.st.LastError = ""
-	r.st.Generated = data.Generated
 	r.mu.Unlock()
 }
 
@@ -504,27 +455,14 @@ func (r *reloader) setError(err error) {
 	r.mu.Lock()
 	r.st.LastError = err.Error()
 	r.mu.Unlock()
-	if r.shed != nil {
-		r.shed.SetReloadFailed(true)
+	if r.srv.Shed != nil {
+		r.srv.Shed.SetReloadFailed(true)
 	}
 }
 
-// status returns the classic top-level serving block for the manifest.
-func (r *reloader) status() *obs.ServingStatus {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return &obs.ServingStatus{
-		Watching:         r.watching,
-		Reloads:          r.st.Reloads,
-		LastReload:       r.st.LastReload,
-		LastError:        r.st.LastError,
-		DatasetGenerated: r.st.Generated,
-	}
-}
-
-// datasetStatus returns this dataset's own lifecycle block, sized from the
-// live snapshot.
-func (r *reloader) datasetStatus() obs.DatasetServingStatus {
+// status returns this dataset's lifecycle block for the manifest, sized from
+// the live snapshot.
+func (r *reloader) status() obs.DatasetServingStatus {
 	r.mu.Lock()
 	st := r.st
 	r.mu.Unlock()
@@ -532,43 +470,30 @@ func (r *reloader) datasetStatus() obs.DatasetServingStatus {
 	st.Generated = snap.Generated()
 	st.NATedAddresses = snap.NATedAddresses()
 	st.DynamicPrefixes = snap.DynamicPrefixes()
-	if r.shed != nil {
-		st.Overload = r.shed.Status()
+	if r.srv.Shed != nil {
+		st.Overload = r.srv.Shed.Status()
 	}
 	return st
 }
 
-// buildDataset assembles the dataset to serve, either from on-disk lists or
-// from a fresh synthetic study.
-func buildDataset(opts serveOptions) (*reuseapi.Dataset, map[string]fileStamp, *obs.Registry, *obs.Manifest, error) {
-	reg := obs.NewRegistry()
-	manifest := obs.NewManifest()
-	switch {
-	case opts.generate:
-		wp := blgen.DefaultParams(opts.seed)
-		wp.Scale = opts.scale
-		study := core.NewStudy(core.Config{Seed: opts.seed, World: &wp, SkipICMP: true, Obs: reg})
-		if _, err := study.Run(); err != nil {
-			return nil, nil, nil, nil, err
-		}
-		data := &reuseapi.Dataset{
-			NATUsers:        map[iputil.Addr]int{},
-			DynamicPrefixes: study.RIPE.DynamicPrefixes,
-			Generated:       time.Now().UTC(),
-		}
-		for _, o := range study.NATed {
-			data.NATUsers[o.Addr] = o.Users
-		}
-		return data, nil, reg, study.Manifest(), nil
-	case opts.natedF != "" || opts.dynF != "":
-		data, stamps, err := loadDataset(opts.natedF, opts.dynF)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		return data, stamps, reg, manifest, nil
-	default:
-		return nil, nil, nil, nil, errors.New("provide -nated/-dynamic files or -generate")
+// generateDataset runs a synthetic study and returns its reuse list with the
+// study's manifest; the study's deterministic counters land in reg.
+func generateDataset(seed int64, scale float64, reg *obs.Registry) (*reuseapi.Dataset, *obs.Manifest, error) {
+	wp := blgen.DefaultParams(seed)
+	wp.Scale = scale
+	study := core.NewStudy(core.Config{Seed: seed, World: &wp, SkipICMP: true, Obs: reg})
+	if _, err := study.Run(); err != nil {
+		return nil, nil, err
 	}
+	data := &reuseapi.Dataset{
+		NATUsers:        map[iputil.Addr]int{},
+		DynamicPrefixes: study.RIPE.DynamicPrefixes,
+		Generated:       time.Now().UTC(),
+	}
+	for _, o := range study.NATed {
+		data.NATUsers[o.Addr] = o.Users
+	}
+	return data, study.Manifest(), nil
 }
 
 // errInputsMoved marks a load attempt that raced a concurrent rewrite of the

@@ -49,10 +49,21 @@ func TestRunNoSource(t *testing.T) {
 	}
 }
 
-// TestBuildDatasetFromFiles covers the load path run blocks on ListenAndServe
+// serveHandler serves srv as blserve does: the default dataset of a
+// one-entry registry.
+func serveHandler(t *testing.T, srv *reuseapi.Server) http.Handler {
+	t.Helper()
+	registry := reuseapi.NewRegistry()
+	if err := registry.Register(defaultDataset, srv); err != nil {
+		t.Fatal(err)
+	}
+	return registry.Handler()
+}
+
+// TestLoadDatasetFromFiles covers the load path run blocks on ListenAndServe
 // for: the dataset must contain exactly the listed addresses and prefixes,
 // and the assembled handler must answer /v1/check.
-func TestBuildDatasetFromFiles(t *testing.T) {
+func TestLoadDatasetFromFiles(t *testing.T) {
 	dir := t.TempDir()
 	nated := filepath.Join(dir, "nated.txt")
 	if err := os.WriteFile(nated, []byte("203.0.113.7\t12\n"), 0o644); err != nil {
@@ -63,7 +74,7 @@ func TestBuildDatasetFromFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	data, stamps, reg, manifest, err := buildDataset(serveOptions{natedF: nated, dynF: dyn})
+	data, stamps, err := loadDataset(nated, dyn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,26 +82,27 @@ func TestBuildDatasetFromFiles(t *testing.T) {
 		t.Fatalf("dataset = %d NATed, %d prefixes; want 1, 1",
 			len(data.NATUsers), data.DynamicPrefixes.Len())
 	}
-	if reg == nil || manifest == nil {
-		t.Fatal("registry or manifest is nil")
-	}
 	if len(stamps) != 2 {
 		t.Fatalf("stamps = %d files, want 2", len(stamps))
 	}
 
-	srv := reuseapi.NewServer(data)
-	srv.Obs = reg
 	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/check?ip=203.0.113.7", nil))
+	serveHandler(t, reuseapi.NewServer(data)).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/check?ip=203.0.113.7", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "203.0.113.7") {
 		t.Fatalf("/v1/check = %d %q", rec.Code, rec.Body.String())
 	}
 }
 
-func TestBuildDatasetMissingFile(t *testing.T) {
-	_, _, _, _, err := buildDataset(serveOptions{natedF: filepath.Join(t.TempDir(), "nope.txt")})
-	if err == nil {
+func TestLoadDatasetMissingFile(t *testing.T) {
+	if _, _, err := loadDataset(filepath.Join(t.TempDir(), "nope.txt"), ""); err == nil {
 		t.Fatal("missing file must error")
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-nated", filepath.Join(t.TempDir(), "nope.txt")}, &out, &errb); code != 1 {
+		t.Fatalf("missing -nated file exited %d, want 1", code)
+	}
+	if !strings.Contains(errb.String(), "dataset default:") {
+		t.Fatalf("error does not name the dataset:\n%s", errb.String())
 	}
 }
 
@@ -114,7 +126,7 @@ func TestWatchNeedsFiles(t *testing.T) {
 // server must close it once the read timeout elapses.
 func TestSlowHeaderConnectionClosed(t *testing.T) {
 	srv := reuseapi.NewServer(&reuseapi.Dataset{Generated: time.Unix(0, 0).UTC()})
-	httpSrv := newHTTPServer(srv.Handler(), serveOptions{
+	httpSrv := newHTTPServer(serveHandler(t, srv), serveOptions{
 		readTimeout:  200 * time.Millisecond,
 		writeTimeout: 200 * time.Millisecond,
 		idleTimeout:  200 * time.Millisecond,
@@ -157,7 +169,7 @@ func TestSlowHeaderConnectionClosed(t *testing.T) {
 // request whose connection then goes quiet must be dropped by the server.
 func TestIdleConnectionClosed(t *testing.T) {
 	srv := reuseapi.NewServer(&reuseapi.Dataset{Generated: time.Unix(0, 0).UTC()})
-	httpSrv := newHTTPServer(srv.Handler(), serveOptions{
+	httpSrv := newHTTPServer(serveHandler(t, srv), serveOptions{
 		readTimeout:  time.Second,
 		writeTimeout: time.Second,
 		idleTimeout:  150 * time.Millisecond,
@@ -318,6 +330,54 @@ func TestServeWatchReloadSmoke(t *testing.T) {
 	}
 }
 
+// TestServeSingleFileIsDefaultDataset pins -nated/-dynamic as shorthand for
+// -dataset default=NATED,DYN: the unprefixed routes and /v1/default/ answer
+// the same bytes, the metrics carry dataset="default", and the manifest has
+// exactly one dataset block, marked default.
+func TestServeSingleFileIsDefaultDataset(t *testing.T) {
+	dir := t.TempDir()
+	nated := filepath.Join(dir, "nated.txt")
+	if err := os.WriteFile(nated, []byte("203.0.113.7\t12\n198.51.100.9\t44\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dyn := filepath.Join(dir, "dynamic.txt")
+	if err := os.WriteFile(dyn, []byte("100.64.0.0/10\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, cancel, _, _ := startServe(t, []string{"-nated", nated, "-dynamic", dyn})
+	defer cancel()
+
+	for _, path := range []string{"check?ip=203.0.113.7", "check?ip=100.64.1.1", "list", "stats"} {
+		ucode, unprefixed := getJSONStatus(t, base, "/v1/"+path)
+		ncode, named := getJSONStatus(t, base, "/v1/default/"+path)
+		if ucode != 200 || ncode != 200 || unprefixed != named {
+			t.Errorf("/v1/%s = %d %q, /v1/default/%s = %d %q", path, ucode, unprefixed, path, ncode, named)
+		}
+	}
+
+	_, metrics := getJSONStatus(t, base, "/metrics")
+	for _, want := range []string{
+		`wall_api_requests_total{dataset="default",endpoint="check"} 4`,
+		`wall_dataset_reloads_total{dataset="default"} 0`,
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, metrics)
+		}
+	}
+
+	_, body := getJSONStatus(t, base, "/debug/manifest")
+	var m obs.Manifest
+	if err := json.Unmarshal([]byte(body), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Serving == nil || len(m.Serving.Datasets) != 1 {
+		t.Fatalf("manifest datasets = %+v, want exactly one", m.Serving)
+	}
+	if d := m.Serving.Datasets[0]; d.Name != "default" || !d.Default || d.NATedAddresses != 2 || d.DynamicPrefixes != 1 {
+		t.Errorf("dataset block = %+v", d)
+	}
+}
+
 // getJSONStatus fetches path and returns the HTTP status plus raw body.
 func getJSONStatus(t *testing.T, base, path string) (int, string) {
 	t.Helper()
@@ -443,7 +503,7 @@ func TestReloaderKeepsServingOnBadFile(t *testing.T) {
 	}
 	srv := reuseapi.NewServer(data)
 	reg := obs.NewRegistry()
-	rel := newReloader("", true, nated, "", true, time.Second, srv, reg, nil, data, stamps)
+	rel := newReloader(datasetSpec{name: defaultDataset, natedF: nated}, true, time.Second, srv, reg, data, stamps)
 
 	if err := os.WriteFile(nated, []byte("not-an-ip is here\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -698,7 +758,7 @@ func TestReloaderCatchesSameStampRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := reuseapi.NewServer(data)
-	rel := newReloader("", true, nated, "", true, time.Second, srv, obs.NewRegistry(), nil, data, stamps)
+	rel := newReloader(datasetSpec{name: defaultDataset, natedF: nated}, true, time.Second, srv, obs.NewRegistry(), data, stamps)
 
 	// Same byte count, same mtime, different content.
 	if err := os.WriteFile(nated, []byte("198.51.100.9\t12\n"), 0o644); err != nil {
@@ -711,7 +771,7 @@ func TestReloaderCatchesSameStampRewrite(t *testing.T) {
 	if st := rel.status(); st.Reloads != 1 {
 		t.Fatalf("same-stamp rewrite not reloaded: %+v", st)
 	}
-	if v := srv.Check(mustAddr(t, "198.51.100.9")); !v.Reused {
+	if v := srv.Snapshot().Verdict(mustAddr(t, "198.51.100.9")); !v.Reused {
 		t.Error("rewritten address not serving after same-stamp rewrite")
 	}
 }
@@ -731,7 +791,7 @@ func TestReloaderByteIdenticalRewriteKeepsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := reuseapi.NewServer(data)
-	rel := newReloader("", true, nated, "", true, time.Second, srv, obs.NewRegistry(), nil, data, stamps)
+	rel := newReloader(datasetSpec{name: defaultDataset, natedF: nated}, true, time.Second, srv, obs.NewRegistry(), data, stamps)
 	before := srv.Snapshot()
 
 	time.Sleep(5 * time.Millisecond) // ensure the rewrite can move mtime

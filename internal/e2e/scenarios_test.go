@@ -180,7 +180,7 @@ func checkHealthyStack(faults string) func(*Stack) error {
 		if err != nil {
 			return err
 		}
-		if v, ok := MetricValue(metrics, "wall_dataset_reloads_total"); !ok || v != 0 {
+		if v, ok := MetricValue(metrics, `wall_dataset_reloads_total{dataset="default"}`); !ok || v != 0 {
 			return fmt.Errorf("wall_dataset_reloads_total = %v (present=%v), want 0", v, ok)
 		}
 		if !strings.Contains(metrics, "wall_api_requests_total") {
@@ -335,7 +335,7 @@ func runWatchBadReload(s *Stack) error {
 	if err != nil {
 		return err
 	}
-	if v, ok := MetricValue(metrics, "wall_dataset_reloads_total"); !ok || v != 0 {
+	if v, ok := MetricValue(metrics, `wall_dataset_reloads_total{dataset="default"}`); !ok || v != 0 {
 		return fmt.Errorf("wall_dataset_reloads_total = %v after failed reload, want 0", v)
 	}
 	after, err := s.ETag("/v1/list")
@@ -512,7 +512,7 @@ func runGreylist(s *Stack) error {
 			return fmt.Errorf("greylist(%s) window %d/%d makes no sense",
 				ip, ans.MinDelaySeconds, ans.RetryWindowSeconds)
 		}
-		if ans.Expires.IsZero() || !ans.Expires.After(time.Now()) {
+		if ans.Expires == nil || !ans.Expires.After(time.Now()) {
 			return fmt.Errorf("greylist(%s) expires %v, want a future instant", ip, ans.Expires)
 		}
 		v, err := s.Verdict(ip)
@@ -538,7 +538,7 @@ func runGreylist(s *Stack) error {
 	if clean.Action != "block" || clean.Reused {
 		return fmt.Errorf("greylist(clean) = %+v, want non-reused block", clean)
 	}
-	if clean.MinDelaySeconds != 0 || clean.RetryWindowSeconds != 0 || !clean.Expires.IsZero() {
+	if clean.MinDelaySeconds != 0 || clean.RetryWindowSeconds != 0 || clean.Expires != nil {
 		return fmt.Errorf("greylist(clean) carries a greylisting window: %+v", clean)
 	}
 	return nil

@@ -74,14 +74,15 @@ type ServingStatus struct {
 	// Overload is the overload-resilience controller's state; nil when the
 	// server runs without admission control (-shed off).
 	Overload *OverloadStatus `json:"overload,omitempty"`
-	// Datasets carries one block per named dataset when the server runs
-	// multi-dataset; the top-level fields then describe the default dataset.
-	// Nil for classic single-dataset serving.
+	// Datasets carries one block per served dataset, default first; a
+	// single-file server has exactly one, named "default". The top-level
+	// fields above repeat the default dataset's, so readers that predate
+	// this array keep working.
 	Datasets []DatasetServingStatus `json:"datasets,omitempty"`
 }
 
-// DatasetServingStatus is one named dataset's lifecycle block in a
-// multi-dataset server's manifest.
+// DatasetServingStatus is one named dataset's lifecycle block in a server's
+// manifest.
 type DatasetServingStatus struct {
 	Name string `json:"name"`
 	// Default marks the dataset the unprefixed /v1/* routes alias.

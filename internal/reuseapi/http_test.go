@@ -63,7 +63,7 @@ func TestAcceptsGzipQualities(t *testing.T) {
 // is precomputed.
 func TestGzipRefusalServesIdentity(t *testing.T) {
 	srv := NewServer(goldenDataset(3, 800, 40))
-	h := srv.Handler()
+	h := handlerFor(t, srv)
 	for _, header := range []string{"gzip;q=0.0", "gzip;q=0", "*;q=0"} {
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest("GET", "/v1/list", nil)
@@ -87,7 +87,7 @@ func TestGzipRefusalServesIdentity(t *testing.T) {
 // client that didn't ask for it, and RFC 9110 requires Vary on 304 too.
 func TestVaryOnPrecomputedEndpoints(t *testing.T) {
 	srv := NewServer(goldenDataset(3, 800, 40))
-	h := srv.Handler()
+	h := handlerFor(t, srv)
 	for _, path := range []string{"/v1/list", "/v1/prefixes"} {
 		// Identity 200.
 		rec := httptest.NewRecorder()
@@ -125,7 +125,7 @@ func TestVaryOnDegradedList(t *testing.T) {
 	ctrl := shed.New(shed.Config{DegradeAfter: time.Millisecond, RecoverAfter: time.Hour}, nil)
 	srv.Shed = ctrl
 	ctrl.SetReloadFailed(true) // force degraded mode
-	h := srv.Handler()
+	h := handlerFor(t, srv)
 
 	// Degraded serving is gzip-only (identity clients are shed), so the
 	// negotiated shapes are the gzip 200 and the 304.
@@ -162,7 +162,7 @@ func TestGreylistEndpoint(t *testing.T) {
 	srv.Greylist = greylist.Config{MinDelay: 2 * time.Minute, RetryWindow: 6 * time.Hour}
 	now := time.Date(2026, 2, 2, 12, 0, 0, 0, time.UTC)
 	srv.now = func() time.Time { return now }
-	h := srv.Handler()
+	h := handlerFor(t, srv)
 
 	get := func(ip string) (int, GreylistAnswer, string) {
 		rec := httptest.NewRecorder()
@@ -184,7 +184,7 @@ func TestGreylistEndpoint(t *testing.T) {
 	if ans.MinDelaySeconds != 120 || ans.RetryWindowSeconds != 6*3600 {
 		t.Errorf("nated window = %+v", ans)
 	}
-	if !ans.Expires.Equal(now.Add(6 * time.Hour)) {
+	if ans.Expires == nil || !ans.Expires.Equal(now.Add(6*time.Hour)) {
 		t.Errorf("nated expires = %v, want %v", ans.Expires, now.Add(6*time.Hour))
 	}
 
@@ -193,7 +193,7 @@ func TestGreylistEndpoint(t *testing.T) {
 		t.Fatalf("dynamic greylist = %d %s", code, body)
 	}
 
-	// Clean address: block, no window, no expiry — and the omitzero fields
+	// Clean address: block, no window, no expiry — and the omitted fields
 	// must be absent from the JSON.
 	code, ans, body = get("192.0.2.1")
 	if code != 200 || ans.Action != "block" || ans.Reused {
@@ -206,7 +206,7 @@ func TestGreylistEndpoint(t *testing.T) {
 	// The handler must agree with the in-process reference.
 	ref := srv.Greylist.Recommend(true, now)
 	if _, ans, _ := get("203.0.113.7"); ans.Action != ref.Action.String() ||
-		ans.RetryWindowSeconds != int64(ref.RetryWindow/time.Second) || !ans.Expires.Equal(ref.Expires) {
+		ans.RetryWindowSeconds != int64(ref.RetryWindow/time.Second) || ans.Expires == nil || !ans.Expires.Equal(ref.Expires) {
 		t.Errorf("endpoint diverges from Config.Recommend: %+v vs %+v", ans, ref)
 	}
 
@@ -308,53 +308,62 @@ func TestRegistryRouting(t *testing.T) {
 	if code, _ := get("/no-such-path"); code != 404 {
 		t.Errorf("/no-such-path = %d", code)
 	}
+	// Every unmatched /v1/ path answers the JSON Error shape, not the
+	// mux's plain-text 404.
+	for _, tc := range []struct{ path, detail string }{
+		{"/v1/nope", "nope"},
+		{"/v1/", ""},
+		{"/v1/alpha/", ""},
+		{"/v1/alpha/check/extra", "check/extra"},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", tc.path, nil))
+		var e Error
+		if rec.Code != 404 || rec.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("%s = %d %q, want a JSON 404", tc.path, rec.Code, rec.Header().Get("Content-Type"))
+		} else if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil ||
+			e.Error != "unknown endpoint" || e.Detail != tc.detail {
+			t.Errorf("%s body = %q (%v), want unknown endpoint %q", tc.path, rec.Body.String(), err, tc.detail)
+		}
+	}
 }
 
 // TestRegistryUnprefixedAliasByteIdentity requires the unprefixed /v1/*
-// routes of a registry to answer byte-for-byte what a plain single-dataset
-// Server would — existing clients must not see the multi-dataset upgrade.
+// routes to answer byte-for-byte what the default dataset's named routes do
+// — the alias IS the default dataset, so clients may use either.
 func TestRegistryUnprefixedAliasByteIdentity(t *testing.T) {
-	d := goldenDataset(11, 600, 50)
-	plain := NewServer(d)
 	g := NewRegistry()
-	if err := g.Register("main", NewServer(d)); err != nil {
+	if err := g.Register("main", NewServer(goldenDataset(11, 600, 50))); err != nil {
 		t.Fatal(err)
 	}
-	ph, gh := plain.Handler(), g.Handler()
+	h := g.Handler()
 
 	paths := []string{
-		"/v1/check?ip=203.0.113.7",
-		"/v1/list",
-		"/v1/prefixes",
-		"/v1/stats",
-		"/v1/greylist?ip=203.0.113.7",
+		"check?ip=203.0.113.7",
+		"list",
+		"prefixes",
+		"stats",
+		"greylist?ip=203.0.113.7",
 	}
 	for _, path := range paths {
 		for _, enc := range []string{"", "gzip"} {
-			preq := httptest.NewRequest("GET", path, nil)
-			greq := httptest.NewRequest("GET", path, nil)
+			ureq := httptest.NewRequest("GET", "/v1/"+path, nil)
+			nreq := httptest.NewRequest("GET", "/v1/main/"+path, nil)
 			if enc != "" {
-				preq.Header.Set("Accept-Encoding", enc)
-				greq.Header.Set("Accept-Encoding", enc)
+				ureq.Header.Set("Accept-Encoding", enc)
+				nreq.Header.Set("Accept-Encoding", enc)
 			}
-			prec, grec := httptest.NewRecorder(), httptest.NewRecorder()
-			ph.ServeHTTP(prec, preq)
-			gh.ServeHTTP(grec, greq)
-			if prec.Code != grec.Code || !bytes.Equal(prec.Body.Bytes(), grec.Body.Bytes()) {
-				t.Errorf("%s (enc %q): registry answer diverges from plain server (%d vs %d)",
-					path, enc, grec.Code, prec.Code)
+			urec, nrec := httptest.NewRecorder(), httptest.NewRecorder()
+			h.ServeHTTP(urec, ureq)
+			h.ServeHTTP(nrec, nreq)
+			if urec.Code != nrec.Code || !bytes.Equal(urec.Body.Bytes(), nrec.Body.Bytes()) {
+				t.Errorf("%s (enc %q): unprefixed answer diverges from /v1/main/ (%d vs %d)",
+					path, enc, urec.Code, nrec.Code)
 			}
-			if pe, ge := prec.Header().Get("ETag"), grec.Header().Get("ETag"); pe != ge {
-				t.Errorf("%s: ETag %q vs %q", path, ge, pe)
+			if ue, ne := urec.Header().Get("ETag"), nrec.Header().Get("ETag"); ue != ne {
+				t.Errorf("%s: ETag %q vs %q", path, ue, ne)
 			}
 		}
-	}
-	// The named route serves the same bytes as the unprefixed alias too.
-	nrec, urec := httptest.NewRecorder(), httptest.NewRecorder()
-	gh.ServeHTTP(nrec, httptest.NewRequest("GET", "/v1/main/list", nil))
-	gh.ServeHTTP(urec, httptest.NewRequest("GET", "/v1/list", nil))
-	if !bytes.Equal(nrec.Body.Bytes(), urec.Body.Bytes()) {
-		t.Error("/v1/main/list diverges from /v1/list")
 	}
 }
 
@@ -389,11 +398,8 @@ func TestRegistryValidation(t *testing.T) {
 // TestRegistryPerDatasetMetrics requires request counters to carry the
 // dataset label so one /metrics endpoint separates the feeds.
 func TestRegistryPerDatasetMetrics(t *testing.T) {
-	g, alpha, beta := twoDatasetRegistry(t)
-	reg := obs.NewRegistry()
-	alpha.Obs = reg
-	beta.Obs = reg
-	g.Obs = reg
+	g, _, _ := twoDatasetRegistry(t)
+	g.Obs = obs.NewRegistry()
 	h := g.Handler()
 
 	for _, path := range []string{"/v1/alpha/check?ip=192.0.2.1", "/v1/beta/check?ip=192.0.2.1", "/v1/check?ip=192.0.2.1"} {

@@ -10,20 +10,23 @@ import (
 	"github.com/reuseblock/reuseblock/internal/shed"
 )
 
-// Registry serves many named datasets behind one handler. Each dataset is a
-// full *Server — its own atomically swappable snapshot, its own optional
-// admission controller — and every endpoint is reachable both as
-// /v1/{dataset}/{endpoint} and, for the default (first-registered) dataset,
-// at the classic unprefixed /v1/{endpoint} routes, so single-dataset
-// clients never notice the difference.
+// Registry is the HTTP surface of the package: it serves one or more named
+// datasets behind one handler. Each dataset is a *Server — its own
+// atomically swappable snapshot, its own optional admission controller —
+// and every endpoint is reachable both as /v1/{dataset}/{endpoint} and, for
+// the default (first-registered) dataset, at the unprefixed
+// /v1/{endpoint} routes. A single-dataset deployment is a one-entry
+// registry.
 //
 // Registration happens once at startup, before Handler; after that the
 // registry is read-only and requests touch no locks beyond each server's
 // snapshot pointer. Per-dataset updates go through the registered *Server
 // (Update / ApplyDelta), not the registry.
 type Registry struct {
-	// Obs serves all datasets' metrics at /metrics; per-dataset counters
-	// are separated by a dataset label. Optional.
+	// Obs, when non-nil, counts requests and observes per-endpoint latency
+	// for every dataset (under the wall namespace — traffic is not part of
+	// the deterministic study surface, and each series carries a dataset
+	// label) and is served in Prometheus text form at /metrics.
 	Obs *obs.Registry
 	// Manifest, when non-nil, is served as JSON at /debug/manifest.
 	Manifest obs.ManifestSource
@@ -109,11 +112,13 @@ func (g *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	h := &registryHandler{mux: mux, eps: make(map[string]*endpointSet, len(g.named))}
 	for _, name := range g.order {
-		es := g.named[name].endpoints(name)
+		es := g.named[name].endpoints(name, g.Obs)
 		h.eps[name] = &es
 	}
 	h.def = h.eps[g.order[0]]
 	if g.anyShed() {
+		// The health probes bypass admission — a load balancer must be able
+		// to probe an overloaded server.
 		mux.HandleFunc("/healthz", g.handleHealthz)
 		mux.HandleFunc("/readyz", g.handleReadyz)
 	}
@@ -139,9 +144,10 @@ func (g *Registry) anyShed() bool {
 }
 
 // registryHandler routes /v1/{endpoint} to the default dataset and
-// /v1/{dataset}/{endpoint} to the named one, falling back to the mux for
-// everything else. Dispatch is two string cuts and two map probes — no
-// per-request allocation, same shape as the single-server fast path.
+// /v1/{dataset}/{endpoint} to the named one, answering every other /v1/ path
+// with a JSON 404 itself, and falls back to the mux for everything outside
+// /v1/. Dispatch is two string cuts and two map probes — no per-request
+// allocation.
 type registryHandler struct {
 	mux *http.ServeMux
 	eps map[string]*endpointSet
@@ -149,29 +155,28 @@ type registryHandler struct {
 }
 
 func (h *registryHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if rest, ok := strings.CutPrefix(r.URL.Path, "/v1/"); ok {
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			if es, ok := h.eps[rest[:i]]; ok {
-				if hf := es.lookup(rest[i+1:]); hf != nil {
-					hf(w, r)
-					return
-				}
-				writeError(w, http.StatusNotFound, "unknown endpoint", rest[i+1:])
-				return
-			}
-			writeError(w, http.StatusNotFound, "unknown dataset", rest[:i])
-			return
-		}
-		if hf := h.def.lookup(rest); hf != nil {
-			hf(w, r)
-			return
-		}
+	rest, ok := strings.CutPrefix(r.URL.Path, "/v1/")
+	if !ok {
+		h.mux.ServeHTTP(w, r)
+		return
 	}
-	h.mux.ServeHTTP(w, r)
+	es, endpoint := h.def, rest
+	if name, tail, named := strings.Cut(rest, "/"); named {
+		if es, ok = h.eps[name]; !ok {
+			writeError(w, http.StatusNotFound, "unknown dataset", name)
+			return
+		}
+		endpoint = tail
+	}
+	if hf := es.lookup(endpoint); hf != nil {
+		hf(w, r)
+		return
+	}
+	writeError(w, http.StatusNotFound, "unknown endpoint", endpoint)
 }
 
-// handleHealthz is liveness for the whole process, as in the single-dataset
-// server: up and serving HTTP means 200.
+// handleHealthz is liveness for the whole process: up and serving HTTP means
+// 200 — degraded is an overload posture, not a death.
 func (g *Registry) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	setContentTypeJSON(w)
 	_, _ = w.Write([]byte("{\"status\":\"ok\"}\n"))
@@ -180,7 +185,9 @@ func (g *Registry) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleReadyz aggregates readiness over every dataset with admission
 // control: one degraded dataset makes the whole replica not-ready (load
 // balancers drain per process, not per path), and the 503 body names the
-// degraded datasets so operators see which feed is in trouble.
+// degraded datasets so operators see which feed is in trouble. Each probe
+// re-evaluates the mode machines, so readiness polling alone is enough to
+// drive recovery after a flood ends.
 func (g *Registry) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	var degraded []string
 	var first *shed.Controller

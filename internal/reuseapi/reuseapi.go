@@ -10,9 +10,12 @@
 //	GET  /v1/stats                 -> dataset summary
 //	GET  /v1/greylist?ip=192.0.2.7 -> verdict + recommended action/expiry (§6 mitigation)
 //
-// A Registry (registry.go) serves many named datasets behind one mux: every
-// endpoint is also reachable at /v1/{dataset}/..., with the unprefixed
-// routes aliasing the default dataset.
+// There is one serving path. Each dataset is a Server — a compiled snapshot
+// with its own admission control — registered under a name in a Registry
+// (registry.go), whose handler is the only HTTP surface: every endpoint
+// answers at /v1/{dataset}/..., and the unprefixed routes above alias the
+// default (first-registered) dataset. A single-dataset deployment is a
+// one-entry Registry.
 //
 // The serving path is built around an immutable compiled Snapshot per
 // dataset (see snapshot.go): handlers read one atomic pointer, do a binary
@@ -77,24 +80,19 @@ const MaxBatchBytes = 1 << 20
 // MaxBatchIPs bounds how many addresses one batch check may carry.
 const MaxBatchIPs = 10_000
 
-// Server wraps a Dataset with HTTP handlers. Safe for concurrent use; the
-// dataset can be swapped atomically with Update. The exported fields are
-// optional observability hooks; set them before calling Handler.
+// Server is one served dataset: its compiled snapshot, swapped atomically by
+// Update and ApplyDelta, plus the per-dataset serving policy (admission
+// control and greylist windows). It has no HTTP surface of its own — register
+// it in a Registry, which serves every dataset. Safe for concurrent use. Set
+// the exported fields before the Registry builds its handler.
 type Server struct {
 	snap atomic.Pointer[Snapshot]
 
-	// Obs, when non-nil, counts requests and observes per-endpoint latency
-	// (under the wall namespace — traffic is not part of the deterministic
-	// study surface) and is served in Prometheus text form at /metrics.
-	Obs *obs.Registry
-	// Manifest, when non-nil, is served as JSON at /debug/manifest.
-	Manifest obs.ManifestSource
-	// EnablePprof mounts the net/http/pprof handlers under /debug/pprof/.
-	EnablePprof bool
 	// Shed, when non-nil, turns on overload resilience: per-class admission
-	// gates, per-client rate limiting, degraded-mode serving, and the
-	// /healthz + /readyz probes. Nil (the default) keeps every serving path
-	// byte-identical to the unguarded build (see shed.go).
+	// gates, per-client rate limiting and degraded-mode serving for this
+	// dataset, and mounts the Registry's /healthz + /readyz probes. Nil (the
+	// default) keeps every serving path byte-identical to the unguarded
+	// build (see shed.go).
 	Shed *shed.Controller
 	// Greylist tunes the /v1/greylist recommendation windows; the zero
 	// value takes the greylist package's defaults.
@@ -133,42 +131,9 @@ func normalize(data *Dataset) *Dataset {
 	return data
 }
 
-// Handler returns the HTTP handler. Observability hooks (Obs, Manifest,
-// EnablePprof) are bound here, so set them before calling.
-//
-// The four API endpoints are dispatched with an exact-path switch before
-// falling back to a ServeMux: the switch costs a handful of compares where
-// the mux's routing tree costs a tree walk per request, and the mux still
-// backs everything else (path cleaning, /metrics, /debug/...).
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	if s.Shed != nil {
-		// The health probes bypass admission — a load balancer must be able
-		// to probe an overloaded server.
-		mux.HandleFunc("/healthz", s.handleHealthz)
-		mux.HandleFunc("/readyz", s.handleReadyz)
-	}
-	h := &apiHandler{mux: mux, eps: s.endpoints("")}
-	mux.HandleFunc("/v1/check", h.eps.check)
-	mux.HandleFunc("/v1/list", h.eps.list)
-	mux.HandleFunc("/v1/prefixes", h.eps.prefixes)
-	mux.HandleFunc("/v1/stats", h.eps.stats)
-	mux.HandleFunc("/v1/greylist", h.eps.greylist)
-	if s.Obs != nil {
-		mux.Handle("/metrics", obs.MetricsHandler(s.Obs))
-	}
-	if s.Manifest != nil {
-		mux.Handle("/debug/manifest", obs.ManifestHandler(s.Manifest))
-	}
-	if s.EnablePprof {
-		obs.RegisterPprof(mux)
-	}
-	return h
-}
-
 // endpointSet is one dataset's fully wrapped API handlers: admission-guarded
-// by cost class when the server sheds, then counted. Both a standalone
-// Server's mux and a Registry's per-dataset routing dispatch into one.
+// by cost class when the server sheds, then counted. A Registry's routing
+// dispatches into one per dataset.
 type endpointSet struct {
 	check, list, prefixes, stats, greylist http.HandlerFunc
 }
@@ -191,51 +156,18 @@ func (e *endpointSet) lookup(name string) http.HandlerFunc {
 	}
 }
 
-// endpoints builds the wrapped endpoint handlers. dataset, when non-empty,
-// labels the per-endpoint metrics so a Registry's datasets stay separable in
-// /metrics; the empty string keeps the single-dataset server's metric names
-// byte-identical to what it always exposed.
-func (s *Server) endpoints(dataset string) endpointSet {
-	check, list, prefixes, stats, greylist :=
-		s.handleCheck, s.handleList, s.handlePrefixes, s.handleStats, s.handleGreylist
-	if s.Shed != nil {
-		// Admission wraps each endpoint by cost class; /v1/check splits by
-		// method (GET cheap, POST heavy).
-		check = s.shedCheck()
-		list = s.guarded(shed.ClassHeavy, s.handleList)
-		prefixes = s.guarded(shed.ClassHeavy, s.handlePrefixes)
-		stats = s.guarded(shed.ClassCheap, s.handleStats)
-		greylist = s.guarded(shed.ClassCheap, s.handleGreylist)
+// endpoints builds the wrapped endpoint handlers. Per-endpoint metrics land
+// in reg under the dataset label, so one /metrics separates the datasets.
+func (s *Server) endpoints(dataset string, reg *obs.Registry) endpointSet {
+	wrap := func(endpoint string, class shed.Class, h http.HandlerFunc) http.HandlerFunc {
+		return counted(reg, dataset, endpoint, s.guarded(class, h))
 	}
 	return endpointSet{
-		check:    s.counted("check", dataset, check),
-		list:     s.counted("list", dataset, list),
-		prefixes: s.counted("prefixes", dataset, prefixes),
-		stats:    s.counted("stats", dataset, stats),
-		greylist: s.counted("greylist", dataset, greylist),
-	}
-}
-
-// apiHandler fast-paths the fixed API endpoints around the mux.
-type apiHandler struct {
-	mux *http.ServeMux
-	eps endpointSet
-}
-
-func (h *apiHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case "/v1/check":
-		h.eps.check(w, r)
-	case "/v1/list":
-		h.eps.list(w, r)
-	case "/v1/prefixes":
-		h.eps.prefixes(w, r)
-	case "/v1/stats":
-		h.eps.stats(w, r)
-	case "/v1/greylist":
-		h.eps.greylist(w, r)
-	default:
-		h.mux.ServeHTTP(w, r)
+		check:    counted(reg, dataset, "check", s.handleCheck()),
+		list:     wrap("list", shed.ClassHeavy, s.handleList),
+		prefixes: wrap("prefixes", shed.ClassHeavy, s.handlePrefixes),
+		stats:    wrap("stats", shed.ClassCheap, s.handleStats),
+		greylist: wrap("greylist", shed.ClassCheap, s.handleGreylist),
 	}
 }
 
@@ -244,21 +176,16 @@ var latencyBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1}
 
 // counted wraps an endpoint handler with a request counter and a latency
 // histogram. The metric handles are resolved once here — not per request —
-// so the hot path does no name composition or registry locking. A nil
-// registry yields nil handles, whose methods are no-ops (see obs): the
-// wrapper is then just a time.Now pair around the handler.
-func (s *Server) counted(endpoint, dataset string, h http.HandlerFunc) http.HandlerFunc {
-	if s.Obs == nil {
+// so the hot path does no name composition or registry locking.
+func counted(reg *obs.Registry, dataset, endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	if reg == nil {
 		// No registry, no wrapper: the uninstrumented hot path should not
 		// pay for two clock reads per request.
 		return h
 	}
-	labels := []string{"endpoint", endpoint}
-	if dataset != "" {
-		labels = append([]string{"dataset", dataset}, labels...)
-	}
-	reqs := s.Obs.Counter(obs.Name(obs.WallPrefix+"api_requests_total", labels...))
-	lat := s.Obs.Histogram(obs.Name(obs.WallPrefix+"api_request_seconds", labels...), latencyBuckets)
+	labels := []string{"dataset", dataset, "endpoint", endpoint}
+	reqs := reg.Counter(obs.Name(obs.WallPrefix+"api_requests_total", labels...))
+	lat := reg.Histogram(obs.Name(obs.WallPrefix+"api_request_seconds", labels...), latencyBuckets)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		reqs.Inc()
@@ -306,14 +233,21 @@ func queryIP(r *http.Request) (string, bool) {
 	return "", false
 }
 
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		s.handleCheckOne(w, r)
-	case http.MethodPost:
-		s.handleCheckBatch(w, r)
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed", r.Method)
+// handleCheck splits /v1/check by method: single GET checks ride the cheap
+// admission class (they must keep flowing during a batch flood), batch POSTs
+// the heavy one.
+func (s *Server) handleCheck() http.HandlerFunc {
+	one := s.guarded(shed.ClassCheap, s.handleCheckOne)
+	batch := s.guarded(shed.ClassHeavy, s.handleCheckBatch)
+	return func(w http.ResponseWriter, r *http.Request) {
+		switch r.Method {
+		case http.MethodGet:
+			one(w, r)
+		case http.MethodPost:
+			batch(w, r)
+		default:
+			writeError(w, http.StatusMethodNotAllowed, "method not allowed", r.Method)
+		}
 	}
 }
 
@@ -538,9 +472,10 @@ type GreylistAnswer struct {
 	MinDelaySeconds    int64 `json:"min_delay_seconds,omitempty"`
 	RetryWindowSeconds int64 `json:"retry_window_seconds,omitempty"`
 	// Expires is when this recommendation should be re-evaluated (the
-	// listing TTL for a greylisted reused address); zero for block answers,
-	// which follow the consumer's standard feed lifecycle.
-	Expires time.Time `json:"expires,omitzero"`
+	// listing TTL for a greylisted reused address); nil, and absent from the
+	// JSON, for block answers, which follow the consumer's standard feed
+	// lifecycle.
+	Expires *time.Time `json:"expires,omitempty"`
 }
 
 // handleGreylist answers GET /v1/greylist?ip=...: the snapshot verdict
@@ -573,16 +508,12 @@ func (s *Server) handleGreylist(w http.ResponseWriter, r *http.Request) {
 		Action:             rec.Action.String(),
 		MinDelaySeconds:    int64(rec.MinDelay / time.Second),
 		RetryWindowSeconds: int64(rec.RetryWindow / time.Second),
-		Expires:            rec.Expires,
+	}
+	if !rec.Expires.IsZero() {
+		ans.Expires = &rec.Expires
 	}
 	setContentTypeJSON(w)
 	_, _ = w.Write(encodeJSONLine(ans))
-}
-
-// Check answers the verdict for addr against the current snapshot — the
-// in-process form of GET /v1/check for embedders (greylist policies, tests).
-func (s *Server) Check(addr iputil.Addr) Verdict {
-	return s.snap.Load().Verdict(addr)
 }
 
 // Verdict computes the check answer for addr straight from the dataset —

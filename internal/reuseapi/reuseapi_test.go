@@ -25,9 +25,20 @@ func testServer(t *testing.T) (*Server, *httptest.Server) {
 		DynamicPrefixes: dyn,
 		Generated:       time.Date(2020, 5, 11, 0, 0, 0, 0, time.UTC),
 	})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(handlerFor(t, srv))
 	t.Cleanup(ts.Close)
 	return srv, ts
+}
+
+// handlerFor serves srv the way every Server is served: as the default
+// dataset of a one-entry Registry.
+func handlerFor(t testing.TB, srv *Server) http.Handler {
+	t.Helper()
+	g := NewRegistry()
+	if err := g.Register("default", srv); err != nil {
+		t.Fatal(err)
+	}
+	return g.Handler()
 }
 
 func getJSON(t *testing.T, url string, out interface{}) *http.Response {
@@ -181,7 +192,7 @@ func TestCheckErrorBodies(t *testing.T) {
 
 func TestStatsEmptyDataset(t *testing.T) {
 	srv := NewServer(&Dataset{})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(handlerFor(t, srv))
 	defer ts.Close()
 	var st Stats
 	resp := getJSON(t, ts.URL+"/v1/stats", &st)
@@ -195,10 +206,14 @@ func TestStatsEmptyDataset(t *testing.T) {
 
 func TestObsEndpoints(t *testing.T) {
 	srv, _ := testServer(t)
-	srv.Obs = obs.NewRegistry()
-	srv.Manifest = func() *obs.Manifest { return obs.NewManifest() }
-	srv.EnablePprof = true
-	ts := httptest.NewServer(srv.Handler())
+	g := NewRegistry()
+	if err := g.Register("default", srv); err != nil {
+		t.Fatal(err)
+	}
+	g.Obs = obs.NewRegistry()
+	g.Manifest = func() *obs.Manifest { return obs.NewManifest() }
+	g.EnablePprof = true
+	ts := httptest.NewServer(g.Handler())
 	defer ts.Close()
 
 	if _, err := http.Get(ts.URL + "/v1/check?ip=8.8.8.8"); err != nil {
@@ -210,7 +225,7 @@ func TestObsEndpoints(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if want := `wall_api_requests_total{endpoint="check"} 1`; !strings.Contains(string(body), want) {
+	if want := `wall_api_requests_total{dataset="default",endpoint="check"} 1`; !strings.Contains(string(body), want) {
 		t.Errorf("/metrics missing %q:\n%s", want, body)
 	}
 	resp, err = http.Get(ts.URL + "/debug/manifest")

@@ -10,17 +10,21 @@ import (
 // This file is the HTTP face of the overload-resilience layer: the shed
 // package decides (admit, shed, rate-limit, degrade) and the helpers here
 // translate decisions into the documented wire behaviour — JSON Error
-// bodies with Retry-After on 429/503, gzip-only degraded list serving, and
-// the /healthz + /readyz probes. Everything is reached only when
-// Server.Shed is non-nil; a nil controller leaves the serving paths
-// byte-identical to the unguarded build.
+// bodies with Retry-After on 429/503 and gzip-only degraded list serving
+// (the /healthz + /readyz probes live on the Registry). Everything is
+// reached only when Server.Shed is non-nil; a nil controller leaves the
+// serving paths byte-identical to the unguarded build.
 
 // guarded wraps an endpoint handler with the admission pipeline: the
 // per-client token bucket first (cheapest check, and a rate-limited client
 // must not consume a concurrency slot), then the class gate. Rejections
-// carry the documented Error shape plus Retry-After.
+// carry the documented Error shape plus Retry-After. Without a controller
+// the handler is returned unwrapped.
 func (s *Server) guarded(class shed.Class, h http.HandlerFunc) http.HandlerFunc {
 	c := s.Shed
+	if c == nil {
+		return h
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !c.AllowClient(c.ClientKey(r)) {
 			writeShedError(w, c, http.StatusTooManyRequests,
@@ -35,24 +39,6 @@ func (s *Server) guarded(class shed.Class, h http.HandlerFunc) http.HandlerFunc 
 		}
 		defer release()
 		h(w, r)
-	}
-}
-
-// shedCheck splits /v1/check admission by method: single GET checks ride
-// the cheap gate (they must keep flowing during a batch flood), batch POSTs
-// the heavy one.
-func (s *Server) shedCheck() http.HandlerFunc {
-	one := s.guarded(shed.ClassCheap, s.handleCheckOne)
-	batch := s.guarded(shed.ClassHeavy, s.handleCheckBatch)
-	return func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodGet:
-			one(w, r)
-		case http.MethodPost:
-			batch(w, r)
-		default:
-			writeError(w, http.StatusMethodNotAllowed, "method not allowed", r.Method)
-		}
 	}
 }
 
@@ -93,27 +79,4 @@ func (s *Server) serveDegraded(w http.ResponseWriter, r *http.Request, pb *preco
 	}
 	h.Set("Content-Encoding", "gzip")
 	_, _ = w.Write(pb.gz)
-}
-
-// handleHealthz is liveness: the process is up and serving HTTP. It always
-// answers 200 — degraded is an overload posture, not a death.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	setContentTypeJSON(w)
-	_, _ = w.Write([]byte("{\"status\":\"ok\"}\n"))
-}
-
-// handleReadyz is readiness: 200 while serving normally, 503 + Retry-After
-// while degraded so load balancers drain this replica until it recovers.
-// Each probe re-evaluates the mode machine, so readiness polling alone is
-// enough to drive recovery after a flood ends.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if s.Shed.Mode() == shed.ModeDegraded {
-		w.Header().Set("Retry-After", strconv.Itoa(s.Shed.RetryAfterSeconds()))
-		setContentTypeJSON(w)
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_, _ = w.Write([]byte("{\"ready\":false,\"mode\":\"degraded\"}\n"))
-		return
-	}
-	setContentTypeJSON(w)
-	_, _ = w.Write([]byte("{\"ready\":true,\"mode\":\"normal\"}\n"))
 }

@@ -72,9 +72,9 @@ func TestShedOffByteIdentity(t *testing.T) {
 	guarded := NewServer(goldenDataset(11, 200, 40))
 	guarded.Shed = generousShed()
 
-	tsPlain := httptest.NewServer(plain.Handler())
+	tsPlain := httptest.NewServer(handlerFor(t, plain))
 	defer tsPlain.Close()
-	tsGuarded := httptest.NewServer(guarded.Handler())
+	tsGuarded := httptest.NewServer(handlerFor(t, guarded))
 	defer tsGuarded.Close()
 
 	etag := fire(t, tsPlain, http.MethodGet, "/v1/list", nil, "").Headers["ETag"]
@@ -123,7 +123,7 @@ func TestShedOffByteIdentity(t *testing.T) {
 
 func TestProbesMountedOnlyWithShed(t *testing.T) {
 	plain := NewServer(goldenDataset(3, 10, 5))
-	tsPlain := httptest.NewServer(plain.Handler())
+	tsPlain := httptest.NewServer(handlerFor(t, plain))
 	defer tsPlain.Close()
 	for _, path := range []string{"/healthz", "/readyz"} {
 		if got := fire(t, tsPlain, http.MethodGet, path, nil, ""); got.Status != http.StatusNotFound {
@@ -133,7 +133,7 @@ func TestProbesMountedOnlyWithShed(t *testing.T) {
 
 	guarded := NewServer(goldenDataset(3, 10, 5))
 	guarded.Shed = generousShed()
-	tsGuarded := httptest.NewServer(guarded.Handler())
+	tsGuarded := httptest.NewServer(handlerFor(t, guarded))
 	defer tsGuarded.Close()
 	hz := fire(t, tsGuarded, http.MethodGet, "/healthz", nil, "")
 	if hz.Status != http.StatusOK || hz.Body != "{\"status\":\"ok\"}\n" {
@@ -167,7 +167,7 @@ func requireShedShape(t *testing.T, res wireResponse, wantStatus int, wantError 
 func TestRateLimitedResponseShape(t *testing.T) {
 	srv := NewServer(goldenDataset(5, 20, 5))
 	srv.Shed = shed.New(shed.Config{RatePerClient: 0.001, Burst: 1}, nil)
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(handlerFor(t, srv))
 	defer ts.Close()
 
 	if got := fire(t, ts, http.MethodGet, "/v1/check?ip=192.0.2.1", nil, ""); got.Status != http.StatusOK {
@@ -187,7 +187,7 @@ func TestSaturatedGateShedsWithDocumentedShape(t *testing.T) {
 		CheapConcurrency: 64, HeavyConcurrency: 1, QueueLimit: 1,
 		MaxWait: 5 * time.Millisecond,
 	}, nil)
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(handlerFor(t, srv))
 	defer ts.Close()
 
 	// Hold the heavy gate's only slot so a heavy request must queue and
@@ -209,7 +209,7 @@ func TestSaturatedGateShedsWithDocumentedShape(t *testing.T) {
 func TestDegradedListServing(t *testing.T) {
 	srv := NewServer(goldenDataset(7, 300, 40))
 	srv.Shed = generousShed()
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(handlerFor(t, srv))
 	defer ts.Close()
 
 	normalGz := fire(t, ts, http.MethodGet, "/v1/list", map[string]string{"Accept-Encoding": "gzip"}, "")
@@ -271,7 +271,7 @@ func TestDegradedListTinyBodyFallsBackToIdentity(t *testing.T) {
 	if srv.Snapshot().list.gz != nil {
 		t.Skip("tiny list unexpectedly has a gzip body")
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(handlerFor(t, srv))
 	defer ts.Close()
 	srv.Shed.SetReloadFailed(true)
 	got := fire(t, ts, http.MethodGet, "/v1/list", nil, "")
@@ -286,7 +286,7 @@ func TestDegradedBatchClamp(t *testing.T) {
 		CheapConcurrency: 64, HeavyConcurrency: 64, QueueLimit: 64,
 		DegradedMaxBatchIPs: 4,
 	}, nil)
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(handlerFor(t, srv))
 	defer ts.Close()
 
 	batch := func(n int) string {
@@ -318,12 +318,13 @@ func TestReadyzFlipsAndRecovers(t *testing.T) {
 		CheapConcurrency: 64, HeavyConcurrency: 64, QueueLimit: 64,
 		RecoverAfter: 10 * time.Millisecond,
 	}, nil)
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(handlerFor(t, srv))
 	defer ts.Close()
 
 	srv.Shed.SetReloadFailed(true)
 	rz := fire(t, ts, http.MethodGet, "/readyz", nil, "")
-	requireReadyz(t, rz, http.StatusServiceUnavailable, "{\"ready\":false,\"mode\":\"degraded\"}\n")
+	requireReadyz(t, rz, http.StatusServiceUnavailable,
+		"{\"ready\":false,\"mode\":\"degraded\",\"degraded_datasets\":[\"default\"]}\n")
 	if rz.Headers["Retry-After"] == "" {
 		t.Error("degraded /readyz carries no Retry-After")
 	}

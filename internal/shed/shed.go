@@ -176,9 +176,9 @@ type Config struct {
 	// DegradedMaxBatchIPs clamps batch checks while degraded. Default 256.
 	DegradedMaxBatchIPs int
 
-	// Dataset labels this controller's metrics when a server runs one
-	// controller per named dataset (multi-dataset serving); empty keeps the
-	// single-dataset server's metric names unchanged.
+	// Dataset labels this controller's metrics with the dataset it guards
+	// (a server runs one controller per dataset, so /metrics keeps them
+	// apart); empty leaves the label off.
 	Dataset string
 }
 
@@ -253,8 +253,7 @@ func New(cfg Config, reg *obs.Registry) *Controller {
 	cfg = cfg.withDefaults()
 	c := &Controller{cfg: cfg, now: time.Now}
 	// A per-dataset controller prefixes every metric's labels with its
-	// dataset so multi-dataset servers stay separable in /metrics; without
-	// the label the names are byte-identical to the single-dataset build.
+	// dataset so the datasets of one server stay separable in /metrics.
 	name := func(base string, kv ...string) string {
 		if cfg.Dataset != "" {
 			kv = append([]string{"dataset", cfg.Dataset}, kv...)

@@ -135,6 +135,17 @@ func (s *lockedServer) handler() http.Handler {
 	return mux
 }
 
+// serveHandler serves srv as the default dataset of a one-entry Registry,
+// the serving path every dataset takes.
+func serveHandler(b *testing.B, srv *reuseapi.Server) http.Handler {
+	b.Helper()
+	g := reuseapi.NewRegistry()
+	if err := g.Register("default", srv); err != nil {
+		b.Fatal(err)
+	}
+	return g.Handler()
+}
+
 // benchRW is a no-op ResponseWriter so the benchmarks measure handler cost,
 // not recorder bookkeeping.
 type benchRW struct{ h http.Header }
@@ -261,10 +272,10 @@ func BenchmarkServeCheck(b *testing.B) {
 
 	locked := &lockedServer{data: data}
 	measure("locked_map", locked.handler())
-	measure("snapshot", reuseapi.NewServer(data).Handler())
+	measure("snapshot", serveHandler(b, reuseapi.NewServer(data)))
 
 	b.Run("snapshot-batch", func(b *testing.B) {
-		h := reuseapi.NewServer(data).Handler()
+		h := serveHandler(b, reuseapi.NewServer(data))
 		var ips []string
 		for _, r := range reqs[:100] {
 			ips = append(ips, r.URL.Query().Get("ip"))
@@ -301,7 +312,7 @@ func BenchmarkServeList(b *testing.B) {
 	// Keep the replica honest: its per-request render must match the
 	// snapshot's precomputed body byte for byte.
 	locked := &lockedServer{data: data}
-	snap := reuseapi.NewServer(data).Handler()
+	snap := serveHandler(b, reuseapi.NewServer(data))
 	wantW, gotW := httptest.NewRecorder(), httptest.NewRecorder()
 	locked.handler().ServeHTTP(wantW, req)
 	snap.ServeHTTP(gotW, httptest.NewRequest(http.MethodGet, "/v1/list", nil))
