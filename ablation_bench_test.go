@@ -12,9 +12,7 @@ import (
 	"github.com/reuseblock/reuseblock/internal/blgen"
 	"github.com/reuseblock/reuseblock/internal/core"
 	"github.com/reuseblock/reuseblock/internal/crawler"
-	"github.com/reuseblock/reuseblock/internal/dht"
 	"github.com/reuseblock/reuseblock/internal/iputil"
-	"github.com/reuseblock/reuseblock/internal/netsim"
 	"github.com/reuseblock/reuseblock/internal/ripeatlas"
 )
 
@@ -36,7 +34,7 @@ func BenchmarkAblationPingVerification(b *testing.B) {
 	b.ResetTimer()
 	var naiveFP, verifiedFP, naiveN, verifiedN int
 	for i := 0; i < b.N; i++ {
-		c := runSmallCrawl(b, w, int64(i+1), 20*time.Minute)
+		c := runSmallCrawl(b, w, core.SwarmConfig{Loss: 0.28, Seed: int64(i + 1)}, 20*time.Minute)
 		naive := c.MultiPortAddrs()
 		verified := iputil.NewSet()
 		for _, o := range c.NATed() {
@@ -122,7 +120,7 @@ func BenchmarkAblationCooldown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lines = lines[:0]
 		for _, cd := range []time.Duration{5 * time.Minute, 20 * time.Minute, time.Hour} {
-			c := runSmallCrawl(b, w, 1, cd)
+			c := runSmallCrawl(b, w, core.SwarmConfig{Loss: 0.28, Seed: 1}, cd)
 			st := c.Stats()
 			lines = append(lines, fmt.Sprintf("cooldown %6s: %7d msgs sent, %4d NATed, %5d IPs",
 				cd, st.MessagesSent, st.NATedIPs, st.UniqueIPs))
@@ -134,27 +132,20 @@ func BenchmarkAblationCooldown(b *testing.B) {
 	writeArtifact(b, "ablation_cooldown.txt", strings.Join(lines, "\n")+"\n")
 }
 
-// runSmallCrawl builds a swarm over w and crawls it for 12 simulated hours.
-func runSmallCrawl(b *testing.B, w *blgen.World, seed int64, cooldown time.Duration) *crawler.Crawler {
+// runSmallCrawl builds a swarm over w and crawls it for 12 simulated hours
+// from one vantage; the crawler shares the swarm's seed.
+func runSmallCrawl(b *testing.B, w *blgen.World, sc core.SwarmConfig, cooldown time.Duration) *crawler.Crawler {
 	b.Helper()
 	scope := w.BlocklistedSpace()
-	swarm, err := core.BuildSwarm(w, core.SwarmConfig{Loss: 0.28, Seed: seed}, scope.Covers)
+	swarm, err := core.BuildSwarm(w, sc, scope.Covers)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sock, err := swarm.Net.Listen(netsim.Endpoint{Addr: iputil.MustParseAddr("198.18.0.1"), Port: 9999})
+	c, err := swarm.StartCrawler(0, crawler.Config{Scope: scope.Covers, Cooldown: cooldown, Seed: sc.Seed})
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := crawler.New(sock, dht.SimClock(swarm.Clock), crawler.Config{
-		Bootstrap: []netsim.Endpoint{swarm.Bootstrap},
-		Scope:     scope.Covers,
-		Cooldown:  cooldown,
-		Seed:      seed,
-	})
-	swarm.Clock.RunFor(time.Minute)
-	c.Start()
-	swarm.Clock.RunFor(12 * time.Hour)
+	swarm.RunFor(12 * time.Hour)
 	c.Stop()
 	return c
 }
@@ -175,26 +166,9 @@ func BenchmarkAblationChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lines = lines[:0]
 		for _, rate := range []float64{0, 0.5, 2} {
-			scope := w.BlocklistedSpace()
-			swarm, err := core.BuildSwarm(w, core.SwarmConfig{
+			c := runSmallCrawl(b, w, core.SwarmConfig{
 				Loss: 0.28, Seed: 1, RestartsPerDay: rate, ChurnHorizon: 12 * time.Hour,
-			}, scope.Covers)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sock, err := swarm.Net.Listen(netsim.Endpoint{Addr: iputil.MustParseAddr("198.18.0.1"), Port: 9999})
-			if err != nil {
-				b.Fatal(err)
-			}
-			c := crawler.New(sock, dht.SimClock(swarm.Clock), crawler.Config{
-				Bootstrap: []netsim.Endpoint{swarm.Bootstrap},
-				Scope:     scope.Covers,
-				Seed:      1,
-			})
-			swarm.Clock.RunFor(time.Minute)
-			c.Start()
-			swarm.Clock.RunFor(12 * time.Hour)
-			c.Stop()
+			}, 0)
 			falsePos := 0
 			for _, o := range c.NATed() {
 				if !trueNAT.Contains(o.Addr) {

@@ -28,6 +28,13 @@
 // outstanding queries. Malformed worker-mode values are usage errors (exit
 // 2 + usage), exactly like -shard.
 //
+// The simulated mode is fleet.RunWorker plus a statistics printout: a shard
+// crawl started here runs the same code as a blfleet worker process or an
+// in-process fleet.LocalRunner worker. -real and -replay run no shard
+// crawl, so combining them with -shard, -faults, the worker flags or the
+// budget flags is a usage error too — such a worker would never report to
+// its coordinator.
+//
 // Usage:
 //
 //	blcrawl [-seed N] [-scale F] [-duration DUR] [-loss F] [-faults SCENARIO] [-shard I/N] [-out FILE]
@@ -56,15 +63,6 @@ import (
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// workerOpts is the validated worker-mode configuration (zero value: not a
-// fleet worker).
-type workerOpts struct {
-	reportTo   string
-	worker     int
-	hbInterval time.Duration
-	budget     fleet.Budget
 }
 
 // run is main with its exit code and streams surfaced so tests can drive the
@@ -100,11 +98,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	scenario, err := faults.Lookup(*faultScn)
-	if err != nil {
-		fmt.Fprintln(stderr, "blcrawl:", err)
-		return 1
-	}
 	usageErr := func(err error) int {
 		// A wrong shard scope or worker wiring is a usage error, not a
 		// runtime failure: treat it like any other bad flag value (exit 2
@@ -114,11 +107,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	if *replay != "" || *realN > 0 {
+		// -real and -replay run no shard crawl, so a worker launched with
+		// either would never report to its coordinator.
+		mode := "-real"
+		if *replay != "" {
+			mode = "-replay"
+		}
+		var bad string
+		fs.Visit(func(f *flag.Flag) {
+			if bad == "" && simulatedOnly[f.Name] {
+				bad = f.Name
+			}
+		})
+		if bad != "" {
+			return usageErr(fmt.Errorf("invalid -%s with %s: shard, fault, worker and budget flags apply only to the simulated crawl", bad, mode))
+		}
+	}
+	scenario, err := faults.Lookup(*faultScn)
+	if err != nil {
+		fmt.Fprintln(stderr, "blcrawl:", err)
+		return 1
+	}
 	shardSpec, err := fleet.ParseShard(*shard)
 	if err != nil {
 		return usageErr(err)
 	}
-	worker, err := validateWorkerFlags(*reportTo, *workerID, *hbInterval, *rate, *burst, *maxInflight)
+	spec, err := validateWorkerFlags(*reportTo, *workerID, *hbInterval, *rate, *burst, *maxInflight)
 	if err != nil {
 		return usageErr(err)
 	}
@@ -128,7 +143,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *realN > 0:
 		err = runReal(*realN, *duration, stdout)
 	default:
-		err = runSimulated(*seed, *scale, *duration, *loss, *out, *msgLog, scenario, shardSpec, worker, stdout, stderr)
+		spec.Shard = shardSpec
+		spec.Seed, spec.Scale, spec.Duration, spec.Loss = *seed, *scale, *duration, *loss
+		spec.FaultScenario = *faultScn
+		spec.OutFile = *out
+		err = runSimulated(spec, scenario, *msgLog, stdout, stderr)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "blcrawl:", err)
@@ -137,10 +156,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// simulatedOnly names the flags that configure a simulated shard crawl.
+var simulatedOnly = map[string]bool{
+	"shard": true, "faults": true, "report-to": true, "worker": true, "hb-interval": true,
+	"rate": true, "burst": true, "max-inflight": true,
+}
+
 // validateWorkerFlags applies the -shard validation standard to the worker
 // and budget flags: anything malformed is rejected before the crawl starts.
-func validateWorkerFlags(reportTo string, worker int, hbInterval time.Duration, rate float64, burst, maxInflight int) (workerOpts, error) {
-	var w workerOpts
+// The returned spec carries the worker wiring and budget.
+func validateWorkerFlags(reportTo string, worker int, hbInterval time.Duration, rate float64, burst, maxInflight int) (fleet.WorkerSpec, error) {
+	var w fleet.WorkerSpec
 	if rate < 0 {
 		return w, fmt.Errorf("invalid -rate %v: want >= 0", rate)
 	}
@@ -150,7 +176,7 @@ func validateWorkerFlags(reportTo string, worker int, hbInterval time.Duration, 
 	if maxInflight < 0 {
 		return w, fmt.Errorf("invalid -max-inflight %d: want >= 0", maxInflight)
 	}
-	w.budget = fleet.Budget{Rate: rate, Burst: burst, MaxInflight: maxInflight}
+	w.Budget = fleet.Budget{Rate: rate, Burst: burst, MaxInflight: maxInflight}
 	if reportTo == "" {
 		if worker != 0 {
 			return w, fmt.Errorf("invalid -worker %d: requires -report-to", worker)
@@ -166,9 +192,9 @@ func validateWorkerFlags(reportTo string, worker int, hbInterval time.Duration, 
 	if hbInterval <= 0 {
 		return w, fmt.Errorf("invalid -hb-interval %v: want > 0", hbInterval)
 	}
-	w.reportTo = reportTo
-	w.worker = worker
-	w.hbInterval = hbInterval
+	w.ReportTo = reportTo
+	w.ID = worker
+	w.HBInterval = hbInterval
 	return w, nil
 }
 
@@ -192,55 +218,35 @@ func runReplay(path string, window time.Duration, stdout io.Writer) error {
 	return nil
 }
 
-func runSimulated(seed int64, scale float64, duration time.Duration, loss float64, out, msgLog string, scenario *faults.Scenario, shard fleet.ShardSpec, worker workerOpts, stdout, stderr io.Writer) (err error) {
-	// In worker mode the coordinator is dialed before world generation so
-	// readiness is announced as early as possible.
-	var agent *fleet.Agent
-	if worker.reportTo != "" {
-		agent, err = fleet.DialAgent(worker.reportTo, worker.worker, shard, worker.hbInterval)
-		if err != nil {
-			return err
-		}
-		defer agent.Close()
-	}
-
-	job := fleet.CrawlJob{
-		Seed:     seed,
-		Scale:    scale,
-		Duration: duration,
-		Loss:     loss,
-		Scenario: scenario,
-		Shard:    shard,
-		Budget:   worker.budget,
-		Stderr:   stderr,
-	}
-	if agent != nil {
-		job.Chunk = fleet.HeartbeatChunk(duration)
-		job.Progress = agent.Publish
-	}
+// runSimulated runs the shard crawl through fleet.RunWorker — the same
+// code a blfleet worker runs — and prints its statistics.
+func runSimulated(spec fleet.WorkerSpec, scenario *faults.Scenario, msgLog string, stdout, stderr io.Writer) (err error) {
+	var eventLog io.Writer
 	if msgLog != "" {
 		lf, err := os.Create(msgLog)
 		if err != nil {
 			return err
 		}
+		w := bufio.NewWriter(lf)
 		defer func() {
+			if ferr := w.Flush(); ferr != nil && err == nil {
+				err = ferr
+			}
 			if cerr := lf.Close(); cerr != nil && err == nil {
 				err = cerr
 			}
 		}()
-		w := bufio.NewWriter(lf)
-		defer w.Flush()
-		job.EventLog = w
+		eventLog = w
 	}
 
 	start := time.Now()
-	res, err := fleet.RunCrawl(job)
+	res, err := fleet.RunWorker(spec, eventLog, nil, stderr)
 	if err != nil {
 		return err
 	}
 
 	st := res.Stats
-	fmt.Fprintf(stdout, "crawled %v of simulated time in %v\n", duration, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "crawled %v of simulated time in %v\n", spec.Duration, time.Since(start).Round(time.Millisecond))
 	fmt.Fprintf(stdout, "messages sent:      %d (get_nodes %d, bt_ping %d)\n", st.MessagesSent, st.GetNodesSent, st.PingsSent)
 	fmt.Fprintf(stdout, "responses received: %d (%.1f%%)\n", st.MessagesReceived, st.ResponseRate*100)
 	fmt.Fprintf(stdout, "unique IPs:         %d\n", st.UniqueIPs)
@@ -259,24 +265,6 @@ func runSimulated(seed int64, scale float64, duration time.Duration, loss float6
 	if len(res.Detected) > 0 {
 		fmt.Fprintf(stdout, "ground truth:       %d/%d detected addresses are true NAT gateways\n",
 			res.TruePositives, len(res.Detected))
-	}
-	if out != "" {
-		if err := fleet.WriteOut(out, res.Detected, stderr); err != nil {
-			return err
-		}
-	}
-	if agent != nil {
-		d := fleet.Done{
-			OutFile:       out,
-			Stats:         fleet.ToWireStats(st),
-			TruePositives: int64(res.TruePositives),
-		}
-		if res.SawBootstrap {
-			d.SawBootstrap = 1
-		}
-		if err := agent.Done(d); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/blocklist"
+	"github.com/reuseblock/reuseblock/internal/fleet"
 	"github.com/reuseblock/reuseblock/internal/iputil"
 )
 
@@ -40,7 +42,7 @@ func TestValidateWorkerFlags(t *testing.T) {
 		{rate: -1},
 		{burst: -1},
 		{maxInflight: -5},
-		{worker: 1},                                  // -worker without -report-to
+		{worker: 1}, // -worker without -report-to
 		{reportTo: "127.0.0.1:4000", worker: 0, hb: time.Second},  // missing -worker
 		{reportTo: "127.0.0.1:4000", worker: -2, hb: time.Second}, // negative -worker
 		{reportTo: "127.0.0.1:4000", worker: 1, hb: 0},            // heartbeat period
@@ -70,6 +72,15 @@ func TestRunBadWorkerFlags(t *testing.T) {
 		{[]string{"-report-to", "127.0.0.1:4000"}, "invalid -worker"},
 		{[]string{"-report-to", "garbage", "-worker", "1"}, "invalid -report-to"},
 		{[]string{"-report-to", "127.0.0.1:4000", "-worker", "1", "-hb-interval", "0s"}, "invalid -hb-interval"},
+		// -real and -replay run no shard crawl: worker, budget and fault
+		// flags there would be silently dropped.
+		{[]string{"-real", "3", "-report-to", "127.0.0.1:4000", "-worker", "1"}, "invalid -report-to with -real"},
+		{[]string{"-real", "3", "-worker", "1"}, "invalid -worker with -real"},
+		{[]string{"-real", "3", "-rate", "5"}, "invalid -rate with -real"},
+		{[]string{"-replay", "crawl.log", "-max-inflight", "4"}, "invalid -max-inflight with -replay"},
+		{[]string{"-replay", "crawl.log", "-burst", "2"}, "invalid -burst with -replay"},
+		{[]string{"-replay", "crawl.log", "-faults", "bursty"}, "invalid -faults with -replay"},
+		{[]string{"-real", "3", "-hb-interval", "1s"}, "invalid -hb-interval with -real"},
 	}
 	for _, c := range cases {
 		var out, errb bytes.Buffer
@@ -100,6 +111,18 @@ func TestRunBadShard(t *testing.T) {
 		}
 		if !strings.Contains(errb.String(), "Usage of blcrawl") {
 			t.Errorf("-shard %s did not print usage:\n%s", bad, errb.String())
+		}
+	}
+	// A valid -shard is still a usage error where no shard crawl runs.
+	for _, mode := range [][]string{{"-real", "3"}, {"-replay", "crawl.log"}} {
+		args := append([]string{"-shard", "1/2"}, mode...)
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("%v exited %d, want 2", args, code)
+		}
+		if !strings.Contains(errb.String(), "invalid -shard with "+mode[0]) ||
+			!strings.Contains(errb.String(), "Usage of blcrawl") {
+			t.Errorf("%v did not report the conflict with usage:\n%s", args, errb.String())
 		}
 	}
 }
@@ -157,6 +180,52 @@ func TestShardedCrawlsUnionToFullCrawl(t *testing.T) {
 			if got := int(uint32(addr) % 2); got != i {
 				t.Errorf("shard %d detected %s which hashes to shard %d", i, addr, got)
 			}
+		}
+	}
+}
+
+// TestRunShardMatchesFleetCrawl: a shard crawl started from the command line
+// is the crawl fleet workers run — the -out file equals fleet.RunCrawl +
+// fleet.WriteOut of the same job byte for byte, and the printed counters are
+// that crawl's statistics.
+func TestRunShardMatchesFleetCrawl(t *testing.T) {
+	dir := t.TempDir()
+	got := filepath.Join(dir, "cli.txt")
+	var out, errb bytes.Buffer
+	if code := run([]string{"-seed", "1", "-scale", "0.05", "-duration", "2h", "-shard", "2/3", "-out", got}, &out, &errb); code != 0 {
+		t.Fatalf("shard crawl exited %d\nstderr: %s", code, errb.String())
+	}
+
+	res, err := fleet.RunCrawl(fleet.CrawlJob{
+		Seed: 1, Scale: 0.05, Duration: 2 * time.Hour, Loss: 0.28,
+		Shard: fleet.ShardSpec{Index: 2, N: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := filepath.Join(dir, "fleet.txt")
+	if err := fleet.WriteOut(want, res.Detected, nil); err != nil {
+		t.Fatal(err)
+	}
+	gotData, err := os.ReadFile(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantData, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantData) == 0 || !bytes.Equal(gotData, wantData) {
+		t.Fatalf("blcrawl -shard output differs from fleet.RunCrawl:\nblcrawl:\n%s\nfleet:\n%s", gotData, wantData)
+	}
+	for _, line := range []string{
+		fmt.Sprintf("messages sent:      %d (get_nodes %d, bt_ping %d)\n",
+			res.Stats.MessagesSent, res.Stats.GetNodesSent, res.Stats.PingsSent),
+		fmt.Sprintf("NATed IPs:          %d (max %d simultaneous users)\n",
+			res.Stats.NATedIPs, res.Stats.SimultaneousMax),
+	} {
+		if !strings.Contains(out.String(), line) {
+			t.Errorf("stdout lacks %q:\n%s", line, out.String())
 		}
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/blgen"
+	"github.com/reuseblock/reuseblock/internal/faults"
 	"github.com/reuseblock/reuseblock/internal/iputil"
+	"github.com/reuseblock/reuseblock/internal/netsim"
 )
 
 // smallStudy runs a fast end-to-end study for tests.
@@ -240,5 +242,47 @@ func TestChurnDisabled(t *testing.T) {
 	}
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildSwarmSharded covers the sharded construction path and the Swarm
+// dispatch helpers: the group fabric advances in lockstep, carries traffic,
+// and rejects fault scenarios.
+func TestBuildSwarmSharded(t *testing.T) {
+	wp := blgen.TestParams(9)
+	wp.Scale = 0.05
+	w := blgen.Generate(wp)
+
+	s, err := BuildSwarm(w, SwarmConfig{Seed: 1, Shards: 3, ShardWorkers: 2, Compact: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Group == nil || s.Clock != nil || s.Net != nil {
+		t.Fatal("sharded swarm should use the group fabric exclusively")
+	}
+	start := s.Now()
+	s.RunFor(time.Minute)
+	if got := s.Now().Sub(start); got != time.Minute {
+		t.Errorf("RunFor advanced %v, want 1m", got)
+	}
+	st := s.NetStats()
+	if st.Sent == 0 || st.Delivered == 0 {
+		t.Errorf("sharded fabric carried no traffic: %+v", st)
+	}
+	// The crawler's vantage address must get a shard-local clock and socket.
+	vantage := iputil.AddrFrom4(198, 18, 0, 1)
+	if s.ClockAt(vantage) == nil {
+		t.Fatal("ClockAt returned nil")
+	}
+	sock, err := s.Listen(netsim.Endpoint{Addr: vantage, Port: 6881})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ep, ok := sock.PublicEndpoint(); !ok || ep.Addr != vantage {
+		t.Errorf("vantage endpoint = %v, %v", ep, ok)
+	}
+
+	if _, err := BuildSwarm(w, SwarmConfig{Seed: 1, Shards: 2, Faults: &faults.Scenario{}}, nil); err == nil {
+		t.Error("sharded swarm with faults should be rejected")
 	}
 }

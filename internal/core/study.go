@@ -8,7 +8,6 @@ import (
 	"github.com/reuseblock/reuseblock/internal/analysis"
 	"github.com/reuseblock/reuseblock/internal/blgen"
 	"github.com/reuseblock/reuseblock/internal/crawler"
-	"github.com/reuseblock/reuseblock/internal/dht"
 	"github.com/reuseblock/reuseblock/internal/faults"
 	"github.com/reuseblock/reuseblock/internal/icmpsurvey"
 	"github.com/reuseblock/reuseblock/internal/iputil"
@@ -281,11 +280,11 @@ type vantageRun struct {
 }
 
 // runCrawl runs the crawl stage: Config.Vantages crawler vantage points in
-// distinct networks (198.18.0.0/15 is benchmarking space — our measurement
-// hosts). Each vantage drives its own simulator instance — netsim is
-// single-threaded, so one goroutine per instance is the only safe shape —
-// seeded only by (Config.Seed, vantage index), and the per-vantage results
-// merge in vantage order, so the outcome is independent of scheduling.
+// distinct networks (Swarm.StartCrawler). Each vantage drives its own
+// simulator instance — netsim is single-threaded, so one goroutine per
+// instance is the only safe shape — seeded only by (Config.Seed, vantage
+// index), and the per-vantage results merge in vantage order, so the
+// outcome is independent of scheduling.
 func (s *Study) runCrawl(natUsers map[iputil.Addr]int, crawlSpan *obs.Span) error {
 	if s.Config.SkipCrawl {
 		return nil
@@ -315,34 +314,16 @@ func (s *Study) runCrawl(natUsers map[iputil.Addr]int, crawlSpan *obs.Span) erro
 			vsp.SetAttr(obs.String("error", err.Error()))
 			return vantageRun{err: err}
 		}
-		vantageAddr := iputil.AddrFrom4(198, 18, byte(v), 1)
-		sock, err := swarm.Listen(netsim.Endpoint{Addr: vantageAddr, Port: 9999})
+		c, err := swarm.StartCrawler(v, crawler.Config{
+			Scope: scope,
+			Seed:  s.Config.Seed ^ 0x4352574c ^ int64(v)<<32, // "CRWL"
+			Obs:   s.Config.Obs,
+			Trace: vsp,
+		})
 		if err != nil {
 			vsp.SetAttr(obs.String("error", err.Error()))
 			return vantageRun{err: err}
 		}
-		crawlCfg := crawler.Config{
-			Bootstrap: []netsim.Endpoint{swarm.Bootstrap},
-			Scope:     scope,
-			Seed:      s.Config.Seed ^ 0x4352574c ^ int64(v)<<32, // "CRWL"
-			Obs:       s.Config.Obs,
-			Trace:     vsp,
-		}
-		if s.Config.Faults != nil {
-			// Resilience policy under faults: bounded retries with backoff
-			// and eviction of persistently dead endpoints. Off by default
-			// so fault-free runs reproduce the original byte stream.
-			crawlCfg.MaxRetries = 2
-			crawlCfg.RetryBase = 2 * time.Second
-			crawlCfg.EvictAfter = 4
-		}
-		// The crawler schedules on the clock owning its vantage address; on
-		// a sharded fabric that is one shard of the group, and RunFor
-		// advances every shard in lockstep.
-		c := crawler.New(sock, dht.SimClock(swarm.ClockAt(vantageAddr)), crawlCfg)
-		// Let NATed users' mappings open before crawling starts.
-		swarm.RunFor(time.Minute)
-		c.Start()
 		swarm.RunFor(s.Config.CrawlDuration)
 		c.Stop()
 		st := c.Stats()

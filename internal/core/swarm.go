@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/blgen"
+	"github.com/reuseblock/reuseblock/internal/crawler"
 	"github.com/reuseblock/reuseblock/internal/dht"
 	"github.com/reuseblock/reuseblock/internal/faults"
 	"github.com/reuseblock/reuseblock/internal/iputil"
@@ -38,6 +39,7 @@ type Swarm struct {
 
 	arena   dht.NodeArena // backing storage for all node state
 	compact bool          // nodes use the compact RNG (SwarmConfig.Compact)
+	faulty  bool          // built under a fault scenario (SwarmConfig.Faults)
 }
 
 // clockFor returns the event clock owning addr.
@@ -89,6 +91,37 @@ func (s *Swarm) NetStats() netsim.Stats {
 		return s.Group.Stats()
 	}
 	return s.Net.Stats()
+}
+
+// StartCrawler brings up crawler vantage v on the swarm: it binds the
+// vantage socket at 198.18.v.1:9999 (198.18.0.0/15 is benchmarking space —
+// our measurement hosts), points the crawler at the swarm's bootstrap, lets
+// NATed users' mappings open for one simulated minute, and starts the crawl.
+// On a swarm built under a fault scenario the crawler also gets the
+// resilience policy: bounded retries with backoff and eviction of
+// persistently dead endpoints (off otherwise, so fault-free runs reproduce
+// the original byte stream). StartCrawler sets cfg.Bootstrap and, on a
+// faulted swarm, the retry fields; cfg carries everything else (seed,
+// scope, limiter, logs). Advance the crawl with RunFor and end it with Stop.
+func (s *Swarm) StartCrawler(v int, cfg crawler.Config) (*crawler.Crawler, error) {
+	addr := iputil.AddrFrom4(198, 18, byte(v), 1)
+	sock, err := s.Listen(netsim.Endpoint{Addr: addr, Port: 9999})
+	if err != nil {
+		return nil, err
+	}
+	cfg.Bootstrap = []netsim.Endpoint{s.Bootstrap}
+	if s.faulty {
+		cfg.MaxRetries = 2
+		cfg.RetryBase = 2 * time.Second
+		cfg.EvictAfter = 4
+	}
+	// The crawler schedules on the clock owning its vantage address; on a
+	// sharded fabric that is one shard of the group, and RunFor advances
+	// every shard in lockstep.
+	c := crawler.New(sock, dht.SimClock(s.ClockAt(addr)), cfg)
+	s.RunFor(time.Minute)
+	c.Start()
+	return c, nil
 }
 
 // SwarmConfig tunes swarm instantiation.
@@ -164,7 +197,7 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 		LatencyJitter: cfg.LatencyJitter,
 		Seed:          cfg.Seed ^ 0x4e455453, // "NETS"
 	}
-	s := &Swarm{NATs: make(map[iputil.Addr]*netsim.NAT), compact: cfg.Compact}
+	s := &Swarm{NATs: make(map[iputil.Addr]*netsim.NAT), compact: cfg.Compact, faulty: cfg.Faults != nil}
 	if cfg.Shards > 1 {
 		if cfg.Faults != nil {
 			return nil, fmt.Errorf("core: fault scenarios require the monolithic fabric (Shards <= 1)")

@@ -337,14 +337,19 @@ func (c *Coordinator) handle(from netsim.Endpoint, payload []byte) {
 		if DecodeArgs(d.Args, &dn) != nil {
 			return
 		}
-		if st := c.shardFor(dn.Worker); st != nil {
-			if st.done == nil {
-				st.done = &dn
-				c.logf("fleet: worker %d done (shard %s): %d NATed, %d msgs sent",
-					dn.Worker, dn.Shard, dn.Stats.NATedIPs, dn.Stats.MessagesSent)
-			}
-			ack() // re-ack duplicates: the worker retries until heard
+		st := c.shardFor(dn.Worker)
+		// The merge reads the file the coordinator assigned to the current
+		// attempt, never a path taken from a datagram: a report naming any
+		// other file or shard is forged or stale, and is dropped unacked.
+		if st == nil || dn.OutFile != st.spec.OutFile || dn.Shard != st.spec.Shard.String() {
+			return
 		}
+		if st.done == nil {
+			st.done = &dn
+			c.logf("fleet: worker %d done (shard %s): %d NATed, %d msgs sent",
+				dn.Worker, dn.Shard, dn.Stats.NATedIPs, dn.Stats.MessagesSent)
+		}
+		ack() // re-ack duplicates: the worker retries until heard
 	}
 }
 
@@ -454,7 +459,7 @@ func (c *Coordinator) merge() (*Result, error) {
 	c.mu.Unlock()
 	for _, st := range states {
 		dn := st.done
-		detected, err := readNATedFile(dn.OutFile)
+		detected, err := readNATedFile(st.spec.OutFile)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: reading worker %d observations: %w", st.spec.ID, err)
 		}
@@ -479,7 +484,7 @@ func (c *Coordinator) merge() (*Result, error) {
 			Attempts:      st.spec.Attempt,
 			Restarts:      st.restarts,
 			Killed:        st.killed,
-			OutFile:       dn.OutFile,
+			OutFile:       st.spec.OutFile,
 			Stats:         ws,
 			TruePositives: int(dn.TruePositives),
 			SawBootstrap:  dn.SawBootstrap != 0,

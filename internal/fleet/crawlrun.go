@@ -10,10 +10,8 @@ import (
 	"github.com/reuseblock/reuseblock/internal/blocklist"
 	"github.com/reuseblock/reuseblock/internal/core"
 	"github.com/reuseblock/reuseblock/internal/crawler"
-	"github.com/reuseblock/reuseblock/internal/dht"
 	"github.com/reuseblock/reuseblock/internal/faults"
 	"github.com/reuseblock/reuseblock/internal/iputil"
-	"github.com/reuseblock/reuseblock/internal/netsim"
 )
 
 // NATedListHeader is the comment header every crawl observation file
@@ -87,10 +85,10 @@ type CrawlResult struct {
 	Cancelled bool
 }
 
-// RunCrawl executes one shard crawl on the deterministic simulator. It is
-// the factored core of `blcrawl`'s simulated mode, shared by the blcrawl
-// command, fleet worker mode, and the coordinator's in-process runner: one
-// implementation, so a worker crawl is the same crawl wherever it runs.
+// RunCrawl executes one shard crawl on the deterministic simulator: it
+// generates the world, builds the swarm, and drives the crawler that
+// core's Swarm.StartCrawler brings up. RunWorker wraps it with the control
+// plane and the out file; tests call it directly as the crawl oracle.
 func RunCrawl(job CrawlJob) (CrawlResult, error) {
 	var res CrawlResult
 	stderr := job.Stderr
@@ -113,10 +111,6 @@ func RunCrawl(job CrawlJob) (CrawlResult, error) {
 	if err != nil {
 		return res, err
 	}
-	sock, err := swarm.Net.Listen(netsim.Endpoint{Addr: iputil.MustParseAddr("198.18.0.1"), Port: 9999})
-	if err != nil {
-		return res, err
-	}
 	cover := scope.Covers
 	if !job.Shard.Whole() {
 		// Restrict probing to this instance's address shard. The bootstrap
@@ -125,25 +119,16 @@ func RunCrawl(job CrawlJob) (CrawlResult, error) {
 		cover = job.Shard.Scope(scope.Covers, swarm.Bootstrap.Addr)
 		fmt.Fprintf(stderr, "crawling shard %d/%d of the address space\n", job.Shard.Index-1, job.Shard.N)
 	}
-	ccfg := crawler.Config{
-		Bootstrap:   []netsim.Endpoint{swarm.Bootstrap},
+	c, err := swarm.StartCrawler(0, crawler.Config{
 		Scope:       cover,
 		Seed:        job.Seed,
 		Limiter:     NewTokenBucket(job.Budget.Rate, job.Budget.Burst),
 		MaxInflight: job.Budget.MaxInflight,
+		EventLog:    job.EventLog,
+	})
+	if err != nil {
+		return res, err
 	}
-	if job.Scenario != nil {
-		// Under faults the crawler fights back: retries with backoff and
-		// eviction of persistently dead endpoints.
-		ccfg.MaxRetries = 2
-		ccfg.RetryBase = 2 * time.Second
-		ccfg.EvictAfter = 4
-	}
-	ccfg.EventLog = job.EventLog
-
-	c := crawler.New(sock, dht.SimClock(swarm.Clock), ccfg)
-	swarm.Clock.RunFor(time.Minute)
-	c.Start()
 
 	snapshot := func(done bool) Snapshot {
 		st := c.Stats()
@@ -170,7 +155,7 @@ func RunCrawl(job CrawlJob) (CrawlResult, error) {
 			if step > remaining {
 				step = remaining
 			}
-			swarm.Clock.RunFor(step)
+			swarm.RunFor(step)
 			remaining -= step
 			if remaining > 0 && job.Progress != nil {
 				job.Progress(snapshot(false))
@@ -201,8 +186,8 @@ func RunCrawl(job CrawlJob) (CrawlResult, error) {
 
 // WriteOut writes a detected-address file in the crawl observation format
 // (sorted addr<TAB>users with the canonical header), reporting to stderr
-// the way blcrawl does. It is shared by blcrawl, fleet workers, and the
-// coordinator's merge step.
+// the way blcrawl does. It is shared by RunWorker and the coordinator's
+// merge step.
 func WriteOut(path string, detected map[iputil.Addr]int, stderr io.Writer) error {
 	f, err := os.Create(path)
 	if err != nil {

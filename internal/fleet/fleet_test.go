@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/crawler"
+	"github.com/reuseblock/reuseblock/internal/dht"
 	"github.com/reuseblock/reuseblock/internal/faults"
 	"github.com/reuseblock/reuseblock/internal/iputil"
+	"github.com/reuseblock/reuseblock/internal/netsim"
 	"github.com/reuseblock/reuseblock/internal/obs"
 )
 
@@ -354,5 +356,71 @@ func TestRunCrawlCancel(t *testing.T) {
 	}
 	if !res.Cancelled {
 		t.Fatal("pre-cancelled crawl not flagged Cancelled")
+	}
+}
+
+// TestCoordinatorIgnoresForgedDone: a fleet_done naming a file or shard the
+// coordinator did not assign to the current attempt is not recorded, the
+// genuine report still completes the shard, and the merge reads the
+// assigned path — never a path taken from a datagram.
+func TestCoordinatorIgnoresForgedDone(t *testing.T) {
+	dir := t.TempDir()
+	assigned := filepath.Join(dir, "shard_1of1_try1.txt")
+	decoy := filepath.Join(dir, "decoy.txt")
+	if err := WriteOut(assigned, map[iputil.Addr]int{iputil.MustParseAddr("10.0.0.1"): 3}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteOut(decoy, map[iputil.Addr]int{iputil.MustParseAddr("10.9.9.9"): 7}, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	c := &Coordinator{}
+	sock, _, err := dht.ListenLoopback(&c.mu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		c.mu.Lock()
+		sock.Close()
+		c.mu.Unlock()
+		sock.Wait()
+	}()
+	c.sock = sock
+	st := &shardState{spec: WorkerSpec{ID: 1, Attempt: 1, Shard: ShardSpec{Index: 1, N: 1}, OutFile: assigned}}
+	c.shards = []*shardState{st}
+
+	deliver := func(d Done) {
+		t.Helper()
+		frame, err := EncodeQuery("t1", MethodDone, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.handle(netsim.Endpoint{Addr: iputil.MustParseAddr("127.0.0.1"), Port: 9}, frame)
+	}
+	for _, forged := range []Done{
+		{Worker: 1, Shard: "1/1", OutFile: decoy},
+		{Worker: 1, Shard: "1/1"},
+		{Worker: 1, Shard: "1/2", OutFile: assigned},
+	} {
+		deliver(forged)
+		if st.done != nil {
+			t.Fatalf("forged report %+v was recorded", forged)
+		}
+	}
+	deliver(Done{Worker: 1, Shard: "1/1", OutFile: assigned, Stats: WireStats{NATedIPs: 1}})
+	if st.done == nil {
+		t.Fatal("genuine report was not recorded")
+	}
+	st.exited = true
+
+	res, err := c.merge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []crawler.NATObservation{{Addr: iputil.MustParseAddr("10.0.0.1"), Users: 3}}
+	if !reflect.DeepEqual(res.Merged, want) || res.PerWorker[0].OutFile != assigned {
+		t.Fatalf("merge read %+v from %s, want %+v from %s", res.Merged, res.PerWorker[0].OutFile, want, assigned)
 	}
 }

@@ -132,7 +132,9 @@ type Heartbeat struct {
 // Done is the fleet_done payload: the worker's final statistics. OutFile is
 // the path of the observations file the worker wrote (the coordinator reads
 // shard observations from disk — addr<TAB>users files are the merge
-// interface, same as every other stage boundary in this repo).
+// interface, same as every other stage boundary in this repo). The
+// coordinator drops a Done whose OutFile or Shard differs from what it
+// assigned the current attempt, and merges only the path it assigned.
 type Done struct {
 	Worker  int       `bencode:"w"`
 	Shard   string    `bencode:"s"`

@@ -132,8 +132,8 @@ func (h *procHandle) Wait() error { return <-h.err }
 func (h *procHandle) Kill() error { return h.cmd.Process.Kill() }
 func (h *procHandle) Pid() int    { return h.cmd.Process.Pid }
 
-// LocalRunner runs workers as in-process goroutines around the same
-// RunCrawl + Agent code path the blcrawl worker mode uses.
+// LocalRunner runs workers as in-process goroutines through RunWorker, the
+// same code path a blcrawl worker process runs.
 type LocalRunner struct{}
 
 type localHandle struct {
@@ -147,7 +147,7 @@ func (LocalRunner) Start(spec WorkerSpec) (WorkerHandle, error) {
 	h := &localHandle{cancel: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(h.done)
-		h.err = RunWorker(spec, h.cancel, io.Discard)
+		_, h.err = RunWorker(spec, nil, h.cancel, io.Discard)
 	}()
 	return h, nil
 }
@@ -168,21 +168,26 @@ func (h *localHandle) Kill() error {
 
 func (h *localHandle) Pid() int { return 0 }
 
-// RunWorker executes one fleet worker end to end: dial the coordinator,
-// announce readiness, run the shard crawl publishing heartbeat snapshots,
-// write the shard observations, and deliver fleet_done. A cancelled crawl
-// (worker killed) returns an error without reporting done or writing the
-// out file — crash semantics, identical to a killed process.
-func RunWorker(spec WorkerSpec, cancel <-chan struct{}, stderr io.Writer) error {
+// RunWorker runs one shard crawl end to end, and is the only code that
+// does: blcrawl's simulated mode (and with it every ProcRunner worker) and
+// LocalRunner all call it. It dials the coordinator when spec.ReportTo is
+// set, runs the crawl publishing heartbeat snapshots, writes the shard
+// observations to spec.OutFile when set, and delivers fleet_done.
+// eventLog, when non-nil, receives the crawler message log. A cancelled
+// crawl (worker killed) returns an error without writing the out file or
+// reporting done — crash semantics, identical to a killed process.
+func RunWorker(spec WorkerSpec, eventLog io.Writer, cancel <-chan struct{}, stderr io.Writer) (CrawlResult, error) {
 	scenario, err := faults.Lookup(spec.FaultScenario)
 	if err != nil {
-		return err
+		return CrawlResult{}, err
 	}
+	// The coordinator is dialed before world generation so readiness is
+	// announced as early as possible.
 	var agent *Agent
 	if spec.ReportTo != "" {
 		agent, err = DialAgent(spec.ReportTo, spec.ID, spec.Shard, spec.HBInterval)
 		if err != nil {
-			return err
+			return CrawlResult{}, err
 		}
 		defer agent.Close()
 	}
@@ -194,8 +199,9 @@ func RunWorker(spec WorkerSpec, cancel <-chan struct{}, stderr io.Writer) error 
 		Scenario: scenario,
 		Shard:    spec.Shard,
 		Budget:   spec.Budget,
+		EventLog: eventLog,
 		Stderr:   stderr,
-		Chunk:    HeartbeatChunk(spec.Duration),
+		Chunk:    heartbeatChunk(spec.Duration),
 		Cancel:   cancel,
 	}
 	if agent != nil {
@@ -203,14 +209,14 @@ func RunWorker(spec WorkerSpec, cancel <-chan struct{}, stderr io.Writer) error 
 	}
 	res, err := RunCrawl(job)
 	if err != nil {
-		return err
+		return res, err
 	}
 	if res.Cancelled {
-		return fmt.Errorf("fleet: worker %d cancelled mid-crawl", spec.ID)
+		return res, fmt.Errorf("fleet: worker %d cancelled mid-crawl", spec.ID)
 	}
 	if spec.OutFile != "" {
 		if err := WriteOut(spec.OutFile, res.Detected, stderr); err != nil {
-			return err
+			return res, err
 		}
 	}
 	if agent != nil {
@@ -223,17 +229,17 @@ func RunWorker(spec WorkerSpec, cancel <-chan struct{}, stderr io.Writer) error 
 			d.SawBootstrap = 1
 		}
 		if err := agent.Done(d); err != nil {
-			return err
+			return res, err
 		}
 	}
-	return nil
+	return res, nil
 }
 
-// HeartbeatChunk picks the simulated-time slice between progress snapshots:
+// heartbeatChunk picks the simulated-time slice between progress snapshots:
 // fine enough that heartbeats track the crawl, coarse enough that chunking
 // overhead stays negligible. Chunking never changes crawl output (RunFor is
 // additive), so the choice is free.
-func HeartbeatChunk(d time.Duration) time.Duration {
+func heartbeatChunk(d time.Duration) time.Duration {
 	chunk := d / 64
 	if chunk < time.Minute {
 		chunk = time.Minute

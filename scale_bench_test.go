@@ -3,11 +3,10 @@
 // The compact core exists for one reason: the paper's observed population is
 // millions of addresses, and the original simulator spent ~11 KiB of heap
 // per host — a multi-million-host world did not fit in RAM alongside the
-// crawler. These tests pin the three properties the compact core claims:
+// crawler. These tests pin the properties the compact core claims:
 //
 //   - TestScale*: sharded + compact runs stay deterministic and
-//     scheduling-invariant, and streamed artifacts are byte-equal to the
-//     batch writers while using bounded memory.
+//     scheduling-invariant.
 //   - BenchmarkStudyScale: measures hosts/sec, bytes/host and peak heap at
 //     world scales 1/10/100 and appends the rows to BENCH_scale.json; the
 //     per-host footprint must undercut the pre-refactor baseline by >= 5x
@@ -15,7 +14,6 @@
 package reuseblock_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -25,10 +23,7 @@ import (
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/blgen"
-	"github.com/reuseblock/reuseblock/internal/blocklist"
 	"github.com/reuseblock/reuseblock/internal/core"
-	"github.com/reuseblock/reuseblock/internal/crawler"
-	"github.com/reuseblock/reuseblock/internal/iputil"
 )
 
 // renderScaleStudy runs a small sharded, compact-state study and returns the
@@ -84,125 +79,6 @@ func TestScaleShardedRepeatable(t *testing.T) {
 	_, b := renderScaleStudy(t, 2, 4, 2)
 	if a != b {
 		t.Errorf("sharded study not repeatable: diverges at %s", firstDiff(a, b))
-	}
-}
-
-// TestScaleStreamingMatchesBatch: the streamed artifact chunks must
-// concatenate to exactly the batch writers' bytes — the NATed list to
-// blocklist.WriteNATedList, the observed list to one address per line — and
-// every chunk must respect the window bound.
-func TestScaleStreamingMatchesBatch(t *testing.T) {
-	s, _ := renderScaleStudy(t, 1, 1, 2)
-	const header = "reuseblock NATed addresses"
-	const window = 7 // deliberately tiny and odd so chunking is exercised
-
-	var streamedNATed, streamedObserved bytes.Buffer
-	maxChunk := 0
-	sink := core.ArtifactSink{
-		NATedHeader: header,
-		NATedList: func(chunk []byte) error {
-			if n := bytes.Count(chunk, []byte("\n")); n > window+1 { // +1 header
-				t.Errorf("NATed chunk has %d lines, window is %d", n, window)
-			}
-			if len(chunk) > maxChunk {
-				maxChunk = len(chunk)
-			}
-			streamedNATed.Write(chunk)
-			return nil
-		},
-		ObservedIPs: func(chunk []byte) error {
-			if n := bytes.Count(chunk, []byte("\n")); n > window {
-				t.Errorf("observed chunk has %d lines, window is %d", n, window)
-			}
-			streamedObserved.Write(chunk)
-			return nil
-		},
-	}
-	if err := s.StreamArtifacts(sink, window); err != nil {
-		t.Fatal(err)
-	}
-
-	users := make(map[iputil.Addr]int, len(s.NATed))
-	for _, o := range s.NATed {
-		users[o.Addr] = o.Users
-	}
-	var batch bytes.Buffer
-	if err := blocklist.WriteNATedList(&batch, users, header); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(streamedNATed.Bytes(), batch.Bytes()) {
-		t.Errorf("streamed NATed list diverges from batch bytes at %s",
-			firstDiff(streamedNATed.String(), batch.String()))
-	}
-	var batchObs bytes.Buffer
-	for _, a := range s.BTObserved.Sorted() {
-		fmt.Fprintf(&batchObs, "%s\n", a)
-	}
-	if !bytes.Equal(streamedObserved.Bytes(), batchObs.Bytes()) {
-		t.Errorf("streamed observed list diverges from batch bytes at %s",
-			firstDiff(streamedObserved.String(), batchObs.String()))
-	}
-	if streamedNATed.Len() == 0 || streamedObserved.Len() == 0 {
-		t.Fatal("streaming produced empty artifacts")
-	}
-}
-
-// syntheticStudy builds a Study holding n synthetic NAT observations and n
-// observed addresses — artifact-emission input without the cost of a crawl.
-func syntheticStudy(n int) *core.Study {
-	base := time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC)
-	s := &core.Study{BTObserved: iputil.NewSet()}
-	for i := 0; i < n; i++ {
-		a := iputil.Addr(0x0b000000 + uint32(i)*3)
-		s.NATed = append(s.NATed, crawler.NATObservation{
-			Addr: a, Users: 2 + i%7, PortsSeen: 1 + i%13, FirstConfirmed: base,
-		})
-		s.BTObserved.Add(a)
-	}
-	return s
-}
-
-// TestScaleStreamingMemorySublinear: emitting artifacts through the
-// streaming path must allocate O(window) regardless of artifact size, while
-// the batch path's cost is the artifact itself. Measured via
-// runtime.MemStats.TotalAlloc, which is monotonic and GC-independent.
-func TestScaleStreamingMemorySublinear(t *testing.T) {
-	const n = 300_000
-	s := syntheticStudy(n)
-	discard := func(chunk []byte) error { return nil }
-	sink := core.ArtifactSink{NATedHeader: "x", NATedList: discard, ObservedIPs: discard}
-
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if err := s.StreamArtifacts(sink, 0); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	streamed := after.TotalAlloc - before.TotalAlloc
-
-	users := make(map[iputil.Addr]int, n)
-	for _, o := range s.NATed {
-		users[o.Addr] = o.Users
-	}
-	runtime.ReadMemStats(&before)
-	var batch bytes.Buffer
-	if err := blocklist.WriteNATedList(&batch, users, "x"); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	batchAllocs := after.TotalAlloc - before.TotalAlloc
-
-	t.Logf("n=%d: streamed %d bytes allocated, batch %d (artifact %d bytes)",
-		n, streamed, batchAllocs, batch.Len())
-	// The streamed path may allocate a few window buffers; it must stay far
-	// below the artifact size, which the batch path necessarily reaches.
-	if streamed > uint64(batch.Len())/4 {
-		t.Errorf("streaming allocated %d bytes for a %d-byte artifact — not sublinear",
-			streamed, batch.Len())
-	}
-	if batchAllocs < uint64(batch.Len()) {
-		t.Fatalf("batch baseline allocated %d bytes for a %d-byte artifact — measurement broken",
-			batchAllocs, batch.Len())
 	}
 }
 
