@@ -8,6 +8,7 @@ build:
 	$(GO) build ./...
 
 vet:
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) vet -tags "e2e slow" ./...
 

@@ -116,10 +116,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := runFleet(fleetOpts{
 		workers: *workers, seed: *seed, scale: *scale, duration: *duration,
 		loss: *loss, faultScn: *faultScn,
-		budget:      fleet.Budget{Rate: *rate, Burst: *burst, MaxInflight: *maxInflight},
-		out:         *out, dir: *dir, local: *local, blcrawl: *blcrawlPath, logDir: *logDir,
-		hbInterval:  *hbInterval, hbTimeout: *hbTimeout, maxRestarts: *maxRestarts,
-		killWorker:  *killWorker, killAfter: *killAfter,
+		budget: fleet.Budget{Rate: *rate, Burst: *burst, MaxInflight: *maxInflight},
+		out:    *out, dir: *dir, local: *local, blcrawl: *blcrawlPath, logDir: *logDir,
+		hbInterval: *hbInterval, hbTimeout: *hbTimeout, maxRestarts: *maxRestarts,
+		killWorker: *killWorker, killAfter: *killAfter,
 		manifestOut: *manifestOut, metricsOut: *metricsOut,
 	}, stdout, stderr); err != nil {
 		fmt.Fprintln(stderr, "blfleet:", err)

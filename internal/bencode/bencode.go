@@ -2,16 +2,14 @@
 // integers (i...e), byte strings (<len>:<bytes>), lists (l...e) and
 // dictionaries (d...e with lexicographically sorted keys).
 //
-// The package offers both a dynamic API (Encode/Decode on Value) and a
-// reflection-based Marshal/Unmarshal for struct types, which the KRPC layer
-// uses for DHT messages.
+// Terms are handled as dynamic Values (Encode/Decode); the KRPC and fleet
+// control-plane codecs build and read those dicts directly.
 package bencode
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"reflect"
 	"sort"
 	"strconv"
 )
@@ -232,213 +230,4 @@ func (d *decoder) str() (Value, error) {
 	}
 	d.pos = start + n
 	return string(d.data[start : start+n]), nil
-}
-
-// Marshal encodes a struct (or any supported Go value) to bencoding.
-// Struct fields use the `bencode:"name"` tag; fields tagged "-" and
-// zero-valued fields tagged ",omitempty" are skipped.
-func Marshal(v interface{}) ([]byte, error) {
-	dyn, err := toValue(reflect.ValueOf(v))
-	if err != nil {
-		return nil, err
-	}
-	return Encode(dyn)
-}
-
-func toValue(rv reflect.Value) (Value, error) {
-	switch rv.Kind() {
-	case reflect.Ptr, reflect.Interface:
-		if rv.IsNil() {
-			return nil, errors.New("bencode: cannot marshal nil")
-		}
-		return toValue(rv.Elem())
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return rv.Int(), nil
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return int64(rv.Uint()), nil
-	case reflect.String:
-		return rv.String(), nil
-	case reflect.Slice:
-		if rv.Type().Elem().Kind() == reflect.Uint8 {
-			return string(rv.Bytes()), nil
-		}
-		list := make([]Value, rv.Len())
-		for i := 0; i < rv.Len(); i++ {
-			ev, err := toValue(rv.Index(i))
-			if err != nil {
-				return nil, err
-			}
-			list[i] = ev
-		}
-		return list, nil
-	case reflect.Map:
-		if rv.Type().Key().Kind() != reflect.String {
-			return nil, errors.New("bencode: map keys must be strings")
-		}
-		dict := make(map[string]Value, rv.Len())
-		iter := rv.MapRange()
-		for iter.Next() {
-			ev, err := toValue(iter.Value())
-			if err != nil {
-				return nil, err
-			}
-			dict[iter.Key().String()] = ev
-		}
-		return dict, nil
-	case reflect.Struct:
-		dict := make(map[string]Value)
-		t := rv.Type()
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				continue
-			}
-			name, omitEmpty := fieldName(f)
-			if name == "-" {
-				continue
-			}
-			fv := rv.Field(i)
-			if omitEmpty && fv.IsZero() {
-				continue
-			}
-			ev, err := toValue(fv)
-			if err != nil {
-				return nil, err
-			}
-			dict[name] = ev
-		}
-		return dict, nil
-	default:
-		return nil, fmt.Errorf("bencode: cannot marshal %s", rv.Kind())
-	}
-}
-
-func fieldName(f reflect.StructField) (name string, omitEmpty bool) {
-	tag := f.Tag.Get("bencode")
-	if tag == "" {
-		return f.Name, false
-	}
-	name = tag
-	if comma := bytes.IndexByte([]byte(tag), ','); comma >= 0 {
-		name = tag[:comma]
-		omitEmpty = tag[comma+1:] == "omitempty"
-	}
-	if name == "" {
-		name = f.Name
-	}
-	return name, omitEmpty
-}
-
-// Unmarshal decodes data into the struct (or map/slice/scalar) pointed to by
-// dst. Unknown dictionary keys are ignored; missing keys leave fields at
-// their zero value.
-func Unmarshal(data []byte, dst interface{}) error {
-	v, err := Decode(data)
-	if err != nil {
-		return err
-	}
-	rv := reflect.ValueOf(dst)
-	if rv.Kind() != reflect.Ptr || rv.IsNil() {
-		return errors.New("bencode: Unmarshal target must be a non-nil pointer")
-	}
-	return fromValue(v, rv.Elem())
-}
-
-func fromValue(v Value, dst reflect.Value) error {
-	switch dst.Kind() {
-	case reflect.Interface:
-		dst.Set(reflect.ValueOf(v))
-		return nil
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		n, ok := v.(int64)
-		if !ok {
-			return fmt.Errorf("bencode: cannot unmarshal %T into %s", v, dst.Kind())
-		}
-		dst.SetInt(n)
-		return nil
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		n, ok := v.(int64)
-		if !ok || n < 0 {
-			return fmt.Errorf("bencode: cannot unmarshal %T into %s", v, dst.Kind())
-		}
-		dst.SetUint(uint64(n))
-		return nil
-	case reflect.String:
-		s, ok := v.(string)
-		if !ok {
-			return fmt.Errorf("bencode: cannot unmarshal %T into string", v)
-		}
-		dst.SetString(s)
-		return nil
-	case reflect.Slice:
-		if dst.Type().Elem().Kind() == reflect.Uint8 {
-			s, ok := v.(string)
-			if !ok {
-				return fmt.Errorf("bencode: cannot unmarshal %T into []byte", v)
-			}
-			dst.SetBytes([]byte(s))
-			return nil
-		}
-		list, ok := v.([]Value)
-		if !ok {
-			return fmt.Errorf("bencode: cannot unmarshal %T into slice", v)
-		}
-		out := reflect.MakeSlice(dst.Type(), len(list), len(list))
-		for i, e := range list {
-			if err := fromValue(e, out.Index(i)); err != nil {
-				return err
-			}
-		}
-		dst.Set(out)
-		return nil
-	case reflect.Map:
-		dict, ok := v.(map[string]Value)
-		if !ok {
-			return fmt.Errorf("bencode: cannot unmarshal %T into map", v)
-		}
-		if dst.Type().Key().Kind() != reflect.String {
-			return errors.New("bencode: map keys must be strings")
-		}
-		out := reflect.MakeMapWithSize(dst.Type(), len(dict))
-		for k, e := range dict {
-			ev := reflect.New(dst.Type().Elem()).Elem()
-			if err := fromValue(e, ev); err != nil {
-				return err
-			}
-			out.SetMapIndex(reflect.ValueOf(k), ev)
-		}
-		dst.Set(out)
-		return nil
-	case reflect.Struct:
-		dict, ok := v.(map[string]Value)
-		if !ok {
-			return fmt.Errorf("bencode: cannot unmarshal %T into struct", v)
-		}
-		t := dst.Type()
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				continue
-			}
-			name, _ := fieldName(f)
-			if name == "-" {
-				continue
-			}
-			e, present := dict[name]
-			if !present {
-				continue
-			}
-			if err := fromValue(e, dst.Field(i)); err != nil {
-				return fmt.Errorf("field %s: %w", f.Name, err)
-			}
-		}
-		return nil
-	case reflect.Ptr:
-		if dst.IsNil() {
-			dst.Set(reflect.New(dst.Type().Elem()))
-		}
-		return fromValue(v, dst.Elem())
-	default:
-		return fmt.Errorf("bencode: cannot unmarshal into %s", dst.Kind())
-	}
 }

@@ -190,97 +190,3 @@ func TestDecodeNeverPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-type krpcLike struct {
-	TxID     string         `bencode:"t"`
-	Type     string         `bencode:"y"`
-	Query    string         `bencode:"q,omitempty"`
-	Args     map[string]int `bencode:"a,omitempty"`
-	Version  string         `bencode:"v,omitempty"`
-	Ignored  string         `bencode:"-"`
-	internal int            //nolint:unused // exercises unexported skipping
-}
-
-func TestMarshalStruct(t *testing.T) {
-	m := krpcLike{TxID: "aa", Type: "q", Query: "ping", Args: map[string]int{"id": 7}, Ignored: "x"}
-	enc, err := Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "d1:ad2:idi7ee1:q4:ping1:t2:aa1:y1:qe"
-	if string(enc) != want {
-		t.Errorf("Marshal = %q, want %q", enc, want)
-	}
-}
-
-func TestMarshalOmitEmpty(t *testing.T) {
-	enc, err := Marshal(krpcLike{TxID: "x", Type: "r"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(enc, []byte("1:q")) || bytes.Contains(enc, []byte("1:a")) {
-		t.Errorf("omitempty field present: %q", enc)
-	}
-}
-
-func TestUnmarshalStruct(t *testing.T) {
-	var m krpcLike
-	in := "d1:ad2:idi9ee1:q4:ping1:t2:zz7:unknown3:abc1:y1:qe"
-	if err := Unmarshal([]byte(in), &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.TxID != "zz" || m.Query != "ping" || m.Args["id"] != 9 {
-		t.Errorf("Unmarshal = %+v", m)
-	}
-}
-
-func TestUnmarshalTypeMismatch(t *testing.T) {
-	var m krpcLike
-	if err := Unmarshal([]byte("d1:ti5e1:y1:qe"), &m); err == nil {
-		t.Error("int into string field should error")
-	}
-	var n int
-	if err := Unmarshal([]byte("3:abc"), &n); err == nil {
-		t.Error("string into int should error")
-	}
-	if err := Unmarshal([]byte("i1e"), nil); err == nil {
-		t.Error("nil target should error")
-	}
-	var notPtr krpcLike
-	if err := Unmarshal([]byte("de"), reflect.ValueOf(notPtr).Interface()); err == nil {
-		t.Error("non-pointer target should error")
-	}
-}
-
-func TestMarshalUnmarshalRoundTrip(t *testing.T) {
-	type inner struct {
-		Name string `bencode:"n"`
-		Vals []int  `bencode:"v"`
-	}
-	type outer struct {
-		ID    []byte  `bencode:"id"`
-		Items []inner `bencode:"items"`
-		Count uint16  `bencode:"count"`
-	}
-	in := outer{ID: []byte{1, 2, 3}, Items: []inner{{"a", []int{1}}, {"b", nil}}, Count: 65535}
-	enc, err := Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out outer
-	if err := Unmarshal(enc, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.ID, in.ID) || out.Count != 65535 || len(out.Items) != 2 || out.Items[0].Name != "a" {
-		t.Errorf("round trip = %+v", out)
-	}
-}
-
-func TestUnmarshalNegativeIntoUint(t *testing.T) {
-	var x struct {
-		N uint32 `bencode:"n"`
-	}
-	if err := Unmarshal([]byte("d1:ni-5ee"), &x); err == nil {
-		t.Error("negative into uint should error")
-	}
-}

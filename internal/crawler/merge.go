@@ -15,33 +15,30 @@ import (
 // an address is NATed if any vantage confirmed it; the user lower bound is
 // the maximum any vantage established (each is a valid lower bound); ports
 // seen and the earliest confirmation are combined.
+//
+// It is a k-way merge that exploits Crawler.NATed returning observations
+// sorted by address. Every combining operation is a max or a min, so the
+// result is invariant under group order. On sorted groups — the crawl
+// pipeline's steady state — the result slice is the only allocation. An
+// unsorted group (legal, but nothing in the repo produces one) is merged
+// from a sorted private copy; the caller's groups are never modified.
 func MergeObservations(groups ...[]NATObservation) []NATObservation {
 	total := 0
-	for _, g := range groups {
-		total += len(g)
-	}
-	return MergeObservationsInto(make([]NATObservation, 0, total), groups...)
-}
-
-// MergeObservationsInto is the allocation-free form of MergeObservations: a
-// k-way merge into dst (grown from dst[:0]), exploiting that Crawler.NATed
-// returns observations sorted by address. Every combining operation is a
-// max or a min, so the result is invariant under group order. When dst has
-// capacity for the result and all groups are sorted — the crawl pipeline's
-// steady state — the merge allocates nothing; an unsorted group (legal, but
-// nothing in the repo produces one) is sorted into a private copy first.
-// The previous map-based merge rebuilt and re-sorted the whole address
-// universe on every call, which at paper scale meant hundreds of megabytes
-// of transient garbage per merge window.
-func MergeObservationsInto(dst []NATObservation, groups ...[]NATObservation) []NATObservation {
-	dst = dst[:0]
+	copied := false
 	for g, group := range groups {
-		if !obsSorted(group) {
-			cp := append([]NATObservation(nil), group...)
-			sort.Slice(cp, func(i, j int) bool { return cp[i].Addr < cp[j].Addr })
-			groups[g] = cp
+		total += len(group)
+		if obsSorted(group) {
+			continue
 		}
+		if !copied {
+			groups = append([][]NATObservation(nil), groups...)
+			copied = true
+		}
+		cp := append([]NATObservation(nil), group...)
+		sort.Slice(cp, func(i, j int) bool { return cp[i].Addr < cp[j].Addr })
+		groups[g] = cp
 	}
+	dst := make([]NATObservation, 0, total)
 	var idxBuf [16]int
 	var idx []int
 	if len(groups) <= len(idxBuf) {

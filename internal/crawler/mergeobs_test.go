@@ -105,41 +105,45 @@ func TestMergeObservationsOrderInvariant(t *testing.T) {
 	}
 }
 
-// TestMergeObservationsIntoZeroAlloc enforces the whole point of the Into
-// form: with a capacious dst and sorted groups, merging allocates nothing
-// (the budget of 1 tolerates testing-harness noise only).
-func TestMergeObservationsIntoZeroAlloc(t *testing.T) {
+// TestMergeObservationsAllocsPerCall: on sorted groups — the crawl
+// pipeline's steady state — the result slice is the merge's only allocation.
+func TestMergeObservationsAllocsPerCall(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	groups := genObsGroups(rng, 4, 2000)
-	dst := make([]NATObservation, 0, 4*2000)
+	var got []NATObservation
 	allocs := testing.AllocsPerRun(20, func() {
-		dst = MergeObservationsInto(dst, groups...)
+		got = MergeObservations(groups...)
 	})
 	if allocs > 1 {
-		t.Fatalf("MergeObservationsInto allocated %.1f objects/op, want <= 1", allocs)
+		t.Fatalf("MergeObservations allocated %.1f objects/call on sorted input, want <= 1", allocs)
 	}
-	obsEqual(t, dst, refMerge(groups...), "zero-alloc merge result")
+	obsEqual(t, got, refMerge(groups...), "merge result")
 }
 
-// TestMergeObservationsIntoReusesDst: successive merges into the same dst
-// must not leak earlier results.
-func TestMergeObservationsIntoReusesDst(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := genObsGroups(rng, 3, 100)
-	b := genObsGroups(rng, 2, 50)
-	dst := MergeObservationsInto(nil, a...)
-	dst = MergeObservationsInto(dst, b...)
-	obsEqual(t, dst, refMerge(b...), "second merge into reused dst")
+// TestMergeObservationsKeepsCallerGroups: merging an unsorted group sorts a
+// private copy; the caller's group headers and contents stay as they were.
+func TestMergeObservationsKeepsCallerGroups(t *testing.T) {
+	unsorted := []NATObservation{{Addr: 9, Users: 2}, {Addr: 3, Users: 4}}
+	sorted := []NATObservation{{Addr: 1, Users: 3}}
+	gs := [][]NATObservation{unsorted, sorted}
+	obsEqual(t, MergeObservations(gs...), refMerge(unsorted, sorted), "merge result")
+	if &gs[0][0] != &unsorted[0] || &gs[1][0] != &sorted[0] {
+		t.Fatal("MergeObservations replaced a caller's group")
+	}
+	if unsorted[0].Addr != 9 || unsorted[1].Addr != 3 {
+		t.Fatalf("MergeObservations reordered a caller's group: %+v", unsorted)
+	}
 }
 
-func BenchmarkMergeObservationsInto(b *testing.B) {
+var mergeSink []NATObservation
+
+func BenchmarkMergeObservations(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	groups := genObsGroups(rng, 4, 50000)
-	dst := make([]NATObservation, 0, 4*50000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = MergeObservationsInto(dst, groups...)
+		mergeSink = MergeObservations(groups...)
 	}
 }
 

@@ -1,6 +1,8 @@
 // Package dht implements a BitTorrent Mainline-DHT node (BEP 5): a 160-bit
 // node identity, a k-bucket Kademlia routing table, query/response handling
-// for ping, find_node and get_peers, and an iterative bootstrap procedure.
+// for ping and find_node (the only KRPC methods the paper's crawler sends;
+// any other query gets a 204 "Method Unknown" error), and an iterative
+// bootstrap procedure.
 //
 // Nodes are transport-agnostic: they speak KRPC over any netsim.Socket, so
 // the same code runs on the simulated network (the default for experiments)

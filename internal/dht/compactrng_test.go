@@ -63,14 +63,14 @@ func TestNodeArenaAllocation(t *testing.T) {
 	ptrs := make([]*Node, n)
 	for i := range ptrs {
 		ptrs[i] = a.alloc()
-		ptrs[i].tokenBase = uint64(i) + 1
+		ptrs[i].stats.QueriesSent = int64(i) + 1
 	}
 	if a.Len() != n {
 		t.Fatalf("Len = %d, want %d", a.Len(), n)
 	}
 	for i, p := range ptrs {
-		if p.tokenBase != uint64(i)+1 {
-			t.Fatalf("slot %d overwritten: tokenBase = %d", i, p.tokenBase)
+		if p.stats.QueriesSent != int64(i)+1 {
+			t.Fatalf("slot %d overwritten: QueriesSent = %d", i, p.stats.QueriesSent)
 		}
 	}
 }

@@ -212,205 +212,24 @@ func TestUnknownMethodGetsError(t *testing.T) {
 			resp = m
 		}
 	})
-	// A hand-encoded query with an unknown method (Marshal would refuse it).
+	// Hand-encoded queries with methods the node does not implement
+	// (Marshal would refuse them): a made-up one, and BEP 5's get_peers and
+	// announce_peer.
 	var id krpc.NodeID
-	data := []byte("d1:ad2:id20:" + string(id[:]) + "e1:q6:frobml1:t2:zz1:y1:qe")
-	if _, err := krpc.Unmarshal(data); err != nil {
-		t.Fatalf("test datagram malformed: %v", err)
-	}
-	raw.Send(endpointOf(a), data)
-	w.clock.Drain(0)
-	if resp == nil || resp.Kind != krpc.KindError || resp.ErrCode != krpc.ErrCodeMethodUnknown {
-		t.Fatalf("resp = %+v, want method-unknown error", resp)
-	}
-}
-
-func TestAnnounceWithBadTokenRejected(t *testing.T) {
-	w := newSimWorld(t)
-	a := w.newNode(t, "10.0.0.1", 6881, 1)
-	b := w.newNode(t, "10.0.0.2", 6881, 2)
-	var infoHash krpc.NodeID
-	infoHash[0] = 0xaa
-	var resp *krpc.Message
-	b.Announce(endpointOf(a), infoHash, 6881, "forged-token", func(m *krpc.Message, err error) {
-		if err != nil {
-			t.Errorf("announce: %v", err)
+	for _, data := range []string{
+		"d1:ad2:id20:" + string(id[:]) + "e1:q6:frobml1:t2:zz1:y1:qe",
+		"d1:ad2:id20:" + string(id[:]) + "9:info_hash20:" + string(id[:]) + "e1:q9:get_peers1:t2:ee1:y1:qe",
+		"d1:ad2:id20:" + string(id[:]) + "9:info_hash20:" + string(id[:]) + "4:porti6881e5:token3:toke1:q13:announce_peer1:t2:ff1:y1:qe",
+	} {
+		if _, err := krpc.Unmarshal([]byte(data)); err != nil {
+			t.Fatalf("test datagram malformed: %v", err)
 		}
-		resp = m
-	})
-	w.clock.Drain(0)
-	if resp == nil || resp.Kind != krpc.KindError || resp.ErrCode != krpc.ErrCodeProtocol {
-		t.Fatalf("resp = %+v, want bad-token error", resp)
-	}
-	if len(a.StoredPeers(infoHash)) != 0 {
-		t.Error("forged announce stored a peer")
-	}
-}
-
-func TestGetPeersAnnounceRoundTrip(t *testing.T) {
-	w := newSimWorld(t)
-	tracker := w.newNode(t, "10.0.0.1", 6881, 1)
-	seeder := w.newNode(t, "10.0.0.2", 51413, 2)
-	leecher := w.newNode(t, "10.0.0.3", 6881, 3)
-	var infoHash krpc.NodeID
-	infoHash[5] = 0x77
-
-	// Seeder: get_peers (for the token), then announce.
-	var token string
-	seeder.GetPeers(endpointOf(tracker), infoHash, func(m *krpc.Message, err error) {
-		if err != nil {
-			t.Errorf("get_peers: %v", err)
-			return
+		resp = nil
+		raw.Send(endpointOf(a), []byte(data))
+		w.clock.Drain(0)
+		if resp == nil || resp.Kind != krpc.KindError || resp.ErrCode != krpc.ErrCodeMethodUnknown {
+			t.Fatalf("%q: resp = %+v, want method-unknown error", data, resp)
 		}
-		if len(m.Peers) != 0 {
-			t.Errorf("unexpected peers before announce: %v", m.Peers)
-		}
-		token = m.Token
-	})
-	w.clock.Drain(0)
-	if token == "" {
-		t.Fatal("no token from get_peers")
-	}
-	seeder.Announce(endpointOf(tracker), infoHash, 51413, token, func(m *krpc.Message, err error) {
-		if err != nil || m.Kind != krpc.KindResponse {
-			t.Errorf("announce failed: %+v, %v", m, err)
-		}
-	})
-	w.clock.Drain(0)
-	if got := tracker.StoredPeers(infoHash); len(got) != 1 || got[0].Port != 51413 {
-		t.Fatalf("stored peers = %+v", got)
-	}
-
-	// Leecher: get_peers now returns the seeder.
-	var peers []krpc.Peer
-	leecher.GetPeers(endpointOf(tracker), infoHash, func(m *krpc.Message, err error) {
-		if err == nil {
-			peers = m.Peers
-		}
-	})
-	w.clock.Drain(0)
-	if len(peers) != 1 || peers[0].Addr != iputil.MustParseAddr("10.0.0.2") {
-		t.Fatalf("peers = %+v", peers)
-	}
-}
-
-func TestAnnounceImpliedPort(t *testing.T) {
-	w := newSimWorld(t)
-	tracker := w.newNode(t, "10.0.0.1", 6881, 1)
-	seeder := w.newNode(t, "10.0.0.2", 40000, 2)
-	var infoHash krpc.NodeID
-	infoHash[1] = 0x42
-	var token string
-	seeder.GetPeers(endpointOf(tracker), infoHash, func(m *krpc.Message, err error) {
-		if err == nil {
-			token = m.Token
-		}
-	})
-	w.clock.Drain(0)
-	// announce with port 0 + implied: tracker must store the source port.
-	msg := krpc.NewAnnouncePeer("ti", seeder.ID(), infoHash, 0, token)
-	msg.ImpliedPort = true
-	data, err := msg.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeder.sock.Send(endpointOf(tracker), data)
-	w.clock.Drain(0)
-	got := tracker.StoredPeers(infoHash)
-	if len(got) != 1 || got[0].Port != 40000 {
-		t.Fatalf("stored peers = %+v, want source port 40000", got)
-	}
-}
-
-func TestPeerStoreExpiry(t *testing.T) {
-	w := newSimWorld(t)
-	tracker := w.newNode(t, "10.0.0.1", 6881, 1)
-	seeder := w.newNode(t, "10.0.0.2", 51413, 2)
-	var infoHash krpc.NodeID
-	infoHash[2] = 9
-	var token string
-	seeder.GetPeers(endpointOf(tracker), infoHash, func(m *krpc.Message, err error) {
-		if err == nil {
-			token = m.Token
-		}
-	})
-	w.clock.Drain(0)
-	seeder.Announce(endpointOf(tracker), infoHash, 51413, token, nil)
-	w.clock.Drain(0)
-	if len(tracker.StoredPeers(infoHash)) != 1 {
-		t.Fatal("announce not stored")
-	}
-	// After the TTL (default 2h) the peer expires.
-	w.clock.RunFor(3 * time.Hour)
-	if got := tracker.StoredPeers(infoHash); len(got) != 0 {
-		t.Errorf("expired peers still served: %+v", got)
-	}
-}
-
-func TestTokenExpiresAcrossEpochs(t *testing.T) {
-	w := newSimWorld(t)
-	tracker := w.newNode(t, "10.0.0.1", 6881, 1)
-	seeder := w.newNode(t, "10.0.0.2", 51413, 2)
-	var infoHash krpc.NodeID
-	infoHash[3] = 9
-	var token string
-	seeder.GetPeers(endpointOf(tracker), infoHash, func(m *krpc.Message, err error) {
-		if err == nil {
-			token = m.Token
-		}
-	})
-	w.clock.Drain(0)
-	// Two full rotation periods later the token must be rejected.
-	w.clock.RunFor(11 * time.Minute)
-	var resp *krpc.Message
-	seeder.Announce(endpointOf(tracker), infoHash, 51413, token, func(m *krpc.Message, err error) {
-		if err == nil {
-			resp = m
-		}
-	})
-	w.clock.Drain(0)
-	if resp == nil || resp.Kind != krpc.KindError {
-		t.Fatalf("stale token accepted: %+v", resp)
-	}
-}
-
-func TestLookupPeersTraversesSwarm(t *testing.T) {
-	w := newSimWorld(t)
-	var nodes []*Node
-	for i := 0; i < 10; i++ {
-		nodes = append(nodes, w.newNode(t, "10.0.3."+itoa(i+1), 6881, int64(i+30)))
-	}
-	for i, n := range nodes {
-		for j := 1; j <= 3; j++ {
-			k := (i + j) % len(nodes)
-			n.AddNode(krpc.NodeInfo{ID: nodes[k].ID(), Addr: endpointOf(nodes[k]).Addr, Port: endpointOf(nodes[k]).Port})
-		}
-	}
-	var infoHash krpc.NodeID
-	infoHash[0] = 0x0f
-	// Announce on node 7 directly via its store for the lookup to find.
-	seeder := w.newNode(t, "10.0.4.1", 51413, 99)
-	var token string
-	seeder.GetPeers(endpointOf(nodes[7]), infoHash, func(m *krpc.Message, err error) {
-		if err == nil {
-			token = m.Token
-		}
-	})
-	w.clock.Drain(0)
-	seeder.Announce(endpointOf(nodes[7]), infoHash, 51413, token, nil)
-	w.clock.Drain(0)
-
-	var found []krpc.Peer
-	done := false
-	nodes[0].LookupPeers(infoHash, func(peers []krpc.Peer) {
-		found, done = peers, true
-	})
-	w.clock.Drain(0)
-	if !done {
-		t.Fatal("lookup never converged")
-	}
-	if len(found) != 1 || found[0].Port != 51413 {
-		t.Fatalf("lookup peers = %+v", found)
 	}
 }
 

@@ -37,14 +37,6 @@ type Config struct {
 	BootstrapAttempts int
 	// BootstrapRetryDelay separates bootstrap attempts; zero means 1 minute.
 	BootstrapRetryDelay time.Duration
-	// PeerTTL is how long an announced peer is served before expiring;
-	// zero means 2 hours.
-	PeerTTL time.Duration
-	// PeersPerHash caps stored announces per info-hash; zero means 64.
-	PeersPerHash int
-	// TokenRotation is the write-token secret rotation period; zero means
-	// 5 minutes (BEP 5: tokens older than ten minutes are rejected).
-	TokenRotation time.Duration
 	// Seed drives the node's private RNG (transaction IDs, keepalive
 	// target choice).
 	Seed int64
@@ -57,7 +49,7 @@ type Config struct {
 	// Byzantine makes the node adversarial: it answers find_node with
 	// fabricated neighbours drawn from its RNG instead of routing-table
 	// contents, poisoning crawlers' discovery frontiers with phantom
-	// endpoints. All other behaviour (pings, announces) stays honest, as a
+	// endpoints. All other behaviour (pings) stays honest, as a
 	// real poisoning node would keep itself reachable.
 	Byzantine bool
 	// ByzantineNodes is how many fabricated neighbours each byzantine
@@ -88,14 +80,9 @@ type Node struct {
 	// at all (only NATed keepalive pings and restart rejoins do), so the
 	// common case carries no map.
 	pending map[string]pendingQuery
-	// store is embedded by value with a lazily allocated map: most
-	// simulated nodes never receive an announce, so they never pay for the
-	// byHash map header.
-	store     peerStore
-	tokenBase uint64 // node-private seed for write-token secrets
-	stats     Stats
-	closed    bool
-	stopKA    func() bool
+	stats   Stats
+	closed  bool
+	stopKA  func() bool
 }
 
 type pendingQuery struct {
@@ -136,10 +123,10 @@ func newNode(alloc func() *Node, sock netsim.Socket, clock Clock, cfg Config) *N
 		sock:  sock,
 		clock: clock,
 		rng:   rand.New(src),
-		store: newPeerStore(cfg.PeerTTL, cfg.PeersPerHash),
 	}
 	n.table.init(id, cfg.TableStaleAfter)
-	n.tokenBase = n.rng.Uint64()
+	// Goldens pin each node's draw sequence, so keep the retired token-seed draw.
+	n.rng.Uint64()
 	sock.SetHandler(n.handle)
 	if cfg.KeepaliveInterval > 0 {
 		n.scheduleKeepalive()
@@ -181,18 +168,6 @@ func (a *NodeArena) Len() int {
 		return 0
 	}
 	return (len(a.chunks)-1)*arenaChunk + a.used
-}
-
-// tokenSecret derives the write-token secret for an epoch offset (0 =
-// current, 1 = previous). Secrets rotate with wall/simulated time with no
-// timers, keeping large simulated swarms cheap.
-func (n *Node) tokenSecret(offset int) uint64 {
-	period := n.cfg.TokenRotation
-	if period <= 0 {
-		period = 5 * time.Minute
-	}
-	epoch := n.clock.Now().UnixNano()/int64(period) - int64(offset)
-	return n.tokenBase ^ uint64(epoch)*0x9e3779b97f4a7c15
 }
 
 // ID returns the node's identity.
@@ -386,22 +361,6 @@ func (n *Node) answer(from netsim.Endpoint, q *krpc.Message) {
 			nodes = n.fabricateNodes()
 		}
 		resp = krpc.NewFindNodeResponse(q.TxID, n.id, nodes, n.cfg.Version)
-	case krpc.MethodGetPeers:
-		peers := n.store.get(q.Target, n.clock.Now())
-		nodes := n.table.closest(q.Target, BucketSize)
-		token := makeToken(n.tokenSecret(0), uint32(from.Addr))
-		resp = krpc.NewGetPeersResponse(q.TxID, n.id, peers, nodes, token, n.cfg.Version)
-	case krpc.MethodAnnouncePeer:
-		if !n.tokenValid(q.Token, from) {
-			resp = krpc.NewError(q.TxID, krpc.ErrCodeProtocol, "Bad Token")
-			break
-		}
-		port := q.AnnPort
-		if q.ImpliedPort || port == 0 {
-			port = from.Port
-		}
-		n.store.add(q.Target, krpc.Peer{Addr: from.Addr, Port: port}, n.clock.Now())
-		resp = krpc.NewPingResponse(q.TxID, n.id, n.cfg.Version)
 	default:
 		resp = krpc.NewError(q.TxID, krpc.ErrCodeMethodUnknown, "Method Unknown")
 	}

@@ -86,9 +86,9 @@ func TestE2EScenarios(t *testing.T) {
 		Description: "three named datasets behind one server; routing, stats, manifest and metrics stay per-dataset",
 		// Seed shared with baseline: proven to yield both NATed addresses
 		// and a dynamic pool at the test scale (not every seed does).
-		Seed: 42,
-		Crawlers:    2,
-		Smoke:       true,
+		Seed:     42,
+		Crawlers: 2,
+		Smoke:    true,
 		Datasets: []DatasetSpec{
 			{Name: "all", Nated: true, Dynamic: true},
 			{Name: "pools", Nated: true},
@@ -102,10 +102,10 @@ func TestE2EScenarios(t *testing.T) {
 		Description: "/v1/greylist tempfails reused addresses with a retry window and blocks clean ones",
 		// Seed shared with blackout: a world with reachable users and a
 		// dynamic pool at the test scale.
-		Seed: 49,
-		Crawlers:    2,
-		Smoke:       true,
-		Run:         runGreylist,
+		Seed:     49,
+		Crawlers: 2,
+		Smoke:    true,
+		Run:      runGreylist,
 	})
 	su.Add(Scenario{
 		Name:        "check-load",

@@ -181,7 +181,7 @@ func (inj *Injector) limited(rl *RateLimit, to iputil.Addr, payload []byte) bool
 
 // corrupt returns a damaged copy of the payload. Three shapes, chosen by the
 // injector RNG: plain truncation (string extends past input), a single bit
-// flip, and — for find_node/get_peers responses — a compact node list whose
+// flip, and — for find_node responses — a compact node list whose
 // length is no longer a multiple of 26, the exact malformation
 // krpc.UnmarshalCompactNodes rejects.
 func (inj *Injector) corrupt(payload []byte) []byte {

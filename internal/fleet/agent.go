@@ -87,7 +87,7 @@ func DialAgent(coordAddr string, worker int, shard ShardSpec, hbInterval time.Du
 	sock.SetHandler(a.handle)
 	a.mu.Unlock()
 
-	if err := a.sendAcked(MethodReady, Ready{Worker: worker, Shard: shard.String(), PID: os.Getpid()}); err != nil {
+	if err := a.sendAcked(MethodReady, &Ready{Worker: worker, Shard: shard.String(), PID: os.Getpid()}); err != nil {
 		a.Close()
 		return nil, err
 	}
@@ -120,7 +120,7 @@ func (a *Agent) nextTx() string {
 }
 
 // send fires one control query without waiting for an ack.
-func (a *Agent) send(method string, payload any) error {
+func (a *Agent) send(method string, payload Payload) error {
 	frame, err := EncodeQuery(a.nextTx(), method, payload)
 	if err != nil {
 		return err
@@ -132,7 +132,7 @@ func (a *Agent) send(method string, payload any) error {
 // sendAcked sends a control query and waits for the coordinator's ack,
 // retrying a few times; the control plane is loopback UDP, so persistent
 // loss means the coordinator is gone and the worker reports the failure.
-func (a *Agent) sendAcked(method string, payload any) error {
+func (a *Agent) sendAcked(method string, payload Payload) error {
 	tx := a.nextTx()
 	frame, err := EncodeQuery(tx, method, payload)
 	if err != nil {
@@ -176,7 +176,7 @@ func (a *Agent) heartbeatLoop(interval time.Duration) {
 			if s.Done {
 				hb.Done = 1
 			}
-			_ = a.send(MethodHB, hb) // fire-and-forget: the next one supersedes it
+			_ = a.send(MethodHB, &hb) // fire-and-forget: the next one supersedes it
 		}
 	}
 }
@@ -187,7 +187,7 @@ func (a *Agent) Done(d Done) error {
 	a.stopHB()
 	d.Worker = a.worker
 	d.Shard = a.shard.String()
-	return a.sendAcked(MethodDone, d)
+	return a.sendAcked(MethodDone, &d)
 }
 
 func (a *Agent) stopHB() {

@@ -391,7 +391,7 @@ func TestCoordinatorIgnoresForgedDone(t *testing.T) {
 
 	deliver := func(d Done) {
 		t.Helper()
-		frame, err := EncodeQuery("t1", MethodDone, d)
+		frame, err := EncodeQuery("t1", MethodDone, &d)
 		if err != nil {
 			t.Fatal(err)
 		}

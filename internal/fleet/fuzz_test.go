@@ -11,11 +11,11 @@ import (
 func FuzzDecodeFrame(f *testing.F) {
 	for _, q := range []struct {
 		tx, method string
-		payload    any
+		payload    Payload
 	}{
-		{"t1", MethodReady, Ready{Worker: 3, Shard: "3/4", PID: 1234}},
-		{"t2", MethodHB, Heartbeat{Worker: 2, Sent: 100, Received: 80, InFlight: 7, NATed: 5, Done: 1}},
-		{"t3", MethodDone, Done{Worker: 1, Shard: "1/2", OutFile: "/tmp/x.txt", SawBootstrap: 1, TruePositives: 11,
+		{"t1", MethodReady, &Ready{Worker: 3, Shard: "3/4", PID: 1234}},
+		{"t2", MethodHB, &Heartbeat{Worker: 2, Sent: 100, Received: 80, InFlight: 7, NATed: 5, Done: 1}},
+		{"t3", MethodDone, &Done{Worker: 1, Shard: "1/2", OutFile: "/tmp/x.txt", SawBootstrap: 1, TruePositives: 11,
 			Stats: WireStats{GetNodesSent: 100, PingsSent: 50, UniqueIPs: 60, MessagesSent: 150}}},
 	} {
 		frame, err := EncodeQuery(q.tx, q.method, q.payload)
@@ -44,14 +44,14 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil || d.IsAck {
 			return
 		}
-		payload := map[string]any{MethodReady: &Ready{}, MethodHB: &Heartbeat{}, MethodDone: &Done{}}[d.Method]
+		payload := newPayload(d.Method)
 		if payload == nil {
 			t.Fatalf("DecodeFrame accepted unknown method %q", d.Method)
 		}
 		if DecodeArgs(d.Args, payload) != nil {
 			return
 		}
-		frame, err := EncodeQuery(d.TxID, d.Method, reflect.ValueOf(payload).Elem().Interface())
+		frame, err := EncodeQuery(d.TxID, d.Method, payload)
 		if err != nil {
 			t.Fatalf("accepted %s query does not re-encode: %v", d.Method, err)
 		}
@@ -62,7 +62,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if back.TxID != d.TxID || back.Method != d.Method {
 			t.Fatalf("re-encoded frame is %q/%q, want %q/%q", back.TxID, back.Method, d.TxID, d.Method)
 		}
-		again := reflect.New(reflect.TypeOf(payload).Elem()).Interface()
+		again := newPayload(d.Method)
 		if err := DecodeArgs(back.Args, again); err != nil {
 			t.Fatalf("re-encoded %s args do not decode: %v", d.Method, err)
 		}

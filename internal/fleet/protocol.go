@@ -12,9 +12,11 @@ import (
 // Workers report to the coordinator over loopback UDP using the same
 // KRPC-style bencoded dictionaries the crawler itself speaks: a query dict
 // {t, y:"q", q:<method>, a:{...}} answered by a response dict {t, y:"r",
-// r:{...}}. The krpc package deliberately rejects methods outside the DHT
-// set (its Marshal validates against the protocol it models), so the fleet
-// encodes its three methods directly with internal/bencode.
+// r:{...}}. The krpc package deliberately rejects methods outside ping and
+// find_node (its Marshal validates against the protocol it models), so the
+// fleet frames its three methods itself: each payload struct lists its
+// args-dict keys in a fields table, which builds and reads bencode.Value
+// dicts directly.
 //
 // Methods:
 //
@@ -35,24 +37,24 @@ const (
 // integers only, so ResponseRate — a derived ratio — is omitted and
 // recomputed by MergeStats on the coordinator side.
 type WireStats struct {
-	GetNodesSent     int64 `bencode:"gns"`
-	GetNodesReplies  int64 `bencode:"gnr"`
-	PingsSent        int64 `bencode:"ps"`
-	PingReplies      int64 `bencode:"pr"`
-	Timeouts         int64 `bencode:"to"`
-	Retries          int64 `bencode:"rt"`
-	LateReplies      int64 `bencode:"lr"`
-	Evicted          int64 `bencode:"ev"`
-	UniqueIPs        int64 `bencode:"uip"`
-	UniqueNodeIDs    int64 `bencode:"uid"`
-	NATedIPs         int64 `bencode:"nat"`
-	MultiPortIPs     int64 `bencode:"mp"`
-	ScopeSuppressed  int64 `bencode:"ss"`
-	SimultaneousMax  int64 `bencode:"sm"`
-	PingRoundsRun    int64 `bencode:"prr"`
-	SweepsRun        int64 `bencode:"sw"`
-	MessagesSent     int64 `bencode:"ms"`
-	MessagesReceived int64 `bencode:"mr"`
+	GetNodesSent     int64
+	GetNodesReplies  int64
+	PingsSent        int64
+	PingReplies      int64
+	Timeouts         int64
+	Retries          int64
+	LateReplies      int64
+	Evicted          int64
+	UniqueIPs        int64
+	UniqueNodeIDs    int64
+	NATedIPs         int64
+	MultiPortIPs     int64
+	ScopeSuppressed  int64
+	SimultaneousMax  int64
+	PingRoundsRun    int64
+	SweepsRun        int64
+	MessagesSent     int64
+	MessagesReceived int64
 }
 
 // ToWireStats projects crawler.Stats onto the wire form.
@@ -111,22 +113,22 @@ func (w WireStats) Stats() crawler.Stats {
 // Ready is the fleet_ready payload: the worker announces itself once its
 // process is up, before world generation begins.
 type Ready struct {
-	Worker int    `bencode:"w"`
-	Shard  string `bencode:"s"`
-	PID    int    `bencode:"pid"`
+	Worker int
+	Shard  string
+	PID    int
 }
 
 // Heartbeat is the fleet_hb payload: a progress snapshot. Sent counters are
 // cumulative, so the coordinator derives hosts/sec and staleness without
 // needing every heartbeat to arrive.
 type Heartbeat struct {
-	Worker   int   `bencode:"w"`
-	Sent     int64 `bencode:"tx"`
-	Received int64 `bencode:"rx"`
-	InFlight int64 `bencode:"if"`
-	NATed    int64 `bencode:"nat"`
+	Worker   int
+	Sent     int64
+	Received int64
+	InFlight int64
+	NATed    int64
 	// Done is 1 once the crawl loop has finished (the final heartbeat).
-	Done int64 `bencode:"d,omitempty"`
+	Done int64
 }
 
 // Done is the fleet_done payload: the worker's final statistics. OutFile is
@@ -136,35 +138,117 @@ type Heartbeat struct {
 // coordinator drops a Done whose OutFile or Shard differs from what it
 // assigned the current attempt, and merges only the path it assigned.
 type Done struct {
-	Worker  int       `bencode:"w"`
-	Shard   string    `bencode:"s"`
-	OutFile string    `bencode:"f"`
-	Stats   WireStats `bencode:"st"`
+	Worker  int
+	Shard   string
+	OutFile string
+	Stats   WireStats
 	// SawBootstrap is 1 when the bootstrap address answered this worker;
 	// the coordinator uses it to correct the UniqueIPs union (bootstrap is
 	// the partition's single deliberate overlap, counted once).
-	SawBootstrap int64 `bencode:"bs,omitempty"`
+	SawBootstrap int64
 	// TruePositives is the shard's oracle hit count when ground truth is
 	// available (simulated runs); -1 otherwise.
-	TruePositives int64 `bencode:"tp"`
+	TruePositives int64
+}
+
+// Payload is the args dict of a control query: *Ready, *Heartbeat or *Done.
+type Payload interface {
+	fields() []field
+}
+
+// field binds one args-dict key to a payload field; exactly one of the
+// pointers is set. omitEmpty leaves a zero int64 off the wire.
+type field struct {
+	key       string
+	num       *int
+	num64     *int64
+	str       *string
+	stats     *WireStats
+	omitEmpty bool
+}
+
+func (r *Ready) fields() []field {
+	return []field{
+		{key: "w", num: &r.Worker},
+		{key: "s", str: &r.Shard},
+		{key: "pid", num: &r.PID},
+	}
+}
+
+func (h *Heartbeat) fields() []field {
+	return []field{
+		{key: "w", num: &h.Worker},
+		{key: "tx", num64: &h.Sent},
+		{key: "rx", num64: &h.Received},
+		{key: "if", num64: &h.InFlight},
+		{key: "nat", num64: &h.NATed},
+		{key: "d", num64: &h.Done, omitEmpty: true},
+	}
+}
+
+func (d *Done) fields() []field {
+	return []field{
+		{key: "w", num: &d.Worker},
+		{key: "s", str: &d.Shard},
+		{key: "f", str: &d.OutFile},
+		{key: "st", stats: &d.Stats},
+		{key: "bs", num64: &d.SawBootstrap, omitEmpty: true},
+		{key: "tp", num64: &d.TruePositives},
+	}
+}
+
+func (w *WireStats) fields() []field {
+	return []field{
+		{key: "gns", num64: &w.GetNodesSent},
+		{key: "gnr", num64: &w.GetNodesReplies},
+		{key: "ps", num64: &w.PingsSent},
+		{key: "pr", num64: &w.PingReplies},
+		{key: "to", num64: &w.Timeouts},
+		{key: "rt", num64: &w.Retries},
+		{key: "lr", num64: &w.LateReplies},
+		{key: "ev", num64: &w.Evicted},
+		{key: "uip", num64: &w.UniqueIPs},
+		{key: "uid", num64: &w.UniqueNodeIDs},
+		{key: "nat", num64: &w.NATedIPs},
+		{key: "mp", num64: &w.MultiPortIPs},
+		{key: "ss", num64: &w.ScopeSuppressed},
+		{key: "sm", num64: &w.SimultaneousMax},
+		{key: "prr", num64: &w.PingRoundsRun},
+		{key: "sw", num64: &w.SweepsRun},
+		{key: "ms", num64: &w.MessagesSent},
+		{key: "mr", num64: &w.MessagesReceived},
+	}
+}
+
+// toDict renders a payload as its args dict.
+func toDict(p Payload) map[string]bencode.Value {
+	dict := make(map[string]bencode.Value)
+	for _, f := range p.fields() {
+		switch {
+		case f.num != nil:
+			dict[f.key] = int64(*f.num)
+		case f.num64 != nil:
+			if f.omitEmpty && *f.num64 == 0 {
+				continue
+			}
+			dict[f.key] = *f.num64
+		case f.str != nil:
+			dict[f.key] = *f.str
+		case f.stats != nil:
+			dict[f.key] = toDict(f.stats)
+		}
+	}
+	return dict
 }
 
 // EncodeQuery frames a control query: method is one of the Method*
-// constants, txID correlates the ack, payload is the method struct above.
-func EncodeQuery(txID, method string, payload any) ([]byte, error) {
-	body, err := bencode.Marshal(payload)
-	if err != nil {
-		return nil, err
-	}
-	args, err := bencode.Decode(body)
-	if err != nil {
-		return nil, err
-	}
+// constants, txID correlates the ack, payload is the method's struct.
+func EncodeQuery(txID, method string, payload Payload) ([]byte, error) {
 	return bencode.Encode(map[string]bencode.Value{
 		"t": txID,
 		"y": "q",
 		"q": method,
-		"a": args,
+		"a": toDict(payload),
 	})
 }
 
@@ -222,11 +306,37 @@ func DecodeFrame(data []byte) (Decoded, error) {
 	}
 }
 
-// DecodeArgs decodes a query's args dict into the matching payload struct.
-func DecodeArgs(args bencode.Value, dst any) error {
-	raw, err := bencode.Encode(args)
-	if err != nil {
-		return err
+// DecodeArgs decodes a query's args dict into the matching payload struct:
+// a missing key leaves its field at zero, an unknown key is ignored and a
+// value of the wrong type is an error.
+func DecodeArgs(args bencode.Value, dst Payload) error {
+	dict, ok := args.(map[string]bencode.Value)
+	if !ok {
+		return fmt.Errorf("fleet: args are %T, not a dict", args)
 	}
-	return bencode.Unmarshal(raw, dst)
+	for _, f := range dst.fields() {
+		e, present := dict[f.key]
+		if !present {
+			continue
+		}
+		switch {
+		case f.num != nil:
+			var n int64
+			n, ok = e.(int64)
+			*f.num = int(n)
+		case f.num64 != nil:
+			*f.num64, ok = e.(int64)
+		case f.str != nil:
+			*f.str, ok = e.(string)
+		case f.stats != nil:
+			if err := DecodeArgs(e, f.stats); err != nil {
+				return fmt.Errorf("fleet: key %q: %w", f.key, err)
+			}
+			ok = true
+		}
+		if !ok {
+			return fmt.Errorf("fleet: key %q holds %T", f.key, e)
+		}
+	}
+	return nil
 }

@@ -2,6 +2,15 @@ package krpc
 
 import "testing"
 
+// get_peers and announce_peer queries as a BitTorrent client sends them,
+// with zero IDs. This package has no constructor for either, but they must
+// keep exercising the unknown-method decode path.
+var (
+	zeroID            = string(make([]byte, IDLen))
+	getPeersQuery     = "d1:ad2:id20:" + zeroID + "9:info_hash20:" + zeroID + "e1:q9:get_peers1:t2:ee1:y1:qe"
+	announcePeerQuery = "d1:ad2:id20:" + zeroID + "9:info_hash20:" + zeroID + "4:porti6881e5:token3:toke1:q13:announce_peer1:t2:ff1:y1:qe"
+)
+
 // FuzzUnmarshal feeds arbitrary datagrams to the KRPC decoder: no panics,
 // and accepted messages must survive a marshal/unmarshal round trip.
 func FuzzUnmarshal(f *testing.F) {
@@ -10,8 +19,7 @@ func FuzzUnmarshal(f *testing.F) {
 	fn, _ := NewFindNode("bb", id, id).Marshal()
 	resp, _ := NewFindNodeResponse("cc", id, []NodeInfo{{ID: id, Addr: 1, Port: 2}}, "v").Marshal()
 	errMsg, _ := NewError("dd", 201, "x").Marshal()
-	gp, _ := NewGetPeers("ee", id, id).Marshal()
-	ann, _ := NewAnnouncePeer("ff", id, id, 6881, "tok").Marshal()
+	gp, ann := []byte(getPeersQuery), []byte(announcePeerQuery)
 	// Corruption-shaped seeds: the fault injector truncates datagrams and
 	// chops compact node lists mid-entry, so the corpus covers truncation at
 	// every interesting boundary and node strings whose length is not a

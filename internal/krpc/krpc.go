@@ -138,12 +138,11 @@ const (
 	KindError    Kind = 'e'
 )
 
-// Query method names (BEP 5).
+// Query method names (BEP 5). These are the only two the paper's crawler
+// sends; other methods decode but do not marshal.
 const (
-	MethodPing         = "ping"      // the paper's bt_ping
-	MethodFindNode     = "find_node" // the paper's get_nodes
-	MethodGetPeers     = "get_peers"
-	MethodAnnouncePeer = "announce_peer"
+	MethodPing     = "ping"      // the paper's bt_ping
+	MethodFindNode = "find_node" // the paper's get_nodes
 )
 
 // Standard KRPC error codes.
@@ -164,16 +163,10 @@ type Message struct {
 	// Query fields.
 	Method string
 	ID     NodeID // querying or responding node's ID
-	Target NodeID // find_node target / get_peers info-hash
+	Target NodeID // find_node target
 
 	// Response fields.
-	Nodes []NodeInfo // compact nodes in find_node/get_peers responses
-	Peers []Peer     // compact peers ("values") in get_peers responses
-	Token string     // get_peers write token / announce_peer proof
-
-	// announce_peer query fields.
-	AnnPort     uint16 // the port being announced
-	ImpliedPort bool   // use the UDP source port instead of AnnPort
+	Nodes []NodeInfo // compact nodes in find_node responses
 
 	// Error fields.
 	ErrCode int
@@ -207,29 +200,6 @@ func NewFindNodeResponse(txID string, self NodeID, nodes []NodeInfo, version str
 	return &Message{TxID: txID, Kind: KindResponse, ID: self, Nodes: nodes, Version: version}
 }
 
-// NewGetPeers builds a get_peers query for an info-hash.
-func NewGetPeers(txID string, self, infoHash NodeID) *Message {
-	return &Message{TxID: txID, Kind: KindQuery, Method: MethodGetPeers, ID: self, Target: infoHash}
-}
-
-// NewAnnouncePeer builds an announce_peer query; token must come from a
-// prior get_peers response of the queried node.
-func NewAnnouncePeer(txID string, self, infoHash NodeID, port uint16, token string) *Message {
-	return &Message{
-		TxID: txID, Kind: KindQuery, Method: MethodAnnouncePeer,
-		ID: self, Target: infoHash, AnnPort: port, Token: token,
-	}
-}
-
-// NewGetPeersResponse builds a get_peers response carrying peers (when the
-// node has announces for the info-hash), closest nodes, and a write token.
-func NewGetPeersResponse(txID string, self NodeID, peers []Peer, nodes []NodeInfo, token, version string) *Message {
-	return &Message{
-		TxID: txID, Kind: KindResponse, ID: self,
-		Peers: peers, Nodes: nodes, Token: token, Version: version,
-	}
-}
-
 // NewError builds an error reply.
 func NewError(txID string, code int, msg string) *Message {
 	return &Message{TxID: txID, Kind: KindError, ErrCode: code, ErrMsg: msg}
@@ -250,15 +220,6 @@ func (m *Message) Marshal() ([]byte, error) {
 		switch m.Method {
 		case MethodFindNode:
 			args["target"] = string(m.Target[:])
-		case MethodGetPeers:
-			args["info_hash"] = string(m.Target[:])
-		case MethodAnnouncePeer:
-			args["info_hash"] = string(m.Target[:])
-			args["port"] = int64(m.AnnPort)
-			args["token"] = m.Token
-			if m.ImpliedPort {
-				args["implied_port"] = int64(1)
-			}
 		case MethodPing:
 		default:
 			return nil, fmt.Errorf("krpc: unknown method %q", m.Method)
@@ -269,16 +230,6 @@ func (m *Message) Marshal() ([]byte, error) {
 		resp := map[string]bencode.Value{"id": string(m.ID[:])}
 		if len(m.Nodes) > 0 {
 			resp["nodes"] = string(MarshalCompactNodes(m.Nodes))
-		}
-		if len(m.Peers) > 0 {
-			values := make([]bencode.Value, len(m.Peers))
-			for i, p := range m.Peers {
-				values[i] = string(MarshalCompactPeer(p))
-			}
-			resp["values"] = values
-		}
-		if m.Token != "" {
-			resp["token"] = m.Token
 		}
 		root["r"] = resp
 	case KindError:
@@ -327,31 +278,9 @@ func Unmarshal(data []byte) (*Message, error) {
 		if err := decodeID(args, "id", &m.ID); err != nil {
 			return nil, err
 		}
-		switch q {
-		case MethodFindNode:
+		if q == MethodFindNode {
 			if err := decodeID(args, "target", &m.Target); err != nil {
 				return nil, err
-			}
-		case MethodGetPeers:
-			if err := decodeID(args, "info_hash", &m.Target); err != nil {
-				return nil, err
-			}
-		case MethodAnnouncePeer:
-			if err := decodeID(args, "info_hash", &m.Target); err != nil {
-				return nil, err
-			}
-			port, ok := args["port"].(int64)
-			if !ok || port < 0 || port > 65535 {
-				return nil, fmt.Errorf("%w: bad announce port", ErrMalformed)
-			}
-			m.AnnPort = uint16(port)
-			tok, ok := args["token"].(string)
-			if !ok {
-				return nil, fmt.Errorf("%w: announce without token", ErrMalformed)
-			}
-			m.Token = tok
-			if ip, ok := args["implied_port"].(int64); ok && ip != 0 {
-				m.ImpliedPort = true
 			}
 		}
 	case KindResponse:
@@ -368,22 +297,6 @@ func Unmarshal(data []byte) (*Message, error) {
 				return nil, err
 			}
 			m.Nodes = nodes
-		}
-		if values, ok := resp["values"].([]bencode.Value); ok {
-			for _, v := range values {
-				s, ok := v.(string)
-				if !ok {
-					return nil, fmt.Errorf("%w: non-string peer value", ErrMalformed)
-				}
-				peer, err := UnmarshalCompactPeer([]byte(s))
-				if err != nil {
-					return nil, err
-				}
-				m.Peers = append(m.Peers, peer)
-			}
-		}
-		if tok, ok := resp["token"].(string); ok {
-			m.Token = tok
 		}
 	case KindError:
 		e, ok := dict["e"].([]bencode.Value)

@@ -197,6 +197,23 @@ func TestMarshalUnknownMethod(t *testing.T) {
 	if _, err := m.Marshal(); err == nil {
 		t.Error("unknown method should not marshal")
 	}
+	// BEP 5 methods outside ping and find_node still decode, so a node can
+	// answer them with an error, but never marshal.
+	for method, raw := range map[string]string{
+		"get_peers":     getPeersQuery,
+		"announce_peer": announcePeerQuery,
+	} {
+		m, err := Unmarshal([]byte(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		if m.Kind != KindQuery || m.Method != method {
+			t.Fatalf("%s decoded as %+v", method, m)
+		}
+		if _, err := m.Marshal(); err == nil {
+			t.Errorf("%s should not marshal", method)
+		}
+	}
 }
 
 func TestRoundTripRandomised(t *testing.T) {
