@@ -51,10 +51,11 @@ report:
 	$(GO) run ./cmd/blreport
 
 fuzz:
-	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/bencode/
-	$(GO) test -fuzz FuzzUnmarshal -fuzztime 30s ./internal/krpc/
-	$(GO) test -fuzz FuzzParseLog -fuzztime 30s ./internal/crawler/
-	$(GO) test -fuzz FuzzDecodeFrame -fuzztime 30s ./internal/fleet/
+	$(GO) test -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/bencode/
+	$(GO) test -fuzz '^FuzzUnmarshal$$' -fuzztime 30s ./internal/krpc/
+	$(GO) test -fuzz '^FuzzCodecDifferential$$' -fuzztime 30s ./internal/krpc/
+	$(GO) test -fuzz '^FuzzParseLog$$' -fuzztime 30s ./internal/crawler/
+	$(GO) test -fuzz '^FuzzDecodeFrame$$' -fuzztime 30s ./internal/fleet/
 
 # Property-based verification: the fast metamorphic suite, the per-package
 # property tests, then the slow 50-world seed sweep (oracles, determinism,

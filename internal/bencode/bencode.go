@@ -2,8 +2,12 @@
 // integers (i...e), byte strings (<len>:<bytes>), lists (l...e) and
 // dictionaries (d...e with lexicographically sorted keys).
 //
-// Terms are handled as dynamic Values (Encode/Decode); the KRPC and fleet
-// control-plane codecs build and read those dicts directly.
+// Scanner is the one home of the syntax rules — the integer and length
+// grammar, sorted unique dictionary keys, the nesting and string-size
+// limits. It walks a list or dictionary without building anything; the KRPC
+// codec reads datagrams straight from it, and Decode builds dynamic Values
+// on top of it (adding only the no-trailing-bytes check) for the fleet
+// control plane and the fault injector.
 package bencode
 
 import (
@@ -101,12 +105,11 @@ func encodeString(buf *bytes.Buffer, s string) {
 // Decode parses a single bencoded value and requires the input to be fully
 // consumed.
 func Decode(data []byte) (Value, error) {
-	d := decoder{data: data}
-	v, err := d.value(0)
+	v, n, err := DecodePrefix(data)
 	if err != nil {
 		return nil, err
 	}
-	if d.pos != len(data) {
+	if n != len(data) {
 		return nil, ErrTrailing
 	}
 	return v, nil
@@ -115,119 +118,246 @@ func Decode(data []byte) (Value, error) {
 // DecodePrefix parses a single bencoded value from the front of data and
 // returns it along with the number of bytes consumed.
 func DecodePrefix(data []byte) (Value, int, error) {
-	d := decoder{data: data}
-	v, err := d.value(0)
+	it, err := scanValue(data, 0, 0)
 	if err != nil {
 		return nil, 0, err
 	}
-	return v, d.pos, nil
+	return build(data, it, 0), it.end, nil
 }
 
-type decoder struct {
-	data []byte
-	pos  int
-}
-
-func (d *decoder) value(depth int) (Value, error) {
-	if depth > maxNestDepth {
-		return nil, ErrTooDeep
+// build turns one validated item, nested depth levels deep, into its
+// dynamic Value.
+func build(data []byte, it item, depth int) Value {
+	switch it.kind {
+	case KindInt:
+		return it.num
+	case KindString:
+		return string(data[it.str:it.end])
 	}
-	if d.pos >= len(d.data) {
-		return nil, fmt.Errorf("%w: unexpected end of input", ErrSyntax)
-	}
-	switch c := d.data[d.pos]; {
-	case c == 'i':
-		return d.integer()
-	case c >= '0' && c <= '9':
-		return d.str()
-	case c == 'l':
-		d.pos++
+	s := Scanner{data: data[:it.end], pos: it.start + 1, depth: depth + 1, dict: it.kind == KindDict}
+	if it.kind == KindList {
 		var list []Value
-		for {
-			if d.pos >= len(d.data) {
-				return nil, fmt.Errorf("%w: unterminated list", ErrSyntax)
-			}
-			if d.data[d.pos] == 'e' {
-				d.pos++
-				return list, nil
-			}
-			v, err := d.value(depth + 1)
-			if err != nil {
-				return nil, err
-			}
-			list = append(list, v)
+		for s.Next() {
+			list = append(list, build(s.data, s.cur, depth+1))
 		}
-	case c == 'd':
-		d.pos++
-		dict := make(map[string]Value)
-		prevKey := ""
-		first := true
-		for {
-			if d.pos >= len(d.data) {
-				return nil, fmt.Errorf("%w: unterminated dict", ErrSyntax)
-			}
-			if d.data[d.pos] == 'e' {
-				d.pos++
-				return dict, nil
-			}
-			kv, err := d.str()
-			if err != nil {
-				return nil, fmt.Errorf("%w: dict key: %v", ErrSyntax, err)
-			}
-			key := kv.(string)
-			if !first && key <= prevKey {
-				return nil, ErrUnsorted
-			}
-			first, prevKey = false, key
-			v, err := d.value(depth + 1)
-			if err != nil {
-				return nil, err
-			}
-			dict[key] = v
-		}
-	default:
-		return nil, fmt.Errorf("%w: unexpected byte %q at %d", ErrSyntax, c, d.pos)
+		return list
 	}
+	dict := make(map[string]Value)
+	for s.Next() {
+		dict[string(s.key)] = build(s.data, s.cur, depth+1)
+	}
+	return dict
 }
 
-func (d *decoder) integer() (Value, error) {
-	d.pos++ // 'i'
-	end := bytes.IndexByte(d.data[d.pos:], 'e')
-	if end < 0 {
-		return nil, fmt.Errorf("%w: unterminated integer", ErrSyntax)
+// Kind classifies a scanned value.
+type Kind byte
+
+// Value kinds reported by a Scanner.
+const (
+	KindInt    Kind = 'i'
+	KindString Kind = 's'
+	KindList   Kind = 'l'
+	KindDict   Kind = 'd'
+)
+
+// item is one validated value: its kind, its byte range [start, end) in the
+// scanned input, and its decoded content — the integer, or the offset at
+// which a string's bytes begin.
+type item struct {
+	kind       Kind
+	start, end int
+	str        int
+	num        int64
+}
+
+// Scanner walks the elements of one bencoded list or dictionary, validating
+// each as it passes, without building Values and without allocating on
+// well-formed input:
+//
+//	s, err := bencode.NewScanner(data)
+//	for s.Next() {
+//		switch string(s.Key()) { ... } // s.Kind(), s.Bytes(), s.Int(), s.Raw()
+//	}
+//	if err := s.Err(); err != nil { ... }
+//
+// Nested lists and dictionaries are validated in full when the scanner
+// steps over them; Raw returns their encoding for a nested Scanner.
+type Scanner struct {
+	data  []byte
+	pos   int
+	depth int // nesting depth of the container's elements
+	dict  bool
+	key   []byte
+	keyed bool // a key has been read (the sorted-key check needs a predecessor)
+	cur   item
+	err   error
+	done  bool
+}
+
+// NewScanner starts a Scanner over the list or dictionary at the front of
+// data. Bytes after the container's closing 'e' are not examined; compare
+// Len with len(data) to reject them.
+func NewScanner(data []byte) (Scanner, error) {
+	if len(data) == 0 || (data[0] != 'l' && data[0] != 'd') {
+		return Scanner{}, fmt.Errorf("%w: not a list or dictionary", ErrSyntax)
 	}
-	tok := string(d.data[d.pos : d.pos+end])
-	if tok == "" || tok == "-" {
-		return nil, fmt.Errorf("%w: empty integer", ErrSyntax)
+	return Scanner{data: data, pos: 1, depth: 1, dict: data[0] == 'd'}, nil
+}
+
+// Next advances to the next element. It returns false at the container's
+// end or at the first syntax error; Err tells the two apart.
+func (s *Scanner) Next() bool {
+	if s.err != nil || s.done {
+		return false
 	}
-	if tok != "0" && (tok[0] == '0' || (tok[0] == '-' && tok[1] == '0')) {
-		return nil, fmt.Errorf("%w: leading zero in integer %q", ErrSyntax, tok)
+	if s.pos >= len(s.data) {
+		if s.dict {
+			s.err = fmt.Errorf("%w: unterminated dict", ErrSyntax)
+		} else {
+			s.err = fmt.Errorf("%w: unterminated list", ErrSyntax)
+		}
+		return false
 	}
-	n, err := strconv.ParseInt(tok, 10, 64)
+	if s.data[s.pos] == 'e' {
+		s.pos++
+		s.done = true
+		return false
+	}
+	if s.dict {
+		str, end, err := scanString(s.data, s.pos)
+		if err != nil {
+			s.err = fmt.Errorf("%w: dict key: %v", ErrSyntax, err)
+			return false
+		}
+		key := s.data[str:end]
+		if s.keyed && bytes.Compare(key, s.key) <= 0 {
+			s.err = ErrUnsorted
+			return false
+		}
+		s.key, s.keyed, s.pos = key, true, end
+	}
+	it, err := scanValue(s.data, s.pos, s.depth)
 	if err != nil {
-		return nil, fmt.Errorf("%w: bad integer %q", ErrSyntax, tok)
+		s.err = err
+		return false
 	}
-	d.pos += end + 1
-	return n, nil
+	s.cur, s.pos = it, it.end
+	return true
 }
 
-func (d *decoder) str() (Value, error) {
-	colon := bytes.IndexByte(d.data[d.pos:], ':')
-	if colon < 0 {
-		return nil, fmt.Errorf("%w: missing ':' in string length", ErrSyntax)
+// Err returns the syntax error that stopped the scan, if any.
+func (s *Scanner) Err() error { return s.err }
+
+// Len returns the number of bytes the container occupies, including its
+// closing 'e'; it is meaningful once Next has returned false with a nil Err.
+func (s *Scanner) Len() int { return s.pos }
+
+// Key returns the current element's dictionary key (nil inside a list).
+func (s *Scanner) Key() []byte { return s.key }
+
+// Kind returns the current element's kind.
+func (s *Scanner) Kind() Kind { return s.cur.kind }
+
+// Raw returns the current element's full encoding.
+func (s *Scanner) Raw() []byte { return s.data[s.cur.start:s.cur.end] }
+
+// Bytes returns the current string element's content (nil for other kinds).
+func (s *Scanner) Bytes() []byte {
+	if s.cur.kind != KindString {
+		return nil
 	}
-	tok := string(d.data[d.pos : d.pos+colon])
-	if tok == "" || (len(tok) > 1 && tok[0] == '0') {
-		return nil, fmt.Errorf("%w: bad string length %q", ErrSyntax, tok)
+	return s.data[s.cur.str:s.cur.end]
+}
+
+// Int returns the current integer element's value (0 for other kinds).
+func (s *Scanner) Int() int64 { return s.cur.num }
+
+// scanValue validates the value at data[pos], nested depth levels deep, and
+// returns it as an item. This and the helpers below are the only place the
+// syntax rules live: the integer grammar -?[1-9][0-9]*|0 within int64, the
+// length grammar [1-9][0-9]*|0 up to maxStringSize, sorted unique dict keys
+// (in Scanner.Next) and the nesting limit.
+func scanValue(data []byte, pos, depth int) (item, error) {
+	if depth > maxNestDepth {
+		return item{}, ErrTooDeep
 	}
-	n, err := strconv.Atoi(tok)
-	if err != nil || n < 0 || n > maxStringSize {
-		return nil, fmt.Errorf("%w: bad string length %q", ErrSyntax, tok)
+	if pos >= len(data) {
+		return item{}, fmt.Errorf("%w: unexpected end of input", ErrSyntax)
 	}
-	start := d.pos + colon + 1
-	if start+n > len(d.data) {
-		return nil, fmt.Errorf("%w: string extends past input", ErrSyntax)
+	switch c := data[pos]; {
+	case c == 'i':
+		n, end, err := scanInt(data, pos+1)
+		return item{kind: KindInt, start: pos, end: end, num: n}, err
+	case c >= '0' && c <= '9':
+		str, end, err := scanString(data, pos)
+		return item{kind: KindString, start: pos, end: end, str: str}, err
+	case c == 'l' || c == 'd':
+		s := Scanner{data: data, pos: pos + 1, depth: depth + 1, dict: c == 'd'}
+		for s.Next() {
+		}
+		if s.err != nil {
+			return item{}, s.err
+		}
+		return item{kind: Kind(c), start: pos, end: s.pos}, nil
+	default:
+		return item{}, fmt.Errorf("%w: unexpected byte %q at %d", ErrSyntax, c, pos)
 	}
-	d.pos = start + n
-	return string(d.data[start : start+n]), nil
+}
+
+// scanInt parses the digits of an integer starting just after its 'i' and
+// returns the value and the offset past the closing 'e'.
+func scanInt(data []byte, pos int) (int64, int, error) {
+	neg := pos < len(data) && data[pos] == '-'
+	digits := pos
+	if neg {
+		digits++
+	}
+	var u uint64
+	i := digits
+	for ; i < len(data) && data[i] >= '0' && data[i] <= '9'; i++ {
+		if u > (1<<63)/10 {
+			return 0, 0, fmt.Errorf("%w: integer overflows int64", ErrSyntax)
+		}
+		u = u*10 + uint64(data[i]-'0')
+		if u > 1<<63 {
+			return 0, 0, fmt.Errorf("%w: integer overflows int64", ErrSyntax)
+		}
+	}
+	switch {
+	case i >= len(data) || data[i] != 'e':
+		return 0, 0, fmt.Errorf("%w: bad or unterminated integer", ErrSyntax)
+	case i == digits:
+		return 0, 0, fmt.Errorf("%w: empty integer", ErrSyntax)
+	case data[digits] == '0' && (neg || i > digits+1):
+		return 0, 0, fmt.Errorf("%w: leading zero in integer %q", ErrSyntax, data[pos:i])
+	case !neg && u > 1<<63-1:
+		return 0, 0, fmt.Errorf("%w: integer overflows int64", ErrSyntax)
+	}
+	if neg {
+		return -int64(u), i + 1, nil // -int64(1<<63) wraps to MinInt64
+	}
+	return int64(u), i + 1, nil
+}
+
+// scanString parses a string's length prefix at data[pos] and returns the
+// offsets of its first content byte and of the byte just past it.
+func scanString(data []byte, pos int) (int, int, error) {
+	n, i := 0, pos
+	for ; i < len(data) && data[i] >= '0' && data[i] <= '9'; i++ {
+		n = n*10 + int(data[i]-'0')
+		if n > maxStringSize {
+			return 0, 0, fmt.Errorf("%w: string length exceeds %d", ErrSyntax, maxStringSize)
+		}
+	}
+	switch {
+	case i >= len(data) || data[i] != ':':
+		return 0, 0, fmt.Errorf("%w: bad string length", ErrSyntax)
+	case i == pos || (data[pos] == '0' && i > pos+1):
+		return 0, 0, fmt.Errorf("%w: bad string length %q", ErrSyntax, data[pos:i])
+	}
+	start := i + 1
+	if n > len(data)-start {
+		return 0, 0, fmt.Errorf("%w: string extends past input", ErrSyntax)
+	}
+	return start, start + n, nil
 }

@@ -210,7 +210,11 @@ type Crawler struct {
 	stats   Stats
 	running bool
 	stopped bool
-	stops   []func() bool
+	// One stop function per timer: the bootstrap bursts, then one per
+	// recurring timer, replaced each time it re-arms, so a 48 h crawl
+	// holds no more handles than a 1 h one.
+	stopBursts                                [3]func() bool
+	stopTick, stopSweep, stopPing, stopWindow func() bool
 	// failures counts consecutive dead queries per endpoint; endpoints
 	// reaching EvictAfter enter evicted and leave the frontier.
 	failures map[netsim.Endpoint]int
@@ -255,9 +259,9 @@ func (c *Crawler) Start() {
 	// Bootstrap burst: UDP makes a single contact attempt flaky, so the
 	// entry points are retried a few times at start-up. Endpoints that
 	// answered are in cool-down by then and the retry is dropped.
-	for i := 0; i < 3; i++ {
+	for i := range c.stopBursts {
 		delay := time.Duration(i) * c.cfg.Cooldown
-		stop := c.clock.After(delay, func() {
+		c.stopBursts[i] = c.clock.After(delay, func() {
 			if !c.running {
 				return
 			}
@@ -265,7 +269,6 @@ func (c *Crawler) Start() {
 				c.enqueue(ep)
 			}
 		})
-		c.stops = append(c.stops, stop)
 	}
 	c.scheduleTick()
 	c.schedulePingRound()
@@ -279,10 +282,11 @@ func (c *Crawler) Stop() {
 	}
 	c.stopped = true
 	c.running = false
-	for _, stop := range c.stops {
-		stop()
+	for _, stop := range append(c.stopBursts[:], c.stopTick, c.stopSweep, c.stopPing, c.stopWindow) {
+		if stop != nil {
+			stop()
+		}
 	}
-	c.stops = nil
 	c.tx.CancelAll()
 	c.recordObs()
 }
@@ -404,36 +408,33 @@ func (c *Crawler) enqueue(ep netsim.Endpoint) {
 }
 
 func (c *Crawler) scheduleTick() {
-	stop := c.clock.After(c.cfg.Tick, func() {
+	c.stopTick = c.clock.After(c.cfg.Tick, func() {
 		if !c.running {
 			return
 		}
 		c.pump()
 		c.scheduleTick()
 	})
-	c.stops = append(c.stops, stop)
 }
 
 func (c *Crawler) scheduleSweep() {
-	stop := c.clock.After(c.cfg.SweepInterval, func() {
+	c.stopSweep = c.clock.After(c.cfg.SweepInterval, func() {
 		if !c.running {
 			return
 		}
 		c.sweep()
 		c.scheduleSweep()
 	})
-	c.stops = append(c.stops, stop)
 }
 
 func (c *Crawler) schedulePingRound() {
-	stop := c.clock.After(c.cfg.PingInterval, func() {
+	c.stopPing = c.clock.After(c.cfg.PingInterval, func() {
 		if !c.running {
 			return
 		}
 		c.pingRound()
 		c.schedulePingRound()
 	})
-	c.stops = append(c.stops, stop)
 }
 
 // pump issues up to BatchPerTick get_nodes messages from the front of the
@@ -540,10 +541,13 @@ func (c *Crawler) pingRound() {
 	if len(candidates) == 0 {
 		return
 	}
-	stop := c.clock.After(c.cfg.PingWindow, func() {
-		c.scoreRound(candidates)
+	// A window longer than PingInterval outlives its handle; the running
+	// check keeps such a window from scoring after Stop.
+	c.stopWindow = c.clock.After(c.cfg.PingWindow, func() {
+		if c.running {
+			c.scoreRound(candidates)
+		}
 	})
-	c.stops = append(c.stops, stop)
 }
 
 // scoreRound applies the paper's rule: an IP is NATed when at least two

@@ -394,3 +394,44 @@ func TestTwoVantagesCoverAtLeastAsMuch(t *testing.T) {
 	}
 	_ = nat2
 }
+
+// stopCountingClock counts calls to the stop functions its timers return.
+type stopCountingClock struct {
+	dht.Clock
+	stops int
+}
+
+func (c *stopCountingClock) After(d time.Duration, fn func()) func() bool {
+	stop := c.Clock.After(d, fn)
+	return func() bool {
+		c.stops++
+		return stop()
+	}
+}
+
+// TestCrawlerRetainsBoundedTimerHandles re-arms the tick, sweep and ping
+// timers thousands of times and checks Stop still holds one handle per
+// timer: the handles it stops, beyond the outstanding queries' deadlines,
+// are as many after 6 h as after 1 h.
+func TestCrawlerRetainsBoundedTimerHandles(t *testing.T) {
+	retained := func(crawl time.Duration) int {
+		s := newSwarm(t, 20, 0)
+		sock, err := s.net.Listen(netsim.Endpoint{Addr: iputil.MustParseAddr("172.16.0.1"), Port: 9999})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := fastConfig()
+		cfg.Bootstrap, cfg.Seed = []netsim.Endpoint{s.eps[0]}, 42
+		clock := &stopCountingClock{Clock: dht.SimClock(s.clock)}
+		c := New(sock, clock, cfg)
+		c.Start()
+		s.clock.RunFor(crawl)
+		before, inFlight := clock.stops, c.tx.InFlight()
+		c.Stop()
+		return clock.stops - before - inFlight
+	}
+	short, long := retained(time.Hour), retained(6*time.Hour)
+	if short != long || short > 7 {
+		t.Errorf("Stop released %d timer handles after 1 h and %d after 6 h, want the same count, at most 7", short, long)
+	}
+}

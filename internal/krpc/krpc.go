@@ -14,6 +14,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"github.com/reuseblock/reuseblock/internal/bencode"
 	"github.com/reuseblock/reuseblock/internal/iputil"
@@ -102,7 +103,10 @@ const CompactNodeLen = IDLen + 6
 // MarshalCompactNodes renders node infos in BEP 5 compact form: 26 bytes per
 // node (20-byte ID, 4-byte IPv4, 2-byte big-endian port).
 func MarshalCompactNodes(nodes []NodeInfo) []byte {
-	out := make([]byte, 0, len(nodes)*CompactNodeLen)
+	return appendCompactNodes(make([]byte, 0, len(nodes)*CompactNodeLen), nodes)
+}
+
+func appendCompactNodes(out []byte, nodes []NodeInfo) []byte {
 	for _, n := range nodes {
 		out = append(out, n.ID[:]...)
 		oct := n.Addr.Octets()
@@ -205,122 +209,228 @@ func NewError(txID string, code int, msg string) *Message {
 	return &Message{TxID: txID, Kind: KindError, ErrCode: code, ErrMsg: msg}
 }
 
-// Marshal encodes the message into a bencoded datagram.
+// Marshal encodes the message into its canonical bencoded datagram. Every
+// dictionary's keys are written in their sorted order (a/e < q < r < t < v
+// < y at the top level, id < nodes/target inside), straight into one
+// exact-size buffer.
 func (m *Message) Marshal() ([]byte, error) {
-	root := map[string]bencode.Value{
-		"t": m.TxID,
-		"y": string(m.Kind),
-	}
-	if m.Version != "" {
-		root["v"] = m.Version
-	}
+	var body int // the kind's own entries
 	switch m.Kind {
 	case KindQuery:
-		args := map[string]bencode.Value{"id": string(m.ID[:])}
 		switch m.Method {
-		case MethodFindNode:
-			args["target"] = string(m.Target[:])
 		case MethodPing:
+			body = len("1:ad2:id20:") + IDLen + len("e")
+		case MethodFindNode:
+			body = len("1:ad2:id20:") + IDLen + len("6:target20:") + IDLen + len("e")
 		default:
 			return nil, fmt.Errorf("krpc: unknown method %q", m.Method)
 		}
-		root["q"] = m.Method
-		root["a"] = args
+		body += len("1:q") + stringLen(len(m.Method))
 	case KindResponse:
-		resp := map[string]bencode.Value{"id": string(m.ID[:])}
+		body = len("1:rd2:id20:") + IDLen + len("e")
 		if len(m.Nodes) > 0 {
-			resp["nodes"] = string(MarshalCompactNodes(m.Nodes))
+			body += len("5:nodes") + stringLen(len(m.Nodes)*CompactNodeLen)
 		}
-		root["r"] = resp
 	case KindError:
-		root["e"] = []bencode.Value{int64(m.ErrCode), m.ErrMsg}
+		body = len("1:eli") + intLen(int64(m.ErrCode)) + len("e") + stringLen(len(m.ErrMsg)) + len("e")
 	default:
 		return nil, ErrBadKind
 	}
-	return bencode.Encode(root)
-}
-
-// Unmarshal decodes a bencoded datagram into a Message.
-func Unmarshal(data []byte) (*Message, error) {
-	raw, err := bencode.Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+	n := len("d") + body + len("1:t") + stringLen(len(m.TxID)) + len("1:y1:qe")
+	if m.Version != "" {
+		n += len("1:v") + stringLen(len(m.Version))
 	}
-	dict, ok := raw.(map[string]bencode.Value)
-	if !ok {
-		return nil, fmt.Errorf("%w: top level is not a dict", ErrMalformed)
-	}
-	m := &Message{}
-	if t, ok := dict["t"].(string); ok {
-		m.TxID = t
-	} else {
-		return nil, fmt.Errorf("%w: missing transaction ID", ErrMalformed)
-	}
-	y, ok := dict["y"].(string)
-	if !ok || len(y) != 1 {
-		return nil, fmt.Errorf("%w: missing message kind", ErrMalformed)
-	}
-	if v, ok := dict["v"].(string); ok {
-		m.Version = v
-	}
-	m.Kind = Kind(y[0])
+	b := make([]byte, 0, n)
+	b = append(b, 'd')
 	switch m.Kind {
 	case KindQuery:
-		q, ok := dict["q"].(string)
-		if !ok {
+		b = append(b, "1:ad2:id20:"...)
+		b = append(b, m.ID[:]...)
+		if m.Method == MethodFindNode {
+			b = append(b, "6:target20:"...)
+			b = append(b, m.Target[:]...)
+		}
+		b = append(b, "e1:q"...)
+		b = appendString(b, m.Method)
+	case KindResponse:
+		b = append(b, "1:rd2:id20:"...)
+		b = append(b, m.ID[:]...)
+		if len(m.Nodes) > 0 {
+			b = append(b, "5:nodes"...)
+			b = strconv.AppendInt(b, int64(len(m.Nodes)*CompactNodeLen), 10)
+			b = appendCompactNodes(append(b, ':'), m.Nodes)
+		}
+		b = append(b, 'e')
+	case KindError:
+		b = append(b, "1:eli"...)
+		b = strconv.AppendInt(b, int64(m.ErrCode), 10)
+		b = appendString(append(b, 'e'), m.ErrMsg)
+		b = append(b, 'e')
+	}
+	b = appendString(append(b, "1:t"...), m.TxID)
+	if m.Version != "" {
+		b = appendString(append(b, "1:v"...), m.Version)
+	}
+	return append(b, '1', ':', 'y', '1', ':', byte(m.Kind), 'e'), nil
+}
+
+// appendString appends s as a bencoded string.
+func appendString(b []byte, s string) []byte {
+	b = strconv.AppendInt(b, int64(len(s)), 10)
+	return append(append(b, ':'), s...)
+}
+
+// stringLen is the encoded size of an n-byte bencoded string.
+func stringLen(n int) int { return intLen(int64(n)) + 1 + n }
+
+// intLen is the number of characters in n's decimal form.
+func intLen(n int64) int {
+	var buf [20]byte
+	return len(strconv.AppendInt(buf[:0], n, 10))
+}
+
+// Unmarshal decodes a bencoded datagram into a Message. It reads the fields
+// straight off a bencode.Scanner, which validates the whole datagram as it
+// walks it, so no intermediate Value is built. Queries for methods other
+// than ping and find_node decode (with their ID) so a node can answer them
+// with a 204 error, but they do not marshal.
+func Unmarshal(data []byte) (*Message, error) {
+	top, err := bencode.NewScanner(data)
+	if err != nil || data[0] != 'd' {
+		return nil, fmt.Errorf("%w: top level is not a dict", ErrMalformed)
+	}
+	// Each field is nil when its key is absent or holds the wrong kind.
+	var tx, y, v, q, args, resp, errBody []byte
+	for top.Next() {
+		key := top.Key()
+		if len(key) != 1 {
+			continue
+		}
+		switch kind := top.Kind(); {
+		case kind == bencode.KindString:
+			switch key[0] {
+			case 't':
+				tx = top.Bytes()
+			case 'y':
+				y = top.Bytes()
+			case 'v':
+				v = top.Bytes()
+			case 'q':
+				q = top.Bytes()
+			}
+		case kind == bencode.KindDict && key[0] == 'a':
+			args = top.Raw()
+		case kind == bencode.KindDict && key[0] == 'r':
+			resp = top.Raw()
+		case kind == bencode.KindList && key[0] == 'e':
+			errBody = top.Raw()
+		}
+	}
+	if err := top.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+	}
+	if top.Len() != len(data) {
+		return nil, fmt.Errorf("%w: %v", ErrMalformed, bencode.ErrTrailing)
+	}
+	if tx == nil {
+		return nil, fmt.Errorf("%w: missing transaction ID", ErrMalformed)
+	}
+	if len(y) != 1 {
+		return nil, fmt.Errorf("%w: missing message kind", ErrMalformed)
+	}
+	m := &Message{TxID: string(tx), Kind: Kind(y[0])}
+	if v != nil {
+		m.Version = string(v)
+	}
+	switch m.Kind {
+	case KindQuery:
+		if q == nil {
 			return nil, fmt.Errorf("%w: query without method", ErrMalformed)
 		}
-		m.Method = q
-		args, ok := dict["a"].(map[string]bencode.Value)
-		if !ok {
+		m.Method = methodName(q)
+		if args == nil {
 			return nil, fmt.Errorf("%w: query without args", ErrMalformed)
 		}
-		if err := decodeID(args, "id", &m.ID); err != nil {
+		if err := m.decodeBody(args, m.Method == MethodFindNode, false); err != nil {
 			return nil, err
-		}
-		if q == MethodFindNode {
-			if err := decodeID(args, "target", &m.Target); err != nil {
-				return nil, err
-			}
 		}
 	case KindResponse:
-		resp, ok := dict["r"].(map[string]bencode.Value)
-		if !ok {
+		if resp == nil {
 			return nil, fmt.Errorf("%w: response without body", ErrMalformed)
 		}
-		if err := decodeID(resp, "id", &m.ID); err != nil {
+		if err := m.decodeBody(resp, false, true); err != nil {
 			return nil, err
 		}
-		if nodesRaw, ok := resp["nodes"].(string); ok {
-			nodes, err := UnmarshalCompactNodes([]byte(nodesRaw))
-			if err != nil {
-				return nil, err
-			}
-			m.Nodes = nodes
-		}
 	case KindError:
-		e, ok := dict["e"].([]bencode.Value)
-		if !ok || len(e) < 2 {
+		s, _ := bencode.NewScanner(errBody) // validated above; nil fails Next
+		if !s.Next() || s.Kind() != bencode.KindInt {
 			return nil, fmt.Errorf("%w: malformed error body", ErrMalformed)
 		}
-		code, ok1 := e[0].(int64)
-		msg, ok2 := e[1].(string)
-		if !ok1 || !ok2 {
+		code := s.Int()
+		if !s.Next() || s.Kind() != bencode.KindString {
 			return nil, fmt.Errorf("%w: malformed error body", ErrMalformed)
 		}
-		m.ErrCode, m.ErrMsg = int(code), msg
+		m.ErrCode, m.ErrMsg = int(code), string(s.Bytes())
 	default:
 		return nil, ErrBadKind
 	}
 	return m, nil
 }
 
-func decodeID(dict map[string]bencode.Value, key string, dst *NodeID) error {
-	s, ok := dict[key].(string)
-	if !ok {
+// methodName returns the method as a string, sharing the constants for the
+// two methods the system speaks.
+func methodName(q []byte) string {
+	switch string(q) {
+	case MethodPing:
+		return MethodPing
+	case MethodFindNode:
+		return MethodFindNode
+	}
+	return string(q)
+}
+
+// decodeBody reads the "a" or "r" dictionary (already validated by the
+// top-level scan): the sender's id, and the find_node target or the compact
+// nodes when asked for.
+func (m *Message) decodeBody(body []byte, wantTarget, wantNodes bool) error {
+	s, _ := bencode.NewScanner(body)
+	var id, target, nodes []byte
+	for s.Next() {
+		if s.Kind() != bencode.KindString {
+			continue
+		}
+		switch string(s.Key()) {
+		case "id":
+			id = s.Bytes()
+		case "nodes":
+			nodes = s.Bytes()
+		case "target":
+			target = s.Bytes()
+		}
+	}
+	if err := decodeID(id, "id", &m.ID); err != nil {
+		return err
+	}
+	if wantTarget {
+		if err := decodeID(target, "target", &m.Target); err != nil {
+			return err
+		}
+	}
+	if wantNodes && nodes != nil {
+		decoded, err := UnmarshalCompactNodes(nodes)
+		if err != nil {
+			return err
+		}
+		m.Nodes = decoded
+	}
+	return nil
+}
+
+func decodeID(b []byte, key string, dst *NodeID) error {
+	if b == nil {
 		return fmt.Errorf("%w: missing %q", ErrMalformed, key)
 	}
-	id, err := NodeIDFromBytes([]byte(s))
+	id, err := NodeIDFromBytes(b)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrMalformed, err)
 	}

@@ -9,7 +9,7 @@
 package netsim
 
 import (
-	"container/heap"
+	"math"
 	"time"
 )
 
@@ -19,65 +19,153 @@ var Epoch = time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // Clock is a virtual clock driving a single-threaded event loop. Events
 // scheduled for the same instant fire in scheduling order.
+//
+// The queue holds values, not pointers: a 4-ary min-heap of (time, seq)
+// keys, each naming a slot in a pooled event array with a freelist. A slot
+// is either a timer callback or a datagram delivery (the receiving network,
+// the endpoints and the payload), so the fabric schedules a delivery
+// without allocating a closure. Every slot carries a generation that
+// increments when it is vacated; heap entries and Timers remember the
+// generation they were made under, so a stopped event is skipped when it
+// surfaces and a stale Timer can never cancel the slot's next occupant.
 type Clock struct {
-	now    time.Time
-	queue  eventQueue
-	nextID uint64
+	now   int64 // ns since Epoch
+	heap  []qent
+	slots []eslot
+	free  []int32 // vacated slot indices
+	seq   uint64  // next scheduling sequence number
+	live  int     // events scheduled and neither fired nor stopped
+}
+
+// qent is a heap entry: the ordering key and the slot it fires.
+type qent struct {
+	at   int64 // ns since Epoch
+	seq  uint64
+	slot int32
+	gen  uint32
+}
+
+func (e qent) before(o qent) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
+// eslot is one pooled event: a timer's fn, or, when net is set, a datagram
+// to hand to net.deliver.
+type eslot struct {
+	fn       func()
+	net      *Network
+	from, to Endpoint
+	payload  []byte
+	gen      uint32
 }
 
 // NewClock returns a clock positioned at Epoch.
 func NewClock() *Clock {
-	return &Clock{now: Epoch}
+	return &Clock{}
 }
 
 // Now returns the current virtual time.
-func (c *Clock) Now() time.Time { return c.now }
+func (c *Clock) Now() time.Time { return Epoch.Add(time.Duration(c.now)) }
 
-// Timer is a handle to a scheduled event; Stop cancels it.
+// sinceEpoch converts t to the queue's int64 key, saturating at the ends
+// of the int64 range.
+func sinceEpoch(t time.Time) int64 { return int64(t.Sub(Epoch)) }
+
+// Timer is a handle to a scheduled event; Stop cancels it. The zero Timer
+// is valid and stops nothing.
 type Timer struct {
-	ev *event
+	c    *Clock
+	slot int32
+	gen  uint32
 }
 
 // Stop cancels the timer; it reports whether the event had not yet fired.
-func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil || t.ev.cancelled || t.ev.fired {
+func (t Timer) Stop() bool {
+	if t.c == nil || t.c.slots[t.slot].gen != t.gen {
 		return false
 	}
-	t.ev.cancelled = true
+	t.c.release(t.slot)
 	return true
 }
 
 // After schedules fn to run d after the current virtual time.
-func (c *Clock) After(d time.Duration, fn func()) *Timer {
+func (c *Clock) After(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return c.At(c.now.Add(d), fn)
+	at := c.now + int64(d)
+	if at < c.now {
+		at = math.MaxInt64
+	}
+	return c.at(at, fn)
 }
 
 // At schedules fn at an absolute virtual time; times in the past fire on the
 // next step.
-func (c *Clock) At(t time.Time, fn func()) *Timer {
-	if t.Before(c.now) {
-		t = c.now
+func (c *Clock) At(t time.Time, fn func()) Timer {
+	return c.at(sinceEpoch(t), fn)
+}
+
+func (c *Clock) at(at int64, fn func()) Timer {
+	idx, s := c.schedule(at)
+	s.fn = fn
+	return Timer{c: c, slot: idx, gen: s.gen}
+}
+
+// deliverAt schedules the delivery of a datagram on n at at (ns since
+// Epoch).
+func (c *Clock) deliverAt(at int64, n *Network, from, to Endpoint, payload []byte) {
+	_, s := c.schedule(at)
+	s.net, s.from, s.to, s.payload = n, from, to, payload
+}
+
+// schedule takes a slot and queues it at at (clamped to now) under the
+// next sequence number. The returned pointer is valid until the next
+// schedule call.
+func (c *Clock) schedule(at int64) (int32, *eslot) {
+	if at < c.now {
+		at = c.now
 	}
-	ev := &event{when: t, seq: c.nextID, fn: fn}
-	c.nextID++
-	heap.Push(&c.queue, ev)
-	return &Timer{ev: ev}
+	var idx int32
+	if k := len(c.free); k > 0 {
+		idx = c.free[k-1]
+		c.free = c.free[:k-1]
+	} else {
+		c.slots = append(c.slots, eslot{})
+		idx = int32(len(c.slots) - 1)
+	}
+	s := &c.slots[idx]
+	c.push(qent{at: at, seq: c.seq, slot: idx, gen: s.gen})
+	c.seq++
+	c.live++
+	return idx, s
+}
+
+// release vacates a slot whose event fired or was stopped.
+func (c *Clock) release(idx int32) {
+	s := &c.slots[idx]
+	*s = eslot{gen: s.gen + 1}
+	c.free = append(c.free, idx)
+	c.live--
 }
 
 // Step runs the earliest pending event, advancing the clock to its time.
 // It reports whether an event ran.
 func (c *Clock) Step() bool {
-	for c.queue.Len() > 0 {
-		ev := heap.Pop(&c.queue).(*event)
-		if ev.cancelled {
-			continue
+	for len(c.heap) > 0 {
+		e := c.pop()
+		s := &c.slots[e.slot]
+		if s.gen != e.gen {
+			continue // stopped
 		}
-		c.now = ev.when
-		ev.fired = true
-		ev.fn()
+		c.now = e.at
+		fn, net, from, to, payload := s.fn, s.net, s.from, s.to, s.payload
+		c.release(e.slot)
+		if net != nil {
+			net.deliver(from, to, payload)
+		} else {
+			fn()
+		}
 		return true
 	}
 	return false
@@ -87,24 +175,25 @@ func (c *Clock) Step() bool {
 // beyond t; the clock finishes at t (or later if an event fired exactly
 // there). It returns the number of events run.
 func (c *Clock) RunUntil(t time.Time) int {
+	end := sinceEpoch(t)
 	n := 0
 	for {
-		ev := c.peek()
-		if ev == nil || ev.when.After(t) {
+		e, ok := c.peek()
+		if !ok || e.at > end {
 			break
 		}
 		c.Step()
 		n++
 	}
-	if c.now.Before(t) {
-		c.now = t
+	if c.now < end {
+		c.now = end
 	}
 	return n
 }
 
 // RunFor advances the clock by d, running every event due in that window.
 func (c *Clock) RunFor(d time.Duration) int {
-	return c.RunUntil(c.now.Add(d))
+	return c.RunUntil(c.Now().Add(d))
 }
 
 // Drain runs events until none remain or limit events have run; limit <= 0
@@ -121,64 +210,66 @@ func (c *Clock) Drain(limit int) int {
 }
 
 // Pending returns the number of scheduled (uncancelled) events.
-func (c *Clock) Pending() int {
-	n := 0
-	for _, ev := range c.queue {
-		if !ev.cancelled {
-			n++
+func (c *Clock) Pending() int { return c.live }
+
+// peek returns the earliest live entry, discarding stopped ones that
+// surface on the way.
+func (c *Clock) peek() (qent, bool) {
+	for len(c.heap) > 0 {
+		e := c.heap[0]
+		if c.slots[e.slot].gen == e.gen {
+			return e, true
 		}
+		c.pop()
 	}
-	return n
+	return qent{}, false
 }
 
-func (c *Clock) peek() *event {
-	for c.queue.Len() > 0 {
-		ev := c.queue[0]
-		if ev.cancelled {
-			heap.Pop(&c.queue)
-			continue
+func (c *Clock) push(e qent) {
+	h := append(c.heap, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(h[p]) {
+			break
 		}
-		return ev
+		h[i] = h[p]
+		i = p
 	}
-	return nil
+	h[i] = e
+	c.heap = h
 }
 
-type event struct {
-	when      time.Time
-	seq       uint64
-	fn        func()
-	cancelled bool
-	fired     bool
-	index     int
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].when.Equal(q[j].when) {
-		return q[i].when.Before(q[j].when)
+func (c *Clock) pop() qent {
+	h := c.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			kid := 4*i + 1
+			if kid >= n {
+				break
+			}
+			end := kid + 4
+			if end > n {
+				end = n
+			}
+			for j := kid + 1; j < end; j++ {
+				if h[j].before(h[kid]) {
+					kid = j
+				}
+			}
+			if !h[kid].before(last) {
+				break
+			}
+			h[i] = h[kid]
+			i = kid
+		}
+		h[i] = last
 	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index, q[j].index = i, j
-}
-
-func (q *eventQueue) Push(x interface{}) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+	c.heap = h
+	return top
 }

@@ -140,7 +140,7 @@ type Network struct {
 	// forward, when set by a ShardGroup, sees each datagram after the
 	// loss/jitter rolls and payload copy; returning true means the
 	// destination lives on another shard and delivery was handed off.
-	forward func(deliverAt time.Time, from, to Endpoint, payload []byte) bool
+	forward func(deliverAt int64, from, to Endpoint, payload []byte) bool
 }
 
 // bslot is pooled per-binding state. gen increments on close so a stale
@@ -291,12 +291,11 @@ func (n *Network) transmit(from, to Endpoint, payload []byte) {
 	// in-flight datagrams.
 	data := make([]byte, len(payload))
 	copy(data, payload)
-	if n.forward != nil && n.forward(n.clock.Now().Add(delay), from, to, data) {
+	at := n.clock.now + int64(delay)
+	if n.forward != nil && n.forward(at, from, to, data) {
 		return
 	}
-	n.clock.After(delay, func() {
-		n.deliver(from, to, data)
-	})
+	n.clock.deliverAt(at, n, from, to, data)
 }
 
 func (n *Network) deliver(from, to Endpoint, payload []byte) {

@@ -1,0 +1,242 @@
+package netsim
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+	"time"
+)
+
+// modelEvent is one event in the reference queue: a plain list kept in
+// (at, seq) order by sorting.
+type modelEvent struct {
+	at     int64
+	seq    int
+	state  byte // 'p' pending, 'f' fired, 's' stopped
+	handle Timer
+}
+
+// TestClockMatchesModel drives random interleavings of At, After, Stop,
+// Step and RunUntil on a Clock and on a reference queue sorted by (time,
+// seq), and requires the same firing order, the same Stop verdicts and the
+// same Pending count after every operation. Every fourth event schedules a
+// child when it fires, so scheduling from inside the loop is covered too.
+func TestClockMatchesModel(t *testing.T) {
+	reused := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		reused += runClockModel(t, seed)
+	}
+	if reused == 0 {
+		t.Error("no Stop landed on a fired event whose slot was reused")
+	}
+}
+
+// runClockModel runs one seeded interleaving and returns how many Stops hit
+// a fired event whose slot a pending event had taken over.
+func runClockModel(t *testing.T, seed int64) int {
+	rng := rand.New(rand.NewSource(seed))
+	c := NewClock()
+	var (
+		model     []*modelEvent // indexed by seq
+		fired     [][2]int64    // (seq, time) in the order the clock ran them
+		modelNow  int64
+		reusedHit int
+	)
+	var schedule func(at int64, viaAfter bool, d time.Duration)
+	childDelay := func(seq int) time.Duration { return time.Duration(seq%3) * time.Second }
+	schedule = func(at int64, viaAfter bool, d time.Duration) {
+		seq := len(model)
+		ev := &modelEvent{at: max(at, modelNow), seq: seq, state: 'p'}
+		model = append(model, ev)
+		fn := func() {
+			fired = append(fired, [2]int64{int64(seq), c.now})
+			if seq%4 == 0 {
+				d := childDelay(seq)
+				schedule(c.now+int64(d), true, d)
+			}
+		}
+		if viaAfter {
+			ev.handle = c.After(d, fn)
+		} else {
+			ev.handle = c.At(Epoch.Add(time.Duration(at)), fn)
+		}
+	}
+	// fireModel runs the model's earliest pending event, if any lies at or
+	// before end, and returns its seq and time. Children the clock's
+	// callbacks scheduled are already in the model; their (at, seq) keys
+	// exceed their parents', so they cannot be picked too early.
+	fireModel := func(end int64) ([2]int64, bool) {
+		var pending []*modelEvent
+		for _, ev := range model {
+			if ev.state == 'p' {
+				pending = append(pending, ev)
+			}
+		}
+		if len(pending) == 0 {
+			return [2]int64{}, false
+		}
+		sort.Slice(pending, func(i, j int) bool {
+			if pending[i].at != pending[j].at {
+				return pending[i].at < pending[j].at
+			}
+			return pending[i].seq < pending[j].seq
+		})
+		ev := pending[0]
+		if ev.at > end {
+			return [2]int64{}, false
+		}
+		ev.state, modelNow = 'f', ev.at
+		return [2]int64{int64(ev.seq), ev.at}, true
+	}
+	// expect checks that the clock fired exactly want since mark.
+	expect := func(op string, mark int, want [][2]int64) {
+		t.Helper()
+		got := fired[mark:]
+		if len(got) != len(want) {
+			t.Fatalf("seed %d %s: clock fired %v, model %v", seed, op, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d %s: clock fired %v, model %v", seed, op, got, want)
+			}
+		}
+	}
+	for step := 0; step < 400; step++ {
+		mark := len(fired)
+		switch op := rng.Intn(10); {
+		case op < 3: // At, possibly in the past or on an existing instant
+			at := modelNow + int64(rng.Intn(5)-2)*int64(time.Second)
+			schedule(at, false, 0)
+		case op < 5: // After, possibly negative
+			d := time.Duration(rng.Intn(4)-1) * time.Second
+			schedule(modelNow+int64(max(d, 0)), true, d)
+		case op < 7 && len(model) > 0: // Stop any handle, live or not
+			ev := model[rng.Intn(len(model))]
+			if ev.state == 'f' {
+				for _, other := range model {
+					if other.state == 'p' && other.handle.slot == ev.handle.slot {
+						reusedHit++
+					}
+				}
+			}
+			want := ev.state == 'p'
+			if got := ev.handle.Stop(); got != want {
+				t.Fatalf("seed %d: Stop of event %d (state %c) = %v", seed, ev.seq, ev.state, got)
+			}
+			if want {
+				ev.state = 's'
+			}
+		case op < 9: // Step
+			ran := c.Step()
+			var want [][2]int64
+			if ev, ok := fireModel(1<<62 - 1); ok {
+				want = append(want, ev)
+			}
+			if ran != (len(want) == 1) {
+				t.Fatalf("seed %d: Step ran=%v, model %v", seed, ran, want)
+			}
+			expect("Step", mark, want)
+		default: // RunUntil a point up to 3 s ahead
+			end := modelNow + int64(rng.Intn(4))*int64(time.Second)
+			n := c.RunUntil(Epoch.Add(time.Duration(end)))
+			var want [][2]int64
+			for {
+				ev, ok := fireModel(end)
+				if !ok {
+					break
+				}
+				want = append(want, ev)
+			}
+			if n != len(want) {
+				t.Fatalf("seed %d: RunUntil ran %d, model %d", seed, n, len(want))
+			}
+			expect("RunUntil", mark, want)
+			modelNow = max(modelNow, end)
+		}
+		if got := c.Now().Sub(Epoch); int64(got) != modelNow {
+			t.Fatalf("seed %d step %d: Now = %v, model %v", seed, step, got, time.Duration(modelNow))
+		}
+		live := 0
+		for _, ev := range model {
+			if ev.state == 'p' {
+				live++
+			}
+		}
+		if c.Pending() != live {
+			t.Fatalf("seed %d step %d: Pending = %d, model %d", seed, step, c.Pending(), live)
+		}
+	}
+	return reusedHit
+}
+
+// warmPair returns a network with two bound sockets, a handler on the
+// second, and one datagram already delivered so every pool is warm.
+func warmPair(tb testing.TB) (*Network, Socket, Endpoint) {
+	n, err := NewNetwork(NewClock(), Config{LatencyBase: 10 * time.Millisecond, LatencyJitter: time.Millisecond, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	src, err := n.Listen(Endpoint{Addr: 1, Port: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	to := Endpoint{Addr: 2, Port: 2}
+	dst, err := n.Listen(to)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dst.SetHandler(func(Endpoint, []byte) {})
+	src.Send(to, []byte("warm"))
+	n.Clock().Drain(0)
+	return n, src, to
+}
+
+// TestEventLoopAllocs pins the event loop's allocations: a timer costs
+// none once the pools are warm, and a datagram only the fabric's copy of
+// its payload.
+func TestEventLoopAllocs(t *testing.T) {
+	c := NewClock()
+	fn := func() {}
+	c.After(time.Second, fn)
+	c.Step()
+	if got := testing.AllocsPerRun(100, func() {
+		c.After(time.Second, fn)
+		c.Step()
+	}); got != 0 {
+		t.Errorf("warm After+Step: %v allocs, want 0", got)
+	}
+	n, src, to := warmPair(t)
+	payload := []byte("d1:rd2:id20:SSSSSSSSSSSSSSSSSSSSe1:t2:cc1:y1:re")
+	if got := testing.AllocsPerRun(100, func() {
+		src.Send(to, payload)
+		n.Clock().Step()
+	}); got != 1 {
+		t.Errorf("warm send+deliver: %v allocs, want 1 (the payload copy)", got)
+	}
+}
+
+func BenchmarkClockAfterStep(b *testing.B) {
+	c := NewClock()
+	fn := func() {}
+	// A standing backlog keeps the heap as deep as a crawl's.
+	for i := 0; i < 4096; i++ {
+		c.After(time.Duration(i)*time.Hour, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.After(time.Millisecond, fn)
+		c.Step()
+	}
+}
+
+func BenchmarkTransmitDeliver(b *testing.B) {
+	n, src, to := warmPair(b)
+	payload := []byte("d1:rd2:id20:SSSSSSSSSSSSSSSSSSSSe1:t2:cc1:y1:re")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.Send(to, payload)
+		n.Clock().Step()
+	}
+}

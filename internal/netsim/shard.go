@@ -47,7 +47,7 @@ type Shard struct {
 // crossMsg is a datagram in flight between shards. Loss and jitter were
 // already rolled on the sending shard; only delivery remains.
 type crossMsg struct {
-	deliverAt time.Time
+	deliverAt int64 // ns since Epoch
 	from, to  Endpoint
 	payload   []byte
 	srcShard  int
@@ -126,7 +126,7 @@ func (g *ShardGroup) Stats() Stats {
 
 // forward intercepts a datagram leaving sh's fabric slice; it reports
 // whether the destination belongs to another shard (and was enqueued there).
-func (sh *Shard) forward(deliverAt time.Time, from, to Endpoint, payload []byte) bool {
+func (sh *Shard) forward(deliverAt int64, from, to Endpoint, payload []byte) bool {
 	dst := sh.group.ShardFor(to.Addr).index
 	if dst == sh.index {
 		return false
@@ -190,8 +190,8 @@ func (g *ShardGroup) drain() {
 		}
 		sort.Slice(pending, func(i, j int) bool {
 			a, b := pending[i], pending[j]
-			if !a.deliverAt.Equal(b.deliverAt) {
-				return a.deliverAt.Before(b.deliverAt)
+			if a.deliverAt != b.deliverAt {
+				return a.deliverAt < b.deliverAt
 			}
 			if a.srcShard != b.srcShard {
 				return a.srcShard < b.srcShard
@@ -199,27 +199,21 @@ func (g *ShardGroup) drain() {
 			return a.srcSeq < b.srcSeq
 		})
 		for _, m := range pending {
-			m := m
-			rcv.Clock.At(m.deliverAt, func() {
-				rcv.Net.deliver(m.from, m.to, m.payload)
-			})
+			rcv.Clock.deliverAt(m.deliverAt, rcv.Net, m.from, m.to, m.payload)
 		}
 	}
 }
 
 // earliestEvent returns the soonest pending event across all shards.
 func (g *ShardGroup) earliestEvent() (time.Time, bool) {
-	var best time.Time
+	var best int64
 	found := false
 	for _, sh := range g.shards {
-		if ev := sh.Clock.peek(); ev != nil {
-			if !found || ev.when.Before(best) {
-				best = ev.when
-				found = true
-			}
+		if e, ok := sh.Clock.peek(); ok && (!found || e.at < best) {
+			best, found = e.at, true
 		}
 	}
-	return best, found
+	return Epoch.Add(time.Duration(best)), found
 }
 
 // runWindow advances every shard clock to end, concurrently when the group
