@@ -17,8 +17,16 @@ import (
 )
 
 // resilienceStudy runs the small two-vantage study under the named fault
-// scenario ("" = fault-free baseline) and returns the study plus its report.
+// scenario ("" = fault-free baseline) on a one-shard fabric and returns the
+// study plus its report.
 func resilienceStudy(t *testing.T, seed int64, workers int, scenario string) (*core.Study, *core.Report) {
+	t.Helper()
+	return shardedResilienceStudy(t, seed, workers, 1, scenario)
+}
+
+// shardedResilienceStudy is resilienceStudy on a fabric of the given shard
+// count.
+func shardedResilienceStudy(t *testing.T, seed int64, workers, shards int, scenario string) (*core.Study, *core.Report) {
 	t.Helper()
 	scn, err := faults.Lookup(scenario)
 	if err != nil {
@@ -32,6 +40,7 @@ func resilienceStudy(t *testing.T, seed int64, workers int, scenario string) (*c
 		CrawlDuration: 4 * time.Hour,
 		Vantages:      2,
 		Workers:       workers,
+		Shards:        shards,
 		Faults:        scn,
 	})
 	rep, err := s.Run()
@@ -129,9 +138,9 @@ func TestResilienceDeterminism(t *testing.T) {
 	}
 }
 
-// TestResilienceWorkerEquivalence: fault injection lives on each vantage's
-// single-threaded event loop, so the parallel pipeline must stay equivalent
-// to the sequential one under an active scenario.
+// TestResilienceWorkerEquivalence: fault injection is a pure function of
+// each vantage's seed, so the parallel pipeline must stay equivalent to the
+// sequential one under an active scenario.
 func TestResilienceWorkerEquivalence(t *testing.T) {
 	scenarios := []string{"bursty", "hostile"}
 	if testing.Short() {
@@ -143,6 +152,35 @@ func TestResilienceWorkerEquivalence(t *testing.T) {
 			_, par := resilienceStudy(t, 1, 4, name)
 			if a, b := seq.Render(), par.Render(); a != b {
 				t.Errorf("workers=4 diverged from workers=1 under %s at %s", name, firstDiff(a, b))
+			}
+		})
+	}
+}
+
+// TestResilienceShardInvariance: a study's report does not depend on how
+// each vantage's fabric is sharded — Shards 2 and 4 render the one-shard
+// report byte for byte, fault-free and under every catalogue scenario. With
+// 4 workers the shards of a vantage run concurrently, so under -race this
+// is also the race workload for faulted sharded studies. -short keeps the
+// fault-free and hostile studies at 4 shards.
+func TestResilienceShardInvariance(t *testing.T) {
+	scenarios := append([]string{""}, faults.Names()...)
+	shardCounts := []int{2, 4}
+	if testing.Short() {
+		scenarios, shardCounts = []string{"", "hostile"}, []int{4}
+	}
+	for _, name := range scenarios {
+		label := name
+		if label == "" {
+			label = "fault-free"
+		}
+		t.Run(label, func(t *testing.T) {
+			_, want := shardedResilienceStudy(t, 1, 4, 1, name)
+			for _, shards := range shardCounts {
+				_, got := shardedResilienceStudy(t, 1, 4, shards, name)
+				if a, b := want.Render(), got.Render(); a != b {
+					t.Errorf("shards=%d diverged from shards=1 under %s at %s", shards, label, firstDiff(a, b))
+				}
 			}
 		})
 	}

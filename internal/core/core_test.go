@@ -180,7 +180,7 @@ func TestBuildSwarmInvariants(t *testing.T) {
 		}
 	}
 	// The mapping-opening pings are queued; run them.
-	swarm.Clock.RunFor(time.Minute)
+	swarm.RunFor(time.Minute)
 	for addr, nat := range swarm.NATs {
 		truth := w.NATByIP[addr]
 		if truth.BTUsers > 0 && nat.ActiveMappings() == 0 {
@@ -247,7 +247,7 @@ func TestChurnDisabled(t *testing.T) {
 
 // TestBuildSwarmSharded covers the sharded construction path and the Swarm
 // dispatch helpers: the group fabric advances in lockstep, carries traffic,
-// and rejects fault scenarios.
+// and takes fault scenarios like a one-shard fabric does.
 func TestBuildSwarmSharded(t *testing.T) {
 	wp := blgen.TestParams(9)
 	wp.Scale = 0.05
@@ -257,8 +257,8 @@ func TestBuildSwarmSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Group == nil || s.Clock != nil || s.Net != nil {
-		t.Fatal("sharded swarm should use the group fabric exclusively")
+	if n := len(s.Group.Shards()); n != 3 {
+		t.Fatalf("swarm fabric has %d shards, want 3", n)
 	}
 	start := s.Now()
 	s.RunFor(time.Minute)
@@ -271,8 +271,8 @@ func TestBuildSwarmSharded(t *testing.T) {
 	}
 	// The crawler's vantage address must get a shard-local clock and socket.
 	vantage := iputil.AddrFrom4(198, 18, 0, 1)
-	if s.ClockAt(vantage) == nil {
-		t.Fatal("ClockAt returned nil")
+	if s.ClockAt(vantage) != s.Group.ShardFor(vantage).Clock {
+		t.Fatal("ClockAt is not the clock of the shard owning the address")
 	}
 	sock, err := s.Listen(netsim.Endpoint{Addr: vantage, Port: 6881})
 	if err != nil {
@@ -282,7 +282,85 @@ func TestBuildSwarmSharded(t *testing.T) {
 		t.Errorf("vantage endpoint = %v, %v", ep, ok)
 	}
 
-	if _, err := BuildSwarm(w, SwarmConfig{Seed: 1, Shards: 2, Faults: &faults.Scenario{}}, nil); err == nil {
-		t.Error("sharded swarm with faults should be rejected")
+	scn, err := faults.Lookup("hostile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := BuildSwarm(w, SwarmConfig{Seed: 1, Shards: 2, ShardWorkers: 2, Faults: scn}, nil)
+	if err != nil {
+		t.Fatalf("sharded swarm under faults: %v", err)
+	}
+	f.RunFor(2 * time.Hour)
+	if f.Injector.Stats().Total() == 0 {
+		t.Error("sharded swarm under the hostile scenario injected no faults")
+	}
+}
+
+// TestSwarmShardedRestartsRace churns a sharded swarm hard enough that
+// restarts on different shards fire inside the same window on different
+// goroutines. Run under -race: restarted nodes must be allocated without
+// sharing an arena across shards.
+func TestSwarmShardedRestartsRace(t *testing.T) {
+	wp := blgen.DefaultParams(1)
+	wp.Scale = 0.2
+	w := blgen.Generate(wp)
+	s, err := BuildSwarm(w, SwarmConfig{Seed: 1, Shards: 4, ShardWorkers: 4,
+		RestartsPerDay: 500, ChurnHorizon: 2 * time.Hour}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunFor(2 * time.Hour)
+	moved := 0
+	for i, u := range w.BTUsers {
+		if !u.BehindNAT && s.Endpoints[i].Port != u.Port {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no public client restarted")
+	}
+	if s.Endpoints[indexOf(t, s, s.Bootstrap)] != s.Bootstrap {
+		t.Fatal("the bootstrap node churned")
+	}
+}
+
+// indexOf returns the index of the user bound at ep when the swarm was
+// built.
+func indexOf(t *testing.T, s *Swarm, ep netsim.Endpoint) int {
+	t.Helper()
+	for i, e := range s.Endpoints {
+		if e == ep {
+			return i
+		}
+	}
+	t.Fatalf("no user at %s", ep)
+	return -1
+}
+
+// TestCrawlWithoutRepliesFails closes the bootstrap node's socket before
+// the crawl: the vantage hears nothing, so the study must fail with an
+// error and a "failed" degradation row rather than succeed with an empty
+// NATed list.
+func TestCrawlWithoutRepliesFails(t *testing.T) {
+	wp := blgen.TestParams(9)
+	st := NewStudy(Config{Seed: 9, World: &wp, CrawlDuration: time.Hour, Workers: 1})
+	swarm, err := BuildSwarm(st.World, SwarmConfig{Seed: 9, ChurnHorizon: time.Hour}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swarm.Nodes[indexOf(t, swarm, swarm.Bootstrap)].Close()
+	run := st.crawlVantage(0, swarm, nil, nil)
+	if run.err == nil {
+		t.Fatalf("crawl with a dead bootstrap succeeded: %+v", run.stats)
+	}
+	if err := st.mergeVantages([]vantageRun{run}, map[iputil.Addr]int{}); err == nil {
+		t.Fatal("a study whose only vantage heard nothing did not fail")
+	}
+	if len(st.NATed) != 0 {
+		t.Fatalf("failed crawl produced %d NATed addresses", len(st.NATed))
+	}
+	d := st.buildDegradation()
+	if d == nil || len(d.Stages) != 1 || d.Stages[0].Status != "failed" || d.Stages[0].Stage != "crawl vantage 0" {
+		t.Fatalf("degradation report = %+v, want one failed crawl vantage", d)
 	}
 }

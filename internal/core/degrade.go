@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/reuseblock/reuseblock/internal/faults"
 	"github.com/reuseblock/reuseblock/internal/stats"
 )
 
@@ -113,16 +112,4 @@ func (r *Report) DegradationTable() *stats.Table {
 		t.AddRow("all stages", "ok", "scenario injected no observable degradation")
 	}
 	return t
-}
-
-// crawlFaultStats sums the per-vantage injector counters.
-func sumFaultStats(parts []faults.Stats) faults.Stats {
-	var out faults.Stats
-	for _, p := range parts {
-		out.BurstDropped += p.BurstDropped
-		out.BlackoutDropped += p.BlackoutDropped
-		out.RateLimited += p.RateLimited
-		out.Corrupted += p.Corrupted
-	}
-	return out
 }

@@ -61,15 +61,15 @@ type Config struct {
 	// faults shape the Cai baseline. The crawler gains retries and
 	// endpoint eviction, failed vantages degrade to partial results, and
 	// the report carries a Degradation section. Nil (the default) changes
-	// nothing: output stays byte-identical to a fault-free run.
+	// nothing: output stays byte-identical to a fault-free run. Any Shards
+	// value composes with it.
 	Faults *faults.Scenario
 
 	// Shards partitions each vantage's simulated fabric into this many
-	// independently clocked event-loop shards advancing in conservative
-	// lockstep windows (netsim.ShardGroup). 0 or 1 (the default) keeps the
-	// single-threaded fabric and byte-identical artifacts; sharded runs are
-	// deterministic per shard count but not byte-equal to monolithic ones.
-	// Incompatible with Faults.
+	// event-loop shards advancing in conservative lockstep windows
+	// (netsim.ShardGroup), run on up to Workers goroutines. The report is
+	// byte-identical for every value, fault scenarios included; 0 or 1
+	// (the default) runs one event loop.
 	Shards int
 	// Compact switches swarm nodes to pooled compact state with an 8-byte
 	// RNG, cutting per-host memory roughly in half at paper scale. Changes
@@ -236,6 +236,7 @@ func (s *Study) Run() (*Report, error) {
 		}),
 	)
 	if crawlErr != nil {
+		s.Degradation = s.buildDegradation()
 		root.End()
 		return nil, crawlErr
 	}
@@ -281,16 +282,14 @@ type vantageRun struct {
 
 // runCrawl runs the crawl stage: Config.Vantages crawler vantage points in
 // distinct networks (Swarm.StartCrawler). Each vantage drives its own
-// simulator instance — netsim is single-threaded, so one goroutine per
-// instance is the only safe shape — seeded only by (Config.Seed, vantage
-// index), and the per-vantage results merge in vantage order, so the
-// outcome is independent of scheduling.
+// simulator instance seeded only by (Config.Seed, vantage index), and the
+// per-vantage results merge in vantage order, so the outcome is independent
+// of scheduling.
 func (s *Study) runCrawl(natUsers map[iputil.Addr]int, crawlSpan *obs.Span) error {
 	if s.Config.SkipCrawl {
 		return nil
 	}
-	w := s.World
-	scopeSet := w.BlocklistedSpace()
+	scopeSet := s.World.BlocklistedSpace()
 	var scope func(iputil.Addr) bool
 	if !s.Config.ScopeAll {
 		scope = scopeSet.Covers
@@ -300,7 +299,7 @@ func (s *Study) runCrawl(natUsers map[iputil.Addr]int, crawlSpan *obs.Span) erro
 		defer vsp.End()
 		// Vantage 0 reuses the plain study seed so a single-vantage run
 		// reproduces the original single-swarm results exactly.
-		swarm, err := BuildSwarm(w, SwarmConfig{
+		swarm, err := BuildSwarm(s.World, SwarmConfig{
 			Loss:           s.Config.Loss,
 			Seed:           s.Config.Seed ^ int64(v)<<20,
 			RestartsPerDay: s.Config.RestartsPerDay,
@@ -314,42 +313,63 @@ func (s *Study) runCrawl(natUsers map[iputil.Addr]int, crawlSpan *obs.Span) erro
 			vsp.SetAttr(obs.String("error", err.Error()))
 			return vantageRun{err: err}
 		}
-		c, err := swarm.StartCrawler(v, crawler.Config{
-			Scope: scope,
-			Seed:  s.Config.Seed ^ 0x4352574c ^ int64(v)<<32, // "CRWL"
-			Obs:   s.Config.Obs,
-			Trace: vsp,
-		})
-		if err != nil {
-			vsp.SetAttr(obs.String("error", err.Error()))
-			return vantageRun{err: err}
+		r := s.crawlVantage(v, swarm, scope, vsp)
+		if r.err != nil {
+			vsp.SetAttr(obs.String("error", r.err.Error()))
 		}
-		swarm.RunFor(s.Config.CrawlDuration)
-		c.Stop()
-		st := c.Stats()
-		vsp.SetAttr(obs.Int("queries", st.MessagesSent))
-		vsp.SetAttr(obs.Int("replies", st.MessagesReceived))
-		vsp.SetAttr(obs.Int("unique_ips", int64(st.UniqueIPs)))
-		return vantageRun{stats: st, nated: c.NATed(), ips: c.ObservedIPs(),
-			faults: swarm.Injector.Stats(), net: swarm.NetStats()}
+		return r
 	})
+	return s.mergeVantages(runs, natUsers)
+}
+
+// crawlVantage crawls swarm from vantage v, within scope, for the
+// configured duration. A crawl that heard no reply at all learned nothing
+// about the swarm — its bootstrap was unreachable — so it is a failed
+// vantage, not an empty success.
+func (s *Study) crawlVantage(v int, swarm *Swarm, scope func(iputil.Addr) bool, vsp *obs.Span) vantageRun {
+	c, err := swarm.StartCrawler(v, crawler.Config{
+		Scope: scope,
+		Seed:  s.Config.Seed ^ 0x4352574c ^ int64(v)<<32, // "CRWL"
+		Obs:   s.Config.Obs,
+		Trace: vsp,
+	})
+	if err != nil {
+		return vantageRun{err: err}
+	}
+	swarm.RunFor(s.Config.CrawlDuration)
+	c.Stop()
+	st := c.Stats()
+	vsp.SetAttr(obs.Int("queries", st.MessagesSent))
+	vsp.SetAttr(obs.Int("replies", st.MessagesReceived))
+	vsp.SetAttr(obs.Int("unique_ips", int64(st.UniqueIPs)))
+	if st.MessagesReceived == 0 {
+		return vantageRun{err: fmt.Errorf("core: crawl vantage %d got no replies to %d queries (bootstrap %s unreachable)",
+			v, st.MessagesSent, swarm.Bootstrap)}
+	}
+	return vantageRun{stats: st, nated: c.NATed(), ips: c.ObservedIPs(),
+		faults: swarm.Injector.Stats(), net: swarm.NetStats()}
+}
+
+// mergeVantages merges the vantage runs in vantage order. A failed vantage
+// becomes a "failed" stage in the degradation report; under a fault
+// scenario the study goes on with the survivors, otherwise it fails.
+func (s *Study) mergeVantages(runs []vantageRun, natUsers map[iputil.Addr]int) error {
 	var statParts []crawler.Stats
 	var obsParts [][]crawler.NATObservation
-	var faultParts []faults.Stats
 	salvage := s.Config.Faults != nil
 	survivors := 0
 	for v, r := range runs {
 		if r.err != nil {
-			// Under a fault scenario a dead vantage degrades the study
-			// instead of aborting it; the report carries the loss.
-			if !salvage {
-				return r.err
-			}
 			s.crawlStages = append(s.crawlStages, StageReport{
 				Stage:  fmt.Sprintf("crawl vantage %d", v),
 				Status: "failed",
 				Detail: r.err.Error(),
 			})
+			// Under a fault scenario a dead vantage degrades the study
+			// instead of aborting it; the report carries the loss.
+			if !salvage {
+				return r.err
+			}
 			continue
 		}
 		survivors++
@@ -367,11 +387,11 @@ func (s *Study) runCrawl(natUsers map[iputil.Addr]int, crawlSpan *obs.Span) erro
 		}
 		statParts = append(statParts, r.stats)
 		obsParts = append(obsParts, r.nated)
-		faultParts = append(faultParts, r.faults)
+		s.FaultStats.Add(r.faults)
 		// Fabric and injector counters merge here, after the fan-out, in
-		// vantage order: each vantage's counts come from its own
-		// single-threaded simulator, so the sums are worker-invariant. The
-		// injector series only exist when a scenario is active.
+		// vantage order: each vantage's counts are a pure function of its
+		// seed, so the sums are worker- and shard-invariant. The injector
+		// series only exist when a scenario is active.
 		r.net.Record(s.Config.Obs)
 		if s.Config.Faults != nil {
 			r.faults.Record(s.Config.Obs, s.faultName())
@@ -381,7 +401,6 @@ func (s *Study) runCrawl(natUsers map[iputil.Addr]int, crawlSpan *obs.Span) erro
 	if survivors == 0 {
 		return fmt.Errorf("core: all %d crawl vantages failed", s.Config.Vantages)
 	}
-	s.FaultStats = sumFaultStats(faultParts)
 	s.NATed = crawler.MergeObservations(obsParts...)
 	s.CrawlStats = crawler.MergeStats(statParts...)
 	s.CrawlStats.UniqueIPs = s.BTObserved.Len()

@@ -22,76 +22,49 @@ import (
 
 // Swarm is the instantiated BitTorrent population.
 type Swarm struct {
-	// Clock and Net are the monolithic fabric; nil when the swarm was built
-	// sharded (use RunFor / Listen / ClockAt / NetStats, which dispatch).
-	Clock *netsim.Clock
-	Net   *netsim.Network
-	// Group is the sharded fabric; nil on the default monolithic path.
+	// Group is the simulated fabric: one event loop per shard, one shard
+	// unless SwarmConfig.Shards asks for more. Its output is the same for
+	// any shard count; use RunFor / Listen / ClockAt / NetStats.
 	Group     *netsim.ShardGroup
 	Nodes     []*dht.Node
 	Endpoints []netsim.Endpoint // public endpoints known at build time
 	NATs      map[iputil.Addr]*netsim.NAT
-	// Bootstrap is the crawler's entry point (a long-lived public node
-	// inside the blocklisted address space when possible).
+	// Bootstrap is the crawler's entry point: a public node inside the
+	// blocklisted address space when possible, exempt from client churn.
 	Bootstrap netsim.Endpoint
 	// Injector is the wire-level fault injector, nil on fault-free swarms.
+	// Its Stats sum the counters of every shard.
 	Injector *faults.Injector
 
-	arena   dht.NodeArena // backing storage for all node state
-	compact bool          // nodes use the compact RNG (SwarmConfig.Compact)
-	faulty  bool          // built under a fault scenario (SwarmConfig.Faults)
+	arenas  []dht.NodeArena // node storage, one arena per shard
+	compact bool            // nodes use the compact RNG (SwarmConfig.Compact)
+	faulty  bool            // built under a fault scenario (SwarmConfig.Faults)
 }
 
-// clockFor returns the event clock owning addr.
-func (s *Swarm) clockFor(a iputil.Addr) *netsim.Clock {
-	if s.Group != nil {
-		return s.Group.ShardFor(a).Clock
-	}
-	return s.Clock
+// newNode allocates a node from the arena of the shard owning addr, so
+// restarts firing concurrently on different shards never share an arena.
+func (s *Swarm) newNode(addr iputil.Addr, sock netsim.Socket, cfg dht.Config) *dht.Node {
+	sh := s.Group.ShardFor(addr)
+	return s.arenas[sh.Index()].NewNode(sock, dht.SimClock(sh.Clock), cfg)
 }
 
-// netFor returns the fabric slice owning addr.
-func (s *Swarm) netFor(a iputil.Addr) *netsim.Network {
-	if s.Group != nil {
-		return s.Group.ShardFor(a).Net
-	}
-	return s.Net
-}
-
-// RunFor advances the swarm's virtual time by d — across all shards in
-// lockstep when the fabric is sharded.
-func (s *Swarm) RunFor(d time.Duration) {
-	if s.Group != nil {
-		s.Group.RunFor(d)
-		return
-	}
-	s.Clock.RunFor(d)
-}
+// RunFor advances the swarm's virtual time by d across all shards.
+func (s *Swarm) RunFor(d time.Duration) { s.Group.RunFor(d) }
 
 // Now returns the swarm's virtual time.
-func (s *Swarm) Now() time.Time {
-	if s.Group != nil {
-		return s.Group.Now()
-	}
-	return s.Clock.Now()
-}
+func (s *Swarm) Now() time.Time { return s.Group.Now() }
 
 // Listen binds a public endpoint on whichever fabric slice owns its address.
 func (s *Swarm) Listen(ep netsim.Endpoint) (netsim.Socket, error) {
-	return s.netFor(ep.Addr).Listen(ep)
+	return s.Group.ShardFor(ep.Addr).Net.Listen(ep)
 }
 
 // ClockAt returns the clock owning addr; components living at a fixed
 // address (such as a crawler) must schedule on their own shard's clock.
-func (s *Swarm) ClockAt(a iputil.Addr) *netsim.Clock { return s.clockFor(a) }
+func (s *Swarm) ClockAt(a iputil.Addr) *netsim.Clock { return s.Group.ShardFor(a).Clock }
 
 // NetStats sums fabric traffic counters across shards.
-func (s *Swarm) NetStats() netsim.Stats {
-	if s.Group != nil {
-		return s.Group.Stats()
-	}
-	return s.Net.Stats()
-}
+func (s *Swarm) NetStats() netsim.Stats { return s.Group.Stats() }
 
 // StartCrawler brings up crawler vantage v on the swarm: it binds the
 // vantage socket at 198.18.v.1:9999 (198.18.0.0/15 is benchmarking space —
@@ -115,9 +88,8 @@ func (s *Swarm) StartCrawler(v int, cfg crawler.Config) (*crawler.Crawler, error
 		cfg.RetryBase = 2 * time.Second
 		cfg.EvictAfter = 4
 	}
-	// The crawler schedules on the clock owning its vantage address; on a
-	// sharded fabric that is one shard of the group, and RunFor advances
-	// every shard in lockstep.
+	// The crawler schedules on the clock owning its vantage address; RunFor
+	// advances every shard in lockstep.
 	c := crawler.New(sock, dht.SimClock(s.ClockAt(addr)), cfg)
 	s.RunFor(time.Minute)
 	c.Start()
@@ -146,16 +118,15 @@ type SwarmConfig struct {
 	ChurnHorizon time.Duration
 	Seed         int64
 	// Faults scripts scenario misbehaviour into the swarm: wire faults
-	// install on the network, a Byzantine fraction of users fabricate
-	// find_node neighbours, and restart storms churn public users at the
-	// scripted instants. Nil changes nothing.
+	// install on every shard of the fabric, a Byzantine fraction of users
+	// fabricate find_node neighbours, and restart storms churn public users
+	// at the scripted instants. Nil changes nothing.
 	Faults *faults.Scenario
-	// Shards > 1 partitions the fabric by /16 address block into that many
-	// independently clocked event loops advancing in conservative lockstep
-	// windows (see netsim.ShardGroup). 0 or 1 keeps the monolithic fabric,
-	// byte-identical to previous releases. Sharded runs are deterministic
-	// for a fixed shard count but draw per-shard RNG streams, so their
-	// artifacts differ from monolithic goldens. Incompatible with Faults.
+	// Shards partitions the fabric by /16 address block into that many
+	// event loops advancing in conservative lockstep windows (see
+	// netsim.ShardGroup); 0 means 1. The swarm behaves identically for
+	// every value, fault scenarios included; more shards only spread the
+	// work over ShardWorkers goroutines.
 	Shards int
 	// ShardWorkers bounds how many shards execute concurrently within one
 	// window; any value produces identical results. Default 1.
@@ -197,28 +168,22 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 		LatencyJitter: cfg.LatencyJitter,
 		Seed:          cfg.Seed ^ 0x4e455453, // "NETS"
 	}
-	s := &Swarm{NATs: make(map[iputil.Addr]*netsim.NAT), compact: cfg.Compact, faulty: cfg.Faults != nil}
-	if cfg.Shards > 1 {
-		if cfg.Faults != nil {
-			return nil, fmt.Errorf("core: fault scenarios require the monolithic fabric (Shards <= 1)")
-		}
-		group, err := netsim.NewShardGroup(cfg.Shards, cfg.ShardWorkers, netCfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		s.Group = group
-	} else {
-		clock := netsim.NewClock()
-		inj, err := faults.NewInjector(cfg.Faults, cfg.Seed^0x464c5453, clock) // "FLTS"
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		inj.Install(&netCfg)
-		net, err := netsim.NewNetwork(clock, netCfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		s.Clock, s.Net, s.Injector = clock, net, inj
+	inj, err := faults.NewInjector(cfg.Faults, cfg.Seed^0x464c5453) // "FLTS"
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	inj.Install(&netCfg)
+	group, err := netsim.NewShardGroup(max(cfg.Shards, 1), cfg.ShardWorkers, netCfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	s := &Swarm{
+		Group:    group,
+		NATs:     make(map[iputil.Addr]*netsim.NAT),
+		Injector: inj,
+		arenas:   make([]dht.NodeArena, len(group.Shards())),
+		compact:  cfg.Compact,
+		faulty:   cfg.Faults != nil,
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5357524d)) // "SWRM"
 
@@ -237,7 +202,7 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 				if truth != nil && truth.Restricted {
 					filtering = netsim.AddressRestricted
 				}
-				nat, err = netsim.NewNAT(s.netFor(u.PublicAddr), netsim.NATConfig{
+				nat, err = netsim.NewNAT(s.Group.ShardFor(u.PublicAddr).Net, netsim.NATConfig{
 					PublicAddr: u.PublicAddr,
 					Filtering:  filtering,
 					MappingTTL: cfg.NATMappingTTL,
@@ -249,7 +214,7 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 			}
 			sock, err = nat.Listen(u.PrivateAddr, u.Port)
 		} else {
-			sock, err = s.netFor(u.PublicAddr).Listen(netsim.Endpoint{Addr: u.PublicAddr, Port: u.Port})
+			sock, err = s.Listen(netsim.Endpoint{Addr: u.PublicAddr, Port: u.Port})
 		}
 		if err != nil {
 			return nil, fmt.Errorf("core: user %d: %w", u.ID, err)
@@ -271,7 +236,7 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 			nodeCfg.Byzantine = true
 			nodeCfg.ByzantineNodes = byz.Nodes
 		}
-		node := s.arena.NewNode(sock, dht.SimClock(s.clockFor(u.PublicAddr)), nodeCfg)
+		node := s.newNode(u.PublicAddr, sock, nodeCfg)
 		s.Nodes = append(s.Nodes, node)
 		s.Endpoints = append(s.Endpoints, netsim.Endpoint{Addr: u.PublicAddr, Port: u.Port})
 	}
@@ -305,6 +270,20 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 		s.Nodes[i].Ping(s.Endpoints[j], nil)
 	}
 
+	// Choose an in-scope bootstrap so a scope-restricted crawler can start.
+	// It stands for the long-lived router nodes real crawlers bootstrap
+	// from, so churn and restart storms never touch it.
+	boot := publicIdx[0]
+	if inScope != nil {
+		for _, j := range publicIdx {
+			if inScope(s.Endpoints[j].Addr) {
+				boot = j
+				break
+			}
+		}
+	}
+	s.Bootstrap = s.Endpoints[boot]
+
 	// Client churn: schedule restarts for public users over the horizon.
 	if cfg.RestartsPerDay > 0 {
 		horizon := cfg.ChurnHorizon
@@ -313,6 +292,9 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 		}
 		meanGap := time.Duration(float64(24*time.Hour) / cfg.RestartsPerDay)
 		for _, j := range publicIdx {
+			if j == boot {
+				continue
+			}
 			at := time.Duration(rng.ExpFloat64() * float64(meanGap))
 			for at < horizon {
 				s.scheduleRestart(w, j, at, rng.Int63())
@@ -328,20 +310,9 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 		for i, st := range cfg.Faults.Storms {
 			stormKey := cfg.Seed ^ 0x53544f52 ^ int64(i)<<48 // "STOR"
 			for _, j := range publicIdx {
-				if faults.Selected(stormKey, uint64(w.BTUsers[j].ID), st.Frac) {
+				if j != boot && faults.Selected(stormKey, uint64(w.BTUsers[j].ID), st.Frac) {
 					s.scheduleRestart(w, j, st.At, stormKey^int64(w.BTUsers[j].ID)*7919)
 				}
-			}
-		}
-	}
-
-	// Choose an in-scope bootstrap so a scope-restricted crawler can start.
-	s.Bootstrap = s.Endpoints[publicIdx[0]]
-	if inScope != nil {
-		for _, j := range publicIdx {
-			if inScope(s.Endpoints[j].Addr) {
-				s.Bootstrap = s.Endpoints[j]
-				break
 			}
 		}
 	}
@@ -353,20 +324,19 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 // reboot behaviour), and rejoins via a known neighbour.
 func (s *Swarm) scheduleRestart(w *blgen.World, j int, at time.Duration, seed int64) {
 	// A restarted client keeps its address (only the port moves), so its
-	// owning clock and fabric slice never change.
-	clock := s.clockFor(s.Endpoints[j].Addr)
-	clock.After(at, func() {
+	// owning shard never changes.
+	s.ClockAt(s.Endpoints[j].Addr).After(at, func() {
 		old := s.Nodes[j]
 		oldEp := s.Endpoints[j]
 		neighbours := old.Closest(old.ID(), 4)
 		old.Close()
 		newEp := netsim.Endpoint{Addr: oldEp.Addr, Port: oldEp.Port + 1 + uint16(seed%977)}
-		sock, err := s.netFor(newEp.Addr).Listen(newEp)
+		sock, err := s.Listen(newEp)
 		if err != nil {
 			// Port collision with another binding: skip this restart.
 			return
 		}
-		node := s.arena.NewNode(sock, dht.SimClock(clock), dht.Config{
+		node := s.newNode(newEp.Addr, sock, dht.Config{
 			PrivateIP:  newEp.Addr,
 			IDSeed:     uint64(seed), // fresh random part -> fresh node ID
 			Seed:       seed,

@@ -210,11 +210,9 @@ type Crawler struct {
 	stats   Stats
 	running bool
 	stopped bool
-	// One stop function per timer: the bootstrap bursts, then one per
-	// recurring timer, replaced each time it re-arms, so a 48 h crawl
-	// holds no more handles than a 1 h one.
-	stopBursts                                [3]func() bool
-	stopTick, stopSweep, stopPing, stopWindow func() bool
+	// One stop function per recurring timer, replaced each time it
+	// re-arms, so a 48 h crawl holds no more handles than a 1 h one.
+	stopBoot, stopTick, stopSweep, stopPing, stopWindow func() bool
 	// failures counts consecutive dead queries per endpoint; endpoints
 	// reaching EvictAfter enter evicted and leave the frontier.
 	failures map[netsim.Endpoint]int
@@ -256,20 +254,21 @@ func (c *Crawler) Start() {
 		return
 	}
 	c.running = true
-	// Bootstrap burst: UDP makes a single contact attempt flaky, so the
-	// entry points are retried a few times at start-up. Endpoints that
-	// answered are in cool-down by then and the retry is dropped.
-	for i := range c.stopBursts {
-		delay := time.Duration(i) * c.cfg.Cooldown
-		c.stopBursts[i] = c.clock.After(delay, func() {
-			if !c.running {
-				return
-			}
-			for _, ep := range c.cfg.Bootstrap {
-				c.enqueue(ep)
-			}
-		})
+	// Bootstrap: UDP makes a single contact attempt flaky, so until the
+	// first reply arrives the entry points are re-queried every
+	// QueryTimeout. After that, sweeps re-enqueue them with everything
+	// else.
+	var boot func()
+	boot = func() {
+		if !c.running || c.stats.GetNodesReplies+c.stats.PingReplies > 0 {
+			return
+		}
+		for _, ep := range c.cfg.Bootstrap {
+			c.enqueue(ep)
+		}
+		c.stopBoot = c.clock.After(c.cfg.QueryTimeout, boot)
 	}
+	c.stopBoot = c.clock.After(0, boot)
 	c.scheduleTick()
 	c.schedulePingRound()
 	c.scheduleSweep()
@@ -282,7 +281,7 @@ func (c *Crawler) Stop() {
 	}
 	c.stopped = true
 	c.running = false
-	for _, stop := range append(c.stopBursts[:], c.stopTick, c.stopSweep, c.stopPing, c.stopWindow) {
+	for _, stop := range []func() bool{c.stopBoot, c.stopTick, c.stopSweep, c.stopPing, c.stopWindow} {
 		if stop != nil {
 			stop()
 		}

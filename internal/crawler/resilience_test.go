@@ -138,7 +138,7 @@ func TestEviction(t *testing.T) {
 func TestCrawlerSurvivesCorruption(t *testing.T) {
 	clock := netsim.NewClock()
 	scn := &faults.Scenario{Corruption: &faults.Corruption{Prob: 0.5}}
-	inj, err := faults.NewInjector(scn, 9, clock)
+	inj, err := faults.NewInjector(scn, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

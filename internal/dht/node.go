@@ -125,8 +125,6 @@ func newNode(alloc func() *Node, sock netsim.Socket, clock Clock, cfg Config) *N
 		rng:   rand.New(src),
 	}
 	n.table.init(id, cfg.TableStaleAfter)
-	// Goldens pin each node's draw sequence, so keep the retired token-seed draw.
-	n.rng.Uint64()
 	sock.SetHandler(n.handle)
 	if cfg.KeepaliveInterval > 0 {
 		n.scheduleKeepalive()
@@ -138,8 +136,8 @@ func newNode(alloc func() *Node, sock netsim.Socket, clock Clock, cfg Config) *N
 // reallocated, so *Node pointers stay stable for the arena's lifetime; a
 // million-node swarm becomes ~a thousand slab allocations the garbage
 // collector tracks instead of a million individually-header'd objects. The
-// zero value is ready for use; arenas are not safe for concurrent use (the
-// world builder is single-threaded per swarm).
+// zero value is ready for use; arenas are not safe for concurrent use (a
+// sharded swarm keeps one arena per shard).
 type NodeArena struct {
 	chunks [][]Node
 	used   int // slots consumed in the last chunk

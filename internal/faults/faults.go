@@ -5,8 +5,8 @@
 // simulator models only independent uniform datagram loss. A Scenario
 // scripts richer misbehaviour:
 //
-//   - Gilbert-Elliott bursty loss (two-state Markov link, as measured behind
-//     carrier-grade NATs by Richter et al.);
+//   - Gilbert-Elliott bursty loss (a two-state Markov link per destination,
+//     as measured behind carrier-grade NATs by Richter et al.);
 //   - timed link blackouts for chosen prefixes or a hash-selected fraction
 //     of /24s (partitions);
 //   - per-destination token-bucket rate limiting that drops excess inbound
@@ -19,12 +19,13 @@
 //     builder);
 //   - ICMP probe loss with bounded retransmits (wired into icmpsurvey).
 //
-// The wire-level mechanisms compose onto netsim.Network through its
-// Config.FaultSend/FaultDeliver hooks (see Injector); the node- and
-// swarm-level mechanisms are consumed by internal/core when it builds the
-// swarm. Everything is driven by a seeded RNG consulted on the
-// single-threaded event loop, so a scenario run is bit-for-bit reproducible
-// for a given seed and any worker count.
+// The wire-level mechanisms compose onto the netsim fabric through its
+// Config.Faults hook factory (see Injector); the node- and swarm-level
+// mechanisms are consumed by internal/core when it builds the swarm. Every
+// draw is a pure function of the seed and the entity it decides — a
+// datagram's netsim.Fate, or a hash of an address or user ID (Selected) —
+// so a scenario run is bit-for-bit reproducible for a given seed and any
+// worker or shard count.
 package faults
 
 import (
@@ -36,10 +37,11 @@ import (
 	"github.com/reuseblock/reuseblock/internal/iputil"
 )
 
-// GilbertElliott is a two-state Markov loss model: a link alternates between
-// a good and a bad state with per-datagram transition probabilities, and
-// drops datagrams with a state-dependent probability. It produces the bursty
-// loss that independent uniform drops cannot.
+// GilbertElliott is a two-state Markov loss model: each destination's
+// access link alternates between a good and a bad state with per-datagram
+// transition probabilities, and drops datagrams with a state-dependent
+// probability. It produces the bursty loss that independent uniform drops
+// cannot.
 type GilbertElliott struct {
 	// PGoodBad and PBadGood are the per-datagram transition probabilities
 	// good->bad and bad->good.

@@ -41,7 +41,7 @@ func TestValidateErrors(t *testing.T) {
 	if err := nilScn.Validate(); err != nil {
 		t.Errorf("nil scenario: %v", err)
 	}
-	if _, err := NewInjector(&Scenario{Gilbert: &GilbertElliott{PGoodBad: 7}}, 1, netsim.NewClock()); err == nil {
+	if _, err := NewInjector(&Scenario{Gilbert: &GilbertElliott{PGoodBad: 7}}, 1); err == nil {
 		t.Error("NewInjector accepted an invalid scenario")
 	}
 }
@@ -70,9 +70,8 @@ func TestCatalogueValidAndLookup(t *testing.T) {
 }
 
 func TestNilAndEmptyInjector(t *testing.T) {
-	clock := netsim.NewClock()
 	for _, scn := range []*Scenario{nil, {Name: "wireless-free", Byzantine: &Byzantine{Frac: 0.5}}} {
-		inj, err := NewInjector(scn, 1, clock)
+		inj, err := NewInjector(scn, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +80,7 @@ func TestNilAndEmptyInjector(t *testing.T) {
 		}
 		var cfg netsim.Config
 		inj.Install(&cfg) // must not panic
-		if cfg.FaultSend != nil || cfg.FaultDeliver != nil {
+		if cfg.Faults != nil {
 			t.Fatal("nil injector installed hooks")
 		}
 		if inj.Stats() != (Stats{}) {
@@ -94,15 +93,16 @@ func ep(a, b, c, d byte, port uint16) netsim.Endpoint {
 	return netsim.Endpoint{Addr: iputil.AddrFrom4(a, b, c, d), Port: port}
 }
 
-// runSend pushes n datagrams through the send hook and reports survivors.
-func runSend(inj *Injector, n int) int {
-	alive := 0
-	for i := 0; i < n; i++ {
-		if inj.faultSend(ep(10, 0, 0, 1, 1), ep(10, 0, 0, 2, 1), []byte("x")) != nil {
-			alive++
-		}
+// newHook builds an injector and the hook of one fabric shard.
+func newHook(t *testing.T, scn *Scenario, seed int64) (*Injector, netsim.FaultHook) {
+	t.Helper()
+	inj, err := NewInjector(scn, seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return alive
+	var cfg netsim.Config
+	inj.Install(&cfg)
+	return inj, cfg.Faults()
 }
 
 func TestGilbertElliottBurstiness(t *testing.T) {
@@ -110,14 +110,12 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 	// datagrams than the bad-state rate overall, and (b) lose them in
 	// runs, which independent loss at the same average would not produce.
 	scn := &Scenario{Gilbert: &GilbertElliott{PGoodBad: 0.02, PBadGood: 0.25, LossGood: 0, LossBad: 1}}
-	inj, err := NewInjector(scn, 42, netsim.NewClock())
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj, hook := newHook(t, scn, 42)
 	const n = 20000
 	drops := make([]bool, n)
 	for i := range drops {
-		drops[i] = inj.faultSend(ep(10, 0, 0, 1, 1), ep(10, 0, 0, 2, 1), []byte("x")) == nil
+		d := netsim.Datagram{From: ep(10, 0, 0, 1, 1), To: ep(10, 0, 0, 2, 1), Seq: uint64(i), Payload: []byte("x")}
+		drops[i] = hook(d) == nil
 	}
 	total, runs, maxRun, cur := 0, 0, 0, 0
 	for _, d := range drops {
@@ -137,7 +135,8 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 	if cur > 0 {
 		runs++
 	}
-	// Stationary bad-state share is PGoodBad/(PGoodBad+PBadGood) ~ 7.4%.
+	// Stationary bad-state share of the destination's link is
+	// PGoodBad/(PGoodBad+PBadGood) ~ 7.4%.
 	if total < n/50 || total > n/5 {
 		t.Fatalf("total drops %d implausible for moderate bursty loss over %d", total, n)
 	}
@@ -154,32 +153,29 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 }
 
 func TestBlackoutWindowAndSelection(t *testing.T) {
-	clock := netsim.NewClock()
 	scn := &Scenario{Blackouts: []Blackout{{
 		Start:    10 * time.Minute,
 		End:      20 * time.Minute,
 		Prefixes: []iputil.Prefix{iputil.MustParsePrefix("203.0.113.0/24")},
 	}}}
-	inj, err := NewInjector(scn, 7, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj, hook := newHook(t, scn, 7)
 	inside := ep(203, 0, 113, 9, 1)
 	outside := ep(198, 51, 100, 9, 1)
+	var at time.Duration
 	pass := func(from, to netsim.Endpoint) bool {
-		return inj.faultSend(from, to, []byte("x")) != nil
+		return hook(netsim.Datagram{At: at, From: from, To: to, Payload: []byte("x")}) != nil
 	}
 	if !pass(inside, outside) {
 		t.Fatal("blackout active before its window")
 	}
-	clock.RunFor(15 * time.Minute)
+	at = 15 * time.Minute
 	if pass(inside, outside) || pass(outside, inside) {
 		t.Fatal("blackout should drop traffic to and from the prefix inside the window")
 	}
 	if !pass(outside, outside) {
 		t.Fatal("blackout dropped unrelated traffic")
 	}
-	clock.RunFor(10 * time.Minute)
+	at = 25 * time.Minute
 	if !pass(inside, outside) {
 		t.Fatal("blackout active after its window")
 	}
@@ -207,15 +203,12 @@ func TestBlackoutWindowAndSelection(t *testing.T) {
 }
 
 func TestRateLimitTokenBucket(t *testing.T) {
-	clock := netsim.NewClock()
 	scn := &Scenario{RateLimit: &RateLimit{RatePerSec: 1, Burst: 3}}
-	inj, err := NewInjector(scn, 1, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj, hook := newHook(t, scn, 1)
 	src, dst, other := ep(10, 0, 0, 1, 1), ep(10, 0, 0, 2, 1), ep(10, 0, 0, 3, 1)
+	var at time.Duration
 	deliver := func(to netsim.Endpoint) bool {
-		return inj.faultDeliver(src, to, []byte("x")) != nil
+		return hook(netsim.Datagram{At: at, From: src, To: to, Payload: []byte("x")}) != nil
 	}
 	// Burst of 3 passes, the 4th is dropped; an unrelated destination
 	// still has its own full bucket.
@@ -231,7 +224,7 @@ func TestRateLimitTokenBucket(t *testing.T) {
 		t.Fatal("rate limit leaked across destinations")
 	}
 	// Virtual time refills the bucket.
-	clock.RunFor(2 * time.Second)
+	at = 2 * time.Second
 	if !deliver(dst) || !deliver(dst) {
 		t.Fatal("bucket did not refill with virtual time")
 	}
@@ -244,12 +237,8 @@ func TestRateLimitTokenBucket(t *testing.T) {
 }
 
 func TestRateLimitQueriesOnly(t *testing.T) {
-	clock := netsim.NewClock()
 	scn := &Scenario{RateLimit: &RateLimit{RatePerSec: 0.001, Burst: 1, QueriesOnly: true}}
-	inj, err := NewInjector(scn, 1, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, hook := newHook(t, scn, 1)
 	var id krpc.NodeID
 	query, err := krpc.NewPing("aa", id).Marshal()
 	if err != nil {
@@ -260,30 +249,27 @@ func TestRateLimitQueriesOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, dst := ep(10, 0, 0, 1, 1), ep(10, 0, 0, 2, 1)
-	if inj.faultDeliver(src, dst, query) == nil {
+	deliver := func(p []byte) []byte { return hook(netsim.Datagram{From: src, To: dst, Payload: p}) }
+	if deliver(query) == nil {
 		t.Fatal("first query dropped")
 	}
-	if inj.faultDeliver(src, dst, query) != nil {
+	if deliver(query) != nil {
 		t.Fatal("second query passed an exhausted bucket")
 	}
 	// Responses and garbage are never charged or dropped.
 	for i := 0; i < 5; i++ {
-		if inj.faultDeliver(src, dst, resp) == nil {
+		if deliver(resp) == nil {
 			t.Fatal("response dropped by a QueriesOnly limiter")
 		}
-		if inj.faultDeliver(src, dst, []byte("not krpc")) == nil {
+		if deliver([]byte("not krpc")) == nil {
 			t.Fatal("garbage dropped by a QueriesOnly limiter")
 		}
 	}
 }
 
 func TestCorruptionShapes(t *testing.T) {
-	clock := netsim.NewClock()
 	scn := &Scenario{Corruption: &Corruption{Prob: 1}}
-	inj, err := NewInjector(scn, 3, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inj, hook := newHook(t, scn, 3)
 	var self, target krpc.NodeID
 	nodes := []krpc.NodeInfo{
 		{Addr: iputil.AddrFrom4(1, 2, 3, 4), Port: 6881},
@@ -296,7 +282,7 @@ func TestCorruptionShapes(t *testing.T) {
 	_ = target
 	badLen, mutated := 0, 0
 	for i := 0; i < 300; i++ {
-		out := inj.faultDeliver(ep(1, 1, 1, 1, 1), ep(2, 2, 2, 2, 2), orig)
+		out := hook(netsim.Datagram{From: ep(1, 1, 1, 1, 1), To: ep(2, 2, 2, 2, 2), Seq: uint64(i), Payload: orig})
 		if out == nil {
 			t.Fatal("corruption must mutate, not drop")
 		}
@@ -329,7 +315,8 @@ func TestCorruptionShapes(t *testing.T) {
 	// nodes list length is not a multiple of the compact node size.
 	sawBadNodeLen := false
 	for i := 0; i < 300 && !sawBadNodeLen; i++ {
-		out := inj.corrupt(orig)
+		fate := netsim.NewFate(3, ep(1, 1, 1, 1, 1), ep(2, 2, 2, 2, 2), uint64(i))
+		out := corrupt(orig, &fate)
 		if _, err := krpc.Unmarshal(out); err != nil && errors.Is(err, krpc.ErrMalformed) {
 			sawBadNodeLen = sawBadNodeLen || bytes.Contains(out, []byte("5:nodes"))
 		}
@@ -341,27 +328,18 @@ func TestCorruptionShapes(t *testing.T) {
 
 func TestInjectorDeterminism(t *testing.T) {
 	run := func(seed int64) (Stats, string) {
-		clock := netsim.NewClock()
 		scn, err := Lookup("hostile")
 		if err != nil {
 			t.Fatal(err)
 		}
-		inj, err := NewInjector(scn, seed, clock)
-		if err != nil {
-			t.Fatal(err)
-		}
+		inj, hook := newHook(t, scn, seed)
 		var id krpc.NodeID
 		query, _ := krpc.NewPing("aa", id).Marshal()
 		var trace []byte
 		for i := 0; i < 2000; i++ {
-			clock.RunFor(150 * time.Millisecond)
 			from := ep(10, 0, byte(i/256), byte(i%256), 1)
 			to := ep(172, 16, byte(i%7), byte(i%251), 1)
-			if out := inj.faultSend(from, to, query); out == nil {
-				trace = append(trace, 'S')
-				continue
-			}
-			out := inj.faultDeliver(from, to, query)
+			out := hook(netsim.Datagram{At: time.Duration(i+1) * 150 * time.Millisecond, From: from, To: to, Payload: query})
 			switch {
 			case out == nil:
 				trace = append(trace, 'D')
@@ -396,7 +374,7 @@ func TestInjectorOnNetwork(t *testing.T) {
 		Gilbert:   &GilbertElliott{PGoodBad: 0.1, PBadGood: 0.3, LossGood: 0.05, LossBad: 0.9},
 		RateLimit: &RateLimit{RatePerSec: 2, Burst: 4},
 	}
-	inj, err := NewInjector(scn, 5, clock)
+	inj, err := NewInjector(scn, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package faults
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"math/rand"
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/bencode"
@@ -13,43 +12,59 @@ import (
 )
 
 // Stats counts what the injector did to the wire, split per mechanism so a
-// degraded run can explain itself. All counters advance on the simulator's
-// event-loop goroutine in event order, so they are deterministic.
+// degraded run can explain itself. Every mechanism runs on arrival, on the
+// event loop of the shard owning the destination, in that shard's canonical
+// event order, so the counters are deterministic and independent of the
+// shard count.
 type Stats struct {
-	BurstDropped    int64 // Gilbert-Elliott drops (send side)
-	BlackoutDropped int64 // partition drops (send side)
-	RateLimited     int64 // token-bucket drops (deliver side)
-	Corrupted       int64 // datagrams mutated in flight (deliver side)
+	BurstDropped    int64 // Gilbert-Elliott drops
+	BlackoutDropped int64 // partition drops
+	RateLimited     int64 // token-bucket drops
+	Corrupted       int64 // datagrams mutated in flight
 }
 
 // Total is the number of datagrams the injector dropped outright.
 func (s Stats) Total() int64 { return s.BurstDropped + s.BlackoutDropped + s.RateLimited }
+
+// Add accumulates o into s.
+func (s *Stats) Add(o Stats) {
+	s.BurstDropped += o.BurstDropped
+	s.BlackoutDropped += o.BlackoutDropped
+	s.RateLimited += o.RateLimited
+	s.Corrupted += o.Corrupted
+}
 
 type bucket struct {
 	tokens float64
 	last   time.Duration
 }
 
-// Injector applies a Scenario's wire-level mechanisms to one netsim.Network
-// via its FaultSend/FaultDeliver hooks. Send-side it scripts link faults
-// (bursty loss, blackouts); deliver-side, receiver faults (rate limiting,
-// corruption). One Injector serves exactly one Network: its RNG and
-// Gilbert-Elliott state advance with that network's event order.
+// Injector applies a Scenario's wire-level mechanisms — bursty loss,
+// blackouts, rate limiting and corruption — to a fabric through its
+// Config.Faults hook factory. Every random draw comes from the datagram's
+// own Fate (keyed by the injector seed), and the state that must persist —
+// each destination's Gilbert-Elliott link state and token bucket — lives in
+// the part of the injector that serves the shard owning that destination.
+// One Injector serves one fabric, however many shards it has.
 type Injector struct {
 	scn   *Scenario
-	clock *netsim.Clock
 	seed  int64
-	rng   *rand.Rand
+	parts []*part // one per fabric shard, in shard order
+}
 
-	geBad   bool // Gilbert-Elliott link state
+// part is the injector state of one fabric shard, keyed by the destination
+// addresses that shard owns.
+type part struct {
+	inj     *Injector
+	bad     map[iputil.Addr]bool // destinations whose link is in the bad state
 	buckets map[iputil.Addr]*bucket
 	stats   Stats
 }
 
-// NewInjector validates the scenario and builds an injector bound to the
-// given clock. A nil scenario — or one with no wire-level mechanisms —
-// yields a nil injector and no error: Install on nil is a no-op.
-func NewInjector(scn *Scenario, seed int64, clock *netsim.Clock) (*Injector, error) {
+// NewInjector validates the scenario and builds an injector. A nil
+// scenario — or one with no wire-level mechanisms — yields a nil injector
+// and no error: Install on nil is a no-op.
+func NewInjector(scn *Scenario, seed int64) (*Injector, error) {
 	if err := scn.Validate(); err != nil {
 		return nil, err
 	}
@@ -59,71 +74,80 @@ func NewInjector(scn *Scenario, seed int64, clock *netsim.Clock) (*Injector, err
 	if scn.Gilbert == nil && len(scn.Blackouts) == 0 && scn.RateLimit == nil && scn.Corruption == nil {
 		return nil, nil
 	}
-	return &Injector{
-		scn:     scn,
-		clock:   clock,
-		seed:    seed,
-		rng:     rand.New(rand.NewSource(seed ^ 0x464c54)), // "FLT"
-		buckets: make(map[iputil.Addr]*bucket),
-	}, nil
+	return &Injector{scn: scn, seed: seed}, nil
 }
 
-// Install wires the injector into a network config. Call before NewNetwork.
+// Install wires the injector into a fabric config. Call before building the
+// fabric (netsim.NewShardGroup or netsim.NewNetwork), which asks for one
+// hook per shard.
 func (inj *Injector) Install(cfg *netsim.Config) {
 	if inj == nil {
 		return
 	}
-	if inj.scn.Gilbert != nil || len(inj.scn.Blackouts) > 0 {
-		cfg.FaultSend = inj.faultSend
-	}
-	if inj.scn.RateLimit != nil || inj.scn.Corruption != nil {
-		cfg.FaultDeliver = inj.faultDeliver
+	cfg.Faults = func() netsim.FaultHook {
+		p := &part{inj: inj, bad: make(map[iputil.Addr]bool), buckets: make(map[iputil.Addr]*bucket)}
+		inj.parts = append(inj.parts, p)
+		return p.apply
 	}
 }
 
-// Stats returns a snapshot of the per-mechanism counters.
+// Stats returns the per-mechanism counters summed over the fabric's shards.
+// Call it between runs, not while shards execute.
 func (inj *Injector) Stats() Stats {
+	var out Stats
 	if inj == nil {
-		return Stats{}
+		return out
 	}
-	return inj.stats
+	for _, p := range inj.parts {
+		out.Add(p.stats)
+	}
+	return out
 }
 
-// faultSend models link-level faults: the datagram dies before it reaches
-// the fabric. Blackouts are checked first (a partition needs no RNG), then
-// the Gilbert-Elliott state machine advances once per datagram.
-func (inj *Injector) faultSend(from, to netsim.Endpoint, payload []byte) []byte {
-	now := inj.clock.Now().Sub(netsim.Epoch)
-	for _, b := range inj.scn.Blackouts {
-		if now < b.Start || now >= b.End {
+// apply runs every mechanism on one arriving datagram: blackouts first (a
+// partition needs no draw), then the destination's Gilbert-Elliott link,
+// then rate limiting (the datagram never reaches the host), then in-flight
+// corruption of whatever survives.
+func (p *part) apply(d netsim.Datagram) []byte {
+	scn := p.inj.scn
+	for _, b := range scn.Blackouts {
+		if d.At < b.Start || d.At >= b.End {
 			continue
 		}
-		if inj.blackedOut(b, from.Addr) || inj.blackedOut(b, to.Addr) {
-			inj.stats.BlackoutDropped++
+		if p.inj.blackedOut(b, d.From.Addr) || p.inj.blackedOut(b, d.To.Addr) {
+			p.stats.BlackoutDropped++
 			return nil
 		}
 	}
-	if g := inj.scn.Gilbert; g != nil {
+	fate := netsim.NewFate(p.inj.seed, d.From, d.To, d.Seq)
+	if g := scn.Gilbert; g != nil {
+		bad := p.bad[d.To.Addr]
 		loss := g.LossGood
-		if inj.geBad {
+		if bad {
 			loss = g.LossBad
 		}
-		drop := inj.rng.Float64() < loss
-		// Advance the link state after the loss roll: one transition
-		// per datagram, so burst lengths follow the Markov chain.
-		if inj.geBad {
-			if inj.rng.Float64() < g.PBadGood {
-				inj.geBad = false
-			}
-		} else if inj.rng.Float64() < g.PGoodBad {
-			inj.geBad = true
+		drop := fate.Float64() < loss
+		// Advance the link state after the loss roll: one transition per
+		// datagram, so burst lengths follow the Markov chain.
+		if bad && fate.Float64() < g.PBadGood {
+			delete(p.bad, d.To.Addr)
+		} else if !bad && fate.Float64() < g.PGoodBad {
+			p.bad[d.To.Addr] = true
 		}
 		if drop {
-			inj.stats.BurstDropped++
+			p.stats.BurstDropped++
 			return nil
 		}
 	}
-	return payload
+	if rl := scn.RateLimit; rl != nil && p.limited(rl, d) {
+		p.stats.RateLimited++
+		return nil
+	}
+	if c := scn.Corruption; c != nil && fate.Float64() < c.Prob {
+		p.stats.Corrupted++
+		return corrupt(d.Payload, &fate)
+	}
+	return d.Payload
 }
 
 func (inj *Injector) blackedOut(b Blackout, addr iputil.Addr) bool {
@@ -138,37 +162,22 @@ func (inj *Injector) blackedOut(b Blackout, addr iputil.Addr) bool {
 	return false
 }
 
-// faultDeliver models receiver-side faults just before the datagram is
-// handed to routing: rate limiting first (the datagram never reaches the
-// host), then in-flight corruption of whatever survives.
-func (inj *Injector) faultDeliver(from, to netsim.Endpoint, payload []byte) []byte {
-	if rl := inj.scn.RateLimit; rl != nil && inj.limited(rl, to.Addr, payload) {
-		inj.stats.RateLimited++
-		return nil
-	}
-	if c := inj.scn.Corruption; c != nil && inj.rng.Float64() < c.Prob {
-		inj.stats.Corrupted++
-		return inj.corrupt(payload)
-	}
-	return payload
-}
-
-// limited charges one token at to's bucket, refilled in virtual time.
-func (inj *Injector) limited(rl *RateLimit, to iputil.Addr, payload []byte) bool {
+// limited charges one token at the destination's bucket, refilled in
+// virtual time.
+func (p *part) limited(rl *RateLimit, d netsim.Datagram) bool {
 	if rl.QueriesOnly {
-		m, err := krpc.Unmarshal(payload)
+		m, err := krpc.Unmarshal(d.Payload)
 		if err != nil || m.Kind != krpc.KindQuery {
 			return false
 		}
 	}
-	now := inj.clock.Now().Sub(netsim.Epoch)
-	bk := inj.buckets[to]
+	bk := p.buckets[d.To.Addr]
 	if bk == nil {
-		bk = &bucket{tokens: rl.Burst, last: now}
-		inj.buckets[to] = bk
+		bk = &bucket{tokens: rl.Burst, last: d.At}
+		p.buckets[d.To.Addr] = bk
 	}
-	bk.tokens += (now - bk.last).Seconds() * rl.RatePerSec
-	bk.last = now
+	bk.tokens += (d.At - bk.last).Seconds() * rl.RatePerSec
+	bk.last = d.At
 	if bk.tokens > rl.Burst {
 		bk.tokens = rl.Burst
 	}
@@ -180,33 +189,33 @@ func (inj *Injector) limited(rl *RateLimit, to iputil.Addr, payload []byte) bool
 }
 
 // corrupt returns a damaged copy of the payload. Three shapes, chosen by the
-// injector RNG: plain truncation (string extends past input), a single bit
-// flip, and — for find_node responses — a compact node list whose
+// datagram's fate: plain truncation (string extends past input), a single
+// bit flip, and — for find_node responses — a compact node list whose
 // length is no longer a multiple of 26, the exact malformation
 // krpc.UnmarshalCompactNodes rejects.
-func (inj *Injector) corrupt(payload []byte) []byte {
+func corrupt(payload []byte, fate *netsim.Fate) []byte {
 	p := append([]byte(nil), payload...)
 	if len(p) == 0 {
 		return p
 	}
-	switch inj.rng.Intn(3) {
+	switch fate.Intn(3) {
 	case 0: // truncate
-		return p[:inj.rng.Intn(len(p))]
+		return p[:fate.Intn(len(p))]
 	case 1: // bit flip
-		p[inj.rng.Intn(len(p))] ^= 1 << inj.rng.Intn(8)
+		p[fate.Intn(len(p))] ^= 1 << fate.Intn(8)
 		return p
 	default: // bad compact-node length, else fall back to truncation
-		if out, ok := inj.damageNodes(p); ok {
+		if out, ok := damageNodes(p, fate); ok {
 			return out
 		}
-		return p[:inj.rng.Intn(len(p))]
+		return p[:fate.Intn(len(p))]
 	}
 }
 
 // damageNodes shortens a response's "nodes" value by 1..25 bytes so the
 // list length stops being a multiple of the 26-byte compact node size,
 // while the datagram remains valid bencoding.
-func (inj *Injector) damageNodes(p []byte) ([]byte, bool) {
+func damageNodes(p []byte, fate *netsim.Fate) ([]byte, bool) {
 	raw, err := bencode.Decode(p)
 	if err != nil {
 		return nil, false
@@ -223,7 +232,7 @@ func (inj *Injector) damageNodes(p []byte) ([]byte, bool) {
 	if !ok || len(nodes) < krpc.CompactNodeLen {
 		return nil, false
 	}
-	cut := 1 + inj.rng.Intn(krpc.CompactNodeLen-1)
+	cut := 1 + fate.Intn(krpc.CompactNodeLen-1)
 	r["nodes"] = nodes[:len(nodes)-cut]
 	out, err := bencode.Encode(dict)
 	if err != nil {

@@ -4,8 +4,8 @@ import "github.com/reuseblock/reuseblock/internal/obs"
 
 // Record adds this injector snapshot to the registry, labelled per scenario
 // and per mechanism so a run's /metrics answers "what did the fault injector
-// actually drop, and why". Counters advance in simulator event order, so
-// sums across vantage injectors are deterministic for any worker count.
+// actually drop, and why". The counters are deterministic, so sums across
+// vantage injectors are identical for any worker or shard count.
 // Nil-safe: a nil registry records nothing.
 func (s Stats) Record(reg *obs.Registry, scenario string) {
 	if reg == nil {

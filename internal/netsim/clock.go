@@ -17,11 +17,19 @@ import (
 // RIPE Atlas observation window (1 Jan 2019).
 var Epoch = time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// Clock is a virtual clock driving a single-threaded event loop. Events
-// scheduled for the same instant fire in scheduling order.
+// Clock is a virtual clock driving a single-threaded event loop.
 //
-// The queue holds values, not pointers: a 4-ary min-heap of (time, seq)
-// keys, each naming a slot in a pooled event array with a freelist. A slot
+// Events scheduled for the same instant fire in a canonical order: timers
+// first, in scheduling order, then datagram deliveries ordered by (source
+// address, the source's send sequence). A delivery's place therefore depends
+// only on the datagram, not on when the event was queued, so a delivery
+// scheduled at send time on a one-shard fabric and the same delivery handed
+// over at a ShardGroup barrier fire in the same position. Timers keep
+// scheduling order because every timer is scheduled by an event of its own
+// shard, whose order is itself canonical.
+//
+// The queue holds values, not pointers: a 4-ary min-heap of (time, key)
+// entries, each naming a slot in a pooled event array with a freelist. A slot
 // is either a timer callback or a datagram delivery (the receiving network,
 // the endpoints and the payload), so the fabric schedules a delivery
 // without allocating a closure. Every slot carries a generation that
@@ -33,20 +41,29 @@ type Clock struct {
 	heap  []qent
 	slots []eslot
 	free  []int32 // vacated slot indices
-	seq   uint64  // next scheduling sequence number
+	seq   uint64  // next timer sequence number
 	live  int     // events scheduled and neither fired nor stopped
 }
 
 // qent is a heap entry: the ordering key and the slot it fires.
 type qent struct {
-	at   int64 // ns since Epoch
-	seq  uint64
+	at   int64  // ns since Epoch
+	key  uint64 // same-instant order: the timer sequence, or deliveryKey
 	slot int32
 	gen  uint32
 }
 
 func (e qent) before(o qent) bool {
-	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+	return e.at < o.at || (e.at == o.at && e.key < o.key)
+}
+
+// deliveryBit sets every delivery key above every timer key.
+const deliveryBit = 1 << 63
+
+// deliveryKey orders same-instant deliveries by source address, then by the
+// source's send sequence (unique for a source's first 2^31 datagrams).
+func deliveryKey(from Endpoint, seq uint64) uint64 {
+	return deliveryBit | uint64(from.Addr)<<31 | seq&(1<<31-1)
 }
 
 // eslot is one pooled event: a timer's fn, or, when net is set, a datagram
@@ -55,6 +72,7 @@ type eslot struct {
 	fn       func()
 	net      *Network
 	from, to Endpoint
+	seq      uint64 // the source's send sequence number
 	payload  []byte
 	gen      uint32
 }
@@ -107,22 +125,23 @@ func (c *Clock) At(t time.Time, fn func()) Timer {
 }
 
 func (c *Clock) at(at int64, fn func()) Timer {
-	idx, s := c.schedule(at)
+	idx, s := c.schedule(at, c.seq)
+	c.seq++
 	s.fn = fn
 	return Timer{c: c, slot: idx, gen: s.gen}
 }
 
-// deliverAt schedules the delivery of a datagram on n at at (ns since
-// Epoch).
-func (c *Clock) deliverAt(at int64, n *Network, from, to Endpoint, payload []byte) {
-	_, s := c.schedule(at)
-	s.net, s.from, s.to, s.payload = n, from, to, payload
+// deliverAt schedules the delivery of datagram seq of from on n at at (ns
+// since Epoch).
+func (c *Clock) deliverAt(at int64, n *Network, from, to Endpoint, seq uint64, payload []byte) {
+	_, s := c.schedule(at, deliveryKey(from, seq))
+	s.net, s.from, s.to, s.seq, s.payload = n, from, to, seq, payload
 }
 
 // schedule takes a slot and queues it at at (clamped to now) under the
-// next sequence number. The returned pointer is valid until the next
+// given same-instant key. The returned pointer is valid until the next
 // schedule call.
-func (c *Clock) schedule(at int64) (int32, *eslot) {
+func (c *Clock) schedule(at int64, key uint64) (int32, *eslot) {
 	if at < c.now {
 		at = c.now
 	}
@@ -135,8 +154,7 @@ func (c *Clock) schedule(at int64) (int32, *eslot) {
 		idx = int32(len(c.slots) - 1)
 	}
 	s := &c.slots[idx]
-	c.push(qent{at: at, seq: c.seq, slot: idx, gen: s.gen})
-	c.seq++
+	c.push(qent{at: at, key: key, slot: idx, gen: s.gen})
 	c.live++
 	return idx, s
 }
@@ -159,10 +177,10 @@ func (c *Clock) Step() bool {
 			continue // stopped
 		}
 		c.now = e.at
-		fn, net, from, to, payload := s.fn, s.net, s.from, s.to, s.payload
+		fn, net, from, to, seq, payload := s.fn, s.net, s.from, s.to, s.seq, s.payload
 		c.release(e.slot)
 		if net != nil {
-			net.deliver(from, to, payload)
+			net.deliver(from, to, seq, payload)
 		} else {
 			fn()
 		}
@@ -175,11 +193,16 @@ func (c *Clock) Step() bool {
 // beyond t; the clock finishes at t (or later if an event fired exactly
 // there). It returns the number of events run.
 func (c *Clock) RunUntil(t time.Time) int {
-	end := sinceEpoch(t)
+	return c.runTo(sinceEpoch(t), true)
+}
+
+// runTo runs every event due before end (and at end when inclusive), then
+// sets the clock to end unless it is already later.
+func (c *Clock) runTo(end int64, inclusive bool) int {
 	n := 0
 	for {
 		e, ok := c.peek()
-		if !ok || e.at > end {
+		if !ok || e.at > end || (e.at == end && !inclusive) {
 			break
 		}
 		c.Step()

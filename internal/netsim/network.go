@@ -3,7 +3,6 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/iputil"
@@ -75,11 +74,22 @@ type TraceEvent struct {
 // mutate the network.
 type Tracer func(TraceEvent)
 
-// FaultHook inspects one datagram and may drop or rewrite it: return nil to
-// drop, the payload unchanged to pass, or a different slice to rewrite.
-// Hooks run on the event-loop goroutine and must be deterministic (any
-// randomness must come from a seeded source consulted in event order).
-type FaultHook func(from, to Endpoint, payload []byte) []byte
+// Datagram is one datagram arriving at its destination, as a FaultHook sees
+// it.
+type Datagram struct {
+	At       time.Duration // arrival time, as an offset from Epoch
+	From, To Endpoint
+	Seq      uint64 // the source address's send sequence number
+	Payload  []byte
+}
+
+// FaultHook inspects one arriving datagram, before NAT traversal and
+// routing, and may drop or rewrite it: return nil to drop, the payload
+// unchanged to pass, or a different slice to rewrite. A hook runs on the
+// event loop of the shard owning d.To, so state it keeps per destination
+// address needs no locking; its randomness must come from the datagram
+// (see NewFate), never from a stream consulted in event order.
+type FaultHook func(d Datagram) []byte
 
 // Config tunes the network fabric.
 type Config struct {
@@ -89,19 +99,16 @@ type Config struct {
 	// uniformly random jitter.
 	LatencyBase   time.Duration
 	LatencyJitter time.Duration
-	// Seed feeds the network's private RNG.
+	// Seed keys every datagram's Fate, which decides its loss and jitter.
 	Seed int64
 	// Trace, when set, observes every send/drop/deliver/no-route event —
 	// the simulator's tcpdump.
 	Trace Tracer
-	// FaultSend, when set, sees every datagram as it enters the fabric
-	// (after the independent Loss roll) — the place to model link-level
-	// misbehaviour such as bursty loss or partitions.
-	FaultSend FaultHook
-	// FaultDeliver, when set, sees every datagram on the arrival side,
-	// before NAT traversal and routing — the place to model receiver-side
-	// misbehaviour such as rate limiting or reply corruption.
-	FaultDeliver FaultHook
+	// Faults, when set, is called once per fabric shard (once for a
+	// standalone Network) to build the hook that sees every datagram
+	// arriving on that shard — the place to model misbehaviour such as
+	// bursty loss, partitions, rate limiting or reply corruption.
+	Faults func() FaultHook
 }
 
 // validate rejects configurations NewNetwork must not accept.
@@ -119,8 +126,10 @@ func (cfg *Config) validate() error {
 }
 
 // Network simulates the public IPv4 fabric: bindings, loss, latency, NATs.
-// All methods must be called from the event loop goroutine (the simulator is
-// single-threaded by design — that is what makes runs reproducible).
+// All methods must be called from the event loop goroutine of its clock.
+// A standalone Network is a one-shard fabric; a ShardGroup runs one Network
+// per shard. Either way a datagram's fate is a function of the datagram
+// alone (NewFate), so runs are reproducible for any shard count.
 //
 // Binding state is pooled: slot data lives in one index-addressed slice with
 // a freelist, the endpoint map stores int32 slot indices, and the Socket a
@@ -130,9 +139,10 @@ func (cfg *Config) validate() error {
 // removes.
 type Network struct {
 	clock    *Clock
-	rng      *rand.Rand
 	cfg      Config
-	bindings map[Endpoint]int32 // endpoint -> index into bslots
+	fault    FaultHook
+	sent     map[iputil.Addr]uint64 // source address -> datagrams sent
+	bindings map[Endpoint]int32     // endpoint -> index into bslots
 	bslots   []bslot
 	bfree    []int32 // freelist of vacated slot indices
 	nats     map[iputil.Addr]*NAT
@@ -140,7 +150,7 @@ type Network struct {
 	// forward, when set by a ShardGroup, sees each datagram after the
 	// loss/jitter rolls and payload copy; returning true means the
 	// destination lives on another shard and delivery was handed off.
-	forward func(deliverAt int64, from, to Endpoint, payload []byte) bool
+	forward func(deliverAt int64, from, to Endpoint, seq uint64, payload []byte) bool
 }
 
 // bslot is pooled per-binding state. gen increments on close so a stale
@@ -167,13 +177,17 @@ func NewNetwork(clock *Clock, cfg Config) (*Network, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Network{
+	n := &Network{
 		clock:    clock,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		cfg:      cfg,
+		sent:     make(map[iputil.Addr]uint64),
 		bindings: make(map[Endpoint]int32),
 		nats:     make(map[iputil.Addr]*NAT),
-	}, nil
+	}
+	if cfg.Faults != nil {
+		n.fault = cfg.Faults()
+	}
+	return n, nil
 }
 
 // Clock returns the network's clock.
@@ -265,42 +279,37 @@ func (n *Network) trace(kind TraceKind, from, to Endpoint, size int) {
 	}
 }
 
-// transmit moves a datagram across the fabric: apply loss and send-side
-// faults, delay, then route.
+// transmit moves a datagram across the fabric: number it in its source's
+// send sequence, roll loss and delay from its Fate, then route.
 func (n *Network) transmit(from, to Endpoint, payload []byte) {
+	seq := n.sent[from.Addr]
+	n.sent[from.Addr] = seq + 1
 	n.stats.Sent++
 	n.trace(TraceSend, from, to, len(payload))
-	if n.cfg.Loss > 0 && n.rng.Float64() < n.cfg.Loss {
+	fate := NewFate(n.cfg.Seed, from, to, seq)
+	if n.cfg.Loss > 0 && fate.Float64() < n.cfg.Loss {
 		n.stats.Dropped++
 		n.trace(TraceDrop, from, to, len(payload))
 		return
 	}
-	if n.cfg.FaultSend != nil {
-		payload = n.cfg.FaultSend(from, to, payload)
-		if payload == nil {
-			n.stats.FaultDropped++
-			n.trace(TraceFaultDrop, from, to, 0)
-			return
-		}
-	}
 	delay := n.cfg.LatencyBase
 	if n.cfg.LatencyJitter > 0 {
-		delay += time.Duration(n.rng.Int63n(int64(n.cfg.LatencyJitter)))
+		delay += time.Duration(fate.Uint64() % uint64(n.cfg.LatencyJitter))
 	}
 	// Copy the payload so sender-side buffer reuse cannot corrupt
 	// in-flight datagrams.
 	data := make([]byte, len(payload))
 	copy(data, payload)
 	at := n.clock.now + int64(delay)
-	if n.forward != nil && n.forward(at, from, to, data) {
+	if n.forward != nil && n.forward(at, from, to, seq, data) {
 		return
 	}
-	n.clock.deliverAt(at, n, from, to, data)
+	n.clock.deliverAt(at, n, from, to, seq, data)
 }
 
-func (n *Network) deliver(from, to Endpoint, payload []byte) {
-	if n.cfg.FaultDeliver != nil {
-		payload = n.cfg.FaultDeliver(from, to, payload)
+func (n *Network) deliver(from, to Endpoint, seq uint64, payload []byte) {
+	if n.fault != nil {
+		payload = n.fault(Datagram{At: time.Duration(n.clock.now), From: from, To: to, Seq: seq, Payload: payload})
 		if payload == nil {
 			n.stats.FaultDropped++
 			n.trace(TraceFaultDrop, from, to, 0)
@@ -320,4 +329,42 @@ func (n *Network) deliver(from, to Endpoint, payload []byte) {
 	n.stats.Delivered++
 	n.trace(TraceDeliver, from, to, len(payload))
 	n.bslots[idx].handler(from, payload)
+}
+
+// Fate is one datagram's private random stream: the splitmix64 sequence
+// seeded by hashing (seed, source, destination, the source's send sequence).
+// Loss, jitter and fault draws taken from it depend on nothing but the
+// datagram — not on the event order, the shard count or what else is in
+// flight — the way a real packet's fate does not depend on a global
+// arrival counter.
+type Fate struct{ state uint64 }
+
+// NewFate returns the stream of datagram seq from from to to under seed.
+func NewFate(seed int64, from, to Endpoint, seq uint64) Fate {
+	h := mix64(uint64(seed))
+	h = mix64(h ^ (uint64(from.Addr)<<16 | uint64(from.Port)))
+	h = mix64(h ^ (uint64(to.Addr)<<16 | uint64(to.Port)))
+	return Fate{state: mix64(h ^ seq)}
+}
+
+// Uint64 returns the stream's next 64-bit draw.
+func (f *Fate) Uint64() uint64 {
+	f.state += golden64
+	return mix64(f.state)
+}
+
+// Float64 returns the next draw as a float in [0, 1).
+func (f *Fate) Float64() float64 { return float64(f.Uint64()>>11) / (1 << 53) }
+
+// Intn returns the next draw reduced to [0, n); n must be positive.
+func (f *Fate) Intn(n int) int { return int(f.Uint64() % uint64(n)) }
+
+const golden64 = 0x9e3779b97f4a7c15
+
+// mix64 is splitmix64's output function applied to x plus the golden gamma.
+func mix64(x uint64) uint64 {
+	x += golden64
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }

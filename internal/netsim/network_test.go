@@ -249,27 +249,27 @@ func TestTracerSeesDrops(t *testing.T) {
 	}
 }
 
-// TestFaultHooks: FaultSend and FaultDeliver can drop and rewrite datagrams,
-// drops are counted in FaultDropped and traced as TraceFaultDrop, and the
-// conservation invariant extends to fault drops.
+// TestFaultHooks: a fault hook can drop and rewrite datagrams, sees each
+// datagram's arrival time and send sequence, drops are counted in
+// FaultDropped and traced as TraceFaultDrop, and the conservation invariant
+// extends to fault drops.
 func TestFaultHooks(t *testing.T) {
 	var kinds []TraceKind
+	var seen []Datagram
 	cfg := Config{
-		Trace: func(ev TraceEvent) { kinds = append(kinds, ev.Kind) },
-		FaultSend: func(from, to Endpoint, p []byte) []byte {
-			if len(p) > 0 && p[0] == 'D' {
-				return nil // drop send-side
+		LatencyBase: 5 * time.Millisecond,
+		Trace:       func(ev TraceEvent) { kinds = append(kinds, ev.Kind) },
+		Faults: func() FaultHook {
+			return func(d Datagram) []byte {
+				seen = append(seen, d)
+				switch p := d.Payload; {
+				case len(p) > 0 && (p[0] == 'D' || p[0] == 'X'):
+					return nil
+				case len(p) > 0 && p[0] == 'R':
+					return []byte("rewritten")
+				}
+				return d.Payload
 			}
-			return p
-		},
-		FaultDeliver: func(from, to Endpoint, p []byte) []byte {
-			if len(p) > 0 && p[0] == 'X' {
-				return nil // drop deliver-side
-			}
-			if len(p) > 0 && p[0] == 'R' {
-				return []byte("rewritten")
-			}
-			return p
 		},
 	}
 	n := newTestNet(t, cfg)
@@ -283,6 +283,11 @@ func TestFaultHooks(t *testing.T) {
 	n.Clock().Drain(0)
 	if len(got) != 2 || got[0] != "rewritten" || got[1] != "pass" {
 		t.Errorf("delivered = %q", got)
+	}
+	for i, d := range seen {
+		if d.Seq != uint64(i) || d.At != 5*time.Millisecond || d.From != ep("10.0.0.1", 1) {
+			t.Errorf("hook saw datagram %d as %+v", i, d)
+		}
 	}
 	st := n.Stats()
 	if st.FaultDropped != 2 {

@@ -3,7 +3,7 @@ package netsim
 import "github.com/reuseblock/reuseblock/internal/obs"
 
 // Record adds this stats snapshot to the registry's fabric counters. All
-// five are event-order counts from a single-threaded simulator instance, so
+// five are deterministic per seed and independent of the shard count, so
 // summing them across vantage instances is deterministic for any worker
 // count. Nil-safe: a nil registry records nothing.
 func (s Stats) Record(reg *obs.Registry) {

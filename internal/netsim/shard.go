@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -12,20 +11,19 @@ import (
 // ShardGroup partitions the fabric into address-range shards, each with its
 // own Clock and Network, so independent slices of the simulated Internet can
 // run on separate cores. The scheme is conservative parallel discrete-event
-// simulation: shards advance in lockstep windows no longer than the
-// lookahead (the fabric's LatencyBase), which guarantees any datagram sent
-// during a window is delivered strictly after the window's end barrier —
+// simulation: shards advance in lockstep half-open windows no longer than
+// the lookahead (the fabric's LatencyBase), which guarantees any datagram
+// sent during a window is delivered at or after the window's end barrier —
 // cross-shard traffic therefore never has to interrupt a running shard. At
-// each barrier the accumulated cross-shard messages are sorted by
-// (deliverAt, sending shard, send sequence) and scheduled onto the receiving
-// clocks, so the outcome is a pure function of (seed, shard count): bit-for-
-// bit identical for any worker count or GOMAXPROCS.
+// each barrier the accumulated cross-shard messages are scheduled onto the
+// receiving clocks.
 //
-// A sharded run is NOT byte-equivalent to a monolithic one: each shard draws
-// loss and jitter from its own RNG stream, so per-datagram fates differ —
-// the same equivalence boundary DESIGN.md §12 documents for the crawl fleet.
-// What is pinned instead: determinism for a fixed shard count, and
-// scheduling invariance (workers, GOMAXPROCS).
+// The outcome does not depend on the shard count: a datagram's loss and
+// jitter come from its own Fate, every shard's clock orders same-instant
+// events canonically (see Clock), and a fault hook's state lives on the
+// shard owning the destination. ShardGroup(1) and ShardGroup(N) therefore
+// produce byte-identical runs, for any worker count or GOMAXPROCS. A
+// one-shard group runs its clock directly, with no windows.
 type ShardGroup struct {
 	shards    []*Shard
 	lookahead time.Duration
@@ -41,7 +39,6 @@ type Shard struct {
 	group *ShardGroup
 	index int
 	out   [][]crossMsg // per-destination outboxes, drained at barriers
-	seq   uint64       // outgoing cross-shard message counter
 }
 
 // crossMsg is a datagram in flight between shards. Loss and jitter were
@@ -49,28 +46,22 @@ type Shard struct {
 type crossMsg struct {
 	deliverAt int64 // ns since Epoch
 	from, to  Endpoint
+	seq       uint64 // the source's send sequence number
 	payload   []byte
-	srcShard  int
-	srcSeq    uint64
 }
 
-// NewShardGroup builds n shards over the given fabric config. LatencyBase
+// NewShardGroup builds n shards over the given fabric config; cfg.Faults,
+// when set, builds one hook per shard. With more than one shard LatencyBase
 // must be positive — it is the lookahead that makes conservative windowing
-// sound. Fault hooks are rejected: injectors are stateful in event order
-// across the whole fabric, which a partitioned fabric cannot replay (run
-// fault scenarios on the monolithic path). workers bounds how many shards
-// execute concurrently inside one window; any value yields identical
-// results. A shared Trace hook forces sequential windows (the hook would
-// race otherwise) but changes no outcome.
+// sound. workers bounds how many shards execute concurrently inside one
+// window; any value yields identical results. A shared Trace hook forces
+// sequential windows (the hook would race otherwise) but changes no outcome.
 func NewShardGroup(n, workers int, cfg Config) (*ShardGroup, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("netsim: shard count %d < 1", n)
 	}
-	if cfg.LatencyBase <= 0 {
+	if n > 1 && cfg.LatencyBase <= 0 {
 		return nil, fmt.Errorf("netsim: sharding requires positive LatencyBase lookahead")
-	}
-	if cfg.FaultSend != nil || cfg.FaultDeliver != nil {
-		return nil, fmt.Errorf("netsim: fault hooks are not supported on sharded fabrics")
 	}
 	if workers < 1 || cfg.Trace != nil {
 		workers = 1
@@ -80,17 +71,16 @@ func NewShardGroup(n, workers int, cfg Config) (*ShardGroup, error) {
 	}
 	g := &ShardGroup{lookahead: cfg.LatencyBase, workers: workers, now: Epoch}
 	for i := 0; i < n; i++ {
-		shardCfg := cfg
-		// Distinct RNG stream per shard; splitmix increment keeps streams
-		// decorrelated even for adjacent indices.
-		shardCfg.Seed = cfg.Seed ^ int64(uint64(i+1)*0x9e3779b97f4a7c15)
 		clock := NewClock()
-		net, err := NewNetwork(clock, shardCfg)
+		net, err := NewNetwork(clock, cfg)
 		if err != nil {
 			return nil, err
 		}
-		sh := &Shard{Clock: clock, Net: net, group: g, index: i, out: make([][]crossMsg, n)}
-		net.forward = sh.forward
+		sh := &Shard{Clock: clock, Net: net, group: g, index: i}
+		if n > 1 {
+			sh.out = make([][]crossMsg, n)
+			net.forward = sh.forward
+		}
 		g.shards = append(g.shards, sh)
 	}
 	return g, nil
@@ -99,6 +89,9 @@ func NewShardGroup(n, workers int, cfg Config) (*ShardGroup, error) {
 // Shards returns the shard slice (index i owns address blocks where
 // block%n == i).
 func (g *ShardGroup) Shards() []*Shard { return g.shards }
+
+// Index returns the shard's position in the group's Shards slice.
+func (sh *Shard) Index() int { return sh.index }
 
 // ShardFor returns the shard owning addr. Ownership is by /16 block so one
 // gateway's NAT and its whole pool stay on one shard.
@@ -126,86 +119,72 @@ func (g *ShardGroup) Stats() Stats {
 
 // forward intercepts a datagram leaving sh's fabric slice; it reports
 // whether the destination belongs to another shard (and was enqueued there).
-func (sh *Shard) forward(deliverAt int64, from, to Endpoint, payload []byte) bool {
+func (sh *Shard) forward(deliverAt int64, from, to Endpoint, seq uint64, payload []byte) bool {
 	dst := sh.group.ShardFor(to.Addr).index
 	if dst == sh.index {
 		return false
 	}
-	sh.out[dst] = append(sh.out[dst], crossMsg{
-		deliverAt: deliverAt,
-		from:      from,
-		to:        to,
-		payload:   payload,
-		srcShard:  sh.index,
-		srcSeq:    sh.seq,
-	})
-	sh.seq++
+	sh.out[dst] = append(sh.out[dst], crossMsg{deliverAt: deliverAt, from: from, to: to, seq: seq, payload: payload})
 	return true
 }
 
 // RunFor advances every shard by d in lockstep windows.
 func (g *ShardGroup) RunFor(d time.Duration) { g.RunUntil(g.now.Add(d)) }
 
-// RunUntil advances every shard to t.
+// RunUntil advances every shard to t, running every event due at or before
+// t, like Clock.RunUntil on a one-shard fabric.
 func (g *ShardGroup) RunUntil(t time.Time) {
+	if len(g.shards) == 1 {
+		g.shards[0].Clock.RunUntil(t)
+		g.now = g.shards[0].Clock.Now()
+		return
+	}
+	end := sinceEpoch(t)
+	now := sinceEpoch(g.now)
 	for {
 		g.drain()
-		if !g.now.Before(t) {
-			return
+		if now >= end {
+			break
 		}
-		end := g.now.Add(g.lookahead)
-		if e, ok := g.earliestEvent(); !ok {
-			// Nothing scheduled anywhere and inboxes are drained: nothing
-			// can happen before t.
-			end = t
-		} else if e.After(end) {
-			// Dead air: jump the window straight to the next event. The
-			// window exceeds the lookahead but contains events only at its
-			// very end, so sends still land beyond the barrier.
-			end = e
+		// Each window [start, stop) runs events strictly before stop; a send
+		// at start or later arrives at start+lookahead or later, past the
+		// barrier. Empty stretches are skipped by starting the window at
+		// the next event.
+		start := end
+		if e, ok := g.earliestEvent(); ok && e < end {
+			start = max(now, e)
 		}
-		if end.After(t) {
-			end = t
+		stop := min(start+int64(g.lookahead), end)
+		if stop > start {
+			g.runWindow(stop, false)
 		}
-		g.runWindow(end)
-		g.now = end
+		now = stop
+		g.now = Epoch.Add(time.Duration(now))
 	}
+	// Events due exactly at t: anything they send arrives after t, so this
+	// last inclusive pass needs no barrier beyond the final drain.
+	g.runWindow(end, true)
+	g.drain()
 }
 
-// drain moves every outbox message onto its receiving shard's clock. Runs
-// single-threaded between windows; ordering is (deliverAt, srcShard,
-// srcSeq), so scheduling order — and therefore same-instant tie-breaking on
-// the receiver — is deterministic.
+// drain moves every outbox message onto its receiving shard's clock. It
+// runs single-threaded between windows; the receiving clock orders the
+// messages canonically, so the drain order does not matter.
 func (g *ShardGroup) drain() {
-	for dst, rcv := range g.shards {
-		var pending []crossMsg
-		for _, src := range g.shards {
-			if msgs := src.out[dst]; len(msgs) > 0 {
-				pending = append(pending, msgs...)
-				src.out[dst] = msgs[:0]
+	for _, src := range g.shards {
+		for dst, msgs := range src.out {
+			rcv := g.shards[dst]
+			for _, m := range msgs {
+				rcv.Clock.deliverAt(m.deliverAt, rcv.Net, m.from, m.to, m.seq, m.payload)
 			}
-		}
-		if len(pending) == 0 {
-			continue
-		}
-		sort.Slice(pending, func(i, j int) bool {
-			a, b := pending[i], pending[j]
-			if a.deliverAt != b.deliverAt {
-				return a.deliverAt < b.deliverAt
-			}
-			if a.srcShard != b.srcShard {
-				return a.srcShard < b.srcShard
-			}
-			return a.srcSeq < b.srcSeq
-		})
-		for _, m := range pending {
-			rcv.Clock.deliverAt(m.deliverAt, rcv.Net, m.from, m.to, m.payload)
+			src.out[dst] = msgs[:0]
 		}
 	}
 }
 
-// earliestEvent returns the soonest pending event across all shards.
-func (g *ShardGroup) earliestEvent() (time.Time, bool) {
+// earliestEvent returns the soonest pending event time (ns since Epoch)
+// across all shards.
+func (g *ShardGroup) earliestEvent() (int64, bool) {
 	var best int64
 	found := false
 	for _, sh := range g.shards {
@@ -213,16 +192,17 @@ func (g *ShardGroup) earliestEvent() (time.Time, bool) {
 			best, found = e.at, true
 		}
 	}
-	return Epoch.Add(time.Duration(best)), found
+	return best, found
 }
 
-// runWindow advances every shard clock to end, concurrently when the group
-// has workers. Shards share no mutable state inside a window (cross-shard
-// sends go to the sender-owned outbox), so scheduling cannot affect results.
-func (g *ShardGroup) runWindow(end time.Time) {
+// runWindow advances every shard clock to end (running events at end too
+// when inclusive), concurrently when the group has workers. Shards share no
+// mutable state inside a window (cross-shard sends go to the sender-owned
+// outbox), so scheduling cannot affect results.
+func (g *ShardGroup) runWindow(end int64, inclusive bool) {
 	if g.workers <= 1 {
 		for _, sh := range g.shards {
-			sh.Clock.RunUntil(end)
+			sh.Clock.runTo(end, inclusive)
 		}
 		return
 	}
@@ -237,7 +217,7 @@ func (g *ShardGroup) runWindow(end time.Time) {
 		go func() {
 			defer wg.Done()
 			for sh := range next {
-				sh.Clock.RunUntil(end)
+				sh.Clock.runTo(end, inclusive)
 			}
 		}()
 	}

@@ -62,28 +62,28 @@ func TestParallelEquivalentToSequential(t *testing.T) {
 	}
 }
 
-// preRefactorReportHashes pins SHA-256 digests of rendered reports captured
-// on the pre-compact-state tree (commit e9c9148, before internal/ipset, the
-// pooled dht/netsim state, and the sharded event loop landed). The compact
-// representations must be invisible in every artifact byte: map-backed
-// address sets became interval+bitmap sets, fixed routing arrays became
-// sparse ones, node and NAT state moved into pools — all behind unchanged
-// iteration orders and RNG sequences. Seed 3's 0.05-scale world has no
-// publicly reachable swarm, so only its 0.15 scale is pinned.
-var preRefactorReportHashes = map[string]string{
-	"seed=1/scale=0.05": "1d93eedc3224aea2573fd5f9a5c6a2b5f0559d7b17d87ee1518af4769ee1f309",
-	"seed=1/scale=0.15": "e3929cefc4663c22d2fb38c10c25bd47298a8be2c20a187abdc0a850dcf6d514",
-	"seed=2/scale=0.05": "cdb01308011a748cee3e182dce7808c97108fbc6a33164f25ef1fbeb1a908785",
-	"seed=2/scale=0.15": "a5d779a81c81f32b2ac0885ca7a66d64c0054bd8fb2bae3f7a26aad8a6fd25aa",
-	"seed=3/scale=0.15": "91678016486d0b1c57e32ad9b4e4d0c7205af170fea44622c2a720e4234b7041",
-	"seed=4/scale=0.05": "693c7c38aafe957b6b39475eca5c3dbf4bcf03c25658793526350cd20cdba923",
-	"seed=4/scale=0.15": "aaaad9f71e4208498eb0591b443ec3268ed42554d01fd717b27d275cffcec397",
+// reportDigests pins SHA-256 digests of the reports renderStudy produces
+// for seven small-world configurations, re-captured when datagram fates
+// became counter-based (loss, jitter and fault draws keyed by the datagram
+// instead of drawn in event order) and the crawler's bootstrap stopped
+// churning. They pin every byte of every table and figure, so any change
+// to the simulator, the crawler, the detectors or the joins shows here.
+// Seed 3's 0.05-scale world has no publicly reachable swarm, so only its
+// 0.15 scale is pinned.
+var reportDigests = map[string]string{
+	"seed=1/scale=0.05": "d59b16e173b056a67a456b760e7caa545cc8f78d922e34e082fbb4aeeeefcefd",
+	"seed=1/scale=0.15": "b7ed5fd3ccd26a1bef9182f89bb1e7ecbd2df198c3d5929f78abaea2bdc4a7df",
+	"seed=2/scale=0.05": "e71b764bd87c11619544ae3d639a5965ac60fc9a33f4f50b85f5216ada7eaf45",
+	"seed=2/scale=0.15": "47b19738e82b21102de51267420c025238547f655435710ff6cae581cc3a9539",
+	"seed=3/scale=0.15": "abed6c427a0a668e1eae40c94e00261e03c5e5474cd39016921056eecd91c6f0",
+	"seed=4/scale=0.05": "66298ac24e34f280f6e0808be691e82d4896d60ea673601c979b3b187ecc5cc6",
+	"seed=4/scale=0.15": "b4ecaa2292d4f4c9a93f826ad5803b6b30864b1fbec4869eddbe0235a45f30f5",
 }
 
-// TestCompactStateEquivalence re-renders each pinned configuration on the
-// compact-state tree and compares digests: one flipped byte anywhere in any
-// table or figure fails the run. In -short mode only the first key runs.
-func TestCompactStateEquivalence(t *testing.T) {
+// TestReportDigests re-renders each pinned configuration and compares
+// digests: one flipped byte anywhere in any table or figure fails the run.
+// In -short mode only the first key runs.
+func TestReportDigests(t *testing.T) {
 	keys := []string{
 		"seed=1/scale=0.05", "seed=1/scale=0.15",
 		"seed=2/scale=0.05", "seed=2/scale=0.15",
@@ -102,9 +102,8 @@ func TestCompactStateEquivalence(t *testing.T) {
 				t.Fatalf("bad key %q: %v", key, err)
 			}
 			sum := sha256.Sum256([]byte(renderStudy(t, seed, scale, 1)))
-			if got := hex.EncodeToString(sum[:]); got != preRefactorReportHashes[key] {
-				t.Errorf("report digest %s, want pre-refactor %s — compact state leaked into artifact bytes",
-					got, preRefactorReportHashes[key])
+			if got := hex.EncodeToString(sum[:]); got != reportDigests[key] {
+				t.Errorf("report digest %s, want %s", got, reportDigests[key])
 			}
 		})
 	}

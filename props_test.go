@@ -9,10 +9,14 @@ package reuseblock_test
 
 import (
 	"testing"
+	"time"
 
 	"github.com/reuseblock/reuseblock/internal/analysis"
+	"github.com/reuseblock/reuseblock/internal/blgen"
+	"github.com/reuseblock/reuseblock/internal/core"
 	"github.com/reuseblock/reuseblock/internal/faults"
 	"github.com/reuseblock/reuseblock/internal/iputil"
+	"github.com/reuseblock/reuseblock/internal/parallel"
 	"github.com/reuseblock/reuseblock/internal/testkit"
 )
 
@@ -209,5 +213,32 @@ func TestWorldFaultTolerance(t *testing.T) {
 	}
 	if err := checkFaultTolerance(spec, base); err != nil {
 		t.Fatalf("bursty tolerance band: %v", err)
+	}
+}
+
+// TestStudySeedsConfirmNATs runs the benchmark's study over its pinned
+// world (world seed 1, scale 1, a 12 h crawl) for every study seed from 1
+// to 40: each crawl must confirm at least one NATed address. The crawl's
+// bootstrap never churns, so no seed can strand the crawler with a dead
+// entry point and an empty result.
+func TestStudySeedsConfirmNATs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("40 scale-1 crawls")
+	}
+	wp := blgen.DefaultParams(1)
+	wp.Scale = 1
+	w := blgen.Generate(wp)
+	nated := parallel.Map(0, 40, func(i int) int {
+		st := core.NewStudyFromWorld(w, core.Config{Seed: int64(i + 1), CrawlDuration: 12 * time.Hour,
+			SkipICMP: true, Workers: 1})
+		if _, err := st.Run(); err != nil {
+			t.Errorf("study seed %d: %v", i+1, err)
+		}
+		return len(st.NATed)
+	})
+	for i, n := range nated {
+		if n == 0 {
+			t.Errorf("study seed %d confirmed no NATed address", i+1)
+		}
 	}
 }

@@ -6,7 +6,8 @@
 // crawler. These tests pin the properties the compact core claims:
 //
 //   - TestScale*: sharded + compact runs stay deterministic and
-//     scheduling-invariant.
+//     scheduling-invariant (shard-count invariance is pinned by
+//     TestResilienceShardInvariance).
 //   - BenchmarkStudyScale: measures hosts/sec, bytes/host and peak heap at
 //     world scales 1/10/100 and appends the rows to BENCH_scale.json; the
 //     per-host footprint must undercut the pre-refactor baseline by >= 5x
@@ -62,9 +63,9 @@ func TestScaleShardedStudySmoke(t *testing.T) {
 	}
 }
 
-// TestScaleShardedWorkerInvariance: a sharded run is a pure function of
-// (seed, shard count) — the vantage fan-out worker pool and the intra-window
-// shard worker pool must both be invisible in the output bytes.
+// TestScaleShardedWorkerInvariance: a sharded run is a pure function of its
+// seed — the vantage fan-out worker pool and the intra-window shard worker
+// pool must both be invisible in the output bytes.
 func TestScaleShardedWorkerInvariance(t *testing.T) {
 	_, seq := renderScaleStudy(t, 1, 4, 1)
 	_, par := renderScaleStudy(t, 1, 4, 4)
