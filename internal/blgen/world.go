@@ -315,38 +315,70 @@ func (w *World) PrefixOf(addr iputil.Addr) (*PrefixInfo, bool) {
 	return w.PrefixTable.Lookup(addr)
 }
 
-// Responds implements the icmpsurvey.Responder contract over world ground
-// truth, including the baseline's documented blind spots: CGN gateways
-// answer like middleboxes, ICMP-filtered networks never answer, dynamic
-// pools answer only while a lease is occupied.
-func (w *World) Responds(addr iputil.Addr, at time.Time) bool {
-	pi, ok := w.PrefixOf(addr)
-	if !ok || pi.ICMPFiltered {
-		return false
+// Block implements the icmpsurvey.Responder contract over world ground
+// truth: it resolves block's /24 once — one prefix-table walk and one
+// ICMPFiltered/Kind switch — and returns the per-address answer for
+// addresses inside block, with the block's constants captured. The
+// baseline's documented blind spots are modelled: CGN gateways answer like
+// middleboxes, ICMP-filtered networks never answer, dynamic pools answer
+// only while a lease is occupied. Every world prefix is a /24, so block
+// must lie within one /24; Block panics on a wider block.
+func (w *World) Block(block iputil.Prefix) func(addr iputil.Addr, at time.Time) bool {
+	if block.Bits() < 24 {
+		panic("blgen: World.Block needs a block within one /24, got " + block.String())
 	}
-	host := int(addr) & 0xff
+	pi, ok := w.PrefixOf(block.Base())
+	if !ok || pi.ICMPFiltered {
+		return silent
+	}
 	switch pi.Kind {
 	case KindServer:
-		return host >= 1 && host <= 128 // dense, always-on farms
-	case KindStatic:
-		if host < 1 || host > w.Params.StaticHostsPerPrefix {
-			return false
+		return func(addr iputil.Addr, _ time.Time) bool {
+			host := int(addr) & 0xff
+			return host >= 1 && host <= 128 // dense, always-on farms
 		}
-		return hashMix(uint64(addr), 0)%10 < 9 // 90% of hosts answer
+	case KindStatic:
+		hosts := w.Params.StaticHostsPerPrefix
+		return func(addr iputil.Addr, _ time.Time) bool {
+			host := int(addr) & 0xff
+			if host < 1 || host > hosts {
+				return false
+			}
+			return hashMix(uint64(addr), 0)%10 < 9 // 90% of hosts answer
+		}
 	case KindCGN:
 		// Gateways reply on behalf of everything behind them.
-		return host >= 1 && host <= w.Params.GatewaysPerCGNPrefix
-	case KindDynamic:
-		if host < 1 || host > 254 {
-			return false
+		gateways := w.Params.GatewaysPerCGNPrefix
+		return func(addr iputil.Addr, _ time.Time) bool {
+			host := int(addr) & 0xff
+			return host >= 1 && host <= gateways
 		}
+	case KindDynamic:
 		lease := time.Duration(pi.MeanLeaseHours) * time.Hour
-		slot := uint64(at.Sub(w.RIPEStart) / lease)
-		occupied := float64(hashMix(uint64(addr), slot)%1000) / 1000
-		return occupied < w.Params.DynamicOccupancy
+		occupancy, start := w.Params.DynamicOccupancy, w.RIPEStart
+		return func(addr iputil.Addr, at time.Time) bool {
+			host := int(addr) & 0xff
+			if host < 1 || host > 254 {
+				return false
+			}
+			slot := uint64(at.Sub(start) / lease)
+			occupied := float64(hashMix(uint64(addr), slot)%1000) / 1000
+			return occupied < occupancy
+		}
 	default:
-		return false
+		return silent
 	}
+}
+
+// silent is the responder of a block that never answers: outside the
+// world, ICMP-filtered, or unused space.
+func silent(iputil.Addr, time.Time) bool { return false }
+
+// Responds answers whether addr would reply to an ICMP ECHO at time at. It
+// resolves addr's /24 on every call; a survey probing a whole block calls
+// Block once instead.
+func (w *World) Responds(addr iputil.Addr, at time.Time) bool {
+	return w.Block(addr.Slash24())(addr, at)
 }
 
 // hashMix is a small deterministic mixer for occupancy schedules.

@@ -5,12 +5,13 @@
 // availability (A), volatility (V) and median up-time (U) metrics, then
 // classifies blocks as dynamically allocated with an ad-hoc threshold rule.
 //
-// The survey operates against a Responder — a function answering "would
-// this address reply to a ping at this instant?" — so it can run over the
-// synthetic world without flooding the event-driven network simulator. The
-// baseline's documented weaknesses are modelled by the world, not hidden:
-// middleboxes answer for dead hosts (inflating A) and some networks filter
-// ICMP entirely (deflating coverage).
+// The survey operates against a Responder — resolved once per block into a
+// function answering "would this address reply to a ping at this
+// instant?" — so it can run over the synthetic world without flooding the
+// event-driven network simulator. The baseline's documented weaknesses are
+// modelled by the world, not hidden: middleboxes answer for dead hosts
+// (inflating A) and some networks filter ICMP entirely (deflating
+// coverage).
 package icmpsurvey
 
 import (
@@ -23,21 +24,28 @@ import (
 	"github.com/reuseblock/reuseblock/internal/parallel"
 )
 
-// Responder answers whether addr would reply to an ICMP ECHO at time t.
+// Responder answers whether an address would reply to an ICMP ECHO at a
+// given instant. The survey asks it once per block: Block resolves
+// everything the answers share (for the synthetic world, the /24's
+// allocation policy) and returns the per-address answer, which the survey
+// then calls for every probe of that block. The returned function is only
+// asked about addresses inside block.
 type Responder interface {
-	Responds(addr iputil.Addr, at time.Time) bool
+	Block(block iputil.Prefix) func(addr iputil.Addr, at time.Time) bool
 }
 
-// ResponderFunc adapts a function to the Responder interface.
+// ResponderFunc adapts a per-address function to the Responder interface;
+// it has nothing to resolve per block, so every block gets f itself.
 type ResponderFunc func(addr iputil.Addr, at time.Time) bool
 
-// Responds implements Responder.
-func (f ResponderFunc) Responds(addr iputil.Addr, at time.Time) bool { return f(addr, at) }
+// Block implements Responder.
+func (f ResponderFunc) Block(iputil.Prefix) func(addr iputil.Addr, at time.Time) bool { return f }
 
 // Config tunes the survey.
 type Config struct {
-	// Blocks are the sampled /24 prefixes (Cai et al. sample 1% of the
-	// responsive address space).
+	// Blocks are the sampled /24 blocks (Cai et al. sample 1% of the
+	// responsive address space). Each is resolved through
+	// Responder.Block once, then probed address by address.
 	Blocks []iputil.Prefix
 	// Start and Duration bound the survey window.
 	Start    time.Time
@@ -76,10 +84,11 @@ type Config struct {
 	Seed int64
 
 	// Workers bounds how many blocks are surveyed concurrently. Blocks
-	// are independent — the Responder must answer concurrent calls, which
-	// holds for the pure world responder — and per-block results merge in
-	// block order, so the output is identical for any value. <= 0 means
-	// GOMAXPROCS; 1 surveys sequentially.
+	// are independent — the Responder's Block, and the functions it
+	// returns, must take concurrent calls, which holds for the pure world
+	// responder — and per-block results merge in block order, so the
+	// output is identical for any value. <= 0 means GOMAXPROCS; 1 surveys
+	// sequentially.
 	Workers int
 
 	// Obs, when non-nil, receives the survey's counters (probes,
@@ -207,12 +216,13 @@ func recordObs(reg *obs.Registry, res *Result) {
 
 func surveyBlock(r Responder, block iputil.Prefix, cfg Config, steps int) blockResult {
 	type state struct {
-		m      *Metrics
+		m      Metrics
 		up     bool
 		runLen int
 		runs   []int
 	}
 	out := blockResult{perAddr: make(map[iputil.Addr]*Metrics)}
+	responds := r.Block(block)
 	// Probe loss gets a per-block RNG stream so block results stay
 	// self-contained and identical for any worker count.
 	var rng *rand.Rand
@@ -222,9 +232,8 @@ func surveyBlock(r Responder, block iputil.Prefix, cfg Config, steps int) blockR
 	states := make([]state, block.Size())
 	for s := 0; s < steps; s++ {
 		at := cfg.Start.Add(time.Duration(s) * cfg.Interval)
-		for i := 0; i < block.Size(); i++ {
-			addr := block.Nth(i)
-			replies := r.Responds(addr, at)
+		for i := range states {
+			replies := responds(block.Base()+iputil.Addr(i), at)
 			out.probesSent++
 			if rng != nil {
 				if replies {
@@ -245,9 +254,6 @@ func surveyBlock(r Responder, block iputil.Prefix, cfg Config, steps int) blockR
 				}
 			}
 			st := &states[i]
-			if st.m == nil {
-				st.m = &Metrics{}
-			}
 			st.m.Probes++
 			if replies {
 				st.m.Replies++
@@ -271,7 +277,7 @@ func surveyBlock(r Responder, block iputil.Prefix, cfg Config, steps int) blockR
 	var medUptimes []time.Duration
 	for i := range states {
 		st := &states[i]
-		if st.m == nil || st.m.Replies == 0 {
+		if st.m.Replies == 0 {
 			continue
 		}
 		if st.runLen > 0 {
@@ -282,7 +288,8 @@ func surveyBlock(r Responder, block iputil.Prefix, cfg Config, steps int) blockR
 			st.m.V = float64(st.m.Transitions) / float64(st.m.Probes-1)
 		}
 		st.m.MedianUptime = medianRun(st.runs, cfg.Interval)
-		out.perAddr[block.Nth(i)] = st.m
+		m := st.m
+		out.perAddr[block.Nth(i)] = &m
 		summary.Responsive++
 		availabilities = append(availabilities, st.m.A)
 		medUptimes = append(medUptimes, st.m.MedianUptime)

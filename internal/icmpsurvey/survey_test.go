@@ -1,6 +1,7 @@
 package icmpsurvey
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -20,7 +21,10 @@ type leaseWorld struct {
 	onFrac float64
 }
 
-func (w *leaseWorld) Responds(addr iputil.Addr, at time.Time) bool {
+// Block implements Responder; the pattern needs nothing resolved per block.
+func (w *leaseWorld) Block(iputil.Prefix) func(iputil.Addr, time.Time) bool { return w.responds }
+
+func (w *leaseWorld) responds(addr iputil.Addr, at time.Time) bool {
 	switch {
 	case w.static.Contains(addr):
 		return int(addr)%4 == 0 // a quarter of the block hosts servers
@@ -155,5 +159,63 @@ func TestSurveyProbeAccounting(t *testing.T) {
 	})
 	if res.ProbesSent != 256*10 {
 		t.Errorf("ProbesSent = %d, want %d", res.ProbesSent, 256*10)
+	}
+}
+
+// countingResponder counts Block calls per block and answers like a fixed
+// per-address pattern.
+type countingResponder struct {
+	mu    sync.Mutex
+	calls map[iputil.Prefix]int
+}
+
+func (c *countingResponder) Block(block iputil.Prefix) func(iputil.Addr, time.Time) bool {
+	c.mu.Lock()
+	c.calls[block]++
+	c.mu.Unlock()
+	return func(addr iputil.Addr, at time.Time) bool {
+		return int(addr)%3 == 0 && at.Unix()/3600%4 != 0
+	}
+}
+
+// TestRunResolvesEachBlockOnce pins the survey contract: Run asks the
+// Responder for each block exactly once, whatever the worker count, and
+// probes every address of the block through the returned function.
+func TestRunResolvesEachBlockOnce(t *testing.T) {
+	var blocks []iputil.Prefix
+	for i := 0; i < 9; i++ {
+		blocks = append(blocks, iputil.PrefixFrom(iputil.AddrFrom4(10, 6, byte(i), 0), 24))
+	}
+	for _, workers := range []int{1, 4} {
+		c := &countingResponder{calls: map[iputil.Prefix]int{}}
+		res := Run(c, Config{
+			Blocks:   blocks,
+			Start:    start,
+			Duration: 24 * time.Hour,
+			Interval: time.Hour,
+			Workers:  workers,
+		})
+		if len(c.calls) != len(blocks) {
+			t.Fatalf("workers=%d: Block called for %d distinct blocks, want %d", workers, len(c.calls), len(blocks))
+		}
+		for _, b := range blocks {
+			if n := c.calls[b]; n != 1 {
+				t.Errorf("workers=%d: Block(%v) called %d times, want 1", workers, b, n)
+			}
+		}
+		if want := int64(len(blocks) * 256 * 24); res.ProbesSent != want {
+			t.Errorf("workers=%d: ProbesSent = %d, want %d", workers, res.ProbesSent, want)
+		}
+		want := 0
+		for _, b := range blocks {
+			for i := 0; i < b.Size(); i++ {
+				if int(b.Nth(i))%3 == 0 {
+					want++
+				}
+			}
+		}
+		if len(res.PerAddr) != want {
+			t.Errorf("workers=%d: PerAddr has %d entries, want %d", workers, len(res.PerAddr), want)
+		}
 	}
 }
