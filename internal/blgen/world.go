@@ -354,14 +354,17 @@ func (w *World) Block(block iputil.Prefix) func(addr iputil.Addr, at time.Time) 
 			return host >= 1 && host <= gateways
 		}
 	case KindDynamic:
-		lease := time.Duration(pi.MeanLeaseHours) * time.Hour
-		occupancy, start := w.Params.DynamicOccupancy, w.RIPEStart
+		// The lease slot is integer nanoseconds: a survey asks this
+		// closure for every probe, and time.Time.Sub would cost more than
+		// the rest of the answer.
+		leaseNs := int64(time.Duration(pi.MeanLeaseHours) * time.Hour)
+		occupancy, startNs := w.Params.DynamicOccupancy, w.RIPEStart.UnixNano()
 		return func(addr iputil.Addr, at time.Time) bool {
 			host := int(addr) & 0xff
 			if host < 1 || host > 254 {
 				return false
 			}
-			slot := uint64(at.Sub(start) / lease)
+			slot := uint64((at.UnixNano() - startNs) / leaseNs)
 			occupied := float64(hashMix(uint64(addr), slot)%1000) / 1000
 			return occupied < occupancy
 		}

@@ -294,6 +294,23 @@ func TestBuildSwarmSharded(t *testing.T) {
 	if f.Injector.Stats().Total() == 0 {
 		t.Error("sharded swarm under the hostile scenario injected no faults")
 	}
+
+	// Shards 0 means one shard per shard worker; an explicit count wins.
+	for _, tc := range []struct {
+		shards, workers, want int
+	}{
+		{0, 3, 3},
+		{0, 0, 1},
+		{2, 4, 2},
+	} {
+		d, err := BuildSwarm(w, SwarmConfig{Seed: 1, Shards: tc.shards, ShardWorkers: tc.workers, Compact: true}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(d.Group.Shards()); n != tc.want {
+			t.Errorf("Shards %d, ShardWorkers %d: %d shards, want %d", tc.shards, tc.workers, n, tc.want)
+		}
+	}
 }
 
 // TestSwarmShardedRestartsRace churns a sharded swarm hard enough that

@@ -68,8 +68,9 @@ type Config struct {
 	// Shards partitions each vantage's simulated fabric into this many
 	// event-loop shards advancing in conservative lockstep windows
 	// (netsim.ShardGroup), run on up to Workers goroutines. The report is
-	// byte-identical for every value, fault scenarios included; 0 or 1
-	// (the default) runs one event loop.
+	// byte-identical for every value, fault scenarios included. 0 (the
+	// default) gives one shard per worker, so the crawl spreads over
+	// Workers cores; 1 runs one event loop.
 	Shards int
 	// Compact switches swarm nodes to pooled compact state with an 8-byte
 	// RNG, cutting per-host memory roughly in half at paper scale. Changes
@@ -277,7 +278,10 @@ type vantageRun struct {
 	ips    *iputil.Set
 	faults faults.Stats
 	net    netsim.Stats
-	err    error
+	// windows and concurrentWindows are the fabric's lockstep window
+	// counts (netsim.ShardGroup.Windows).
+	windows, concurrentWindows int64
+	err                        error
 }
 
 // runCrawl runs the crawl stage: Config.Vantages crawler vantage points in
@@ -346,8 +350,10 @@ func (s *Study) crawlVantage(v int, swarm *Swarm, scope func(iputil.Addr) bool, 
 		return vantageRun{err: fmt.Errorf("core: crawl vantage %d got no replies to %d queries (bootstrap %s unreachable)",
 			v, st.MessagesSent, swarm.Bootstrap)}
 	}
-	return vantageRun{stats: st, nated: c.NATed(), ips: c.ObservedIPs(),
+	r := vantageRun{stats: st, nated: c.NATed(), ips: c.ObservedIPs(),
 		faults: swarm.Injector.Stats(), net: swarm.NetStats()}
+	r.windows, r.concurrentWindows = swarm.Group.Windows()
+	return r
 }
 
 // mergeVantages merges the vantage runs in vantage order. A failed vantage
@@ -393,6 +399,9 @@ func (s *Study) mergeVantages(runs []vantageRun, natUsers map[iputil.Addr]int) e
 		// seed, so the sums are worker- and shard-invariant. The injector
 		// series only exist when a scenario is active.
 		r.net.Record(s.Config.Obs)
+		// The window counts follow the shard count, which follows Workers.
+		s.Config.Obs.Counter(obs.WallPrefix + "fabric_windows_total").Add(r.windows)
+		s.Config.Obs.Counter(obs.WallPrefix + "fabric_concurrent_windows_total").Add(r.concurrentWindows)
 		if s.Config.Faults != nil {
 			r.faults.Record(s.Config.Obs, s.faultName())
 		}

@@ -23,8 +23,9 @@ import (
 // Swarm is the instantiated BitTorrent population.
 type Swarm struct {
 	// Group is the simulated fabric: one event loop per shard, one shard
-	// unless SwarmConfig.Shards asks for more. Its output is the same for
-	// any shard count; use RunFor / Listen / ClockAt / NetStats.
+	// per shard worker unless SwarmConfig.Shards says otherwise. Its output
+	// is the same for any shard count; use RunFor / Listen / ClockAt /
+	// NetStats.
 	Group     *netsim.ShardGroup
 	Nodes     []*dht.Node
 	Endpoints []netsim.Endpoint // public endpoints known at build time
@@ -124,12 +125,14 @@ type SwarmConfig struct {
 	Faults *faults.Scenario
 	// Shards partitions the fabric by /16 address block into that many
 	// event loops advancing in conservative lockstep windows (see
-	// netsim.ShardGroup); 0 means 1. The swarm behaves identically for
-	// every value, fault scenarios included; more shards only spread the
-	// work over ShardWorkers goroutines.
+	// netsim.ShardGroup); 0 means one shard per shard worker,
+	// max(ShardWorkers, 1). The swarm behaves identically for every value,
+	// fault scenarios included; more shards only spread the work over
+	// ShardWorkers goroutines.
 	Shards int
 	// ShardWorkers bounds how many shards execute concurrently within one
-	// window; any value produces identical results. Default 1.
+	// window, and so picks the default shard count; any value produces
+	// identical results. Default 1: one event loop, no goroutines.
 	ShardWorkers int
 	// Compact swaps each node's private RNG for an 8-byte splitmix64 state
 	// (the stock math/rand source costs 4.9 KiB per node — half the
@@ -154,6 +157,9 @@ func (c *SwarmConfig) applyDefaults() {
 	if c.NATKeepalive <= 0 {
 		c.NATKeepalive = 20 * time.Minute
 	}
+	if c.Shards <= 0 {
+		c.Shards = max(c.ShardWorkers, 1)
+	}
 }
 
 // BuildSwarm instantiates every BitTorrent user of the world as a live DHT
@@ -173,7 +179,7 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	inj.Install(&netCfg)
-	group, err := netsim.NewShardGroup(max(cfg.Shards, 1), cfg.ShardWorkers, netCfg)
+	group, err := netsim.NewShardGroup(cfg.Shards, cfg.ShardWorkers, netCfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

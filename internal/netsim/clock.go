@@ -200,11 +200,7 @@ func (c *Clock) RunUntil(t time.Time) int {
 // sets the clock to end unless it is already later.
 func (c *Clock) runTo(end int64, inclusive bool) int {
 	n := 0
-	for {
-		e, ok := c.peek()
-		if !ok || e.at > end || (e.at == end && !inclusive) {
-			break
-		}
+	for c.due(end, inclusive) {
 		c.Step()
 		n++
 	}
@@ -212,6 +208,13 @@ func (c *Clock) runTo(end int64, inclusive bool) int {
 		c.now = end
 	}
 	return n
+}
+
+// due reports whether an event is pending before end (or at end when
+// inclusive).
+func (c *Clock) due(end int64, inclusive bool) bool {
+	e, ok := c.peek()
+	return ok && (e.at < end || inclusive && e.at == end)
 }
 
 // RunFor advances the clock by d, running every event due in that window.

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/iputil"
@@ -29,6 +30,10 @@ type ShardGroup struct {
 	lookahead time.Duration
 	workers   int
 	now       time.Time
+
+	busy       []*Shard // scratch: the shards with work due in this window
+	windows    int64    // windows run
+	concurrent int64    // windows whose shards ran on several goroutines
 }
 
 // Shard is one address-range slice of the fabric.
@@ -102,6 +107,12 @@ func (g *ShardGroup) ShardFor(addr iputil.Addr) *Shard {
 // Now returns the group's barrier time; all shard clocks sit at this
 // instant between RunFor/RunUntil calls.
 func (g *ShardGroup) Now() time.Time { return g.now }
+
+// Windows returns how many lockstep windows the group has run and how many
+// of them ran shards concurrently. Unlike every outcome of the simulation,
+// both depend on the shard and worker counts; a one-shard group runs no
+// windows.
+func (g *ShardGroup) Windows() (run, concurrent int64) { return g.windows, g.concurrent }
 
 // Stats sums traffic counters across shards.
 func (g *ShardGroup) Stats() Stats {
@@ -196,30 +207,66 @@ func (g *ShardGroup) earliestEvent() (int64, bool) {
 }
 
 // runWindow advances every shard clock to end (running events at end too
-// when inclusive), concurrently when the group has workers. Shards share no
-// mutable state inside a window (cross-shard sends go to the sender-owned
-// outbox), so scheduling cannot affect results.
+// when inclusive). It peeks every shard first: a shard with nothing due
+// only moves its clock to end. The busy shards run inline on the caller
+// when there is at most one of them or the group has one worker, and
+// otherwise on min(workers, busy) goroutines, the caller among them. In a
+// crawl most windows hold one shard's work, and the heavy ones (NATed
+// nodes' synchronized keepalive bursts) hold every shard's, so goroutines
+// are started only where they pay. Shards share no mutable state inside a
+// window (cross-shard sends go to the sender-owned outbox), so scheduling
+// cannot affect results.
 func (g *ShardGroup) runWindow(end int64, inclusive bool) {
-	if g.workers <= 1 {
-		for _, sh := range g.shards {
+	g.windows++
+	busy := g.busy[:0]
+	for _, sh := range g.shards {
+		if sh.Clock.due(end, inclusive) {
+			busy = append(busy, sh)
+		} else {
+			sh.Clock.runTo(end, inclusive) // nothing due: only the clock moves
+		}
+	}
+	g.busy = busy
+	n := min(g.workers, len(busy))
+	if n <= 1 {
+		for _, sh := range busy {
 			sh.Clock.runTo(end, inclusive)
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	next := make(chan *Shard, len(g.shards))
-	for _, sh := range g.shards {
-		next <- sh
+	g.concurrent++
+	w := &window{busy: busy, end: end, inclusive: inclusive}
+	w.pending.Add(len(busy))
+	for k := 1; k < n; k++ {
+		go w.claim()
 	}
-	close(next)
-	for w := 0; w < g.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for sh := range next {
-				sh.Clock.runTo(end, inclusive)
-			}
-		}()
+	w.claim()
+	w.pending.Wait()
+}
+
+// window is the work list of one concurrent window. Its goroutines claim
+// the busy shards in order until none is left, so the caller runs the
+// share of a goroutine that has not started yet instead of waiting for
+// it. Nothing waits for such a late goroutine: it finds nothing to claim
+// and returns. It indexes busy only after a successful claim, and every
+// claim completes before runWindow returns, so it never reads the shard
+// list of a later window.
+type window struct {
+	busy      []*Shard
+	end       int64
+	inclusive bool
+	next      atomic.Int32   // index of the next unclaimed shard
+	pending   sync.WaitGroup // busy shards not yet run to end
+}
+
+// claim runs unclaimed busy shards to the window's end until none is left.
+func (w *window) claim() {
+	for {
+		i := int(w.next.Add(1)) - 1
+		if i >= len(w.busy) {
+			return
+		}
+		w.busy[i].Clock.runTo(w.end, w.inclusive)
+		w.pending.Done()
 	}
-	wg.Wait()
 }

@@ -176,3 +176,58 @@ func TestShardGroupStats(t *testing.T) {
 		t.Errorf("group Stats %+v != per-shard sum %+v", st, manual)
 	}
 }
+
+// TestShardGroupQuietWindowAllocs pins the per-window cost of the sharded
+// loop: when only one shard has work due, a window runs inline and
+// allocates nothing beyond the datagram's payload copy — no goroutines, no
+// channel. Traffic due on both shards inside one window is what makes a
+// window run concurrently.
+func TestShardGroupQuietWindowAllocs(t *testing.T) {
+	const lat = 10 * time.Millisecond
+	g, err := NewShardGroup(2, 2, Config{LatencyBase: lat, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pingPong := func(a, b Endpoint) {
+		t.Helper()
+		var socks [2]Socket
+		for i, ep := range []Endpoint{a, b} {
+			s, err := g.ShardFor(ep.Addr).Net.Listen(ep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetHandler(func(from Endpoint, payload []byte) { s.Send(from, payload) })
+			socks[i] = s
+		}
+		socks[0].Send(b, []byte("x"))
+	}
+	// Both endpoints on shard 0: every window has work on one shard only.
+	pingPong(Endpoint{Addr: iputil.Addr(0x0000000a), Port: 1}, Endpoint{Addr: iputil.Addr(0x0000000b), Port: 1})
+	g.RunFor(time.Second) // warm the event pool and the busy list
+
+	const runs = 5
+	windows0, _ := g.Windows()
+	sent0 := g.Stats().Sent
+	allocs := testing.AllocsPerRun(runs, func() { g.RunFor(time.Second) })
+	windows, concurrent := g.Windows()
+	perRun := float64(windows-windows0) / (runs + 1)
+	sendsPerRun := float64(g.Stats().Sent-sent0) / (runs + 1)
+	if perRun < 100 {
+		t.Fatalf("%.0f windows per run, want at least 100", perRun)
+	}
+	// Each hop is one send, and a send copies its payload.
+	if extra := allocs - sendsPerRun; extra > 0 {
+		t.Errorf("%.0f allocations per run beyond %.0f payload copies over %.0f windows, want 0",
+			extra, sendsPerRun, perRun)
+	}
+	if concurrent != 0 {
+		t.Errorf("%d windows ran concurrently with work on one shard only", concurrent)
+	}
+
+	// A second conversation on shard 1 puts work on both shards in one window.
+	pingPong(Endpoint{Addr: iputil.Addr(0x0001000a), Port: 1}, Endpoint{Addr: iputil.Addr(0x0001000b), Port: 1})
+	g.RunFor(time.Second)
+	if _, concurrent := g.Windows(); concurrent == 0 {
+		t.Error("no window ran concurrently with work due on both shards")
+	}
+}

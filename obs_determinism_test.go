@@ -80,6 +80,11 @@ func TestObsSnapshotWorkerInvariant(t *testing.T) {
 			if m1 == "" {
 				t.Error("instrumented study recorded no metrics")
 			}
+			// The fabric's window count is a wall metric: the fabric has one
+			// shard per worker, and a one-shard fabric runs no windows.
+			if w1, w4 := wallCounter(reg1, "wall_fabric_windows_total"), wallCounter(reg4, "wall_fabric_windows_total"); w1 != 0 || w4 == 0 {
+				t.Errorf("fabric windows: %d at 1 worker, %d at 4; want 0 and more", w1, w4)
+			}
 			s1, s4 := structural(tr1), structural(tr4)
 			if len(s1) == 0 {
 				t.Error("instrumented study recorded no spans")
@@ -89,6 +94,17 @@ func TestObsSnapshotWorkerInvariant(t *testing.T) {
 			}
 		})
 	}
+}
+
+// wallCounter returns the named metric's value from reg's full snapshot,
+// 0 when it is absent.
+func wallCounter(reg *obs.Registry, name string) int64 {
+	for _, m := range reg.Snapshot(true) {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	return 0
 }
 
 // TestObsOffLeavesReportUnchanged proves instrumentation is non-invasive:
