@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzDecodeFrame$$' -fuzztime 30s ./internal/fleet/
 	$(GO) test -fuzz '^FuzzParseNATedList$$' -fuzztime 30s ./internal/blocklist/
 	$(GO) test -fuzz '^FuzzParsePrefixList$$' -fuzztime 30s ./internal/blocklist/
+	$(GO) test -fuzz '^FuzzReadLogs$$' -fuzztime 30s ./internal/ripeatlas/
 
 # Property-based verification: the fast metamorphic suite, the per-package
 # property tests, then the slow 50-world seed sweep (oracles, determinism,

@@ -1,6 +1,7 @@
 package blgen
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/reuseblock/reuseblock/internal/iputil"
@@ -177,6 +178,20 @@ func TestRIPEPipelineFindsWorldPools(t *testing.T) {
 	}
 	if found == 0 {
 		t.Error("pipeline found no fast dynamic pools")
+	}
+}
+
+// TestRIPELogsSorted: Generate hands out the RIPE log in SortLogs order,
+// so the detector reads it without copying or sorting it again.
+func TestRIPELogsSorted(t *testing.T) {
+	w := Generate(TestParams(9))
+	if len(w.RIPELogs) == 0 {
+		t.Fatal("no RIPE log")
+	}
+	sorted := slices.Clone(w.RIPELogs)
+	ripeatlas.SortLogs(sorted)
+	if !slices.Equal(sorted, w.RIPELogs) {
+		t.Error("World.RIPELogs is not in SortLogs order")
 	}
 }
 

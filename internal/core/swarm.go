@@ -259,10 +259,16 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 	if len(publicIdx) == 0 {
 		return nil, fmt.Errorf("core: swarm has no publicly reachable users")
 	}
+	// The public users' contact records are gathered once: the mesh reads
+	// them in random order, and a dense slice keeps those reads in cache
+	// where the nodes themselves would not be at scale.
+	publicInfo := make([]krpc.NodeInfo, len(publicIdx))
+	for k, j := range publicIdx {
+		publicInfo[k] = infoOf(s.Nodes[j], s.Endpoints[j])
+	}
 	for _, node := range s.Nodes {
 		for d := 0; d < cfg.MeshDegree; d++ {
-			j := publicIdx[rng.Intn(len(publicIdx))]
-			node.AddNode(infoOf(s.Nodes[j], s.Endpoints[j]))
+			node.AddNode(publicInfo[rng.Intn(len(publicInfo))])
 		}
 	}
 

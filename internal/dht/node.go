@@ -112,9 +112,11 @@ func newNode(alloc func() *Node, sock netsim.Socket, clock Clock, cfg Config) *N
 	if id == (krpc.NodeID{}) {
 		id = krpc.GenerateNodeID(cfg.PrivateIP, cfg.IDSeed)
 	}
-	src := rand.NewSource(cfg.Seed)
+	var src rand.Source
 	if cfg.CompactRNG {
 		src = newSplitmixSource(cfg.Seed)
+	} else {
+		src = rand.NewSource(cfg.Seed)
 	}
 	n := alloc()
 	*n = Node{

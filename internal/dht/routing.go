@@ -13,9 +13,13 @@ import (
 // learns eight neighbours — this constant.
 const BucketSize = 8
 
+// tableEntry is pointer-free, so the garbage collector never scans a
+// bucket: at paper scale the buckets are the swarm's largest heap owner.
+// lastSeen is the clock's time in Unix nanoseconds; on a real network that
+// is wall-clock time, so staleness follows a step of the host's clock.
 type tableEntry struct {
 	info     krpc.NodeInfo
-	lastSeen time.Time
+	lastSeen int64
 }
 
 // routingTable is a 160-bucket Kademlia table keyed by XOR distance from
@@ -68,7 +72,8 @@ func (rt *routingTable) findOcc(idx uint8) (int, bool) {
 
 // add inserts or refreshes a node; full buckets evict their most stale entry
 // only if it is older than staleAfter.
-func (rt *routingTable) add(info krpc.NodeInfo, now time.Time) {
+func (rt *routingTable) add(info krpc.NodeInfo, at time.Time) {
+	now := at.UnixNano()
 	idx := rt.self.BucketIndex(info.ID)
 	if idx < 0 {
 		return // ourselves
@@ -99,11 +104,11 @@ func (rt *routingTable) add(info krpc.NodeInfo, now time.Time) {
 	}
 	oldest := 0
 	for i := 1; i < len(bucket); i++ {
-		if bucket[i].lastSeen.Before(bucket[oldest].lastSeen) {
+		if bucket[i].lastSeen < bucket[oldest].lastSeen {
 			oldest = i
 		}
 	}
-	if now.Sub(bucket[oldest].lastSeen) > rt.staleAfter {
+	if now-bucket[oldest].lastSeen > int64(rt.staleAfter) {
 		bucket[oldest] = tableEntry{info, now}
 	}
 }

@@ -79,10 +79,8 @@ func NewNAT(n *Network, cfg NATConfig) (*NAT, error) {
 	if _, exists := n.nats[cfg.PublicAddr]; exists {
 		return nil, fmt.Errorf("netsim: NAT already present at %s", cfg.PublicAddr)
 	}
-	for ep := range n.bindings {
-		if ep.Addr == cfg.PublicAddr {
-			return nil, fmt.Errorf("netsim: %s already has direct bindings", cfg.PublicAddr)
-		}
+	if n.direct[cfg.PublicAddr] > 0 {
+		return nil, fmt.Errorf("netsim: %s already has direct bindings", cfg.PublicAddr)
 	}
 	if cfg.MappingTTL <= 0 {
 		cfg.MappingTTL = 10 * time.Minute

@@ -175,6 +175,32 @@ func TestNATConflictsWithBinding(t *testing.T) {
 	}
 }
 
+func TestNATWaitsForEveryDirectBindingToClose(t *testing.T) {
+	n := newTestNet(t, Config{})
+	pub := iputil.MustParseAddr("100.64.0.1")
+	a, err := n.Listen(ep("100.64.0.1", 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := n.Listen(ep("100.64.0.1", 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewNAT(n, NATConfig{PublicAddr: pub}); err == nil {
+		t.Fatal("NAT over an address with two bound ports should fail")
+	}
+	a.Close()
+	a.Close() // a second Close of the same socket must not count twice
+	if _, err := NewNAT(n, NATConfig{PublicAddr: pub}); err == nil {
+		t.Fatal("NAT should still fail while port 10 is bound")
+	}
+	b.Close()
+	mustNAT(t, n, NATConfig{PublicAddr: pub})
+	if _, err := n.Listen(ep("100.64.0.1", 9)); err == nil {
+		t.Error("binding on the new NAT's public address should fail")
+	}
+}
+
 func TestNATInternalDoubleBind(t *testing.T) {
 	n := newTestNet(t, Config{})
 	nat := mustNAT(t, n, NATConfig{PublicAddr: iputil.MustParseAddr("100.64.0.1")})

@@ -143,6 +143,7 @@ type Network struct {
 	fault    FaultHook
 	sent     map[iputil.Addr]uint64 // source address -> datagrams sent
 	bindings map[Endpoint]int32     // endpoint -> index into bslots
+	direct   map[iputil.Addr]int32  // address -> endpoints bound on it, for NewNAT
 	bslots   []bslot
 	bfree    []int32 // freelist of vacated slot indices
 	nats     map[iputil.Addr]*NAT
@@ -182,6 +183,7 @@ func NewNetwork(clock *Clock, cfg Config) (*Network, error) {
 		cfg:      cfg,
 		sent:     make(map[iputil.Addr]uint64),
 		bindings: make(map[Endpoint]int32),
+		direct:   make(map[iputil.Addr]int32),
 		nats:     make(map[iputil.Addr]*NAT),
 	}
 	if cfg.Faults != nil {
@@ -218,6 +220,7 @@ func (n *Network) Listen(ep Endpoint) (Socket, error) {
 	s := &n.bslots[idx]
 	s.ep, s.handler, s.used = ep, nil, true
 	n.bindings[ep] = idx
+	n.direct[ep.Addr]++
 	return &bhandle{net: n, idx: idx, gen: s.gen}, nil
 }
 
@@ -268,6 +271,11 @@ func (h *bhandle) Close() {
 		return
 	}
 	delete(h.net.bindings, s.ep)
+	if c := h.net.direct[s.ep.Addr] - 1; c > 0 {
+		h.net.direct[s.ep.Addr] = c
+	} else {
+		delete(h.net.direct, s.ep.Addr)
+	}
 	s.used, s.handler = false, nil
 	s.gen++
 	h.net.bfree = append(h.net.bfree, h.idx)

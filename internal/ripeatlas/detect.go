@@ -1,6 +1,7 @@
 package ripeatlas
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -97,42 +98,47 @@ type Result struct {
 }
 
 // BuildHistories folds raw log entries into per-probe allocation histories.
-// Entries may be unsorted; disconnect events bound lifetimes but only
-// connect events carry allocations.
+// Entries may be unsorted: out-of-order input is sorted on a copy, input
+// already in SortLogs order (SimulateFleet's output) is read as it is.
+// Disconnect events bound lifetimes but only connect events carry
+// allocations.
 func BuildHistories(entries []LogEntry) map[int]*ProbeHistory {
-	sorted := make([]LogEntry, len(entries))
-	copy(sorted, entries)
-	SortLogs(sorted)
+	sorted := entries
+	if !slices.IsSortedFunc(entries, compareLogs) {
+		sorted = slices.Clone(entries)
+		SortLogs(sorted)
+	}
 	probes := make(map[int]*ProbeHistory)
 	current := make(map[int]iputil.Addr)
 	seenAddr := make(map[int]map[iputil.Addr]bool)
 	seenASN := make(map[int]map[int]bool)
 	for _, e := range sorted {
-		h := probes[e.ProbeID]
+		id, at := int(e.ProbeID), e.Time()
+		h := probes[id]
 		if h == nil {
-			h = &ProbeHistory{ProbeID: e.ProbeID, First: e.Timestamp}
-			probes[e.ProbeID] = h
-			seenAddr[e.ProbeID] = make(map[iputil.Addr]bool)
-			seenASN[e.ProbeID] = make(map[int]bool)
+			h = &ProbeHistory{ProbeID: id, First: at}
+			probes[id] = h
+			seenAddr[id] = make(map[iputil.Addr]bool)
+			seenASN[id] = make(map[int]bool)
 		}
-		h.Last = e.Timestamp
+		h.Last = at
 		if e.Event != EventConnect {
 			continue
 		}
-		if !seenASN[e.ProbeID][e.ASN] {
-			seenASN[e.ProbeID][e.ASN] = true
-			h.ASNs = append(h.ASNs, e.ASN)
+		if asn := int(e.ASN); !seenASN[id][asn] {
+			seenASN[id][asn] = true
+			h.ASNs = append(h.ASNs, asn)
 		}
-		prev, had := current[e.ProbeID]
+		prev, had := current[id]
 		if had && prev == e.Addr {
 			continue // reconnect on the same address: not an allocation
 		}
 		if had {
-			h.Changes = append(h.Changes, e.Timestamp)
+			h.Changes = append(h.Changes, at)
 		}
-		current[e.ProbeID] = e.Addr
-		if !seenAddr[e.ProbeID][e.Addr] {
-			seenAddr[e.ProbeID][e.Addr] = true
+		current[id] = e.Addr
+		if !seenAddr[id][e.Addr] {
+			seenAddr[id][e.Addr] = true
 			h.Allocations = append(h.Allocations, e.Addr)
 		}
 	}

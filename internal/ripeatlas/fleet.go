@@ -1,13 +1,15 @@
 package ripeatlas
 
 import (
+	"math"
 	"math/rand"
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/iputil"
 )
 
-// ProbeSpec describes one simulated probe's allocation policy.
+// ProbeSpec describes one simulated probe's allocation policy. IDs and ASNs
+// must fit in 32 bits, the width of a LogEntry's fields.
 type ProbeSpec struct {
 	ID  int
 	ASN int
@@ -36,69 +38,100 @@ type FleetParams struct {
 }
 
 // SimulateFleet plays out every probe's allocation policy over the window
-// and returns the merged, time-sorted connection log.
+// and returns the merged, time-sorted connection log. The output is
+// allocated once, sized from each probe's expected event count.
 func SimulateFleet(p FleetParams) []LogEntry {
 	rng := rand.New(rand.NewSource(p.Seed))
-	var out []LogEntry
+	out := make([]LogEntry, 0, expectedLogLen(p))
 	for i := range p.Probes {
-		out = append(out, simulateProbe(rng, p.Start, p.Duration, &p.Probes[i])...)
+		out = simulateProbe(out, rng, p.Start.UnixNano(), int64(p.Duration), &p.Probes[i])
 	}
 	SortLogs(out)
 	return out
 }
 
-func simulateProbe(rng *rand.Rand, start time.Time, dur time.Duration, spec *ProbeSpec) []LogEntry {
-	var out []LogEntry
-	end := start.Add(dur)
-	now := start
-	pool, asn := spec.Pool, spec.ASN
-	cur := randomHost(rng, pool, 0)
-	out = append(out, LogEntry{Timestamp: now, ProbeID: spec.ID, Event: EventConnect, Addr: cur, ASN: asn})
-	moveDue := spec.MoveAt > 0
+// expectedLogLen is a capacity for SimulateFleet's output: each probe's
+// first connect, a disconnect/connect pair per mean lease and per reconnect
+// period, and a pair for a move, plus about four standard deviations of
+// slack. Lease gaps are clamped to at least five minutes and reconnect gaps
+// are uniform about their period, so both counts run at or under their
+// means; a fleet that still overruns only costs append one regrowth.
+func expectedLogLen(p FleetParams) int {
+	dur := float64(p.Duration)
+	n := 0.0
+	for i := range p.Probes {
+		spec := &p.Probes[i]
+		n++
+		if spec.MeanLease > 0 {
+			n += 2 * dur / float64(spec.MeanLease)
+		}
+		if spec.ReconnectEvery > 0 {
+			n += 2 * dur / float64(spec.ReconnectEvery)
+		}
+		if spec.MoveAt > 0 {
+			n += 2
+		}
+	}
+	return int(n + 6*math.Sqrt(n))
+}
 
-	nextReconnect := end.Add(time.Hour)
+// simulateProbe appends spec's log over [start, start+dur] to out. Times are
+// Unix nanoseconds throughout.
+func simulateProbe(out []LogEntry, rng *rand.Rand, start, dur int64, spec *ProbeSpec) []LogEntry {
+	id, asn := int32(spec.ID), int32(spec.ASN)
+	emit := func(at int64, ev Event, addr iputil.Addr) {
+		out = append(out, LogEntry{UnixNano: at, ProbeID: id, ASN: asn, Addr: addr, Event: ev})
+	}
+	const hour = int64(time.Hour)
+	end := start + dur
+	now := start
+	pool := spec.Pool
+	cur := randomHost(rng, pool, 0)
+	emit(now, EventConnect, cur)
+
+	nextReconnect := end + hour
 	if spec.ReconnectEvery > 0 {
-		nextReconnect = now.Add(jittered(rng, spec.ReconnectEvery))
+		nextReconnect = now + int64(jittered(rng, spec.ReconnectEvery))
 	}
-	nextLease := end.Add(time.Hour)
+	nextLease := end + hour
 	if spec.MeanLease > 0 {
-		nextLease = now.Add(expDuration(rng, spec.MeanLease))
+		nextLease = now + int64(expDuration(rng, spec.MeanLease))
 	}
-	moveTime := end.Add(time.Hour)
-	if moveDue {
-		moveTime = start.Add(spec.MoveAt)
+	moveTime := end + hour
+	if spec.MoveAt > 0 {
+		moveTime = start + int64(spec.MoveAt)
 	}
 
 	for {
 		// Next event is the earliest of lease expiry, reconnect, move.
 		next := nextLease
 		kind := "lease"
-		if nextReconnect.Before(next) {
+		if nextReconnect < next {
 			next, kind = nextReconnect, "reconnect"
 		}
-		if moveTime.Before(next) {
+		if moveTime < next {
 			next, kind = moveTime, "move"
 		}
-		if next.After(end) {
+		if next > end {
 			break
 		}
 		now = next
 		switch kind {
 		case "lease":
-			out = append(out, LogEntry{Timestamp: now, ProbeID: spec.ID, Event: EventDisconnect, Addr: cur, ASN: asn})
+			emit(now, EventDisconnect, cur)
 			cur = randomHost(rng, pool, cur)
-			out = append(out, LogEntry{Timestamp: now.Add(time.Minute), ProbeID: spec.ID, Event: EventConnect, Addr: cur, ASN: asn})
-			nextLease = now.Add(expDuration(rng, spec.MeanLease))
+			emit(now+int64(time.Minute), EventConnect, cur)
+			nextLease = now + int64(expDuration(rng, spec.MeanLease))
 		case "reconnect":
-			out = append(out, LogEntry{Timestamp: now, ProbeID: spec.ID, Event: EventDisconnect, Addr: cur, ASN: asn})
-			out = append(out, LogEntry{Timestamp: now.Add(30 * time.Second), ProbeID: spec.ID, Event: EventConnect, Addr: cur, ASN: asn})
-			nextReconnect = now.Add(jittered(rng, spec.ReconnectEvery))
+			emit(now, EventDisconnect, cur)
+			emit(now+int64(30*time.Second), EventConnect, cur)
+			nextReconnect = now + int64(jittered(rng, spec.ReconnectEvery))
 		case "move":
-			out = append(out, LogEntry{Timestamp: now, ProbeID: spec.ID, Event: EventDisconnect, Addr: cur, ASN: asn})
-			pool, asn = spec.MovePool, spec.MoveASN
+			emit(now, EventDisconnect, cur)
+			pool, asn = spec.MovePool, int32(spec.MoveASN)
 			cur = randomHost(rng, pool, 0)
-			out = append(out, LogEntry{Timestamp: now.Add(time.Hour), ProbeID: spec.ID, Event: EventConnect, Addr: cur, ASN: asn})
-			moveTime = end.Add(time.Hour)
+			emit(now+hour, EventConnect, cur)
+			moveTime = end + hour
 		}
 	}
 	return out

@@ -24,11 +24,11 @@ func genRandomLogs(rng *rand.Rand, probes, events int) []LogEntry {
 				ev = EventDisconnect
 			}
 			out = append(out, LogEntry{
-				Timestamp: at,
-				ProbeID:   p,
-				Event:     ev,
-				Addr:      pool.Nth(1 + rng.Intn(200)),
-				ASN:       asn,
+				UnixNano: at.UnixNano(),
+				ProbeID:  int32(p),
+				Event:    ev,
+				Addr:     pool.Nth(1 + rng.Intn(200)),
+				ASN:      int32(asn),
 			})
 		}
 	}

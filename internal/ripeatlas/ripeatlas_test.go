@@ -2,9 +2,14 @@ package ripeatlas
 
 import (
 	"bytes"
+	"cmp"
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/reuseblock/reuseblock/internal/iputil"
 )
@@ -13,11 +18,11 @@ var t0 = time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC)
 
 func entry(day int, probe int, ev Event, addr string, asn int) LogEntry {
 	return LogEntry{
-		Timestamp: t0.Add(time.Duration(day*24) * time.Hour),
-		ProbeID:   probe,
-		Event:     ev,
-		Addr:      iputil.MustParseAddr(addr),
-		ASN:       asn,
+		UnixNano: t0.Add(time.Duration(day*24) * time.Hour).UnixNano(),
+		ProbeID:  int32(probe),
+		Event:    ev,
+		Addr:     iputil.MustParseAddr(addr),
+		ASN:      int32(asn),
 	}
 }
 
@@ -39,10 +44,7 @@ func TestLogRoundTrip(t *testing.T) {
 		t.Fatalf("read %d entries, want %d", len(out), len(in))
 	}
 	for i := range in {
-		if !out[i].Timestamp.Equal(in[i].Timestamp) || out[i] != (LogEntry{
-			Timestamp: out[i].Timestamp, ProbeID: in[i].ProbeID,
-			Event: in[i].Event, Addr: in[i].Addr, ASN: in[i].ASN,
-		}) {
+		if out[i] != in[i] {
 			t.Errorf("entry %d = %+v, want %+v", i, out[i], in[i])
 		}
 	}
@@ -56,11 +58,119 @@ func TestReadLogsErrors(t *testing.T) {
 		"2019-01-01T00:00:00Z,1,connect,999.0.0.1,1\n",
 		"2019-01-01T00:00:00Z,1,connect,10.0.0.1,x\n",
 		"2019-01-01T00:00:00Z,1,connect\n",
+		"2019-01-01T00:00:00Z,2147483648,connect,10.0.0.1,1\n",
+		"2019-01-01T00:00:00Z,1,connect,10.0.0.1,-2147483649\n",
 	}
 	for _, in := range bad {
 		if _, err := ReadLogs(strings.NewReader(in)); err == nil {
 			t.Errorf("ReadLogs(%q) succeeded, want error", in)
 		}
+	}
+}
+
+// TestReadLogsTimestampRange: a timestamp outside the int64-nanosecond
+// range is a line-numbered error rather than a silently wrapped time, and
+// the range's end points are accepted.
+func TestReadLogsTimestampRange(t *testing.T) {
+	ok := "2019-01-01T00:00:00Z,1,connect,10.0.0.1,1\n"
+	for _, ts := range []string{"1677-09-21T00:12:43Z", "1600-01-01T00:00:00Z", "2262-04-11T23:47:17Z", "9999-12-31T23:59:59Z"} {
+		in := ok + ts + ",1,connect,10.0.0.1,1\n"
+		_, err := ReadLogs(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line 2:") {
+			t.Errorf("ReadLogs with %s: err = %v, want a line 2 range error", ts, err)
+		}
+	}
+	for _, ts := range []string{"1677-09-21T00:12:44Z", "2262-04-11T23:47:16Z"} {
+		out, err := ReadLogs(strings.NewReader(ts + ",1,connect,10.0.0.1,1\n"))
+		if err != nil {
+			t.Fatalf("ReadLogs with %s: %v", ts, err)
+		}
+		if got := out[0].Time().Format(time.RFC3339); got != ts {
+			t.Errorf("ReadLogs with %s read back %s", ts, got)
+		}
+	}
+}
+
+func TestLogEntryIsPointerFree24Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(LogEntry{}); got != 24 {
+		t.Errorf("LogEntry is %d bytes, want 24", got)
+	}
+	typ := reflect.TypeOf(LogEntry{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch k := typ.Field(i).Type.Kind(); k {
+		case reflect.Int64, reflect.Int32, reflect.Uint32, reflect.Uint8:
+		default:
+			t.Errorf("LogEntry.%s is a %v, want a fixed-size integer", typ.Field(i).Name, k)
+		}
+	}
+	if EventConnect.String() != "connect" || EventDisconnect.String() != "disconnect" {
+		t.Errorf("event spellings = %q, %q", EventConnect, EventDisconnect)
+	}
+}
+
+// sortLogsOracle is the reference order: a stable sort by time, then
+// probe ID.
+func sortLogsOracle(entries []LogEntry) {
+	slices.SortStableFunc(entries, func(a, b LogEntry) int {
+		if a.UnixNano != b.UnixNano {
+			return cmp.Compare(a.UnixNano, b.UnixNano)
+		}
+		return cmp.Compare(a.ProbeID, b.ProbeID)
+	})
+}
+
+// TestSortLogsMatchesStableOracle: SortLogs' key sort gives exactly the
+// stable order, including for ties of one probe at one instant (which keep
+// their input order) and of several probes at one instant.
+func TestSortLogsMatchesStableOracle(t *testing.T) {
+	logs := SimulateFleet(StandardFleet(3, 0.1))
+	rng := rand.New(rand.NewSource(11))
+	// Force ties: copy some entries' timestamps onto others, both within a
+	// probe and across probes, and mark every entry by its ASN so equal
+	// (time, probe) entries stay distinguishable.
+	for i := range logs {
+		logs[i].ASN = int32(i)
+	}
+	for k := 0; k < len(logs)/4; k++ {
+		i, j := rng.Intn(len(logs)), rng.Intn(len(logs))
+		logs[j].UnixNano = logs[i].UnixNano
+		if k%2 == 0 {
+			logs[j].ProbeID = logs[i].ProbeID
+		}
+	}
+	for trial := 0; trial < 3; trial++ {
+		rng.Shuffle(len(logs), func(i, j int) { logs[i], logs[j] = logs[j], logs[i] })
+		if trial == 2 {
+			slices.Reverse(logs)
+		}
+		want := slices.Clone(logs)
+		sortLogsOracle(want)
+		got := slices.Clone(logs)
+		SortLogs(got)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: entry %d = %+v, want %+v", trial, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestBuildHistoriesSortedInputUntouched: sorted input is read in place,
+// unsorted input is sorted on a copy; both give the same histories and
+// neither modifies the caller's slice.
+func TestBuildHistoriesSortedInputUntouched(t *testing.T) {
+	logs := SimulateFleet(StandardFleet(4, 0.05))
+	shuffled := slices.Clone(logs)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	before := slices.Clone(shuffled)
+	a, b := BuildHistories(logs), BuildHistories(shuffled)
+	if !slices.Equal(shuffled, before) {
+		t.Fatal("BuildHistories reordered its input")
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("sorted and shuffled input gave different histories")
 	}
 }
 
