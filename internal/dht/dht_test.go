@@ -256,7 +256,7 @@ func TestRoutingTableEviction(t *testing.T) {
 		t.Fatalf("bucket overflowed")
 	}
 	found := false
-	for _, e := range rt.closest(extra, BucketSize) {
+	for _, e := range rt.closest(extra, make([]krpc.NodeInfo, BucketSize)) {
 		if e.ID == extra {
 			found = true
 		}
@@ -267,7 +267,7 @@ func TestRoutingTableEviction(t *testing.T) {
 	// After staleness, newcomer evicts the oldest.
 	rt.add(krpc.NodeInfo{ID: extra, Addr: iputil.Addr(99), Port: 1}, now.Add(time.Hour))
 	found = false
-	for _, e := range rt.closest(extra, BucketSize) {
+	for _, e := range rt.closest(extra, make([]krpc.NodeInfo, BucketSize)) {
 		if e.ID == extra {
 			found = true
 		}
@@ -287,7 +287,7 @@ func TestRoutingTableUpdatesEndpointOnRejoin(t *testing.T) {
 	if rt.size() != 1 {
 		t.Fatalf("size = %d", rt.size())
 	}
-	if got := rt.closest(id, 1)[0].Port; got != 2000 {
+	if got := rt.closest(id, make([]krpc.NodeInfo, 1))[0].Port; got != 2000 {
 		t.Errorf("port = %d, want updated 2000", got)
 	}
 }

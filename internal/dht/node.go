@@ -181,7 +181,7 @@ func (n *Node) TableSize() int { return n.table.size() }
 
 // Closest returns up to k routing-table nodes closest to target.
 func (n *Node) Closest(target krpc.NodeID, k int) []krpc.NodeInfo {
-	return n.table.closest(target, k)
+	return n.table.closest(target, make([]krpc.NodeInfo, min(k, n.table.size())))
 }
 
 // AddNode seeds the routing table directly (used by the world builder to
@@ -356,9 +356,12 @@ func (n *Node) answer(from netsim.Endpoint, q *krpc.Message) {
 	case krpc.MethodPing:
 		resp = krpc.NewPingResponse(q.TxID, n.id, n.cfg.Version)
 	case krpc.MethodFindNode:
-		nodes := n.table.closest(q.Target, BucketSize)
+		var buf [BucketSize]krpc.NodeInfo
+		var nodes []krpc.NodeInfo
 		if n.cfg.Byzantine {
 			nodes = n.fabricateNodes()
+		} else {
+			nodes = n.table.closest(q.Target, buf[:])
 		}
 		resp = krpc.NewFindNodeResponse(q.TxID, n.id, nodes, n.cfg.Version)
 	default:

@@ -1,7 +1,6 @@
 package dht
 
 import (
-	"sort"
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/krpc"
@@ -113,21 +112,30 @@ func (rt *routingTable) add(info krpc.NodeInfo, at time.Time) {
 	}
 }
 
-// closest returns up to n nodes closest to target by XOR distance.
-func (rt *routingTable) closest(target krpc.NodeID, n int) []krpc.NodeInfo {
-	var all []krpc.NodeInfo
+// closest fills buf with the table's len(buf) nodes closest to target by
+// XOR distance, nearest first, and returns the filled prefix. IDs in one
+// table are distinct, so the order is total and an insertion into the
+// caller's buffer gives exactly what sorting every entry would, without
+// allocating.
+func (rt *routingTable) closest(target krpc.NodeID, buf []krpc.NodeInfo) []krpc.NodeInfo {
+	n := 0
 	for i := range rt.bkts {
 		for _, e := range rt.bkts[i] {
-			all = append(all, e.info)
+			if n == len(buf) {
+				if n == 0 || !e.info.ID.Less(buf[n-1].ID, target) {
+					continue
+				}
+				n-- // e displaces the farthest kept node
+			}
+			j := n
+			for ; j > 0 && e.info.ID.Less(buf[j-1].ID, target); j-- {
+				buf[j] = buf[j-1]
+			}
+			buf[j] = e.info
+			n++
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		return all[i].ID.Less(all[j].ID, target)
-	})
-	if len(all) > n {
-		all = all[:n]
-	}
-	return all
+	return buf[:n]
 }
 
 // size returns the number of entries in the table.

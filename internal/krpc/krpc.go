@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"github.com/reuseblock/reuseblock/internal/bencode"
 	"github.com/reuseblock/reuseblock/internal/iputil"
@@ -223,7 +224,9 @@ func (m *Message) Marshal() ([]byte, error) {
 		case MethodFindNode:
 			body = len("1:ad2:id20:") + IDLen + len("6:target20:") + IDLen + len("e")
 		default:
-			return nil, fmt.Errorf("krpc: unknown method %q", m.Method)
+			// A clone, so no field of m escapes through the error: a
+			// response's node list may live on its caller's stack.
+			return nil, fmt.Errorf("krpc: unknown method %q", strings.Clone(m.Method))
 		}
 		body += len("1:q") + stringLen(len(m.Method))
 	case KindResponse:
