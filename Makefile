@@ -39,10 +39,10 @@ bench-obs:
 bench-serve:
 	$(GO) test -bench=BenchmarkServe -benchmem -run='^$$' .
 
-# Paper-scale footprint ratchet: compact sharded swarms at world scales 1,
-# 10 and 100, rows appended to BENCH_scale.json; fails if bytes/host at
-# scale >= 10 is not 5x under the pre-refactor baseline. Set
-# SCALE_BENCH_MAX=10 for a quick local pass without the 950K-host world.
+# Paper-scale footprint ratchet: sharded swarms at world scales 1, 10 and
+# 100, rows appended to BENCH_scale.json; fails if bytes/host at scale >= 10
+# is not 5x under the pre-refactor baseline. Set SCALE_BENCH_MAX=10 for a
+# quick local pass without the 950K-host world.
 bench-scale:
 	$(GO) test -bench=BenchmarkStudyScale -benchtime=1x -run='^$$' -timeout 50m .
 

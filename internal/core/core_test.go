@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -245,6 +246,33 @@ func TestChurnDisabled(t *testing.T) {
 	}
 }
 
+// TestSwarmFootprint bounds the live heap a default swarm holds per
+// BitTorrent host of the benchmark's world (seed 1, scale 1), measured after
+// GC with the world kept live. Each node's generator sits inside the node,
+// so the arena slot, the routing table and the socket are what is left.
+func TestSwarmFootprint(t *testing.T) {
+	const maxBytesPerHost = 2000
+	wp := blgen.DefaultParams(1)
+	wp.Scale = 1
+	w := blgen.Generate(wp)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err := BuildSwarm(w, SwarmConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(w)
+	runtime.KeepAlive(s)
+	perHost := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(w.BTUsers))
+	t.Logf("%d hosts, %.0f B/host", len(w.BTUsers), perHost)
+	if perHost > maxBytesPerHost {
+		t.Errorf("swarm holds %.0f B per host, want at most %d", perHost, maxBytesPerHost)
+	}
+}
+
 // TestBuildSwarmSharded covers the sharded construction path and the Swarm
 // dispatch helpers: the group fabric advances in lockstep, carries traffic,
 // and takes fault scenarios like a one-shard fabric does.
@@ -253,7 +281,7 @@ func TestBuildSwarmSharded(t *testing.T) {
 	wp.Scale = 0.05
 	w := blgen.Generate(wp)
 
-	s, err := BuildSwarm(w, SwarmConfig{Seed: 1, Shards: 3, ShardWorkers: 2, Compact: true}, nil)
+	s, err := BuildSwarm(w, SwarmConfig{Seed: 1, Shards: 3, ShardWorkers: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +331,7 @@ func TestBuildSwarmSharded(t *testing.T) {
 		{0, 0, 1},
 		{2, 4, 2},
 	} {
-		d, err := BuildSwarm(w, SwarmConfig{Seed: 1, Shards: tc.shards, ShardWorkers: tc.workers, Compact: true}, nil)
+		d, err := BuildSwarm(w, SwarmConfig{Seed: 1, Shards: tc.shards, ShardWorkers: tc.workers}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

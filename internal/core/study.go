@@ -72,10 +72,8 @@ type Config struct {
 	// default) gives one shard per worker, so the crawl spreads over
 	// Workers cores; 1 runs one event loop.
 	Shards int
-	// Compact switches swarm nodes to pooled compact state with an 8-byte
-	// RNG, cutting per-host memory roughly in half at paper scale. Changes
-	// RNG sequences, so artifacts differ from default-scale goldens;
-	// intended for scale worlds (see BENCH_scale.json).
+	// Deprecated: Compact has no effect; every node holds its splitmix64
+	// generator by value.
 	Compact bool
 
 	// Workers bounds the parallelism of every deterministic fan-out in the
@@ -311,7 +309,6 @@ func (s *Study) runCrawl(natUsers map[iputil.Addr]int, crawlSpan *obs.Span) erro
 			Faults:         s.Config.Faults,
 			Shards:         s.Config.Shards,
 			ShardWorkers:   s.Config.Workers,
-			Compact:        s.Config.Compact,
 		}, scopeSet.Covers)
 		if err != nil {
 			vsp.SetAttr(obs.String("error", err.Error()))

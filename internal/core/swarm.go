@@ -37,9 +37,8 @@ type Swarm struct {
 	// Its Stats sum the counters of every shard.
 	Injector *faults.Injector
 
-	arenas  []dht.NodeArena // node storage, one arena per shard
-	compact bool            // nodes use the compact RNG (SwarmConfig.Compact)
-	faulty  bool            // built under a fault scenario (SwarmConfig.Faults)
+	arenas []dht.NodeArena // node storage, one arena per shard
+	faulty bool            // built under a fault scenario (SwarmConfig.Faults)
 }
 
 // newNode allocates a node from the arena of the shard owning addr, so
@@ -134,10 +133,8 @@ type SwarmConfig struct {
 	// window, and so picks the default shard count; any value produces
 	// identical results. Default 1: one event loop, no goroutines.
 	ShardWorkers int
-	// Compact swaps each node's private RNG for an 8-byte splitmix64 state
-	// (the stock math/rand source costs 4.9 KiB per node — half the
-	// per-host footprint at paper scale). Different RNG sequence, so
-	// artifacts differ from golden runs; intended for scale worlds.
+	// Deprecated: Compact has no effect; every node holds its splitmix64
+	// generator by value.
 	Compact bool
 }
 
@@ -188,7 +185,6 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 		NATs:     make(map[iputil.Addr]*netsim.NAT),
 		Injector: inj,
 		arenas:   make([]dht.NodeArena, len(group.Shards())),
-		compact:  cfg.Compact,
 		faulty:   cfg.Faults != nil,
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5357524d)) // "SWRM"
@@ -226,11 +222,10 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 			return nil, fmt.Errorf("core: user %d: %w", u.ID, err)
 		}
 		nodeCfg := dht.Config{
-			PrivateIP:  u.PrivateAddr,
-			IDSeed:     uint64(u.ID),
-			Seed:       int64(u.ID) * 7919,
-			Version:    "RB01",
-			CompactRNG: cfg.Compact,
+			PrivateIP: u.PrivateAddr,
+			IDSeed:    uint64(u.ID),
+			Seed:      int64(u.ID) * 7919,
+			Version:   "RB01",
 		}
 		if u.BehindNAT {
 			nodeCfg.KeepaliveInterval = cfg.NATKeepalive
@@ -349,10 +344,9 @@ func (s *Swarm) scheduleRestart(w *blgen.World, j int, at time.Duration, seed in
 			return
 		}
 		node := s.newNode(newEp.Addr, sock, dht.Config{
-			PrivateIP:  newEp.Addr,
-			IDSeed:     uint64(seed), // fresh random part -> fresh node ID
-			Seed:       seed,
-			CompactRNG: s.compact,
+			PrivateIP: newEp.Addr,
+			IDSeed:    uint64(seed), // fresh random part -> fresh node ID
+			Seed:      seed,
 		})
 		for _, info := range neighbours {
 			node.AddNode(info)

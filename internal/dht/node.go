@@ -2,7 +2,6 @@ package dht
 
 import (
 	"encoding/binary"
-	"math/rand"
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/iputil"
@@ -37,15 +36,9 @@ type Config struct {
 	BootstrapAttempts int
 	// BootstrapRetryDelay separates bootstrap attempts; zero means 1 minute.
 	BootstrapRetryDelay time.Duration
-	// Seed drives the node's private RNG (transaction IDs, keepalive
-	// target choice).
+	// Seed is the initial state of the node's private splitmix64
+	// generator (transaction IDs, keepalive targets, byzantine fabrication).
 	Seed int64
-	// CompactRNG swaps the node's private RNG source for an 8-byte
-	// splitmix64 state instead of math/rand's 4.9 KiB lagged-Fibonacci
-	// table. The draw sequence differs, so default worlds (whose goldens
-	// pin the legacy sequence) leave this off; paper-scale worlds turn it
-	// on, where it removes the single largest per-host allocation.
-	CompactRNG bool
 	// Byzantine makes the node adversarial: it answers find_node with
 	// fabricated neighbours drawn from its RNG instead of routing-table
 	// contents, poisoning crawlers' discovery frontiers with phantom
@@ -72,7 +65,7 @@ type Node struct {
 	cfg   Config
 	sock  netsim.Socket
 	clock Clock
-	rng   *rand.Rand
+	rng   splitmix     // by value, so the generator is no heap object
 	table routingTable // by value: one less pointer and heap object per node
 	// pending maps transaction IDs to in-flight queries by value and is
 	// allocated lazily on the first outgoing query: a pendingQuery is two
@@ -112,19 +105,13 @@ func newNode(alloc func() *Node, sock netsim.Socket, clock Clock, cfg Config) *N
 	if id == (krpc.NodeID{}) {
 		id = krpc.GenerateNodeID(cfg.PrivateIP, cfg.IDSeed)
 	}
-	var src rand.Source
-	if cfg.CompactRNG {
-		src = newSplitmixSource(cfg.Seed)
-	} else {
-		src = rand.NewSource(cfg.Seed)
-	}
 	n := alloc()
 	*n = Node{
 		id:    id,
 		cfg:   cfg,
 		sock:  sock,
 		clock: clock,
-		rng:   rand.New(src),
+		rng:   splitmix{state: uint64(cfg.Seed)},
 	}
 	n.table.init(id, cfg.TableStaleAfter)
 	sock.SetHandler(n.handle)

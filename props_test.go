@@ -8,6 +8,7 @@
 package reuseblock_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -218,9 +219,11 @@ func TestWorldFaultTolerance(t *testing.T) {
 
 // TestStudySeedsConfirmNATs runs the benchmark's study over its pinned
 // world (world seed 1, scale 1, a 12 h crawl) for every study seed from 1
-// to 40: each crawl must confirm at least one NATed address. The crawl's
-// bootstrap never churns, so no seed can strand the crawler with a dead
-// entry point and an empty result.
+// to 40 and holds each to the benchmark's gate: the crawl confirms at least
+// one NATed address, every confirmed address passes the NAT oracle, and the
+// RIPE pipeline passes the dynamic-detection oracle. The crawl's bootstrap
+// never churns, so no seed can strand the crawler with a dead entry point
+// and an empty result.
 func TestStudySeedsConfirmNATs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("40 scale-1 crawls")
@@ -228,17 +231,22 @@ func TestStudySeedsConfirmNATs(t *testing.T) {
 	wp := blgen.DefaultParams(1)
 	wp.Scale = 1
 	w := blgen.Generate(wp)
-	nated := parallel.Map(0, 40, func(i int) int {
+	orc := testkit.Oracle{World: w}
+	errs := parallel.Map(0, 40, func(i int) error {
 		st := core.NewStudyFromWorld(w, core.Config{Seed: int64(i + 1), CrawlDuration: 12 * time.Hour,
 			SkipICMP: true, Workers: 1})
 		if _, err := st.Run(); err != nil {
-			t.Errorf("study seed %d: %v", i+1, err)
+			return err
 		}
-		return len(st.NATed)
+		var none error
+		if len(st.NATed) == 0 {
+			none = errors.New("confirmed no NATed address")
+		}
+		return errors.Join(orc.CheckNATObservations(st.NATed), orc.CheckDynamicDetection(st.RIPE), none)
 	})
-	for i, n := range nated {
-		if n == 0 {
-			t.Errorf("study seed %d confirmed no NATed address", i+1)
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("study seed %d: %v", i+1, err)
 		}
 	}
 }

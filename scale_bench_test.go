@@ -1,13 +1,12 @@
 // Paper-scale world tests and the BENCH_scale.json ratchet.
 //
-// The compact core exists for one reason: the paper's observed population is
-// millions of addresses, and the original simulator spent ~11 KiB of heap
-// per host — a multi-million-host world did not fit in RAM alongside the
-// crawler. These tests pin the properties the compact core claims:
+// The paper's observed population is millions of addresses, and the
+// original simulator spent ~11 KiB of heap per host — a multi-million-host
+// world did not fit in RAM alongside the crawler. These tests pin what the
+// sharded fabric and the pooled node state claim:
 //
-//   - TestScale*: sharded + compact runs stay deterministic and
-//     scheduling-invariant (shard-count invariance is pinned by
-//     TestResilienceShardInvariance).
+//   - TestScale*: sharded runs stay deterministic and scheduling-invariant
+//     (shard-count invariance is pinned by TestResilienceShardInvariance).
 //   - BenchmarkStudyScale: measures hosts/sec, bytes/host and peak heap at
 //     world scales 1/10/100 and appends the rows to BENCH_scale.json; the
 //     per-host footprint must undercut the pre-refactor baseline by >= 5x
@@ -27,8 +26,8 @@ import (
 	"github.com/reuseblock/reuseblock/internal/core"
 )
 
-// renderScaleStudy runs a small sharded, compact-state study and returns the
-// rendered report.
+// renderScaleStudy runs a small sharded study and returns the rendered
+// report.
 func renderScaleStudy(t *testing.T, seed int64, shards, workers int) (*core.Study, string) {
 	t.Helper()
 	wp := blgen.DefaultParams(seed)
@@ -40,7 +39,6 @@ func renderScaleStudy(t *testing.T, seed int64, shards, workers int) (*core.Stud
 		Vantages:      2,
 		Workers:       workers,
 		Shards:        shards,
-		Compact:       true,
 		SkipICMP:      true,
 	})
 	rep, err := s.Run()
@@ -50,16 +48,16 @@ func renderScaleStudy(t *testing.T, seed int64, shards, workers int) (*core.Stud
 	return s, rep.Render()
 }
 
-// TestScaleShardedStudySmoke: the scale configuration (sharded fabric,
-// compact node state) must still crawl a world end to end and confirm NATed
+// TestScaleShardedStudySmoke: the scale configuration (sharded fabric, two
+// vantages) must still crawl a world end to end and confirm NATed
 // addresses — the fast gate run under -race in CI.
 func TestScaleShardedStudySmoke(t *testing.T) {
 	s, _ := renderScaleStudy(t, 1, 4, 2)
 	if s.CrawlStats.UniqueIPs == 0 {
-		t.Fatal("sharded compact crawl observed no addresses")
+		t.Fatal("sharded crawl observed no addresses")
 	}
 	if len(s.NATed) == 0 {
-		t.Fatal("sharded compact crawl confirmed no NATed addresses")
+		t.Fatal("sharded crawl confirmed no NATed addresses")
 	}
 }
 
@@ -88,8 +86,8 @@ func TestScaleShardedRepeatable(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 // Pre-refactor per-host heap footprints, measured on commit e9c9148 (before
-// internal/ipset, pooled node/NAT/binding state, the compact RNG and the
-// sharded event loop): BuildSwarm(Seed 1) heap delta over host count.
+// internal/ipset, pooled node/NAT/binding state, the by-value node RNG and
+// the sharded event loop): BuildSwarm(Seed 1) heap delta over host count.
 const (
 	baselineBytesPerHostScale1  = 11269
 	baselineBytesPerHostScale10 = 11260
@@ -105,7 +103,6 @@ type ScaleBenchRecord struct {
 	Scale          float64 `json:"scale"`
 	Hosts          int     `json:"hosts"`
 	Shards         int     `json:"shards"`
-	Compact        bool    `json:"compact"`
 	BuildSec       float64 `json:"build_sec"`
 	Run30mSec      float64 `json:"run30m_sec"`
 	HostsPerSec    float64 `json:"hosts_per_sec"`
@@ -142,7 +139,7 @@ func appendScaleRecord(path string, rec ScaleBenchRecord) error {
 // benchmark harness re-enters a sub-benchmark to hit -benchtime.
 var scaleRecordOnce sync.Map
 
-// measureScale builds the compact, sharded swarm for one world scale,
+// measureScale builds the sharded swarm for one world scale,
 // measures its heap footprint, runs 30 simulated minutes, and enforces the
 // footprint ratchet.
 func measureScale(b *testing.B, scale float64) ScaleBenchRecord {
@@ -161,7 +158,6 @@ func measureScale(b *testing.B, scale float64) ScaleBenchRecord {
 	buildStart := time.Now()
 	swarm, err := core.BuildSwarm(w, core.SwarmConfig{
 		Seed:         1,
-		Compact:      true,
 		Shards:       4,
 		ShardWorkers: runtime.GOMAXPROCS(0),
 	}, nil)
@@ -193,7 +189,6 @@ func measureScale(b *testing.B, scale float64) ScaleBenchRecord {
 		Scale:          scale,
 		Hosts:          hosts,
 		Shards:         4,
-		Compact:        true,
 		BuildSec:       buildSec,
 		Run30mSec:      runSec,
 		HostsPerSec:    float64(hosts) / (buildSec + runSec),
