@@ -344,11 +344,9 @@ func (n *Node) answer(from netsim.Endpoint, q *krpc.Message) {
 		resp = krpc.NewPingResponse(q.TxID, n.id, n.cfg.Version)
 	case krpc.MethodFindNode:
 		var buf [BucketSize]krpc.NodeInfo
-		var nodes []krpc.NodeInfo
+		nodes := n.table.closest(q.Target, buf[:])
 		if n.cfg.Byzantine {
 			nodes = n.fabricateNodes()
-		} else {
-			nodes = n.table.closest(q.Target, buf[:])
 		}
 		resp = krpc.NewFindNodeResponse(q.TxID, n.id, nodes, n.cfg.Version)
 	default:

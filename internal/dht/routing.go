@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/krpc"
-	"github.com/reuseblock/reuseblock/internal/netsim"
 )
 
 // BucketSize is Kademlia's k: the per-bucket capacity and the number of
@@ -112,11 +111,9 @@ func (rt *routingTable) add(info krpc.NodeInfo, at time.Time) {
 	}
 }
 
-// closest fills buf with the table's len(buf) nodes closest to target by
-// XOR distance, nearest first, and returns the filled prefix. IDs in one
-// table are distinct, so the order is total and an insertion into the
-// caller's buffer gives exactly what sorting every entry would, without
-// allocating.
+// closest fills buf with the len(buf) nodes nearest target by XOR distance,
+// nearest first, and returns the filled prefix. IDs in a table are distinct,
+// so insertion gives the order a full sort would, with no allocation.
 func (rt *routingTable) closest(target krpc.NodeID, buf []krpc.NodeInfo) []krpc.NodeInfo {
 	n := 0
 	for i := range rt.bkts {
@@ -163,15 +160,4 @@ func (rt *routingTable) randomEntry(pick int) (krpc.NodeInfo, bool) {
 		pick -= len(rt.bkts[i])
 	}
 	return krpc.NodeInfo{}, false
-}
-
-// endpoints lists the current endpoints in the table; used in tests.
-func (rt *routingTable) endpoints() []netsim.Endpoint {
-	var out []netsim.Endpoint
-	for i := range rt.bkts {
-		for _, e := range rt.bkts[i] {
-			out = append(out, netsim.Endpoint{Addr: e.info.Addr, Port: e.info.Port})
-		}
-	}
-	return out
 }

@@ -1,26 +1,17 @@
 package dht
 
-// splitmix is a node's private random number generator: splitmix64 (Steele
-// et al., "Fast Splittable Pseudorandom Number Generators"), held by value
-// in the Node, so it costs the node no heap object. math/rand's default
-// source carries a 607-word (4.9 KiB) table per instance, which at paper
-// scale would be the largest allocation of every simulated host.
-// splitmix64 passes BigCrush and is the usual seeding primitive for
-// xoshiro-family generators; jitter, keepalive targets and transaction IDs
-// need nothing stronger.
-//
-// Each method draws exactly what the same method of a math/rand.Rand over a
-// splitmix64 Source returns, Read's carried bytes included, so the
-// generator is that pairing without its two heap objects.
+// splitmix is a node's private generator: splitmix64 (Steele et al., "Fast
+// Splittable Pseudorandom Number Generators") held by value, where
+// math/rand's source would cost every simulated host a 4.9 KiB table. Each
+// method draws what the same method of rand.New over a splitmix64 Source
+// draws, Read's carried bytes included.
 type splitmix struct {
-	state uint64
-	// readVal holds the unread bytes of Read's last draw and readPos how
-	// many there are, so consecutive Reads continue one byte stream.
-	readVal int64
+	state   uint64
+	readVal uint64 // Read's unread bytes, readPos of them
 	readPos int8
 }
 
-func (r *splitmix) uint64() uint64 {
+func (r *splitmix) next() uint64 {
 	r.state += 0x9e3779b97f4a7c15
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -28,26 +19,22 @@ func (r *splitmix) uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-func (r *splitmix) int63() int64 { return int64(r.uint64() >> 1) }
-
-func (r *splitmix) int31() int32 { return int32(r.int63() >> 32) }
-
 // Uint32 returns a uniform 32-bit value.
-func (r *splitmix) Uint32() uint32 { return uint32(r.int63() >> 31) }
+func (r *splitmix) Uint32() uint32 { return uint32(r.next() >> 32) }
 
 // Intn returns a uniform int in [0, n). It panics unless 0 < n < 2^31.
 func (r *splitmix) Intn(n int) int {
 	if n <= 0 || n > 1<<31-1 {
 		panic("dht: Intn argument out of range")
 	}
-	m := int32(n)
+	m := uint64(n)
 	if m&(m-1) == 0 {
-		return int(r.int31() & (m - 1))
+		return int(r.next() >> 33 & (m - 1))
 	}
-	top := int32(1<<31 - 1 - (1<<31)%uint32(m))
-	v := r.int31()
+	top := 1<<31 - 1 - 1<<31%m // largest 31-bit draw free of modulo bias
+	v := r.next() >> 33
 	for v > top {
-		v = r.int31()
+		v = r.next() >> 33
 	}
 	return int(v % m)
 }
@@ -56,8 +43,7 @@ func (r *splitmix) Intn(n int) int {
 func (r *splitmix) Read(p []byte) {
 	for i := range p {
 		if r.readPos == 0 {
-			r.readVal = r.int63()
-			r.readPos = 7
+			r.readVal, r.readPos = r.next()>>1, 7
 		}
 		p[i] = byte(r.readVal)
 		r.readVal >>= 8

@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -72,7 +73,11 @@ func TestSplitmixMatchesRand(t *testing.T) {
 }
 
 func TestSplitmixIntnRejectsOutOfRange(t *testing.T) {
-	for _, n := range []int{0, -1, 1 << 31} {
+	cases := []int{0, -1}
+	if math.MaxInt > math.MaxInt32 {
+		cases = append(cases, math.MaxInt)
+	}
+	for _, n := range cases {
 		func() {
 			defer func() {
 				if recover() == nil {
