@@ -49,7 +49,7 @@ func TestSplitmixMatchesRand(t *testing.T) {
 		want := rand.New(newSplitmixSource(seed))
 		pick := rand.New(rand.NewSource(seed)) // chooses the call, not its value
 		for i := 0; i < 10000; i++ {
-			switch op := pick.Intn(3); op {
+			switch pick.Intn(3) {
 			case 0:
 				if g, w := got.Uint32(), want.Uint32(); g != w {
 					t.Fatalf("seed %d draw %d: Uint32 = %d, want %d", seed, i, g, w)
