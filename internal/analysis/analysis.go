@@ -235,63 +235,59 @@ type Durations struct {
 	MaxReusedPerWindow []int
 }
 
-// ComputeDurations builds the Fig 7 distributions. Shards collect duration
+// ComputeDurations builds the Fig 7 distributions from one walk over every
+// feed's listings, which yields each listing's day count over all
+// observation days and within each window. Shards of feeds collect duration
 // samples independently; the CDFs sort the merged multiset, and maxima
-// merge by max, so sharding cannot change the result.
+// merge by max, so neither sharding nor walk order can change the result.
 func ComputeDurations(in *Inputs) *Durations {
 	type shard struct {
 		all, nated, dynamic []float64
 		maxReused           int
+		maxReusedPerWindow  []int
 	}
+	windows := len(in.Collection.Windows())
+	feeds := in.Collection.Registry().Len()
 	workers := parallel.Workers(in.Workers)
-	collect := func(listings []blocklist.Listing) []*shard {
-		chunks := parallel.Chunks(len(listings), workers)
-		return parallel.Map(workers, len(chunks), func(ci int) *shard {
-			s := &shard{}
-			for _, l := range listings[chunks[ci][0]:chunks[ci][1]] {
-				d := float64(l.Days)
+	chunks := parallel.Chunks(feeds, workers)
+	shards := parallel.Map(workers, len(chunks), func(ci int) *shard {
+		s := &shard{maxReusedPerWindow: make([]int, windows)}
+		for fi := chunks[ci][0]; fi < chunks[ci][1]; fi++ {
+			in.Collection.ListingDays(fi, func(addr iputil.Addr, days int, perWindow []int) {
+				d := float64(days)
 				s.all = append(s.all, d)
 				reused := false
-				if in.isNATed(l.Addr) {
+				if in.isNATed(addr) {
 					s.nated = append(s.nated, d)
 					reused = true
 				}
-				if in.isDynamic(l.Addr) {
+				if in.isDynamic(addr) {
 					s.dynamic = append(s.dynamic, d)
 					reused = true
 				}
-				if reused && l.Days > s.maxReused {
-					s.maxReused = l.Days
+				if !reused {
+					return
 				}
-			}
-			return s
-		})
-	}
+				s.maxReused = max(s.maxReused, days)
+				for w, n := range perWindow {
+					s.maxReusedPerWindow[w] = max(s.maxReusedPerWindow[w], n)
+				}
+			})
+		}
+		return s
+	})
 	var all, nated, dynamic []float64
-	maxReused := 0
-	for _, s := range collect(in.Collection.Listings()) {
+	out := &Durations{MaxReusedPerWindow: make([]int, windows)}
+	for _, s := range shards {
 		all = append(all, s.all...)
 		nated = append(nated, s.nated...)
 		dynamic = append(dynamic, s.dynamic...)
-		if s.maxReused > maxReused {
-			maxReused = s.maxReused
+		out.MaxReusedDays = max(out.MaxReusedDays, s.maxReused)
+		for w, n := range s.maxReusedPerWindow {
+			out.MaxReusedPerWindow[w] = max(out.MaxReusedPerWindow[w], n)
 		}
 	}
-	out := &Durations{
-		All:           stats.NewCDF(all),
-		NATed:         stats.NewCDF(nated),
-		Dynamic:       stats.NewCDF(dynamic),
-		MaxReusedDays: maxReused,
-	}
-	for w := range in.Collection.Windows() {
-		maxW := 0
-		for _, s := range collect(in.Collection.ListingsInWindow(w)) {
-			if s.maxReused > maxW {
-				maxW = s.maxReused
-			}
-		}
-		out.MaxReusedPerWindow = append(out.MaxReusedPerWindow, maxW)
-	}
+	out.All, out.NATed, out.Dynamic = stats.NewCDF(all), stats.NewCDF(nated), stats.NewCDF(dynamic)
 	out.AllMean, out.NATedMean, out.DynamicMean = out.All.Mean(), out.NATed.Mean(), out.Dynamic.Mean()
 	out.AllTwoDay, out.NATedTwoDay, out.DynamicTwoDay = out.All.At(2), out.NATed.At(2), out.Dynamic.At(2)
 	return out

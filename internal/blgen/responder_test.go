@@ -81,7 +81,7 @@ func TestBlockMatchesPerAddressOracle(t *testing.T) {
 			for i := 0; i < block.Size(); i++ {
 				a := block.Nth(i)
 				want := respondsOracle(w, a, at)
-				if got := responds(a, at); got != want {
+				if got, _ := responds(a, at); got != want {
 					t.Fatalf("Block(%v)(%v, %v) = %v, oracle %v (prefix %+v)", block, a, at, got, want, pi)
 				}
 				// Responds is a delegate; one time per block pins it.
@@ -152,4 +152,78 @@ func TestBlockPanicsOnWiderBlock(t *testing.T) {
 		}
 	}()
 	w.Block(iputil.MustParsePrefix("10.0.0.0/23"))
+}
+
+// TestBlockPromiseHolds: every answer between at and the promised until
+// equals the answer at at, for every host of every prefix kind, before and
+// after RIPEStart. Promises are exact: a dynamic pool's answer is promised
+// to the end of its lease slot and no further, every other answer forever.
+func TestBlockPromiseHolds(t *testing.T) {
+	w := Generate(TestParams(1))
+	kinds := map[PrefixKind]int{}
+	slot := func(pi *PrefixInfo, at time.Time) time.Duration {
+		return at.Sub(w.RIPEStart) / (time.Duration(pi.MeanLeaseHours) * time.Hour)
+	}
+	check := func(block iputil.Prefix, pi *PrefixInfo) {
+		t.Helper()
+		responds := w.Block(block)
+		offsets := []time.Duration{-90 * 24 * time.Hour, -36*time.Hour - 7*time.Minute, -time.Nanosecond, 0, 29 * time.Hour, 45 * 24 * time.Hour}
+		if pi != nil && pi.Kind == KindDynamic {
+			// Before RIPEStart, truncating division makes slot 0 span
+			// (-lease, +lease); probe both of its ends and the slot below.
+			lease := time.Duration(pi.MeanLeaseHours) * time.Hour
+			offsets = append(offsets, -3*lease-time.Hour, -lease-time.Nanosecond, -lease, -lease+time.Nanosecond, lease-time.Nanosecond, lease)
+		}
+		for _, off := range offsets {
+			at := w.RIPEStart.Add(off)
+			for i := 0; i < block.Size(); i++ {
+				a := block.Nth(i)
+				up, until := responds(a, at)
+				if want := respondsOracle(w, a, at); up != want {
+					t.Fatalf("%v at %v: answer %v, oracle %v", a, at, up, want)
+				}
+				dynamicHost := pi != nil && !pi.ICMPFiltered && pi.Kind == KindDynamic && a&0xff >= 1 && a&0xff <= 254
+				end := until
+				if until.IsZero() {
+					if dynamicHost {
+						t.Fatalf("dynamic host %v at %v promised forever", a, at)
+					}
+					end = at.Add(3 * 365 * 24 * time.Hour)
+				} else {
+					if !dynamicHost {
+						t.Fatalf("%v (prefix %+v) at %v promised only until %v", a, pi, at, until)
+					}
+					if !until.After(at) {
+						t.Fatalf("%v at %v promised until %v, not after at", a, at, until)
+					}
+					if slot(pi, until) == slot(pi, at) || slot(pi, until.Add(-1)) != slot(pi, at) {
+						t.Fatalf("%v at %v promised until %v, not its lease slot's end", a, at, until)
+					}
+				}
+				span := end.Sub(at)
+				for k := int64(1); k <= 16; k++ {
+					probe := at.Add(time.Duration(int64(span) / 17 * k))
+					if respondsOracle(w, a, probe) != up {
+						t.Fatalf("%v: answer at %v differs from the one promised at %v until %v", a, probe, at, until)
+					}
+				}
+				if respondsOracle(w, a, end.Add(-1)) != up {
+					t.Fatalf("%v: answer just before %v differs from the one promised at %v", a, end, at)
+				}
+			}
+		}
+	}
+	for _, as := range w.ASes {
+		for i := range as.Prefixes {
+			pi := &as.Prefixes[i]
+			kinds[pi.Kind]++
+			check(pi.Prefix, pi)
+		}
+	}
+	for _, k := range []PrefixKind{KindStatic, KindDynamic, KindCGN, KindServer, KindUnused} {
+		if kinds[k] == 0 {
+			t.Errorf("test world has no prefix of kind %v", k)
+		}
+	}
+	check(iputil.MustParsePrefix("8.8.8.0/24"), nil)
 }

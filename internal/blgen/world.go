@@ -318,12 +318,15 @@ func (w *World) PrefixOf(addr iputil.Addr) (*PrefixInfo, bool) {
 // Block implements the icmpsurvey.Responder contract over world ground
 // truth: it resolves block's /24 once — one prefix-table walk and one
 // ICMPFiltered/Kind switch — and returns the per-address answer for
-// addresses inside block, with the block's constants captured. The
-// baseline's documented blind spots are modelled: CGN gateways answer like
-// middleboxes, ICMP-filtered networks never answer, dynamic pools answer
-// only while a lease is occupied. Every world prefix is a /24, so block
-// must lie within one /24; Block panics on a wider block.
-func (w *World) Block(block iputil.Prefix) func(addr iputil.Addr, at time.Time) bool {
+// addresses inside block, with the block's constants captured, plus the
+// exact instant the answer may next change. The baseline's documented blind
+// spots are modelled: CGN gateways answer like middleboxes, ICMP-filtered
+// networks never answer, dynamic pools answer only while a lease is
+// occupied. Only a dynamic pool's hosts ever change their answer, at the
+// end of the current lease slot; every other answer holds forever (a zero
+// until). Every world prefix is a /24, so block must lie within one /24;
+// Block panics on a wider block.
+func (w *World) Block(block iputil.Prefix) func(addr iputil.Addr, at time.Time) (bool, time.Time) {
 	if block.Bits() < 24 {
 		panic("blgen: World.Block needs a block within one /24, got " + block.String())
 	}
@@ -333,40 +336,46 @@ func (w *World) Block(block iputil.Prefix) func(addr iputil.Addr, at time.Time) 
 	}
 	switch pi.Kind {
 	case KindServer:
-		return func(addr iputil.Addr, _ time.Time) bool {
+		return func(addr iputil.Addr, _ time.Time) (bool, time.Time) {
 			host := int(addr) & 0xff
-			return host >= 1 && host <= 128 // dense, always-on farms
+			return host >= 1 && host <= 128, time.Time{} // dense, always-on farms
 		}
 	case KindStatic:
 		hosts := w.Params.StaticHostsPerPrefix
-		return func(addr iputil.Addr, _ time.Time) bool {
+		return func(addr iputil.Addr, _ time.Time) (bool, time.Time) {
 			host := int(addr) & 0xff
 			if host < 1 || host > hosts {
-				return false
+				return false, time.Time{}
 			}
-			return hashMix(uint64(addr), 0)%10 < 9 // 90% of hosts answer
+			return hashMix(uint64(addr), 0)%10 < 9, time.Time{} // 90% of hosts answer
 		}
 	case KindCGN:
 		// Gateways reply on behalf of everything behind them.
 		gateways := w.Params.GatewaysPerCGNPrefix
-		return func(addr iputil.Addr, _ time.Time) bool {
+		return func(addr iputil.Addr, _ time.Time) (bool, time.Time) {
 			host := int(addr) & 0xff
-			return host >= 1 && host <= gateways
+			return host >= 1 && host <= gateways, time.Time{}
 		}
 	case KindDynamic:
-		// The lease slot is integer nanoseconds: a survey asks this
-		// closure for every probe, and time.Time.Sub would cost more than
-		// the rest of the answer.
 		leaseNs := int64(time.Duration(pi.MeanLeaseHours) * time.Hour)
 		occupancy, startNs := w.Params.DynamicOccupancy, w.RIPEStart.UnixNano()
-		return func(addr iputil.Addr, at time.Time) bool {
+		return func(addr iputil.Addr, at time.Time) (bool, time.Time) {
 			host := int(addr) & 0xff
 			if host < 1 || host > 254 {
-				return false
+				return false, time.Time{}
 			}
-			slot := uint64((at.UnixNano() - startNs) / leaseNs)
-			occupied := float64(hashMix(uint64(addr), slot)%1000) / 1000
-			return occupied < occupancy
+			atNs := at.UnixNano()
+			q := (atNs - startNs) / leaseNs
+			// Division truncates toward zero, so slot 0 spans
+			// (-lease, +lease) around RIPEStart and a slot q < 0 spans
+			// ((q-1)·lease, q·lease]: before RIPEStart a slot ends one
+			// nanosecond past its upper bound.
+			endNs := startNs + (q+1)*leaseNs
+			if q < 0 {
+				endNs = startNs + q*leaseNs + 1
+			}
+			occupied := float64(hashMix(uint64(addr), uint64(q))%1000) / 1000
+			return occupied < occupancy, at.Add(time.Duration(endNs - atNs))
 		}
 	default:
 		return silent
@@ -375,13 +384,14 @@ func (w *World) Block(block iputil.Prefix) func(addr iputil.Addr, at time.Time) 
 
 // silent is the responder of a block that never answers: outside the
 // world, ICMP-filtered, or unused space.
-func silent(iputil.Addr, time.Time) bool { return false }
+func silent(iputil.Addr, time.Time) (bool, time.Time) { return false, time.Time{} }
 
 // Responds answers whether addr would reply to an ICMP ECHO at time at. It
 // resolves addr's /24 on every call; a survey probing a whole block calls
 // Block once instead.
 func (w *World) Responds(addr iputil.Addr, at time.Time) bool {
-	return w.Block(addr.Slash24())(addr, at)
+	up, _ := w.Block(addr.Slash24())(addr, at)
+	return up
 }
 
 // hashMix is a small deterministic mixer for occupancy schedules.

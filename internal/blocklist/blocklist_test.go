@@ -1,6 +1,7 @@
 package blocklist
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -287,37 +288,44 @@ func TestWindows(t *testing.T) {
 	}
 }
 
-func TestListingsInWindow(t *testing.T) {
-	reg, _ := NewRegistry([]Feed{{Name: "f"}})
+// TestListingDays: one walk gives each listing's day count over all
+// observation days and within each window, zero where it was absent.
+func TestListingDays(t *testing.T) {
+	reg, _ := NewRegistry([]Feed{{Name: "f"}, {Name: "g"}})
 	c := NewCollection(reg, MeasurementDays())
 	a := iputil.MustParseAddr("192.0.2.1")
-	// Present at the end of window 1 and the start of window 2.
-	if err := c.RecordSpan(0, a, 35, 45); err != nil {
-		t.Fatal(err)
-	}
-	full := c.Listings()
-	if full[0].Days != 11 {
-		t.Fatalf("full days = %d", full[0].Days)
-	}
-	w1 := c.ListingsInWindow(0)
-	if len(w1) != 1 || w1[0].Days != 4 { // days 35..38
-		t.Errorf("window 1 = %+v", w1)
-	}
-	w2 := c.ListingsInWindow(1)
-	if len(w2) != 1 || w2[0].Days != 7 { // days 39..45
-		t.Errorf("window 2 = %+v", w2)
-	}
-	if got := c.ListingsInWindow(5); got != nil {
-		t.Error("out-of-range window should return nil")
-	}
-	// An address present only in window 1 is omitted from window 2.
 	b := iputil.MustParseAddr("192.0.2.2")
-	if err := c.RecordSpan(0, b, 0, 3); err != nil {
-		t.Fatal(err)
+	// a straddles the window edge: the end of window 1 and the start of
+	// window 2 (days 35..45). b sits in window 1 only on the first feed,
+	// and across the bitmap's word boundary (day 64) on the second.
+	for _, span := range []struct {
+		feed     int
+		addr     iputil.Addr
+		from, to int
+	}{{0, a, 35, 45}, {0, b, 0, 3}, {1, b, 60, 70}} {
+		if err := c.RecordSpan(span.feed, span.addr, span.from, span.to); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, l := range c.ListingsInWindow(1) {
-		if l.Addr == b {
-			t.Error("window-1-only address appeared in window 2")
+	want := []map[iputil.Addr][3]int{
+		{a: {11, 4, 7}, b: {4, 4, 0}},
+		{b: {11, 0, 11}},
+	}
+	for feed, w := range want {
+		got := map[iputil.Addr][3]int{}
+		c.ListingDays(feed, func(addr iputil.Addr, days int, perWindow []int) {
+			if len(perWindow) != 2 {
+				t.Fatalf("perWindow = %v, want one count per window", perWindow)
+			}
+			got[addr] = [3]int{days, perWindow[0], perWindow[1]}
+		})
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("feed %d: days (all, window 1, window 2) = %v, want %v", feed, got, w)
+		}
+	}
+	for _, l := range c.Listings() {
+		if n := want[l.FeedIndex][l.Addr][0]; l.Days != n {
+			t.Errorf("Listings: %v on feed %d has %d days, ListingDays %d", l.Addr, l.FeedIndex, l.Days, n)
 		}
 	}
 }

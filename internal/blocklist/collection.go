@@ -163,9 +163,15 @@ func (c *Collection) check(dayIdx, feedIdx int) error {
 // Listings returns every (feed, address) listing, ordered by feed then
 // address.
 func (c *Collection) Listings() []Listing {
-	var out []Listing
+	n, widest := 0, 0
+	for _, m := range c.presence {
+		n += len(m)
+		widest = max(widest, len(m))
+	}
+	out := make([]Listing, 0, n)
+	addrs := make([]iputil.Addr, 0, widest)
 	for fi, m := range c.presence {
-		addrs := make([]iputil.Addr, 0, len(m))
+		addrs = addrs[:0]
 		for a := range m {
 			addrs = append(addrs, a)
 		}
@@ -182,6 +188,26 @@ func (c *Collection) Listings() []Listing {
 		}
 	}
 	return out
+}
+
+// ListingDays walks feed's listings in no particular order and calls fn
+// with each address's presence-day count over every observation day and,
+// in perWindow[w], within window w of Windows() (zero where the address
+// was absent throughout the window). fn must not keep perWindow: it is
+// reused between calls.
+func (c *Collection) ListingDays(feedIdx int, fn func(addr iputil.Addr, days int, perWindow []int)) {
+	ws := c.Windows()
+	masks := make([]daySet, len(ws))
+	for w, span := range ws {
+		masks[w].setRange(span[0], span[1])
+	}
+	perWindow := make([]int, len(ws))
+	for a, ds := range c.presence[feedIdx] {
+		for w, m := range masks {
+			perWindow[w] = bits.OnesCount64(ds[0]&m[0]) + bits.OnesCount64(ds[1]&m[1])
+		}
+		fn(a, ds.count(), perWindow)
+	}
 }
 
 // Present reports whether addr was on feed on the given observation day.
@@ -251,46 +277,6 @@ func (c *Collection) Windows() [][2]int {
 		}
 		out = append(out, [2]int{i, j})
 		i = j + 1
-	}
-	return out
-}
-
-// ListingsInWindow returns the listings restricted to one window (by index
-// into Windows()): only presence days inside the window count, and
-// (feed, addr) pairs with no presence there are omitted.
-func (c *Collection) ListingsInWindow(window int) []Listing {
-	ws := c.Windows()
-	if window < 0 || window >= len(ws) {
-		return nil
-	}
-	lo, hi := ws[window][0], ws[window][1]
-	var out []Listing
-	for fi, m := range c.presence {
-		addrs := make([]iputil.Addr, 0, len(m))
-		for a := range m {
-			addrs = append(addrs, a)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		for _, a := range addrs {
-			ds := m[a]
-			count, first, last := 0, -1, -1
-			for d := lo; d <= hi; d++ {
-				if ds.has(d) {
-					count++
-					if first < 0 {
-						first = d
-					}
-					last = d
-				}
-			}
-			if count == 0 {
-				continue
-			}
-			out = append(out, Listing{
-				FeedIndex: fi, Addr: a, Days: count,
-				First: c.days[first], Last: c.days[last],
-			})
-		}
 	}
 	return out
 }

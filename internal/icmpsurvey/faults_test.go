@@ -50,8 +50,8 @@ func TestProbeLossRetransmits(t *testing.T) {
 	}
 }
 
-// TestProbeLossWorkerInvariance: the per-block RNG streams make the lossy
-// survey identical for any worker count.
+// TestProbeLossWorkerInvariance: loss draws keyed by (seed, address, round)
+// make the lossy survey identical for any worker count.
 func TestProbeLossWorkerInvariance(t *testing.T) {
 	w := &leaseWorld{
 		dynamic: iputil.MustParsePrefix("10.1.0.0/24"),

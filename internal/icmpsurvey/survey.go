@@ -6,20 +6,20 @@
 // classifies blocks as dynamically allocated with an ad-hoc threshold rule.
 //
 // The survey operates against a Responder — resolved once per block into a
-// function answering "would this address reply to a ping at this
-// instant?" — so it can run over the synthetic world without flooding the
-// event-driven network simulator. The baseline's documented weaknesses are
-// modelled by the world, not hidden: middleboxes answer for dead hosts
-// (inflating A) and some networks filter ICMP entirely (deflating
-// coverage).
+// function answering "would this address reply to a ping at this instant,
+// and until when?" — so it can run over the synthetic world without
+// flooding the event-driven network simulator. The baseline's documented
+// weaknesses are modelled by the world, not hidden: middleboxes answer for
+// dead hosts (inflating A) and some networks filter ICMP entirely
+// (deflating coverage).
 package icmpsurvey
 
 import (
-	"math/rand"
 	"sort"
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/iputil"
+	"github.com/reuseblock/reuseblock/internal/netsim"
 	"github.com/reuseblock/reuseblock/internal/obs"
 	"github.com/reuseblock/reuseblock/internal/parallel"
 )
@@ -27,19 +27,26 @@ import (
 // Responder answers whether an address would reply to an ICMP ECHO at a
 // given instant. The survey asks it once per block: Block resolves
 // everything the answers share (for the synthetic world, the /24's
-// allocation policy) and returns the per-address answer, which the survey
-// then calls for every probe of that block. The returned function is only
-// asked about addresses inside block.
+// allocation policy) and returns the per-address answer. The returned
+// function is only asked about addresses inside block. Besides the answer
+// it returns until, the earliest instant the answer may change: the answer
+// holds for every instant in [at, until), so the survey asks again only
+// once a probe falls at or after until. A zero until means the answer never
+// changes. A promise may be early — the survey then merely asks again — but
+// never late.
 type Responder interface {
-	Block(block iputil.Prefix) func(addr iputil.Addr, at time.Time) bool
+	Block(block iputil.Prefix) func(addr iputil.Addr, at time.Time) (up bool, until time.Time)
 }
 
 // ResponderFunc adapts a per-address function to the Responder interface;
-// it has nothing to resolve per block, so every block gets f itself.
+// it has nothing to resolve per block, and it promises only the instant it
+// was asked about, so the survey asks it for every probe.
 type ResponderFunc func(addr iputil.Addr, at time.Time) bool
 
 // Block implements Responder.
-func (f ResponderFunc) Block(iputil.Prefix) func(addr iputil.Addr, at time.Time) bool { return f }
+func (f ResponderFunc) Block(iputil.Prefix) func(addr iputil.Addr, at time.Time) (bool, time.Time) {
+	return func(addr iputil.Addr, at time.Time) (bool, time.Time) { return f(addr, at), at.Add(1) }
+}
 
 // Config tunes the survey.
 type Config struct {
@@ -78,9 +85,9 @@ type Config struct {
 	// whether the silence was loss or a genuinely dead host. Only
 	// meaningful with ProbeLoss > 0.
 	Retransmits int
-	// Seed drives probe-loss randomness. Each block derives its own
-	// stream from Seed and its base address, so the survey stays
-	// bit-for-bit identical for any worker count.
+	// Seed drives probe-loss randomness. Every (address, round) draws
+	// from its own counter-based stream keyed by Seed, so the survey stays
+	// bit-for-bit identical for any worker count and probe order.
 	Seed int64
 
 	// Workers bounds how many blocks are surveyed concurrently. Blocks
@@ -214,92 +221,67 @@ func recordObs(reg *obs.Registry, res *Result) {
 	}
 }
 
+// surveyBlock probes every address of block at each of the survey's steps,
+// address by address. Each answer comes with the responder's promise of
+// when it may next change, so a run of identical answers is asked for once
+// and accounted in O(1): the cost follows how often an address's answer
+// changes, not how many probes it accounts for.
 func surveyBlock(r Responder, block iputil.Prefix, cfg Config, steps int) blockResult {
-	type state struct {
-		m      Metrics
-		up     bool
-		runLen int
-		runs   []int
-	}
 	out := blockResult{perAddr: make(map[iputil.Addr]*Metrics)}
 	responds := r.Block(block)
-	// Probe loss gets a per-block RNG stream so block results stay
-	// self-contained and identical for any worker count.
-	var rng *rand.Rand
-	if cfg.ProbeLoss > 0 {
-		rng = rand.New(rand.NewSource(cfg.Seed ^ int64(uint32(block.Base()))))
-	}
-	states := make([]state, block.Size())
-	for s := 0; s < steps; s++ {
-		at := cfg.Start.Add(time.Duration(s) * cfg.Interval)
-		for i := range states {
-			replies := responds(block.Base()+iputil.Addr(i), at)
-			out.probesSent++
-			if rng != nil {
-				if replies {
-					// The first transmission may be lost; bounded
-					// retransmits recover most rounds.
-					got := rng.Float64() >= cfg.ProbeLoss
-					for k := 0; k < cfg.Retransmits && !got; k++ {
-						out.probesSent++
-						out.retransmissions++
-						got = rng.Float64() >= cfg.ProbeLoss
-					}
-					replies = got
-				} else {
-					// A silent address is retried too — the prober
-					// cannot tell loss from death.
-					out.probesSent += int64(cfg.Retransmits)
-					out.retransmissions += int64(cfg.Retransmits)
-				}
-			}
-			st := &states[i]
-			st.m.Probes++
-			if replies {
-				st.m.Replies++
-				if !st.up && s > 0 {
-					st.m.Transitions++
-				}
-				st.up = true
-				st.runLen++
-			} else {
-				if st.up {
-					st.m.Transitions++
-					st.runs = append(st.runs, st.runLen)
-					st.runLen = 0
-				}
-				st.up = false
-			}
-		}
-	}
 	summary := BlockSummary{Block: block}
-	var availabilities []float64
+	var sumA float64
 	var medUptimes []time.Duration
-	for i := range states {
-		st := &states[i]
+	var runs []int
+	for i := 0; i < block.Size(); i++ {
+		addr := block.Nth(i)
+		st := addrState{runs: runs[:0]}
+		for s := 0; s < steps; {
+			up, until := responds(addr, cfg.Start.Add(time.Duration(s)*cfg.Interval))
+			end := cfg.runEnd(s, steps, until)
+			switch {
+			case cfg.ProbeLoss <= 0:
+				out.probesSent += int64(end - s)
+				st.record(up, s, end-s)
+			case !up:
+				// A silent address is retried too — the prober cannot
+				// tell loss from death.
+				out.probesSent += int64(end-s) * int64(1+cfg.Retransmits)
+				out.retransmissions += int64(end-s) * int64(cfg.Retransmits)
+				st.record(false, s, end-s)
+			default:
+				// The first transmission may be lost; bounded retransmits
+				// recover most rounds. Every round draws on its own.
+				for k := s; k < end; k++ {
+					got, sent := cfg.echo(addr, k)
+					out.probesSent += int64(sent)
+					out.retransmissions += int64(sent - 1)
+					st.record(got, k, 1)
+				}
+			}
+			s = end
+		}
 		if st.m.Replies == 0 {
 			continue
 		}
 		if st.runLen > 0 {
 			st.runs = append(st.runs, st.runLen)
 		}
+		runs = st.runs // the next address reuses the grown buffer
 		st.m.A = float64(st.m.Replies) / float64(st.m.Probes)
 		if st.m.Probes > 1 {
 			st.m.V = float64(st.m.Transitions) / float64(st.m.Probes-1)
 		}
-		st.m.MedianUptime = medianRun(st.runs, cfg.Interval)
+		sort.Ints(runs)
+		st.m.MedianUptime = time.Duration(runs[len(runs)/2]) * cfg.Interval
 		m := st.m
-		out.perAddr[block.Nth(i)] = &m
+		out.perAddr[addr] = &m
 		summary.Responsive++
-		availabilities = append(availabilities, st.m.A)
-		medUptimes = append(medUptimes, st.m.MedianUptime)
+		sumA += m.A
+		medUptimes = append(medUptimes, m.MedianUptime)
 	}
 	if summary.Responsive > 0 {
-		sum := 0.0
-		for _, a := range availabilities {
-			sum += a
-		}
-		summary.MeanA = sum / float64(summary.Responsive)
+		summary.MeanA = sumA / float64(summary.Responsive)
 		sort.Slice(medUptimes, func(i, j int) bool { return medUptimes[i] < medUptimes[j] })
 		summary.MedianUptime = medUptimes[len(medUptimes)/2]
 	}
@@ -310,12 +292,63 @@ func surveyBlock(r Responder, block iputil.Prefix, cfg Config, steps int) blockR
 	return out
 }
 
-func medianRun(runs []int, interval time.Duration) time.Duration {
-	if len(runs) == 0 {
-		return 0
+// addrState is one address's running A/V/U accounting.
+type addrState struct {
+	m      Metrics
+	up     bool
+	runLen int
+	runs   []int // lengths of the finished responsive runs
+}
+
+// record accounts n consecutive probes from step s on, all with the same
+// answer: exactly what n single-probe updates would do, in O(1).
+func (st *addrState) record(up bool, s, n int) {
+	st.m.Probes += n
+	if !up {
+		if st.up {
+			st.m.Transitions++
+			st.runs = append(st.runs, st.runLen)
+			st.runLen = 0
+		}
+		st.up = false
+		return
 	}
-	sorted := make([]int, len(runs))
-	copy(sorted, runs)
-	sort.Ints(sorted)
-	return time.Duration(sorted[len(sorted)/2]) * interval
+	st.m.Replies += n
+	if !st.up && s > 0 {
+		st.m.Transitions++
+	}
+	st.up = true
+	st.runLen += n
+}
+
+// runEnd returns the first step at or after until — the instant an answer
+// given at step s may change — clamped to [s+1, steps]. A zero until never
+// changes.
+func (c *Config) runEnd(s, steps int, until time.Time) int {
+	if until.IsZero() {
+		return steps
+	}
+	off := until.Sub(c.Start)
+	if off >= time.Duration(steps)*c.Interval {
+		return steps
+	}
+	return max(int((off+c.Interval-1)/c.Interval), s+1)
+}
+
+// echo plays one round's transmissions to an address that would answer at
+// step: the first ECHO plus up to Retransmits retries while silence lasts.
+// It returns whether a reply got through and how many ECHOs were sent. The
+// draws come from a counter-based stream keyed by (Seed, addr, step), the
+// scheme netsim.Fate gives every datagram, so they do not depend on the
+// order rounds are played in or on which worker plays them.
+func (c *Config) echo(addr iputil.Addr, step int) (got bool, sent int) {
+	fate := netsim.NewFate(c.Seed, netsim.Endpoint{Addr: addr}, netsim.Endpoint{}, uint64(step))
+	for sent = 1; ; sent++ {
+		if fate.Float64() >= c.ProbeLoss {
+			return true, sent
+		}
+		if sent > c.Retransmits {
+			return false, sent
+		}
+	}
 }

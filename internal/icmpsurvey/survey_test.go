@@ -22,7 +22,9 @@ type leaseWorld struct {
 }
 
 // Block implements Responder; the pattern needs nothing resolved per block.
-func (w *leaseWorld) Block(iputil.Prefix) func(iputil.Addr, time.Time) bool { return w.responds }
+func (w *leaseWorld) Block(block iputil.Prefix) func(iputil.Addr, time.Time) (bool, time.Time) {
+	return ResponderFunc(w.responds).Block(block)
+}
 
 func (w *leaseWorld) responds(addr iputil.Addr, at time.Time) bool {
 	switch {
@@ -169,13 +171,13 @@ type countingResponder struct {
 	calls map[iputil.Prefix]int
 }
 
-func (c *countingResponder) Block(block iputil.Prefix) func(iputil.Addr, time.Time) bool {
+func (c *countingResponder) Block(block iputil.Prefix) func(iputil.Addr, time.Time) (bool, time.Time) {
 	c.mu.Lock()
 	c.calls[block]++
 	c.mu.Unlock()
-	return func(addr iputil.Addr, at time.Time) bool {
+	return ResponderFunc(func(addr iputil.Addr, at time.Time) bool {
 		return int(addr)%3 == 0 && at.Unix()/3600%4 != 0
-	}
+	}).Block(block)
 }
 
 // TestRunResolvesEachBlockOnce pins the survey contract: Run asks the
