@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzParsePrefixList$$' -fuzztime 30s ./internal/blocklist/
 	$(GO) test -fuzz '^FuzzReadLogs$$' -fuzztime 30s ./internal/ripeatlas/
 	$(GO) test -fuzz '^FuzzSurveyRuns$$' -fuzztime 30s ./internal/icmpsurvey/
+	$(GO) test -fuzz '^FuzzDeltaCompile$$' -fuzztime 30s ./internal/reuseapi/
 
 # Property-based verification: the fast metamorphic suite, the per-package
 # property tests, then the slow 50-world seed sweep (oracles, determinism,

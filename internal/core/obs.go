@@ -103,7 +103,7 @@ func (s *Study) finishObs(rep *Report) {
 	}
 
 	d := parallel.Snapshot().Sub(s.parallelBase)
-	reg.Counter("parallel_batches_total").Add(d.Batches)
+	reg.Counter(obs.WallPrefix + "parallel_batches_total").Add(d.Batches)
 	reg.Counter(obs.WallPrefix + "parallel_tasks_total").Add(d.Tasks)
 	reg.Counter(obs.WallPrefix + "parallel_inline_tasks_total").Add(d.Inline)
 	reg.Counter(obs.WallPrefix + "parallel_goroutines_total").Add(d.Spawned)

@@ -1,7 +1,7 @@
 package icmpsurvey
 
 import (
-	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -22,7 +22,7 @@ func surveyBlockPerProbe(r Responder, block iputil.Prefix, cfg Config, steps int
 		runLen int
 		runs   []int
 	}
-	out := blockResult{perAddr: make(map[iputil.Addr]*Metrics)}
+	var out blockResult
 	responds := r.Block(block)
 	states := make([]state, block.Size())
 	for s := 0; s < steps; s++ {
@@ -82,8 +82,7 @@ func surveyBlockPerProbe(r Responder, block iputil.Prefix, cfg Config, steps int
 		}
 		sort.Ints(st.runs)
 		st.m.MedianUptime = time.Duration(st.runs[len(st.runs)/2]) * cfg.Interval
-		m := st.m
-		out.perAddr[block.Nth(i)] = &m
+		out.addrs = append(out.addrs, addrMetrics{block.Nth(i), st.m})
 		summary.Responsive++
 		availabilities = append(availabilities, st.m.A)
 		medUptimes = append(medUptimes, st.m.MedianUptime)
@@ -119,13 +118,14 @@ func checkAgainstOracle(t *testing.T, name string, r Responder, blocks []iputil.
 			t.Fatalf("%s: block %v probes/retransmissions %d/%d, oracle %d/%d", name, b,
 				got.probesSent, got.retransmissions, want.probesSent, want.retransmissions)
 		}
-		if !reflect.DeepEqual(got.perAddr, want.perAddr) {
-			for a, m := range want.perAddr {
-				if g := got.perAddr[a]; g == nil || *g != *m {
-					t.Fatalf("%s: %v metrics %+v, oracle %+v", name, a, g, m)
+		if !slices.Equal(got.addrs, want.addrs) {
+			for i := range min(len(got.addrs), len(want.addrs)) {
+				if g, w := got.addrs[i], want.addrs[i]; g != w {
+					t.Fatalf("%s: responsive address %d is %v with metrics %+v, oracle %v with %+v",
+						name, i, g.addr, g.m, w.addr, w.m)
 				}
 			}
-			t.Fatalf("%s: block %v has %d responsive addresses, oracle %d", name, b, len(got.perAddr), len(want.perAddr))
+			t.Fatalf("%s: block %v has %d responsive addresses, oracle %d", name, b, len(got.addrs), len(want.addrs))
 		}
 	}
 }

@@ -15,6 +15,7 @@
 package icmpsurvey
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -163,10 +164,18 @@ type Result struct {
 // blockResult is one block's complete survey output, self-contained so
 // blocks can be surveyed concurrently and merged in block order.
 type blockResult struct {
-	summary         BlockSummary
-	perAddr         map[iputil.Addr]*Metrics
+	summary BlockSummary
+	// addrs holds the block's ever-responsive addresses in address order,
+	// in one backing array that Result.PerAddr's pointers point into.
+	addrs           []addrMetrics
 	probesSent      int64
 	retransmissions int64
+}
+
+// addrMetrics is one ever-responsive address and its metrics.
+type addrMetrics struct {
+	addr iputil.Addr
+	m    Metrics
 }
 
 // Run executes the survey. Blocks are sharded across cfg.Workers; each
@@ -175,10 +184,6 @@ type blockResult struct {
 // the worker count.
 func Run(r Responder, cfg Config) *Result {
 	cfg.applyDefaults()
-	res := &Result{
-		PerAddr:       make(map[iputil.Addr]*Metrics),
-		DynamicBlocks: iputil.NewPrefixSet(),
-	}
 	steps := int(cfg.Duration / cfg.Interval)
 	if steps < 1 {
 		steps = 1
@@ -186,13 +191,21 @@ func Run(r Responder, cfg Config) *Result {
 	parts := parallel.Map(cfg.Workers, len(cfg.Blocks), func(i int) blockResult {
 		return surveyBlock(r, cfg.Blocks[i], cfg, steps)
 	})
+	responsive := 0
+	for _, part := range parts {
+		responsive += len(part.addrs)
+	}
+	res := &Result{
+		PerAddr:       make(map[iputil.Addr]*Metrics, responsive),
+		DynamicBlocks: iputil.NewPrefixSet(),
+	}
 	for _, part := range parts {
 		res.Blocks = append(res.Blocks, part.summary)
 		if part.summary.Dynamic {
 			res.DynamicBlocks.Add(part.summary.Block)
 		}
-		for a, m := range part.perAddr {
-			res.PerAddr[a] = m
+		for i := range part.addrs {
+			res.PerAddr[part.addrs[i].addr] = &part.addrs[i].m
 		}
 		res.ProbesSent += part.probesSent
 		res.Retransmissions += part.retransmissions
@@ -227,12 +240,16 @@ func recordObs(reg *obs.Registry, res *Result) {
 // and accounted in O(1): the cost follows how often an address's answer
 // changes, not how many probes it accounts for.
 func surveyBlock(r Responder, block iputil.Prefix, cfg Config, steps int) blockResult {
-	out := blockResult{perAddr: make(map[iputil.Addr]*Metrics)}
+	var out blockResult
 	responds := r.Block(block)
 	summary := BlockSummary{Block: block}
 	var sumA float64
 	var medUptimes []time.Duration
 	var runs []int
+	// A /24's responsive addresses collect on the stack and leave in one
+	// exact-size copy.
+	var buf [256]addrMetrics
+	addrs := buf[:0]
 	for i := 0; i < block.Size(); i++ {
 		addr := block.Nth(i)
 		st := addrState{runs: runs[:0]}
@@ -274,11 +291,10 @@ func surveyBlock(r Responder, block iputil.Prefix, cfg Config, steps int) blockR
 		}
 		sort.Ints(runs)
 		st.m.MedianUptime = time.Duration(runs[len(runs)/2]) * cfg.Interval
-		m := st.m
-		out.perAddr[addr] = &m
+		addrs = append(addrs, addrMetrics{addr, st.m})
 		summary.Responsive++
-		sumA += m.A
-		medUptimes = append(medUptimes, m.MedianUptime)
+		sumA += st.m.A
+		medUptimes = append(medUptimes, st.m.MedianUptime)
 	}
 	if summary.Responsive > 0 {
 		summary.MeanA = sumA / float64(summary.Responsive)
@@ -289,6 +305,9 @@ func surveyBlock(r Responder, block iputil.Prefix, cfg Config, steps int) blockR
 		summary.MedianUptime <= cfg.MaxMedianUptime &&
 		summary.MeanA <= cfg.MaxAvailability
 	out.summary = summary
+	if len(addrs) > 0 {
+		out.addrs = slices.Clone(addrs)
+	}
 	return out
 }
 

@@ -84,26 +84,45 @@ func (d *Delta) ApplyTo(base *Dataset) *Dataset {
 // DiffDatasets computes the delta that turns old into new — what a watch
 // reloader feeds ApplyDelta after re-parsing its input files. Both datasets
 // must be normalized (non-nil map and set).
+//
+// It is a sort-merge rather than a map probe per address: both address
+// maps are pulled into (address, users) entries, radix-sorted and walked
+// once in step, and both prefix sets are walked in their sorted order.
+// RemoveNAT, AddPrefixes and RemovePrefixes come out in ascending order.
 func DiffDatasets(old, new *Dataset) *Delta {
 	d := &Delta{AddNAT: map[iputil.Addr]int{}, Generated: new.Generated}
-	for a, u := range new.NATUsers {
-		if ou, ok := old.NATUsers[a]; !ok || ou != u {
-			d.AddNAT[a] = u
+	olds, news := sortedEntries(old.NATUsers), sortedEntries(new.NATUsers)
+	i, j := 0, 0
+	for i < len(olds) || j < len(news) {
+		switch {
+		case j == len(news) || (i < len(olds) && olds[i].addr < news[j].addr):
+			d.RemoveNAT = append(d.RemoveNAT, olds[i].addr)
+			i++
+		case i == len(olds) || news[j].addr < olds[i].addr:
+			d.AddNAT[news[j].addr] = news[j].users
+			j++
+		default:
+			if olds[i].users != news[j].users {
+				d.AddNAT[news[j].addr] = news[j].users
+			}
+			i++
+			j++
 		}
 	}
-	for a := range old.NATUsers {
-		if _, ok := new.NATUsers[a]; !ok {
-			d.RemoveNAT = append(d.RemoveNAT, a)
-		}
-	}
-	for _, p := range new.DynamicPrefixes.Sorted() {
-		if !old.DynamicPrefixes.Contains(p) {
-			d.AddPrefixes = append(d.AddPrefixes, p)
-		}
-	}
-	for _, p := range old.DynamicPrefixes.Sorted() {
-		if !new.DynamicPrefixes.Contains(p) {
-			d.RemovePrefixes = append(d.RemovePrefixes, p)
+
+	oldP, newP := old.DynamicPrefixes.Sorted(), new.DynamicPrefixes.Sorted()
+	i, j = 0, 0
+	for i < len(oldP) || j < len(newP) {
+		switch {
+		case j == len(newP) || (i < len(oldP) && prefixLess(oldP[i], newP[j])):
+			d.RemovePrefixes = append(d.RemovePrefixes, oldP[i])
+			i++
+		case i == len(oldP) || oldP[i] != newP[j]:
+			d.AddPrefixes = append(d.AddPrefixes, newP[j])
+			j++
+		default:
+			i++
+			j++
 		}
 	}
 	return d
@@ -156,11 +175,7 @@ func (s *Server) ApplyDelta(d *Delta) {
 // mergeNAT produces the sorted successor address/user arrays in one linear
 // pass over the old arrays and the delta's (sorted) additions.
 func mergeNAT(oldAddrs []iputil.Addr, oldUsers []int, d *Delta) ([]iputil.Addr, []int) {
-	adds := make([]iputil.Addr, 0, len(d.AddNAT))
-	for a := range d.AddNAT {
-		adds = append(adds, a)
-	}
-	sort.Slice(adds, func(i, j int) bool { return adds[i] < adds[j] })
+	adds := sortedEntries(d.AddNAT)
 	removed := make(map[iputil.Addr]bool, len(d.RemoveNAT))
 	for _, a := range d.RemoveNAT {
 		if _, ok := d.AddNAT[a]; !ok { // add wins over remove
@@ -173,19 +188,19 @@ func mergeNAT(oldAddrs []iputil.Addr, oldUsers []int, d *Delta) ([]iputil.Addr, 
 	i, j := 0, 0
 	for i < len(oldAddrs) || j < len(adds) {
 		switch {
-		case j >= len(adds) || (i < len(oldAddrs) && oldAddrs[i] < adds[j]):
+		case j >= len(adds) || (i < len(oldAddrs) && oldAddrs[i] < adds[j].addr):
 			if a := oldAddrs[i]; !removed[a] {
 				addrs = append(addrs, a)
 				users = append(users, oldUsers[i])
 			}
 			i++
-		case i >= len(oldAddrs) || adds[j] < oldAddrs[i]:
-			addrs = append(addrs, adds[j])
-			users = append(users, d.AddNAT[adds[j]])
+		case i >= len(oldAddrs) || adds[j].addr < oldAddrs[i]:
+			addrs = append(addrs, adds[j].addr)
+			users = append(users, adds[j].users)
 			j++
 		default: // same address: the add overwrites the user bound
-			addrs = append(addrs, adds[j])
-			users = append(users, d.AddNAT[adds[j]])
+			addrs = append(addrs, adds[j].addr)
+			users = append(users, adds[j].users)
 			i++
 			j++
 		}

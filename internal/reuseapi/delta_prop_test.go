@@ -251,3 +251,67 @@ func TestETagChangesIffBytesChange(t *testing.T) {
 		}
 	}
 }
+
+// TestDiffDatasetsMatchesMapOracle pins DiffDatasets' sort-merge against
+// the map-probing diff it replaced: equal AddNAT maps and prefix edits, and
+// a strictly ascending RemoveNAT holding the oracle's addresses. Pairs come
+// from testkit worlds edited by random deltas, from synthetic datasets under
+// scattered and clustered churn, and from edge cases.
+func TestDiffDatasetsMatchesMapOracle(t *testing.T) {
+	for _, genSeed := range []int64{1, 5, 9} {
+		base := worldDataset(t, testkit.GenWorldSpec(genSeed))
+		rng := rand.New(rand.NewSource(genSeed * 13))
+		for i := 0; i < 4; i++ {
+			next := randomDelta(rng, base, 0.02+0.1*float64(i)).ApplyTo(base)
+			reuseapi.RequireDiffMatchesOracle(t, fmt.Sprintf("world %d/random-%d", genSeed, i), base, next)
+			reuseapi.RequireDiffMatchesOracle(t, fmt.Sprintf("world %d/random-%d reversed", genSeed, i), next, base)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(29))
+	synth := reuseapi.SyntheticDataset(rng, 20_000, 600)
+	reuseapi.RequireDiffMatchesOracle(t, "scattered",
+		synth, reuseapi.ScatteredDelta(rng, synth, 0.01).ApplyTo(synth))
+	reuseapi.RequireDiffMatchesOracle(t, "clustered",
+		synth, reuseapi.ClusteredDelta(rng, synth, 77).ApplyTo(synth))
+
+	empty := &reuseapi.Dataset{
+		NATUsers:        map[iputil.Addr]int{},
+		DynamicPrefixes: iputil.NewPrefixSet(),
+		Generated:       synth.Generated,
+	}
+	restamped := (&reuseapi.Delta{Generated: synth.Generated.Add(time.Hour)}).ApplyTo(synth)
+	disjoint := reuseapi.SyntheticDataset(rand.New(rand.NewSource(31)), 5_000, 100)
+	for a := range disjoint.NATUsers {
+		if _, ok := synth.NATUsers[a]; ok {
+			t.Fatalf("disjoint: %v is in both datasets", a)
+		}
+	}
+	for _, p := range disjoint.DynamicPrefixes.Sorted() {
+		if synth.DynamicPrefixes.Contains(p) {
+			t.Fatalf("disjoint: %v is in both datasets", p)
+		}
+	}
+	revalued := &reuseapi.Delta{AddNAT: map[iputil.Addr]int{}}
+	for a, u := range synth.NATUsers {
+		if a%3 == 0 {
+			revalued.AddNAT[a] = u + 1
+		}
+	}
+	for name, pair := range map[string][2]*reuseapi.Dataset{
+		"identical":  {synth, synth},
+		"restamped":  {synth, restamped},
+		"empty old":  {empty, synth},
+		"empty new":  {synth, empty},
+		"both empty": {empty, empty},
+		"disjoint":   {synth, disjoint},
+		"values":     {synth, revalued.ApplyTo(synth)},
+	} {
+		d := reuseapi.RequireDiffMatchesOracle(t, name, pair[0], pair[1])
+		if name == "identical" || name == "restamped" || name == "both empty" {
+			if !d.Empty() {
+				t.Errorf("%s: diff carries %d ops, want none", name, d.Ops())
+			}
+		}
+	}
+}

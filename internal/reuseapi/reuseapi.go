@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -541,10 +540,10 @@ func (d *Dataset) Verdict(addr iputil.Addr) Verdict {
 
 // SortedNATed returns the NATed addresses in order (for deterministic dumps).
 func (d *Dataset) SortedNATed() []iputil.Addr {
-	out := make([]iputil.Addr, 0, len(d.NATUsers))
-	for a := range d.NATUsers {
-		out = append(out, a)
+	entries := sortedEntries(d.NATUsers)
+	out := make([]iputil.Addr, len(entries))
+	for i, e := range entries {
+		out[i] = e.addr
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -244,12 +244,12 @@ func TestSegmentedLayoutBoundary(t *testing.T) {
 	requireGunzipsToBody(t, "whole-member list", belowSnap.list)
 }
 
-// freshMember compresses b with a newly allocated writer at gzipMember's
-// level — the reference a pooled writer must reproduce.
-func freshMember(t *testing.T, b []byte) []byte {
+// freshMember compresses b with a newly allocated writer at level — at
+// gzipLevel, the reference a pooled writer must reproduce.
+func freshMember(t *testing.T, b []byte, level int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := gzip.NewWriterLevel(&buf, gzip.DefaultCompression)
+	w, err := gzip.NewWriterLevel(&buf, level)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestGzipMemberPooledMatchesFresh(t *testing.T) {
 	}
 	for round := 0; round < 2; round++ {
 		for i, in := range inputs {
-			if got, want := gzipMember(in), freshMember(t, in); !bytes.Equal(got, want) {
+			if got, want := gzipMember(in), freshMember(t, in, gzipLevel); !bytes.Equal(got, want) {
 				t.Fatalf("round %d input %d (%d bytes): pooled member differs from a fresh writer's", round, i, len(in))
 			}
 		}
@@ -296,7 +296,7 @@ func TestGzipMemberPooledMatchesFresh(t *testing.T) {
 	w.Reset(io.Discard)
 	_, _ = w.Write(random)
 	gzipWriters.Put(w)
-	if !bytes.Equal(gzipMember(lines), freshMember(t, lines)) {
+	if !bytes.Equal(gzipMember(lines), freshMember(t, lines, gzipLevel)) {
 		t.Fatal("member after an abandoned stream differs from a fresh writer's")
 	}
 }
@@ -364,5 +364,46 @@ func TestConcurrentCompiles(t *testing.T) {
 	for i, r := range results {
 		requireSameBodies(t, fmt.Sprintf("dataset %d Compile", i), r[0], jobs[i].full)
 		requireSameBodies(t, fmt.Sprintf("dataset %d ApplyDelta", i), r[1], jobs[i].next)
+	}
+}
+
+// clusteredDataset draws nAddrs NATed addresses inside n16 random /16s —
+// the shape of a few providers' pools, where lines share long prefixes.
+func clusteredDataset(rng *rand.Rand, nAddrs, n16 int) *Dataset {
+	d := &Dataset{
+		NATUsers:        make(map[iputil.Addr]int, nAddrs),
+		DynamicPrefixes: iputil.NewPrefixSet(),
+		Generated:       time.Date(2026, 4, 1, 0, 0, 0, 0, time.UTC),
+	}
+	blocks := make([]iputil.Addr, n16)
+	for i := range blocks {
+		blocks[i] = randomUnicast(rng) &^ 0xffff
+	}
+	for len(d.NATUsers) < nAddrs {
+		d.NATUsers[blocks[rng.Intn(n16)]|iputil.Addr(rng.Intn(1<<16))] = 2 + rng.Intn(500)
+	}
+	return d
+}
+
+// TestListGzipSizeBound is the size ratchet on gzipLevel: on a scattered
+// and a clustered list, the served gzip variant may be at most 0.2% larger
+// than the same segments compressed at level 6, the level the served bytes
+// were tuned against.
+func TestListGzipSizeBound(t *testing.T) {
+	for name, data := range map[string]*Dataset{
+		"scattered": syntheticDataset(rand.New(rand.NewSource(13)), 100_000, 0),
+		"clustered": clusteredDataset(rand.New(rand.NewSource(17)), 100_000, 200),
+	} {
+		list := Compile(data).list
+		level6 := 0
+		for _, seg := range list.segs {
+			level6 += len(freshMember(t, seg.body, 6))
+		}
+		got := len(list.gz)
+		t.Logf("%s: %d list bytes at level %d, %d at level 6 (%+.3f%%)",
+			name, got, gzipLevel, level6, 100*(float64(got)/float64(level6)-1))
+		if float64(got) > 1.002*float64(level6) {
+			t.Errorf("%s: gzip list is %d bytes, over 1.002× the level-6 build's %d", name, got, level6)
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -64,11 +63,11 @@ type compiledPrefix struct {
 // independent gzip member (a gzip stream is a concatenation of members, and
 // both Go's gzip.Reader and browsers decode multistream bodies
 // transparently). Compression dominates Compile, so members come from
-// pooled level-6 writers (see gzipMember). Segments are retained so ApplyDelta
-// can re-render and recompress only the segments a delta touches and splice
-// the cached members of the rest; that saving is large only when the edit
-// is clustered in a few top bytes, since scattered churn touches every
-// segment.
+// pooled writers at gzipLevel (see gzipMember). Segments are retained so
+// ApplyDelta can re-render and recompress only the segments a delta touches
+// and splice the cached members of the rest; that saving is large only when
+// the edit is clustered in a few top bytes, since scattered churn touches
+// every segment.
 type precomputedBody struct {
 	body []byte
 	gz   []byte        // concatenated gzip members of body; nil when gzip would not help
@@ -108,17 +107,13 @@ const (
 func Compile(data *Dataset) *Snapshot {
 	s := &Snapshot{generated: data.Generated}
 
-	s.natAddrs = make([]iputil.Addr, 0, len(data.NATUsers))
-	for a := range data.NATUsers {
-		s.natAddrs = append(s.natAddrs, a)
-	}
-	sort.Slice(s.natAddrs, func(i, j int) bool { return s.natAddrs[i] < s.natAddrs[j] })
-	s.natUsers = make([]int, len(s.natAddrs))
-	for i, a := range s.natAddrs {
-		u := data.NATUsers[a]
-		s.natUsers[i] = u
-		if u > s.maxUsers {
-			s.maxUsers = u
+	entries := sortedEntries(data.NATUsers)
+	s.natAddrs = make([]iputil.Addr, len(entries))
+	s.natUsers = make([]int, len(entries))
+	for i, e := range entries {
+		s.natAddrs[i], s.natUsers[i] = e.addr, e.users
+		if e.users > s.maxUsers {
+			s.maxUsers = e.users
 		}
 	}
 
@@ -263,14 +258,18 @@ func precomputeSegments(segs []bodySegment) precomputedBody {
 	return pb
 }
 
+// gzipLevel is the compression level of every gzip member. On these
+// line-per-entry bodies level 5 is the knee: its members are within 0.1%
+// of level 6's (themselves within a few bytes of level 9's) for about a
+// third less CPU, while level 4 gives up over 5% (DESIGN.md §9).
+const gzipLevel = 5
+
 // gzipWriters recycles gzip writers between members: a writer carries
 // about a megabyte of compressor state, which a fresh writer per segment
-// would allocate on every compile. Level 6 (the default) is used because
-// on these line-per-entry bodies it compresses about as well as level 9
-// for much less CPU (DESIGN.md §9).
+// would allocate on every compile.
 var gzipWriters = sync.Pool{
 	New: func() any {
-		w, _ := gzip.NewWriterLevel(nil, gzip.DefaultCompression)
+		w, _ := gzip.NewWriterLevel(nil, gzipLevel)
 		return w
 	},
 }
@@ -407,16 +406,26 @@ func (s *Snapshot) appendVerdict(buf []byte, addr iputil.Addr) []byte {
 	return buf
 }
 
-// appendAddr appends dotted-quad notation without allocating.
+// appendAddr appends dotted-quad notation without allocating. Each octet
+// is copied from a table of the 256 decimal forms rather than formatted,
+// which halves the cost of rendering a list body.
 func appendAddr(buf []byte, a iputil.Addr) []byte {
-	buf = strconv.AppendUint(buf, uint64(a>>24), 10)
+	buf = append(buf, octets[a>>24]...)
 	buf = append(buf, '.')
-	buf = strconv.AppendUint(buf, uint64(a>>16&0xff), 10)
+	buf = append(buf, octets[a>>16&0xff]...)
 	buf = append(buf, '.')
-	buf = strconv.AppendUint(buf, uint64(a>>8&0xff), 10)
+	buf = append(buf, octets[a>>8&0xff]...)
 	buf = append(buf, '.')
-	return strconv.AppendUint(buf, uint64(a&0xff), 10)
+	return append(buf, octets[a&0xff]...)
 }
+
+// octets holds the decimal text of every byte value.
+var octets = func() (t [256]string) {
+	for i := range t {
+		t[i] = strconv.Itoa(i)
+	}
+	return t
+}()
 
 // verdictBufPool recycles the per-request verdict buffers so the check hot
 // path allocates nothing in steady state.
