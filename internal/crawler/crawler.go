@@ -210,13 +210,60 @@ type Crawler struct {
 	stats   Stats
 	running bool
 	stopped bool
-	// One stop function per recurring timer, replaced each time it
-	// re-arms, so a 48 h crawl holds no more handles than a 1 h one.
-	stopBoot, stopTick, stopSweep, stopPing, stopWindow func() bool
+	// One handle per recurring timer, replaced each time it re-arms, so a
+	// 48 h crawl holds no more handles than a 1 h one.
+	bootTimer, tickTimer, sweepTimer, pingTimer, windowTimer dht.Timer
+	// nodeBuf backs decoded find_node responses and buf encodes outgoing
+	// messages, so neither allocates per datagram.
+	nodeBuf []krpc.NodeInfo
+	buf     []byte
 	// failures counts consecutive dead queries per endpoint; endpoints
 	// reaching EvictAfter enter evicted and leave the frontier.
 	failures map[netsim.Endpoint]int
 	evicted  map[netsim.Endpoint]bool
+}
+
+// crawlerTimers is a Crawler as the target of its hot timers, which keeps
+// Fire out of Crawler's method set. A timer's argument holds its kind in
+// the low timerKindBits bits and, for a per-query timer, the transaction
+// ID above them.
+type crawlerTimers Crawler
+
+// Typed timer kinds.
+const (
+	evTick = iota
+	evSweep
+	evPingRound
+	evDeadline   // a query's response deadline
+	evRetransmit // a timed-out query's retry backoff
+
+	timerKindBits = 3
+)
+
+func (t *crawlerTimers) Fire(arg uint64) {
+	c := (*Crawler)(t)
+	tx := arg >> timerKindBits
+	switch arg & (1<<timerKindBits - 1) {
+	case evTick:
+		if c.running {
+			c.pump()
+			c.scheduleTick()
+		}
+	case evSweep:
+		if c.running {
+			c.sweep()
+			c.scheduleSweep()
+		}
+	case evPingRound:
+		if c.running {
+			c.pingRound()
+			c.schedulePingRound()
+		}
+	case evDeadline:
+		c.queryTimeout(tx)
+	case evRetransmit:
+		c.retransmit(tx)
+	}
 }
 
 // New builds a crawler on the given socket.
@@ -224,8 +271,6 @@ func New(sock netsim.Socket, clock dht.Clock, cfg Config) *Crawler {
 	cfg.applyDefaults()
 	id := cfg.ID
 	if id == (krpc.NodeID{}) {
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], uint64(cfg.Seed))
 		id = krpc.GenerateNodeID(iputil.Addr(cfg.Seed), uint64(cfg.Seed))
 	}
 	c := &Crawler{
@@ -238,6 +283,7 @@ func New(sock netsim.Socket, clock dht.Clock, cfg Config) *Crawler {
 		ips:     make(map[iputil.Addr]*ipRecord),
 		nodeIDs: make(map[krpc.NodeID]bool),
 		queued:  make(map[netsim.Endpoint]bool),
+		nodeBuf: make([]krpc.NodeInfo, 0, dht.BucketSize),
 	}
 	if cfg.EvictAfter > 0 {
 		c.failures = make(map[netsim.Endpoint]int)
@@ -266,9 +312,9 @@ func (c *Crawler) Start() {
 		for _, ep := range c.cfg.Bootstrap {
 			c.enqueue(ep)
 		}
-		c.stopBoot = c.clock.After(c.cfg.QueryTimeout, boot)
+		c.bootTimer = c.clock.After(c.cfg.QueryTimeout, boot)
 	}
-	c.stopBoot = c.clock.After(0, boot)
+	c.bootTimer = c.clock.After(0, boot)
 	c.scheduleTick()
 	c.schedulePingRound()
 	c.scheduleSweep()
@@ -281,10 +327,8 @@ func (c *Crawler) Stop() {
 	}
 	c.stopped = true
 	c.running = false
-	for _, stop := range []func() bool{c.stopBoot, c.stopTick, c.stopSweep, c.stopPing, c.stopWindow} {
-		if stop != nil {
-			stop()
-		}
+	for _, t := range []dht.Timer{c.bootTimer, c.tickTimer, c.sweepTimer, c.pingTimer, c.windowTimer} {
+		t.Stop()
 	}
 	c.tx.CancelAll()
 	c.recordObs()
@@ -407,33 +451,15 @@ func (c *Crawler) enqueue(ep netsim.Endpoint) {
 }
 
 func (c *Crawler) scheduleTick() {
-	c.stopTick = c.clock.After(c.cfg.Tick, func() {
-		if !c.running {
-			return
-		}
-		c.pump()
-		c.scheduleTick()
-	})
+	c.tickTimer = c.clock.AfterEvent(c.cfg.Tick, (*crawlerTimers)(c), evTick)
 }
 
 func (c *Crawler) scheduleSweep() {
-	c.stopSweep = c.clock.After(c.cfg.SweepInterval, func() {
-		if !c.running {
-			return
-		}
-		c.sweep()
-		c.scheduleSweep()
-	})
+	c.sweepTimer = c.clock.AfterEvent(c.cfg.SweepInterval, (*crawlerTimers)(c), evSweep)
 }
 
 func (c *Crawler) schedulePingRound() {
-	c.stopPing = c.clock.After(c.cfg.PingInterval, func() {
-		if !c.running {
-			return
-		}
-		c.pingRound()
-		c.schedulePingRound()
-	})
+	c.pingTimer = c.clock.AfterEvent(c.cfg.PingInterval, (*crawlerTimers)(c), evPingRound)
 }
 
 // pump issues up to BatchPerTick get_nodes messages from the front of the
@@ -468,7 +494,8 @@ func (c *Crawler) pump() {
 		}
 		var target krpc.NodeID
 		c.rng.Read(target[:])
-		c.sendQuery(ep, krpc.NewFindNode(c.newTx(), c.id, target), false)
+		tx := c.newTx()
+		c.sendQuery(ep, krpc.NewFindNode(tx[:], c.id, target), false)
 		sent++
 	}
 }
@@ -532,7 +559,8 @@ func (c *Crawler) pingRound() {
 		}
 		sort.Ints(ports)
 		for _, p := range ports {
-			c.sendQuery(netsim.Endpoint{Addr: rec.addr, Port: uint16(p)}, krpc.NewPing(c.newTx(), c.id), true)
+			tx := c.newTx()
+			c.sendQuery(netsim.Endpoint{Addr: rec.addr, Port: uint16(p)}, krpc.NewPing(tx[:], c.id), true)
 		}
 	}
 	sp.SetAttr(obs.Int("candidates", int64(len(candidates))))
@@ -542,7 +570,7 @@ func (c *Crawler) pingRound() {
 	}
 	// A window longer than PingInterval outlives its handle; the running
 	// check keeps such a window from scoring after Stop.
-	c.stopWindow = c.clock.After(c.cfg.PingWindow, func() {
+	c.windowTimer = c.clock.After(c.cfg.PingWindow, func() {
 		if c.running {
 			c.scoreRound(candidates)
 		}
@@ -584,13 +612,13 @@ func (c *Crawler) scoreRound(candidates []*ipRecord) {
 }
 
 func (c *Crawler) sendQuery(to netsim.Endpoint, msg *krpc.Message, isPing bool) {
-	data, err := msg.Marshal()
+	data, err := msg.AppendMarshal(c.buf[:0])
 	if err != nil {
 		return
 	}
-	tx := &Tx{ID: msg.TxID, To: to, IsPing: isPing, Data: data, Attempts: 1}
-	c.tx.Register(tx)
-	tx.Stop = c.armTimeout(tx.ID)
+	c.buf = data
+	tx := c.tx.Register(Tx{ID: binary.BigEndian.Uint64(msg.TxID), To: to, IsPing: isPing, Data: data, Attempts: 1})
+	tx.Timer = c.armTimeout(tx.ID)
 	if isPing {
 		c.stats.PingsSent++
 		c.logEvent(LogEvent{At: c.clock.Now(), Kind: EvPingTx, Addr: to.Addr, Port: to.Port})
@@ -602,15 +630,15 @@ func (c *Crawler) sendQuery(to netsim.Endpoint, msg *krpc.Message, isPing bool) 
 }
 
 // armTimeout starts the response deadline for a pending transaction.
-func (c *Crawler) armTimeout(tx string) func() bool {
-	return c.clock.After(c.cfg.QueryTimeout, func() { c.queryTimeout(tx) })
+func (c *Crawler) armTimeout(tx uint64) dht.Timer {
+	return c.clock.AfterEvent(c.cfg.QueryTimeout, (*crawlerTimers)(c), tx<<timerKindBits|evDeadline)
 }
 
 // queryTimeout fires when a transaction's deadline passes unanswered: either
 // the query earns a retry (exponential backoff plus deterministic jitter) or
 // it is scored a failure — counted as a timeout, remembered for late-reply
 // accounting, and charged against the endpoint's failure score.
-func (c *Crawler) queryTimeout(tx string) {
+func (c *Crawler) queryTimeout(tx uint64) {
 	p, ok := c.tx.Get(tx)
 	if !ok {
 		return
@@ -619,21 +647,21 @@ func (c *Crawler) queryTimeout(tx string) {
 		c.stats.Retries++
 		backoff := c.cfg.RetryBase << (p.Attempts - 1)
 		backoff += time.Duration(c.rng.Int63n(int64(backoff)/2 + 1))
-		p.Stop = c.clock.After(backoff, func() { c.retransmit(tx) })
+		p.Timer = c.clock.AfterEvent(backoff, (*crawlerTimers)(c), tx<<timerKindBits|evRetransmit)
 		return
 	}
-	c.tx.Fail(tx)
+	failed, _ := c.tx.Fail(tx)
 	c.stats.Timeouts++
-	c.noteFailure(p.To)
+	c.noteFailure(failed.To)
 }
 
-func (c *Crawler) retransmit(tx string) {
+func (c *Crawler) retransmit(tx uint64) {
 	p, ok := c.tx.Get(tx)
 	if !ok || !c.running {
 		return
 	}
 	p.Attempts++
-	p.Stop = c.armTimeout(tx)
+	p.Timer = c.armTimeout(tx)
 	c.sock.Send(p.To, p.Data)
 }
 
@@ -667,23 +695,30 @@ func (c *Crawler) logEvent(ev LogEvent) {
 	_ = writeEvent(c.cfg.EventLog, ev)
 }
 
-// handle processes crawler responses.
+// handle processes crawler responses, decoded into a stack Message.
 func (c *Crawler) handle(from netsim.Endpoint, payload []byte) {
 	if c.stopped {
 		return
 	}
-	m, err := krpc.Unmarshal(payload)
-	if err != nil {
+	m := krpc.Message{Nodes: c.nodeBuf}
+	if krpc.UnmarshalInto(payload, &m) != nil {
 		return
+	}
+	if cap(m.Nodes) > cap(c.nodeBuf) {
+		c.nodeBuf = m.Nodes[:0]
 	}
 	switch m.Kind {
 	case krpc.KindResponse:
-		p, ok := c.tx.Resolve(m.TxID)
+		if len(m.TxID) != 8 {
+			return // not a transaction of ours
+		}
+		tx := binary.BigEndian.Uint64(m.TxID)
+		p, ok := c.tx.Resolve(tx)
 		if !ok {
 			// A response to a query already scored a timeout: count it,
 			// log it, and clear the endpoint's failure score, but do not
 			// feed it into discovery — its round is over.
-			if to, late := c.tx.ResolveLate(m.TxID); late {
+			if to, late := c.tx.ResolveLate(tx); late {
 				c.stats.LateReplies++
 				c.noteSuccess(to)
 				c.logEvent(LogEvent{At: c.clock.Now(), Kind: EvLateRx, Addr: from.Addr, Port: from.Port, NodeID: m.ID, HasID: true})
@@ -714,8 +749,9 @@ func (c *Crawler) handle(from netsim.Endpoint, payload []byte) {
 		// The crawler is a passive DHT citizen: it answers pings so it is
 		// not evicted from peers' tables, but returns no neighbours.
 		if m.Method == krpc.MethodPing {
-			resp := krpc.NewPingResponse(m.TxID, c.id, "")
-			if data, err := resp.Marshal(); err == nil {
+			resp := krpc.NewPingResponse(m.TxID, c.id, nil)
+			if data, err := resp.AppendMarshal(c.buf[:0]); err == nil {
+				c.buf = data
 				c.sock.Send(from, data)
 			}
 		}
@@ -743,9 +779,10 @@ func (c *Crawler) observe(ep netsim.Endpoint, id krpc.NodeID, now time.Time) {
 	pi.nodeIDs[id] = true
 }
 
-func (c *Crawler) newTx() string {
+// newTx returns the next transaction ID: the sequence number's 8
+// big-endian bytes.
+func (c *Crawler) newTx() (tx [8]byte) {
 	c.txSeq++
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], c.txSeq)
-	return string(b[:])
+	binary.BigEndian.PutUint64(tx[:], c.txSeq)
+	return tx
 }

@@ -395,24 +395,37 @@ func TestTwoVantagesCoverAtLeastAsMuch(t *testing.T) {
 	_ = nat2
 }
 
-// stopCountingClock counts calls to the stop functions its timers return.
+// stopCountingClock counts the stops of every timer it schedules, closure
+// and typed alike. It holds the inner clock in a field rather than
+// embedding it, so a scheduling method added to dht.Clock does not compile
+// here until the stub counts it too.
 type stopCountingClock struct {
-	dht.Clock
+	inner dht.Clock
 	stops int
 }
 
-func (c *stopCountingClock) After(d time.Duration, fn func()) func() bool {
-	stop := c.Clock.After(d, fn)
-	return func() bool {
+func (c *stopCountingClock) Now() time.Time { return c.inner.Now() }
+
+func (c *stopCountingClock) After(d time.Duration, fn func()) dht.Timer {
+	return c.counted(c.inner.After(d, fn))
+}
+
+func (c *stopCountingClock) AfterEvent(d time.Duration, t netsim.Target, arg uint64) dht.Timer {
+	return c.counted(c.inner.AfterEvent(d, t, arg))
+}
+
+func (c *stopCountingClock) counted(t dht.Timer) dht.Timer {
+	return dht.StopFunc(func() bool {
 		c.stops++
-		return stop()
-	}
+		return t.Stop()
+	})
 }
 
 // TestCrawlerRetainsBoundedTimerHandles re-arms the tick, sweep and ping
 // timers thousands of times and checks Stop still holds one handle per
 // timer: the handles it stops, beyond the outstanding queries' deadlines,
-// are as many after 6 h as after 1 h.
+// are as many after 6 h as after 1 h, and include the boot, tick, sweep
+// and ping handles.
 func TestCrawlerRetainsBoundedTimerHandles(t *testing.T) {
 	retained := func(crawl time.Duration) int {
 		s := newSwarm(t, 20, 0)
@@ -422,7 +435,7 @@ func TestCrawlerRetainsBoundedTimerHandles(t *testing.T) {
 		}
 		cfg := fastConfig()
 		cfg.Bootstrap, cfg.Seed = []netsim.Endpoint{s.eps[0]}, 42
-		clock := &stopCountingClock{Clock: dht.SimClock(s.clock)}
+		clock := &stopCountingClock{inner: dht.SimClock(s.clock)}
 		c := New(sock, clock, cfg)
 		c.Start()
 		s.clock.RunFor(crawl)
@@ -431,7 +444,7 @@ func TestCrawlerRetainsBoundedTimerHandles(t *testing.T) {
 		return clock.stops - before - inFlight
 	}
 	short, long := retained(time.Hour), retained(6*time.Hour)
-	if short != long || short > 7 {
-		t.Errorf("Stop released %d timer handles after 1 h and %d after 6 h, want the same count, at most 7", short, long)
+	if short != long || short < 4 || short > 7 {
+		t.Errorf("Stop released %d timer handles after 1 h and %d after 6 h, want the same count, from 4 to 7", short, long)
 	}
 }

@@ -1,23 +1,26 @@
 package crawler
 
 import (
+	"github.com/reuseblock/reuseblock/internal/dht"
 	"github.com/reuseblock/reuseblock/internal/netsim"
 )
 
-// Tx is one outstanding query transaction: the wire ID, the node it went
-// to, and everything needed to retransmit or score it. The crawler keeps a
-// Tx alive across retries; it is released when a response arrives or the
-// last retry times out.
+// Tx is one outstanding query transaction: its ID, the node it went to,
+// and everything needed to retransmit or score it. The crawler keeps a Tx
+// alive across retries; it is released when a response arrives or the last
+// retry times out.
 type Tx struct {
-	ID     string
+	// ID is the crawler's transaction sequence number; its 8 big-endian
+	// bytes are the wire transaction ID.
+	ID     uint64
 	To     netsim.Endpoint
 	IsPing bool
 	// Data is the marshalled query, kept for retransmission.
 	Data []byte
 	// Attempts counts transmissions so far (1 after the first send).
 	Attempts int
-	// Stop cancels the currently armed response deadline.
-	Stop func() bool
+	// Timer is the currently armed response deadline or retry backoff.
+	Timer dht.Timer
 }
 
 // TxManager correlates KRPC transactions with the node each query went to.
@@ -31,16 +34,20 @@ type Tx struct {
 // remembered (bounded, FIFO-evicted) so a response straggling in afterwards
 // is recognised and counted instead of silently dropped.
 //
+// The records of finished transactions, Data buffers included, are reused
+// for new ones, so a warm crawl allocates nothing per query.
+//
 // The manager is deliberately not goroutine-safe: crawler code is
 // single-threaded by design (simulated swarms run on one event loop; real
 // sockets serialise through the swarm mutex).
 type TxManager struct {
-	pending map[string]*Tx
+	pending map[uint64]*Tx
 	perNode map[netsim.Endpoint]int
-	lateTx  map[string]netsim.Endpoint
+	lateTx  map[uint64]netsim.Endpoint
 	// lateOrder is the late window's FIFO eviction order.
-	lateOrder []string
+	lateOrder []uint64
 	lateMax   int
+	free      []*Tx // records of finished transactions, for Register
 }
 
 // NewTxManager returns a manager whose late-reply window remembers up to
@@ -50,49 +57,71 @@ func NewTxManager(lateWindow int) *TxManager {
 		lateWindow = lateWindowMax
 	}
 	return &TxManager{
-		pending: make(map[string]*Tx),
+		pending: make(map[uint64]*Tx),
 		perNode: make(map[netsim.Endpoint]int),
-		lateTx:  make(map[string]netsim.Endpoint),
+		lateTx:  make(map[uint64]netsim.Endpoint),
 		lateMax: lateWindow,
 	}
 }
 
-// Register adds a freshly sent query to the outstanding set.
-func (m *TxManager) Register(t *Tx) {
-	m.pending[t.ID] = t
+// Register adds a freshly sent query to the outstanding set and returns
+// the manager's record of it, which holds its own copy of t.Data and stays
+// valid until the transaction is resolved, failed or cancelled.
+func (m *TxManager) Register(t Tx) *Tx {
+	var p *Tx
+	if k := len(m.free); k > 0 {
+		p, m.free = m.free[k-1], m.free[:k-1]
+	} else {
+		p = new(Tx)
+	}
+	data := append(p.Data[:0], t.Data...)
+	*p = t
+	p.Data = data
+	m.pending[t.ID] = p
 	m.perNode[t.To]++
+	return p
+}
+
+// finish removes an outstanding transaction and recycles its record,
+// returning a copy without Data.
+func (m *TxManager) finish(id uint64) (Tx, bool) {
+	p, ok := m.pending[id]
+	if !ok {
+		return Tx{}, false
+	}
+	delete(m.pending, id)
+	m.releaseNode(p.To)
+	m.free = append(m.free, p)
+	t := *p
+	t.Data = nil
+	return t, true
 }
 
 // Get returns the outstanding transaction without resolving it (retry and
 // timeout paths peek first).
-func (m *TxManager) Get(id string) (*Tx, bool) {
+func (m *TxManager) Get(id uint64) (*Tx, bool) {
 	t, ok := m.pending[id]
 	return t, ok
 }
 
 // Resolve removes a transaction whose response arrived, cancelling its
 // deadline timer and releasing its per-node slot.
-func (m *TxManager) Resolve(id string) (*Tx, bool) {
-	t, ok := m.pending[id]
-	if !ok {
-		return nil, false
+func (m *TxManager) Resolve(id uint64) (Tx, bool) {
+	t, ok := m.finish(id)
+	if ok {
+		t.Timer.Stop()
 	}
-	delete(m.pending, id)
-	m.releaseNode(t.To)
-	t.Stop()
-	return t, true
+	return t, ok
 }
 
 // Fail removes a transaction whose deadline passed with every retry
 // exhausted (the timer has already fired, so no Stop), releases its
 // per-node slot, and remembers it in the late-reply window.
-func (m *TxManager) Fail(id string) (*Tx, bool) {
-	t, ok := m.pending[id]
+func (m *TxManager) Fail(id uint64) (Tx, bool) {
+	t, ok := m.finish(id)
 	if !ok {
-		return nil, false
+		return t, false
 	}
-	delete(m.pending, id)
-	m.releaseNode(t.To)
 	if len(m.lateOrder) >= m.lateMax {
 		delete(m.lateTx, m.lateOrder[0])
 		m.lateOrder = m.lateOrder[1:]
@@ -104,7 +133,7 @@ func (m *TxManager) Fail(id string) (*Tx, bool) {
 
 // ResolveLate pops a transaction from the late-reply window, returning the
 // node its query went to. A transaction resolves late at most once.
-func (m *TxManager) ResolveLate(id string) (netsim.Endpoint, bool) {
+func (m *TxManager) ResolveLate(id uint64) (netsim.Endpoint, bool) {
 	to, ok := m.lateTx[id]
 	if ok {
 		delete(m.lateTx, id)
@@ -124,9 +153,9 @@ func (m *TxManager) Outstanding(ep netsim.Endpoint) int { return m.perNode[ep] }
 // late window is kept (a stopping crawler still counts stragglers).
 func (m *TxManager) CancelAll() {
 	for _, t := range m.pending {
-		t.Stop()
+		t.Timer.Stop()
 	}
-	m.pending = make(map[string]*Tx)
+	m.pending = make(map[uint64]*Tx)
 	m.perNode = make(map[netsim.Endpoint]int)
 }
 

@@ -10,7 +10,6 @@
 package dht
 
 import (
-	"sync"
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/netsim"
@@ -21,9 +20,33 @@ import (
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
-	// After schedules fn once after d and returns a stop function that
-	// reports whether the event was cancelled before firing.
-	After(d time.Duration, fn func()) (stop func() bool)
+	// After schedules fn once after d.
+	After(d time.Duration, fn func()) Timer
+	// AfterEvent schedules t.Fire(arg) once after d. On the simulator a
+	// long-lived target makes arming a timer allocation-free; timers of
+	// both kinds due at one instant fire in scheduling order.
+	AfterEvent(d time.Duration, t netsim.Target, arg uint64) Timer
+}
+
+// Timer is a handle to a scheduled callback: a netsim.Timer on the
+// simulator, a stop function on the wall clock. The zero Timer stops
+// nothing.
+type Timer struct {
+	sim  netsim.Timer
+	stop func() bool
+}
+
+// StopFunc returns a Timer whose Stop calls stop, for Clock
+// implementations outside the simulator.
+func StopFunc(stop func() bool) Timer { return Timer{stop: stop} }
+
+// Stop cancels the callback; it reports whether the callback had not yet
+// fired.
+func (t Timer) Stop() bool {
+	if t.stop != nil {
+		return t.stop()
+	}
+	return t.sim.Stop()
 }
 
 // SimClock adapts a netsim.Clock to the Clock interface.
@@ -33,9 +56,12 @@ type simClock struct{ c *netsim.Clock }
 
 func (s simClock) Now() time.Time { return s.c.Now() }
 
-func (s simClock) After(d time.Duration, fn func()) func() bool {
-	t := s.c.After(d, fn)
-	return t.Stop
+func (s simClock) After(d time.Duration, fn func()) Timer {
+	return Timer{sim: s.c.After(d, fn)}
+}
+
+func (s simClock) AfterEvent(d time.Duration, t netsim.Target, arg uint64) Timer {
+	return Timer{sim: s.c.AfterEvent(d, t, arg)}
 }
 
 // WallClock returns a Clock backed by real time; timers fire on their own
@@ -46,12 +72,10 @@ type wallClock struct{}
 
 func (wallClock) Now() time.Time { return time.Now() }
 
-func (wallClock) After(d time.Duration, fn func()) func() bool {
-	t := time.AfterFunc(d, fn)
-	var once sync.Once
-	return func() bool {
-		stopped := false
-		once.Do(func() { stopped = t.Stop() })
-		return stopped
-	}
+func (wallClock) After(d time.Duration, fn func()) Timer {
+	return StopFunc(time.AfterFunc(d, fn).Stop)
+}
+
+func (w wallClock) AfterEvent(d time.Duration, t netsim.Target, arg uint64) Timer {
+	return w.After(d, func() { t.Fire(arg) })
 }

@@ -58,7 +58,7 @@ func TestPingPong(t *testing.T) {
 	if got == nil || got.ID != b.ID() {
 		t.Fatalf("pong = %+v", got)
 	}
-	if got.Version != "RB01" {
+	if string(got.Version) != "RB01" {
 		t.Errorf("version = %q", got.Version)
 	}
 	// b learned a from the query.
@@ -321,4 +321,41 @@ func itoa(i int) string {
 		return string(rune('0' + i))
 	}
 	return string(rune('0'+i/10)) + string(rune('0'+i%10))
+}
+
+// TestKeepaliveRoundTripAllocs pins what one NATed node's keepalive round
+// trip (timer, ping, pong, resolve) costs the heap: the fabric's copy of
+// each of the two datagrams, plus one allocation of slack.
+func TestKeepaliveRoundTripAllocs(t *testing.T) {
+	w := newSimWorld(t)
+	nat, err := netsim.NewNAT(w.net, netsim.NATConfig{
+		PublicAddr: iputil.MustParseAddr("100.64.0.1"),
+		MappingTTL: 10 * time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := nat.Listen(iputil.MustParseAddr("192.168.0.5"), 6881)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const interval = time.Minute
+	natted := NewNode(inner, SimClock(w.clock), Config{
+		PrivateIP:         iputil.MustParseAddr("192.168.0.5"),
+		IDSeed:            5,
+		Seed:              5,
+		KeepaliveInterval: interval,
+	})
+	peer := w.newNode(t, "10.0.0.1", 6881, 1)
+	natted.Ping(endpointOf(peer), nil)
+	w.clock.RunFor(10 * interval) // learn the peer, warm maps and buffers
+	before := natted.Stats()
+	allocs := testing.AllocsPerRun(100, func() { w.clock.RunFor(interval) })
+	after := natted.Stats()
+	if got := after.ResponsesReceived - before.ResponsesReceived; got < 100 {
+		t.Fatalf("%d keepalive pongs in 101 intervals; the test measures no round trips", got)
+	}
+	if allocs > 3 {
+		t.Errorf("keepalive round trip: %v allocs, want <= 3", allocs)
+	}
 }

@@ -2,6 +2,7 @@ package dht
 
 import (
 	"encoding/binary"
+	"sync"
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/iputil"
@@ -67,21 +68,50 @@ type Node struct {
 	clock Clock
 	rng   splitmix     // by value, so the generator is no heap object
 	table routingTable // by value: one less pointer and heap object per node
-	// pending maps transaction IDs to in-flight queries by value and is
-	// allocated lazily on the first outgoing query: a pendingQuery is two
-	// function words, and most simulated swarm nodes never issue a query
-	// at all (only NATed keepalive pings and restart rejoins do), so the
-	// common case carries no map.
-	pending map[string]pendingQuery
-	stats   Stats
-	closed  bool
-	stopKA  func() bool
+	// pending maps the 4-byte transaction IDs, read as big-endian
+	// integers, to in-flight queries by value and is allocated lazily on
+	// the first outgoing query: a pendingQuery is a callback word and a
+	// three-word timer handle, and most simulated swarm nodes never issue
+	// a query at all (only NATed keepalive pings and restart rejoins do),
+	// so the common case carries no map.
+	pending   map[uint32]pendingQuery
+	stats     Stats
+	closed    bool
+	keepalive Timer
 }
 
 type pendingQuery struct {
-	done     func(*krpc.Message, error)
-	stopTime func() bool
+	done    func(*krpc.Message, error)
+	timeout Timer
 }
+
+// nodeTimers is a Node as the target of its own timers, which keeps Fire
+// out of Node's method set. A timer's argument is the transaction ID of the
+// query it times out, or keepaliveTimer.
+type nodeTimers Node
+
+// keepaliveTimer lies outside the 32-bit transaction ID range.
+const keepaliveTimer = 1 << 32
+
+func (t *nodeTimers) Fire(arg uint64) {
+	n := (*Node)(t)
+	if arg == keepaliveTimer {
+		n.sendKeepalive()
+		return
+	}
+	tx := uint32(arg)
+	if p, ok := n.pending[tx]; ok {
+		delete(n.pending, tx)
+		n.stats.Timeouts++
+		if p.done != nil {
+			p.done(nil, ErrTimeout)
+		}
+	}
+}
+
+// sendBufs holds encode buffers. The fabric copies each payload and a real
+// socket writes it before Send returns, so a buffer is free again at once.
+var sendBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // ErrTimeout is delivered to query callbacks when no response arrives.
 var ErrTimeout = timeoutError{}
@@ -183,11 +213,9 @@ func (n *Node) Close() {
 		return
 	}
 	n.closed = true
-	if n.stopKA != nil {
-		n.stopKA()
-	}
+	n.keepalive.Stop()
 	for _, p := range n.pending {
-		p.stopTime()
+		p.timeout.Stop()
 	}
 	n.pending = nil
 	n.sock.Close()
@@ -196,15 +224,13 @@ func (n *Node) Close() {
 // Ping issues a ping query; done receives the response or an error.
 func (n *Node) Ping(to netsim.Endpoint, done func(*krpc.Message, error)) {
 	tx := n.newTx()
-	msg := krpc.NewPing(tx, n.id)
-	n.sendQuery(to, msg, done)
+	n.sendQuery(to, krpc.NewPing(tx[:], n.id), done)
 }
 
 // FindNode issues a find_node query for target.
 func (n *Node) FindNode(to netsim.Endpoint, target krpc.NodeID, done func(*krpc.Message, error)) {
 	tx := n.newTx()
-	msg := krpc.NewFindNode(tx, n.id, target)
-	n.sendQuery(to, msg, done)
+	n.sendQuery(to, krpc.NewFindNode(tx[:], n.id, target), done)
 }
 
 // Bootstrap performs an iterative find_node toward the node's own ID using
@@ -279,60 +305,66 @@ func (n *Node) bootstrapOnce(entry netsim.Endpoint, done func(learned int)) {
 }
 
 func (n *Node) sendQuery(to netsim.Endpoint, msg *krpc.Message, done func(*krpc.Message, error)) {
-	data, err := msg.Marshal()
-	if err != nil {
+	if err := n.send(to, msg); err != nil {
 		if done != nil {
 			done(nil, err)
 		}
 		return
 	}
-	tx := msg.TxID
-	stop := n.clock.After(n.cfg.QueryTimeout, func() {
-		if p, ok := n.pending[tx]; ok {
-			delete(n.pending, tx)
-			n.stats.Timeouts++
-			if p.done != nil {
-				p.done(nil, ErrTimeout)
-			}
-		}
-	})
+	tx := binary.BigEndian.Uint32(msg.TxID)
+	timeout := n.clock.AfterEvent(n.cfg.QueryTimeout, (*nodeTimers)(n), uint64(tx))
 	if n.pending == nil {
-		n.pending = make(map[string]pendingQuery)
+		n.pending = make(map[uint32]pendingQuery)
 	}
-	n.pending[tx] = pendingQuery{done: done, stopTime: stop}
+	n.pending[tx] = pendingQuery{done: done, timeout: timeout}
 	n.stats.QueriesSent++
-	n.sock.Send(to, data)
 }
 
-// handle processes an incoming datagram.
+// send marshals m into a pooled buffer and sends it to to.
+func (n *Node) send(to netsim.Endpoint, m *krpc.Message) error {
+	buf := sendBufs.Get().(*[]byte)
+	defer sendBufs.Put(buf)
+	data, err := m.AppendMarshal((*buf)[:0])
+	if err != nil {
+		return err
+	}
+	*buf = data
+	n.sock.Send(to, data)
+	return nil
+}
+
+// handle processes an incoming datagram. It decodes into a stack Message;
+// only a query's done callback gets a copy on the heap.
 func (n *Node) handle(from netsim.Endpoint, payload []byte) {
 	if n.closed {
 		return
 	}
-	m, err := krpc.Unmarshal(payload)
-	if err != nil {
+	var m krpc.Message
+	if krpc.UnmarshalInto(payload, &m) != nil {
 		return // silently ignore garbage, as real nodes do
 	}
 	switch m.Kind {
 	case krpc.KindQuery:
 		n.stats.QueriesReceived++
 		n.table.add(krpc.NodeInfo{ID: m.ID, Addr: from.Addr, Port: from.Port}, n.clock.Now())
-		n.answer(from, m)
+		n.answer(from, &m)
 	case krpc.KindResponse, krpc.KindError:
-		p, ok := n.pending[m.TxID]
+		if len(m.TxID) != 4 {
+			return // not a transaction of ours
+		}
+		tx := binary.BigEndian.Uint32(m.TxID)
+		p, ok := n.pending[tx]
 		if !ok {
 			return // late or spoofed response
 		}
-		delete(n.pending, m.TxID)
-		p.stopTime()
+		delete(n.pending, tx)
+		p.timeout.Stop()
 		if m.Kind == krpc.KindResponse {
 			n.stats.ResponsesReceived++
 			n.table.add(krpc.NodeInfo{ID: m.ID, Addr: from.Addr, Port: from.Port}, n.clock.Now())
-			if p.done != nil {
-				p.done(m, nil)
-			}
-		} else if p.done != nil {
-			p.done(m, nil)
+		}
+		if p.done != nil {
+			p.done(m.Clone(), nil)
 		}
 	}
 }
@@ -341,23 +373,20 @@ func (n *Node) answer(from netsim.Endpoint, q *krpc.Message) {
 	var resp *krpc.Message
 	switch q.Method {
 	case krpc.MethodPing:
-		resp = krpc.NewPingResponse(q.TxID, n.id, n.cfg.Version)
+		resp = krpc.NewPingResponse(q.TxID, n.id, []byte(n.cfg.Version))
 	case krpc.MethodFindNode:
 		var buf [BucketSize]krpc.NodeInfo
 		nodes := n.table.closest(q.Target, buf[:])
 		if n.cfg.Byzantine {
 			nodes = n.fabricateNodes()
 		}
-		resp = krpc.NewFindNodeResponse(q.TxID, n.id, nodes, n.cfg.Version)
+		resp = krpc.NewFindNodeResponse(q.TxID, n.id, nodes, []byte(n.cfg.Version))
 	default:
 		resp = krpc.NewError(q.TxID, krpc.ErrCodeMethodUnknown, "Method Unknown")
 	}
-	data, err := resp.Marshal()
-	if err != nil {
-		return
+	if n.send(from, resp) == nil {
+		n.stats.ResponsesSent++
 	}
-	n.stats.ResponsesSent++
-	n.sock.Send(from, data)
 }
 
 // fabricateNodes invents neighbours for a byzantine find_node response:
@@ -382,19 +411,21 @@ func (n *Node) fabricateNodes() []krpc.NodeInfo {
 }
 
 func (n *Node) scheduleKeepalive() {
-	n.stopKA = n.clock.After(n.cfg.KeepaliveInterval, func() {
-		if n.closed {
-			return
-		}
-		if info, ok := n.table.randomEntry(n.rng.Intn(1 << 30)); ok {
-			n.Ping(netsim.Endpoint{Addr: info.Addr, Port: info.Port}, nil)
-		}
-		n.scheduleKeepalive()
-	})
+	n.keepalive = n.clock.AfterEvent(n.cfg.KeepaliveInterval, (*nodeTimers)(n), keepaliveTimer)
 }
 
-func (n *Node) newTx() string {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], n.rng.Uint32())
-	return string(b[:])
+// sendKeepalive pings a random routing-table entry and re-arms.
+func (n *Node) sendKeepalive() {
+	if n.closed {
+		return
+	}
+	if info, ok := n.table.randomEntry(n.rng.Intn(1 << 30)); ok {
+		n.Ping(netsim.Endpoint{Addr: info.Addr, Port: info.Port}, nil)
+	}
+	n.scheduleKeepalive()
+}
+
+func (n *Node) newTx() (tx [4]byte) {
+	binary.BigEndian.PutUint32(tx[:], n.rng.Uint32())
+	return tx
 }

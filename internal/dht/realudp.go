@@ -136,10 +136,14 @@ type lockedClock struct {
 
 func (l lockedClock) Now() time.Time { return l.inner.Now() }
 
-func (l lockedClock) After(d time.Duration, fn func()) func() bool {
+func (l lockedClock) After(d time.Duration, fn func()) Timer {
 	return l.inner.After(d, func() {
 		l.mu.Lock()
 		defer l.mu.Unlock()
 		fn()
 	})
+}
+
+func (l lockedClock) AfterEvent(d time.Duration, t netsim.Target, arg uint64) Timer {
+	return l.After(d, func() { t.Fire(arg) })
 }

@@ -111,3 +111,39 @@ func TestRealUDPFindNode(t *testing.T) {
 	b.Close()
 	mu.Unlock()
 }
+
+// lockProbe is a typed timer target that reports whether the swarm mutex
+// was held while it fired.
+type lockProbe struct {
+	mu    *sync.Mutex
+	fired chan bool
+}
+
+func (p lockProbe) Fire(arg uint64) {
+	held := !p.mu.TryLock()
+	if !held {
+		p.mu.Unlock()
+	}
+	p.fired <- held && arg == 42
+}
+
+// TestLockedClockTypedTimer arms a typed timer through LockedClock on the
+// wall clock: it fires under the swarm mutex with its argument, and a Stop
+// after firing reports false.
+func TestLockedClockTypedTimer(t *testing.T) {
+	var mu sync.Mutex
+	clock := LockedClock(&mu, WallClock())
+	probe := lockProbe{mu: &mu, fired: make(chan bool, 1)}
+	timer := clock.AfterEvent(time.Millisecond, probe, 42)
+	select {
+	case ok := <-probe.fired:
+		if !ok {
+			t.Fatal("typed timer fired without the swarm mutex or with the wrong argument")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("typed timer never fired")
+	}
+	if timer.Stop() {
+		t.Error("Stop after firing reported true")
+	}
+}

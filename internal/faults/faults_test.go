@@ -240,11 +240,11 @@ func TestRateLimitQueriesOnly(t *testing.T) {
 	scn := &Scenario{RateLimit: &RateLimit{RatePerSec: 0.001, Burst: 1, QueriesOnly: true}}
 	_, hook := newHook(t, scn, 1)
 	var id krpc.NodeID
-	query, err := krpc.NewPing("aa", id).Marshal()
+	query, err := krpc.NewPing([]byte("aa"), id).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := krpc.NewPingResponse("aa", id, "RB01").Marshal()
+	resp, err := krpc.NewPingResponse([]byte("aa"), id, []byte("RB01")).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestCorruptionShapes(t *testing.T) {
 		{Addr: iputil.AddrFrom4(1, 2, 3, 4), Port: 6881},
 		{Addr: iputil.AddrFrom4(5, 6, 7, 8), Port: 6882},
 	}
-	orig, err := krpc.NewFindNodeResponse("tx", self, nodes, "RB01").Marshal()
+	orig, err := krpc.NewFindNodeResponse([]byte("tx"), self, nodes, []byte("RB01")).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestInjectorDeterminism(t *testing.T) {
 		}
 		inj, hook := newHook(t, scn, seed)
 		var id krpc.NodeID
-		query, _ := krpc.NewPing("aa", id).Marshal()
+		query, _ := krpc.NewPing([]byte("aa"), id).Marshal()
 		var trace []byte
 		for i := 0; i < 2000; i++ {
 			from := ep(10, 0, byte(i/256), byte(i%256), 1)

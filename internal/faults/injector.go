@@ -166,8 +166,8 @@ func (inj *Injector) blackedOut(b Blackout, addr iputil.Addr) bool {
 // virtual time.
 func (p *part) limited(rl *RateLimit, d netsim.Datagram) bool {
 	if rl.QueriesOnly {
-		m, err := krpc.Unmarshal(d.Payload)
-		if err != nil || m.Kind != krpc.KindQuery {
+		var m krpc.Message
+		if krpc.UnmarshalInto(d.Payload, &m) != nil || m.Kind != krpc.KindQuery {
 			return false
 		}
 	}

@@ -36,21 +36,21 @@ func TestConstructorBytesPinned(t *testing.T) {
 		m    *Message
 		want string
 	}{
-		{"ping", NewPing("aa", self),
+		{"ping", NewPing([]byte("aa"), self),
 			"d1:ad2:id20:SSSSSSSSSSSSSSSSSSSSe1:q4:ping1:t2:aa1:y1:qe"},
-		{"find_node", NewFindNode("bb", self, target),
+		{"find_node", NewFindNode([]byte("bb"), self, target),
 			"d1:ad2:id20:SSSSSSSSSSSSSSSSSSSS6:target20:TTTTTTTTTTTTTTTTTTTTe1:q9:find_node1:t2:bb1:y1:qe"},
-		{"ping response", NewPingResponse("cc", self, ""),
+		{"ping response", NewPingResponse([]byte("cc"), self, nil),
 			"d1:rd2:id20:SSSSSSSSSSSSSSSSSSSSe1:t2:cc1:y1:re"},
-		{"ping response with v", NewPingResponse("cc", self, "LT0101"),
+		{"ping response with v", NewPingResponse([]byte("cc"), self, []byte("LT0101")),
 			"d1:rd2:id20:SSSSSSSSSSSSSSSSSSSSe1:t2:cc1:v6:LT01011:y1:re"},
-		{"find_node response 0 nodes", NewFindNodeResponse("dd", self, nil, "LT0101"),
+		{"find_node response 0 nodes", NewFindNodeResponse([]byte("dd"), self, nil, []byte("LT0101")),
 			"d1:rd2:id20:SSSSSSSSSSSSSSSSSSSSe1:t2:dd1:v6:LT01011:y1:re"},
-		{"find_node response 1 node", NewFindNodeResponse("dd", self, nodes[:1], "LT0101"),
+		{"find_node response 1 node", NewFindNodeResponse([]byte("dd"), self, nodes[:1], []byte("LT0101")),
 			"d1:rd2:id20:SSSSSSSSSSSSSSSSSSSS5:nodes26:aaaaaaaaaaaaaaaaaaaa\xc63d\x01\x1a\xe1e1:t2:dd1:v6:LT01011:y1:re"},
-		{"find_node response 8 nodes", NewFindNodeResponse("dd", self, nodes, ""),
+		{"find_node response 8 nodes", NewFindNodeResponse([]byte("dd"), self, nodes, nil),
 			"d1:rd2:id20:SSSSSSSSSSSSSSSSSSSS5:nodes208:aaaaaaaaaaaaaaaaaaaa\xc63d\x01\x1a\xe1bbbbbbbbbbbbbbbbbbbb\xc63d\x02\x1a\xe2cccccccccccccccccccc\xc63d\x03\x1a\xe3dddddddddddddddddddd\xc63d\x04\x1a\xe4eeeeeeeeeeeeeeeeeeee\xc63d\x05\x1a\xe5ffffffffffffffffffff\xc63d\x06\x1a\xe6gggggggggggggggggggg\xc63d\a\x1a\xe7hhhhhhhhhhhhhhhhhhhh\xc63d\b\x1a\xe8e1:t2:dd1:y1:re"},
-		{"error", NewError("ee", ErrCodeMethodUnknown, "Method Unknown"),
+		{"error", NewError([]byte("ee"), ErrCodeMethodUnknown, "Method Unknown"),
 			"d1:eli204e14:Method Unknowne1:t2:ee1:y1:ee"},
 	}
 	for _, c := range cases {
@@ -63,6 +63,9 @@ func TestConstructorBytesPinned(t *testing.T) {
 		}
 		if cap(got) != len(got) {
 			t.Errorf("%s: buffer cap %d for %d bytes, want an exact fit", c.name, cap(got), len(got))
+		}
+		if app, err := c.m.AppendMarshal([]byte("prefix")); err != nil || string(app) != "prefix"+c.want {
+			t.Errorf("%s: AppendMarshal = %q, %v; want the datagram after the prefix", c.name, app, err)
 		}
 		checkDifferential(t, got)
 	}
@@ -112,11 +115,11 @@ func checkDifferential(t *testing.T, data []byte) {
 func FuzzCodecDifferential(f *testing.F) {
 	id := fillID('S')
 	for _, m := range []*Message{
-		NewPing("aa", id),
-		NewFindNode("bb", id, fillID('T')),
-		NewPingResponse("cc", id, "LT0101"),
-		NewFindNodeResponse("dd", id, eightNodes(), "v"),
-		NewError("ee", ErrCodeGeneric, "x"),
+		NewPing([]byte("aa"), id),
+		NewFindNode([]byte("bb"), id, fillID('T')),
+		NewPingResponse([]byte("cc"), id, []byte("LT0101")),
+		NewFindNodeResponse([]byte("dd"), id, eightNodes(), []byte("v")),
+		NewError([]byte("ee"), ErrCodeGeneric, "x"),
 	} {
 		b, err := m.Marshal()
 		if err != nil {
@@ -147,13 +150,14 @@ func FuzzCodecDifferential(f *testing.F) {
 var sinkMsg *Message
 var sinkBytes []byte
 
-// TestCodecAllocs pins the per-datagram allocation counts: a decode
-// allocates the Message and its strings (plus the node slice), an encode
-// exactly its output buffer.
+// TestCodecAllocs pins the per-datagram allocation counts: Unmarshal
+// allocates the Message and its copy of the datagram (plus the node slice),
+// Marshal exactly its output buffer, and the in-place UnmarshalInto and
+// AppendMarshal nothing once their message and buffer are warm.
 func TestCodecAllocs(t *testing.T) {
 	id := fillID('S')
-	ping, _ := NewPing("aa", id).Marshal()
-	resp, _ := NewFindNodeResponse("dd", id, eightNodes(), "LT0101").Marshal()
+	ping, _ := NewPing([]byte("aa"), id).Marshal()
+	resp, _ := NewFindNodeResponse([]byte("dd"), id, eightNodes(), []byte("LT0101")).Marshal()
 	for _, c := range []struct {
 		name string
 		max  float64
@@ -167,20 +171,30 @@ func TestCodecAllocs(t *testing.T) {
 		}
 	}
 	for _, m := range []*Message{
-		NewPing("aa", id),
-		NewFindNode("bb", id, fillID('T')),
-		NewPingResponse("cc", id, "LT0101"),
-		NewFindNodeResponse("dd", id, eightNodes(), "LT0101"),
-		NewError("ee", ErrCodeMethodUnknown, "Method Unknown"),
+		NewPing([]byte("aa"), id),
+		NewFindNode([]byte("bb"), id, fillID('T')),
+		NewPingResponse([]byte("cc"), id, []byte("LT0101")),
+		NewFindNodeResponse([]byte("dd"), id, eightNodes(), []byte("LT0101")),
+		NewError([]byte("ee"), ErrCodeMethodUnknown, "Method Unknown"),
 	} {
 		if got := testing.AllocsPerRun(100, func() { sinkBytes, _ = m.Marshal() }); got != 1 {
 			t.Errorf("Marshal %+v: %v allocs, want 1", m, got)
+		}
+		buf := make([]byte, 0, 512)
+		if got := testing.AllocsPerRun(100, func() { sinkBytes, _ = m.AppendMarshal(buf[:0]) }); got != 0 {
+			t.Errorf("AppendMarshal %+v: %v allocs, want 0", m, got)
+		}
+	}
+	var into Message
+	for _, data := range [][]byte{ping, resp} {
+		if got := testing.AllocsPerRun(100, func() { _ = UnmarshalInto(data, &into) }); got != 0 {
+			t.Errorf("UnmarshalInto(%q): %v allocs, want 0", data, got)
 		}
 	}
 }
 
 func BenchmarkUnmarshalPing(b *testing.B) {
-	data, _ := NewPing("aa", fillID('S')).Marshal()
+	data, _ := NewPing([]byte("aa"), fillID('S')).Marshal()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -189,7 +203,7 @@ func BenchmarkUnmarshalPing(b *testing.B) {
 }
 
 func BenchmarkMarshalFindNodeResponse(b *testing.B) {
-	m := NewFindNodeResponse("dd", fillID('S'), eightNodes(), "LT0101")
+	m := NewFindNodeResponse([]byte("dd"), fillID('S'), eightNodes(), []byte("LT0101"))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

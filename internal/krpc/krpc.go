@@ -9,11 +9,13 @@
 package krpc
 
 import (
+	"bytes"
 	"crypto/sha1"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -119,10 +121,22 @@ func appendCompactNodes(out []byte, nodes []NodeInfo) []byte {
 
 // UnmarshalCompactNodes parses BEP 5 compact node info.
 func UnmarshalCompactNodes(data []byte) ([]NodeInfo, error) {
-	if len(data)%CompactNodeLen != 0 {
-		return nil, fmt.Errorf("krpc: compact node data length %d not a multiple of %d", len(data), CompactNodeLen)
+	if err := checkCompactNodes(data); err != nil {
+		return nil, err
 	}
-	nodes := make([]NodeInfo, 0, len(data)/CompactNodeLen)
+	return appendNodeInfos(make([]NodeInfo, 0, len(data)/CompactNodeLen), data), nil
+}
+
+func checkCompactNodes(data []byte) error {
+	if len(data)%CompactNodeLen != 0 {
+		return fmt.Errorf("krpc: compact node data length %d not a multiple of %d", len(data), CompactNodeLen)
+	}
+	return nil
+}
+
+// appendNodeInfos appends the compact node infos in data, whose length
+// checkCompactNodes accepted, to nodes.
+func appendNodeInfos(nodes []NodeInfo, data []byte) []NodeInfo {
 	for off := 0; off < len(data); off += CompactNodeLen {
 		var n NodeInfo
 		copy(n.ID[:], data[off:off+IDLen])
@@ -130,7 +144,7 @@ func UnmarshalCompactNodes(data []byte) ([]NodeInfo, error) {
 		n.Port = uint16(data[off+IDLen+4])<<8 | uint16(data[off+IDLen+5])
 		nodes = append(nodes, n)
 	}
-	return nodes, nil
+	return nodes
 }
 
 // Kind discriminates the three KRPC message types.
@@ -159,11 +173,13 @@ const (
 )
 
 // Message is a decoded KRPC message. Exactly one of Query/Response/Error
-// content is meaningful depending on Kind.
+// content is meaningful depending on Kind. A message decoded by
+// UnmarshalInto shares TxID and Version with its datagram; Clone or
+// Unmarshal gives one that owns all its memory.
 type Message struct {
-	TxID    string // transaction ID echoed by responses
+	TxID    []byte // transaction ID echoed by responses
 	Kind    Kind
-	Version string // optional client version ("v" key)
+	Version []byte // optional client version ("v" key)
 
 	// Query fields.
 	Method string
@@ -184,37 +200,75 @@ var (
 	ErrBadKind   = errors.New("krpc: unknown message kind")
 )
 
+// The constructors keep the slices they are given; each one inlines, so a
+// message that does not outlive its caller stays on the caller's stack.
+
 // NewPing builds a ping query — the paper's bt_ping.
-func NewPing(txID string, self NodeID) *Message {
+func NewPing(txID []byte, self NodeID) *Message {
 	return &Message{TxID: txID, Kind: KindQuery, Method: MethodPing, ID: self}
 }
 
 // NewFindNode builds a find_node query — the paper's get_nodes.
-func NewFindNode(txID string, self, target NodeID) *Message {
+func NewFindNode(txID []byte, self, target NodeID) *Message {
 	return &Message{TxID: txID, Kind: KindQuery, Method: MethodFindNode, ID: self, Target: target}
 }
 
 // NewPingResponse builds the response to a ping.
-func NewPingResponse(txID string, self NodeID, version string) *Message {
+func NewPingResponse(txID []byte, self NodeID, version []byte) *Message {
 	return &Message{TxID: txID, Kind: KindResponse, ID: self, Version: version}
 }
 
 // NewFindNodeResponse builds the response to a find_node carrying up to k
 // neighbours.
-func NewFindNodeResponse(txID string, self NodeID, nodes []NodeInfo, version string) *Message {
+func NewFindNodeResponse(txID []byte, self NodeID, nodes []NodeInfo, version []byte) *Message {
 	return &Message{TxID: txID, Kind: KindResponse, ID: self, Nodes: nodes, Version: version}
 }
 
 // NewError builds an error reply.
-func NewError(txID string, code int, msg string) *Message {
+func NewError(txID []byte, code int, msg string) *Message {
 	return &Message{TxID: txID, Kind: KindError, ErrCode: code, ErrMsg: msg}
 }
 
-// Marshal encodes the message into its canonical bencoded datagram. Every
-// dictionary's keys are written in their sorted order (a/e < q < r < t < v
-// < y at the top level, id < nodes/target inside), straight into one
+// Clone returns a deep copy of m: what a caller keeps of a message decoded
+// in place.
+func (m *Message) Clone() *Message {
+	return &Message{
+		TxID:    bytes.Clone(m.TxID),
+		Kind:    m.Kind,
+		Version: bytes.Clone(m.Version),
+		Method:  m.Method,
+		ID:      m.ID,
+		Target:  m.Target,
+		Nodes:   slices.Clone(m.Nodes),
+		ErrCode: m.ErrCode,
+		ErrMsg:  m.ErrMsg,
+	}
+}
+
+// Marshal encodes the message into its canonical bencoded datagram, in one
 // exact-size buffer.
 func (m *Message) Marshal() ([]byte, error) {
+	n, err := m.size()
+	if err != nil {
+		return nil, err
+	}
+	return m.appendTo(make([]byte, 0, n)), nil
+}
+
+// AppendMarshal appends the message's datagram to b and returns the
+// extended buffer; a caller that reuses b encodes without allocating. On
+// error b comes back unchanged.
+func (m *Message) AppendMarshal(b []byte) ([]byte, error) {
+	n, err := m.size()
+	if err != nil {
+		return b, err
+	}
+	return m.appendTo(slices.Grow(b, n)), nil
+}
+
+// size returns the length of the message's datagram, or why it cannot be
+// encoded.
+func (m *Message) size() (int, error) {
 	var body int // the kind's own entries
 	switch m.Kind {
 	case KindQuery:
@@ -226,7 +280,7 @@ func (m *Message) Marshal() ([]byte, error) {
 		default:
 			// A clone, so no field of m escapes through the error: a
 			// response's node list may live on its caller's stack.
-			return nil, fmt.Errorf("krpc: unknown method %q", strings.Clone(m.Method))
+			return 0, fmt.Errorf("krpc: unknown method %q", strings.Clone(m.Method))
 		}
 		body += len("1:q") + stringLen(len(m.Method))
 	case KindResponse:
@@ -237,13 +291,19 @@ func (m *Message) Marshal() ([]byte, error) {
 	case KindError:
 		body = len("1:eli") + intLen(int64(m.ErrCode)) + len("e") + stringLen(len(m.ErrMsg)) + len("e")
 	default:
-		return nil, ErrBadKind
+		return 0, ErrBadKind
 	}
 	n := len("d") + body + len("1:t") + stringLen(len(m.TxID)) + len("1:y1:qe")
-	if m.Version != "" {
+	if len(m.Version) > 0 {
 		n += len("1:v") + stringLen(len(m.Version))
 	}
-	b := make([]byte, 0, n)
+	return n, nil
+}
+
+// appendTo writes the datagram of a message size accepted. Every
+// dictionary's keys are written in their sorted order (a/e < q < r < t < v
+// < y at the top level, id < nodes/target inside).
+func (m *Message) appendTo(b []byte) []byte {
 	b = append(b, 'd')
 	switch m.Kind {
 	case KindQuery:
@@ -271,14 +331,14 @@ func (m *Message) Marshal() ([]byte, error) {
 		b = append(b, 'e')
 	}
 	b = appendString(append(b, "1:t"...), m.TxID)
-	if m.Version != "" {
+	if len(m.Version) > 0 {
 		b = appendString(append(b, "1:v"...), m.Version)
 	}
-	return append(b, '1', ':', 'y', '1', ':', byte(m.Kind), 'e'), nil
+	return append(b, '1', ':', 'y', '1', ':', byte(m.Kind), 'e')
 }
 
 // appendString appends s as a bencoded string.
-func appendString(b []byte, s string) []byte {
+func appendString[S string | []byte](b []byte, s S) []byte {
 	b = strconv.AppendInt(b, int64(len(s)), 10)
 	return append(append(b, ':'), s...)
 }
@@ -292,15 +352,31 @@ func intLen(n int64) int {
 	return len(strconv.AppendInt(buf[:0], n, 10))
 }
 
-// Unmarshal decodes a bencoded datagram into a Message. It reads the fields
-// straight off a bencode.Scanner, which validates the whole datagram as it
-// walks it, so no intermediate Value is built. Queries for methods other
-// than ping and find_node decode (with their ID) so a node can answer them
-// with a 204 error, but they do not marshal.
+// Unmarshal decodes a bencoded datagram into a new Message that shares no
+// memory with data: UnmarshalInto on a private copy of the datagram.
 func Unmarshal(data []byte) (*Message, error) {
+	m := new(Message)
+	if err := UnmarshalInto(bytes.Clone(data), m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// UnmarshalInto decodes a bencoded datagram into m, overwriting every field.
+// It reads the fields straight off a bencode.Scanner, which validates the
+// whole datagram as it walks it, so no intermediate Value is built, and it
+// allocates nothing for a ping or find_node message: TxID and Version alias
+// data, and a node list is appended to m.Nodes[:0]. Only an unknown
+// method's name, an error reply's message and a node list outgrowing
+// m.Nodes' array are allocated. Queries for methods other than ping and
+// find_node decode (with their ID) so a node can answer them with a 204
+// error, but they do not marshal. On error m holds no meaningful message.
+func UnmarshalInto(data []byte, m *Message) error {
+	spare := m.Nodes[:0]
+	*m = Message{}
 	top, err := bencode.NewScanner(data)
 	if err != nil || data[0] != 'd' {
-		return nil, fmt.Errorf("%w: top level is not a dict", ErrMalformed)
+		return fmt.Errorf("%w: top level is not a dict", ErrMalformed)
 	}
 	// Each field is nil when its key is absent or holds the wrong kind.
 	var tx, y, v, q, args, resp, errBody []byte
@@ -330,54 +406,49 @@ func Unmarshal(data []byte) (*Message, error) {
 		}
 	}
 	if err := top.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+		return fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
 	if top.Len() != len(data) {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, bencode.ErrTrailing)
+		return fmt.Errorf("%w: %v", ErrMalformed, bencode.ErrTrailing)
 	}
 	if tx == nil {
-		return nil, fmt.Errorf("%w: missing transaction ID", ErrMalformed)
+		return fmt.Errorf("%w: missing transaction ID", ErrMalformed)
 	}
 	if len(y) != 1 {
-		return nil, fmt.Errorf("%w: missing message kind", ErrMalformed)
+		return fmt.Errorf("%w: missing message kind", ErrMalformed)
 	}
-	m := &Message{TxID: string(tx), Kind: Kind(y[0])}
-	if v != nil {
-		m.Version = string(v)
-	}
+	m.TxID, m.Kind, m.Version = tx, Kind(y[0]), v
 	switch m.Kind {
 	case KindQuery:
 		if q == nil {
-			return nil, fmt.Errorf("%w: query without method", ErrMalformed)
+			return fmt.Errorf("%w: query without method", ErrMalformed)
 		}
 		m.Method = methodName(q)
 		if args == nil {
-			return nil, fmt.Errorf("%w: query without args", ErrMalformed)
+			return fmt.Errorf("%w: query without args", ErrMalformed)
 		}
-		if err := m.decodeBody(args, m.Method == MethodFindNode, false); err != nil {
-			return nil, err
-		}
+		return m.decodeBody(args, m.Method == MethodFindNode, nil)
 	case KindResponse:
 		if resp == nil {
-			return nil, fmt.Errorf("%w: response without body", ErrMalformed)
+			return fmt.Errorf("%w: response without body", ErrMalformed)
 		}
-		if err := m.decodeBody(resp, false, true); err != nil {
-			return nil, err
+		if spare == nil {
+			spare = []NodeInfo{} // a present node list decodes non-nil
 		}
+		return m.decodeBody(resp, false, spare)
 	case KindError:
 		s, _ := bencode.NewScanner(errBody) // validated above; nil fails Next
 		if !s.Next() || s.Kind() != bencode.KindInt {
-			return nil, fmt.Errorf("%w: malformed error body", ErrMalformed)
+			return fmt.Errorf("%w: malformed error body", ErrMalformed)
 		}
 		code := s.Int()
 		if !s.Next() || s.Kind() != bencode.KindString {
-			return nil, fmt.Errorf("%w: malformed error body", ErrMalformed)
+			return fmt.Errorf("%w: malformed error body", ErrMalformed)
 		}
 		m.ErrCode, m.ErrMsg = int(code), string(s.Bytes())
-	default:
-		return nil, ErrBadKind
+		return nil
 	}
-	return m, nil
+	return ErrBadKind
 }
 
 // methodName returns the method as a string, sharing the constants for the
@@ -393,9 +464,9 @@ func methodName(q []byte) string {
 }
 
 // decodeBody reads the "a" or "r" dictionary (already validated by the
-// top-level scan): the sender's id, and the find_node target or the compact
-// nodes when asked for.
-func (m *Message) decodeBody(body []byte, wantTarget, wantNodes bool) error {
+// top-level scan): the sender's id, the find_node target when asked for,
+// and, when nodeBuf is non-nil, the compact nodes appended to it.
+func (m *Message) decodeBody(body []byte, wantTarget bool, nodeBuf []NodeInfo) error {
 	s, _ := bencode.NewScanner(body)
 	var id, target, nodes []byte
 	for s.Next() {
@@ -419,12 +490,11 @@ func (m *Message) decodeBody(body []byte, wantTarget, wantNodes bool) error {
 			return err
 		}
 	}
-	if wantNodes && nodes != nil {
-		decoded, err := UnmarshalCompactNodes(nodes)
-		if err != nil {
+	if nodeBuf != nil && nodes != nil {
+		if err := checkCompactNodes(nodes); err != nil {
 			return err
 		}
-		m.Nodes = decoded
+		m.Nodes = appendNodeInfos(slices.Grow(nodeBuf, len(nodes)/CompactNodeLen), nodes)
 	}
 	return nil
 }

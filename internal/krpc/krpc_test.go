@@ -97,7 +97,7 @@ func TestCompactNodesRoundTrip(t *testing.T) {
 
 func TestPingRoundTrip(t *testing.T) {
 	self := testID(7)
-	q := NewPing("aa", self)
+	q := NewPing([]byte("aa"), self)
 	data, err := q.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -106,14 +106,14 @@ func TestPingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Kind != KindQuery || m.Method != MethodPing || m.ID != self || m.TxID != "aa" {
+	if m.Kind != KindQuery || m.Method != MethodPing || m.ID != self || string(m.TxID) != "aa" {
 		t.Errorf("ping round trip = %+v", m)
 	}
 }
 
 func TestFindNodeRoundTrip(t *testing.T) {
 	self, target := testID(1), testID(9)
-	q := NewFindNode("tx", self, target)
+	q := NewFindNode([]byte("tx"), self, target)
 	data, err := q.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestFindNodeResponseRoundTrip(t *testing.T) {
 		{testID(4), iputil.MustParseAddr("198.51.100.4"), 51413},
 		{testID(5), iputil.MustParseAddr("198.51.100.5"), 6881},
 	}
-	r := NewFindNodeResponse("tx", self, nodes, "LT0101")
+	r := NewFindNodeResponse([]byte("tx"), self, nodes, []byte("LT0101"))
 	data, err := r.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -145,13 +145,13 @@ func TestFindNodeResponseRoundTrip(t *testing.T) {
 	if m.Kind != KindResponse || len(m.Nodes) != 2 || m.Nodes[1].Port != 6881 {
 		t.Errorf("response = %+v", m)
 	}
-	if m.Version != "LT0101" {
+	if string(m.Version) != "LT0101" {
 		t.Errorf("version = %q", m.Version)
 	}
 }
 
 func TestErrorRoundTrip(t *testing.T) {
-	e := NewError("tx", ErrCodeMethodUnknown, "Method Unknown")
+	e := NewError([]byte("tx"), ErrCodeMethodUnknown, "Method Unknown")
 	data, err := e.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestUnmarshalShortNodeID(t *testing.T) {
 }
 
 func TestMarshalUnknownMethod(t *testing.T) {
-	m := &Message{TxID: "t", Kind: KindQuery, Method: "bogus"}
+	m := &Message{TxID: []byte("t"), Kind: KindQuery, Method: "bogus"}
 	if _, err := m.Marshal(); err == nil {
 		t.Error("unknown method should not marshal")
 	}
@@ -224,10 +224,10 @@ func TestRoundTripRandomised(t *testing.T) {
 		rng.Read(target[:])
 		var msgs []*Message
 		msgs = append(msgs,
-			NewPing("t1", id),
-			NewFindNode("t2", id, target),
-			NewPingResponse("t3", id, "ve"),
-			NewError("t4", ErrCodeGeneric, "oops"),
+			NewPing([]byte("t1"), id),
+			NewFindNode([]byte("t2"), id, target),
+			NewPingResponse([]byte("t3"), id, []byte("ve")),
+			NewError([]byte("t4"), ErrCodeGeneric, "oops"),
 		)
 		n := rng.Intn(8)
 		nodes := make([]NodeInfo, n)
@@ -236,7 +236,7 @@ func TestRoundTripRandomised(t *testing.T) {
 			nodes[j].Addr = iputil.Addr(rng.Uint32())
 			nodes[j].Port = uint16(rng.Intn(65536))
 		}
-		msgs = append(msgs, NewFindNodeResponse("t5", id, nodes, ""))
+		msgs = append(msgs, NewFindNodeResponse([]byte("t5"), id, nodes, nil))
 		for _, m := range msgs {
 			data, err := m.Marshal()
 			if err != nil {

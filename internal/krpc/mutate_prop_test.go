@@ -16,9 +16,9 @@ import (
 
 func TestUnmarshalRobustUnderMutation(t *testing.T) {
 	var id krpc.NodeID
-	ping, _ := krpc.NewPing("aa", id).Marshal()
-	fn, _ := krpc.NewFindNode("bb", id, id).Marshal()
-	resp, _ := krpc.NewFindNodeResponse("cc", id, []krpc.NodeInfo{{ID: id, Addr: 1, Port: 2}}, "v").Marshal()
+	ping, _ := krpc.NewPing([]byte("aa"), id).Marshal()
+	fn, _ := krpc.NewFindNode([]byte("bb"), id, id).Marshal()
+	resp, _ := krpc.NewFindNodeResponse([]byte("cc"), id, []krpc.NodeInfo{{ID: id, Addr: 1, Port: 2}}, []byte("v")).Marshal()
 	// Unknown methods: hand-encoded get_peers and announce_peer queries.
 	gp := []byte("d1:ad2:id20:" + string(id[:]) + "9:info_hash20:" + string(id[:]) + "e1:q9:get_peers1:t2:ee1:y1:qe")
 	ann := []byte("d1:ad2:id20:" + string(id[:]) + "9:info_hash20:" + string(id[:]) + "4:porti6881e5:token3:toke1:q13:announce_peer1:t2:ff1:y1:qe")

@@ -4,7 +4,7 @@ package krpc
 // krpc.go: FuzzCodecDifferential and the table tests check that both accept
 // and reject the same datagrams, decode them to the same Message and encode
 // the same bytes. It is the codec's previous production path, kept verbatim
-// apart from the names.
+// apart from the names and the byte-slice TxID and Version fields.
 
 import (
 	"fmt"
@@ -16,11 +16,11 @@ import (
 // builds a bencode.Value dict and hands it to bencode.Encode.
 func oracleMarshal(m *Message) ([]byte, error) {
 	root := map[string]bencode.Value{
-		"t": m.TxID,
+		"t": string(m.TxID),
 		"y": string(m.Kind),
 	}
-	if m.Version != "" {
-		root["v"] = m.Version
+	if len(m.Version) > 0 {
+		root["v"] = string(m.Version)
 	}
 	switch m.Kind {
 	case KindQuery:
@@ -62,7 +62,7 @@ func oracleUnmarshal(data []byte) (*Message, error) {
 	}
 	m := &Message{}
 	if t, ok := dict["t"].(string); ok {
-		m.TxID = t
+		m.TxID = []byte(t)
 	} else {
 		return nil, fmt.Errorf("%w: missing transaction ID", ErrMalformed)
 	}
@@ -71,7 +71,7 @@ func oracleUnmarshal(data []byte) (*Message, error) {
 		return nil, fmt.Errorf("%w: missing message kind", ErrMalformed)
 	}
 	if v, ok := dict["v"].(string); ok {
-		m.Version = v
+		m.Version = []byte(v)
 	}
 	m.Kind = Kind(y[0])
 	switch m.Kind {

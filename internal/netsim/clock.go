@@ -30,12 +30,13 @@ var Epoch = time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC)
 //
 // The queue holds values, not pointers: a 4-ary min-heap of (time, key)
 // entries, each naming a slot in a pooled event array with a freelist. A slot
-// is either a timer callback or a datagram delivery (the receiving network,
-// the endpoints and the payload), so the fabric schedules a delivery
-// without allocating a closure. Every slot carries a generation that
-// increments when it is vacated; heap entries and Timers remember the
-// generation they were made under, so a stopped event is skipped when it
-// surfaces and a stale Timer can never cancel the slot's next occupant.
+// is either a timer (a Target and its argument) or a datagram delivery (the
+// receiving network, the endpoints and the payload), so neither a recurring
+// timer whose Target is a long-lived object nor a delivery allocates a
+// closure. Every slot carries a generation that increments when it is
+// vacated; heap entries and Timers remember the generation they were made
+// under, so a stopped event is skipped when it surfaces and a stale Timer
+// can never cancel the slot's next occupant.
 type Clock struct {
 	now   int64 // ns since Epoch
 	heap  []qent
@@ -66,16 +67,29 @@ func deliveryKey(from Endpoint, seq uint64) uint64 {
 	return deliveryBit | uint64(from.Addr)<<31 | seq&(1<<31-1)
 }
 
-// eslot is one pooled event: a timer's fn, or, when net is set, a datagram
-// to hand to net.deliver.
+// eslot is one pooled event: a timer's target.Fire(seq), or, when net is
+// set, a datagram to hand to net.deliver.
 type eslot struct {
-	fn       func()
+	target   Target
 	net      *Network
 	from, to Endpoint
-	seq      uint64 // the source's send sequence number
+	seq      uint64 // the source's send sequence number, or the timer's argument
 	payload  []byte
 	gen      uint32
 }
+
+// Target receives typed timer events. A long-lived object (a DHT node, a
+// crawler) implements it once and tells its timers apart by the argument,
+// so arming a timer stores two words and allocates nothing.
+type Target interface {
+	Fire(arg uint64)
+}
+
+// funcTarget runs a closure timer. A func value is one pointer, so it sits
+// in the Target interface without an allocation of its own.
+type funcTarget func()
+
+func (f funcTarget) Fire(uint64) { f() }
 
 // NewClock returns a clock positioned at Epoch.
 func NewClock() *Clock {
@@ -108,6 +122,13 @@ func (t Timer) Stop() bool {
 
 // After schedules fn to run d after the current virtual time.
 func (c *Clock) After(d time.Duration, fn func()) Timer {
+	return c.AfterEvent(d, funcTarget(fn), 0)
+}
+
+// AfterEvent schedules t.Fire(arg) to run d after the current virtual time.
+// It shares After's same-instant order: timers fire in scheduling order,
+// whichever kind they are.
+func (c *Clock) AfterEvent(d time.Duration, t Target, arg uint64) Timer {
 	if d < 0 {
 		d = 0
 	}
@@ -115,19 +136,19 @@ func (c *Clock) After(d time.Duration, fn func()) Timer {
 	if at < c.now {
 		at = math.MaxInt64
 	}
-	return c.at(at, fn)
+	return c.at(at, t, arg)
 }
 
 // At schedules fn at an absolute virtual time; times in the past fire on the
 // next step.
 func (c *Clock) At(t time.Time, fn func()) Timer {
-	return c.at(sinceEpoch(t), fn)
+	return c.at(sinceEpoch(t), funcTarget(fn), 0)
 }
 
-func (c *Clock) at(at int64, fn func()) Timer {
+func (c *Clock) at(at int64, t Target, arg uint64) Timer {
 	idx, s := c.schedule(at, c.seq)
 	c.seq++
-	s.fn = fn
+	s.target, s.seq = t, arg
 	return Timer{c: c, slot: idx, gen: s.gen}
 }
 
@@ -177,12 +198,12 @@ func (c *Clock) Step() bool {
 			continue // stopped
 		}
 		c.now = e.at
-		fn, net, from, to, seq, payload := s.fn, s.net, s.from, s.to, s.seq, s.payload
+		target, net, from, to, seq, payload := s.target, s.net, s.from, s.to, s.seq, s.payload
 		c.release(e.slot)
 		if net != nil {
 			net.deliver(from, to, seq, payload)
 		} else {
-			fn()
+			target.Fire(seq)
 		}
 		return true
 	}

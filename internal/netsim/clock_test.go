@@ -121,3 +121,67 @@ func TestNegativeAfterClamps(t *testing.T) {
 		t.Error("negative delay should fire immediately")
 	}
 }
+
+// recorder is a typed timer target that logs its arguments.
+type recorder struct{ args []uint64 }
+
+func (r *recorder) Fire(arg uint64) { r.args = append(r.args, arg) }
+
+// TestTypedAndClosureTimersShareOrder interleaves typed and closure timers
+// due at one instant: they fire in scheduling order, whatever their kind.
+func TestTypedAndClosureTimersShareOrder(t *testing.T) {
+	c := NewClock()
+	r := &recorder{}
+	for i := uint64(0); i < 6; i++ {
+		if i%2 == 0 {
+			c.AfterEvent(time.Second, r, i)
+		} else {
+			c.After(time.Second, func() { r.Fire(i) })
+		}
+	}
+	c.Drain(0)
+	for i, v := range r.args {
+		if v != uint64(i) {
+			t.Fatalf("same-instant timers fired as %v, want scheduling order", r.args)
+		}
+	}
+	if len(r.args) != 6 {
+		t.Fatalf("fired %d timers, want 6", len(r.args))
+	}
+}
+
+// TestStaleTypedTimerCannotCancelNextOccupant fires a typed timer, lets a
+// new timer reuse its slot, and checks the old handle stops nothing.
+func TestStaleTypedTimerCannotCancelNextOccupant(t *testing.T) {
+	c := NewClock()
+	r := &recorder{}
+	old := c.AfterEvent(time.Second, r, 1)
+	c.Step()
+	next := c.AfterEvent(time.Second, r, 2)
+	if old.slot != next.slot {
+		t.Fatalf("slot %d not reused (got %d); the test needs the recycled slot", old.slot, next.slot)
+	}
+	if old.Stop() {
+		t.Error("a stale handle reported stopping its slot's next occupant")
+	}
+	c.Drain(0)
+	if len(r.args) != 2 || r.args[1] != 2 {
+		t.Errorf("fired %v, want [1 2]: the stale Stop cancelled the next timer", r.args)
+	}
+}
+
+// TestTypedTimerAllocs pins a warm typed timer at zero allocations to arm,
+// stop, and arm and fire.
+func TestTypedTimerAllocs(t *testing.T) {
+	c := NewClock()
+	r := &recorder{args: make([]uint64, 0, 1)}
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.AfterEvent(time.Second, r, 7).Stop()
+		c.AfterEvent(time.Second, r, 8)
+		c.Step()
+		r.args = r.args[:0]
+	})
+	if allocs != 0 {
+		t.Errorf("typed timer arm/stop/fire: %v allocs, want 0", allocs)
+	}
+}

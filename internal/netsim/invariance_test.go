@@ -80,7 +80,7 @@ func runInvariance(t *testing.T, shards, workers int, jitter time.Duration, scn 
 
 	var id krpc.NodeID
 	nodes := []krpc.NodeInfo{{Addr: public[0].Addr, Port: 1}, {Addr: public[1].Addr, Port: 2}}
-	reply, err := krpc.NewFindNodeResponse("tx", id, nodes, "RB01").Marshal()
+	reply, err := krpc.NewFindNodeResponse([]byte("tx"), id, nodes, []byte("RB01")).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func runInvariance(t *testing.T, shards, workers int, jitter time.Duration, scn 
 		var tick func()
 		tick = func() {
 			round++
-			ping, err := krpc.NewPing(fmt.Sprintf("%d.%d", i, round), id).Marshal()
+			ping, err := krpc.NewPing(fmt.Appendf(nil, "%d.%d", i, round), id).Marshal()
 			if err != nil {
 				t.Error(err)
 				return

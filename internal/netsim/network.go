@@ -27,7 +27,8 @@ type Handler func(from Endpoint, payload []byte)
 // either directly bound public endpoints (Network.Listen) or internal
 // endpoints behind a NAT (NAT.Listen).
 type Socket interface {
-	// Send transmits payload to a public endpoint.
+	// Send transmits payload to a public endpoint. The socket keeps no
+	// reference to payload, so the caller may reuse it once Send returns.
 	Send(to Endpoint, payload []byte)
 	// SetHandler installs the receive callback; it must be set before any
 	// datagram arrives or deliveries are dropped.
