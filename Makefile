@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzCodecDifferential$$' -fuzztime 30s ./internal/krpc/
 	$(GO) test -fuzz '^FuzzUnmarshalInto$$' -fuzztime 30s ./internal/krpc/
 	$(GO) test -fuzz '^FuzzParseLog$$' -fuzztime 30s ./internal/crawler/
+	$(GO) test -fuzz '^FuzzCrawlerState$$' -fuzztime 30s ./internal/crawler/
 	$(GO) test -fuzz '^FuzzDecodeFrame$$' -fuzztime 30s ./internal/fleet/
 	$(GO) test -fuzz '^FuzzParseNATedList$$' -fuzztime 30s ./internal/blocklist/
 	$(GO) test -fuzz '^FuzzParsePrefixList$$' -fuzztime 30s ./internal/blocklist/

@@ -19,7 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/dht"
@@ -164,24 +164,6 @@ type NATObservation struct {
 	PortsSeen int
 }
 
-type portInfo struct {
-	firstSeen time.Time
-	lastSeen  time.Time
-	nodeIDs   map[krpc.NodeID]bool
-}
-
-type ipRecord struct {
-	addr         iputil.Addr
-	ports        map[uint16]*portInfo
-	lastContact  time.Time
-	natConfirmed bool
-	firstConfirm time.Time
-	maxUsers     int
-	// roundReplies collects (port -> node ID) during the active ping round.
-	roundReplies map[uint16]krpc.NodeID
-	inRound      bool
-}
-
 // Limiter is the crawl-budget hook consulted by the discovery pump; see
 // Config.Limiter. fleet.TokenBucket implements it.
 type Limiter interface {
@@ -203,13 +185,19 @@ type Crawler struct {
 	id      krpc.NodeID
 	txSeq   uint64
 	tx      *TxManager
-	ips     map[iputil.Addr]*ipRecord
-	nodeIDs map[krpc.NodeID]bool
-	queue   []netsim.Endpoint
-	queued  map[netsim.Endpoint]bool
+	nodeIDs map[krpc.NodeID]struct{} // serves only Stats.UniqueNodeIDs
 	stats   Stats
 	running bool
 	stopped bool
+	// st is the per-address and per-port state (state.go).
+	st addrTable
+	// queue is the discovery frontier as port slots; queue[qhead:] is
+	// still to be pumped.
+	queue []uint32
+	qhead int
+	// epoch is the clock's reading at New; the state's timestamps count
+	// nanoseconds from it.
+	epoch time.Time
 	// One handle per recurring timer, replaced each time it re-arms, so a
 	// 48 h crawl holds no more handles than a 1 h one.
 	bootTimer, tickTimer, sweepTimer, pingTimer, windowTimer dht.Timer
@@ -217,16 +205,17 @@ type Crawler struct {
 	// messages, so neither allocates per datagram.
 	nodeBuf []krpc.NodeInfo
 	buf     []byte
-	// failures counts consecutive dead queries per endpoint; endpoints
-	// reaching EvictAfter enter evicted and leave the frontier.
-	failures map[netsim.Endpoint]int
-	evicted  map[netsim.Endpoint]bool
+	// roundCands holds the candidates of every ping round whose window
+	// has yet to close, oldest round first; idScratch dedups one
+	// candidate's reply IDs when a window scores it.
+	roundCands []uint32
+	idScratch  []krpc.NodeID
 }
 
-// crawlerTimers is a Crawler as the target of its hot timers, which keeps
+// crawlerTimers is a Crawler as the target of its timers, which keeps
 // Fire out of Crawler's method set. A timer's argument holds its kind in
-// the low timerKindBits bits and, for a per-query timer, the transaction
-// ID above them.
+// the low timerKindBits bits and, above them, the transaction ID of a
+// per-query timer or the candidate count of a ping-round window.
 type crawlerTimers Crawler
 
 // Typed timer kinds.
@@ -236,6 +225,8 @@ const (
 	evPingRound
 	evDeadline   // a query's response deadline
 	evRetransmit // a timed-out query's retry backoff
+	evBoot       // a bootstrap retry
+	evPingWindow // a ping round's scoring window
 
 	timerKindBits = 3
 )
@@ -244,6 +235,8 @@ func (t *crawlerTimers) Fire(arg uint64) {
 	c := (*Crawler)(t)
 	tx := arg >> timerKindBits
 	switch arg & (1<<timerKindBits - 1) {
+	case evBoot:
+		c.boot()
 	case evTick:
 		if c.running {
 			c.pump()
@@ -263,6 +256,8 @@ func (t *crawlerTimers) Fire(arg uint64) {
 		c.queryTimeout(tx)
 	case evRetransmit:
 		c.retransmit(tx)
+	case evPingWindow:
+		c.closeWindow(int(arg >> timerKindBits))
 	}
 }
 
@@ -280,14 +275,10 @@ func New(sock netsim.Socket, clock dht.Clock, cfg Config) *Crawler {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		id:      id,
 		tx:      NewTxManager(lateWindowMax),
-		ips:     make(map[iputil.Addr]*ipRecord),
-		nodeIDs: make(map[krpc.NodeID]bool),
-		queued:  make(map[netsim.Endpoint]bool),
+		st:      newAddrTable(),
+		nodeIDs: make(map[krpc.NodeID]struct{}),
+		epoch:   clock.Now(),
 		nodeBuf: make([]krpc.NodeInfo, 0, dht.BucketSize),
-	}
-	if cfg.EvictAfter > 0 {
-		c.failures = make(map[netsim.Endpoint]int)
-		c.evicted = make(map[netsim.Endpoint]bool)
 	}
 	sock.SetHandler(c.handle)
 	return c
@@ -300,21 +291,7 @@ func (c *Crawler) Start() {
 		return
 	}
 	c.running = true
-	// Bootstrap: UDP makes a single contact attempt flaky, so until the
-	// first reply arrives the entry points are re-queried every
-	// QueryTimeout. After that, sweeps re-enqueue them with everything
-	// else.
-	var boot func()
-	boot = func() {
-		if !c.running || c.stats.GetNodesReplies+c.stats.PingReplies > 0 {
-			return
-		}
-		for _, ep := range c.cfg.Bootstrap {
-			c.enqueue(ep)
-		}
-		c.bootTimer = c.clock.After(c.cfg.QueryTimeout, boot)
-	}
-	c.bootTimer = c.clock.After(0, boot)
+	c.bootTimer = c.clock.AfterEvent(0, (*crawlerTimers)(c), evBoot)
 	c.scheduleTick()
 	c.schedulePingRound()
 	c.scheduleSweep()
@@ -331,7 +308,24 @@ func (c *Crawler) Stop() {
 		t.Stop()
 	}
 	c.tx.CancelAll()
+	for i := range c.st.slots {
+		c.st.slots[i].outstanding = 0
+	}
 	c.recordObs()
+}
+
+// boot enqueues the bootstrap endpoints. UDP makes a single contact attempt
+// flaky, so until the first reply arrives the entry points are re-queried
+// every QueryTimeout. After that, sweeps re-enqueue them with everything
+// else.
+func (c *Crawler) boot() {
+	if !c.running || c.stats.GetNodesReplies+c.stats.PingReplies > 0 {
+		return
+	}
+	for _, ep := range c.cfg.Bootstrap {
+		c.enqueueEndpoint(ep)
+	}
+	c.bootTimer = c.clock.AfterEvent(c.cfg.QueryTimeout, (*crawlerTimers)(c), evBoot)
 }
 
 // recordObs pushes the crawl's final statistics into the configured
@@ -366,17 +360,15 @@ func (c *Crawler) recordObs() {
 // Stats returns a snapshot of crawl statistics.
 func (c *Crawler) Stats() Stats {
 	s := c.stats
-	s.UniqueIPs = len(c.ips)
+	s.UniqueIPs = c.st.observed
 	s.UniqueNodeIDs = len(c.nodeIDs)
 	nated, multi, maxUsers := 0, 0, 0
-	for _, rec := range c.ips {
-		if rec.natConfirmed {
+	for h := range c.st.addrs {
+		if c.st.flags[h]&addrNATed != 0 {
 			nated++
-			if rec.maxUsers > maxUsers {
-				maxUsers = rec.maxUsers
-			}
+			maxUsers = max(maxUsers, int(c.st.maxUsers[h]))
 		}
-		if len(rec.ports) > 1 {
+		if c.st.ports[h].seen > 1 {
 			multi++
 		}
 	}
@@ -397,25 +389,26 @@ func (c *Crawler) InFlight() int { return c.tx.InFlight() }
 // NATed returns all confirmed NATed addresses sorted by address.
 func (c *Crawler) NATed() []NATObservation {
 	var out []NATObservation
-	for _, rec := range c.ips {
-		if rec.natConfirmed {
+	for _, h := range c.st.sorted() {
+		if c.st.flags[h]&addrNATed != 0 {
 			out = append(out, NATObservation{
-				Addr:           rec.addr,
-				Users:          rec.maxUsers,
-				FirstConfirmed: rec.firstConfirm,
-				PortsSeen:      len(rec.ports),
+				Addr:           c.st.addrs[h],
+				Users:          int(c.st.maxUsers[h]),
+				FirstConfirmed: c.epoch.Add(time.Duration(c.st.firstConfirm[h])),
+				PortsSeen:      int(c.st.ports[h].seen),
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
 
 // ObservedIPs returns every BitTorrent IP the crawler has seen.
 func (c *Crawler) ObservedIPs() *iputil.Set {
 	s := iputil.NewSet()
-	for a := range c.ips {
-		s.Add(a)
+	for h, a := range c.st.addrs {
+		if c.st.ports[h].seen > 0 {
+			s.Add(a)
+		}
 	}
 	return s
 }
@@ -426,8 +419,8 @@ func (c *Crawler) ObservedIPs() *iputil.Set {
 // stale entries) the paper's verification rule removes.
 func (c *Crawler) MultiPortAddrs() *iputil.Set {
 	s := iputil.NewSet()
-	for a, rec := range c.ips {
-		if len(rec.ports) > 1 {
+	for h, a := range c.st.addrs {
+		if c.st.ports[h].seen > 1 {
 			s.Add(a)
 		}
 	}
@@ -438,16 +431,32 @@ func (c *Crawler) inScope(a iputil.Addr) bool {
 	return c.cfg.Scope == nil || c.cfg.Scope(a)
 }
 
-func (c *Crawler) enqueue(ep netsim.Endpoint) {
-	if c.queued[ep] || c.evicted[ep] {
-		return
-	}
+// now returns the clock's reading as nanoseconds since the crawler's epoch.
+func (c *Crawler) now() int64 { return int64(c.clock.Now().Sub(c.epoch)) }
+
+// enqueueEndpoint puts an endpoint that was never sighted, a bootstrap
+// node, on the discovery queue if it is in scope.
+func (c *Crawler) enqueueEndpoint(ep netsim.Endpoint) {
 	if !c.inScope(ep.Addr) {
 		c.stats.ScopeSuppressed++
 		return
 	}
-	c.queued[ep] = true
-	c.queue = append(c.queue, ep)
+	c.enqueue(c.st.slotFor(ep))
+}
+
+// enqueue puts an in-scope port slot on the discovery queue unless it is
+// already there or evicted.
+func (c *Crawler) enqueue(s uint32) {
+	sl := &c.st.slots[s]
+	if sl.flags&(slotQueued|slotEvicted) != 0 {
+		return
+	}
+	sl.flags |= slotQueued
+	if len(c.queue) == cap(c.queue) && c.qhead >= len(c.queue)/2 {
+		c.queue = c.queue[:copy(c.queue, c.queue[c.qhead:])]
+		c.qhead = 0
+	}
+	c.queue = append(c.queue, s)
 }
 
 func (c *Crawler) scheduleTick() {
@@ -469,34 +478,41 @@ func (c *Crawler) schedulePingRound() {
 // Under a fleet budget the batch additionally shrinks to what the Limiter
 // grants, and issuing pauses while MaxInflight transactions are outstanding.
 func (c *Crawler) pump() {
-	now := c.clock.Now()
+	at := c.clock.Now()
+	now := int64(at.Sub(c.epoch))
 	batch := c.cfg.BatchPerTick
 	if c.cfg.Limiter != nil {
-		batch = c.cfg.Limiter.Take(now, batch)
+		batch = c.cfg.Limiter.Take(at, batch)
 	}
 	sent := 0
-	for len(c.queue) > 0 && sent < batch {
+	for c.qhead < len(c.queue) && sent < batch {
 		if c.cfg.MaxInflight > 0 && c.tx.InFlight() >= c.cfg.MaxInflight {
 			break
 		}
-		ep := c.queue[0]
-		c.queue = c.queue[1:]
-		delete(c.queued, ep)
-		rec := c.ips[ep.Addr]
-		if rec != nil && now.Sub(rec.lastContact) < c.cfg.Cooldown {
+		s := c.queue[c.qhead]
+		c.qhead++
+		sl := &c.st.slots[s]
+		sl.flags &^= slotQueued
+		h := sl.handle
+		if last := c.st.lastContact[h]; last != neverContacted && now-last < int64(c.cfg.Cooldown) {
 			continue
 		}
-		if c.cfg.MaxPerNode > 0 && c.tx.Outstanding(ep) >= c.cfg.MaxPerNode {
+		if c.cfg.MaxPerNode > 0 && int(sl.outstanding) >= c.cfg.MaxPerNode {
 			continue
 		}
-		if rec != nil {
-			rec.lastContact = now
+		// A bootstrap node has a handle before it is seen; its cool-down
+		// starts with the first query after that.
+		if c.st.ports[h].seen > 0 {
+			c.st.lastContact[h] = now
 		}
 		var target krpc.NodeID
 		c.rng.Read(target[:])
 		tx := c.newTx()
-		c.sendQuery(ep, krpc.NewFindNode(tx[:], c.id, target), false)
+		c.sendQuery(s, krpc.NewFindNode(tx[:], c.id, target), false)
 		sent++
+	}
+	if c.qhead == len(c.queue) {
+		c.queue, c.qhead = c.queue[:0], 0
 	}
 }
 
@@ -508,30 +524,18 @@ func (c *Crawler) sweep() {
 	// the attribute is deterministic; only the wall fields vary.
 	sp := c.cfg.Trace.Child(fmt.Sprintf("sweep %04d", c.stats.SweepsRun))
 	defer func() {
-		sp.SetAttr(obs.Int("known_ips", int64(len(c.ips))))
+		sp.SetAttr(obs.Int("known_ips", int64(c.st.observed)))
 		sp.End()
 	}()
 	for _, ep := range c.cfg.Bootstrap {
-		c.enqueue(ep)
+		c.enqueueEndpoint(ep)
 	}
-	type key struct {
-		a iputil.Addr
-		p uint16
-	}
-	var all []key
-	for addr, rec := range c.ips {
-		for port := range rec.ports {
-			all = append(all, key{addr, port})
+	for _, h := range c.st.sorted() {
+		for _, s := range c.st.portsOf(h) {
+			if c.st.slots[s].flags&slotSeen != 0 {
+				c.enqueue(s)
+			}
 		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].a != all[j].a {
-			return all[i].a < all[j].a
-		}
-		return all[i].p < all[j].p
-	})
-	for _, k := range all {
-		c.enqueue(netsim.Endpoint{Addr: k.a, Port: k.p})
 	}
 }
 
@@ -540,85 +544,93 @@ func (c *Crawler) sweep() {
 func (c *Crawler) pingRound() {
 	c.stats.PingRoundsRun++
 	sp := c.cfg.Trace.Child(fmt.Sprintf("ping round %04d", c.stats.PingRoundsRun))
-	now := c.clock.Now()
-	var candidates []*ipRecord
-	for _, rec := range c.ips {
-		if len(rec.ports) < 2 || !c.inScope(rec.addr) {
+	now := c.now()
+	first := len(c.roundCands)
+	for _, h := range c.st.sorted() {
+		if c.st.ports[h].seen < 2 {
 			continue
 		}
-		candidates = append(candidates, rec)
-	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i].addr < candidates[j].addr })
-	for _, rec := range candidates {
-		rec.inRound = true
-		rec.roundReplies = make(map[uint16]krpc.NodeID)
-		rec.lastContact = now
-		ports := make([]int, 0, len(rec.ports))
-		for p := range rec.ports {
-			ports = append(ports, int(p))
-		}
-		sort.Ints(ports)
-		for _, p := range ports {
-			tx := c.newTx()
-			c.sendQuery(netsim.Endpoint{Addr: rec.addr, Port: uint16(p)}, krpc.NewPing(tx[:], c.id), true)
+		c.roundCands = append(c.roundCands, h)
+		c.st.flags[h] |= addrInRound
+		c.st.lastContact[h] = now
+		for _, s := range c.st.portsOf(h) {
+			sl := &c.st.slots[s]
+			sl.flags &^= slotReplied
+			if sl.flags&slotSeen != 0 {
+				tx := c.newTx()
+				c.sendQuery(s, krpc.NewPing(tx[:], c.id), true)
+			}
 		}
 	}
-	sp.SetAttr(obs.Int("candidates", int64(len(candidates))))
+	n := len(c.roundCands) - first
+	sp.SetAttr(obs.Int("candidates", int64(n)))
 	sp.End()
-	if len(candidates) == 0 {
+	if n == 0 {
 		return
 	}
 	// A window longer than PingInterval outlives its handle; the running
 	// check keeps such a window from scoring after Stop.
-	c.windowTimer = c.clock.After(c.cfg.PingWindow, func() {
-		if c.running {
-			c.scoreRound(candidates)
-		}
-	})
+	c.windowTimer = c.clock.AfterEvent(c.cfg.PingWindow, (*crawlerTimers)(c), uint64(n)<<timerKindBits|evPingWindow)
+}
+
+// closeWindow scores the oldest pending round, whose n candidates head
+// roundCands: windows close in the order their rounds ran.
+func (c *Crawler) closeWindow(n int) {
+	if !c.running {
+		return
+	}
+	c.scoreRound(c.roundCands[:n])
+	c.roundCands = c.roundCands[:copy(c.roundCands, c.roundCands[n:])]
 }
 
 // scoreRound applies the paper's rule: an IP is NATed when at least two
 // distinct ports replied with at least two distinct node IDs in one round.
-func (c *Crawler) scoreRound(candidates []*ipRecord) {
-	now := c.clock.Now()
-	for _, rec := range candidates {
-		if !rec.inRound {
+func (c *Crawler) scoreRound(candidates []uint32) {
+	now := c.now()
+	for _, h := range candidates {
+		if c.st.flags[h]&addrInRound == 0 {
 			continue
 		}
-		rec.inRound = false
-		distinctIDs := make(map[krpc.NodeID]bool)
+		c.st.flags[h] &^= addrInRound
+		ids := c.idScratch[:0]
 		respondingPorts := 0
-		for _, id := range rec.roundReplies {
+		for _, s := range c.st.portsOf(h) {
+			sl := &c.st.slots[s]
+			if sl.flags&slotReplied == 0 {
+				continue
+			}
 			respondingPorts++
-			distinctIDs[id] = true
+			if !slices.Contains(ids, sl.replyID) {
+				ids = append(ids, sl.replyID)
+			}
 		}
+		c.idScratch = ids
 		// Simultaneous users is bounded below by distinct (port, id)
 		// pairs with distinct IDs.
-		users := len(distinctIDs)
-		if respondingPorts < users {
-			users = respondingPorts
-		}
-		if respondingPorts >= 2 && len(distinctIDs) >= 2 {
-			if !rec.natConfirmed {
-				rec.natConfirmed = true
-				rec.firstConfirm = now
+		users := min(len(ids), respondingPorts)
+		if respondingPorts >= 2 && len(ids) >= 2 {
+			if c.st.flags[h]&addrNATed == 0 {
+				c.st.flags[h] |= addrNATed
+				c.st.firstConfirm[h] = now
 			}
-			if users > rec.maxUsers {
-				rec.maxUsers = users
+			if users > int(c.st.maxUsers[h]) {
+				c.st.maxUsers[h] = int32(users)
 			}
 		}
-		rec.roundReplies = nil
 	}
 }
 
-func (c *Crawler) sendQuery(to netsim.Endpoint, msg *krpc.Message, isPing bool) {
+// sendQuery sends a query to port slot s and registers its transaction.
+func (c *Crawler) sendQuery(s uint32, msg *krpc.Message, isPing bool) {
 	data, err := msg.AppendMarshal(c.buf[:0])
 	if err != nil {
 		return
 	}
 	c.buf = data
-	tx := c.tx.Register(Tx{ID: binary.BigEndian.Uint64(msg.TxID), To: to, IsPing: isPing, Data: data, Attempts: 1})
+	to := c.st.endpoint(s)
+	tx := c.tx.Register(Tx{ID: binary.BigEndian.Uint64(msg.TxID), To: to, IsPing: isPing, Data: data, Attempts: 1, slot: s})
 	tx.Timer = c.armTimeout(tx.ID)
+	c.st.slots[s].outstanding++
 	if isPing {
 		c.stats.PingsSent++
 		c.logEvent(LogEvent{At: c.clock.Now(), Kind: EvPingTx, Addr: to.Addr, Port: to.Port})
@@ -651,8 +663,9 @@ func (c *Crawler) queryTimeout(tx uint64) {
 		return
 	}
 	failed, _ := c.tx.Fail(tx)
+	c.st.slots[failed.slot].outstanding--
 	c.stats.Timeouts++
-	c.noteFailure(failed.To)
+	c.noteFailure(failed.slot)
 }
 
 func (c *Crawler) retransmit(tx uint64) {
@@ -665,27 +678,28 @@ func (c *Crawler) retransmit(tx uint64) {
 	c.sock.Send(p.To, p.Data)
 }
 
-// noteFailure charges one dead query against an endpoint; at EvictAfter
+// noteFailure charges one dead query against a port slot; at EvictAfter
 // consecutive failures the endpoint leaves the discovery frontier.
-func (c *Crawler) noteFailure(ep netsim.Endpoint) {
+func (c *Crawler) noteFailure(s uint32) {
 	if c.cfg.EvictAfter <= 0 {
 		return
 	}
-	c.failures[ep]++
-	if c.failures[ep] >= c.cfg.EvictAfter && !c.evicted[ep] {
-		c.evicted[ep] = true
+	sl := &c.st.slots[s]
+	if int(sl.failures) < c.cfg.EvictAfter {
+		sl.failures++
+	}
+	if int(sl.failures) >= c.cfg.EvictAfter && sl.flags&slotEvicted == 0 {
+		sl.flags |= slotEvicted
 		c.stats.Evicted++
 	}
 }
 
-// noteSuccess clears an endpoint's failure score; a reply — even a late one
+// noteSuccess clears a port slot's failure score; a reply — even a late one
 // — proves it alive and resurrects it if evicted.
-func (c *Crawler) noteSuccess(ep netsim.Endpoint) {
-	if c.cfg.EvictAfter <= 0 {
-		return
-	}
-	delete(c.failures, ep)
-	delete(c.evicted, ep)
+func (c *Crawler) noteSuccess(s uint32) {
+	sl := &c.st.slots[s]
+	sl.failures = 0
+	sl.flags &^= slotEvicted
 }
 
 func (c *Crawler) logEvent(ev LogEvent) {
@@ -720,29 +734,40 @@ func (c *Crawler) handle(from netsim.Endpoint, payload []byte) {
 			// feed it into discovery — its round is over.
 			if to, late := c.tx.ResolveLate(tx); late {
 				c.stats.LateReplies++
-				c.noteSuccess(to)
+				if s, ok := c.st.lookup(to); ok {
+					c.noteSuccess(s)
+				}
 				c.logEvent(LogEvent{At: c.clock.Now(), Kind: EvLateRx, Addr: from.Addr, Port: from.Port, NodeID: m.ID, HasID: true})
 			}
 			return
 		}
-		c.noteSuccess(p.To)
+		c.st.slots[p.slot].outstanding--
+		c.noteSuccess(p.slot)
 		// Responses can legitimately come from a different port than the
 		// one probed (NAT rewriting); record what we actually saw.
-		c.observe(from, m.ID, c.clock.Now())
+		s, sighted := c.sight(from, m.ID)
 		if p.IsPing {
 			c.stats.PingReplies++
 			c.logEvent(LogEvent{At: c.clock.Now(), Kind: EvPingRx, Addr: from.Addr, Port: from.Port, NodeID: m.ID, HasID: true})
-			rec := c.ips[from.Addr]
-			if rec != nil && rec.inRound {
-				rec.roundReplies[from.Port] = m.ID
+			if sighted {
+				if sl := &c.st.slots[s]; c.st.flags[sl.handle]&addrInRound != 0 {
+					sl.replyID = m.ID
+					sl.flags |= slotReplied
+				}
 			}
 		} else {
 			c.stats.GetNodesReplies++
 			c.logEvent(LogEvent{At: c.clock.Now(), Kind: EvGetNodesRx, Addr: from.Addr, Port: from.Port, NodeID: m.ID, HasID: true})
 			for _, info := range m.Nodes {
 				c.logEvent(LogEvent{At: c.clock.Now(), Kind: EvObserve, Addr: info.Addr, Port: info.Port, NodeID: info.ID, HasID: true})
-				c.observe(netsim.Endpoint{Addr: info.Addr, Port: info.Port}, info.ID, c.clock.Now())
-				c.enqueue(netsim.Endpoint{Addr: info.Addr, Port: info.Port})
+				ep := netsim.Endpoint{Addr: info.Addr, Port: info.Port}
+				if !c.inScope(ep.Addr) {
+					// Refused twice, as the sighting and as the discovery
+					// it would have fed.
+					c.stats.ScopeSuppressed += 2
+					continue
+				}
+				c.enqueue(c.observe(ep, info.ID))
 			}
 		}
 	case krpc.KindQuery:
@@ -758,25 +783,25 @@ func (c *Crawler) handle(from netsim.Endpoint, payload []byte) {
 	}
 }
 
-// observe records an (endpoint, node ID) sighting.
-func (c *Crawler) observe(ep netsim.Endpoint, id krpc.NodeID, now time.Time) {
+// sight records a sighting if ep is in scope, returning its port slot.
+func (c *Crawler) sight(ep netsim.Endpoint, id krpc.NodeID) (uint32, bool) {
 	if !c.inScope(ep.Addr) {
 		c.stats.ScopeSuppressed++
-		return
+		return 0, false
 	}
-	c.nodeIDs[id] = true
-	rec := c.ips[ep.Addr]
-	if rec == nil {
-		rec = &ipRecord{addr: ep.Addr, ports: make(map[uint16]*portInfo)}
-		c.ips[ep.Addr] = rec
+	return c.observe(ep, id), true
+}
+
+// observe records a sighting of an in-scope endpoint and returns its port
+// slot.
+func (c *Crawler) observe(ep netsim.Endpoint, id krpc.NodeID) uint32 {
+	s := c.st.slotFor(ep)
+	if sl := &c.st.slots[s]; sl.flags&slotSeen == 0 || !sl.lastID.Equal(&id) {
+		c.nodeIDs[id] = struct{}{}
+		sl.lastID = id
 	}
-	pi := rec.ports[ep.Port]
-	if pi == nil {
-		pi = &portInfo{firstSeen: now, nodeIDs: make(map[krpc.NodeID]bool)}
-		rec.ports[ep.Port] = pi
-	}
-	pi.lastSeen = now
-	pi.nodeIDs[id] = true
+	c.st.see(s)
+	return s
 }
 
 // newTx returns the next transaction ID: the sequence number's 8

@@ -203,7 +203,7 @@ func TestCrawlerNoFalsePositiveOnPortChange(t *testing.T) {
 		}
 	}
 	// The crawler must still have noticed both ports (the confound).
-	if rec := c.ips[addr]; rec == nil || len(rec.ports) < 2 {
+	if !c.MultiPortAddrs().Contains(addr) {
 		t.Error("crawler should have seen two ports for the restarting user")
 	}
 }
@@ -447,4 +447,28 @@ func TestCrawlerRetainsBoundedTimerHandles(t *testing.T) {
 	if short != long || short < 4 || short > 7 {
 		t.Errorf("Stop released %d timer handles after 1 h and %d after 6 h, want the same count, from 4 to 7", short, long)
 	}
+}
+
+// seenPorts returns how many ports the crawler has seen at a.
+func seenPorts(c *Crawler, a iputil.Addr) int {
+	h, ok := c.st.index[a]
+	if !ok {
+		return 0
+	}
+	return int(c.st.ports[h].seen)
+}
+
+// isEvicted reports whether ep has left the discovery frontier.
+func isEvicted(c *Crawler, ep netsim.Endpoint) bool {
+	s, ok := c.st.lookup(ep)
+	return ok && c.st.slots[s].flags&slotEvicted != 0
+}
+
+// outstanding returns how many queries to ep await a reply.
+func outstanding(c *Crawler, ep netsim.Endpoint) int {
+	s, ok := c.st.lookup(ep)
+	if !ok {
+		return 0
+	}
+	return int(c.st.slots[s].outstanding)
 }

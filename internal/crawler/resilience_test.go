@@ -118,7 +118,7 @@ func TestEviction(t *testing.T) {
 	if st.Evicted == 0 {
 		t.Fatal("dead endpoint was never evicted")
 	}
-	if !c.evicted[dead] {
+	if !isEvicted(c, dead) {
 		t.Fatal("evicted some endpoint, but not the dead bootstrap")
 	}
 	if st.UniqueIPs < 20 {
@@ -171,11 +171,12 @@ func TestCrawlerSurvivesCorruption(t *testing.T) {
 	if st.GetNodesReplies+st.PingReplies > st.GetNodesSent+st.PingsSent {
 		t.Fatalf("more replies than queries: %+v", st)
 	}
-	for addr, rec := range c.ips {
-		if rec.addr != addr {
-			t.Fatalf("ip record key %v holds record for %v", addr, rec.addr)
-		}
-		if len(rec.ports) == 0 {
+	observed := c.ObservedIPs()
+	if observed.Len() != st.UniqueIPs {
+		t.Fatalf("%d observed addresses, but Stats counts %d", observed.Len(), st.UniqueIPs)
+	}
+	for _, addr := range observed.Sorted() {
+		if seenPorts(c, addr) == 0 {
 			t.Fatalf("ip record %v has no ports", addr)
 		}
 	}

@@ -21,33 +21,46 @@ type Tx struct {
 	Attempts int
 	// Timer is the currently armed response deadline or retry backoff.
 	Timer dht.Timer
+	// slot is the crawler's port slot for To.
+	slot uint32
 }
 
 // TxManager correlates KRPC transactions with the node each query went to.
 // A crawler legitimately has several queries outstanding to the same node at
 // once — a discovery get_nodes and a verification bt_ping, or pings to two
-// ports of one NATed address — so correlation is per transaction, with a
-// per-node outstanding count layered on top for politeness bounds and
-// in-flight accounting (the fleet's bounded in-flight request queue).
+// ports of one NATed address — so correlation is per transaction. The
+// per-node outstanding count that MaxPerNode bounds is the crawler's, kept
+// in the node's port slot.
+//
+// Pending transactions live in a ring indexed by the low bits of their
+// sequential IDs: the ring doubles whenever a new ID would land on a live
+// one, so it spans the IDs between the oldest and newest outstanding query
+// and a lookup is one index and one compare.
 //
 // It also owns the late-reply window: transactions whose query timed out are
 // remembered (bounded, FIFO-evicted) so a response straggling in afterwards
 // is recognised and counted instead of silently dropped.
 //
-// The records of finished transactions, Data buffers included, are reused
-// for new ones, so a warm crawl allocates nothing per query.
+// A ring entry's record, its Data buffer included, is reused by the next
+// transaction that lands on it, so a warm crawl allocates nothing per query.
 //
 // The manager is deliberately not goroutine-safe: crawler code is
 // single-threaded by design (simulated swarms run on one event loop; real
 // sockets serialise through the swarm mutex).
 type TxManager struct {
-	pending map[uint64]*Tx
-	perNode map[netsim.Endpoint]int
-	lateTx  map[uint64]netsim.Endpoint
-	// lateOrder is the late window's FIFO eviction order.
+	ring     []txEntry // length 0 or a power of two
+	inFlight int
+	lateTx   map[uint64]netsim.Endpoint
+	// lateOrder is the late window's IDs in a ring of lateMax, the oldest
+	// at lateHead once the ring is full.
 	lateOrder []uint64
+	lateHead  int
 	lateMax   int
-	free      []*Tx // records of finished transactions, for Register
+}
+
+type txEntry struct {
+	tx   Tx
+	live bool
 }
 
 // NewTxManager returns a manager whose late-reply window remembers up to
@@ -57,55 +70,79 @@ func NewTxManager(lateWindow int) *TxManager {
 		lateWindow = lateWindowMax
 	}
 	return &TxManager{
-		pending: make(map[uint64]*Tx),
-		perNode: make(map[netsim.Endpoint]int),
 		lateTx:  make(map[uint64]netsim.Endpoint),
 		lateMax: lateWindow,
 	}
 }
 
-// Register adds a freshly sent query to the outstanding set and returns
-// the manager's record of it, which holds its own copy of t.Data and stays
-// valid until the transaction is resolved, failed or cancelled.
-func (m *TxManager) Register(t Tx) *Tx {
-	var p *Tx
-	if k := len(m.free); k > 0 {
-		p, m.free = m.free[k-1], m.free[:k-1]
-	} else {
-		p = new(Tx)
+// entry returns the ring entry for id.
+func (m *TxManager) entry(id uint64) *txEntry {
+	if len(m.ring) == 0 {
+		return nil
 	}
-	data := append(p.Data[:0], t.Data...)
-	*p = t
-	p.Data = data
-	m.pending[t.ID] = p
-	m.perNode[t.To]++
-	return p
+	return &m.ring[id&uint64(len(m.ring)-1)]
 }
 
-// finish removes an outstanding transaction and recycles its record,
-// returning a copy without Data.
+// Register adds a freshly sent query to the outstanding set and returns
+// the manager's record of it, which holds its own copy of t.Data. The
+// pointer is valid until the next Register; the record itself lives until
+// the transaction is resolved, failed or cancelled. Registering an ID that
+// is still outstanding replaces its record.
+func (m *TxManager) Register(t Tx) *Tx {
+	e := m.entry(t.ID)
+	for e == nil || e.live && e.tx.ID != t.ID {
+		m.grow()
+		e = m.entry(t.ID)
+	}
+	if !e.live {
+		m.inFlight++
+	}
+	data := append(e.tx.Data[:0], t.Data...)
+	e.tx = t
+	e.tx.Data = data
+	e.live = true
+	return &e.tx
+}
+
+// grow doubles the ring. Live IDs are distinct modulo the old length, so
+// they stay distinct modulo twice it.
+func (m *TxManager) grow() {
+	ring := make([]txEntry, max(2*len(m.ring), 64))
+	mask := uint64(len(ring) - 1)
+	for _, e := range m.ring {
+		if e.live {
+			ring[e.tx.ID&mask] = e
+		}
+	}
+	m.ring = ring
+}
+
+// finish removes an outstanding transaction, returning a copy of its record
+// without Data.
 func (m *TxManager) finish(id uint64) (Tx, bool) {
-	p, ok := m.pending[id]
-	if !ok {
+	e := m.entry(id)
+	if e == nil || !e.live || e.tx.ID != id {
 		return Tx{}, false
 	}
-	delete(m.pending, id)
-	m.releaseNode(p.To)
-	m.free = append(m.free, p)
-	t := *p
+	e.live = false
+	m.inFlight--
+	t := e.tx
 	t.Data = nil
 	return t, true
 }
 
 // Get returns the outstanding transaction without resolving it (retry and
-// timeout paths peek first).
+// timeout paths peek first). The pointer is valid until the next Register.
 func (m *TxManager) Get(id uint64) (*Tx, bool) {
-	t, ok := m.pending[id]
-	return t, ok
+	e := m.entry(id)
+	if e == nil || !e.live || e.tx.ID != id {
+		return nil, false
+	}
+	return &e.tx, true
 }
 
-// Resolve removes a transaction whose response arrived, cancelling its
-// deadline timer and releasing its per-node slot.
+// Resolve removes a transaction whose response arrived and cancels its
+// deadline timer.
 func (m *TxManager) Resolve(id uint64) (Tx, bool) {
 	t, ok := m.finish(id)
 	if ok {
@@ -115,19 +152,21 @@ func (m *TxManager) Resolve(id uint64) (Tx, bool) {
 }
 
 // Fail removes a transaction whose deadline passed with every retry
-// exhausted (the timer has already fired, so no Stop), releases its
-// per-node slot, and remembers it in the late-reply window.
+// exhausted (the timer has already fired, so no Stop) and remembers it in
+// the late-reply window.
 func (m *TxManager) Fail(id uint64) (Tx, bool) {
 	t, ok := m.finish(id)
 	if !ok {
 		return t, false
 	}
-	if len(m.lateOrder) >= m.lateMax {
-		delete(m.lateTx, m.lateOrder[0])
-		m.lateOrder = m.lateOrder[1:]
+	if len(m.lateOrder) < m.lateMax {
+		m.lateOrder = append(m.lateOrder, id)
+	} else {
+		delete(m.lateTx, m.lateOrder[m.lateHead])
+		m.lateOrder[m.lateHead] = id
+		m.lateHead = (m.lateHead + 1) % m.lateMax
 	}
 	m.lateTx[id] = t.To
-	m.lateOrder = append(m.lateOrder, id)
 	return t, true
 }
 
@@ -143,26 +182,16 @@ func (m *TxManager) ResolveLate(id uint64) (netsim.Endpoint, bool) {
 
 // InFlight returns the number of outstanding transactions — the fleet's
 // bounded in-flight queue consults it before admitting new sends.
-func (m *TxManager) InFlight() int { return len(m.pending) }
-
-// Outstanding returns how many queries are currently outstanding to one
-// node — the per-node correlation count.
-func (m *TxManager) Outstanding(ep netsim.Endpoint) int { return m.perNode[ep] }
+func (m *TxManager) InFlight() int { return m.inFlight }
 
 // CancelAll stops every outstanding deadline and clears the manager; the
 // late window is kept (a stopping crawler still counts stragglers).
 func (m *TxManager) CancelAll() {
-	for _, t := range m.pending {
-		t.Timer.Stop()
+	for i := range m.ring {
+		if e := &m.ring[i]; e.live {
+			e.tx.Timer.Stop()
+			e.live = false
+		}
 	}
-	m.pending = make(map[uint64]*Tx)
-	m.perNode = make(map[netsim.Endpoint]int)
-}
-
-func (m *TxManager) releaseNode(ep netsim.Endpoint) {
-	if n := m.perNode[ep]; n <= 1 {
-		delete(m.perNode, ep)
-	} else {
-		m.perNode[ep] = n - 1
-	}
+	m.inFlight = 0
 }

@@ -88,7 +88,7 @@ func (rt *routingTable) add(info krpc.NodeInfo, at time.Time) {
 	}
 	bucket := rt.bkts[p]
 	for i := range bucket {
-		if bucket[i].info.ID == info.ID {
+		if bucket[i].info.ID.Equal(&info.ID) {
 			// Same node; update endpoint (it may have rebooted onto a
 			// new port) and refresh.
 			bucket[i].info = info

@@ -92,6 +92,15 @@ func (id NodeID) Less(other, target NodeID) bool {
 	return false
 }
 
+// Equal reports whether id and other are the same ID. It compares word by
+// word from the tail, with no call: IDs that share a routing-table bucket
+// share their leading bits, so the tail tells a mismatch soonest.
+func (id *NodeID) Equal(other *NodeID) bool {
+	return binary.LittleEndian.Uint32(id[16:]) == binary.LittleEndian.Uint32(other[16:]) &&
+		binary.LittleEndian.Uint64(id[8:]) == binary.LittleEndian.Uint64(other[8:]) &&
+		binary.LittleEndian.Uint64(id[:8]) == binary.LittleEndian.Uint64(other[:8])
+}
+
 // NodeInfo is the compact (ID, address, port) triple exchanged in find_node
 // responses.
 type NodeInfo struct {

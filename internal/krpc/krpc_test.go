@@ -253,3 +253,20 @@ func TestRoundTripRandomised(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeIDEqualMatchesArrayEquality: the word-wise compare agrees with ==
+// on equal IDs and on IDs that differ in any one byte.
+func TestNodeIDEqualMatchesArrayEquality(t *testing.T) {
+	a := GenerateNodeID(0x0a000001, 7)
+	b := a
+	if !a.Equal(&b) {
+		t.Fatal("a.Equal(a) = false")
+	}
+	for i := range b {
+		b = a
+		b[i] ^= 0x80
+		if a.Equal(&b) || b.Equal(&a) {
+			t.Fatalf("IDs differing in byte %d compare equal", i)
+		}
+	}
+}
