@@ -57,7 +57,6 @@ fuzz:
 	$(GO) test -fuzz '^FuzzUnmarshalInto$$' -fuzztime 30s ./internal/krpc/
 	$(GO) test -fuzz '^FuzzParseLog$$' -fuzztime 30s ./internal/crawler/
 	$(GO) test -fuzz '^FuzzCrawlerState$$' -fuzztime 30s ./internal/crawler/
-	$(GO) test -fuzz '^FuzzDecodeFrame$$' -fuzztime 30s ./internal/fleet/
 	$(GO) test -fuzz '^FuzzParseNATedList$$' -fuzztime 30s ./internal/blocklist/
 	$(GO) test -fuzz '^FuzzParsePrefixList$$' -fuzztime 30s ./internal/blocklist/
 	$(GO) test -fuzz '^FuzzReadLogs$$' -fuzztime 30s ./internal/ripeatlas/
@@ -79,7 +78,7 @@ coverage:
 	./scripts/coverage_ratchet.sh
 
 # End-to-end scenario suite: every scenario builds the cmd binaries and
-# boots crawler fleet + pipeline + blserve as real processes over loopback,
+# boots blcrawl shards + pipeline + blserve as real processes over loopback,
 # asserting on the served API against the ground-truth oracles. The load-gen
 # scenario appends its latency record to BENCH_e2e.json (override the path
 # with E2E_BENCH_OUT). On failure, process logs land under E2E_LOG_DIR.

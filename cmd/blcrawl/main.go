@@ -10,36 +10,23 @@
 // address is not possible on loopback, so the real mode demonstrates the
 // crawler against live sockets and reports discovery statistics.
 //
-// A fleet of blcrawl processes can split one world between them: -shard I/N
-// (1-based, 1 <= I <= N) restricts this instance's probing scope to the I-th
-// of N address shards (the world itself is regenerated identically from the
-// seed in every process), so the union of the shards' -out files is a
-// full-world dataset. A malformed or out-of-range -shard is a usage error
-// (exit 2): a fleet member crawling the wrong scope would silently hole the
-// merged dataset.
-//
-// Worker mode (used by blfleet, usable by any supervisor): -report-to
-// HOST:PORT connects the crawl to a fleet coordinator over loopback UDP —
-// the worker announces itself (fleet_ready), streams progress heartbeats
-// (fleet_hb) at -hb-interval, and delivers its final statistics
-// (fleet_done) with retry-until-ack. -worker names this instance in those
-// messages. -rate/-burst meter the crawl through a deterministic token
-// bucket (this worker's share of the fleet budget) and -max-inflight bounds
-// outstanding queries. Malformed worker-mode values are usage errors (exit
-// 2 + usage), exactly like -shard.
-//
-// The simulated mode is fleet.RunWorker plus a statistics printout: a shard
-// crawl started here runs the same code as a blfleet worker process or an
-// in-process fleet.LocalRunner worker. -real and -replay run no shard
-// crawl, so combining them with -shard, -faults, the worker flags or the
-// budget flags is a usage error too — such a worker would never report to
-// its coordinator.
+// -shard I/N (1-based, 1 <= I <= N) restricts this instance's probing scope
+// to the I-th of N address shards; the world itself is regenerated
+// identically from the seed. Each shard's -out file holds only addresses of
+// its shard (plus, possibly, the bootstrap address, which every shard may
+// probe), in the crawl observation format. The union of the N files is not
+// a full-world dataset: each shard's crawler walks the DHT only through its
+// own addresses, so it learns fewer neighbours and confirms fewer NATs (at
+// scale 10, the union of a 2-shard split holds 11% fewer NATed addresses
+// than one whole crawl). A malformed or out-of-range -shard is a usage error
+// (exit 2). -real and -replay run no simulated crawl, so combining them with
+// -shard or -faults is a usage error too.
 //
 // Usage:
 //
 //	blcrawl [-seed N] [-scale F] [-duration DUR] [-loss F] [-faults SCENARIO] [-shard I/N] [-out FILE]
 //	blcrawl -real 50 [-duration DUR]
-//	blcrawl -shard 2/4 -report-to 127.0.0.1:40000 -worker 2 [-rate F] [-max-inflight N] ...
+//	blcrawl -replay crawl.log [-window DUR]
 package main
 
 import (
@@ -53,10 +40,13 @@ import (
 	"sync"
 	"time"
 
+	"github.com/reuseblock/reuseblock/internal/blgen"
+	"github.com/reuseblock/reuseblock/internal/blocklist"
+	"github.com/reuseblock/reuseblock/internal/core"
 	"github.com/reuseblock/reuseblock/internal/crawler"
 	"github.com/reuseblock/reuseblock/internal/dht"
 	"github.com/reuseblock/reuseblock/internal/faults"
-	"github.com/reuseblock/reuseblock/internal/fleet"
+	"github.com/reuseblock/reuseblock/internal/iputil"
 	"github.com/reuseblock/reuseblock/internal/krpc"
 	"github.com/reuseblock/reuseblock/internal/netsim"
 )
@@ -83,13 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		window   = fs.Duration("window", 30*time.Second, "ping-window for -replay scoring")
 		faultScn = fs.String("faults", "", "fault scenario to inject (simulated mode; one of: "+strings.Join(faults.Names(), ", ")+")")
 		shard    = fs.String("shard", "", "crawl only the I-th of N address shards, as I/N with 1 <= I <= N (simulated mode)")
-
-		reportTo    = fs.String("report-to", "", "fleet worker mode: coordinator control address (HOST:PORT) to report to")
-		workerID    = fs.Int("worker", 0, "fleet worker mode: this worker's number (>= 1; requires -report-to)")
-		hbInterval  = fs.Duration("hb-interval", 500*time.Millisecond, "fleet worker mode: heartbeat period (> 0)")
-		rate        = fs.Float64("rate", 0, "budget: sustained query rate in queries/sec (0 = unlimited)")
-		burst       = fs.Int("burst", 0, "budget: token-bucket burst depth (0 = one second of -rate)")
-		maxInflight = fs.Int("max-inflight", 0, "budget: bound on outstanding queries (0 = unlimited)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -99,17 +82,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	usageErr := func(err error) int {
-		// A wrong shard scope or worker wiring is a usage error, not a
-		// runtime failure: treat it like any other bad flag value (exit 2
-		// with usage) so fleet launchers fail loudly instead of crawling a
-		// hole into the dataset.
+		// A wrong shard scope is a usage error, not a runtime failure: treat
+		// it like any other bad flag value (exit 2 with usage) so a launcher
+		// fails loudly instead of crawling a hole into the dataset.
 		fmt.Fprintln(stderr, "blcrawl:", err)
 		fs.Usage()
 		return 2
 	}
 	if *replay != "" || *realN > 0 {
-		// -real and -replay run no shard crawl, so a worker launched with
-		// either would never report to its coordinator.
+		// -real and -replay run no simulated crawl, so a shard or fault
+		// scenario given with either would be silently dropped.
 		mode := "-real"
 		if *replay != "" {
 			mode = "-replay"
@@ -121,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		})
 		if bad != "" {
-			return usageErr(fmt.Errorf("invalid -%s with %s: shard, fault, worker and budget flags apply only to the simulated crawl", bad, mode))
+			return usageErr(fmt.Errorf("invalid -%s with %s: shard and fault flags apply only to the simulated crawl", bad, mode))
 		}
 	}
 	scenario, err := faults.Lookup(*faultScn)
@@ -129,11 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "blcrawl:", err)
 		return 1
 	}
-	shardSpec, err := fleet.ParseShard(*shard)
-	if err != nil {
-		return usageErr(err)
-	}
-	spec, err := validateWorkerFlags(*reportTo, *workerID, *hbInterval, *rate, *burst, *maxInflight)
+	sh, err := parseShard(*shard)
 	if err != nil {
 		return usageErr(err)
 	}
@@ -143,11 +121,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *realN > 0:
 		err = runReal(*realN, *duration, stdout)
 	default:
-		spec.Shard = shardSpec
-		spec.Seed, spec.Scale, spec.Duration, spec.Loss = *seed, *scale, *duration, *loss
-		spec.FaultScenario = *faultScn
-		spec.OutFile = *out
-		err = runSimulated(spec, scenario, *msgLog, stdout, stderr)
+		err = runSimulated(simJob{
+			seed: *seed, scale: *scale, duration: *duration, loss: *loss,
+			scenario: scenario, shard: sh, out: *out, msgLog: *msgLog,
+		}, stdout, stderr)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "blcrawl:", err)
@@ -156,47 +133,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// simulatedOnly names the flags that configure a simulated shard crawl.
-var simulatedOnly = map[string]bool{
-	"shard": true, "faults": true, "report-to": true, "worker": true, "hb-interval": true,
-	"rate": true, "burst": true, "max-inflight": true,
-}
-
-// validateWorkerFlags applies the -shard validation standard to the worker
-// and budget flags: anything malformed is rejected before the crawl starts.
-// The returned spec carries the worker wiring and budget.
-func validateWorkerFlags(reportTo string, worker int, hbInterval time.Duration, rate float64, burst, maxInflight int) (fleet.WorkerSpec, error) {
-	var w fleet.WorkerSpec
-	if rate < 0 {
-		return w, fmt.Errorf("invalid -rate %v: want >= 0", rate)
-	}
-	if burst < 0 {
-		return w, fmt.Errorf("invalid -burst %d: want >= 0", burst)
-	}
-	if maxInflight < 0 {
-		return w, fmt.Errorf("invalid -max-inflight %d: want >= 0", maxInflight)
-	}
-	w.Budget = fleet.Budget{Rate: rate, Burst: burst, MaxInflight: maxInflight}
-	if reportTo == "" {
-		if worker != 0 {
-			return w, fmt.Errorf("invalid -worker %d: requires -report-to", worker)
-		}
-		return w, nil
-	}
-	if _, err := fleet.ParseControlAddr(reportTo); err != nil {
-		return w, fmt.Errorf("invalid -report-to: %v", err)
-	}
-	if worker < 1 {
-		return w, fmt.Errorf("invalid -worker %d: want >= 1 with -report-to", worker)
-	}
-	if hbInterval <= 0 {
-		return w, fmt.Errorf("invalid -hb-interval %v: want > 0", hbInterval)
-	}
-	w.ReportTo = reportTo
-	w.ID = worker
-	w.HBInterval = hbInterval
-	return w, nil
-}
+// simulatedOnly names the flags that configure only the simulated crawl.
+var simulatedOnly = map[string]bool{"shard": true, "faults": true}
 
 // runReplay reproduces NAT determination offline from a message log — the
 // paper's post-processing step.
@@ -218,12 +156,26 @@ func runReplay(path string, window time.Duration, stdout io.Writer) error {
 	return nil
 }
 
-// runSimulated runs the shard crawl through fleet.RunWorker — the same
-// code a blfleet worker runs — and prints its statistics.
-func runSimulated(spec fleet.WorkerSpec, scenario *faults.Scenario, msgLog string, stdout, stderr io.Writer) (err error) {
+// simJob is one simulated crawl: the inputs that define its output, and
+// where to write it.
+type simJob struct {
+	seed     int64
+	scale    float64
+	duration time.Duration
+	loss     float64
+	scenario *faults.Scenario
+	shard    shardSpec
+	out      string // detected-address file; "" writes none
+	msgLog   string // crawler message log; "" writes none
+}
+
+// runSimulated generates the world, builds its swarm, crawls it from the
+// vantage Swarm.StartCrawler brings up for the job's duration, and prints
+// the crawl's statistics.
+func runSimulated(job simJob, stdout, stderr io.Writer) (err error) {
 	var eventLog io.Writer
-	if msgLog != "" {
-		lf, err := os.Create(msgLog)
+	if job.msgLog != "" {
+		lf, err := os.Create(job.msgLog)
 		if err != nil {
 			return err
 		}
@@ -240,32 +192,86 @@ func runSimulated(spec fleet.WorkerSpec, scenario *faults.Scenario, msgLog strin
 	}
 
 	start := time.Now()
-	res, err := fleet.RunWorker(spec, eventLog, nil, stderr)
+	wp := blgen.DefaultParams(job.seed)
+	wp.Scale = job.scale
+	w := blgen.Generate(wp)
+	fmt.Fprintf(stderr, "world: %d BT users, %d NAT gateways\n", len(w.BTUsers), len(w.NATs))
+
+	scope := w.BlocklistedSpace()
+	swarm, err := core.BuildSwarm(w, core.SwarmConfig{
+		Loss:         job.loss,
+		Seed:         job.seed,
+		ChurnHorizon: job.duration,
+		Faults:       job.scenario,
+	}, scope.Covers)
 	if err != nil {
 		return err
 	}
+	cover := scope.Covers
+	if !job.shard.whole() {
+		cover = job.shard.scope(scope.Covers, swarm.Bootstrap.Addr)
+		fmt.Fprintf(stderr, "crawling shard %s of the address space\n", job.shard)
+	}
+	c, err := swarm.StartCrawler(0, crawler.Config{Scope: cover, Seed: job.seed, EventLog: eventLog})
+	if err != nil {
+		return err
+	}
+	swarm.RunFor(job.duration)
+	c.Stop()
 
-	st := res.Stats
-	fmt.Fprintf(stdout, "crawled %v of simulated time in %v\n", spec.Duration, time.Since(start).Round(time.Millisecond))
+	st := c.Stats()
+	fmt.Fprintf(stdout, "crawled %v of simulated time in %v\n", job.duration, time.Since(start).Round(time.Millisecond))
 	fmt.Fprintf(stdout, "messages sent:      %d (get_nodes %d, bt_ping %d)\n", st.MessagesSent, st.GetNodesSent, st.PingsSent)
 	fmt.Fprintf(stdout, "responses received: %d (%.1f%%)\n", st.MessagesReceived, st.ResponseRate*100)
 	fmt.Fprintf(stdout, "unique IPs:         %d\n", st.UniqueIPs)
 	fmt.Fprintf(stdout, "unique node IDs:    %d\n", st.UniqueNodeIDs)
 	fmt.Fprintf(stdout, "multi-port IPs:     %d\n", st.MultiPortIPs)
 	fmt.Fprintf(stdout, "NATed IPs:          %d (max %d simultaneous users)\n", st.NATedIPs, st.SimultaneousMax)
-	if scenario != nil {
+	if job.scenario != nil {
 		fmt.Fprintf(stdout, "resilience:         %d retries, %d late replies, %d endpoints evicted\n",
 			st.Retries, st.LateReplies, st.Evicted)
-		if res.FaultStats != nil {
-			fs := res.FaultStats
+		if swarm.Injector != nil {
+			fs := swarm.Injector.Stats()
 			fmt.Fprintf(stdout, "%-20s%d burst-dropped, %d blackout-dropped, %d rate-limited, %d corrupted\n",
-				"faults ("+scenario.Name+"):", fs.BurstDropped, fs.BlackoutDropped, fs.RateLimited, fs.Corrupted)
+				"faults ("+job.scenario.Name+"):", fs.BurstDropped, fs.BlackoutDropped, fs.RateLimited, fs.Corrupted)
 		}
 	}
-	if len(res.Detected) > 0 {
-		fmt.Fprintf(stdout, "ground truth:       %d/%d detected addresses are true NAT gateways\n",
-			res.TruePositives, len(res.Detected))
+	detected := make(map[iputil.Addr]int)
+	truePositives := 0
+	for _, o := range c.NATed() {
+		detected[o.Addr] = o.Users
+		if _, ok := w.NATByIP[o.Addr]; ok {
+			truePositives++
+		}
 	}
+	if len(detected) > 0 {
+		fmt.Fprintf(stdout, "ground truth:       %d/%d detected addresses are true NAT gateways\n",
+			truePositives, len(detected))
+	}
+	if job.out != "" {
+		return writeOut(job.out, detected, stderr)
+	}
+	return nil
+}
+
+// natedListHeader is the comment header of every crawl observation file.
+const natedListHeader = "NATed addresses detected by blcrawl (addr<TAB>users lower bound)"
+
+// writeOut writes a detected-address file in the crawl observation format:
+// sorted addr<TAB>users lines under natedListHeader.
+func writeOut(path string, detected map[iputil.Addr]int, stderr io.Writer) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := blocklist.WriteNATedList(f, detected, natedListHeader); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "wrote %d addresses to %s\n", len(detected), path)
 	return nil
 }
 

@@ -2,85 +2,27 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/reuseblock/reuseblock/internal/blocklist"
-	"github.com/reuseblock/reuseblock/internal/fleet"
 	"github.com/reuseblock/reuseblock/internal/iputil"
 )
 
-// TestValidateWorkerFlags pins the worker-mode flag contract: budget flags
-// must be non-negative, -worker requires -report-to (and vice versa implies
-// a positive ID), -report-to must parse as HOST:PORT, and the heartbeat
-// period must be positive. Shard parsing itself lives in internal/fleet.
-func TestValidateWorkerFlags(t *testing.T) {
-	type in struct {
-		reportTo    string
-		worker      int
-		hb          time.Duration
-		rate        float64
-		burst       int
-		maxInflight int
-	}
-	ok := []in{
-		{},                                   // no worker mode, no budget
-		{rate: 5, burst: 10, maxInflight: 3}, // budget without a coordinator
-		{reportTo: "127.0.0.1:4000", worker: 1, hb: time.Second},
-		{reportTo: "127.0.0.1:4000", worker: 7, hb: 50 * time.Millisecond, rate: 0.5},
-	}
-	for _, c := range ok {
-		if _, err := validateWorkerFlags(c.reportTo, c.worker, c.hb, c.rate, c.burst, c.maxInflight); err != nil {
-			t.Errorf("validateWorkerFlags(%+v) rejected: %v", c, err)
-		}
-	}
-	bad := []in{
-		{rate: -1},
-		{burst: -1},
-		{maxInflight: -5},
-		{worker: 1}, // -worker without -report-to
-		{reportTo: "127.0.0.1:4000", worker: 0, hb: time.Second},  // missing -worker
-		{reportTo: "127.0.0.1:4000", worker: -2, hb: time.Second}, // negative -worker
-		{reportTo: "127.0.0.1:4000", worker: 1, hb: 0},            // heartbeat period
-		{reportTo: "nonsense", worker: 1, hb: time.Second},        // unparseable address
-		{reportTo: "127.0.0.1:notaport", worker: 1, hb: time.Second},
-		{reportTo: "127.0.0.1:0", worker: 1, hb: time.Second}, // port out of range
-	}
-	for _, c := range bad {
-		if _, err := validateWorkerFlags(c.reportTo, c.worker, c.hb, c.rate, c.burst, c.maxInflight); err == nil {
-			t.Errorf("validateWorkerFlags(%+v) accepted, want error", c)
-		}
-	}
-}
-
-// TestRunBadWorkerFlags pins the CLI contract for the worker-mode flags:
-// like -shard, a malformed value exits 2 and prints both the offending flag
-// and the usage text.
-func TestRunBadWorkerFlags(t *testing.T) {
+// TestRunSimulatedOnlyFlags: -real and -replay run no simulated crawl, so
+// a shard or fault scenario given with either would be silently dropped;
+// instead it exits 2 and prints both the offending flag and the usage text.
+func TestRunSimulatedOnlyFlags(t *testing.T) {
 	cases := []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-rate", "-3"}, "invalid -rate"},
-		{[]string{"-burst", "-1"}, "invalid -burst"},
-		{[]string{"-max-inflight", "-2"}, "invalid -max-inflight"},
-		{[]string{"-worker", "1"}, "invalid -worker"},
-		{[]string{"-report-to", "127.0.0.1:4000"}, "invalid -worker"},
-		{[]string{"-report-to", "garbage", "-worker", "1"}, "invalid -report-to"},
-		{[]string{"-report-to", "127.0.0.1:4000", "-worker", "1", "-hb-interval", "0s"}, "invalid -hb-interval"},
-		// -real and -replay run no shard crawl: worker, budget and fault
-		// flags there would be silently dropped.
-		{[]string{"-real", "3", "-report-to", "127.0.0.1:4000", "-worker", "1"}, "invalid -report-to with -real"},
-		{[]string{"-real", "3", "-worker", "1"}, "invalid -worker with -real"},
-		{[]string{"-real", "3", "-rate", "5"}, "invalid -rate with -real"},
-		{[]string{"-replay", "crawl.log", "-max-inflight", "4"}, "invalid -max-inflight with -replay"},
-		{[]string{"-replay", "crawl.log", "-burst", "2"}, "invalid -burst with -replay"},
+		{[]string{"-real", "3", "-shard", "1/2"}, "invalid -shard with -real"},
+		{[]string{"-real", "3", "-faults", "bursty"}, "invalid -faults with -real"},
+		{[]string{"-replay", "crawl.log", "-shard", "1/2"}, "invalid -shard with -replay"},
 		{[]string{"-replay", "crawl.log", "-faults", "bursty"}, "invalid -faults with -replay"},
-		{[]string{"-real", "3", "-hb-interval", "1s"}, "invalid -hb-interval with -real"},
 	}
 	for _, c := range cases {
 		var out, errb bytes.Buffer
@@ -99,7 +41,7 @@ func TestRunBadWorkerFlags(t *testing.T) {
 
 // TestRunBadShard pins the usage-error contract: any rejected -shard exits
 // 2 (like other flag errors) and prints both the offending value and the
-// usage text, so a fleet launcher's log explains itself.
+// usage text, so a launcher's log explains itself.
 func TestRunBadShard(t *testing.T) {
 	for _, bad := range []string{"3/2", "0/2", "x/y", "1/0", "2"} {
 		var out, errb bytes.Buffer
@@ -113,24 +55,16 @@ func TestRunBadShard(t *testing.T) {
 			t.Errorf("-shard %s did not print usage:\n%s", bad, errb.String())
 		}
 	}
-	// A valid -shard is still a usage error where no shard crawl runs.
-	for _, mode := range [][]string{{"-real", "3"}, {"-replay", "crawl.log"}} {
-		args := append([]string{"-shard", "1/2"}, mode...)
-		var out, errb bytes.Buffer
-		if code := run(args, &out, &errb); code != 2 {
-			t.Errorf("%v exited %d, want 2", args, code)
-		}
-		if !strings.Contains(errb.String(), "invalid -shard with "+mode[0]) ||
-			!strings.Contains(errb.String(), "Usage of blcrawl") {
-			t.Errorf("%v did not report the conflict with usage:\n%s", args, errb.String())
-		}
-	}
 }
 
-// TestShardedCrawlsUnionToFullCrawl runs the same seeded world once whole
-// and once split across two shards, and requires the merged shard output to
-// carry user lower bounds in the file format the pipeline serves from.
-func TestShardedCrawlsUnionToFullCrawl(t *testing.T) {
+// TestShardOutputsRespectPartition runs the same seeded world once whole
+// and once split across two shards. Every file must parse in the list
+// format the pipeline serves from, with user lower bounds of at least 2,
+// and every address a shard detects must belong to that shard, the
+// bootstrap address excepted. It asserts nothing about the union of the
+// shards against the whole crawl: a shard walks the DHT only through its
+// own addresses and finds fewer NATs.
+func TestShardOutputsRespectPartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated crawl")
 	}
@@ -164,9 +98,11 @@ func TestShardedCrawlsUnionToFullCrawl(t *testing.T) {
 	if len(full) == 0 {
 		t.Fatal("unsharded crawl detected nothing; scenario operating point is broken")
 	}
-	for addr, users := range full {
-		if users < 2 {
-			t.Errorf("%s written with users=%d; the list format floors at 2", addr, users)
+	for _, list := range []map[iputil.Addr]int{full, shard0, shard1} {
+		for addr, users := range list {
+			if users < 2 {
+				t.Errorf("%s written with users=%d; the list format floors at 2", addr, users)
+			}
 		}
 	}
 	// Every shard detection must respect the shard split — except the
@@ -184,49 +120,34 @@ func TestShardedCrawlsUnionToFullCrawl(t *testing.T) {
 	}
 }
 
-// TestRunShardMatchesFleetCrawl: a shard crawl started from the command line
-// is the crawl fleet workers run — the -out file equals fleet.RunCrawl +
-// fleet.WriteOut of the same job byte for byte, and the printed counters are
-// that crawl's statistics.
-func TestRunShardMatchesFleetCrawl(t *testing.T) {
+// TestRunShardOneOfOneMatchesWhole: -shard 1/1 is the whole scope, so it
+// writes the same -out bytes and the same counter lines as a run without
+// -shard.
+func TestRunShardOneOfOneMatchesWhole(t *testing.T) {
 	dir := t.TempDir()
-	got := filepath.Join(dir, "cli.txt")
-	var out, errb bytes.Buffer
-	if code := run([]string{"-seed", "1", "-scale", "0.05", "-duration", "2h", "-shard", "2/3", "-out", got}, &out, &errb); code != 0 {
-		t.Fatalf("shard crawl exited %d\nstderr: %s", code, errb.String())
-	}
-
-	res, err := fleet.RunCrawl(fleet.CrawlJob{
-		Seed: 1, Scale: 0.05, Duration: 2 * time.Hour, Loss: 0.28,
-		Shard: fleet.ShardSpec{Index: 2, N: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := filepath.Join(dir, "fleet.txt")
-	if err := fleet.WriteOut(want, res.Detected, nil); err != nil {
-		t.Fatal(err)
-	}
-	gotData, err := os.ReadFile(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantData, err := os.ReadFile(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wantData) == 0 || !bytes.Equal(gotData, wantData) {
-		t.Fatalf("blcrawl -shard output differs from fleet.RunCrawl:\nblcrawl:\n%s\nfleet:\n%s", gotData, wantData)
-	}
-	for _, line := range []string{
-		fmt.Sprintf("messages sent:      %d (get_nodes %d, bt_ping %d)\n",
-			res.Stats.MessagesSent, res.Stats.GetNodesSent, res.Stats.PingsSent),
-		fmt.Sprintf("NATed IPs:          %d (max %d simultaneous users)\n",
-			res.Stats.NATedIPs, res.Stats.SimultaneousMax),
-	} {
-		if !strings.Contains(out.String(), line) {
-			t.Errorf("stdout lacks %q:\n%s", line, out.String())
+	crawl := func(name string, extra ...string) ([]byte, string) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		args := append([]string{"-seed", "1", "-scale", "0.05", "-duration", "2h", "-out", path}, extra...)
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("crawl %v exited %d\nstderr: %s", extra, code, errb.String())
 		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first line reports wall time; the rest are counters.
+		_, counters, _ := strings.Cut(out.String(), "\n")
+		return data, counters
+	}
+	whole, wholeOut := crawl("whole.txt")
+	one, oneOut := crawl("one.txt", "-shard", "1/1")
+	if len(whole) == 0 || !bytes.Equal(whole, one) {
+		t.Fatalf("-shard 1/1 output differs from the whole crawl:\nwhole:\n%s\n1/1:\n%s", whole, one)
+	}
+	if !strings.Contains(wholeOut, "NATed IPs:") || wholeOut != oneOut {
+		t.Fatalf("-shard 1/1 counters differ from the whole crawl:\nwhole:\n%s\n1/1:\n%s", wholeOut, oneOut)
 	}
 }
 

@@ -6,8 +6,8 @@
 // grammar, sorted unique dictionary keys, the nesting and string-size
 // limits. It walks a list or dictionary without building anything; the KRPC
 // codec reads datagrams straight from it, and Decode builds dynamic Values
-// on top of it (adding only the no-trailing-bytes check) for the fleet
-// control plane and the fault injector.
+// on top of it (adding only the no-trailing-bytes check) for the fault
+// injector.
 package bencode
 
 import (

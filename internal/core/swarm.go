@@ -75,7 +75,7 @@ func (s *Swarm) NetStats() netsim.Stats { return s.Group.Stats() }
 // persistently dead endpoints (off otherwise, so fault-free runs reproduce
 // the original byte stream). StartCrawler sets cfg.Bootstrap and, on a
 // faulted swarm, the retry fields; cfg carries everything else (seed,
-// scope, limiter, logs). Advance the crawl with RunFor and end it with Stop.
+// scope, logs). Advance the crawl with RunFor and end it with Stop.
 func (s *Swarm) StartCrawler(v int, cfg crawler.Config) (*crawler.Crawler, error) {
 	addr := iputil.AddrFrom4(198, 18, byte(v), 1)
 	sock, err := s.Listen(netsim.Endpoint{Addr: addr, Port: 9999})

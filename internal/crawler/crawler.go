@@ -68,23 +68,6 @@ type Config struct {
 	// many consecutive queries to it failed (all retries exhausted); any
 	// reply — even a late one — resurrects it. Zero disables eviction.
 	EvictAfter int
-	// Limiter, when non-nil, is the fleet rate-budget hook: before issuing
-	// a discovery batch the pump asks it for up to BatchPerTick sends and
-	// issues only what is granted. Verification ping rounds are exempt —
-	// the simultaneity measurement needs all ports of an IP probed in one
-	// window. The limiter must be a deterministic function of the clock it
-	// is driven by (fleet.TokenBucket on the simulated clock qualifies), or
-	// crawl reproducibility is lost.
-	Limiter Limiter
-	// MaxInflight bounds outstanding discovery queries: the pump stops
-	// issuing when that many transactions await responses — the fleet's
-	// bounded in-flight request queue. Zero (the default) is unbounded.
-	MaxInflight int
-	// MaxPerNode bounds concurrent outstanding queries to a single
-	// endpoint; a frontier entry whose node is already at the bound is
-	// dropped from the queue like a cooled-down one (the next sweep
-	// re-enqueues every known endpoint). Zero is unbounded.
-	MaxPerNode int
 	// Seed drives the crawler's RNG (lookup targets, transaction IDs).
 	Seed int64
 	// EventLog, when non-nil, receives one line per message sent and
@@ -162,14 +145,6 @@ type NATObservation struct {
 	FirstConfirmed time.Time
 	// PortsSeen is how many distinct ports were ever observed.
 	PortsSeen int
-}
-
-// Limiter is the crawl-budget hook consulted by the discovery pump; see
-// Config.Limiter. fleet.TokenBucket implements it.
-type Limiter interface {
-	// Take requests up to n message sends at now and returns how many are
-	// granted (0..n).
-	Take(now time.Time, n int) int
 }
 
 // lateWindowMax bounds how many timed-out transactions are remembered for
@@ -308,9 +283,6 @@ func (c *Crawler) Stop() {
 		t.Stop()
 	}
 	c.tx.CancelAll()
-	for i := range c.st.slots {
-		c.st.slots[i].outstanding = 0
-	}
 	c.recordObs()
 }
 
@@ -380,11 +352,6 @@ func (c *Crawler) Stats() Stats {
 	}
 	return s
 }
-
-// InFlight returns the number of currently outstanding query transactions —
-// the live depth of the bounded in-flight queue, reported in fleet worker
-// heartbeats.
-func (c *Crawler) InFlight() int { return c.tx.InFlight() }
 
 // NATed returns all confirmed NATed addresses sorted by address.
 func (c *Crawler) NATed() []NATObservation {
@@ -475,29 +442,16 @@ func (c *Crawler) schedulePingRound() {
 // discovery queue, honouring the per-IP cool-down. Endpoints whose IP is in
 // cool-down are dropped from the queue (not rotated — that would make idle
 // ticks quadratic); the next sweep re-enqueues every known endpoint anyway.
-// Under a fleet budget the batch additionally shrinks to what the Limiter
-// grants, and issuing pauses while MaxInflight transactions are outstanding.
 func (c *Crawler) pump() {
-	at := c.clock.Now()
-	now := int64(at.Sub(c.epoch))
-	batch := c.cfg.BatchPerTick
-	if c.cfg.Limiter != nil {
-		batch = c.cfg.Limiter.Take(at, batch)
-	}
+	now := int64(c.clock.Now().Sub(c.epoch))
 	sent := 0
-	for c.qhead < len(c.queue) && sent < batch {
-		if c.cfg.MaxInflight > 0 && c.tx.InFlight() >= c.cfg.MaxInflight {
-			break
-		}
+	for c.qhead < len(c.queue) && sent < c.cfg.BatchPerTick {
 		s := c.queue[c.qhead]
 		c.qhead++
 		sl := &c.st.slots[s]
 		sl.flags &^= slotQueued
 		h := sl.handle
 		if last := c.st.lastContact[h]; last != neverContacted && now-last < int64(c.cfg.Cooldown) {
-			continue
-		}
-		if c.cfg.MaxPerNode > 0 && int(sl.outstanding) >= c.cfg.MaxPerNode {
 			continue
 		}
 		// A bootstrap node has a handle before it is seen; its cool-down
@@ -630,7 +584,6 @@ func (c *Crawler) sendQuery(s uint32, msg *krpc.Message, isPing bool) {
 	to := c.st.endpoint(s)
 	tx := c.tx.Register(Tx{ID: binary.BigEndian.Uint64(msg.TxID), To: to, IsPing: isPing, Data: data, Attempts: 1, slot: s})
 	tx.Timer = c.armTimeout(tx.ID)
-	c.st.slots[s].outstanding++
 	if isPing {
 		c.stats.PingsSent++
 		c.logEvent(LogEvent{At: c.clock.Now(), Kind: EvPingTx, Addr: to.Addr, Port: to.Port})
@@ -663,7 +616,6 @@ func (c *Crawler) queryTimeout(tx uint64) {
 		return
 	}
 	failed, _ := c.tx.Fail(tx)
-	c.st.slots[failed.slot].outstanding--
 	c.stats.Timeouts++
 	c.noteFailure(failed.slot)
 }
@@ -741,7 +693,6 @@ func (c *Crawler) handle(from netsim.Endpoint, payload []byte) {
 			}
 			return
 		}
-		c.st.slots[p.slot].outstanding--
 		c.noteSuccess(p.slot)
 		// Responses can legitimately come from a different port than the
 		// one probed (NAT rewriting); record what we actually saw.

@@ -439,7 +439,7 @@ func TestCrawlerRetainsBoundedTimerHandles(t *testing.T) {
 		c := New(sock, clock, cfg)
 		c.Start()
 		s.clock.RunFor(crawl)
-		before, inFlight := clock.stops, c.tx.InFlight()
+		before, inFlight := clock.stops, inFlight(c.tx)
 		c.Stop()
 		return clock.stops - before - inFlight
 	}
@@ -462,13 +462,4 @@ func seenPorts(c *Crawler, a iputil.Addr) int {
 func isEvicted(c *Crawler, ep netsim.Endpoint) bool {
 	s, ok := c.st.lookup(ep)
 	return ok && c.st.slots[s].flags&slotEvicted != 0
-}
-
-// outstanding returns how many queries to ep await a reply.
-func outstanding(c *Crawler, ep netsim.Endpoint) int {
-	s, ok := c.st.lookup(ep)
-	if !ok {
-		return 0
-	}
-	return int(c.st.slots[s].outstanding)
 }

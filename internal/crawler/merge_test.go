@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestMergeStatsZeroStays pins the empty-fleet edge case: merging any
+// TestMergeStatsZeroStaysZero pins the no-vantage edge case: merging any
 // number of zero-value stats (including none at all) keeps ResponseRate an
 // exact 0 — the rate is recomputed from summed counters, never averaged,
 // so a 0/0 division can't smuggle a NaN into reports.
@@ -56,7 +56,7 @@ func TestMergeStatsSimultaneousMaxIsMaxNotSum(t *testing.T) {
 
 // TestMergeStatsOrderInvariant: shuffling the vantage order never changes
 // the merged statistics — every field is a sum, a max, or derived from
-// sums, so fleet workers can report in any completion order.
+// sums, so vantages can finish in any order.
 func TestMergeStatsOrderInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	randStats := func() Stats {

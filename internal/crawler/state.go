@@ -47,10 +47,8 @@ type portSlot struct {
 	handle uint32
 	// failures counts consecutive failed queries, up to EvictAfter.
 	failures uint32
-	// outstanding counts queries awaiting a reply (MaxPerNode).
-	outstanding uint32
-	port        uint16
-	flags       uint8
+	port     uint16
+	flags    uint8
 }
 
 // portList is one address's slots, sorted by port. Up to two live inline;

@@ -17,8 +17,7 @@ import (
 
 // refCrawler is the crawler's bookkeeping as it was kept before the handle
 // table: a record per address holding a map of ports, and endpoint-keyed
-// maps for the frontier, failures, evictions and per-node outstanding
-// counts. FuzzCrawlerState drives it and a real Crawler with one operation
+// maps for the frontier, failures and evictions. FuzzCrawlerState drives it and a real Crawler with one operation
 // stream and requires the two to agree.
 type refCrawler struct {
 	cfg      Config
@@ -30,7 +29,6 @@ type refCrawler struct {
 	failures map[netsim.Endpoint]int
 	evicted  map[netsim.Endpoint]bool
 	pending  map[uint64]refTx
-	perNode  map[netsim.Endpoint]int
 	late     map[uint64]netsim.Endpoint
 	txSeq    uint64
 	stats    Stats
@@ -71,7 +69,6 @@ func newRefCrawler(cfg Config, now time.Time) *refCrawler {
 		failures: make(map[netsim.Endpoint]int),
 		evicted:  make(map[netsim.Endpoint]bool),
 		pending:  make(map[uint64]refTx),
-		perNode:  make(map[netsim.Endpoint]int),
 		late:     make(map[uint64]netsim.Endpoint),
 	}
 }
@@ -107,7 +104,6 @@ func (r *refCrawler) observe(ep netsim.Endpoint, id krpc.NodeID) {
 func (r *refCrawler) send(to netsim.Endpoint, isPing bool) {
 	r.txSeq++
 	r.pending[r.txSeq] = refTx{to, isPing}
-	r.perNode[to]++
 	r.sent = append(r.sent, refSend{to, r.txSeq, isPing})
 	if isPing {
 		r.stats.PingsSent++
@@ -120,7 +116,6 @@ func (r *refCrawler) finish(id uint64) (refTx, bool) {
 	t, ok := r.pending[id]
 	if ok {
 		delete(r.pending, id)
-		r.perNode[t.to]--
 	}
 	return t, ok
 }
@@ -137,17 +132,11 @@ func (r *refCrawler) boot() {
 func (r *refCrawler) pump() {
 	sent := 0
 	for len(r.queue) > 0 && sent < r.cfg.BatchPerTick {
-		if r.cfg.MaxInflight > 0 && len(r.pending) >= r.cfg.MaxInflight {
-			break
-		}
 		ep := r.queue[0]
 		r.queue = r.queue[1:]
 		delete(r.queued, ep)
 		rec := r.ips[ep.Addr]
 		if rec != nil && r.now.Sub(rec.lastContact) < r.cfg.Cooldown {
-			continue
-		}
-		if r.cfg.MaxPerNode > 0 && r.perNode[ep] >= r.cfg.MaxPerNode {
 			continue
 		}
 		if rec != nil {
@@ -377,8 +366,6 @@ func newStateRun(cfg byte) *stateRun {
 		Cooldown:     time.Duration(cfg&3) * 10 * time.Minute,
 		BatchPerTick: 1 + int(cfg>>2&3),
 		EvictAfter:   int(cfg >> 4 & 3),
-		MaxPerNode:   int(cfg >> 6 & 1),
-		MaxInflight:  int(cfg>>7&1) * 6,
 		Seed:         1,
 	}
 	if (cfg^cfg>>2)&1 != 0 {
@@ -522,13 +509,8 @@ func (s *stateRun) check(t *testing.T, step int) {
 	if !slices.Equal(s.sock.sent, s.r.sent) {
 		fail("sent queries", s.sock.sent, s.r.sent)
 	}
-	if got, want := s.c.InFlight(), len(s.r.pending); got != want {
+	if got, want := inFlight(s.c.tx), len(s.r.pending); got != want {
 		fail("in-flight counts", got, want)
-	}
-	for ep, n := range s.r.perNode {
-		if got := outstanding(s.c, ep); got != n {
-			fail(fmt.Sprintf("outstanding counts of %v", ep), got, n)
-		}
 	}
 }
 

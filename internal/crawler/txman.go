@@ -28,9 +28,7 @@ type Tx struct {
 // TxManager correlates KRPC transactions with the node each query went to.
 // A crawler legitimately has several queries outstanding to the same node at
 // once — a discovery get_nodes and a verification bt_ping, or pings to two
-// ports of one NATed address — so correlation is per transaction. The
-// per-node outstanding count that MaxPerNode bounds is the crawler's, kept
-// in the node's port slot.
+// ports of one NATed address — so correlation is per transaction.
 //
 // Pending transactions live in a ring indexed by the low bits of their
 // sequential IDs: the ring doubles whenever a new ID would land on a live
@@ -48,9 +46,8 @@ type Tx struct {
 // single-threaded by design (simulated swarms run on one event loop; real
 // sockets serialise through the swarm mutex).
 type TxManager struct {
-	ring     []txEntry // length 0 or a power of two
-	inFlight int
-	lateTx   map[uint64]netsim.Endpoint
+	ring   []txEntry // length 0 or a power of two
+	lateTx map[uint64]netsim.Endpoint
 	// lateOrder is the late window's IDs in a ring of lateMax, the oldest
 	// at lateHead once the ring is full.
 	lateOrder []uint64
@@ -94,9 +91,6 @@ func (m *TxManager) Register(t Tx) *Tx {
 		m.grow()
 		e = m.entry(t.ID)
 	}
-	if !e.live {
-		m.inFlight++
-	}
 	data := append(e.tx.Data[:0], t.Data...)
 	e.tx = t
 	e.tx.Data = data
@@ -125,7 +119,6 @@ func (m *TxManager) finish(id uint64) (Tx, bool) {
 		return Tx{}, false
 	}
 	e.live = false
-	m.inFlight--
 	t := e.tx
 	t.Data = nil
 	return t, true
@@ -180,10 +173,6 @@ func (m *TxManager) ResolveLate(id uint64) (netsim.Endpoint, bool) {
 	return to, ok
 }
 
-// InFlight returns the number of outstanding transactions — the fleet's
-// bounded in-flight queue consults it before admitting new sends.
-func (m *TxManager) InFlight() int { return m.inFlight }
-
 // CancelAll stops every outstanding deadline and clears the manager; the
 // late window is kept (a stopping crawler still counts stragglers).
 func (m *TxManager) CancelAll() {
@@ -193,5 +182,4 @@ func (m *TxManager) CancelAll() {
 			e.live = false
 		}
 	}
-	m.inFlight = 0
 }

@@ -1,13 +1,22 @@
 package crawler
 
 import (
-	"encoding/binary"
 	"testing"
 
 	"github.com/reuseblock/reuseblock/internal/dht"
-	"github.com/reuseblock/reuseblock/internal/krpc"
 	"github.com/reuseblock/reuseblock/internal/netsim"
 )
+
+// inFlight counts the manager's outstanding transactions.
+func inFlight(m *TxManager) int {
+	n := 0
+	for _, e := range m.ring {
+		if e.live {
+			n++
+		}
+	}
+	return n
+}
 
 func txTo(id uint64, ep netsim.Endpoint, stopped *int) Tx {
 	return Tx{ID: id, To: ep, Timer: dht.StopFunc(func() bool { *stopped++; return true })}
@@ -20,8 +29,8 @@ func TestTxManagerRegisterResolve(t *testing.T) {
 	m.Register(txTo(1, ep, &stopped))
 	m.Register(txTo(2, ep, &stopped))
 
-	if got := m.InFlight(); got != 2 {
-		t.Fatalf("InFlight = %d, want 2", got)
+	if got := inFlight(m); got != 2 {
+		t.Fatalf("in flight = %d, want 2", got)
 	}
 	if tx, ok := m.Get(1); !ok || tx.ID != 1 {
 		t.Fatalf("Get(1) = %v, %v", tx, ok)
@@ -34,8 +43,8 @@ func TestTxManagerRegisterResolve(t *testing.T) {
 	if stopped != 1 {
 		t.Fatalf("Resolve did not cancel the deadline: stopped = %d", stopped)
 	}
-	if m.InFlight() != 1 {
-		t.Fatalf("after resolve: inflight %d, want 1", m.InFlight())
+	if inFlight(m) != 1 {
+		t.Fatalf("after resolve: inflight %d, want 1", inFlight(m))
 	}
 	if _, ok := m.Resolve(1); ok {
 		t.Fatal("double Resolve succeeded")
@@ -58,8 +67,8 @@ func TestTxManagerFailFeedsLateWindow(t *testing.T) {
 	if stopped != 0 {
 		t.Fatal("Fail must not Stop: the deadline timer already fired")
 	}
-	if m.InFlight() != 0 {
-		t.Fatalf("failed tx still accounted: inflight %d", m.InFlight())
+	if inFlight(m) != 0 {
+		t.Fatalf("failed tx still accounted: inflight %d", inFlight(m))
 	}
 
 	to, ok := m.ResolveLate(1)
@@ -119,8 +128,8 @@ func TestTxManagerCancelAll(t *testing.T) {
 	if stopped != 2 {
 		t.Fatalf("CancelAll stopped %d deadlines, want 2", stopped)
 	}
-	if m.InFlight() != 0 {
-		t.Fatalf("CancelAll left accounting: inflight %d", m.InFlight())
+	if inFlight(m) != 0 {
+		t.Fatalf("CancelAll left accounting: inflight %d", inFlight(m))
 	}
 	// The late window survives shutdown so stragglers still count.
 	if to, ok := m.ResolveLate(3); !ok || to != ep2 {
@@ -128,8 +137,8 @@ func TestTxManagerCancelAll(t *testing.T) {
 	}
 	// The manager stays usable after CancelAll.
 	m.Register(txTo(4, ep1, &stopped))
-	if m.InFlight() != 1 {
-		t.Fatalf("manager unusable after CancelAll: inflight %d", m.InFlight())
+	if inFlight(m) != 1 {
+		t.Fatalf("manager unusable after CancelAll: inflight %d", inFlight(m))
 	}
 }
 
@@ -186,66 +195,7 @@ func TestTxManagerRingGrows(t *testing.T) {
 	if tx, ok := m.Get(far); !ok || tx.ID != far {
 		t.Fatalf("Get(%d) = %v, %v", far, tx, ok)
 	}
-	if got, want := m.InFlight(), 1000-333+1; got != want {
-		t.Fatalf("InFlight = %d, want %d", got, want)
-	}
-}
-
-// TestCrawlerOutstandingPerEndpoint: the per-endpoint count MaxPerNode
-// bounds follows each query from its send to its reply, failure or
-// cancellation.
-func TestCrawlerOutstandingPerEndpoint(t *testing.T) {
-	clock := netsim.NewClock()
-	network, err := netsim.NewNetwork(clock, netsim.Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sock, err := network.Listen(netsim.Endpoint{Addr: 0x0a0000fe, Port: 9999})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := New(sock, dht.SimClock(clock), Config{Seed: 1})
-	send := func(ep netsim.Endpoint) uint64 {
-		tx := c.newTx()
-		c.sendQuery(c.st.slotFor(ep), krpc.NewPing(tx[:], c.id), true)
-		return c.txSeq
-	}
-	reply := func(ep netsim.Endpoint, id uint64) {
-		var tx [8]byte
-		binary.BigEndian.PutUint64(tx[:], id)
-		data, err := krpc.NewPingResponse(tx[:], krpc.NodeID{1}, nil).AppendMarshal(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.handle(ep, data)
-	}
-
-	ep := netsim.Endpoint{Addr: 0x0a000001, Port: 6881}
-	first := send(ep)
-	second := send(ep)
-	if got := outstanding(c, ep); got != 2 {
-		t.Fatalf("outstanding = %d, want 2 (two concurrent queries to one node)", got)
-	}
-	reply(ep, first)
-	if got := outstanding(c, ep); got != 1 {
-		t.Fatalf("after reply: outstanding %d, want 1", got)
-	}
-	reply(ep, first)
-	if got := outstanding(c, ep); got != 1 {
-		t.Fatalf("a second reply to one query moved outstanding to %d", got)
-	}
-	c.queryTimeout(second)
-	if got := outstanding(c, ep); got != 0 {
-		t.Fatalf("failed query still accounted: outstanding %d", got)
-	}
-
-	ep1 := netsim.Endpoint{Addr: 0x0a000004, Port: 6881}
-	ep2 := netsim.Endpoint{Addr: 0x0a000005, Port: 6881}
-	send(ep1)
-	send(ep2)
-	c.queryTimeout(send(ep2))
-	c.Stop()
-	if outstanding(c, ep1) != 0 || outstanding(c, ep2) != 0 || c.InFlight() != 0 {
-		t.Fatalf("Stop left accounting: outstanding %d/%d, inflight %d", outstanding(c, ep1), outstanding(c, ep2), c.InFlight())
+	if got, want := inFlight(m), 1000-333+1; got != want {
+		t.Fatalf("in flight = %d, want %d", got, want)
 	}
 }

@@ -111,8 +111,7 @@ func (s *RealSocket) Wait() { s.wg.Wait() }
 
 // ListenLoopback binds a fresh UDP socket on 127.0.0.1 (kernel-chosen port)
 // and wraps it in a RealSocket sharing mu. It returns the socket and its
-// bound endpoint — the standard way the crawler's real mode and the fleet
-// control plane obtain loopback sockets.
+// bound endpoint — the way blcrawl's real mode obtains loopback sockets.
 func ListenLoopback(mu *sync.Mutex) (*RealSocket, netsim.Endpoint, error) {
 	pc, err := net.ListenPacket("udp4", "127.0.0.1:0")
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package e2e is the multi-process scenario harness: it boots the paper's
-// pipeline as real OS processes over loopback — a sharded blcrawl fleet, the
-// blgen/bldetect dataset steps, and a blserve instance — and drives
+// pipeline as real OS processes over loopback — one blcrawl process per
+// address shard, the blgen/bldetect dataset steps, and a blserve instance — and drives
 // assertions against the *served* HTTP API, cross-checked against the
 // testkit ground-truth oracles. It is the integration layer the unit-level
 // property suite cannot cover: a fault scenario is asserted all the way from
@@ -36,7 +36,7 @@ import (
 )
 
 // commands are the pipeline binaries the harness builds and forks.
-var commands = []string{"blgen", "blcrawl", "bldetect", "blserve", "blfleet"}
+var commands = []string{"blgen", "blcrawl", "bldetect", "blserve"}
 
 var binState struct {
 	once sync.Once

@@ -392,34 +392,10 @@ type ShedBenchRecord struct {
 	Errors       int     `json:"errors"`
 }
 
-// FleetBenchRecord is one BENCH_fleet.json entry: a distributed-crawl run's
-// throughput and merge latency at one fleet width, for the nightly
-// scaling-trend history.
-type FleetBenchRecord struct {
-	Scenario    string  `json:"scenario"`
-	When        string  `json:"when"` // RFC3339
-	Seed        int64   `json:"seed"`
-	Scale       float64 `json:"scale"`
-	Workers     int     `json:"workers"`
-	CrawlHours  float64 `json:"crawl_hours"`
-	DurationSec float64 `json:"duration_sec"` // wall time of the whole fleet run
-	// HostsPerSec is unique crawled hosts per wall-clock second; MergeMs is
-	// the merge step's wall latency.
-	HostsPerSec float64 `json:"hosts_per_sec"`
-	MergeMs     float64 `json:"merge_ms"`
-	MergedAddrs int     `json:"merged_addrs"`
-	Restarts    int     `json:"restarts"`
-}
-
 // AppendBenchRecord appends rec to the JSON array at path, creating the file
 // when absent. The rewrite is atomic so a crashed run cannot truncate the
 // history.
 func AppendBenchRecord(path string, rec BenchRecord) error {
-	return appendRecord(path, rec)
-}
-
-// AppendFleetBenchRecord is AppendBenchRecord for the fleet scaling file.
-func AppendFleetBenchRecord(path string, rec FleetBenchRecord) error {
 	return appendRecord(path, rec)
 }
 

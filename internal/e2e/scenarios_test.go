@@ -20,9 +20,9 @@ func TestMain(m *testing.M) {
 }
 
 // TestE2EScenarios is the scenario suite: every entry boots the full
-// pipeline as processes — sharded blcrawl fleet, blgen/bldetect dataset
-// steps, blserve — and asserts on the served API, cross-checked against the
-// regenerated ground-truth world.
+// pipeline as processes — one blcrawl per address shard, blgen/bldetect
+// dataset steps, blserve — and asserts on the served API, cross-checked
+// against the regenerated ground-truth world.
 func TestE2EScenarios(t *testing.T) {
 	var su Suite
 

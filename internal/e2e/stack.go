@@ -29,7 +29,7 @@ type StackConfig struct {
 	Scale         float64
 	CrawlDuration time.Duration
 	Crawlers      int
-	// Faults names an internal/faults scenario for the crawl fleet ("" for
+	// Faults names an internal/faults scenario for every blcrawl ("" for
 	// fault-free); it also stamps the served dataset's manifest provenance.
 	Faults string
 	// Watch starts blserve with -watch so scenarios can drive hot reloads.
@@ -126,7 +126,7 @@ func (c StackConfig) withDefaults() StackConfig {
 	return c
 }
 
-// Stack is one booted scenario: the crawler fleet has run to completion, the
+// Stack is one booted scenario: every blcrawl shard has run to completion, the
 // dataset steps have produced list files, and blserve is live on loopback.
 // The in-process World is the byte-identical ground truth every process
 // regenerated from the seed, so oracle checks need no side channel.
@@ -176,7 +176,7 @@ func BootStack(cfg StackConfig) (*Stack, error) {
 	st.World = blgen.Generate(wp)
 	st.Oracle = testkit.Oracle{World: st.World}
 
-	// Stage 1 — dataset sources, concurrently: the sharded crawl fleet and
+	// Stage 1 — dataset sources, concurrently: the blcrawl shard processes and
 	// the world generator (for the RIPE connection logs bldetect consumes).
 	worldDir := filepath.Join(st.Dir, "world")
 	gen, err := StartProc("blgen", bins["blgen"],
@@ -198,7 +198,7 @@ func BootStack(cfg StackConfig) (*Stack, error) {
 			"-out", shardOuts[i],
 		}
 		if cfg.Crawlers > 1 {
-			// blcrawl numbers fleet shards 1-based: I/N with 1 <= I <= N.
+			// blcrawl numbers shards 1-based: I/N with 1 <= I <= N.
 			args = append(args, "-shard", fmt.Sprintf("%d/%d", i+1, cfg.Crawlers))
 		}
 		if cfg.Faults != "" {
@@ -340,7 +340,7 @@ func (s *Stack) CrawlerOutputs() []string {
 }
 
 // MergeNATedShards unions per-shard NATed lists, keeping the largest user
-// lower bound seen for an address — the fleet-merge pipeline step.
+// lower bound seen for an address — the shard-merge pipeline step.
 func MergeNATedShards(paths []string) (map[iputil.Addr]int, error) {
 	merged := map[iputil.Addr]int{}
 	for _, path := range paths {

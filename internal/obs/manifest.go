@@ -45,10 +45,6 @@ type Manifest struct {
 	// dataset state; nil for one-shot study runs.
 	Serving *ServingStatus `json:"serving,omitempty"`
 
-	// Fleet is filled by the distributed-crawl coordinator (blfleet) with
-	// the fleet's supervision record; nil for single-process runs.
-	Fleet *FleetStatus `json:"fleet,omitempty"`
-
 	// GeneratedAt is the wall-clock build instant (non-deterministic).
 	GeneratedAt time.Time `json:"generated_at"`
 }
@@ -122,42 +118,6 @@ type OverloadStatus struct {
 	// ReloadFailed mirrors the watcher's failed-reload flag that forces
 	// degraded mode until the next successful reload.
 	ReloadFailed bool `json:"reload_failed,omitempty"`
-}
-
-// FleetStatus is the distributed-crawl coordinator's manifest block: the
-// shard plan, the rate budget, and the supervision record (restarts, chaos
-// kills, heartbeat counts) of every worker. Shard plan and per-shard crawl
-// statistics are deterministic; attempts, heartbeats and throughput are
-// wall-clock-grade.
-type FleetStatus struct {
-	// Workers is the shard count (one worker owns each shard).
-	Workers int `json:"workers"`
-	// RateBudget describes the aggregate crawl budget ("unlimited" when
-	// none was set).
-	RateBudget string `json:"rate_budget"`
-	// Restarts counts worker restarts across the whole run; a non-zero
-	// value is the audit trail that supervision fired.
-	Restarts int `json:"restarts"`
-	// HostsPerSec is unique hosts observed per wall-clock second.
-	HostsPerSec float64 `json:"hosts_per_sec"`
-	// MergeMillis is the wall time of the merge step.
-	MergeMillis int64 `json:"merge_millis"`
-	// Shards is the per-shard supervision record, ordered by worker.
-	Shards []FleetShardStatus `json:"shards"`
-}
-
-// FleetShardStatus is one shard's entry in the fleet manifest block.
-type FleetShardStatus struct {
-	Worker int    `json:"worker"`
-	Shard  string `json:"shard"`
-	// Attempts counts launches of this shard (1 = never restarted).
-	Attempts int `json:"attempts"`
-	Restarts int `json:"restarts"`
-	// Killed marks a chaos-hook kill (deliberate mid-crawl crash).
-	Killed       bool  `json:"killed,omitempty"`
-	Heartbeats   int64 `json:"heartbeats"`
-	MessagesSent int64 `json:"messages_sent"`
-	NATedIPs     int   `json:"nated_ips"`
 }
 
 // NewManifest seeds a manifest with build and host provenance; the caller
