@@ -80,8 +80,9 @@ coverage:
 # End-to-end scenario suite: every scenario builds the cmd binaries and
 # boots blcrawl shards + pipeline + blserve as real processes over loopback,
 # asserting on the served API against the ground-truth oracles. The load-gen
-# scenario appends its latency record to BENCH_e2e.json (override the path
-# with E2E_BENCH_OUT). On failure, process logs land under E2E_LOG_DIR.
+# scenario appends its latency record to the file E2E_BENCH_OUT names, and
+# writes nothing when it is unset, so a local run leaves the committed
+# BENCH_e2e.json alone. On failure, process logs land under E2E_LOG_DIR.
 e2e:
 	$(GO) test -tags e2e -v -timeout 15m ./internal/e2e/
 

@@ -14,7 +14,7 @@
 // is shorthand for -dataset default=NATED,DYN, and -generate serves the
 // synthetic study's list as dataset "default". Either file in a spec may be
 // empty ("pools=nated.txt," serves a NATed list with no dynamic prefixes).
-// Each dataset reloads (and, with -shed, sheds) independently.
+// Each dataset reloads independently.
 //
 // Endpoints: /v1/check?ip=A.B.C.D (GET) and batch POST /v1/check, /v1/list,
 // /v1/prefixes, /v1/stats, /v1/greylist?ip=A.B.C.D (the Section 6
@@ -32,14 +32,9 @@
 // in-flight requests for up to -shutdown-grace before exiting. Reloads are
 // incremental: the watcher diffs the re-parsed files against what is being
 // served and applies the delta (reuseapi.ApplyDelta) when it is small,
-// paying a full recompile only for wholesale replacements.
-//
-// -shed turns on overload resilience (internal/shed): per-class admission
-// gates with CoDel-style load shedding, optional per-client rate limiting
-// (-shed-rate), and degraded-mode serving observable at /readyz — under
-// sustained overload or a failed -watch reload the server sheds expensive
-// work and reports not-ready so load balancers drain it. Off by default:
-// without -shed every response is byte-identical to earlier builds.
+// paying a full recompile only for wholesale replacements. A reload that
+// fails to parse keeps the old dataset serving and reports its error as
+// last_reload_error in /debug/manifest until a later reload succeeds.
 package main
 
 import (
@@ -65,7 +60,6 @@ import (
 	"github.com/reuseblock/reuseblock/internal/iputil"
 	"github.com/reuseblock/reuseblock/internal/obs"
 	"github.com/reuseblock/reuseblock/internal/reuseapi"
-	"github.com/reuseblock/reuseblock/internal/shed"
 )
 
 func main() {
@@ -148,23 +142,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return nil
 	})
 	var (
-		shedOn         = fs.Bool("shed", false, "enable overload resilience: admission control, load shedding, degraded mode, /healthz + /readyz")
-		shedCheap      = fs.Int("shed-cheap-concurrency", 256, "concurrent requests admitted on the cheap class (single checks, stats)")
-		shedHeavy      = fs.Int("shed-heavy-concurrency", 32, "concurrent requests admitted on the heavy class (list, prefixes, batch checks)")
-		shedQueue      = fs.Int("shed-queue", 128, "waiters allowed per class before arrivals are shed outright")
-		shedTarget     = fs.Duration("shed-target", 5*time.Millisecond, "queue-sojourn target; sustained waits above it trigger CoDel shedding")
-		shedInterval   = fs.Duration("shed-interval", 100*time.Millisecond, "how long sojourn must exceed the target before shedding starts")
-		shedMaxWait    = fs.Duration("shed-max-wait", 50*time.Millisecond, "hard cap on any request's wait for an admission slot")
-		shedRate       = fs.Float64("shed-rate", 0, "per-client token refill rate in requests/second (0 disables rate limiting)")
-		shedBurst      = fs.Int("shed-burst", 0, "per-client token bucket size (default 2x -shed-rate)")
-		shedPrefixBits = fs.Int("shed-client-prefix-bits", 32, "aggregate client keys to this prefix length (one CGNAT pool, one budget)")
-		shedForwarded  = fs.Bool("shed-trust-forwarded", false, "key clients by the first X-Forwarded-For hop (only behind a trusted load balancer)")
-		shedClients    = fs.Int("shed-max-clients", 4096, "LRU bound on tracked rate-limit clients")
-		shedDegrade    = fs.Duration("shed-degrade-after", time.Second, "sustained overload before the server enters degraded mode")
-		shedRecover    = fs.Duration("shed-recover-after", 2*time.Second, "sustained calm before a degraded server recovers")
-		shedRetryAfter = fs.Duration("shed-retry-after", time.Second, "Retry-After delay advertised on shed and rate-limited responses")
-		shedBatch      = fs.Int("shed-degraded-batch", 256, "batch-check size clamp while degraded")
-
 		readTimeout   = fs.Duration("read-timeout", 10*time.Second, "per-connection read (and header) timeout")
 		writeTimeout  = fs.Duration("write-timeout", 30*time.Second, "per-response write timeout")
 		idleTimeout   = fs.Duration("idle-timeout", 120*time.Second, "keep-alive idle connection timeout")
@@ -231,20 +208,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		srv := reuseapi.NewServer(data)
-		// Every dataset gets its own admission controller — gates, quotas
-		// and mode machine — so a flood against one feed cannot degrade
-		// the others; nil when -shed is off.
-		if *shedOn {
-			srv.Shed = shed.New(shed.Config{
-				CheapConcurrency: *shedCheap, HeavyConcurrency: *shedHeavy, QueueLimit: *shedQueue,
-				Target: *shedTarget, Interval: *shedInterval, MaxWait: *shedMaxWait,
-				RatePerClient: *shedRate, Burst: *shedBurst,
-				ClientPrefixBits: *shedPrefixBits, TrustForwarded: *shedForwarded, MaxClients: *shedClients,
-				DegradeAfter: *shedDegrade, RecoverAfter: *shedRecover, RetryAfter: *shedRetryAfter,
-				DegradedMaxBatchIPs: *shedBatch,
-				Dataset:             spec.name,
-			}, reg)
-		}
 		if err := registry.Register(spec.name, srv); err != nil {
 			fmt.Fprintln(stderr, "blserve:", err)
 			return 1
@@ -268,7 +231,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// that predate the Datasets array keep working.
 		def := m.Serving.Datasets[0]
 		m.Serving.Reloads, m.Serving.LastReload, m.Serving.LastError = def.Reloads, def.LastReload, def.LastError
-		m.Serving.DatasetGenerated, m.Serving.Overload = def.Generated, def.Overload
+		m.Serving.DatasetGenerated = def.Generated
 		return &m
 	}
 
@@ -333,9 +296,6 @@ type reloader struct {
 	spec     datasetSpec
 	interval time.Duration
 
-	// srv's Shed controller, when non-nil, is degraded immediately on a
-	// failed reload (the served snapshot is stale) and allowed to recover
-	// once a reload lands.
 	srv          *reuseapi.Server
 	reloads      *obs.Counter
 	deltaReloads *obs.Counter
@@ -436,9 +396,6 @@ func (r *reloader) checkOnce() {
 	if appliedDelta {
 		r.deltaReloads.Inc()
 	}
-	if r.srv.Shed != nil {
-		r.srv.Shed.SetReloadFailed(false)
-	}
 	r.mu.Lock()
 	r.stamps = stamps
 	r.lastData = data
@@ -455,9 +412,6 @@ func (r *reloader) setError(err error) {
 	r.mu.Lock()
 	r.st.LastError = err.Error()
 	r.mu.Unlock()
-	if r.srv.Shed != nil {
-		r.srv.Shed.SetReloadFailed(true)
-	}
 }
 
 // status returns this dataset's lifecycle block for the manifest, sized from
@@ -470,9 +424,6 @@ func (r *reloader) status() obs.DatasetServingStatus {
 	st.Generated = snap.Generated()
 	st.NATedAddresses = snap.NATedAddresses()
 	st.DynamicPrefixes = snap.DynamicPrefixes()
-	if r.srv.Shed != nil {
-		st.Overload = r.srv.Shed.Status()
-	}
 	return st
 }
 

@@ -393,24 +393,9 @@ func getJSONStatus(t *testing.T, base, path string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
-// TestServeShedSmoke boots the server with -shed and checks the resilience
-// surface is mounted: health probes answer, and the manifest carries the
-// overload status block.
-func TestServeShedSmoke(t *testing.T) {
-	dir := t.TempDir()
-	nated := filepath.Join(dir, "nated.txt")
-	if err := os.WriteFile(nated, []byte("203.0.113.7\t12\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	base, cancel, _, _ := startServe(t, []string{"-nated", nated, "-shed"})
-	defer cancel()
-
-	if code, body := getJSONStatus(t, base, "/healthz"); code != 200 || !strings.Contains(body, `"ok"`) {
-		t.Errorf("/healthz = %d %q", code, body)
-	}
-	if code, body := getJSONStatus(t, base, "/readyz"); code != 200 || !strings.Contains(body, `"normal"`) {
-		t.Errorf("/readyz = %d %q", code, body)
-	}
+// getManifest fetches and decodes /debug/manifest.
+func getManifest(t *testing.T, base string) obs.Manifest {
+	t.Helper()
 	code, body := getJSONStatus(t, base, "/debug/manifest")
 	if code != 200 {
 		t.Fatalf("/debug/manifest = %d", code)
@@ -419,73 +404,77 @@ func TestServeShedSmoke(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Serving == nil || m.Serving.Overload == nil || !m.Serving.Overload.Enabled {
-		t.Fatalf("manifest carries no overload status: %+v", m.Serving)
+	if m.Serving == nil || len(m.Serving.Datasets) != 1 {
+		t.Fatalf("manifest serving status = %+v, want one dataset", m.Serving)
 	}
-	if m.Serving.Overload.Mode != "normal" {
-		t.Errorf("idle server mode = %q, want normal", m.Serving.Overload.Mode)
-	}
+	return m
 }
 
-// TestServeShedOffHidesProbes pins the off-by-default surface: without
-// -shed the probe endpoints do not exist.
-func TestServeShedOffHidesProbes(t *testing.T) {
+// TestServeWatchBadReloadKeepsServing drives a failed reload over a real
+// -watch server: a corrupted input keeps the old data answering /v1/stats
+// while /debug/manifest reports last_reload_error for the dataset, and
+// healing the file serves the new data and clears the error. The server
+// mounts no health probes.
+func TestServeWatchBadReloadKeepsServing(t *testing.T) {
 	dir := t.TempDir()
 	nated := filepath.Join(dir, "nated.txt")
 	if err := os.WriteFile(nated, []byte("203.0.113.7\t12\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	base, cancel, _, _ := startServe(t, []string{"-nated", nated})
+	base, cancel, _, _ := startServe(t, []string{"-nated", nated, "-watch", "-watch-interval", "30ms"})
 	defer cancel()
+
 	for _, path := range []string{"/healthz", "/readyz"} {
 		if code, _ := getJSONStatus(t, base, path); code != 404 {
-			t.Errorf("%s without -shed = %d, want 404", path, code)
+			t.Errorf("%s = %d, want 404", path, code)
 		}
+	}
+
+	// Rewrites go through a rename so the watcher never reads a truncated
+	// file, which would parse as an empty list.
+	if err := writeFileAtomic(nated, "not-an-ip at all\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e2e.WaitFor(10*time.Second, 20*time.Millisecond, func() (bool, error) {
+		return getManifest(t, base).Serving.Datasets[0].LastError != "", nil
+	}); err != nil {
+		t.Fatalf("manifest never reported the failed reload: %v", err)
+	}
+	if st := getStats(t, base); st.NATedAddresses != 1 {
+		t.Errorf("stats after the failed reload = %+v, want the old dataset", st)
+	}
+	m := getManifest(t, base)
+	if d := m.Serving.Datasets[0]; d.Reloads != 0 || !strings.Contains(d.LastError, "not-an-ip") {
+		t.Errorf("dataset block after the failed reload = %+v", d)
+	}
+	if m.Serving.LastError != m.Serving.Datasets[0].LastError {
+		t.Errorf("top-level last_reload_error %q, dataset's %q", m.Serving.LastError, m.Serving.Datasets[0].LastError)
+	}
+
+	if err := writeFileAtomic(nated, "203.0.113.7\t12\n198.51.100.9\t44\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e2e.WaitFor(10*time.Second, 20*time.Millisecond, func() (bool, error) {
+		return getManifest(t, base).Serving.Datasets[0].LastError == "", nil
+	}); err != nil {
+		t.Fatalf("healing never cleared the reload error: %v", err)
+	}
+	if st := getStats(t, base); st.NATedAddresses != 2 {
+		t.Errorf("stats after healing = %+v, want the new dataset", st)
+	}
+	m = getManifest(t, base)
+	if d := m.Serving.Datasets[0]; d.Reloads != 1 || m.Serving.LastError != "" {
+		t.Errorf("manifest after healing = %+v, dataset %+v", m.Serving, d)
 	}
 }
 
-// TestServeShedReloadFailureFlipsReadyz drives the degraded-mode loop over
-// a real -watch server: corrupting the input flips /readyz to 503, healing
-// the file recovers it to 200.
-func TestServeShedReloadFailureFlipsReadyz(t *testing.T) {
-	dir := t.TempDir()
-	nated := filepath.Join(dir, "nated.txt")
-	if err := os.WriteFile(nated, []byte("203.0.113.7\t12\n"), 0o644); err != nil {
-		t.Fatal(err)
+// writeFileAtomic replaces path with content in one rename.
+func writeFileAtomic(path, content string) error {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, []byte(content), 0o644); err != nil {
+		return err
 	}
-	base, cancel, _, _ := startServe(t, []string{
-		"-nated", nated, "-watch", "-watch-interval", "30ms",
-		"-shed", "-shed-recover-after", "100ms",
-	})
-	defer cancel()
-
-	if code, _ := getJSONStatus(t, base, "/readyz"); code != 200 {
-		t.Fatalf("fresh /readyz = %d, want 200", code)
-	}
-	if err := os.WriteFile(nated, []byte("not-an-ip at all\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2e.WaitFor(10*time.Second, 20*time.Millisecond, func() (bool, error) {
-		code, _ := getJSONStatus(t, base, "/readyz")
-		return code == 503, nil
-	}); err != nil {
-		t.Fatalf("/readyz never flipped to 503 after the failed reload: %v", err)
-	}
-
-	// Heal: a parseable rewrite reloads, clears the failure, and readiness
-	// recovers after the calm window.
-	if err := os.WriteFile(nated, []byte("203.0.113.7\t12\n198.51.100.9\t44\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2e.WaitFor(10*time.Second, 20*time.Millisecond, func() (bool, error) {
-		code, _ := getJSONStatus(t, base, "/readyz")
-		return code == 200, nil
-	}); err != nil {
-		t.Fatalf("/readyz never recovered after healing: %v", err)
-	}
-	if st := getStats(t, base); st.NATedAddresses != 2 {
-		t.Errorf("healed dataset stats = %+v", st)
-	}
+	return os.Rename(tmp, path)
 }
 
 // TestReloaderKeepsServingOnBadFile pins the failure path: a reload attempt

@@ -17,8 +17,8 @@
 //     fault catalogue name plus a WorldSpec seed, with a -short smoke subset
 //     and shrink-on-failure reporting of the offending seed.
 //   - Load generation (loadgen.go): a concurrent driver for the zero-alloc
-//     /v1/check path recording p50/p99 latency and error rate to
-//     BENCH_e2e.json.
+//     /v1/check path recording p50/p99 latency and error count, appended
+//     to the bench history file E2E_BENCH_OUT names, when it is set.
 //
 // The scenario tests themselves live behind the `e2e` build tag (they build
 // binaries and fork processes); the helpers in this package are plain
@@ -44,10 +44,10 @@ var binState struct {
 	err  error
 }
 
-// RepoRoot locates the module root from this source file's compile-time
+// repoRoot locates the module root from this source file's compile-time
 // path (internal/e2e sits two levels below it). The harness only ever runs
 // from a source checkout — it builds the cmd binaries with `go build`.
-func RepoRoot() string {
+func repoRoot() string {
 	_, file, _, ok := runtime.Caller(0)
 	if !ok {
 		return "."
@@ -70,7 +70,7 @@ func Binaries() (map[string]string, error) {
 			args = append(args, "./cmd/"+c)
 		}
 		cmd := exec.Command("go", args...)
-		cmd.Dir = RepoRoot()
+		cmd.Dir = repoRoot()
 		if out, err := cmd.CombinedOutput(); err != nil {
 			binState.err = fmt.Errorf("e2e: building binaries: %w\n%s", err, out)
 			os.RemoveAll(dir)

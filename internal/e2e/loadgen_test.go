@@ -1,208 +1,82 @@
 package e2e
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sync"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// fastServer answers /v1/check for both GET (single) and POST (batch),
-// recording per-method counts and the X-Forwarded-For values it saw.
-type fastServer struct {
-	gets, posts atomic.Int64
-	mu          sync.Mutex
-	forwarded   map[string]int
-}
-
-func (fs *fastServer) handler() http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if xff := r.Header.Get("X-Forwarded-For"); xff != "" {
-			fs.mu.Lock()
-			if fs.forwarded == nil {
-				fs.forwarded = map[string]int{}
-			}
-			fs.forwarded[xff]++
-			fs.mu.Unlock()
-		}
-		switch r.Method {
-		case http.MethodGet:
-			fs.gets.Add(1)
-			w.Write([]byte(`{"ip":"1.2.3.4","listed":false}`))
-		case http.MethodPost:
-			fs.posts.Add(1)
-			w.Write([]byte(`{"results":[]}`))
-		default:
-			http.Error(w, "method", http.StatusMethodNotAllowed)
-		}
-	}
-}
-
-func TestLoadGenMixedWorkload(t *testing.T) {
-	fs := &fastServer{}
-	ts := httptest.NewServer(fs.handler())
-	defer ts.Close()
-
-	res, err := LoadGen{
-		BaseURL:       ts.URL,
-		Targets:       []string{"1.2.3.4", "5.6.7.8"},
-		Concurrency:   4,
-		Duration:      150 * time.Millisecond,
-		BatchFraction: 0.5,
-		BatchSize:     10,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gets, posts := int(fs.gets.Load()), int(fs.posts.Load())
-	if gets == 0 || posts == 0 {
-		t.Fatalf("mixed workload sent gets=%d posts=%d; want both > 0", gets, posts)
-	}
-	if res.Requests != gets+posts {
-		t.Fatalf("result counts %d requests, server saw %d", res.Requests, gets+posts)
-	}
-	if res.Errors != 0 || res.Shed != 0 || res.MalformedShed != 0 {
-		t.Fatalf("healthy server produced errors=%d shed=%d malformed=%d",
-			res.Errors, res.Shed, res.MalformedShed)
-	}
-	if res.GoodputRPS <= 0 {
-		t.Fatalf("goodput %v, want > 0", res.GoodputRPS)
-	}
-	cheap, heavy := res.PerClass["cheap"], res.PerClass["heavy"]
-	if cheap.OK != gets || heavy.OK != posts {
-		t.Fatalf("per-class OK cheap=%d heavy=%d; server saw gets=%d posts=%d",
-			cheap.OK, heavy.OK, gets, posts)
-	}
-	// With a 0.5 fraction half the workers are batch clients, so against a
-	// uniform-speed server the classes should be near-balanced; allow wide
-	// slack since workers stop mid-cycle at the deadline.
-	if heavy.Requests < res.Requests/4 || cheap.Requests < res.Requests/4 {
-		t.Fatalf("class split cheap=%d heavy=%d of %d is too lopsided for fraction 0.5",
-			cheap.Requests, heavy.Requests, res.Requests)
-	}
-	if cheap.P99Ms <= 0 || heavy.P99Ms <= 0 {
-		t.Fatalf("per-class latency missing: cheap p99=%v heavy p99=%v", cheap.P99Ms, heavy.P99Ms)
-	}
-}
-
-func TestLoadGenClassifiesWellFormedShed(t *testing.T) {
-	// POSTs get the documented shed shape; GETs succeed.
+// TestLoadGenCountsRequestsAndErrors runs the check workload against a stub
+// that fails every request for one address: the result's request count
+// matches what the server saw, non-200 answers are errors, and latency
+// percentiles come from the successes.
+func TestLoadGenCountsRequestsAndErrors(t *testing.T) {
+	var seen, failed atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost {
-			w.Header().Set("Retry-After", "1")
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusTooManyRequests)
-			w.Write([]byte(`{"error":"overloaded: request shed","detail":"queue full"}` + "\n"))
+		seen.Add(1)
+		if r.Method != http.MethodGet || r.URL.Path != "/v1/check" {
+			t.Errorf("unexpected request %s %s", r.Method, r.URL.Path)
+		}
+		if r.URL.Query().Get("ip") == "5.6.7.8" {
+			failed.Add(1)
+			http.Error(w, "no", http.StatusInternalServerError)
 			return
 		}
-		w.Write([]byte(`{"listed":false}`))
+		w.Write([]byte(`{"ip":"1.2.3.4","reused":false}`))
 	}))
 	defer ts.Close()
 
 	res, err := LoadGen{
-		BaseURL: ts.URL, Targets: []string{"1.2.3.4"},
-		Concurrency: 2, Duration: 100 * time.Millisecond,
-		BatchFraction: 0.5, BatchSize: 5,
+		BaseURL:     ts.URL,
+		Targets:     []string{"1.2.3.4", "5.6.7.8"},
+		Concurrency: 4,
+		Duration:    150 * time.Millisecond,
 	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Shed == 0 {
-		t.Fatal("well-formed 429s were not counted as shed")
+	if res.Requests == 0 || res.Requests != int(seen.Load()) {
+		t.Fatalf("result counts %d requests, server saw %d", res.Requests, seen.Load())
 	}
-	if res.MalformedShed != 0 || res.Errors != 0 {
-		t.Fatalf("well-formed shed misclassified: malformed=%d errors=%d",
-			res.MalformedShed, res.Errors)
+	if res.Errors != int(failed.Load()) || res.Errors == 0 || res.Errors == res.Requests {
+		t.Fatalf("errors = %d, server failed %d of %d", res.Errors, failed.Load(), res.Requests)
 	}
-	if hs := res.PerClass["heavy"]; hs.Shed != res.Shed {
-		t.Fatalf("heavy class shed %d, total %d; all shed should be batch", hs.Shed, res.Shed)
+	if res.RPS <= 0 || res.P50Ms <= 0 || res.P99Ms < res.P50Ms || res.MaxMs < res.P99Ms {
+		t.Fatalf("implausible rate or latency: %+v", res)
 	}
 }
 
-func TestLoadGenFlagsMalformedShed(t *testing.T) {
-	// 429 without Retry-After and without the Error JSON body: counts as
-	// both malformed shed and an error.
+// TestLoadGenDatasetRoutes pins the multi-dataset spread: workers cycle
+// round-robin over the named routes, and "" is the unprefixed default.
+func TestLoadGenDatasetRoutes(t *testing.T) {
+	var alpha, def atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "too many requests", http.StatusTooManyRequests)
+		switch r.URL.Path {
+		case "/v1/alpha/check":
+			alpha.Add(1)
+		case "/v1/check":
+			def.Add(1)
+		default:
+			http.NotFound(w, r)
+			return
+		}
+		w.Write([]byte(`{}`))
 	}))
 	defer ts.Close()
 
-	res, err := LoadGen{
-		BaseURL: ts.URL, Targets: []string{"1.2.3.4"},
-		Concurrency: 1, Duration: 50 * time.Millisecond,
-	}.Run()
+	res, err := LoadGen{BaseURL: ts.URL, Targets: []string{"1.2.3.4"}, Concurrency: 2,
+		Duration: 50 * time.Millisecond, Datasets: []string{"alpha", ""}}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MalformedShed == 0 || res.Errors != res.MalformedShed {
-		t.Fatalf("bare 429s: malformed=%d errors=%d; want equal and > 0",
-			res.MalformedShed, res.Errors)
-	}
-	if res.Shed != 0 {
-		t.Fatalf("bare 429s counted as well-formed shed: %d", res.Shed)
-	}
-}
-
-func TestLoadGenClientMix(t *testing.T) {
-	fs := &fastServer{}
-	ts := httptest.NewServer(fs.handler())
-	defer ts.Close()
-
-	ips := []string{"100.64.9.9", "100.64.9.9", "203.0.113.5"}
-	res, err := LoadGen{
-		BaseURL: ts.URL, Targets: []string{"1.2.3.4"},
-		Concurrency: 3, Duration: 80 * time.Millisecond,
-		ClientIPs: ips,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PerClient == nil {
-		t.Fatal("ClientIPs set but PerClient missing")
-	}
-	// Two workers share the hot key, one gets the distinct address.
-	hot, cold := res.PerClient["100.64.9.9"], res.PerClient["203.0.113.5"]
-	if hot.Requests == 0 || cold.Requests == 0 {
-		t.Fatalf("per-client split hot=%d cold=%d; want both > 0", hot.Requests, cold.Requests)
-	}
-	if hot.Requests+cold.Requests != res.Requests {
-		t.Fatalf("per-client totals %d+%d != %d", hot.Requests, cold.Requests, res.Requests)
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.forwarded["100.64.9.9"] != hot.Requests {
-		t.Fatalf("server saw %d hot-key requests, result says %d",
-			fs.forwarded["100.64.9.9"], hot.Requests)
-	}
-}
-
-func TestLoadGenPerWorkerRPSPaces(t *testing.T) {
-	fs := &fastServer{}
-	ts := httptest.NewServer(fs.handler())
-	defer ts.Close()
-
-	res, err := LoadGen{
-		BaseURL: ts.URL, Targets: []string{"1.2.3.4"},
-		Concurrency: 1, Duration: 300 * time.Millisecond,
-		PerWorkerRPS: 20,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 20 rps for 0.3s ≈ 6 requests; a closed loop against a loopback
-	// httptest server would do thousands. Allow generous slack for the
-	// first unpaced request and scheduler jitter.
-	if res.Requests > 15 {
-		t.Fatalf("paced worker sent %d requests in 300ms at 20 rps; pacing is not applied",
-			res.Requests)
-	}
-	if res.Requests == 0 {
-		t.Fatal("paced worker sent nothing")
+	if res.Errors != 0 || alpha.Load() == 0 || def.Load() == 0 {
+		t.Fatalf("errors=%d alpha=%d default=%d; want both routes hit cleanly",
+			res.Errors, alpha.Load(), def.Load())
 	}
 }
 
@@ -213,10 +87,6 @@ func TestLoadGenValidation(t *testing.T) {
 		"no targets":     {BaseURL: base.BaseURL, Concurrency: 1, Duration: time.Millisecond},
 		"no concurrency": {BaseURL: base.BaseURL, Targets: base.Targets, Duration: time.Millisecond},
 		"no duration":    {BaseURL: base.BaseURL, Targets: base.Targets, Concurrency: 1},
-		"fraction > 1": {BaseURL: base.BaseURL, Targets: base.Targets, Concurrency: 1,
-			Duration: time.Millisecond, BatchFraction: 1.5},
-		"fraction < 0": {BaseURL: base.BaseURL, Targets: base.Targets, Concurrency: 1,
-			Duration: time.Millisecond, BatchFraction: -0.1},
 	} {
 		if _, err := lg.Run(); err == nil {
 			t.Errorf("%s: Run accepted an invalid config", name)
@@ -224,89 +94,14 @@ func TestLoadGenValidation(t *testing.T) {
 	}
 }
 
-func TestRunRamp(t *testing.T) {
-	fs := &fastServer{}
-	ts := httptest.NewServer(fs.handler())
-	defer ts.Close()
-
-	lg := LoadGen{BaseURL: ts.URL, Targets: []string{"1.2.3.4"},
-		Duration: 30 * time.Millisecond}
-	results, err := lg.RunRamp([]int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("ramp returned %d results, want 2", len(results))
-	}
-	for i, res := range results {
-		if res.Requests == 0 || res.Errors != 0 {
-			t.Errorf("ramp step %d: requests=%d errors=%d", i, res.Requests, res.Errors)
-		}
-	}
-
-	if _, err := lg.RunRamp([]int{1, 0}); err == nil {
-		t.Fatal("ramp accepted a zero-concurrency step")
-	}
-}
-
-func TestShedWellFormed(t *testing.T) {
-	mk := func(retryAfter string) *http.Response {
-		resp := &http.Response{Header: http.Header{}}
-		if retryAfter != "" {
-			resp.Header.Set("Retry-After", retryAfter)
-		}
-		return resp
-	}
-	good := []byte(`{"error":"overloaded: request shed"}`)
-	for name, tc := range map[string]struct {
-		resp *http.Response
-		body []byte
-		want bool
-	}{
-		"documented shape":    {mk("1"), good, true},
-		"missing retry-after": {mk(""), good, false},
-		"zero retry-after":    {mk("0"), good, false},
-		"http-date retry":     {mk("Wed, 21 Oct 2026 07:28:00 GMT"), good, false},
-		"not json":            {mk("1"), []byte("too many requests\n"), false},
-		"empty error field":   {mk("1"), []byte(`{"error":""}`), false},
-	} {
-		if got := shedWellFormed(tc.resp, tc.body); got != tc.want {
-			t.Errorf("%s: shedWellFormed = %v, want %v", name, got, tc.want)
-		}
-	}
-}
-
-func TestAppendShedBenchRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_shed.json")
-	rec := ShedBenchRecord{Scenario: "overload-flood", When: "2026-08-07T00:00:00Z",
-		Concurrency: 20, CapacityRPS: 900, GoodputRPS: 700, GoodputShare: 0.78,
-		P99Ms: 12, Shed: 340}
-	if err := AppendShedBenchRecord(path, rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendShedBenchRecord(path, rec); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []ShedBenchRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || recs[0] != rec || recs[1] != rec {
-		t.Fatalf("shed bench round-trip mismatch: %+v", recs)
-	}
-}
-
 func TestAppendRecordRejectsCorruptHistory(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_shed.json")
+	path := filepath.Join(t.TempDir(), "BENCH_e2e.json")
 	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := AppendShedBenchRecord(path, ShedBenchRecord{Scenario: "x"}); err == nil {
-		t.Fatal("append onto a corrupt history file did not error")
+	err := AppendBenchRecord(path, BenchRecord{Scenario: "x"})
+	if err == nil || !strings.Contains(err.Error(), "not a bench-record array") {
+		t.Fatalf("append onto a corrupt history file: err = %v", err)
 	}
 	// The corrupt file must be left untouched for post-mortem, not clobbered.
 	if data, _ := os.ReadFile(path); string(data) != "not json" {

@@ -5,7 +5,6 @@ package e2e
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -110,35 +109,11 @@ func TestE2EScenarios(t *testing.T) {
 	su.Add(Scenario{
 		Name:        "check-load",
 		CrawlHours:  12,
-		Description: "concurrent load on /v1/check; zero errors, latency recorded to BENCH_e2e.json",
+		Description: "concurrent load on /v1/check; zero errors, latency recorded to $E2E_BENCH_OUT when set",
 		Seed:        48,
 		Crawlers:    2,
 		Run:         runCheckLoad,
 	})
-	su.Add(Scenario{
-		Name:        "overload-flood",
-		CrawlHours:  12,
-		Description: "5x-capacity mixed flood; goodput stays in the SLO band, sheds are well-formed, /readyz cycles",
-		Seed:        50,
-		Crawlers:    2,
-		Smoke:       true,
-		Shed:        floodShedParams(),
-		Run:         runOverloadFlood,
-	})
-	su.Add(Scenario{
-		Name:        "overload-hotkey",
-		CrawlHours:  12,
-		Description: "CGNAT hot key against per-client rate limits; neighbors take no collateral damage",
-		Seed:        51,
-		Crawlers:    2,
-		Shed: &ShedParams{
-			Rate:           40,
-			Burst:          20,
-			TrustForwarded: true,
-		},
-		Run: runOverloadHotkey,
-	})
-
 	su.Run(t)
 }
 
@@ -577,9 +552,12 @@ func runCheckLoad(s *Stack) error {
 		return fmt.Errorf("load run completed no requests")
 	}
 
+	// The latency history is written only where the caller points it (the
+	// nightly job does); a local run leaves the committed BENCH_e2e.json
+	// alone.
 	out := os.Getenv("E2E_BENCH_OUT")
 	if out == "" {
-		out = filepath.Join(RepoRoot(), "BENCH_e2e.json")
+		return nil
 	}
 	rec := BenchRecord{
 		Scenario:    "check-load",

@@ -35,9 +35,6 @@ type StackConfig struct {
 	// Watch starts blserve with -watch so scenarios can drive hot reloads.
 	Watch         bool
 	WatchInterval time.Duration
-	// Shed, when non-nil, starts blserve with -shed and these admission
-	// parameters — the overload-resilience scenarios' knob.
-	Shed *ShedParams
 	// Datasets, when non-empty, boots blserve in multi-dataset mode with one
 	// repeated -dataset flag per spec, each slicing the pipeline's two list
 	// files. The first entry is the default dataset the unprefixed /v1/*
@@ -54,57 +51,6 @@ type DatasetSpec struct {
 	Name    string
 	Nated   bool
 	Dynamic bool
-}
-
-// ShedParams maps onto blserve's -shed* flags. Zero fields are omitted so
-// the server's own defaults apply.
-type ShedParams struct {
-	CheapConcurrency int
-	HeavyConcurrency int
-	Queue            int
-	Target           time.Duration
-	Interval         time.Duration
-	MaxWait          time.Duration
-	Rate             float64
-	Burst            int
-	TrustForwarded   bool
-	DegradeAfter     time.Duration
-	RecoverAfter     time.Duration
-	RetryAfter       time.Duration
-	DegradedBatch    int
-}
-
-// args renders the parameter set as blserve flags.
-func (p *ShedParams) args() []string {
-	out := []string{"-shed"}
-	addInt := func(flag string, v int) {
-		if v > 0 {
-			out = append(out, flag, strconv.Itoa(v))
-		}
-	}
-	addDur := func(flag string, v time.Duration) {
-		if v > 0 {
-			out = append(out, flag, v.String())
-		}
-	}
-	addInt("-shed-cheap-concurrency", p.CheapConcurrency)
-	addInt("-shed-heavy-concurrency", p.HeavyConcurrency)
-	addInt("-shed-queue", p.Queue)
-	addDur("-shed-target", p.Target)
-	addDur("-shed-interval", p.Interval)
-	addDur("-shed-max-wait", p.MaxWait)
-	if p.Rate > 0 {
-		out = append(out, "-shed-rate", fmt.Sprintf("%g", p.Rate))
-	}
-	addInt("-shed-burst", p.Burst)
-	if p.TrustForwarded {
-		out = append(out, "-shed-trust-forwarded")
-	}
-	addDur("-shed-degrade-after", p.DegradeAfter)
-	addDur("-shed-recover-after", p.RecoverAfter)
-	addDur("-shed-retry-after", p.RetryAfter)
-	addInt("-shed-degraded-batch", p.DegradedBatch)
-	return out
 }
 
 func (c StackConfig) withDefaults() StackConfig {
@@ -262,9 +208,6 @@ func BootStack(cfg StackConfig) (*Stack, error) {
 	}
 	if cfg.Watch {
 		serveArgs = append(serveArgs, "-watch", "-watch-interval", cfg.WatchInterval.String())
-	}
-	if cfg.Shed != nil {
-		serveArgs = append(serveArgs, cfg.Shed.args()...)
 	}
 	if cfg.Faults != "" {
 		serveArgs = append(serveArgs, "-dataset-faults", cfg.Faults)
@@ -520,13 +463,6 @@ func MetricValue(metrics, name string) (float64, bool) {
 		return v, true
 	}
 	return 0, false
-}
-
-// Readyz fetches /readyz, returning the HTTP status (200 normal, 503
-// degraded) and the body.
-func (s *Stack) Readyz() (int, string, error) {
-	code, _, body, err := s.get("/readyz")
-	return code, string(body), err
 }
 
 // Verdict fetches one GET /v1/check answer.

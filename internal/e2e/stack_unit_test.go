@@ -1,10 +1,9 @@
 package e2e
 
-// Unit tests for the harness pieces that need no process boot: the blserve
-// flag rendering, config defaulting, dataset-file knobs, and the Stack HTTP
-// helpers against an in-process stand-in server. The e2e-tagged scenarios
-// exercise all of these against real processes, but only these tests run on
-// every push.
+// Unit tests for the harness pieces that need no process boot: config
+// defaulting, dataset-file knobs, and the Stack HTTP helpers against an
+// in-process stand-in server. The e2e-tagged scenarios exercise all of
+// these against real processes, but only these tests run on every push.
 
 import (
 	"fmt"
@@ -20,48 +19,6 @@ import (
 
 	"github.com/reuseblock/reuseblock/internal/iputil"
 )
-
-func TestShedParamsArgs(t *testing.T) {
-	full := &ShedParams{
-		CheapConcurrency: 8,
-		HeavyConcurrency: 1,
-		Queue:            4,
-		Target:           time.Millisecond,
-		Interval:         50 * time.Millisecond,
-		MaxWait:          20 * time.Millisecond,
-		Rate:             40.5,
-		Burst:            20,
-		TrustForwarded:   true,
-		DegradeAfter:     200 * time.Millisecond,
-		RecoverAfter:     400 * time.Millisecond,
-		RetryAfter:       time.Second,
-		DegradedBatch:    64,
-	}
-	want := []string{
-		"-shed",
-		"-shed-cheap-concurrency", "8",
-		"-shed-heavy-concurrency", "1",
-		"-shed-queue", "4",
-		"-shed-target", "1ms",
-		"-shed-interval", "50ms",
-		"-shed-max-wait", "20ms",
-		"-shed-rate", "40.5",
-		"-shed-burst", "20",
-		"-shed-trust-forwarded",
-		"-shed-degrade-after", "200ms",
-		"-shed-recover-after", "400ms",
-		"-shed-retry-after", "1s",
-		"-shed-degraded-batch", "64",
-	}
-	if got := full.args(); !reflect.DeepEqual(got, want) {
-		t.Errorf("full params rendered\n%q\nwant\n%q", got, want)
-	}
-
-	// Zero fields must be omitted entirely so blserve's defaults apply.
-	if got := (&ShedParams{}).args(); !reflect.DeepEqual(got, []string{"-shed"}) {
-		t.Errorf("zero params rendered %q, want just -shed", got)
-	}
-}
 
 func TestStackConfigWithDefaults(t *testing.T) {
 	d := StackConfig{}.withDefaults()
@@ -126,11 +83,7 @@ func stubAPI() http.Handler {
 		fmt.Fprint(w, `{"seed":42}`)
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, "api_checks_total 7\nwall_shed_degraded 0\n")
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprint(w, `{"ready":false,"mode":"degraded"}`)
+		fmt.Fprint(w, "api_checks_total 7\nwall_dataset_reloads_total 0\n")
 	})
 	mux.HandleFunc("/v1/check", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost {
@@ -171,10 +124,6 @@ func TestStackHTTPHelpers(t *testing.T) {
 	}
 	if _, ok := MetricValue(metrics, "api_checks"); ok {
 		t.Error("MetricValue matched a name prefix, want exact-name match")
-	}
-	code, body, err := s.Readyz()
-	if err != nil || code != http.StatusServiceUnavailable || !strings.Contains(body, "degraded") {
-		t.Errorf("Readyz = %d, %q, %v", code, body, err)
 	}
 	v, err := s.Verdict("100.64.0.1")
 	if err != nil || !v.Reused {

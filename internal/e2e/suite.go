@@ -25,9 +25,6 @@ type Scenario struct {
 	Crawlers   int
 	Faults     string
 	Watch      bool
-	// Shed, when non-nil, boots blserve with -shed and these admission
-	// parameters (overload-resilience scenarios).
-	Shed *ShedParams
 	// Datasets, when non-empty, boots blserve in multi-dataset mode (one
 	// -dataset flag per entry; the first is the default).
 	Datasets []DatasetSpec
@@ -62,7 +59,6 @@ func (sc Scenario) config(spec testkit.WorldSpec) StackConfig {
 		Crawlers:      sc.Crawlers,
 		Faults:        sc.Faults,
 		Watch:         sc.Watch,
-		Shed:          sc.Shed,
 		Datasets:      sc.Datasets,
 	}
 }

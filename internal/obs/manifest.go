@@ -67,9 +67,6 @@ type ServingStatus struct {
 	LastError string `json:"last_reload_error,omitempty"`
 	// DatasetGenerated is the served dataset's build stamp.
 	DatasetGenerated time.Time `json:"dataset_generated"`
-	// Overload is the overload-resilience controller's state; nil when the
-	// server runs without admission control (-shed off).
-	Overload *OverloadStatus `json:"overload,omitempty"`
 	// Datasets carries one block per served dataset, default first; a
 	// single-file server has exactly one, named "default". The top-level
 	// fields above repeat the default dataset's, so readers that predate
@@ -94,30 +91,6 @@ type DatasetServingStatus struct {
 	Generated       time.Time `json:"generated"`
 	NATedAddresses  int       `json:"nated_addresses"`
 	DynamicPrefixes int       `json:"dynamic_prefixes"`
-	// Overload is this dataset's admission-control state, when shedding.
-	Overload *OverloadStatus `json:"overload,omitempty"`
-}
-
-// OverloadStatus is the admission-control layer's manifest block: serving
-// mode plus lifetime admission totals. All wall-clock-grade — live traffic
-// is not part of the deterministic study surface.
-type OverloadStatus struct {
-	// Enabled reports that admission control is active at all.
-	Enabled bool `json:"enabled"`
-	// Mode is "normal" or "degraded".
-	Mode string `json:"mode"`
-	// Admitted counts requests granted a concurrency slot; Queued is the
-	// subset that waited for one; Shed counts rejections by the admission
-	// gates; RateLimited counts per-client token-bucket rejections.
-	Admitted    int64 `json:"admitted"`
-	Queued      int64 `json:"queued"`
-	Shed        int64 `json:"shed"`
-	RateLimited int64 `json:"rate_limited"`
-	// ModeTransitions counts normal<->degraded flips since startup.
-	ModeTransitions int64 `json:"mode_transitions"`
-	// ReloadFailed mirrors the watcher's failed-reload flag that forces
-	// degraded mode until the next successful reload.
-	ReloadFailed bool `json:"reload_failed,omitempty"`
 }
 
 // NewManifest seeds a manifest with build and host provenance; the caller

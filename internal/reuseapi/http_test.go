@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -13,7 +12,6 @@ import (
 	"github.com/reuseblock/reuseblock/internal/greylist"
 	"github.com/reuseblock/reuseblock/internal/iputil"
 	"github.com/reuseblock/reuseblock/internal/obs"
-	"github.com/reuseblock/reuseblock/internal/shed"
 )
 
 // TestAcceptsGzipQualities pins the RFC 9110 qvalue handling: a zero weight
@@ -114,37 +112,6 @@ func TestVaryOnPrecomputedEndpoints(t *testing.T) {
 		if rec.Code != 304 || rec.Header().Get("Vary") != "Accept-Encoding" {
 			t.Errorf("%s 304: status %d Vary %q", path, rec.Code, rec.Header().Get("Vary"))
 		}
-	}
-}
-
-// TestVaryOnDegradedList covers the degraded twin of servePrecomputed: the
-// load-shedding serving path negotiates encodings too, so it needs the same
-// Vary header.
-func TestVaryOnDegradedList(t *testing.T) {
-	srv := NewServer(goldenDataset(3, 800, 40))
-	ctrl := shed.New(shed.Config{DegradeAfter: time.Millisecond, RecoverAfter: time.Hour}, nil)
-	srv.Shed = ctrl
-	ctrl.SetReloadFailed(true) // force degraded mode
-	h := handlerFor(t, srv)
-
-	// Degraded serving is gzip-only (identity clients are shed), so the
-	// negotiated shapes are the gzip 200 and the 304.
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest("GET", "/v1/list", nil)
-	req.Header.Set("Accept-Encoding", "gzip")
-	h.ServeHTTP(rec, req)
-	if rec.Code != 200 || rec.Header().Get("Vary") != "Accept-Encoding" {
-		t.Errorf("degraded gzip list: status %d Vary %q", rec.Code, rec.Header().Get("Vary"))
-	}
-	etag := rec.Header().Get("ETag")
-
-	rec = httptest.NewRecorder()
-	req = httptest.NewRequest("GET", "/v1/list", nil)
-	req.Header.Set("Accept-Encoding", "gzip")
-	req.Header.Set("If-None-Match", etag)
-	h.ServeHTTP(rec, req)
-	if rec.Code != 304 || rec.Header().Get("Vary") != "Accept-Encoding" {
-		t.Errorf("degraded 304: status %d Vary %q", rec.Code, rec.Header().Get("Vary"))
 	}
 }
 
@@ -251,7 +218,7 @@ func mustParsePrefix(t *testing.T, s string) iputil.Prefix {
 
 // twoDatasetRegistry builds a registry with distinct datasets "alpha"
 // (default) and "beta".
-func twoDatasetRegistry(t *testing.T) (*Registry, *Server, *Server) {
+func twoDatasetRegistry(t *testing.T) *Registry {
 	t.Helper()
 	alpha := NewServer(&Dataset{
 		NATUsers:        map[iputil.Addr]int{mustParse(t, "203.0.113.7"): 12},
@@ -273,13 +240,13 @@ func twoDatasetRegistry(t *testing.T) (*Registry, *Server, *Server) {
 	if err := g.Register("beta", beta); err != nil {
 		t.Fatal(err)
 	}
-	return g, alpha, beta
+	return g
 }
 
 // TestRegistryRouting pins the multi-dataset dispatch: named routes answer
 // per dataset, unknown names and endpoints 404 with JSON errors.
 func TestRegistryRouting(t *testing.T) {
-	g, _, _ := twoDatasetRegistry(t)
+	g := twoDatasetRegistry(t)
 	h := g.Handler()
 
 	get := func(path string) (int, string) {
@@ -398,7 +365,7 @@ func TestRegistryValidation(t *testing.T) {
 // TestRegistryPerDatasetMetrics requires request counters to carry the
 // dataset label so one /metrics endpoint separates the feeds.
 func TestRegistryPerDatasetMetrics(t *testing.T) {
-	g, _, _ := twoDatasetRegistry(t)
+	g := twoDatasetRegistry(t)
 	g.Obs = obs.NewRegistry()
 	h := g.Handler()
 
@@ -421,49 +388,5 @@ func TestRegistryPerDatasetMetrics(t *testing.T) {
 	if !strings.Contains(string(metrics),
 		`wall_api_requests_total{dataset="beta",endpoint="check"} 1`) {
 		t.Errorf("beta counter missing or wrong:\n%s", metrics)
-	}
-}
-
-// TestRegistryReadyzAggregates pins the fleet-readiness contract: one
-// degraded dataset flips the whole replica to 503 and is named in the body.
-func TestRegistryReadyzAggregates(t *testing.T) {
-	g, alpha, beta := twoDatasetRegistry(t)
-	alpha.Shed = shed.New(shed.Config{Dataset: "alpha", RecoverAfter: 5 * time.Millisecond}, nil)
-	beta.Shed = shed.New(shed.Config{Dataset: "beta", RecoverAfter: 5 * time.Millisecond}, nil)
-	h := g.Handler()
-
-	get := func(path string) (int, string, http.Header) {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		return rec.Code, rec.Body.String(), rec.Header()
-	}
-	if code, body, _ := get("/readyz"); code != 200 || !strings.Contains(body, `"normal"`) {
-		t.Fatalf("fresh /readyz = %d %s", code, body)
-	}
-	if code, body, _ := get("/healthz"); code != 200 || !strings.Contains(body, `"ok"`) {
-		t.Fatalf("/healthz = %d %s", code, body)
-	}
-
-	beta.Shed.SetReloadFailed(true)
-	code, body, hdr := get("/readyz")
-	if code != 503 || !strings.Contains(body, `"degraded_datasets":["beta"]`) {
-		t.Fatalf("degraded /readyz = %d %s", code, body)
-	}
-	if hdr.Get("Retry-After") == "" {
-		t.Error("degraded /readyz missing Retry-After")
-	}
-
-	// Heal and poll: recovery waits out the calm window.
-	beta.Shed.SetReloadFailed(false)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		code, body, _ = get("/readyz")
-		if code == 200 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if code != 200 || !strings.Contains(body, `"normal"`) {
-		t.Fatalf("recovered /readyz = %d %s", code, body)
 	}
 }

@@ -3,20 +3,17 @@ package reuseapi
 import (
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"github.com/reuseblock/reuseblock/internal/obs"
-	"github.com/reuseblock/reuseblock/internal/shed"
 )
 
 // Registry is the HTTP surface of the package: it serves one or more named
 // datasets behind one handler. Each dataset is a *Server — its own
-// atomically swappable snapshot, its own optional admission controller —
-// and every endpoint is reachable both as /v1/{dataset}/{endpoint} and, for
-// the default (first-registered) dataset, at the unprefixed
-// /v1/{endpoint} routes. A single-dataset deployment is a one-entry
-// registry.
+// atomically swappable snapshot — and every endpoint is reachable both as
+// /v1/{dataset}/{endpoint} and, for the default (first-registered)
+// dataset, at the unprefixed /v1/{endpoint} routes. A single-dataset
+// deployment is a one-entry registry.
 //
 // Registration happens once at startup, before Handler; after that the
 // registry is read-only and requests touch no locks beyond each server's
@@ -116,12 +113,6 @@ func (g *Registry) Handler() http.Handler {
 		h.eps[name] = &es
 	}
 	h.def = h.eps[g.order[0]]
-	if g.anyShed() {
-		// The health probes bypass admission — a load balancer must be able
-		// to probe an overloaded server.
-		mux.HandleFunc("/healthz", g.handleHealthz)
-		mux.HandleFunc("/readyz", g.handleReadyz)
-	}
 	if g.Obs != nil {
 		mux.Handle("/metrics", obs.MetricsHandler(g.Obs))
 	}
@@ -132,15 +123,6 @@ func (g *Registry) Handler() http.Handler {
 		obs.RegisterPprof(mux)
 	}
 	return h
-}
-
-func (g *Registry) anyShed() bool {
-	for _, srv := range g.named {
-		if srv.Shed != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // registryHandler routes /v1/{endpoint} to the default dataset and
@@ -173,43 +155,4 @@ func (h *registryHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeError(w, http.StatusNotFound, "unknown endpoint", endpoint)
-}
-
-// handleHealthz is liveness for the whole process: up and serving HTTP means
-// 200 — degraded is an overload posture, not a death.
-func (g *Registry) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	setContentTypeJSON(w)
-	_, _ = w.Write([]byte("{\"status\":\"ok\"}\n"))
-}
-
-// handleReadyz aggregates readiness over every dataset with admission
-// control: one degraded dataset makes the whole replica not-ready (load
-// balancers drain per process, not per path), and the 503 body names the
-// degraded datasets so operators see which feed is in trouble. Each probe
-// re-evaluates the mode machines, so readiness polling alone is enough to
-// drive recovery after a flood ends.
-func (g *Registry) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	var degraded []string
-	var first *shed.Controller
-	for _, name := range g.order {
-		if c := g.named[name].Shed; c != nil && c.Mode() == shed.ModeDegraded {
-			degraded = append(degraded, name)
-			if first == nil {
-				first = c
-			}
-		}
-	}
-	if len(degraded) == 0 {
-		setContentTypeJSON(w)
-		_, _ = w.Write([]byte("{\"ready\":true,\"mode\":\"normal\"}\n"))
-		return
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(first.RetryAfterSeconds()))
-	setContentTypeJSON(w)
-	w.WriteHeader(http.StatusServiceUnavailable)
-	_, _ = w.Write(encodeJSONLine(struct {
-		Ready    bool     `json:"ready"`
-		Mode     string   `json:"mode"`
-		Degraded []string `json:"degraded_datasets"`
-	}{false, "degraded", degraded}))
 }

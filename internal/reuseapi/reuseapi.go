@@ -11,7 +11,7 @@
 //	GET  /v1/greylist?ip=192.0.2.7 -> verdict + recommended action/expiry (§6 mitigation)
 //
 // There is one serving path. Each dataset is a Server — a compiled snapshot
-// with its own admission control — registered under a name in a Registry
+// plus its greylist policy — registered under a name in a Registry
 // (registry.go), whose handler is the only HTTP surface: every endpoint
 // answers at /v1/{dataset}/..., and the unprefixed routes above alias the
 // default (first-registered) dataset. A single-dataset deployment is a
@@ -36,7 +36,6 @@ import (
 	"github.com/reuseblock/reuseblock/internal/greylist"
 	"github.com/reuseblock/reuseblock/internal/iputil"
 	"github.com/reuseblock/reuseblock/internal/obs"
-	"github.com/reuseblock/reuseblock/internal/shed"
 )
 
 // Dataset is the served reuse knowledge. Build one from a Study's report or
@@ -80,19 +79,13 @@ const MaxBatchBytes = 1 << 20
 const MaxBatchIPs = 10_000
 
 // Server is one served dataset: its compiled snapshot, swapped atomically by
-// Update and ApplyDelta, plus the per-dataset serving policy (admission
-// control and greylist windows). It has no HTTP surface of its own — register
-// it in a Registry, which serves every dataset. Safe for concurrent use. Set
-// the exported fields before the Registry builds its handler.
+// Update and ApplyDelta, plus the per-dataset greylist windows. It has no
+// HTTP surface of its own — register it in a Registry, which serves every
+// dataset. Safe for concurrent use. Set the exported fields before the
+// Registry builds its handler.
 type Server struct {
 	snap atomic.Pointer[Snapshot]
 
-	// Shed, when non-nil, turns on overload resilience: per-class admission
-	// gates, per-client rate limiting and degraded-mode serving for this
-	// dataset, and mounts the Registry's /healthz + /readyz probes. Nil (the
-	// default) keeps every serving path byte-identical to the unguarded
-	// build (see shed.go).
-	Shed *shed.Controller
 	// Greylist tunes the /v1/greylist recommendation windows; the zero
 	// value takes the greylist package's defaults.
 	Greylist greylist.Config
@@ -130,8 +123,7 @@ func normalize(data *Dataset) *Dataset {
 	return data
 }
 
-// endpointSet is one dataset's fully wrapped API handlers: admission-guarded
-// by cost class when the server sheds, then counted. A Registry's routing
+// endpointSet is one dataset's counted API handlers. A Registry's routing
 // dispatches into one per dataset.
 type endpointSet struct {
 	check, list, prefixes, stats, greylist http.HandlerFunc
@@ -155,18 +147,15 @@ func (e *endpointSet) lookup(name string) http.HandlerFunc {
 	}
 }
 
-// endpoints builds the wrapped endpoint handlers. Per-endpoint metrics land
+// endpoints builds the counted endpoint handlers. Per-endpoint metrics land
 // in reg under the dataset label, so one /metrics separates the datasets.
 func (s *Server) endpoints(dataset string, reg *obs.Registry) endpointSet {
-	wrap := func(endpoint string, class shed.Class, h http.HandlerFunc) http.HandlerFunc {
-		return counted(reg, dataset, endpoint, s.guarded(class, h))
-	}
 	return endpointSet{
-		check:    counted(reg, dataset, "check", s.handleCheck()),
-		list:     wrap("list", shed.ClassHeavy, s.handleList),
-		prefixes: wrap("prefixes", shed.ClassHeavy, s.handlePrefixes),
-		stats:    wrap("stats", shed.ClassCheap, s.handleStats),
-		greylist: wrap("greylist", shed.ClassCheap, s.handleGreylist),
+		check:    counted(reg, dataset, "check", s.handleCheck),
+		list:     counted(reg, dataset, "list", s.handleList),
+		prefixes: counted(reg, dataset, "prefixes", s.handlePrefixes),
+		stats:    counted(reg, dataset, "stats", s.handleStats),
+		greylist: counted(reg, dataset, "greylist", s.handleGreylist),
 	}
 }
 
@@ -232,21 +221,16 @@ func queryIP(r *http.Request) (string, bool) {
 	return "", false
 }
 
-// handleCheck splits /v1/check by method: single GET checks ride the cheap
-// admission class (they must keep flowing during a batch flood), batch POSTs
-// the heavy one.
-func (s *Server) handleCheck() http.HandlerFunc {
-	one := s.guarded(shed.ClassCheap, s.handleCheckOne)
-	batch := s.guarded(shed.ClassHeavy, s.handleCheckBatch)
-	return func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodGet:
-			one(w, r)
-		case http.MethodPost:
-			batch(w, r)
-		default:
-			writeError(w, http.StatusMethodNotAllowed, "method not allowed", r.Method)
-		}
+// handleCheck splits /v1/check by method: GET is a single check, POST a
+// batch.
+func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
+	switch r.Method {
+	case http.MethodGet:
+		s.handleCheckOne(w, r)
+	case http.MethodPost:
+		s.handleCheckBatch(w, r)
+	default:
+		writeError(w, http.StatusMethodNotAllowed, "method not allowed", r.Method)
 	}
 }
 
@@ -308,16 +292,6 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "too many addresses in batch",
 			fmt.Sprintf("%d addresses exceed the limit of %d", len(ips), MaxBatchIPs))
 		return
-	}
-	if s.Shed != nil && s.Shed.Degraded() {
-		// Degraded mode clamps batch work, not batch validity: a batch that
-		// would be fine normally gets a retryable 429 (with the clamp named),
-		// never the 400 reserved for protocol violations above.
-		if clamp := s.Shed.DegradedMaxBatch(); len(ips) > clamp {
-			writeShedError(w, s.Shed, http.StatusTooManyRequests, "batch clamped in degraded mode",
-				fmt.Sprintf("%d addresses exceed the degraded-mode limit of %d", len(ips), clamp))
-			return
-		}
 	}
 	snap := s.snap.Load()
 	buf := make([]byte, 0, 32+128*len(ips))
@@ -422,10 +396,6 @@ func refusesQuality(params string) bool {
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "method not allowed", r.Method)
-		return
-	}
-	if s.Shed != nil && s.Shed.Degraded() {
-		s.serveDegraded(w, r, &s.snap.Load().list, "text/plain; charset=utf-8")
 		return
 	}
 	servePrecomputed(w, r, &s.snap.Load().list, "text/plain; charset=utf-8")
