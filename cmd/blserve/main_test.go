@@ -410,11 +410,32 @@ func getManifest(t *testing.T, base string) obs.Manifest {
 	return m
 }
 
+// TestServeShedOffHidesProbes pins that the server mounts no health probe
+// endpoints: /healthz and /readyz answer 404, with or without -watch.
+func TestServeShedOffHidesProbes(t *testing.T) {
+	dir := t.TempDir()
+	nated := filepath.Join(dir, "nated.txt")
+	if err := os.WriteFile(nated, []byte("203.0.113.7\t12\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-nated", nated},
+		{"-nated", nated, "-watch", "-watch-interval", "30ms"},
+	} {
+		base, cancel, _, _ := startServe(t, args)
+		for _, path := range []string{"/healthz", "/readyz"} {
+			if code, _ := getJSONStatus(t, base, path); code != 404 {
+				t.Errorf("%v: %s = %d, want 404", args, path, code)
+			}
+		}
+		cancel()
+	}
+}
+
 // TestServeWatchBadReloadKeepsServing drives a failed reload over a real
 // -watch server: a corrupted input keeps the old data answering /v1/stats
 // while /debug/manifest reports last_reload_error for the dataset, and
-// healing the file serves the new data and clears the error. The server
-// mounts no health probes.
+// healing the file serves the new data and clears the error.
 func TestServeWatchBadReloadKeepsServing(t *testing.T) {
 	dir := t.TempDir()
 	nated := filepath.Join(dir, "nated.txt")
@@ -423,12 +444,6 @@ func TestServeWatchBadReloadKeepsServing(t *testing.T) {
 	}
 	base, cancel, _, _ := startServe(t, []string{"-nated", nated, "-watch", "-watch-interval", "30ms"})
 	defer cancel()
-
-	for _, path := range []string{"/healthz", "/readyz"} {
-		if code, _ := getJSONStatus(t, base, path); code != 404 {
-			t.Errorf("%s = %d, want 404", path, code)
-		}
-	}
 
 	// Rewrites go through a rename so the watcher never reads a truncated
 	// file, which would parse as an empty list.
