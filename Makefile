@@ -62,6 +62,8 @@ fuzz:
 	$(GO) test -fuzz '^FuzzReadLogs$$' -fuzztime 30s ./internal/ripeatlas/
 	$(GO) test -fuzz '^FuzzSurveyRuns$$' -fuzztime 30s ./internal/icmpsurvey/
 	$(GO) test -fuzz '^FuzzDeltaCompile$$' -fuzztime 30s ./internal/reuseapi/
+	$(GO) test -fuzz '^FuzzCheckBatchBody$$' -fuzztime 30s ./internal/reuseapi/
+	$(GO) test -fuzz '^FuzzFabric$$' -fuzztime 30s ./internal/netsim/
 
 # Property-based verification: the fast metamorphic suite, the per-package
 # property tests, then the slow 50-world seed sweep (oracles, determinism,

@@ -3,6 +3,7 @@ package blocklist
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -134,6 +135,58 @@ func TestCollectionIdempotentSameDay(t *testing.T) {
 	}
 	if got := c.Listings()[0].Days; got != 1 {
 		t.Errorf("Days = %d, want 1", got)
+	}
+}
+
+// TestAllAddrsConcurrentCallsShareOneSet: parallel joins ask for the union
+// at once; under -race they must get one set, built once.
+func TestAllAddrsConcurrentCallsShareOneSet(t *testing.T) {
+	c, _ := testCollection(t)
+	c.Record(0, 0, iputil.SetOf(iputil.MustParseAddr("192.0.2.1"), iputil.MustParseAddr("192.0.2.2")))
+	c.Record(0, 1, iputil.SetOf(iputil.MustParseAddr("198.51.100.7")))
+	const callers = 8
+	got := make([]*iputil.Set, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = c.AllAddrs()
+			got[i].Contains(iputil.MustParseAddr("192.0.2.1"))
+		}()
+	}
+	wg.Wait()
+	for i, s := range got {
+		if s != got[0] || s.Len() != 3 {
+			t.Errorf("caller %d got %p with %d addresses, caller 0 %p", i, s, s.Len(), got[0])
+		}
+	}
+}
+
+// TestAllAddrsSeesLaterRecords: a snapshot or span recorded after a call
+// shows up in the next call, and the set handed out earlier is unchanged.
+func TestAllAddrsSeesLaterRecords(t *testing.T) {
+	c, _ := testCollection(t)
+	a := iputil.MustParseAddr("192.0.2.1")
+	b := iputil.MustParseAddr("192.0.2.2")
+	d := iputil.MustParseAddr("192.0.2.3")
+	c.Record(0, 0, iputil.SetOf(a))
+	first := c.AllAddrs()
+	if err := c.Record(1, 1, iputil.SetOf(b)); err != nil {
+		t.Fatal(err)
+	}
+	second := c.AllAddrs()
+	if !second.Contains(b) || second.Len() != 2 {
+		t.Errorf("after Record: %v, want a and b", second.Sorted())
+	}
+	if err := c.RecordSpan(0, d, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if third := c.AllAddrs(); !third.Contains(d) || third.Len() != 3 {
+		t.Errorf("after RecordSpan: %v, want a, b and d", third.Sorted())
+	}
+	if first.Len() != 1 || second.Len() != 2 {
+		t.Errorf("earlier sets changed: %v, %v", first.Sorted(), second.Sorted())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/iputil"
@@ -22,6 +23,11 @@ type Collection struct {
 	// presence[feed][addr] is a per-day bitmap of the address's presence.
 	presence []map[iputil.Addr]*daySet
 	recorded map[int]bool // day indexes with at least one snapshot
+
+	// allMu guards all, the AllAddrs union built since the last Record or
+	// RecordSpan; the analysis joins ask for it in parallel.
+	allMu sync.Mutex
+	all   *iputil.Set
 }
 
 // daySet is a bitmap over observation-day indexes.
@@ -112,6 +118,7 @@ func (c *Collection) Record(dayIdx, feedIdx int, addrs *iputil.Set) error {
 	if err := c.check(dayIdx, feedIdx); err != nil {
 		return err
 	}
+	c.forgetAll()
 	c.recorded[dayIdx] = true
 	m := c.presence[feedIdx]
 	for _, a := range addrs.Sorted() {
@@ -137,6 +144,7 @@ func (c *Collection) RecordSpan(feedIdx int, addr iputil.Addr, fromDay, toDay in
 	if toDay < fromDay {
 		return fmt.Errorf("blocklist: empty span [%d, %d]", fromDay, toDay)
 	}
+	c.forgetAll()
 	for d := fromDay; d <= toDay; d++ {
 		c.recorded[d] = true
 	}
@@ -229,15 +237,30 @@ func (c *Collection) FeedAddrs(feedIdx int) *iputil.Set {
 }
 
 // AllAddrs returns the union of every feed's addresses — the paper's "2.2M
-// blocklisted IP addresses".
+// blocklisted IP addresses". The union is built on the first call after
+// the collection last changed and shared by every later call until the next
+// Record or RecordSpan, so callers must not modify the returned set. Calls
+// may run concurrently with each other, but not with Record or RecordSpan.
 func (c *Collection) AllAddrs() *iputil.Set {
-	s := iputil.NewSet()
-	for _, m := range c.presence {
-		for a := range m {
-			s.Add(a)
+	c.allMu.Lock()
+	defer c.allMu.Unlock()
+	if c.all == nil {
+		s := iputil.NewSet()
+		for _, m := range c.presence {
+			for a := range m {
+				s.Add(a)
+			}
 		}
+		c.all = s
 	}
-	return s
+	return c.all
+}
+
+// forgetAll drops the AllAddrs union before the collection changes.
+func (c *Collection) forgetAll() {
+	c.allMu.Lock()
+	c.all = nil
+	c.allMu.Unlock()
 }
 
 // FeedSizes returns, per feed, the number of unique addresses it listed.

@@ -1,6 +1,7 @@
 package iputil
 
 import (
+	"math/bits"
 	"sort"
 
 	"github.com/reuseblock/reuseblock/internal/ipset"
@@ -130,9 +131,9 @@ func (s *Set) MemBytes() int { return s.s.MemBytes() }
 // mixed lengths; Covers answers "is this address inside any member?".
 type PrefixSet struct {
 	m map[Prefix]struct{}
-	// lens tracks which prefix lengths are present so Covers only probes
-	// lengths that can match.
-	lens [33]int
+	// lens has bit b set when a member is b bits long, so Covers probes only
+	// lengths that can match. The set has no Remove, so a bit never clears.
+	lens uint64
 }
 
 // NewPrefixSet returns an empty prefix set.
@@ -146,7 +147,7 @@ func (ps *PrefixSet) Add(p Prefix) bool {
 		return false
 	}
 	ps.m[p] = struct{}{}
-	ps.lens[p.Bits()]++
+	ps.lens |= 1 << p.Bits()
 	return true
 }
 
@@ -163,14 +164,13 @@ func (ps *PrefixSet) Covers(a Addr) bool {
 }
 
 // CoveringPrefix returns the longest member prefix containing a. Probes run
-// from /32 down so the first hit is the longest match; lengths with no
-// members are skipped.
+// from the longest present length down so the first hit is the longest
+// match; lengths with no members are skipped.
 func (ps *PrefixSet) CoveringPrefix(a Addr) (Prefix, bool) {
-	for bits := 32; bits >= 0; bits-- {
-		if ps.lens[bits] == 0 {
-			continue
-		}
-		p := PrefixFrom(a, bits)
+	for lens := ps.lens; lens != 0; {
+		n := bits.Len64(lens) - 1
+		lens &^= 1 << n
+		p := PrefixFrom(a, n)
 		if _, ok := ps.m[p]; ok {
 			return p, true
 		}

@@ -193,4 +193,12 @@ func TestCoveringPrefixLongestWins(t *testing.T) {
 	if _, ok := ps.CoveringPrefix(MustParseAddr("11.0.0.1")); ok {
 		t.Error("CoveringPrefix matched outside every member")
 	}
+	// The extreme lengths: /32 and the default route /0.
+	ps.Add(MustParsePrefix("10.9.7.9/32"))
+	ps.Add(MustParsePrefix("0.0.0.0/0"))
+	for addr, want := range map[string]string{"10.9.7.9": "10.9.7.9/32", "10.9.7.8": "10.9.7.0/24", "11.0.0.1": "0.0.0.0/0"} {
+		if p, ok := ps.CoveringPrefix(MustParseAddr(addr)); !ok || p.String() != want {
+			t.Errorf("CoveringPrefix(%s) = %v, %v; want %s", addr, p, ok, want)
+		}
+	}
 }

@@ -43,23 +43,29 @@ type NATConfig struct {
 // NAT is a network address translator fronting any number of internal hosts
 // with a single public address.
 //
-// Mapping state is pooled: mappings live in one index-addressed slice with a
-// freelist, and byExt/byInt store int32 slot indices rather than pointers.
+// A gateway holds no map. Mapping records live in one index-addressed slice
+// with a freelist; each mapping points to the internal socket it serves, and
+// each socket holds the index of its current mapping and, under
+// AddressRestricted filtering, the set of external addresses it has
+// contacted. A send therefore finds its mapping through the socket, and an
+// inbound datagram finds its mapping by the destination port: first in the
+// slot that port was handed out into, then by scanning the pooled records.
+// A gateway keeps about as many mappings as it has BitTorrent users; in the
+// default worlds at scales 1 and 10 that is 2.3 and 2.4 per NAT on average
+// and at most 97 and 98. The bound internal sockets sit in a plain slice,
+// consulted only by Listen and Close.
+//
 // At paper scale the NAT population dominates the world (the paper's point
 // is that most of the DHT sits behind reused gateway addresses), so mapping
-// records are the second-largest per-host cost after node state. Contacted-
-// peer sets for AddressRestricted filtering are compact address sets instead
-// of maps for the same reason.
+// records are the second-largest per-host cost after node state.
 type NAT struct {
 	net    *Network
 	cfg    NATConfig
+	host   int32 // index of the public address's record in net.hosts
 	next   uint16
-	byExt  map[uint16]int32           // external port -> index into mslots
-	byInt  map[internalKey]int32      // internal endpoint -> index into mslots
-	mslots []mapping                  // pooled mapping records
-	mfree  []int32                    // freelist of vacated slots
-	socks  map[internalKey]*natSocket // bound internal sockets
-	peers  map[internalKey]*ipset.Set // contacted external addrs (for filtering)
+	mslots []mapping    // pooled mapping records
+	mfree  []int32      // freelist of vacated slots
+	socks  []*natSocket // bound internal sockets
 }
 
 type internalKey struct {
@@ -68,19 +74,22 @@ type internalKey struct {
 }
 
 type mapping struct {
-	intKey   internalKey
+	sock     *natSocket // the socket the mapping serves; nil while the slot is free
+	lastUsed int64      // ns since Epoch of the last outbound datagram
 	extPort  uint16
-	lastUsed time.Time
 }
 
 // NewNAT registers a NAT gateway on the network. The public address must not
 // already be bound or fronted by another NAT.
 func NewNAT(n *Network, cfg NATConfig) (*NAT, error) {
-	if _, exists := n.nats[cfg.PublicAddr]; exists {
-		return nil, fmt.Errorf("netsim: NAT already present at %s", cfg.PublicAddr)
-	}
-	if n.direct[cfg.PublicAddr] > 0 {
-		return nil, fmt.Errorf("netsim: %s already has direct bindings", cfg.PublicAddr)
+	if hi, ok := n.addrs[cfg.PublicAddr]; ok {
+		h := &n.hosts[hi]
+		if h.nat != nil {
+			return nil, fmt.Errorf("netsim: NAT already present at %s", cfg.PublicAddr)
+		}
+		if h.first >= 0 {
+			return nil, fmt.Errorf("netsim: %s already has direct bindings", cfg.PublicAddr)
+		}
 	}
 	if cfg.MappingTTL <= 0 {
 		cfg.MappingTTL = 10 * time.Minute
@@ -88,16 +97,8 @@ func NewNAT(n *Network, cfg NATConfig) (*NAT, error) {
 	if cfg.FirstPort == 0 {
 		cfg.FirstPort = 1024
 	}
-	nat := &NAT{
-		net:   n,
-		cfg:   cfg,
-		next:  cfg.FirstPort,
-		byExt: make(map[uint16]int32),
-		byInt: make(map[internalKey]int32),
-		socks: make(map[internalKey]*natSocket),
-		peers: make(map[internalKey]*ipset.Set),
-	}
-	n.nats[cfg.PublicAddr] = nat
+	nat := &NAT{net: n, cfg: cfg, host: n.addHost(cfg.PublicAddr), next: cfg.FirstPort}
+	n.hosts[nat.host].nat = nat
 	return nat, nil
 }
 
@@ -107,47 +108,67 @@ func (nat *NAT) PublicAddr() iputil.Addr { return nat.cfg.PublicAddr }
 // Listen binds an internal (private) endpoint behind the NAT.
 func (nat *NAT) Listen(privateAddr iputil.Addr, privatePort uint16) (Socket, error) {
 	key := internalKey{privateAddr, privatePort}
-	if _, used := nat.socks[key]; used {
-		return nil, fmt.Errorf("%w: internal %s:%d", ErrBound, privateAddr, privatePort)
+	for _, s := range nat.socks {
+		if s.key == key {
+			return nil, fmt.Errorf("%w: internal %s:%d", ErrBound, privateAddr, privatePort)
+		}
 	}
-	s := &natSocket{nat: nat, key: key}
-	nat.socks[key] = s
+	s := &natSocket{nat: nat, key: key, mi: -1}
+	nat.socks = append(nat.socks, s)
 	return s, nil
 }
 
 // ActiveMappings returns the number of unexpired port mappings.
 func (nat *NAT) ActiveMappings() int {
-	now := nat.net.clock.Now()
+	now := nat.net.clock.now
 	n := 0
-	for _, mi := range nat.byExt {
-		if !nat.expired(&nat.mslots[mi], now) {
+	for i := range nat.mslots {
+		if m := &nat.mslots[i]; m.sock != nil && !nat.expired(m, now) {
 			n++
 		}
 	}
 	return n
 }
 
-func (nat *NAT) expired(m *mapping, now time.Time) bool {
-	return now.Sub(m.lastUsed) > nat.cfg.MappingTTL
+func (nat *NAT) expired(m *mapping, now int64) bool {
+	return now-m.lastUsed > int64(nat.cfg.MappingTTL)
+}
+
+// lookup returns the index of the mapping holding extPort, expired or not,
+// or -1. Ports are handed out in order into appended slots, so until a
+// mapping expires and its slot is reused, port FirstPort+k sits in slot k:
+// that slot is tried before the scan.
+func (nat *NAT) lookup(extPort uint16) int32 {
+	if k := int(extPort - nat.cfg.FirstPort); k < len(nat.mslots) {
+		if m := &nat.mslots[k]; m.sock != nil && m.extPort == extPort {
+			return int32(k)
+		}
+	}
+	for i := range nat.mslots {
+		if m := &nat.mslots[i]; m.sock != nil && m.extPort == extPort {
+			return int32(i)
+		}
+	}
+	return -1
 }
 
 func (nat *NAT) hasMapping(extPort uint16) bool {
-	mi, ok := nat.byExt[extPort]
-	return ok && !nat.expired(&nat.mslots[mi], nat.net.clock.Now())
+	mi := nat.lookup(extPort)
+	return mi >= 0 && !nat.expired(&nat.mslots[mi], nat.net.clock.now)
 }
 
 // outbound handles a datagram from an internal socket: allocate or refresh
 // the mapping and transmit from the public endpoint.
-func (nat *NAT) outbound(key internalKey, to Endpoint, payload []byte) {
-	now := nat.net.clock.Now()
-	mi, ok := nat.byInt[key]
-	if ok && nat.expired(&nat.mslots[mi], now) {
+func (nat *NAT) outbound(s *natSocket, to Endpoint, payload []byte) {
+	now := nat.net.clock.now
+	mi := s.mi
+	if mi >= 0 && nat.expired(&nat.mslots[mi], now) {
 		nat.dropMapping(mi)
-		ok = false
+		mi = -1
 	}
-	if !ok {
-		mi, ok = nat.allocate(key, now)
-		if !ok {
+	if mi < 0 {
+		var ok bool
+		if mi, ok = nat.allocate(s, now); !ok {
 			nat.net.stats.NoRoute++ // port space exhausted
 			return
 		}
@@ -155,39 +176,28 @@ func (nat *NAT) outbound(key internalKey, to Endpoint, payload []byte) {
 	m := &nat.mslots[mi]
 	m.lastUsed = now
 	if nat.cfg.Filtering == AddressRestricted {
-		set := nat.peers[key]
-		if set == nil {
-			set = ipset.New()
-			nat.peers[key] = set
+		if s.peers == nil {
+			s.peers = ipset.New()
 		}
-		set.Add(uint32(to.Addr))
+		s.peers.Add(uint32(to.Addr))
 	}
-	nat.net.transmit(Endpoint{nat.cfg.PublicAddr, m.extPort}, to, payload)
+	nat.net.transmit(nat.host, Endpoint{nat.cfg.PublicAddr, m.extPort}, to, payload)
 }
 
 // inbound handles a datagram arriving at the public address.
 func (nat *NAT) inbound(from, to Endpoint, payload []byte) {
-	now := nat.net.clock.Now()
-	mi, ok := nat.byExt[to.Port]
-	if !ok || nat.expired(&nat.mslots[mi], now) {
-		if ok {
+	mi := nat.lookup(to.Port)
+	if mi < 0 || nat.expired(&nat.mslots[mi], nat.net.clock.now) {
+		if mi >= 0 {
 			nat.dropMapping(mi)
 		}
 		nat.net.stats.NoRoute++
 		nat.net.trace(TraceNoRoute, from, to, len(payload))
 		return
 	}
-	m := &nat.mslots[mi]
-	if nat.cfg.Filtering == AddressRestricted {
-		set := nat.peers[m.intKey]
-		if set == nil || !set.Contains(uint32(from.Addr)) {
-			nat.net.stats.NoRoute++
-			nat.net.trace(TraceNoRoute, from, to, len(payload))
-			return
-		}
-	}
-	s, ok := nat.socks[m.intKey]
-	if !ok || s.handler == nil {
+	s := nat.mslots[mi].sock
+	filtered := nat.cfg.Filtering == AddressRestricted && (s.peers == nil || !s.peers.Contains(uint32(from.Addr)))
+	if filtered || s.handler == nil {
 		nat.net.stats.NoRoute++
 		nat.net.trace(TraceNoRoute, from, to, len(payload))
 		return
@@ -200,7 +210,7 @@ func (nat *NAT) inbound(from, to Endpoint, payload []byte) {
 	s.handler(from, payload)
 }
 
-func (nat *NAT) allocate(key internalKey, now time.Time) (int32, bool) {
+func (nat *NAT) allocate(s *natSocket, now int64) (int32, bool) {
 	for tries := 0; tries < 65536; tries++ {
 		port := nat.next
 		nat.next++
@@ -210,7 +220,7 @@ func (nat *NAT) allocate(key internalKey, now time.Time) (int32, bool) {
 		if port == 0 {
 			continue
 		}
-		if old, used := nat.byExt[port]; used {
+		if old := nat.lookup(port); old >= 0 {
 			if !nat.expired(&nat.mslots[old], now) {
 				continue
 			}
@@ -224,9 +234,8 @@ func (nat *NAT) allocate(key internalKey, now time.Time) (int32, bool) {
 			nat.mslots = append(nat.mslots, mapping{})
 			mi = int32(len(nat.mslots) - 1)
 		}
-		nat.mslots[mi] = mapping{intKey: key, extPort: port, lastUsed: now}
-		nat.byExt[port] = mi
-		nat.byInt[key] = mi
+		nat.mslots[mi] = mapping{sock: s, extPort: port, lastUsed: now}
+		s.mi = mi
 		return mi, true
 	}
 	return 0, false
@@ -234,10 +243,8 @@ func (nat *NAT) allocate(key internalKey, now time.Time) (int32, bool) {
 
 func (nat *NAT) dropMapping(mi int32) {
 	m := &nat.mslots[mi]
-	delete(nat.byExt, m.extPort)
-	if cur, ok := nat.byInt[m.intKey]; ok && cur == mi {
-		delete(nat.byInt, m.intKey)
-	}
+	m.sock.mi = -1
+	m.sock = nil
 	nat.mfree = append(nat.mfree, mi)
 }
 
@@ -245,6 +252,8 @@ type natSocket struct {
 	nat     *NAT
 	key     internalKey
 	handler Handler
+	peers   *ipset.Set // contacted external addresses (AddressRestricted)
+	mi      int32      // the current mapping's index in nat.mslots, -1 when none
 	closed  bool
 }
 
@@ -252,17 +261,16 @@ func (s *natSocket) Send(to Endpoint, payload []byte) {
 	if s.closed {
 		return
 	}
-	s.nat.outbound(s.key, to, payload)
+	s.nat.outbound(s, to, payload)
 }
 
 func (s *natSocket) SetHandler(h Handler) { s.handler = h }
 
 func (s *natSocket) PublicEndpoint() (Endpoint, bool) {
-	mi, ok := s.nat.byInt[s.key]
-	if !ok || s.nat.expired(&s.nat.mslots[mi], s.nat.net.clock.Now()) {
+	if s.mi < 0 || s.nat.expired(&s.nat.mslots[s.mi], s.nat.net.clock.now) {
 		return Endpoint{}, false
 	}
-	return Endpoint{s.nat.cfg.PublicAddr, s.nat.mslots[mi].extPort}, true
+	return Endpoint{s.nat.cfg.PublicAddr, s.nat.mslots[s.mi].extPort}, true
 }
 
 func (s *natSocket) Close() {
@@ -270,9 +278,18 @@ func (s *natSocket) Close() {
 		return
 	}
 	s.closed = true
-	delete(s.nat.socks, s.key)
-	if mi, ok := s.nat.byInt[s.key]; ok {
-		s.nat.dropMapping(mi)
+	socks := s.nat.socks
+	for i, o := range socks {
+		if o == s {
+			last := len(socks) - 1
+			socks[i] = socks[last]
+			socks[last] = nil
+			s.nat.socks = socks[:last]
+			break
+		}
 	}
-	delete(s.nat.peers, s.key)
+	if s.mi >= 0 {
+		s.nat.dropMapping(s.mi)
+	}
+	s.peers = nil
 }

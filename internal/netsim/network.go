@@ -132,36 +132,49 @@ func (cfg *Config) validate() error {
 // per shard. Either way a datagram's fate is a function of the datagram
 // alone (NewFate), so runs are reproducible for any shard count.
 //
-// Binding state is pooled: slot data lives in one index-addressed slice with
-// a freelist, the endpoint map stores int32 slot indices, and the Socket a
-// caller holds is a small generation-checked handle. A paper-scale world
-// binds one socket per public host; keeping those as individual heap objects
-// pointed at by a map is exactly the per-host overhead the compact core
-// removes.
+// The fabric keeps one record per public address it has ever bound: addrs
+// maps the address to an index into the dense hosts slice, and the record
+// holds the address's send sequence, the NAT fronting it (nil for a direct
+// host) and its direct bindings. Binding state is pooled: slot data lives
+// in one index-addressed slice with a freelist, each slot knows its host
+// record, and the Socket a caller holds is a small generation-checked
+// handle. A NAT knows its own host record too, so sending hashes nothing,
+// and a delivery costs the one addrs lookup of its destination. Records are
+// never freed: an address that is closed and bound again continues its send
+// sequence, which keys every datagram's Fate.
 type Network struct {
-	clock    *Clock
-	cfg      Config
-	fault    FaultHook
-	sent     map[iputil.Addr]uint64 // source address -> datagrams sent
-	bindings map[Endpoint]int32     // endpoint -> index into bslots
-	direct   map[iputil.Addr]int32  // address -> endpoints bound on it, for NewNAT
-	bslots   []bslot
-	bfree    []int32 // freelist of vacated slot indices
-	nats     map[iputil.Addr]*NAT
-	stats    Stats
+	clock  *Clock
+	cfg    Config
+	fault  FaultHook
+	addrs  map[iputil.Addr]int32 // public address -> index into hosts
+	hosts  []host
+	bslots []bslot
+	bfree  []int32 // freelist of vacated slot indices
+	stats  Stats
 	// forward, when set by a ShardGroup, sees each datagram after the
 	// loss/jitter rolls and payload copy; returning true means the
 	// destination lives on another shard and delivery was handed off.
 	forward func(deliverAt int64, from, to Endpoint, seq uint64, payload []byte) bool
 }
 
-// bslot is pooled per-binding state. gen increments on close so a stale
-// handle whose slot was recycled cannot reach the new occupant.
+// host is the fabric's record of one public address. A direct host's
+// bindings are usually one socket, so the first sits inline and only an
+// address bound on several ports spills into more.
+type host struct {
+	sent  uint64  // datagrams sent from this address
+	nat   *NAT    // the gateway fronting the address; nil for a direct host
+	first int32   // a direct binding's index into bslots, -1 when none
+	more  []int32 // the address's other direct bindings
+}
+
+// bslot is pooled per-binding state. gen is odd while the slot is bound
+// and increments on bind and on close, so a stale handle whose slot was
+// recycled cannot reach the new occupant.
 type bslot struct {
 	ep      Endpoint
 	handler Handler
+	host    int32 // index of ep.Addr's record in hosts
 	gen     uint32
-	used    bool
 }
 
 // bhandle is the Socket returned by Listen: an index into the pool plus the
@@ -179,14 +192,7 @@ func NewNetwork(clock *Clock, cfg Config) (*Network, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{
-		clock:    clock,
-		cfg:      cfg,
-		sent:     make(map[iputil.Addr]uint64),
-		bindings: make(map[Endpoint]int32),
-		direct:   make(map[iputil.Addr]int32),
-		nats:     make(map[iputil.Addr]*NAT),
-	}
+	n := &Network{clock: clock, cfg: cfg, addrs: make(map[iputil.Addr]int32)}
 	if cfg.Faults != nil {
 		n.fault = cfg.Faults()
 	}
@@ -202,12 +208,40 @@ func (n *Network) Stats() Stats { return n.stats }
 // ErrBound is returned when binding an endpoint that is already in use.
 var ErrBound = errors.New("netsim: endpoint already bound")
 
+// addHost returns the index of addr's record, creating an empty one the
+// first time addr is bound.
+func (n *Network) addHost(addr iputil.Addr) int32 {
+	hi, ok := n.addrs[addr]
+	if !ok {
+		hi = int32(len(n.hosts))
+		n.hosts = append(n.hosts, host{first: -1})
+		n.addrs[addr] = hi
+	}
+	return hi
+}
+
+// binding returns the index into bslots of h's direct binding on port, or
+// -1.
+func (n *Network) binding(h *host, port uint16) int32 {
+	if h.first >= 0 && n.bslots[h.first].ep.Port == port {
+		return h.first
+	}
+	for _, bi := range h.more {
+		if n.bslots[bi].ep.Port == port {
+			return bi
+		}
+	}
+	return -1
+}
+
 // Listen binds a public endpoint and returns its socket.
 func (n *Network) Listen(ep Endpoint) (Socket, error) {
-	if _, used := n.bindings[ep]; used {
+	hi := n.addHost(ep.Addr)
+	h := &n.hosts[hi]
+	if n.binding(h, ep.Port) >= 0 {
 		return nil, fmt.Errorf("%w: %s", ErrBound, ep)
 	}
-	if _, natted := n.nats[ep.Addr]; natted {
+	if h.nat != nil {
 		return nil, fmt.Errorf("netsim: %s is a NAT public address", ep.Addr)
 	}
 	var idx int32
@@ -218,30 +252,36 @@ func (n *Network) Listen(ep Endpoint) (Socket, error) {
 		n.bslots = append(n.bslots, bslot{})
 		idx = int32(len(n.bslots) - 1)
 	}
+	if h.first < 0 {
+		h.first = idx
+	} else {
+		h.more = append(h.more, idx)
+	}
 	s := &n.bslots[idx]
-	s.ep, s.handler, s.used = ep, nil, true
-	n.bindings[ep] = idx
-	n.direct[ep.Addr]++
+	s.ep, s.handler, s.host = ep, nil, hi
+	s.gen++
 	return &bhandle{net: n, idx: idx, gen: s.gen}, nil
 }
 
 // Bound reports whether the endpoint is currently bound (directly or as an
 // active NAT mapping).
 func (n *Network) Bound(ep Endpoint) bool {
-	if _, ok := n.bindings[ep]; ok {
-		return true
+	hi, ok := n.addrs[ep.Addr]
+	if !ok {
+		return false
 	}
-	if nat, ok := n.nats[ep.Addr]; ok {
-		return nat.hasMapping(ep.Port)
+	h := &n.hosts[hi]
+	if h.nat != nil {
+		return h.nat.hasMapping(ep.Port)
 	}
-	return false
+	return n.binding(h, ep.Port) >= 0
 }
 
 // slot resolves a handle to its pooled state; nil when the binding was
 // closed (possibly recycled for another endpoint since).
 func (h *bhandle) slot() *bslot {
 	s := &h.net.bslots[h.idx]
-	if !s.used || s.gen != h.gen {
+	if s.gen != h.gen {
 		return nil
 	}
 	return s
@@ -249,7 +289,7 @@ func (h *bhandle) slot() *bslot {
 
 func (h *bhandle) Send(to Endpoint, payload []byte) {
 	if s := h.slot(); s != nil {
-		h.net.transmit(s.ep, to, payload)
+		h.net.transmit(s.host, s.ep, to, payload)
 	}
 }
 
@@ -271,13 +311,24 @@ func (h *bhandle) Close() {
 	if s == nil {
 		return
 	}
-	delete(h.net.bindings, s.ep)
-	if c := h.net.direct[s.ep.Addr] - 1; c > 0 {
-		h.net.direct[s.ep.Addr] = c
+	rec := &h.net.hosts[s.host]
+	if rec.first == h.idx {
+		rec.first = -1
+		if k := len(rec.more); k > 0 {
+			rec.first = rec.more[k-1]
+			rec.more = rec.more[:k-1]
+		}
 	} else {
-		delete(h.net.direct, s.ep.Addr)
+		for i, bi := range rec.more {
+			if bi == h.idx {
+				last := len(rec.more) - 1
+				rec.more[i] = rec.more[last]
+				rec.more = rec.more[:last]
+				break
+			}
+		}
 	}
-	s.used, s.handler = false, nil
+	s.handler = nil
 	s.gen++
 	h.net.bfree = append(h.net.bfree, h.idx)
 }
@@ -288,11 +339,13 @@ func (n *Network) trace(kind TraceKind, from, to Endpoint, size int) {
 	}
 }
 
-// transmit moves a datagram across the fabric: number it in its source's
-// send sequence, roll loss and delay from its Fate, then route.
-func (n *Network) transmit(from, to Endpoint, payload []byte) {
-	seq := n.sent[from.Addr]
-	n.sent[from.Addr] = seq + 1
+// transmit moves a datagram from the address recorded at hosts[hi] across
+// the fabric: number it in that address's send sequence, roll loss and
+// delay from its Fate, then route.
+func (n *Network) transmit(hi int32, from, to Endpoint, payload []byte) {
+	h := &n.hosts[hi]
+	seq := h.sent
+	h.sent++
 	n.stats.Sent++
 	n.trace(TraceSend, from, to, len(payload))
 	fate := NewFate(n.cfg.Seed, from, to, seq)
@@ -325,19 +378,23 @@ func (n *Network) deliver(from, to Endpoint, seq uint64, payload []byte) {
 			return
 		}
 	}
-	if nat, ok := n.nats[to.Addr]; ok {
-		nat.inbound(from, to, payload)
-		return
+	bi := int32(-1)
+	if hi, ok := n.addrs[to.Addr]; ok {
+		h := &n.hosts[hi]
+		if h.nat != nil {
+			h.nat.inbound(from, to, payload)
+			return
+		}
+		bi = n.binding(h, to.Port)
 	}
-	idx, ok := n.bindings[to]
-	if !ok || n.bslots[idx].handler == nil {
+	if bi < 0 || n.bslots[bi].handler == nil {
 		n.stats.NoRoute++
 		n.trace(TraceNoRoute, from, to, len(payload))
 		return
 	}
 	n.stats.Delivered++
 	n.trace(TraceDeliver, from, to, len(payload))
-	n.bslots[idx].handler(from, payload)
+	n.bslots[bi].handler(from, payload)
 }
 
 // Fate is one datagram's private random stream: the splitmix64 sequence

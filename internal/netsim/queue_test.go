@@ -193,7 +193,7 @@ func warmPair(tb testing.TB) (*Network, Socket, Endpoint) {
 
 // TestEventLoopAllocs pins the event loop's allocations: a timer costs
 // none once the pools are warm, and a datagram only the fabric's copy of
-// its payload.
+// its payload, also when it leaves or enters through a NAT.
 func TestEventLoopAllocs(t *testing.T) {
 	c := NewClock()
 	fn := func() {}
@@ -212,6 +212,35 @@ func TestEventLoopAllocs(t *testing.T) {
 		n.Clock().Step()
 	}); got != 1 {
 		t.Errorf("warm send+deliver: %v allocs, want 1 (the payload copy)", got)
+	}
+
+	// A NAT round trip: an address-restricted internal socket sends, the
+	// public peer replies, and the reply crosses NAT.inbound back in.
+	nat, err := NewNAT(n, NATConfig{PublicAddr: 3, Filtering: AddressRestricted})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inside, err := nat.Listen(10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replies := 0
+	inside.SetHandler(func(Endpoint, []byte) { replies++ })
+	peer, err := n.Listen(Endpoint{Addr: 4, Port: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer.SetHandler(func(from Endpoint, p []byte) { peer.Send(from, p) })
+	roundTrip := func() {
+		inside.Send(Endpoint{Addr: 4, Port: 4}, payload)
+		n.Clock().Drain(0)
+	}
+	roundTrip()
+	if got := testing.AllocsPerRun(100, roundTrip); got != 2 {
+		t.Errorf("warm NAT round trip: %v allocs, want 2 (the payload copies)", got)
+	}
+	if replies != 102 {
+		t.Errorf("NAT round trips delivered %d replies, want 102", replies)
 	}
 }
 
