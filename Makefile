@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test ci bench bench-obs bench-serve report fuzz clean verify-props coverage e2e e2e-smoke
+.PHONY: all build vet test ci bench bench-obs bench-serve bench-scale report fuzz clean verify-props coverage e2e e2e-smoke
 
 all: build vet test
 
@@ -64,6 +64,8 @@ fuzz:
 	$(GO) test -fuzz '^FuzzDeltaCompile$$' -fuzztime 30s ./internal/reuseapi/
 	$(GO) test -fuzz '^FuzzCheckBatchBody$$' -fuzztime 30s ./internal/reuseapi/
 	$(GO) test -fuzz '^FuzzFabric$$' -fuzztime 30s ./internal/netsim/
+	$(GO) test -fuzz '^FuzzClockModel$$' -fuzztime 30s ./internal/netsim/
+	$(GO) test -fuzz '^FuzzRoutingTable$$' -fuzztime 30s ./internal/dht/
 
 # Property-based verification: the fast metamorphic suite, the per-package
 # property tests, then the slow 50-world seed sweep (oracles, determinism,

@@ -68,21 +68,81 @@ type Node struct {
 	clock Clock
 	rng   splitmix     // by value, so the generator is no heap object
 	table routingTable // by value: one less pointer and heap object per node
-	// pending maps the 4-byte transaction IDs, read as big-endian
-	// integers, to in-flight queries by value and is allocated lazily on
-	// the first outgoing query: a pendingQuery is a callback word and a
-	// three-word timer handle, and most simulated swarm nodes never issue
-	// a query at all (only NATed keepalive pings and restart rejoins do),
-	// so the common case carries no map.
-	pending   map[uint32]pendingQuery
+	// pending holds the in-flight queries, the first one inline.
+	pending   pendingSet
 	stats     Stats
 	closed    bool
 	keepalive Timer
 }
 
+// pendingQuery is an in-flight query: its 4-byte transaction ID read as a
+// big-endian integer, its callback and its timeout.
 type pendingQuery struct {
+	tx      uint32
+	live    bool
 	done    func(*krpc.Message, error)
 	timeout Timer
+}
+
+// pendingSet holds a node's in-flight queries, keyed by transaction ID.
+// Most simulated nodes have at most one in flight (a NATed keepalive ping),
+// so the first sits inline in the Node and matching a reply to it follows
+// no pointer; only a bootstrap's fan-out reaches the spill slice.
+type pendingSet struct {
+	first pendingQuery // in flight when first.live
+	spill []pendingQuery
+}
+
+// find returns the in-flight query with transaction ID tx, or nil.
+func (s *pendingSet) find(tx uint32) *pendingQuery {
+	if s.first.live && s.first.tx == tx {
+		return &s.first
+	}
+	for i := range s.spill {
+		if s.spill[i].tx == tx {
+			return &s.spill[i]
+		}
+	}
+	return nil
+}
+
+// add records p, whose transaction ID must not be in flight.
+func (s *pendingSet) add(p pendingQuery) {
+	p.live = true
+	if !s.first.live {
+		s.first = p
+		return
+	}
+	s.spill = append(s.spill, p)
+}
+
+// take removes and returns the query with transaction ID tx.
+func (s *pendingSet) take(tx uint32) (pendingQuery, bool) {
+	q := s.find(tx)
+	if q == nil {
+		return pendingQuery{}, false
+	}
+	p := *q
+	if q == &s.first {
+		s.first = pendingQuery{}
+	} else {
+		last := len(s.spill) - 1
+		*q = s.spill[last]
+		s.spill[last] = pendingQuery{}
+		s.spill = s.spill[:last]
+	}
+	return p, true
+}
+
+// stopAll stops every query's timeout and empties the set.
+func (s *pendingSet) stopAll() {
+	if s.first.live {
+		s.first.timeout.Stop()
+	}
+	for i := range s.spill {
+		s.spill[i].timeout.Stop()
+	}
+	*s = pendingSet{}
 }
 
 // nodeTimers is a Node as the target of its own timers, which keeps Fire
@@ -99,9 +159,7 @@ func (t *nodeTimers) Fire(arg uint64) {
 		n.sendKeepalive()
 		return
 	}
-	tx := uint32(arg)
-	if p, ok := n.pending[tx]; ok {
-		delete(n.pending, tx)
+	if p, ok := n.pending.take(uint32(arg)); ok {
 		n.stats.Timeouts++
 		if p.done != nil {
 			p.done(nil, ErrTimeout)
@@ -214,10 +272,7 @@ func (n *Node) Close() {
 	}
 	n.closed = true
 	n.keepalive.Stop()
-	for _, p := range n.pending {
-		p.timeout.Stop()
-	}
-	n.pending = nil
+	n.pending.stopAll()
 	n.sock.Close()
 }
 
@@ -313,10 +368,7 @@ func (n *Node) sendQuery(to netsim.Endpoint, msg *krpc.Message, done func(*krpc.
 	}
 	tx := binary.BigEndian.Uint32(msg.TxID)
 	timeout := n.clock.AfterEvent(n.cfg.QueryTimeout, (*nodeTimers)(n), uint64(tx))
-	if n.pending == nil {
-		n.pending = make(map[uint32]pendingQuery)
-	}
-	n.pending[tx] = pendingQuery{done: done, timeout: timeout}
+	n.pending.add(pendingQuery{tx: tx, done: done, timeout: timeout})
 	n.stats.QueriesSent++
 }
 
@@ -352,12 +404,10 @@ func (n *Node) handle(from netsim.Endpoint, payload []byte) {
 		if len(m.TxID) != 4 {
 			return // not a transaction of ours
 		}
-		tx := binary.BigEndian.Uint32(m.TxID)
-		p, ok := n.pending[tx]
+		p, ok := n.pending.take(binary.BigEndian.Uint32(m.TxID))
 		if !ok {
 			return // late or spoofed response
 		}
-		delete(n.pending, tx)
 		p.timeout.Stop()
 		if m.Kind == krpc.KindResponse {
 			n.stats.ResponsesReceived++
@@ -425,7 +475,13 @@ func (n *Node) sendKeepalive() {
 	n.scheduleKeepalive()
 }
 
+// newTx draws a transaction ID that no in-flight query holds, so a reply
+// or a timeout can only ever resolve the query it belongs to.
 func (n *Node) newTx() (tx [4]byte) {
-	binary.BigEndian.PutUint32(tx[:], n.rng.Uint32())
+	v := n.rng.Uint32()
+	for n.pending.find(v) != nil {
+		v = n.rng.Uint32()
+	}
+	binary.BigEndian.PutUint32(tx[:], v)
 	return tx
 }

@@ -12,26 +12,31 @@ import (
 const BucketSize = 8
 
 // tableEntry is pointer-free, so the garbage collector never scans a
-// bucket: at paper scale the buckets are the swarm's largest heap owner.
+// table: at paper scale the tables are the swarm's largest heap owner.
 // lastSeen is the clock's time in Unix nanoseconds; on a real network that
 // is wall-clock time, so staleness follows a step of the host's clock.
+// bucket sits in the padding between info and lastSeen, so an entry is 40
+// bytes either way.
 type tableEntry struct {
 	info     krpc.NodeInfo
+	bucket   uint8 // the owner's BucketIndex of info.ID
 	lastSeen int64
 }
 
 // routingTable is a 160-bucket Kademlia table keyed by XOR distance from
-// the owner's ID. Storage is sparse: a simulated node only ever populates a
-// handful of bucket indices (mesh degree 8 plus keepalive churn), so the
-// table keeps a sorted list of occupied indices instead of a fixed
-// [160][]tableEntry — that fixed array alone cost 3.8 KiB of slice headers
-// per node, a third of the per-host footprint at paper scale. All walks run
-// in ascending bucket index, exactly the order the fixed array gave, so
-// eviction, keepalive selection, and closest() collection are unchanged.
+// the owner's ID, stored as one run of entries sorted by bucket index, each
+// bucket's entries in insertion order. A simulated node only ever populates
+// a handful of buckets (mesh degree 8 plus keepalive churn), so a fixed
+// [160][]tableEntry would cost 3.8 KiB of slice headers per node, and a
+// slice per occupied bucket a header load before each bucket's entries.
+// add finds a node's bucket by scanning back from the end of the run, where
+// the high buckets sit: half of all IDs fall in bucket 159 and a quarter in
+// 158, so the scan mostly reads the lines it then compares IDs in. Every
+// walk goes in ascending bucket index, the order the fixed array gives, so
+// eviction, keepalive selection and closest() are unchanged.
 type routingTable struct {
-	self krpc.NodeID
-	occ  []uint8        // sorted occupied bucket indices (0..159)
-	bkts [][]tableEntry // parallel to occ
+	self    krpc.NodeID
+	entries []tableEntry
 	// staleAfter is how long an entry may go unseen before a newcomer may
 	// evict it. Real tables ping before evicting; the simplification keeps
 	// stale entries around, which is exactly the "stale information"
@@ -53,21 +58,6 @@ func (rt *routingTable) init(self krpc.NodeID, staleAfter time.Duration) {
 	rt.self, rt.staleAfter = self, staleAfter
 }
 
-// findOcc returns the position of bucket idx in rt.occ and whether it is
-// occupied; when absent the position is the insertion point.
-func (rt *routingTable) findOcc(idx uint8) (int, bool) {
-	lo, hi := 0, len(rt.occ)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if rt.occ[mid] < idx {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(rt.occ) && rt.occ[lo] == idx
-}
-
 // add inserts or refreshes a node; full buckets evict their most stale entry
 // only if it is older than staleAfter.
 func (rt *routingTable) add(info krpc.NodeInfo, at time.Time) {
@@ -76,38 +66,38 @@ func (rt *routingTable) add(info krpc.NodeInfo, at time.Time) {
 	if idx < 0 {
 		return // ourselves
 	}
-	p, ok := rt.findOcc(uint8(idx))
-	if !ok {
-		rt.occ = append(rt.occ, 0)
-		copy(rt.occ[p+1:], rt.occ[p:])
-		rt.occ[p] = uint8(idx)
-		rt.bkts = append(rt.bkts, nil)
-		copy(rt.bkts[p+1:], rt.bkts[p:])
-		rt.bkts[p] = []tableEntry{{info, now}}
-		return
+	b := uint8(idx)
+	es := rt.entries
+	end := len(es) // one past bucket b's last entry
+	for end > 0 && es[end-1].bucket > b {
+		end--
 	}
-	bucket := rt.bkts[p]
-	for i := range bucket {
-		if bucket[i].info.ID.Equal(&info.ID) {
+	lo := end // bucket b's first entry
+	for lo > 0 && es[lo-1].bucket == b {
+		lo--
+		if es[lo].info.ID.Equal(&info.ID) {
 			// Same node; update endpoint (it may have rebooted onto a
 			// new port) and refresh.
-			bucket[i].info = info
-			bucket[i].lastSeen = now
+			es[lo].info = info
+			es[lo].lastSeen = now
 			return
 		}
 	}
-	if len(bucket) < BucketSize {
-		rt.bkts[p] = append(bucket, tableEntry{info, now})
+	if end-lo < BucketSize {
+		es = append(es, tableEntry{})
+		copy(es[end+1:], es[end:])
+		es[end] = tableEntry{info: info, bucket: b, lastSeen: now}
+		rt.entries = es
 		return
 	}
-	oldest := 0
-	for i := 1; i < len(bucket); i++ {
-		if bucket[i].lastSeen < bucket[oldest].lastSeen {
+	oldest := lo
+	for i := lo + 1; i < end; i++ {
+		if es[i].lastSeen < es[oldest].lastSeen {
 			oldest = i
 		}
 	}
-	if now-bucket[oldest].lastSeen > int64(rt.staleAfter) {
-		bucket[oldest] = tableEntry{info, now}
+	if now-es[oldest].lastSeen > int64(rt.staleAfter) {
+		es[oldest] = tableEntry{info: info, bucket: b, lastSeen: now}
 	}
 }
 
@@ -116,48 +106,33 @@ func (rt *routingTable) add(info krpc.NodeInfo, at time.Time) {
 // so insertion gives the order a full sort would, with no allocation.
 func (rt *routingTable) closest(target krpc.NodeID, buf []krpc.NodeInfo) []krpc.NodeInfo {
 	n := 0
-	for i := range rt.bkts {
-		for _, e := range rt.bkts[i] {
-			if n == len(buf) {
-				if n == 0 || !e.info.ID.Less(buf[n-1].ID, target) {
-					continue
-				}
-				n-- // e displaces the farthest kept node
+	for i := range rt.entries {
+		e := &rt.entries[i]
+		if n == len(buf) {
+			if n == 0 || !e.info.ID.Less(buf[n-1].ID, target) {
+				continue
 			}
-			j := n
-			for ; j > 0 && e.info.ID.Less(buf[j-1].ID, target); j-- {
-				buf[j] = buf[j-1]
-			}
-			buf[j] = e.info
-			n++
+			n-- // e displaces the farthest kept node
 		}
+		j := n
+		for ; j > 0 && e.info.ID.Less(buf[j-1].ID, target); j-- {
+			buf[j] = buf[j-1]
+		}
+		buf[j] = e.info
+		n++
 	}
 	return buf[:n]
 }
 
 // size returns the number of entries in the table.
-func (rt *routingTable) size() int {
-	n := 0
-	for i := range rt.bkts {
-		n += len(rt.bkts[i])
-	}
-	return n
-}
+func (rt *routingTable) size() int { return len(rt.entries) }
 
 // randomEntry returns an arbitrary entry for keepalive pings; ok is false if
 // the table is empty. pick is an arbitrary non-negative selector (callers
 // pass rng output) so selection stays deterministic under a seeded RNG.
 func (rt *routingTable) randomEntry(pick int) (krpc.NodeInfo, bool) {
-	n := rt.size()
-	if n == 0 {
+	if len(rt.entries) == 0 {
 		return krpc.NodeInfo{}, false
 	}
-	pick %= n
-	for i := range rt.bkts {
-		if pick < len(rt.bkts[i]) {
-			return rt.bkts[i][pick].info, true
-		}
-		pick -= len(rt.bkts[i])
-	}
-	return krpc.NodeInfo{}, false
+	return rt.entries[pick%len(rt.entries)].info, true
 }

@@ -33,17 +33,20 @@ var Epoch = time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC)
 // is either a timer (a Target and its argument) or a datagram delivery (the
 // receiving network, the endpoints and the payload), so neither a recurring
 // timer whose Target is a long-lived object nor a delivery allocates a
-// closure. Every slot carries a generation that increments when it is
-// vacated; heap entries and Timers remember the generation they were made
-// under, so a stopped event is skipped when it surfaces and a stale Timer
-// can never cancel the slot's next occupant.
+// closure. Every slot has a generation that increments when it is vacated;
+// heap entries and Timers remember the generation they were made under, so
+// a stopped event is skipped when it surfaces and a stale Timer can never
+// cancel the slot's next occupant. Generations sit in their own dense array
+// beside the slots, so telling a live entry from a stopped one loads four
+// bytes instead of a slot's cache line.
 type Clock struct {
 	now   int64 // ns since Epoch
 	heap  []qent
 	slots []eslot
-	free  []int32 // vacated slot indices
-	seq   uint64  // next timer sequence number
-	live  int     // events scheduled and neither fired nor stopped
+	gens  []uint32 // gens[i] is slots[i]'s generation
+	free  []int32  // vacated slot indices
+	seq   uint64   // next timer sequence number
+	live  int      // events scheduled and neither fired nor stopped
 }
 
 // qent is a heap entry: the ordering key and the slot it fires.
@@ -67,15 +70,14 @@ func deliveryKey(from Endpoint, seq uint64) uint64 {
 	return deliveryBit | uint64(from.Addr)<<31 | seq&(1<<31-1)
 }
 
-// eslot is one pooled event: a timer's target.Fire(seq), or, when net is
-// set, a datagram to hand to net.deliver.
+// eslot is one pooled event: a timer's target.Fire(seq), or, when target
+// is a *deliveries, a datagram to hand to its Network's deliver. It is 64
+// bytes, one cache line.
 type eslot struct {
 	target   Target
-	net      *Network
 	from, to Endpoint
 	seq      uint64 // the source's send sequence number, or the timer's argument
 	payload  []byte
-	gen      uint32
 }
 
 // Target receives typed timer events. A long-lived object (a DHT node, a
@@ -84,6 +86,13 @@ type eslot struct {
 type Target interface {
 	Fire(arg uint64)
 }
+
+// deliveries is a Network as the target of its datagram slots, so a slot
+// needs no field of its own for the network: fire hands the slot's datagram
+// to deliver and never calls Fire.
+type deliveries Network
+
+func (*deliveries) Fire(uint64) { panic("netsim: delivery fired as a timer") }
 
 // funcTarget runs a closure timer. A func value is one pointer, so it sits
 // in the Target interface without an allocation of its own.
@@ -113,7 +122,7 @@ type Timer struct {
 
 // Stop cancels the timer; it reports whether the event had not yet fired.
 func (t Timer) Stop() bool {
-	if t.c == nil || t.c.slots[t.slot].gen != t.gen {
+	if t.c == nil || t.c.gens[t.slot] != t.gen {
 		return false
 	}
 	t.c.release(t.slot)
@@ -149,14 +158,14 @@ func (c *Clock) at(at int64, t Target, arg uint64) Timer {
 	idx, s := c.schedule(at, c.seq)
 	c.seq++
 	s.target, s.seq = t, arg
-	return Timer{c: c, slot: idx, gen: s.gen}
+	return Timer{c: c, slot: idx, gen: c.gens[idx]}
 }
 
 // deliverAt schedules the delivery of datagram seq of from on n at at (ns
 // since Epoch).
 func (c *Clock) deliverAt(at int64, n *Network, from, to Endpoint, seq uint64, payload []byte) {
 	_, s := c.schedule(at, deliveryKey(from, seq))
-	s.net, s.from, s.to, s.seq, s.payload = n, from, to, seq, payload
+	s.target, s.from, s.to, s.seq, s.payload = (*deliveries)(n), from, to, seq, payload
 }
 
 // schedule takes a slot and queues it at at (clamped to now) under the
@@ -172,18 +181,18 @@ func (c *Clock) schedule(at int64, key uint64) (int32, *eslot) {
 		c.free = c.free[:k-1]
 	} else {
 		c.slots = append(c.slots, eslot{})
+		c.gens = append(c.gens, 0)
 		idx = int32(len(c.slots) - 1)
 	}
-	s := &c.slots[idx]
-	c.push(qent{at: at, key: key, slot: idx, gen: s.gen})
+	c.push(qent{at: at, key: key, slot: idx, gen: c.gens[idx]})
 	c.live++
-	return idx, s
+	return idx, &c.slots[idx]
 }
 
 // release vacates a slot whose event fired or was stopped.
 func (c *Clock) release(idx int32) {
-	s := &c.slots[idx]
-	*s = eslot{gen: s.gen + 1}
+	c.slots[idx] = eslot{}
+	c.gens[idx]++
 	c.free = append(c.free, idx)
 	c.live--
 }
@@ -192,22 +201,25 @@ func (c *Clock) release(idx int32) {
 // It reports whether an event ran.
 func (c *Clock) Step() bool {
 	for len(c.heap) > 0 {
-		e := c.pop()
-		s := &c.slots[e.slot]
-		if s.gen != e.gen {
-			continue // stopped
+		if e := c.pop(); c.gens[e.slot] == e.gen {
+			c.fire(e)
+			return true
 		}
-		c.now = e.at
-		target, net, from, to, seq, payload := s.target, s.net, s.from, s.to, s.seq, s.payload
-		c.release(e.slot)
-		if net != nil {
-			net.deliver(from, to, seq, payload)
-		} else {
-			target.Fire(seq)
-		}
-		return true
 	}
 	return false
+}
+
+// fire runs the live event e, which has left the heap.
+func (c *Clock) fire(e qent) {
+	c.now = e.at
+	s := &c.slots[e.slot]
+	target, from, to, seq, payload := s.target, s.from, s.to, s.seq, s.payload
+	c.release(e.slot)
+	if d, ok := target.(*deliveries); ok {
+		(*Network)(d).deliver(from, to, seq, payload)
+	} else {
+		target.Fire(seq)
+	}
 }
 
 // RunUntil executes events until the queue is empty or the next event lies
@@ -218,12 +230,20 @@ func (c *Clock) RunUntil(t time.Time) int {
 }
 
 // runTo runs every event due before end (and at end when inclusive), then
-// sets the clock to end unless it is already later.
+// sets the clock to end unless it is already later. Each due entry is popped
+// once; stopped entries past end stay in the heap until they surface.
 func (c *Clock) runTo(end int64, inclusive bool) int {
 	n := 0
-	for c.due(end, inclusive) {
-		c.Step()
-		n++
+	for len(c.heap) > 0 {
+		e := c.heap[0]
+		if e.at > end || e.at == end && !inclusive {
+			break
+		}
+		c.pop()
+		if c.gens[e.slot] == e.gen {
+			c.fire(e)
+			n++
+		}
 	}
 	if c.now < end {
 		c.now = end
@@ -264,7 +284,7 @@ func (c *Clock) Pending() int { return c.live }
 func (c *Clock) peek() (qent, bool) {
 	for len(c.heap) > 0 {
 		e := c.heap[0]
-		if c.slots[e.slot].gen == e.gen {
+		if c.gens[e.slot] == e.gen {
 			return e, true
 		}
 		c.pop()
@@ -287,6 +307,10 @@ func (c *Clock) push(e qent) {
 	c.heap = h
 }
 
+// pop removes the heap top. It sifts bottom-up (Floyd): the hole left at
+// the root moves down along the smallest children to a leaf without
+// comparing against last, which a late event rarely beats, and last then
+// sifts up from there, usually not at all.
 func (c *Clock) pop() qent {
 	h := c.heap
 	top := h[0]
@@ -300,20 +324,21 @@ func (c *Clock) pop() qent {
 			if kid >= n {
 				break
 			}
-			end := kid + 4
-			if end > n {
-				end = n
-			}
-			for j := kid + 1; j < end; j++ {
+			for j, end := kid+1, min(kid+4, n); j < end; j++ {
 				if h[j].before(h[kid]) {
 					kid = j
 				}
 			}
-			if !h[kid].before(last) {
-				break
-			}
 			h[i] = h[kid]
 			i = kid
+		}
+		for i > 0 {
+			p := (i - 1) / 4
+			if !last.before(h[p]) {
+				break
+			}
+			h[i] = h[p]
+			i = p
 		}
 		h[i] = last
 	}

@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestClockOrdering(t *testing.T) {
@@ -183,5 +184,13 @@ func TestTypedTimerAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("typed timer arm/stop/fire: %v allocs, want 0", allocs)
+	}
+}
+
+// TestSlotIsOneCacheLine pins an event slot at 64 bytes: firing an event
+// reads its slot, and a slot that straddles two lines costs two misses.
+func TestSlotIsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(eslot{}); got != 64 {
+		t.Errorf("eslot is %d bytes, want 64", got)
 	}
 }

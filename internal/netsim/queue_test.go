@@ -17,30 +17,55 @@ type modelEvent struct {
 }
 
 // TestClockMatchesModel drives random interleavings of At, After, Stop,
-// Step and RunUntil on a Clock and on a reference queue sorted by (time,
-// seq), and requires the same firing order, the same Stop verdicts and the
-// same Pending count after every operation. Every fourth event schedules a
-// child when it fires, so scheduling from inside the loop is covered too.
+// Step, Drain and RunUntil on a Clock and on a reference queue sorted by
+// (time, seq), and requires the same firing order, the same Stop verdicts
+// and the same Pending count after every operation. Every fourth event
+// schedules a child when it fires, so scheduling from inside the loop is
+// covered too.
 func TestClockMatchesModel(t *testing.T) {
-	reused := 0
+	var cov clockModelCoverage
 	for seed := int64(1); seed <= 20; seed++ {
-		reused += runClockModel(t, seed)
+		cov.add(runClockModel(t, seed, 400))
 	}
-	if reused == 0 {
+	if cov.reusedStops == 0 {
 		t.Error("no Stop landed on a fired event whose slot was reused")
+	}
+	if cov.stoppedTops == 0 {
+		t.Error("no RunUntil left a stopped entry at the heap top past its end")
 	}
 }
 
-// runClockModel runs one seeded interleaving and returns how many Stops hit
-// a fired event whose slot a pending event had taken over.
-func runClockModel(t *testing.T, seed int64) int {
+// FuzzClockModel runs TestClockMatchesModel's interleavings from a fuzzed
+// seed and operation count.
+func FuzzClockModel(f *testing.F) {
+	f.Add(int64(1), uint16(400))
+	f.Add(int64(7), uint16(2000))
+	f.Add(int64(-3), uint16(40))
+	f.Fuzz(func(t *testing.T, seed int64, ops uint16) {
+		runClockModel(t, seed, int(ops)%4000)
+	})
+}
+
+// clockModelCoverage counts the corner cases one interleaving reached.
+type clockModelCoverage struct {
+	reusedStops int // Stops of a fired event whose slot a pending event holds
+	stoppedTops int // RunUntils that returned with a stopped entry at the heap top
+}
+
+func (c *clockModelCoverage) add(o clockModelCoverage) {
+	c.reusedStops += o.reusedStops
+	c.stoppedTops += o.stoppedTops
+}
+
+// runClockModel runs ops operations of one seeded interleaving.
+func runClockModel(t *testing.T, seed int64, ops int) clockModelCoverage {
 	rng := rand.New(rand.NewSource(seed))
 	c := NewClock()
 	var (
-		model     []*modelEvent // indexed by seq
-		fired     [][2]int64    // (seq, time) in the order the clock ran them
-		modelNow  int64
-		reusedHit int
+		model    []*modelEvent // indexed by seq
+		fired    [][2]int64    // (seq, time) in the order the clock ran them
+		modelNow int64
+		cov      clockModelCoverage
 	)
 	var schedule func(at int64, viaAfter bool, d time.Duration)
 	childDelay := func(seq int) time.Duration { return time.Duration(seq%3) * time.Second }
@@ -101,9 +126,9 @@ func runClockModel(t *testing.T, seed int64) int {
 			}
 		}
 	}
-	for step := 0; step < 400; step++ {
+	for step := 0; step < ops; step++ {
 		mark := len(fired)
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(11); {
 		case op < 3: // At, possibly in the past or on an existing instant
 			at := modelNow + int64(rng.Intn(5)-2)*int64(time.Second)
 			schedule(at, false, 0)
@@ -115,7 +140,7 @@ func runClockModel(t *testing.T, seed int64) int {
 			if ev.state == 'f' {
 				for _, other := range model {
 					if other.state == 'p' && other.handle.slot == ev.handle.slot {
-						reusedHit++
+						cov.reusedStops++
 					}
 				}
 			}
@@ -136,6 +161,21 @@ func runClockModel(t *testing.T, seed int64) int {
 				t.Fatalf("seed %d: Step ran=%v, model %v", seed, ran, want)
 			}
 			expect("Step", mark, want)
+		case op < 10: // Drain up to three events, or all of them
+			limit := rng.Intn(4)
+			n := c.Drain(limit)
+			var want [][2]int64
+			for limit == 0 || len(want) < limit {
+				ev, ok := fireModel(1<<62 - 1)
+				if !ok {
+					break
+				}
+				want = append(want, ev)
+			}
+			if n != len(want) {
+				t.Fatalf("seed %d: Drain(%d) ran %d, model %d", seed, limit, n, len(want))
+			}
+			expect("Drain", mark, want)
 		default: // RunUntil a point up to 3 s ahead
 			end := modelNow + int64(rng.Intn(4))*int64(time.Second)
 			n := c.RunUntil(Epoch.Add(time.Duration(end)))
@@ -152,6 +192,9 @@ func runClockModel(t *testing.T, seed int64) int {
 			}
 			expect("RunUntil", mark, want)
 			modelNow = max(modelNow, end)
+			if len(c.heap) > 0 && c.gens[c.heap[0].slot] != c.heap[0].gen {
+				cov.stoppedTops++
+			}
 		}
 		if got := c.Now().Sub(Epoch); int64(got) != modelNow {
 			t.Fatalf("seed %d step %d: Now = %v, model %v", seed, step, got, time.Duration(modelNow))
@@ -166,7 +209,7 @@ func runClockModel(t *testing.T, seed int64) int {
 			t.Fatalf("seed %d step %d: Pending = %d, model %d", seed, step, c.Pending(), live)
 		}
 	}
-	return reusedHit
+	return cov
 }
 
 // warmPair returns a network with two bound sockets, a handler on the
