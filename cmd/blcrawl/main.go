@@ -5,10 +5,8 @@
 // crawls it for the given simulated duration, printing crawl statistics and
 // the detected NATed addresses.
 //
-// With -real N it instead spawns N genuine DHT nodes on loopback UDP
-// sockets — including a NAT-like multi-node group sharing ports behind one
-// address is not possible on loopback, so the real mode demonstrates the
-// crawler against live sockets and reports discovery statistics.
+// With -replay it instead reproduces NAT determination offline from a
+// message log that an earlier crawl wrote with -log.
 //
 // -shard I/N (1-based, 1 <= I <= N) restricts this instance's probing scope
 // to the I-th of N address shards; the world itself is regenerated
@@ -19,13 +17,12 @@
 // own addresses, so it learns fewer neighbours and confirms fewer NATs (at
 // scale 10, the union of a 2-shard split holds 11% fewer NATed addresses
 // than one whole crawl). A malformed or out-of-range -shard is a usage error
-// (exit 2). -real and -replay run no simulated crawl, so combining them with
-// -shard or -faults is a usage error too.
+// (exit 2). -replay runs no simulated crawl, so combining it with -shard or
+// -faults is a usage error too.
 //
 // Usage:
 //
-//	blcrawl [-seed N] [-scale F] [-duration DUR] [-loss F] [-faults SCENARIO] [-shard I/N] [-out FILE]
-//	blcrawl -real 50 [-duration DUR]
+//	blcrawl [-seed N] [-scale F] [-duration DUR] [-loss F] [-faults SCENARIO] [-shard I/N] [-out FILE] [-log FILE]
 //	blcrawl -replay crawl.log [-window DUR]
 package main
 
@@ -37,18 +34,14 @@ import (
 	"io"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/blgen"
 	"github.com/reuseblock/reuseblock/internal/blocklist"
 	"github.com/reuseblock/reuseblock/internal/core"
 	"github.com/reuseblock/reuseblock/internal/crawler"
-	"github.com/reuseblock/reuseblock/internal/dht"
 	"github.com/reuseblock/reuseblock/internal/faults"
 	"github.com/reuseblock/reuseblock/internal/iputil"
-	"github.com/reuseblock/reuseblock/internal/krpc"
-	"github.com/reuseblock/reuseblock/internal/netsim"
 )
 
 func main() {
@@ -64,11 +57,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		seed     = fs.Int64("seed", 1, "world seed")
 		scale    = fs.Float64("scale", 0.5, "world scale")
-		duration = fs.Duration("duration", 24*time.Hour, "crawl duration (simulated; wall-clock in -real mode)")
+		duration = fs.Duration("duration", 24*time.Hour, "simulated crawl duration")
 		loss     = fs.Float64("loss", 0.28, "datagram loss probability (simulated mode)")
 		out      = fs.String("out", "", "write detected NATed addresses to this file")
 		msgLog   = fs.String("log", "", "write the crawler message log to this file (replayable with crawler.Replay)")
-		realN    = fs.Int("real", 0, "run against N real DHT nodes on loopback UDP instead of the simulator")
 		replay   = fs.String("replay", "", "post-process an existing message log instead of crawling")
 		window   = fs.Duration("window", 30*time.Second, "ping-window for -replay scoring")
 		faultScn = fs.String("faults", "", "fault scenario to inject (simulated mode; one of: "+strings.Join(faults.Names(), ", ")+")")
@@ -89,13 +81,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *replay != "" || *realN > 0 {
-		// -real and -replay run no simulated crawl, so a shard or fault
-		// scenario given with either would be silently dropped.
-		mode := "-real"
-		if *replay != "" {
-			mode = "-replay"
-		}
+	if *replay != "" {
+		// -replay runs no simulated crawl, so a shard or fault scenario
+		// given with it would be silently dropped.
 		var bad string
 		fs.Visit(func(f *flag.Flag) {
 			if bad == "" && simulatedOnly[f.Name] {
@@ -103,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		})
 		if bad != "" {
-			return usageErr(fmt.Errorf("invalid -%s with %s: shard and fault flags apply only to the simulated crawl", bad, mode))
+			return usageErr(fmt.Errorf("invalid -%s with -replay: shard and fault flags apply only to the simulated crawl", bad))
 		}
 	}
 	scenario, err := faults.Lookup(*faultScn)
@@ -115,12 +103,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usageErr(err)
 	}
-	switch {
-	case *replay != "":
+	if *replay != "" {
 		err = runReplay(*replay, *window, stdout)
-	case *realN > 0:
-		err = runReal(*realN, *duration, stdout)
-	default:
+	} else {
 		err = runSimulated(simJob{
 			seed: *seed, scale: *scale, duration: *duration, loss: *loss,
 			scenario: scenario, shard: sh, out: *out, msgLog: *msgLog,
@@ -273,89 +258,4 @@ func writeOut(path string, detected map[iputil.Addr]int, stderr io.Writer) error
 	}
 	fmt.Fprintf(stderr, "wrote %d addresses to %s\n", len(detected), path)
 	return nil
-}
-
-// runReal spawns n real DHT nodes on loopback UDP and crawls them with the
-// same crawler code over a real socket.
-func runReal(n int, duration time.Duration, stdout io.Writer) error {
-	var mu sync.Mutex
-	clock := dht.LockedClock(&mu, dht.WallClock())
-
-	var nodes []*dht.Node
-	var socks []*dht.RealSocket
-	var eps []netsim.Endpoint
-	for i := 0; i < n; i++ {
-		sock, ep, err := dht.ListenLoopback(&mu)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		node := dht.NewNode(sock, clock, dht.Config{
-			IDSeed: uint64(i + 1), Seed: int64(i + 1), Version: "RB01",
-		})
-		mu.Unlock()
-		nodes = append(nodes, node)
-		socks = append(socks, sock)
-		eps = append(eps, ep)
-	}
-	// Mesh the nodes.
-	mu.Lock()
-	for i, node := range nodes {
-		for d := 1; d <= 4; d++ {
-			j := (i + d) % n
-			node.AddNode(infoFor(nodes[j], eps[j]))
-		}
-	}
-	mu.Unlock()
-
-	csock, _, err := dht.ListenLoopback(&mu)
-	if err != nil {
-		return err
-	}
-	mu.Lock()
-	c := crawler.New(csock, clock, crawler.Config{
-		Bootstrap:     []netsim.Endpoint{eps[0]},
-		Seed:          1,
-		Tick:          200 * time.Millisecond,
-		SweepInterval: 5 * time.Second,
-		PingInterval:  5 * time.Second,
-		PingWindow:    time.Second,
-		Cooldown:      2 * time.Second,
-		QueryTimeout:  time.Second,
-	})
-	c.Start()
-	mu.Unlock()
-
-	fmt.Fprintf(stdout, "crawling %d real loopback DHT nodes for %v...\n", n, duration)
-	time.Sleep(duration)
-
-	mu.Lock()
-	c.Stop()
-	st := c.Stats()
-	mu.Unlock()
-	fmt.Fprintf(stdout, "messages sent:      %d\n", st.MessagesSent)
-	fmt.Fprintf(stdout, "responses received: %d (%.1f%%)\n", st.MessagesReceived, st.ResponseRate*100)
-	fmt.Fprintf(stdout, "unique IPs:         %d (loopback shares 127.0.0.1 across ports)\n", st.UniqueIPs)
-	fmt.Fprintf(stdout, "unique node IDs:    %d of %d\n", st.UniqueNodeIDs, n)
-	fmt.Fprintf(stdout, "NATed IPs:          %d\n", st.NATedIPs)
-	if st.NATedIPs == 1 {
-		fmt.Fprintln(stdout, "note: all loopback nodes share 127.0.0.1, so the crawler correctly")
-		fmt.Fprintln(stdout, "      identifies it as one address shared by many simultaneous users —")
-		fmt.Fprintln(stdout, "      exactly the NAT signature of §3.1.")
-	}
-
-	mu.Lock()
-	for _, node := range nodes {
-		node.Close()
-	}
-	c.Stop()
-	mu.Unlock()
-	for _, s := range socks {
-		s.Wait()
-	}
-	return nil
-}
-
-func infoFor(n *dht.Node, ep netsim.Endpoint) krpc.NodeInfo {
-	return krpc.NodeInfo{ID: n.ID(), Addr: ep.Addr, Port: ep.Port}
 }

@@ -11,16 +11,14 @@ import (
 	"github.com/reuseblock/reuseblock/internal/iputil"
 )
 
-// TestRunSimulatedOnlyFlags: -real and -replay run no simulated crawl, so
-// a shard or fault scenario given with either would be silently dropped;
-// instead it exits 2 and prints both the offending flag and the usage text.
+// TestRunSimulatedOnlyFlags: -replay runs no simulated crawl, so a shard or
+// fault scenario given with it would be silently dropped; instead it exits
+// 2 and prints both the offending flag and the usage text.
 func TestRunSimulatedOnlyFlags(t *testing.T) {
 	cases := []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-real", "3", "-shard", "1/2"}, "invalid -shard with -real"},
-		{[]string{"-real", "3", "-faults", "bursty"}, "invalid -faults with -real"},
 		{[]string{"-replay", "crawl.log", "-shard", "1/2"}, "invalid -shard with -replay"},
 		{[]string{"-replay", "crawl.log", "-faults", "bursty"}, "invalid -faults with -replay"},
 	}

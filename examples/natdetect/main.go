@@ -38,7 +38,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		n := dht.NewNode(sock, dht.SimClock(clock), dht.Config{
+		n := dht.NewNode(sock, clock, dht.Config{
 			PrivateIP: ep.Addr, IDSeed: uint64(i + 1), Seed: int64(i + 1),
 		})
 		nodes = append(nodes, n)
@@ -68,7 +68,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		n := dht.NewNode(sock, dht.SimClock(clock), dht.Config{
+		n := dht.NewNode(sock, clock, dht.Config{
 			PrivateIP: priv, IDSeed: uint64(100 + i), Seed: int64(100 + i),
 			KeepaliveInterval: 15 * time.Minute,
 		})
@@ -81,7 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	c := crawler.New(sock, dht.SimClock(clock), crawler.Config{
+	c := crawler.New(sock, clock, crawler.Config{
 		Bootstrap: []netsim.Endpoint{eps[0]},
 		Seed:      1,
 	})

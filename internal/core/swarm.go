@@ -45,7 +45,7 @@ type Swarm struct {
 // restarts firing concurrently on different shards never share an arena.
 func (s *Swarm) newNode(addr iputil.Addr, sock netsim.Socket, cfg dht.Config) *dht.Node {
 	sh := s.Group.ShardFor(addr)
-	return s.arenas[sh.Index()].NewNode(sock, dht.SimClock(sh.Clock), cfg)
+	return s.arenas[sh.Index()].NewNode(sock, sh.Clock, cfg)
 }
 
 // RunFor advances the swarm's virtual time by d across all shards.
@@ -90,7 +90,7 @@ func (s *Swarm) StartCrawler(v int, cfg crawler.Config) (*crawler.Crawler, error
 	}
 	// The crawler schedules on the clock owning its vantage address; RunFor
 	// advances every shard in lockstep.
-	c := crawler.New(sock, dht.SimClock(s.ClockAt(addr)), cfg)
+	c := crawler.New(sock, s.ClockAt(addr), cfg)
 	s.RunFor(time.Minute)
 	c.Start()
 	return c, nil

@@ -155,7 +155,7 @@ const lateWindowMax = 4096
 type Crawler struct {
 	cfg     Config
 	sock    netsim.Socket
-	clock   dht.Clock
+	clock   crawlClock
 	rng     *rand.Rand
 	id      krpc.NodeID
 	txSeq   uint64
@@ -175,7 +175,7 @@ type Crawler struct {
 	epoch time.Time
 	// One handle per recurring timer, replaced each time it re-arms, so a
 	// 48 h crawl holds no more handles than a 1 h one.
-	bootTimer, tickTimer, sweepTimer, pingTimer, windowTimer dht.Timer
+	bootTimer, tickTimer, sweepTimer, pingTimer, windowTimer netsim.Timer
 	// nodeBuf backs decoded find_node responses and buf encodes outgoing
 	// messages, so neither allocates per datagram.
 	nodeBuf []krpc.NodeInfo
@@ -236,8 +236,20 @@ func (t *crawlerTimers) Fire(arg uint64) {
 	}
 }
 
-// New builds a crawler on the given socket.
-func New(sock netsim.Socket, clock dht.Clock, cfg Config) *Crawler {
+// crawlClock is the crawler's view of time. *netsim.Clock is the only
+// implementation outside tests; the interface lets a test move time
+// without firing timers.
+type crawlClock interface {
+	Now() time.Time
+	AfterEvent(d time.Duration, t netsim.Target, arg uint64) netsim.Timer
+}
+
+// New builds a crawler on the given socket, keeping time on clock.
+func New(sock netsim.Socket, clock *netsim.Clock, cfg Config) *Crawler {
+	return newCrawler(sock, clock, cfg)
+}
+
+func newCrawler(sock netsim.Socket, clock crawlClock, cfg Config) *Crawler {
 	cfg.applyDefaults()
 	id := cfg.ID
 	if id == (krpc.NodeID{}) {
@@ -279,7 +291,7 @@ func (c *Crawler) Stop() {
 	}
 	c.stopped = true
 	c.running = false
-	for _, t := range []dht.Timer{c.bootTimer, c.tickTimer, c.sweepTimer, c.pingTimer, c.windowTimer} {
+	for _, t := range []netsim.Timer{c.bootTimer, c.tickTimer, c.sweepTimer, c.pingTimer, c.windowTimer} {
 		t.Stop()
 	}
 	c.tx.CancelAll()
@@ -595,7 +607,7 @@ func (c *Crawler) sendQuery(s uint32, msg *krpc.Message, isPing bool) {
 }
 
 // armTimeout starts the response deadline for a pending transaction.
-func (c *Crawler) armTimeout(tx uint64) dht.Timer {
+func (c *Crawler) armTimeout(tx uint64) netsim.Timer {
 	return c.clock.AfterEvent(c.cfg.QueryTimeout, (*crawlerTimers)(c), tx<<timerKindBits|evDeadline)
 }
 

@@ -45,7 +45,7 @@ func (s *swarm) addPublicNode(t *testing.T, addr iputil.Addr, port uint16, seed 
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := dht.NewNode(sock, dht.SimClock(s.clock), dht.Config{
+	n := dht.NewNode(sock, s.clock, dht.Config{
 		PrivateIP:         addr,
 		IDSeed:            uint64(seed),
 		Seed:              seed,
@@ -76,7 +76,7 @@ func (s *swarm) addNATUsers(t *testing.T, pub string, k int, filtering netsim.Fi
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := dht.NewNode(sock, dht.SimClock(s.clock), dht.Config{
+		n := dht.NewNode(sock, s.clock, dht.Config{
 			PrivateIP:         priv,
 			IDSeed:            uint64(1000 + i),
 			Seed:              int64(1000 + i),
@@ -120,7 +120,7 @@ func (s *swarm) newCrawler(t *testing.T, cfg Config) *Crawler {
 	if cfg.Seed == 0 {
 		cfg.Seed = 42
 	}
-	return New(sock, dht.SimClock(s.clock), cfg)
+	return New(sock, s.clock, cfg)
 }
 
 func fastConfig() Config {
@@ -190,7 +190,7 @@ func TestCrawlerNoFalsePositiveOnPortChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2 := dht.NewNode(sock, dht.SimClock(s.clock), dht.Config{
+	n2 := dht.NewNode(sock, s.clock, dht.Config{
 		PrivateIP: addr, IDSeed: 501, Seed: 501, KeepaliveInterval: 5 * time.Minute,
 	})
 	s.nodes[0].AddNode(infoFor(n2, addr, 7001))
@@ -372,7 +372,7 @@ func TestTwoVantagesCoverAtLeastAsMuch(t *testing.T) {
 			cfg := fastConfig()
 			cfg.Bootstrap = []netsim.Endpoint{s.eps[0]}
 			cfg.Seed = int64(100 + v)
-			crawlers = append(crawlers, New(sock, dht.SimClock(s.clock), cfg))
+			crawlers = append(crawlers, New(sock, s.clock, cfg))
 		}
 		for _, c := range crawlers {
 			c.Start()
@@ -395,57 +395,51 @@ func TestTwoVantagesCoverAtLeastAsMuch(t *testing.T) {
 	_ = nat2
 }
 
-// stopCountingClock counts the stops of every timer it schedules, closure
-// and typed alike. It holds the inner clock in a field rather than
-// embedding it, so a scheduling method added to dht.Clock does not compile
-// here until the stub counts it too.
-type stopCountingClock struct {
-	inner dht.Clock
-	stops int
+// sendCounter is a netsim.Socket that counts the datagrams sent through it.
+type sendCounter struct {
+	netsim.Socket
+	sent int
 }
 
-func (c *stopCountingClock) Now() time.Time { return c.inner.Now() }
-
-func (c *stopCountingClock) After(d time.Duration, fn func()) dht.Timer {
-	return c.counted(c.inner.After(d, fn))
-}
-
-func (c *stopCountingClock) AfterEvent(d time.Duration, t netsim.Target, arg uint64) dht.Timer {
-	return c.counted(c.inner.AfterEvent(d, t, arg))
-}
-
-func (c *stopCountingClock) counted(t dht.Timer) dht.Timer {
-	return dht.StopFunc(func() bool {
-		c.stops++
-		return t.Stop()
-	})
+func (s *sendCounter) Send(to netsim.Endpoint, payload []byte) {
+	s.sent++
+	s.Socket.Send(to, payload)
 }
 
 // TestCrawlerRetainsBoundedTimerHandles re-arms the tick, sweep and ping
 // timers thousands of times and checks Stop still holds one handle per
-// timer: the handles it stops, beyond the outstanding queries' deadlines,
-// are as many after 6 h as after 1 h, and include the boot, tick, sweep
-// and ping handles.
+// timer: the live events it cancels, beyond the outstanding queries'
+// deadlines, are as many after 6 h as after 1 h. Each of the five handle
+// fields (boot, tick, sweep, ping round, ping window) holds at most one
+// live event, and tick, sweep and ping round are always armed while the
+// crawler runs, so Stop cancels from 3 to 5 of them. After Stop the
+// crawler sends nothing.
 func TestCrawlerRetainsBoundedTimerHandles(t *testing.T) {
 	retained := func(crawl time.Duration) int {
 		s := newSwarm(t, 20, 0)
-		sock, err := s.net.Listen(netsim.Endpoint{Addr: iputil.MustParseAddr("172.16.0.1"), Port: 9999})
+		inner, err := s.net.Listen(netsim.Endpoint{Addr: iputil.MustParseAddr("172.16.0.1"), Port: 9999})
 		if err != nil {
 			t.Fatal(err)
 		}
+		sock := &sendCounter{Socket: inner}
 		cfg := fastConfig()
 		cfg.Bootstrap, cfg.Seed = []netsim.Endpoint{s.eps[0]}, 42
-		clock := &stopCountingClock{inner: dht.SimClock(s.clock)}
-		c := New(sock, clock, cfg)
+		c := New(sock, s.clock, cfg)
 		c.Start()
 		s.clock.RunFor(crawl)
-		before, inFlight := clock.stops, inFlight(c.tx)
+		before, deadlines := s.clock.Pending(), inFlight(c.tx)
 		c.Stop()
-		return clock.stops - before - inFlight
+		cancelled := before - s.clock.Pending() - deadlines
+		sent := sock.sent
+		s.clock.RunFor(time.Hour)
+		if sock.sent != sent {
+			t.Errorf("after %v: the stopped crawler sent %d datagrams", crawl, sock.sent-sent)
+		}
+		return cancelled
 	}
 	short, long := retained(time.Hour), retained(6*time.Hour)
-	if short != long || short < 4 || short > 7 {
-		t.Errorf("Stop released %d timer handles after 1 h and %d after 6 h, want the same count, from 4 to 7", short, long)
+	if short != long || short < 3 || short > 5 {
+		t.Errorf("Stop cancelled %d timers after 1 h and %d after 6 h, want the same count, from 3 to 5", short, long)
 	}
 }
 

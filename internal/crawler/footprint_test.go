@@ -53,7 +53,7 @@ func TestCrawlerFootprint(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	c := New(&sendLog{}, &manualClock{now: netsim.Epoch}, Config{Seed: 1})
+	c := New(&sendLog{}, netsim.NewClock(), Config{Seed: 1})
 	for _, info := range stream {
 		c.enqueue(c.observe(netsim.Endpoint{Addr: info.Addr, Port: info.Port}, info.ID))
 	}

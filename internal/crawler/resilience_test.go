@@ -63,14 +63,14 @@ func TestLateReplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dht.NewNode(sock, dht.SimClock(clock), dht.Config{PrivateIP: ep.Addr, IDSeed: 1, Seed: 1})
+	dht.NewNode(sock, clock, dht.Config{PrivateIP: ep.Addr, IDSeed: 1, Seed: 1})
 
 	var log strings.Builder
 	csock, err := net.Listen(netsim.Endpoint{Addr: iputil.MustParseAddr("172.16.0.1"), Port: 9999})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(csock, dht.SimClock(clock), Config{
+	c := New(csock, clock, Config{
 		Bootstrap:    []netsim.Endpoint{ep},
 		Seed:         5,
 		QueryTimeout: 100 * time.Millisecond, // round trip takes 160ms

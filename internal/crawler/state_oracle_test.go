@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/reuseblock/reuseblock/internal/dht"
 	"github.com/reuseblock/reuseblock/internal/iputil"
 	"github.com/reuseblock/reuseblock/internal/krpc"
 	"github.com/reuseblock/reuseblock/internal/netsim"
@@ -311,21 +310,20 @@ func (r *refCrawler) addrs(multi bool) []iputil.Addr {
 	return out
 }
 
-// manualClock is a dht.Clock whose time moves only when told and whose
-// timers never fire; it records the ping-round windows the crawler arms so
-// a test can close them.
+// manualClock is a crawlClock whose time moves only when told and whose timers
+// never fire; it records the ping-round windows the crawler arms so a test
+// can close them.
 type manualClock struct {
 	now     time.Time
 	windows []uint64
 }
 
-func (c *manualClock) Now() time.Time                        { return c.now }
-func (c *manualClock) After(time.Duration, func()) dht.Timer { return dht.Timer{} }
-func (c *manualClock) AfterEvent(_ time.Duration, _ netsim.Target, arg uint64) dht.Timer {
+func (c *manualClock) Now() time.Time { return c.now }
+func (c *manualClock) AfterEvent(_ time.Duration, _ netsim.Target, arg uint64) netsim.Timer {
 	if arg&(1<<timerKindBits-1) == evPingWindow {
 		c.windows = append(c.windows, arg)
 	}
-	return dht.Timer{}
+	return netsim.Timer{}
 }
 
 // sendLog is a netsim.Socket that records every query the crawler sends.
@@ -374,7 +372,7 @@ func newStateRun(cfg byte) *stateRun {
 	}
 	clock := &manualClock{now: netsim.Epoch.Add(time.Hour)}
 	sock := &sendLog{}
-	c := New(sock, clock, config)
+	c := newCrawler(sock, clock, config)
 	c.Start()
 	return &stateRun{c: c, r: newRefCrawler(c.cfg, clock.now), clock: clock, sock: sock}
 }

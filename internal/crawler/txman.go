@@ -1,9 +1,6 @@
 package crawler
 
-import (
-	"github.com/reuseblock/reuseblock/internal/dht"
-	"github.com/reuseblock/reuseblock/internal/netsim"
-)
+import "github.com/reuseblock/reuseblock/internal/netsim"
 
 // Tx is one outstanding query transaction: its ID, the node it went to,
 // and everything needed to retransmit or score it. The crawler keeps a Tx
@@ -20,7 +17,7 @@ type Tx struct {
 	// Attempts counts transmissions so far (1 after the first send).
 	Attempts int
 	// Timer is the currently armed response deadline or retry backoff.
-	Timer dht.Timer
+	Timer netsim.Timer
 	// slot is the crawler's port slot for To.
 	slot uint32
 }
@@ -42,9 +39,8 @@ type Tx struct {
 // A ring entry's record, its Data buffer included, is reused by the next
 // transaction that lands on it, so a warm crawl allocates nothing per query.
 //
-// The manager is deliberately not goroutine-safe: crawler code is
-// single-threaded by design (simulated swarms run on one event loop; real
-// sockets serialise through the swarm mutex).
+// The manager is deliberately not goroutine-safe: crawler code runs on its
+// swarm's single-threaded event loop.
 type TxManager struct {
 	ring   []txEntry // length 0 or a power of two
 	lateTx map[uint64]netsim.Endpoint

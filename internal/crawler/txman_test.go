@@ -2,8 +2,8 @@ package crawler
 
 import (
 	"testing"
+	"time"
 
-	"github.com/reuseblock/reuseblock/internal/dht"
 	"github.com/reuseblock/reuseblock/internal/netsim"
 )
 
@@ -18,16 +18,17 @@ func inFlight(m *TxManager) int {
 	return n
 }
 
-func txTo(id uint64, ep netsim.Endpoint, stopped *int) Tx {
-	return Tx{ID: id, To: ep, Timer: dht.StopFunc(func() bool { *stopped++; return true })}
+// txTo returns a transaction to ep whose deadline is armed on clock.
+func txTo(clock *netsim.Clock, id uint64, ep netsim.Endpoint) Tx {
+	return Tx{ID: id, To: ep, Timer: clock.After(time.Second, func() {})}
 }
 
 func TestTxManagerRegisterResolve(t *testing.T) {
 	m := NewTxManager(4)
 	ep := netsim.Endpoint{Addr: 0x0a000001, Port: 6881}
-	var stopped int
-	m.Register(txTo(1, ep, &stopped))
-	m.Register(txTo(2, ep, &stopped))
+	clock := netsim.NewClock()
+	m.Register(txTo(clock, 1, ep))
+	m.Register(txTo(clock, 2, ep))
 
 	if got := inFlight(m); got != 2 {
 		t.Fatalf("in flight = %d, want 2", got)
@@ -40,8 +41,8 @@ func TestTxManagerRegisterResolve(t *testing.T) {
 	if !ok || tx.To != ep {
 		t.Fatalf("Resolve(1) = %v, %v", tx, ok)
 	}
-	if stopped != 1 {
-		t.Fatalf("Resolve did not cancel the deadline: stopped = %d", stopped)
+	if got := clock.Pending(); got != 1 {
+		t.Fatalf("Resolve did not cancel the deadline: %d timers pending, want 1", got)
 	}
 	if inFlight(m) != 1 {
 		t.Fatalf("after resolve: inflight %d, want 1", inFlight(m))
@@ -57,14 +58,14 @@ func TestTxManagerRegisterResolve(t *testing.T) {
 func TestTxManagerFailFeedsLateWindow(t *testing.T) {
 	m := NewTxManager(4)
 	ep := netsim.Endpoint{Addr: 0x0a000002, Port: 6881}
-	var stopped int
-	m.Register(txTo(1, ep, &stopped))
+	clock := netsim.NewClock()
+	m.Register(txTo(clock, 1, ep))
 
 	tx, ok := m.Fail(1)
 	if !ok || tx.To != ep {
 		t.Fatalf("Fail(1) = %v, %v", tx, ok)
 	}
-	if stopped != 0 {
+	if clock.Pending() != 1 {
 		t.Fatal("Fail must not Stop: the deadline timer already fired")
 	}
 	if inFlight(m) != 0 {
@@ -88,10 +89,10 @@ func TestTxManagerFailFeedsLateWindow(t *testing.T) {
 func TestTxManagerLateWindowFIFO(t *testing.T) {
 	m := NewTxManager(3)
 	ep := netsim.Endpoint{Addr: 0x0a000003, Port: 6881}
-	var stopped int
+	clock := netsim.NewClock()
 	for i := 0; i < 5; i++ {
 		id := uint64(i)
-		m.Register(txTo(id, ep, &stopped))
+		m.Register(txTo(clock, id, ep))
 		m.Fail(id)
 	}
 	// Window holds 3; transactions 0 and 1 were evicted.
@@ -118,15 +119,15 @@ func TestTxManagerCancelAll(t *testing.T) {
 	m := NewTxManager(4)
 	ep1 := netsim.Endpoint{Addr: 0x0a000004, Port: 6881}
 	ep2 := netsim.Endpoint{Addr: 0x0a000005, Port: 6881}
-	var stopped int
-	m.Register(txTo(1, ep1, &stopped))
-	m.Register(txTo(2, ep2, &stopped))
-	m.Register(txTo(3, ep2, &stopped))
+	clock := netsim.NewClock()
+	m.Register(txTo(clock, 1, ep1))
+	m.Register(txTo(clock, 2, ep2))
+	m.Register(txTo(clock, 3, ep2))
 	m.Fail(3) // seed the late window before cancelling
 
 	m.CancelAll()
-	if stopped != 2 {
-		t.Fatalf("CancelAll stopped %d deadlines, want 2", stopped)
+	if got := clock.Pending(); got != 1 {
+		t.Fatalf("CancelAll left %d timers pending, want 1 (the failed transaction's)", got)
 	}
 	if inFlight(m) != 0 {
 		t.Fatalf("CancelAll left accounting: inflight %d", inFlight(m))
@@ -136,7 +137,7 @@ func TestTxManagerCancelAll(t *testing.T) {
 		t.Fatalf("late window lost across CancelAll: %v, %v", to, ok)
 	}
 	// The manager stays usable after CancelAll.
-	m.Register(txTo(4, ep1, &stopped))
+	m.Register(txTo(clock, 4, ep1))
 	if inFlight(m) != 1 {
 		t.Fatalf("manager unusable after CancelAll: inflight %d", inFlight(m))
 	}
@@ -176,16 +177,16 @@ func TestTxManagerReusesRecords(t *testing.T) {
 func TestTxManagerRingGrows(t *testing.T) {
 	m := NewTxManager(4)
 	ep := netsim.Endpoint{Addr: 0x0a000007, Port: 6881}
-	var stopped int
+	clock := netsim.NewClock()
 	for id := uint64(1); id <= 1000; id++ {
-		m.Register(txTo(id, ep, &stopped))
+		m.Register(txTo(clock, id, ep))
 		if id%3 == 0 {
 			m.Resolve(id - 1)
 		}
 	}
 	// Two IDs a ring length apart need a larger ring.
 	far := uint64(1000 + len(m.ring))
-	m.Register(txTo(far, ep, &stopped))
+	m.Register(txTo(clock, far, ep))
 	for id := uint64(1); id <= 1000; id++ {
 		_, ok := m.Get(id)
 		if want := id%3 != 2; ok != want {

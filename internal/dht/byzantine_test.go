@@ -15,7 +15,7 @@ func (w *simWorld) newByzantineNode(t *testing.T, addr string, port uint16, seed
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewNode(sock, SimClock(w.clock), Config{
+	return NewNode(sock, w.clock, Config{
 		PrivateIP: iputil.MustParseAddr(addr),
 		IDSeed:    uint64(seed),
 		Seed:      seed,

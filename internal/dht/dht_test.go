@@ -30,7 +30,7 @@ func (w *simWorld) newNode(t *testing.T, addr string, port uint16, seed int64) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewNode(sock, SimClock(w.clock), Config{
+	return NewNode(sock, w.clock, Config{
 		PrivateIP: iputil.MustParseAddr(addr),
 		IDSeed:    uint64(seed),
 		Seed:      seed,
@@ -154,7 +154,7 @@ func TestKeepaliveRefreshesNATMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	natted := NewNode(inner, SimClock(w.clock), Config{
+	natted := NewNode(inner, w.clock, Config{
 		PrivateIP:         iputil.MustParseAddr("192.168.0.5"),
 		IDSeed:            5,
 		Seed:              5,
@@ -340,7 +340,7 @@ func TestKeepaliveRoundTripAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	const interval = time.Minute
-	natted := NewNode(inner, SimClock(w.clock), Config{
+	natted := NewNode(inner, w.clock, Config{
 		PrivateIP:         iputil.MustParseAddr("192.168.0.5"),
 		IDSeed:            5,
 		Seed:              5,

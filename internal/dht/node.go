@@ -1,3 +1,11 @@
+// Package dht implements a BitTorrent Mainline-DHT node (BEP 5): a 160-bit
+// node identity, a k-bucket Kademlia routing table, query/response handling
+// for ping and find_node (the only KRPC methods the paper's crawler sends;
+// any other query gets a 204 "Method Unknown" error), and an iterative
+// bootstrap procedure.
+//
+// Nodes speak KRPC over a netsim.Socket and keep time on a *netsim.Clock:
+// every experiment runs them on the deterministic network simulator.
 package dht
 
 import (
@@ -65,14 +73,14 @@ type Node struct {
 	id    krpc.NodeID
 	cfg   Config
 	sock  netsim.Socket
-	clock Clock
+	clock *netsim.Clock
 	rng   splitmix     // by value, so the generator is no heap object
 	table routingTable // by value: one less pointer and heap object per node
 	// pending holds the in-flight queries, the first one inline.
 	pending   pendingSet
 	stats     Stats
 	closed    bool
-	keepalive Timer
+	keepalive netsim.Timer
 }
 
 // pendingQuery is an in-flight query: its 4-byte transaction ID read as a
@@ -81,7 +89,7 @@ type pendingQuery struct {
 	tx      uint32
 	live    bool
 	done    func(*krpc.Message, error)
-	timeout Timer
+	timeout netsim.Timer
 }
 
 // pendingSet holds a node's in-flight queries, keyed by transaction ID.
@@ -167,8 +175,8 @@ func (t *nodeTimers) Fire(arg uint64) {
 	}
 }
 
-// sendBufs holds encode buffers. The fabric copies each payload and a real
-// socket writes it before Send returns, so a buffer is free again at once.
+// sendBufs holds encode buffers. The fabric copies each payload before Send
+// returns, so a buffer is free again at once.
 var sendBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // ErrTimeout is delivered to query callbacks when no response arrives.
@@ -181,11 +189,11 @@ func (timeoutError) Error() string { return "dht: query timed out" }
 // NewNode creates a node on the given socket and installs its handler. The
 // node is immediately able to answer queries; call Bootstrap to populate its
 // routing table.
-func NewNode(sock netsim.Socket, clock Clock, cfg Config) *Node {
+func NewNode(sock netsim.Socket, clock *netsim.Clock, cfg Config) *Node {
 	return newNode(func() *Node { return new(Node) }, sock, clock, cfg)
 }
 
-func newNode(alloc func() *Node, sock netsim.Socket, clock Clock, cfg Config) *Node {
+func newNode(alloc func() *Node, sock netsim.Socket, clock *netsim.Clock, cfg Config) *Node {
 	if cfg.QueryTimeout <= 0 {
 		cfg.QueryTimeout = 2 * time.Second
 	}
@@ -209,6 +217,12 @@ func newNode(alloc func() *Node, sock netsim.Socket, clock Clock, cfg Config) *N
 	return n
 }
 
+// SimClock returns c.
+//
+// Deprecated: pass the *netsim.Clock directly. SimClock remains only for
+// replayCrawl in benchmark/study.go.
+func SimClock(c *netsim.Clock) *netsim.Clock { return c }
+
 // NodeArena allocates Nodes in fixed-size chunks. Chunks are never
 // reallocated, so *Node pointers stay stable for the arena's lifetime; a
 // million-node swarm becomes ~a thousand slab allocations the garbage
@@ -223,7 +237,7 @@ type NodeArena struct {
 const arenaChunk = 1024
 
 // NewNode is NewNode allocating from the arena.
-func (a *NodeArena) NewNode(sock netsim.Socket, clock Clock, cfg Config) *Node {
+func (a *NodeArena) NewNode(sock netsim.Socket, clock *netsim.Clock, cfg Config) *Node {
 	return newNode(a.alloc, sock, clock, cfg)
 }
 

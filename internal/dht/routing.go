@@ -13,8 +13,7 @@ const BucketSize = 8
 
 // tableEntry is pointer-free, so the garbage collector never scans a
 // table: at paper scale the tables are the swarm's largest heap owner.
-// lastSeen is the clock's time in Unix nanoseconds; on a real network that
-// is wall-clock time, so staleness follows a step of the host's clock.
+// lastSeen is the simulated clock's time in Unix nanoseconds.
 // bucket sits in the padding between info and lastSeen, so an entry is 40
 // bytes either way.
 type tableEntry struct {

@@ -164,7 +164,7 @@ func TestNodeArenaNewNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return arena.NewNode(sock, SimClock(w.clock), Config{
+		return arena.NewNode(sock, w.clock, Config{
 			PrivateIP: iputil.MustParseAddr(addr),
 			IDSeed:    uint64(seed),
 			Seed:      seed,
@@ -196,7 +196,7 @@ func TestNodeArenaNewNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2 := arena2.NewNode(sock, SimClock(w2.clock), Config{
+	a2 := arena2.NewNode(sock, w2.clock, Config{
 		PrivateIP: iputil.MustParseAddr("10.1.0.1"),
 		IDSeed:    1,
 		Seed:      1,
@@ -221,7 +221,7 @@ func TestNodeArenaNewNodeAllocs(t *testing.T) {
 	seed := int64(0)
 	allocs := testing.AllocsPerRun(500, func() {
 		seed++
-		arena.NewNode(sock, SimClock(w.clock), Config{IDSeed: uint64(seed), Seed: seed, Version: "RB01"})
+		arena.NewNode(sock, w.clock, Config{IDSeed: uint64(seed), Seed: seed, Version: "RB01"})
 	})
 	if allocs > 1 {
 		t.Errorf("NodeArena.NewNode allocates %.0f times per node, want at most 1", allocs)
