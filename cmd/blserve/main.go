@@ -227,11 +227,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		for _, rel := range rels {
 			m.Serving.Datasets = append(m.Serving.Datasets, rel.status())
 		}
-		// The top-level fields describe the default dataset, so readers
-		// that predate the Datasets array keep working.
-		def := m.Serving.Datasets[0]
-		m.Serving.Reloads, m.Serving.LastReload, m.Serving.LastError = def.Reloads, def.LastReload, def.LastError
-		m.Serving.DatasetGenerated = def.Generated
 		return &m
 	}
 

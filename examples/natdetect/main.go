@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/crawler"
@@ -18,6 +20,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run builds the ISP, crawls it for six simulated hours and writes what the
+// crawler saw to w.
+func run(w io.Writer) error {
 	clock := netsim.NewClock()
 	network, err := netsim.NewNetwork(clock, netsim.Config{
 		Loss:          0.1,
@@ -26,7 +36,7 @@ func main() {
 		Seed:          7,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Twelve public BitTorrent users.
@@ -36,7 +46,7 @@ func main() {
 		ep := netsim.Endpoint{Addr: iputil.AddrFrom4(203, 0, 113, byte(i+1)), Port: 6881}
 		sock, err := network.Listen(ep)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		n := dht.NewNode(sock, clock, dht.Config{
 			PrivateIP: ep.Addr, IDSeed: uint64(i + 1), Seed: int64(i + 1),
@@ -60,26 +70,31 @@ func main() {
 		MappingTTL: time.Hour,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i := 0; i < 3; i++ {
 		priv := iputil.AddrFrom4(192, 168, 1, byte(i+10))
 		sock, err := nat.Listen(priv, 6881)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		n := dht.NewNode(sock, clock, dht.Config{
 			PrivateIP: priv, IDSeed: uint64(100 + i), Seed: int64(100 + i),
 			KeepaliveInterval: 15 * time.Minute,
 		})
-		// Join the swarm through a public node, opening the NAT mapping.
-		n.Bootstrap(eps[i%len(eps)], nil)
+		// Join the swarm as core.BuildSwarm does: learn a few public users,
+		// then ping one of them, which opens the NAT mapping.
+		for d := 0; d < 4; d++ {
+			j := (i + d) % len(nodes)
+			n.AddNode(krpc.NodeInfo{ID: nodes[j].ID(), Addr: eps[j].Addr, Port: eps[j].Port})
+		}
+		n.Ping(eps[i%len(eps)])
 	}
 
 	// The crawler.
 	sock, err := network.Listen(netsim.Endpoint{Addr: iputil.MustParseAddr("198.18.0.1"), Port: 9999})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	c := crawler.New(sock, clock, crawler.Config{
 		Bootstrap: []netsim.Endpoint{eps[0]},
@@ -87,24 +102,25 @@ func main() {
 	})
 	c.Start()
 
-	fmt.Println("crawling 12 public users + 1 CGN (3 BitTorrent users behind it)...")
+	fmt.Fprintln(w, "crawling 12 public users + 1 CGN (3 BitTorrent users behind it)...")
 	for hour := 1; hour <= 6; hour++ {
 		clock.RunFor(time.Hour)
 		st := c.Stats()
-		fmt.Printf("after %dh: %d IPs seen, %d multi-port, %d confirmed NATed\n",
+		fmt.Fprintf(w, "after %dh: %d IPs seen, %d multi-port, %d confirmed NATed\n",
 			hour, st.UniqueIPs, st.MultiPortIPs, st.NATedIPs)
 	}
 	c.Stop()
 
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, o := range c.NATed() {
-		fmt.Printf("NATed address %v: ≥%d simultaneous users (ports seen: %d, confirmed %v after start)\n",
+		fmt.Fprintf(w, "NATed address %v: ≥%d simultaneous users (ports seen: %d, confirmed %v after start)\n",
 			o.Addr, o.Users, o.PortsSeen, o.FirstConfirmed.Sub(netsim.Epoch).Round(time.Minute))
 		if o.Addr == natAddr {
-			fmt.Println("  -> this is the CGN we built; blocklisting it would punish every household behind it")
+			fmt.Fprintln(w, "  -> this is the CGN we built; blocklisting it would punish every household behind it")
 		}
 	}
 	if len(c.NATed()) == 0 {
-		fmt.Println("no NATed addresses confirmed (try a longer crawl)")
+		fmt.Fprintln(w, "no NATed addresses confirmed (try a longer crawl)")
 	}
+	return nil
 }

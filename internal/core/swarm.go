@@ -37,9 +37,20 @@ type Swarm struct {
 	// Its Stats sum the counters of every shard.
 	Injector *faults.Injector
 
-	arenas []dht.NodeArena // node storage, one arena per shard
-	faulty bool            // built under a fault scenario (SwarmConfig.Faults)
+	arenas   []dht.NodeArena // node storage, one arena per shard
+	faulty   bool            // built under a fault scenario (SwarmConfig.Faults)
+	restarts []restart       // scheduled client restarts, indexed by timer argument
 }
+
+// restart is one scheduled client restart: user j rebinds under seed.
+type restart struct {
+	j    int
+	seed int64
+}
+
+// swarmRestarts is a Swarm as the target of its restart timers, which keeps
+// Fire out of Swarm's method set. A timer's argument indexes s.restarts.
+type swarmRestarts Swarm
 
 // newNode allocates a node from the arena of the shard owning addr, so
 // restarts firing concurrently on different shards never share an arena.
@@ -274,7 +285,7 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 			continue
 		}
 		j := publicIdx[rng.Intn(len(publicIdx))]
-		s.Nodes[i].Ping(s.Endpoints[j], nil)
+		s.Nodes[i].Ping(s.Endpoints[j])
 	}
 
 	// Choose an in-scope bootstrap so a scope-restricted crawler can start.
@@ -304,7 +315,7 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 			}
 			at := time.Duration(rng.ExpFloat64() * float64(meanGap))
 			for at < horizon {
-				s.scheduleRestart(w, j, at, rng.Int63())
+				s.scheduleRestart(j, at, rng.Int63())
 				at += time.Duration(rng.ExpFloat64() * float64(meanGap))
 			}
 		}
@@ -318,7 +329,7 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 			stormKey := cfg.Seed ^ 0x53544f52 ^ int64(i)<<48 // "STOR"
 			for _, j := range publicIdx {
 				if j != boot && faults.Selected(stormKey, uint64(w.BTUsers[j].ID), st.Frac) {
-					s.scheduleRestart(w, j, st.At, stormKey^int64(w.BTUsers[j].ID)*7919)
+					s.scheduleRestart(j, st.At, stormKey^int64(w.BTUsers[j].ID)*7919)
 				}
 			}
 		}
@@ -326,37 +337,43 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 	return s, nil
 }
 
-// scheduleRestart makes user j restart its client at the given offset: the
-// node closes, rebinds on a fresh port, regenerates its node ID (the paper's
-// reboot behaviour), and rejoins via a known neighbour.
-func (s *Swarm) scheduleRestart(w *blgen.World, j int, at time.Duration, seed int64) {
+// scheduleRestart makes user j restart its client at the given offset.
+func (s *Swarm) scheduleRestart(j int, at time.Duration, seed int64) {
 	// A restarted client keeps its address (only the port moves), so its
 	// owning shard never changes.
-	s.ClockAt(s.Endpoints[j].Addr).After(at, func() {
-		old := s.Nodes[j]
-		oldEp := s.Endpoints[j]
-		neighbours := old.Closest(old.ID(), 4)
-		old.Close()
-		newEp := netsim.Endpoint{Addr: oldEp.Addr, Port: oldEp.Port + 1 + uint16(seed%977)}
-		sock, err := s.Listen(newEp)
-		if err != nil {
-			// Port collision with another binding: skip this restart.
-			return
-		}
-		node := s.newNode(newEp.Addr, sock, dht.Config{
-			PrivateIP: newEp.Addr,
-			IDSeed:    uint64(seed), // fresh random part -> fresh node ID
-			Seed:      seed,
-		})
-		for _, info := range neighbours {
-			node.AddNode(info)
-		}
-		if len(neighbours) > 0 {
-			node.Ping(netsim.Endpoint{Addr: neighbours[0].Addr, Port: neighbours[0].Port}, nil)
-		}
-		s.Nodes[j] = node
-		s.Endpoints[j] = newEp
+	s.ClockAt(s.Endpoints[j].Addr).AfterEvent(at, (*swarmRestarts)(s), uint64(len(s.restarts)))
+	s.restarts = append(s.restarts, restart{j: j, seed: seed})
+}
+
+// Fire runs restart arg: the user's node closes, rebinds on a fresh port,
+// regenerates its node ID (the paper's reboot behaviour), and rejoins via a
+// known neighbour.
+func (t *swarmRestarts) Fire(arg uint64) {
+	s := (*Swarm)(t)
+	j, seed := s.restarts[arg].j, s.restarts[arg].seed
+	old := s.Nodes[j]
+	oldEp := s.Endpoints[j]
+	neighbours := old.Closest(old.ID(), 4)
+	old.Close()
+	newEp := netsim.Endpoint{Addr: oldEp.Addr, Port: oldEp.Port + 1 + uint16(seed%977)}
+	sock, err := s.Listen(newEp)
+	if err != nil {
+		// Port collision with another binding: skip this restart.
+		return
+	}
+	node := s.newNode(newEp.Addr, sock, dht.Config{
+		PrivateIP: newEp.Addr,
+		IDSeed:    uint64(seed), // fresh random part -> fresh node ID
+		Seed:      seed,
 	})
+	for _, info := range neighbours {
+		node.AddNode(info)
+	}
+	if len(neighbours) > 0 {
+		node.Ping(netsim.Endpoint{Addr: neighbours[0].Addr, Port: neighbours[0].Port})
+	}
+	s.Nodes[j] = node
+	s.Endpoints[j] = newEp
 }
 
 func infoOf(n *dht.Node, ep netsim.Endpoint) krpc.NodeInfo {

@@ -193,7 +193,7 @@ type Crawler struct {
 // per-query timer or the candidate count of a ping-round window.
 type crawlerTimers Crawler
 
-// Typed timer kinds.
+// Timer kinds.
 const (
 	evTick = iota
 	evSweep

@@ -58,7 +58,8 @@ func (s *swarm) addPublicNode(t *testing.T, addr iputil.Addr, port uint16, seed 
 
 // addNATUsers puts k BitTorrent users behind one NAT and returns the public
 // address. Users ping a public node so their mappings open and stay open via
-// keepalives.
+// keepalives. Call it after the last addPublicNode: it reads s.nodes[j] as
+// the node at s.eps[j].
 func (s *swarm) addNATUsers(t *testing.T, pub string, k int, filtering netsim.Filtering) iputil.Addr {
 	t.Helper()
 	pubAddr := iputil.MustParseAddr(pub)
@@ -83,8 +84,13 @@ func (s *swarm) addNATUsers(t *testing.T, pub string, k int, filtering netsim.Fi
 			KeepaliveInterval: 5 * time.Minute,
 		})
 		s.nodes = append(s.nodes, n)
-		// Open the mapping and join the swarm.
-		n.Bootstrap(s.eps[i%len(s.eps)], nil)
+		// Join the swarm as core.BuildSwarm does: learn a few public
+		// nodes, then ping one of them, which opens the mapping.
+		for d := 0; d < 4; d++ {
+			j := (i + d) % len(s.eps)
+			n.AddNode(infoFor(s.nodes[j], s.eps[j].Addr, s.eps[j].Port))
+		}
+		n.Ping(s.eps[i%len(s.eps)])
 	}
 	return pubAddr
 }

@@ -330,8 +330,8 @@ func (c *manualClock) AfterEvent(_ time.Duration, _ netsim.Target, arg uint64) n
 type sendLog struct{ sent []refSend }
 
 func (s *sendLog) Send(to netsim.Endpoint, payload []byte) {
-	m, err := krpc.Unmarshal(payload)
-	if err != nil || m.Kind != krpc.KindQuery {
+	var m krpc.Message
+	if krpc.UnmarshalInto(payload, &m) != nil || m.Kind != krpc.KindQuery {
 		return
 	}
 	s.sent = append(s.sent, refSend{to, binary.BigEndian.Uint64(m.TxID), m.Method == krpc.MethodPing})

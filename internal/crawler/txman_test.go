@@ -18,9 +18,14 @@ func inFlight(m *TxManager) int {
 	return n
 }
 
+// nopTarget is a timer target that does nothing.
+type nopTarget struct{}
+
+func (nopTarget) Fire(uint64) {}
+
 // txTo returns a transaction to ep whose deadline is armed on clock.
 func txTo(clock *netsim.Clock, id uint64, ep netsim.Endpoint) Tx {
-	return Tx{ID: id, To: ep, Timer: clock.After(time.Second, func() {})}
+	return Tx{ID: id, To: ep, Timer: clock.AfterEvent(time.Second, nopTarget{}, 0)}
 }
 
 func TestTxManagerRegisterResolve(t *testing.T) {

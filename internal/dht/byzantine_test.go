@@ -34,16 +34,11 @@ func TestByzantineFindNodeFabricates(t *testing.T) {
 		real[id] = true
 		server.AddNode(krpc.NodeInfo{ID: id, Addr: iputil.AddrFrom4(10, 0, 1, byte(i+1)), Port: 6881})
 	}
-	client := w.newNode(t, "10.0.0.2", 6881, 2)
-	var got []krpc.NodeInfo
-	client.FindNode(endpointOf(server), krpc.NodeID{}, func(m *krpc.Message, err error) {
-		if err != nil {
-			t.Errorf("find_node: %v", err)
-			return
-		}
-		got = m.Nodes
-	})
-	w.clock.Drain(0)
+	m := w.ask(t, endpointOf(server), krpc.NewFindNode([]byte("fn"), krpc.NodeID{0xff}, krpc.NodeID{}))
+	if m == nil || m.Kind != krpc.KindResponse {
+		t.Fatalf("find_node reply = %+v", m)
+	}
+	got := m.Nodes
 	if len(got) != BucketSize {
 		t.Fatalf("got %d fabricated nodes, want %d", len(got), BucketSize)
 	}
@@ -53,12 +48,8 @@ func TestByzantineFindNodeFabricates(t *testing.T) {
 		}
 	}
 	// Pings stay honest: the node keeps itself reachable.
-	answered := false
-	client.Ping(endpointOf(server), func(m *krpc.Message, err error) {
-		answered = err == nil && m.ID == server.ID()
-	})
-	w.clock.Drain(0)
-	if !answered {
+	if pong := w.ask(t, endpointOf(server), krpc.NewPing([]byte("pp"), krpc.NodeID{0xff})); pong == nil ||
+		pong.Kind != krpc.KindResponse || pong.ID != server.ID() {
 		t.Fatal("byzantine node did not answer ping honestly")
 	}
 }
@@ -67,15 +58,10 @@ func TestByzantineDeterministic(t *testing.T) {
 	fabricate := func() []krpc.NodeInfo {
 		w := newSimWorld(t)
 		server := w.newByzantineNode(t, "10.0.0.1", 6881, 9)
-		client := w.newNode(t, "10.0.0.2", 6881, 2)
-		var got []krpc.NodeInfo
-		client.FindNode(endpointOf(server), krpc.NodeID{}, func(m *krpc.Message, err error) {
-			if m != nil {
-				got = m.Nodes
-			}
-		})
-		w.clock.Drain(0)
-		return got
+		if m := w.ask(t, endpointOf(server), krpc.NewFindNode([]byte("fn"), krpc.NodeID{0xff}, krpc.NodeID{})); m != nil {
+			return m.Nodes
+		}
+		return nil
 	}
 	a, b := fabricate(), fabricate()
 	if len(a) == 0 || len(a) != len(b) {

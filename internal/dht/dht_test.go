@@ -43,44 +43,79 @@ func endpointOf(n *Node) netsim.Endpoint {
 	return ep
 }
 
+// ask sends q to to from a bare socket, as the crawler does, and returns
+// the decoded reply, or nil when none came.
+func (w *simWorld) ask(t *testing.T, to netsim.Endpoint, q *krpc.Message) *krpc.Message {
+	t.Helper()
+	sock, err := w.net.Listen(netsim.Endpoint{Addr: iputil.MustParseAddr("10.0.0.99"), Port: 9999})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sock.Close()
+	var reply *krpc.Message
+	sock.SetHandler(func(_ netsim.Endpoint, p []byte) {
+		m := new(krpc.Message)
+		if krpc.UnmarshalInto(p, m) == nil {
+			reply = m
+		}
+	})
+	data, err := q.AppendMarshal(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sock.Send(to, data)
+	w.clock.Drain(0)
+	return reply
+}
+
+// inFlight counts a node's pending queries.
+func inFlight(n *Node) int {
+	k := len(n.pending.spill)
+	if n.pending.first.live {
+		k++
+	}
+	return k
+}
+
 func TestPingPong(t *testing.T) {
 	w := newSimWorld(t)
 	a := w.newNode(t, "10.0.0.1", 6881, 1)
 	b := w.newNode(t, "10.0.0.2", 6881, 2)
-	var got *krpc.Message
-	a.Ping(endpointOf(b), func(m *krpc.Message, err error) {
-		if err != nil {
-			t.Errorf("ping error: %v", err)
-		}
-		got = m
-	})
+	a.Ping(endpointOf(b))
 	w.clock.Drain(0)
-	if got == nil || got.ID != b.ID() {
-		t.Fatalf("pong = %+v", got)
+	if s := a.Stats(); s.QueriesSent != 1 || s.ResponsesReceived != 1 || s.Timeouts != 0 {
+		t.Fatalf("stats %+v, want one query answered", s)
 	}
-	if string(got.Version) != "RB01" {
-		t.Errorf("version = %q", got.Version)
+	if inFlight(a) != 0 {
+		t.Errorf("%d queries still pending after the pong", inFlight(a))
 	}
-	// b learned a from the query.
+	// a learned b from the pong, and b learned a from the query.
+	want := krpc.NodeInfo{ID: b.ID(), Addr: endpointOf(b).Addr, Port: endpointOf(b).Port}
+	if got := a.Closest(b.ID(), 8); len(got) != 1 || got[0] != want {
+		t.Errorf("a's table = %+v, want only %+v", got, want)
+	}
 	if b.TableSize() != 1 {
 		t.Errorf("b table = %d", b.TableSize())
+	}
+	pong := w.ask(t, endpointOf(b), krpc.NewPing([]byte("pp"), krpc.NodeID{}))
+	if pong == nil || pong.Kind != krpc.KindResponse || pong.ID != b.ID() {
+		t.Fatalf("pong = %+v", pong)
+	}
+	if string(pong.Version) != "RB01" {
+		t.Errorf("version = %q", pong.Version)
 	}
 }
 
 func TestPingTimeout(t *testing.T) {
 	w := newSimWorld(t)
 	a := w.newNode(t, "10.0.0.1", 6881, 1)
-	var gotErr error
-	called := false
-	a.Ping(netsim.Endpoint{Addr: iputil.MustParseAddr("10.9.9.9"), Port: 1}, func(m *krpc.Message, err error) {
-		called, gotErr = true, err
-	})
+	a.Ping(netsim.Endpoint{Addr: iputil.MustParseAddr("10.9.9.9"), Port: 1})
 	w.clock.Drain(0)
-	if !called || gotErr != ErrTimeout {
-		t.Fatalf("timeout callback: called=%v err=%v", called, gotErr)
+	if s := a.Stats(); s.QueriesSent != 1 || s.Timeouts != 1 || s.ResponsesReceived != 0 {
+		t.Fatalf("stats %+v, want one query timed out", s)
 	}
-	if a.Stats().Timeouts != 1 {
-		t.Errorf("Timeouts = %d", a.Stats().Timeouts)
+	if inFlight(a) != 0 || a.TableSize() != 0 {
+		t.Errorf("after the timeout: %d pending, table %d; want both 0", inFlight(a), a.TableSize())
 	}
 }
 
@@ -93,16 +128,11 @@ func TestFindNodeReturnsClosest(t *testing.T) {
 		id[0] = byte(i + 1)
 		server.AddNode(krpc.NodeInfo{ID: id, Addr: iputil.AddrFrom4(10, 0, 1, byte(i+1)), Port: 6881})
 	}
-	client := w.newNode(t, "10.0.0.2", 6881, 2)
-	var got []krpc.NodeInfo
-	client.FindNode(endpointOf(server), krpc.NodeID{}, func(m *krpc.Message, err error) {
-		if err != nil {
-			t.Errorf("find_node: %v", err)
-			return
-		}
-		got = m.Nodes
-	})
-	w.clock.Drain(0)
+	m := w.ask(t, endpointOf(server), krpc.NewFindNode([]byte("fn"), krpc.NodeID{0xff}, krpc.NodeID{}))
+	if m == nil || m.Kind != krpc.KindResponse {
+		t.Fatalf("find_node reply = %+v", m)
+	}
+	got := m.Nodes
 	if len(got) != BucketSize {
 		t.Fatalf("got %d nodes, want %d", len(got), BucketSize)
 	}
@@ -111,33 +141,6 @@ func TestFindNodeReturnsClosest(t *testing.T) {
 		if info.ID[0] > BucketSize {
 			t.Errorf("node %v is not among the closest", info.ID[0])
 		}
-	}
-}
-
-func TestBootstrapPopulatesTable(t *testing.T) {
-	w := newSimWorld(t)
-	// A small pre-connected swarm.
-	var nodes []*Node
-	for i := 0; i < 12; i++ {
-		n := w.newNode(t, "10.0.1."+itoa(i+1), 6881, int64(i+10))
-		nodes = append(nodes, n)
-	}
-	// Chain their tables so lookups can traverse.
-	for i, n := range nodes {
-		for j := 0; j < 4; j++ {
-			k := (i + j + 1) % len(nodes)
-			n.AddNode(krpc.NodeInfo{ID: nodes[k].ID(), Addr: endpointOf(nodes[k]).Addr, Port: endpointOf(nodes[k]).Port})
-		}
-	}
-	newcomer := w.newNode(t, "10.0.2.1", 6881, 99)
-	learnedReported := -1
-	newcomer.Bootstrap(endpointOf(nodes[0]), func(learned int) { learnedReported = learned })
-	w.clock.Drain(0)
-	if newcomer.TableSize() < 8 {
-		t.Errorf("bootstrap learned only %d nodes", newcomer.TableSize())
-	}
-	if learnedReported < newcomer.TableSize() {
-		t.Errorf("reported %d < table %d", learnedReported, newcomer.TableSize())
 	}
 }
 
@@ -162,7 +165,7 @@ func TestKeepaliveRefreshesNATMapping(t *testing.T) {
 	})
 	peer := w.newNode(t, "10.0.0.1", 6881, 1)
 	// The NATed node pings out once to open its mapping and learn the peer.
-	natted.Ping(endpointOf(peer), nil)
+	natted.Ping(endpointOf(peer))
 	w.clock.RunFor(time.Second)
 	pub1, ok := inner.PublicEndpoint()
 	if !ok {
@@ -179,12 +182,14 @@ func TestKeepaliveRefreshesNATMapping(t *testing.T) {
 func TestCloseCancelsPending(t *testing.T) {
 	w := newSimWorld(t)
 	a := w.newNode(t, "10.0.0.1", 6881, 1)
-	called := false
-	a.Ping(netsim.Endpoint{Addr: iputil.MustParseAddr("10.9.9.9"), Port: 1}, func(*krpc.Message, error) { called = true })
+	a.Ping(netsim.Endpoint{Addr: iputil.MustParseAddr("10.9.9.9"), Port: 1})
 	a.Close()
+	if inFlight(a) != 0 {
+		t.Errorf("%d queries pending after Close", inFlight(a))
+	}
 	w.clock.Drain(0)
-	if called {
-		t.Error("pending callback fired after Close")
+	if s := a.Stats(); s.Timeouts != 0 {
+		t.Error("pending query timed out after Close")
 	}
 	a.Close() // idempotent
 }
@@ -207,21 +212,22 @@ func TestUnknownMethodGetsError(t *testing.T) {
 	raw, _ := w.net.Listen(netsim.Endpoint{Addr: iputil.MustParseAddr("10.0.0.2"), Port: 9})
 	var resp *krpc.Message
 	raw.SetHandler(func(_ netsim.Endpoint, p []byte) {
-		m, err := krpc.Unmarshal(p)
-		if err == nil {
+		m := new(krpc.Message)
+		if krpc.UnmarshalInto(p, m) == nil {
 			resp = m
 		}
 	})
 	// Hand-encoded queries with methods the node does not implement
-	// (Marshal would refuse them): a made-up one, and BEP 5's get_peers and
-	// announce_peer.
+	// (AppendMarshal would refuse them): a made-up one, and BEP 5's
+	// get_peers and announce_peer.
 	var id krpc.NodeID
 	for _, data := range []string{
 		"d1:ad2:id20:" + string(id[:]) + "e1:q6:frobml1:t2:zz1:y1:qe",
 		"d1:ad2:id20:" + string(id[:]) + "9:info_hash20:" + string(id[:]) + "e1:q9:get_peers1:t2:ee1:y1:qe",
 		"d1:ad2:id20:" + string(id[:]) + "9:info_hash20:" + string(id[:]) + "4:porti6881e5:token3:toke1:q13:announce_peer1:t2:ff1:y1:qe",
 	} {
-		if _, err := krpc.Unmarshal([]byte(data)); err != nil {
+		var m krpc.Message
+		if err := krpc.UnmarshalInto([]byte(data), &m); err != nil {
 			t.Fatalf("test datagram malformed: %v", err)
 		}
 		resp = nil
@@ -316,13 +322,6 @@ func TestRandomEntryCoverage(t *testing.T) {
 	}
 }
 
-func itoa(i int) string {
-	if i < 10 {
-		return string(rune('0' + i))
-	}
-	return string(rune('0'+i/10)) + string(rune('0'+i%10))
-}
-
 // TestKeepaliveRoundTripAllocs pins what one NATed node's keepalive round
 // trip (timer, ping, pong, resolve) costs the heap: the fabric's copy of
 // each of the two datagrams, plus one allocation of slack.
@@ -347,7 +346,7 @@ func TestKeepaliveRoundTripAllocs(t *testing.T) {
 		KeepaliveInterval: interval,
 	})
 	peer := w.newNode(t, "10.0.0.1", 6881, 1)
-	natted.Ping(endpointOf(peer), nil)
+	natted.Ping(endpointOf(peer))
 	w.clock.RunFor(10 * interval) // learn the peer, warm maps and buffers
 	before := natted.Stats()
 	allocs := testing.AllocsPerRun(100, func() { w.clock.RunFor(interval) })

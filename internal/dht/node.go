@@ -1,8 +1,9 @@
-// Package dht implements a BitTorrent Mainline-DHT node (BEP 5): a 160-bit
-// node identity, a k-bucket Kademlia routing table, query/response handling
-// for ping and find_node (the only KRPC methods the paper's crawler sends;
-// any other query gets a 204 "Method Unknown" error), and an iterative
-// bootstrap procedure.
+// Package dht implements a BitTorrent Mainline-DHT node (BEP 5) as the
+// paper's swarm runs it (§3.1): a 160-bit node identity, a k-bucket Kademlia
+// routing table, answers to ping and find_node (the only KRPC methods the
+// paper's crawler sends; any other query gets a 204 "Method Unknown" error),
+// and keepalive pings that hold a NATed node's mapping open. The crawler is
+// the only party that walks the DHT, so ping is the only query a node sends.
 //
 // Nodes speak KRPC over a netsim.Socket and keep time on a *netsim.Clock:
 // every experiment runs them on the deterministic network simulator.
@@ -39,12 +40,6 @@ type Config struct {
 	KeepaliveInterval time.Duration
 	// TableStaleAfter configures routing-table eviction.
 	TableStaleAfter time.Duration
-	// BootstrapAttempts is how many times Bootstrap retries when a round
-	// learns no nodes (UDP loss makes single-shot bootstraps flaky);
-	// zero means 5, matching real clients' persistence.
-	BootstrapAttempts int
-	// BootstrapRetryDelay separates bootstrap attempts; zero means 1 minute.
-	BootstrapRetryDelay time.Duration
 	// Seed is the initial state of the node's private splitmix64
 	// generator (transaction IDs, keepalive targets, byzantine fabrication).
 	Seed int64
@@ -83,19 +78,19 @@ type Node struct {
 	keepalive netsim.Timer
 }
 
-// pendingQuery is an in-flight query: its 4-byte transaction ID read as a
-// big-endian integer, its callback and its timeout.
+// pendingQuery is an in-flight ping: its 4-byte transaction ID read as a
+// big-endian integer, and its timeout.
 type pendingQuery struct {
 	tx      uint32
 	live    bool
-	done    func(*krpc.Message, error)
 	timeout netsim.Timer
 }
 
 // pendingSet holds a node's in-flight queries, keyed by transaction ID.
 // Most simulated nodes have at most one in flight (a NATed keepalive ping),
 // so the first sits inline in the Node and matching a reply to it follows
-// no pointer; only a bootstrap's fan-out reaches the spill slice.
+// no pointer; only pings sent while another is in flight reach the spill
+// slice.
 type pendingSet struct {
 	first pendingQuery // in flight when first.live
 	spill []pendingQuery
@@ -167,11 +162,8 @@ func (t *nodeTimers) Fire(arg uint64) {
 		n.sendKeepalive()
 		return
 	}
-	if p, ok := n.pending.take(uint32(arg)); ok {
+	if _, ok := n.pending.take(uint32(arg)); ok {
 		n.stats.Timeouts++
-		if p.done != nil {
-			p.done(nil, ErrTimeout)
-		}
 	}
 }
 
@@ -179,16 +171,9 @@ func (t *nodeTimers) Fire(arg uint64) {
 // returns, so a buffer is free again at once.
 var sendBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// ErrTimeout is delivered to query callbacks when no response arrives.
-var ErrTimeout = timeoutError{}
-
-type timeoutError struct{}
-
-func (timeoutError) Error() string { return "dht: query timed out" }
-
 // NewNode creates a node on the given socket and installs its handler. The
-// node is immediately able to answer queries; call Bootstrap to populate its
-// routing table.
+// node is immediately able to answer queries; AddNode seeds its routing
+// table, and a Ping to a seeded contact opens a NATed node's mapping.
 func NewNode(sock netsim.Socket, clock *netsim.Clock, cfg Config) *Node {
 	return newNode(func() *Node { return new(Node) }, sock, clock, cfg)
 }
@@ -290,99 +275,16 @@ func (n *Node) Close() {
 	n.sock.Close()
 }
 
-// Ping issues a ping query; done receives the response or an error.
-func (n *Node) Ping(to netsim.Endpoint, done func(*krpc.Message, error)) {
+// Ping sends a ping query to to. A reply within QueryTimeout adds the
+// responder to the routing table; otherwise the query counts as a timeout.
+func (n *Node) Ping(to netsim.Endpoint) {
 	tx := n.newTx()
-	n.sendQuery(to, krpc.NewPing(tx[:], n.id), done)
-}
-
-// FindNode issues a find_node query for target.
-func (n *Node) FindNode(to netsim.Endpoint, target krpc.NodeID, done func(*krpc.Message, error)) {
-	tx := n.newTx()
-	n.sendQuery(to, krpc.NewFindNode(tx[:], n.id, target), done)
-}
-
-// Bootstrap performs an iterative find_node toward the node's own ID using
-// entry as the first contact, populating the routing table; it retries up to
-// BootstrapAttempts times when a round learns nothing. done fires once the
-// lookup converges (or retries are exhausted) with the number of nodes
-// learned.
-func (n *Node) Bootstrap(entry netsim.Endpoint, done func(learned int)) {
-	attempts := n.cfg.BootstrapAttempts
-	if attempts <= 0 {
-		attempts = 5
-	}
-	delay := n.cfg.BootstrapRetryDelay
-	if delay <= 0 {
-		delay = time.Minute
-	}
-	var attempt func(left int)
-	attempt = func(left int) {
-		n.bootstrapOnce(entry, func(learned int) {
-			if learned == 0 && left > 1 && !n.closed {
-				n.clock.After(delay, func() { attempt(left - 1) })
-				return
-			}
-			if done != nil {
-				done(learned)
-			}
-		})
-	}
-	attempt(attempts)
-}
-
-func (n *Node) bootstrapOnce(entry netsim.Endpoint, done func(learned int)) {
-	seen := map[krpc.NodeID]bool{n.id: true}
-	asked := map[netsim.Endpoint]bool{}
-	learned := 0
-	inFlight := 0
-	var step func(eps []netsim.Endpoint)
-	finishIfIdle := func() {
-		if inFlight == 0 && done != nil {
-			d := done
-			done = nil
-			d(learned)
-		}
-	}
-	step = func(eps []netsim.Endpoint) {
-		for _, ep := range eps {
-			if asked[ep] || n.closed {
-				continue
-			}
-			asked[ep] = true
-			inFlight++
-			n.FindNode(ep, n.id, func(m *krpc.Message, err error) {
-				inFlight--
-				if err == nil && m != nil {
-					var next []netsim.Endpoint
-					for _, info := range m.Nodes {
-						if !seen[info.ID] {
-							seen[info.ID] = true
-							learned++
-							n.table.add(info, n.clock.Now())
-							next = append(next, netsim.Endpoint{Addr: info.Addr, Port: info.Port})
-						}
-					}
-					step(next)
-				}
-				finishIfIdle()
-			})
-		}
-		finishIfIdle()
-	}
-	step([]netsim.Endpoint{entry})
-}
-
-func (n *Node) sendQuery(to netsim.Endpoint, msg *krpc.Message, done func(*krpc.Message, error)) {
-	if err := n.send(to, msg); err != nil {
-		if done != nil {
-			done(nil, err)
-		}
+	if n.send(to, krpc.NewPing(tx[:], n.id)) != nil {
 		return
 	}
-	tx := binary.BigEndian.Uint32(msg.TxID)
-	timeout := n.clock.AfterEvent(n.cfg.QueryTimeout, (*nodeTimers)(n), uint64(tx))
-	n.pending.add(pendingQuery{tx: tx, done: done, timeout: timeout})
+	v := binary.BigEndian.Uint32(tx[:])
+	timeout := n.clock.AfterEvent(n.cfg.QueryTimeout, (*nodeTimers)(n), uint64(v))
+	n.pending.add(pendingQuery{tx: v, timeout: timeout})
 	n.stats.QueriesSent++
 }
 
@@ -399,8 +301,7 @@ func (n *Node) send(to netsim.Endpoint, m *krpc.Message) error {
 	return nil
 }
 
-// handle processes an incoming datagram. It decodes into a stack Message;
-// only a query's done callback gets a copy on the heap.
+// handle processes an incoming datagram, decoded into a stack Message.
 func (n *Node) handle(from netsim.Endpoint, payload []byte) {
 	if n.closed {
 		return
@@ -426,9 +327,6 @@ func (n *Node) handle(from netsim.Endpoint, payload []byte) {
 		if m.Kind == krpc.KindResponse {
 			n.stats.ResponsesReceived++
 			n.table.add(krpc.NodeInfo{ID: m.ID, Addr: from.Addr, Port: from.Port}, n.clock.Now())
-		}
-		if p.done != nil {
-			p.done(m.Clone(), nil)
 		}
 	}
 }
@@ -484,7 +382,7 @@ func (n *Node) sendKeepalive() {
 		return
 	}
 	if info, ok := n.table.randomEntry(n.rng.Intn(1 << 30)); ok {
-		n.Ping(netsim.Endpoint{Addr: info.Addr, Port: info.Port}, nil)
+		n.Ping(netsim.Endpoint{Addr: info.Addr, Port: info.Port})
 	}
 	n.scheduleKeepalive()
 }

@@ -26,8 +26,8 @@ func newRawPeer(t *testing.T, w *simWorld, addr string) *rawPeer {
 	}
 	p := &rawPeer{sock: sock}
 	sock.SetHandler(func(from netsim.Endpoint, payload []byte) {
-		m, err := krpc.Unmarshal(payload)
-		if err != nil || m.Kind != krpc.KindQuery {
+		m := new(krpc.Message)
+		if err := krpc.UnmarshalInto(payload, m); err != nil || m.Kind != krpc.KindQuery {
 			t.Errorf("peer heard %q", payload)
 			return
 		}
@@ -42,49 +42,42 @@ func (p *rawPeer) endpoint() netsim.Endpoint {
 	return ep
 }
 
-// reply answers query i with a pong whose ID starts with byte i.
-func (p *rawPeer) reply(t *testing.T, i int) {
-	t.Helper()
+// replyID is the ID of the node answering query i: it starts with byte i.
+func replyID(i int) krpc.NodeID {
 	var id krpc.NodeID
 	id[0], id[19] = byte(i), 1
-	data, err := krpc.NewPingResponse(p.queries[i].TxID, id, nil).Marshal()
+	return id
+}
+
+// reply answers query i with a pong from replyID(i).
+func (p *rawPeer) reply(t *testing.T, i int) {
+	t.Helper()
+	data, err := krpc.NewPingResponse(p.queries[i].TxID, replyID(i), nil).AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.sock.Send(p.from, data)
 }
 
-// callbackLog counts each query's callback calls and keeps the last result.
-type callbackLog struct {
-	calls []int
-	msgs  []*krpc.Message
-	errs  []error
+// txOf returns query i's transaction ID as the pending set keys it.
+func (p *rawPeer) txOf(i int) uint32 { return binary.BigEndian.Uint32(p.queries[i].TxID) }
+
+// learned reports whether n's routing table holds id.
+func learned(n *Node, id krpc.NodeID) bool {
+	got := n.Closest(id, 1)
+	return len(got) == 1 && got[0].ID == id
 }
 
-func (l *callbackLog) callback() func(*krpc.Message, error) {
-	i := len(l.calls)
-	l.calls, l.msgs, l.errs = append(l.calls, 0), append(l.msgs, nil), append(l.errs, nil)
-	return func(m *krpc.Message, err error) {
-		l.calls[i]++
-		l.msgs[i], l.errs[i] = m, err
-	}
-}
-
-// TestPendingOutOfOrderReplies keeps several queries in flight, so all but
-// the first spill, and answers them out of order: each reply reaches its
-// own callback, once.
+// TestPendingOutOfOrderReplies keeps several pings in flight, so all but
+// the first spill, and answers them out of order: each reply resolves its
+// own query, once, and adds its responder to the table.
 func TestPendingOutOfOrderReplies(t *testing.T) {
 	w := newSimWorld(t)
 	a := w.newNode(t, "10.0.0.1", 6881, 1)
 	peer := newRawPeer(t, w, "10.0.0.2")
-	var log callbackLog
 	const queries = 5
 	for i := 0; i < queries; i++ {
-		if i%2 == 0 {
-			a.Ping(peer.endpoint(), log.callback())
-		} else {
-			a.FindNode(peer.endpoint(), a.ID(), log.callback())
-		}
+		a.Ping(peer.endpoint())
 	}
 	if len(a.pending.spill) != queries-1 {
 		t.Fatalf("%d queries spilled, want %d", len(a.pending.spill), queries-1)
@@ -93,19 +86,24 @@ func TestPendingOutOfOrderReplies(t *testing.T) {
 	if len(peer.queries) != queries {
 		t.Fatalf("peer heard %d queries, want %d", len(peer.queries), queries)
 	}
+	answered := map[int]bool{}
 	for _, i := range []int{3, 0, 4, 1, 2} {
 		peer.reply(t, i)
 		w.clock.RunFor(100 * time.Millisecond)
-		if log.calls[i] != 1 || log.errs[i] != nil || log.msgs[i] == nil || log.msgs[i].ID[0] != byte(i) {
-			t.Fatalf("after reply %d: callback ran %d times with %+v, %v", i, log.calls[i], log.msgs[i], log.errs[i])
+		answered[i] = true
+		for k := 0; k < queries; k++ {
+			if pending := a.pending.find(peer.txOf(k)) != nil; pending == answered[k] {
+				t.Fatalf("after reply %d: query %d pending=%v", i, k, pending)
+			}
+		}
+		if !learned(a, replyID(i)) {
+			t.Fatalf("after reply %d: responder %x not in the table", i, replyID(i))
+		}
+		if got := a.Stats().ResponsesReceived; got != int64(len(answered)) {
+			t.Fatalf("after reply %d: %d responses counted, want %d", i, got, len(answered))
 		}
 	}
 	w.clock.RunFor(time.Minute) // every timeout would have fired by now
-	for i, n := range log.calls {
-		if n != 1 {
-			t.Errorf("query %d's callback ran %d times", i, n)
-		}
-	}
 	if s := a.Stats(); s.ResponsesReceived != queries || s.Timeouts != 0 {
 		t.Errorf("stats %+v, want %d responses and no timeouts", s, queries)
 	}
@@ -114,46 +112,39 @@ func TestPendingOutOfOrderReplies(t *testing.T) {
 	}
 }
 
-// TestPendingLateReplyAfterTimeout answers a query after its timeout fired:
-// the callback has run once, with ErrTimeout, and the late reply changes
-// nothing.
+// TestPendingLateReplyAfterTimeout answers pings after their timeouts
+// fired: each counted one timeout, and the late replies change nothing.
 func TestPendingLateReplyAfterTimeout(t *testing.T) {
 	w := newSimWorld(t)
 	a := w.newNode(t, "10.0.0.1", 6881, 1)
 	peer := newRawPeer(t, w, "10.0.0.2")
-	var log callbackLog
-	a.Ping(peer.endpoint(), log.callback())
-	a.Ping(peer.endpoint(), log.callback()) // spilled
+	a.Ping(peer.endpoint())
+	a.Ping(peer.endpoint()) // spilled
 	w.clock.RunFor(time.Minute)
-	for i := range log.calls {
-		if log.calls[i] != 1 || log.errs[i] != ErrTimeout {
-			t.Fatalf("query %d: callback ran %d times, last error %v; want one timeout", i, log.calls[i], log.errs[i])
-		}
+	if s := a.Stats(); s.Timeouts != 2 || inFlight(a) != 0 {
+		t.Fatalf("stats %+v with %d pending; want two timeouts and none pending", s, inFlight(a))
 	}
 	peer.reply(t, 1)
 	peer.reply(t, 0)
 	w.clock.RunFor(time.Minute)
-	for i := range log.calls {
-		if log.calls[i] != 1 {
-			t.Errorf("query %d's callback ran %d times after a late reply", i, log.calls[i])
-		}
-	}
 	if s := a.Stats(); s.ResponsesReceived != 0 || s.Timeouts != 2 {
 		t.Errorf("stats %+v, want 2 timeouts and no responses", s)
+	}
+	if a.TableSize() != 0 {
+		t.Errorf("late replies added %d responders to the table", a.TableSize())
 	}
 }
 
 // TestCloseStopsSpilledTimeouts closes a node with queries in flight
-// inline and in the spill slice: every timeout leaves the clock, and no
-// callback runs.
+// inline and in the spill slice: every timeout leaves the clock, and none
+// is counted.
 func TestCloseStopsSpilledTimeouts(t *testing.T) {
 	w := newSimWorld(t)
 	a := w.newNode(t, "10.0.0.1", 6881, 1)
 	silent := netsim.Endpoint{Addr: iputil.MustParseAddr("10.9.9.9"), Port: 1}
 	before := w.clock.Pending()
-	var log callbackLog
 	for i := 0; i < 4; i++ {
-		a.Ping(silent, log.callback())
+		a.Ping(silent)
 	}
 	w.clock.RunFor(100 * time.Millisecond) // the pings land; only their timeouts stay queued
 	if got := w.clock.Pending() - before; got != 4 {
@@ -164,10 +155,8 @@ func TestCloseStopsSpilledTimeouts(t *testing.T) {
 		t.Errorf("%d events queued after Close, want %d: a timeout was not stopped", got, before)
 	}
 	w.clock.Drain(0)
-	for i, n := range log.calls {
-		if n != 0 {
-			t.Errorf("query %d's callback ran %d times after Close", i, n)
-		}
+	if s := a.Stats(); s.Timeouts != 0 {
+		t.Errorf("%d timeouts counted after Close", s.Timeouts)
 	}
 }
 
@@ -181,26 +170,25 @@ func TestNewTxSkipsInFlightID(t *testing.T) {
 	peer := newRawPeer(t, w, "10.0.0.2")
 	next := a.rng // a copy: drawing from it leaves the node's generator alone
 	taken := next.Uint32()
-	var log callbackLog
 	a.pending.add(pendingQuery{
 		tx:      taken,
-		done:    log.callback(),
 		timeout: a.clock.AfterEvent(a.cfg.QueryTimeout, (*nodeTimers)(a), uint64(taken)),
 	})
-	a.Ping(peer.endpoint(), log.callback())
+	a.Ping(peer.endpoint())
 	w.clock.RunFor(100 * time.Millisecond)
 	if len(peer.queries) != 1 {
 		t.Fatalf("peer heard %d queries, want 1", len(peer.queries))
 	}
-	if got := binary.BigEndian.Uint32(peer.queries[0].TxID); got == taken {
+	if got := peer.txOf(0); got == taken {
 		t.Fatalf("Ping reused in-flight transaction ID %08x", got)
 	}
 	peer.reply(t, 0)
-	w.clock.RunFor(time.Minute)
-	if log.calls[0] != 1 || log.errs[0] != ErrTimeout {
-		t.Errorf("planted query: callback ran %d times, last error %v; want one timeout", log.calls[0], log.errs[0])
+	w.clock.RunFor(100 * time.Millisecond)
+	if a.pending.find(peer.txOf(0)) != nil || a.pending.find(taken) == nil {
+		t.Fatal("the reply resolved the wrong query")
 	}
-	if log.calls[1] != 1 || log.errs[1] != nil || log.msgs[1] == nil {
-		t.Errorf("ping: callback ran %d times with %+v, %v; want one reply", log.calls[1], log.msgs[1], log.errs[1])
+	w.clock.RunFor(time.Minute)
+	if s := a.Stats(); s.ResponsesReceived != 1 || s.Timeouts != 1 || inFlight(a) != 0 {
+		t.Errorf("stats %+v with %d pending; want the ping answered and the planted query timed out", s, inFlight(a))
 	}
 }

@@ -10,7 +10,17 @@ import (
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/iputil"
+	"github.com/reuseblock/reuseblock/internal/obs"
 )
+
+// defaultDataset returns the default dataset's block of m's serving status,
+// or nil when m carries none.
+func defaultDataset(m *obs.Manifest) *obs.DatasetServingStatus {
+	if m.Serving == nil || len(m.Serving.Datasets) == 0 {
+		return nil
+	}
+	return &m.Serving.Datasets[0]
+}
 
 func TestMain(m *testing.M) {
 	code := m.Run()
@@ -145,11 +155,12 @@ func checkHealthyStack(faults string) func(*Stack) error {
 		if m.FaultScenario != faults {
 			return fmt.Errorf("manifest fault_scenario = %q, want %q", m.FaultScenario, faults)
 		}
-		if m.Serving == nil {
+		d := defaultDataset(m)
+		if d == nil {
 			return fmt.Errorf("manifest carries no serving status")
 		}
-		if m.Serving.Reloads != 0 {
-			return fmt.Errorf("fresh server reports %d reloads", m.Serving.Reloads)
+		if d.Reloads != 0 {
+			return fmt.Errorf("fresh server reports %d reloads", d.Reloads)
 		}
 		metrics, err := s.Metrics()
 		if err != nil {
@@ -172,7 +183,8 @@ func waitReloads(s *Stack, want int64) error {
 		if err != nil {
 			return false, err
 		}
-		return m.Serving != nil && m.Serving.Reloads >= want, nil
+		d := defaultDataset(m)
+		return d != nil && d.Reloads >= want, nil
 	})
 }
 
@@ -293,7 +305,8 @@ func runWatchBadReload(s *Stack) error {
 		if merr != nil {
 			return false, merr
 		}
-		return m.Serving != nil && m.Serving.LastError != "", nil
+		d := defaultDataset(m)
+		return d != nil && d.LastError != "", nil
 	})
 	if err != nil {
 		return fmt.Errorf("manifest never recorded the failed reload: %w", err)
@@ -303,8 +316,8 @@ func runWatchBadReload(s *Stack) error {
 	if err != nil {
 		return err
 	}
-	if m.Serving.Reloads != 0 {
-		return fmt.Errorf("failed reload advanced the reload count to %d", m.Serving.Reloads)
+	if d := defaultDataset(m); d.Reloads != 0 {
+		return fmt.Errorf("failed reload advanced the reload count to %d", d.Reloads)
 	}
 	metrics, err := s.Metrics()
 	if err != nil {
@@ -340,8 +353,8 @@ func runWatchBadReload(s *Stack) error {
 	if err != nil {
 		return err
 	}
-	if m.Serving.LastError != "" {
-		return fmt.Errorf("healed server still reports reload error %q", m.Serving.LastError)
+	if d := defaultDataset(m); d.LastError != "" {
+		return fmt.Errorf("healed server still reports reload error %q", d.LastError)
 	}
 	return s.CheckServedAgainstOracle()
 }

@@ -240,11 +240,11 @@ func TestRateLimitQueriesOnly(t *testing.T) {
 	scn := &Scenario{RateLimit: &RateLimit{RatePerSec: 0.001, Burst: 1, QueriesOnly: true}}
 	_, hook := newHook(t, scn, 1)
 	var id krpc.NodeID
-	query, err := krpc.NewPing([]byte("aa"), id).Marshal()
+	query, err := krpc.NewPing([]byte("aa"), id).AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := krpc.NewPingResponse([]byte("aa"), id, []byte("RB01")).Marshal()
+	resp, err := krpc.NewPingResponse([]byte("aa"), id, []byte("RB01")).AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,11 +275,16 @@ func TestCorruptionShapes(t *testing.T) {
 		{Addr: iputil.AddrFrom4(1, 2, 3, 4), Port: 6881},
 		{Addr: iputil.AddrFrom4(5, 6, 7, 8), Port: 6882},
 	}
-	orig, err := krpc.NewFindNodeResponse([]byte("tx"), self, nodes, []byte("RB01")).Marshal()
+	orig, err := krpc.NewFindNodeResponse([]byte("tx"), self, nodes, []byte("RB01")).AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = target
+	var m krpc.Message
+	short := "d1:rd2:id20:" + string(self[:]) + "5:nodes5:shorte1:t2:tx1:y1:re"
+	if krpc.UnmarshalInto([]byte(short), &m) == nil {
+		t.Fatal("sanity: UnmarshalInto should reject a bad node list length")
+	}
 	badLen, mutated := 0, 0
 	for i := 0; i < 300; i++ {
 		out := hook(netsim.Datagram{From: ep(1, 1, 1, 1, 1), To: ep(2, 2, 2, 2, 2), Seq: uint64(i), Payload: orig})
@@ -290,14 +295,11 @@ func TestCorruptionShapes(t *testing.T) {
 			continue
 		}
 		mutated++
-		if m, err := krpc.Unmarshal(out); err == nil && m.Kind == krpc.KindResponse {
+		if krpc.UnmarshalInto(out, &m) == nil && m.Kind == krpc.KindResponse {
 			// Valid bencoding that survived — it must be the
 			// damaged-nodes shape unless a bit flip landed in a
 			// don't-care byte.
 			continue
-		}
-		if _, err := krpc.UnmarshalCompactNodes([]byte("short")); err == nil {
-			t.Fatal("sanity: UnmarshalCompactNodes should reject bad lengths")
 		}
 		badLen++
 	}
@@ -317,7 +319,7 @@ func TestCorruptionShapes(t *testing.T) {
 	for i := 0; i < 300 && !sawBadNodeLen; i++ {
 		fate := netsim.NewFate(3, ep(1, 1, 1, 1, 1), ep(2, 2, 2, 2, 2), uint64(i))
 		out := corrupt(orig, &fate)
-		if _, err := krpc.Unmarshal(out); err != nil && errors.Is(err, krpc.ErrMalformed) {
+		if err := krpc.UnmarshalInto(out, &m); err != nil && errors.Is(err, krpc.ErrMalformed) {
 			sawBadNodeLen = sawBadNodeLen || bytes.Contains(out, []byte("5:nodes"))
 		}
 	}
@@ -334,7 +336,7 @@ func TestInjectorDeterminism(t *testing.T) {
 		}
 		inj, hook := newHook(t, scn, seed)
 		var id krpc.NodeID
-		query, _ := krpc.NewPing([]byte("aa"), id).Marshal()
+		query, _ := krpc.NewPing([]byte("aa"), id).AppendMarshal(nil)
 		var trace []byte
 		for i := 0; i < 2000; i++ {
 			from := ep(10, 0, byte(i/256), byte(i%256), 1)

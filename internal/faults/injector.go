@@ -192,7 +192,7 @@ func (p *part) limited(rl *RateLimit, d netsim.Datagram) bool {
 // datagram's fate: plain truncation (string extends past input), a single
 // bit flip, and — for find_node responses — a compact node list whose
 // length is no longer a multiple of 26, the exact malformation
-// krpc.UnmarshalCompactNodes rejects.
+// krpc.UnmarshalInto rejects.
 func corrupt(payload []byte, fate *netsim.Fate) []byte {
 	p := append([]byte(nil), payload...)
 	if len(p) == 0 {

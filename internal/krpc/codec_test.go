@@ -54,7 +54,7 @@ func TestConstructorBytesPinned(t *testing.T) {
 			"d1:eli204e14:Method Unknowne1:t2:ee1:y1:ee"},
 	}
 	for _, c := range cases {
-		got, err := c.m.Marshal()
+		got, err := c.m.AppendMarshal(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -89,23 +89,23 @@ func errClass(err error) string {
 func checkDifferential(t *testing.T, data []byte) {
 	t.Helper()
 	want, werr := oracleUnmarshal(data)
-	got, gerr := Unmarshal(data)
+	got, gerr := decode(data)
 	if errClass(werr) != errClass(gerr) {
-		t.Fatalf("Unmarshal(%q): error %v (%s), oracle %v (%s)", data, gerr, errClass(gerr), werr, errClass(werr))
+		t.Fatalf("UnmarshalInto(%q): error %v (%s), oracle %v (%s)", data, gerr, errClass(gerr), werr, errClass(werr))
 	}
 	if werr != nil {
 		return
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Unmarshal(%q) =\n%#v\noracle\n%#v", data, got, want)
+		t.Fatalf("UnmarshalInto(%q) =\n%#v\noracle\n%#v", data, got, want)
 	}
 	wenc, werr := oracleMarshal(want)
-	genc, gerr := got.Marshal()
+	genc, gerr := got.AppendMarshal(nil)
 	if (werr == nil) != (gerr == nil) {
-		t.Fatalf("Marshal of %q: error %v, oracle %v", data, gerr, werr)
+		t.Fatalf("AppendMarshal of %q: error %v, oracle %v", data, gerr, werr)
 	}
 	if !bytes.Equal(genc, wenc) {
-		t.Fatalf("Marshal of %q:\n got %q\nwant %q", data, genc, wenc)
+		t.Fatalf("AppendMarshal of %q:\n got %q\nwant %q", data, genc, wenc)
 	}
 }
 
@@ -121,7 +121,7 @@ func FuzzCodecDifferential(f *testing.F) {
 		NewFindNodeResponse([]byte("dd"), id, eightNodes(), []byte("v")),
 		NewError([]byte("ee"), ErrCodeGeneric, "x"),
 	} {
-		b, err := m.Marshal()
+		b, err := m.AppendMarshal(nil)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -147,29 +147,15 @@ func FuzzCodecDifferential(f *testing.F) {
 	f.Fuzz(checkDifferential)
 }
 
-var sinkMsg *Message
 var sinkBytes []byte
 
-// TestCodecAllocs pins the per-datagram allocation counts: Unmarshal
-// allocates the Message and its copy of the datagram (plus the node slice),
-// Marshal exactly its output buffer, and the in-place UnmarshalInto and
-// AppendMarshal nothing once their message and buffer are warm.
+// TestCodecAllocs pins the per-datagram allocation counts: AppendMarshal
+// allocates exactly its output buffer when given none, and UnmarshalInto
+// and AppendMarshal nothing once their message and buffer are warm.
 func TestCodecAllocs(t *testing.T) {
 	id := fillID('S')
-	ping, _ := NewPing([]byte("aa"), id).Marshal()
-	resp, _ := NewFindNodeResponse([]byte("dd"), id, eightNodes(), []byte("LT0101")).Marshal()
-	for _, c := range []struct {
-		name string
-		max  float64
-		fn   func()
-	}{
-		{"Unmarshal ping", 3, func() { sinkMsg, _ = Unmarshal(ping) }},
-		{"Unmarshal find_node response", 4, func() { sinkMsg, _ = Unmarshal(resp) }},
-	} {
-		if got := testing.AllocsPerRun(100, c.fn); got > c.max {
-			t.Errorf("%s: %v allocs, want <= %v", c.name, got, c.max)
-		}
-	}
+	ping, _ := NewPing([]byte("aa"), id).AppendMarshal(nil)
+	resp, _ := NewFindNodeResponse([]byte("dd"), id, eightNodes(), []byte("LT0101")).AppendMarshal(nil)
 	for _, m := range []*Message{
 		NewPing([]byte("aa"), id),
 		NewFindNode([]byte("bb"), id, fillID('T')),
@@ -177,8 +163,8 @@ func TestCodecAllocs(t *testing.T) {
 		NewFindNodeResponse([]byte("dd"), id, eightNodes(), []byte("LT0101")),
 		NewError([]byte("ee"), ErrCodeMethodUnknown, "Method Unknown"),
 	} {
-		if got := testing.AllocsPerRun(100, func() { sinkBytes, _ = m.Marshal() }); got != 1 {
-			t.Errorf("Marshal %+v: %v allocs, want 1", m, got)
+		if got := testing.AllocsPerRun(100, func() { sinkBytes, _ = m.AppendMarshal(nil) }); got != 1 {
+			t.Errorf("AppendMarshal(nil) %+v: %v allocs, want 1", m, got)
 		}
 		buf := make([]byte, 0, 512)
 		if got := testing.AllocsPerRun(100, func() { sinkBytes, _ = m.AppendMarshal(buf[:0]) }); got != 0 {
@@ -194,11 +180,12 @@ func TestCodecAllocs(t *testing.T) {
 }
 
 func BenchmarkUnmarshalPing(b *testing.B) {
-	data, _ := NewPing([]byte("aa"), fillID('S')).Marshal()
+	data, _ := NewPing([]byte("aa"), fillID('S')).AppendMarshal(nil)
+	var m Message
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkMsg, _ = Unmarshal(data)
+		_ = UnmarshalInto(data, &m)
 	}
 }
 
@@ -207,6 +194,6 @@ func BenchmarkMarshalFindNodeResponse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkBytes, _ = m.Marshal()
+		sinkBytes, _ = m.AppendMarshal(sinkBytes[:0])
 	}
 }

@@ -20,23 +20,23 @@ var (
 )
 
 // FuzzUnmarshal feeds arbitrary datagrams to the KRPC decoder: no panics,
-// and accepted messages must survive a marshal/unmarshal round trip.
+// and accepted messages must survive an encode/decode round trip.
 func FuzzUnmarshal(f *testing.F) {
 	for _, seed := range unmarshalSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Unmarshal(data)
-		if err != nil {
+		var m Message
+		if UnmarshalInto(data, &m) != nil {
 			return
 		}
-		enc, err := m.Marshal()
+		enc, err := m.AppendMarshal(nil)
 		if err != nil {
 			// Some decodable inputs aren't encodable (e.g. unknown query
 			// methods) — acceptable asymmetry.
 			return
 		}
-		if _, err := Unmarshal(enc); err != nil {
+		if err := UnmarshalInto(enc, &m); err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
 	})
@@ -45,10 +45,10 @@ func FuzzUnmarshal(f *testing.F) {
 // unmarshalSeeds is FuzzUnmarshal's seed corpus.
 func unmarshalSeeds() [][]byte {
 	var id NodeID
-	ping, _ := NewPing([]byte("aa"), id).Marshal()
-	fn, _ := NewFindNode([]byte("bb"), id, id).Marshal()
-	resp, _ := NewFindNodeResponse([]byte("cc"), id, []NodeInfo{{ID: id, Addr: 1, Port: 2}}, []byte("v")).Marshal()
-	errMsg, _ := NewError([]byte("dd"), 201, "x").Marshal()
+	ping, _ := NewPing([]byte("aa"), id).AppendMarshal(nil)
+	fn, _ := NewFindNode([]byte("bb"), id, id).AppendMarshal(nil)
+	resp, _ := NewFindNodeResponse([]byte("cc"), id, []NodeInfo{{ID: id, Addr: 1, Port: 2}}, []byte("v")).AppendMarshal(nil)
+	errMsg, _ := NewError([]byte("dd"), 201, "x").AppendMarshal(nil)
 	gp, ann := []byte(getPeersQuery), []byte(announcePeerQuery)
 	// Corruption-shaped seeds: the fault injector truncates datagrams and
 	// chops compact node lists mid-entry, so the corpus covers truncation at
@@ -69,8 +69,8 @@ func unmarshalSeeds() [][]byte {
 }
 
 // FuzzUnmarshalInto decodes each datagram into a reused, dirty Message and
-// requires what a fresh Unmarshal gives: the same error, or the same
-// message with nothing left over from the previous contents. Its corpus
+// requires what a decode into a fresh Message gives: the same error, or the
+// same message with nothing left over from the previous contents. Its corpus
 // starts from FuzzUnmarshal's seeds and committed inputs.
 func FuzzUnmarshalInto(f *testing.F) {
 	for _, seed := range unmarshalSeeds() {
@@ -87,17 +87,17 @@ func FuzzUnmarshalInto(f *testing.F) {
 }
 
 // checkInto decodes data into a dirty Message, twice over, and compares
-// it with a fresh Unmarshal.
+// it with a decode into a fresh Message.
 func checkInto(t *testing.T, data []byte) {
-	want, werr := Unmarshal(data)
+	want, werr := decode(data)
 	m := dirtyMessage()
 	for pass := 0; pass < 2; pass++ {
 		gerr := UnmarshalInto(data, m)
 		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
-			t.Fatalf("UnmarshalInto(%q): error %v, Unmarshal %v", data, gerr, werr)
+			t.Fatalf("UnmarshalInto(%q): error %v, fresh decode %v", data, gerr, werr)
 		}
 		if werr == nil && !reflect.DeepEqual(m, want) {
-			t.Fatalf("UnmarshalInto(%q) over a used message =\n%#v\nUnmarshal\n%#v", data, m, want)
+			t.Fatalf("UnmarshalInto(%q) over a used message =\n%#v\nfresh decode\n%#v", data, m, want)
 		}
 	}
 }

@@ -9,7 +9,6 @@
 package krpc
 
 import (
-	"bytes"
 	"crypto/sha1"
 	"encoding/binary"
 	"encoding/hex"
@@ -112,12 +111,8 @@ type NodeInfo struct {
 // CompactNodeLen is the wire size of one compact node info entry.
 const CompactNodeLen = IDLen + 6
 
-// MarshalCompactNodes renders node infos in BEP 5 compact form: 26 bytes per
+// appendCompactNodes appends node infos in BEP 5 compact form: 26 bytes per
 // node (20-byte ID, 4-byte IPv4, 2-byte big-endian port).
-func MarshalCompactNodes(nodes []NodeInfo) []byte {
-	return appendCompactNodes(make([]byte, 0, len(nodes)*CompactNodeLen), nodes)
-}
-
 func appendCompactNodes(out []byte, nodes []NodeInfo) []byte {
 	for _, n := range nodes {
 		out = append(out, n.ID[:]...)
@@ -126,14 +121,6 @@ func appendCompactNodes(out []byte, nodes []NodeInfo) []byte {
 		out = append(out, byte(n.Port>>8), byte(n.Port))
 	}
 	return out
-}
-
-// UnmarshalCompactNodes parses BEP 5 compact node info.
-func UnmarshalCompactNodes(data []byte) ([]NodeInfo, error) {
-	if err := checkCompactNodes(data); err != nil {
-		return nil, err
-	}
-	return appendNodeInfos(make([]NodeInfo, 0, len(data)/CompactNodeLen), data), nil
 }
 
 func checkCompactNodes(data []byte) error {
@@ -183,8 +170,7 @@ const (
 
 // Message is a decoded KRPC message. Exactly one of Query/Response/Error
 // content is meaningful depending on Kind. A message decoded by
-// UnmarshalInto shares TxID and Version with its datagram; Clone or
-// Unmarshal gives one that owns all its memory.
+// UnmarshalInto shares TxID and Version with its datagram.
 type Message struct {
 	TxID    []byte // transaction ID echoed by responses
 	Kind    Kind
@@ -238,39 +224,17 @@ func NewError(txID []byte, code int, msg string) *Message {
 	return &Message{TxID: txID, Kind: KindError, ErrCode: code, ErrMsg: msg}
 }
 
-// Clone returns a deep copy of m: what a caller keeps of a message decoded
-// in place.
-func (m *Message) Clone() *Message {
-	return &Message{
-		TxID:    bytes.Clone(m.TxID),
-		Kind:    m.Kind,
-		Version: bytes.Clone(m.Version),
-		Method:  m.Method,
-		ID:      m.ID,
-		Target:  m.Target,
-		Nodes:   slices.Clone(m.Nodes),
-		ErrCode: m.ErrCode,
-		ErrMsg:  m.ErrMsg,
-	}
-}
-
-// Marshal encodes the message into its canonical bencoded datagram, in one
-// exact-size buffer.
-func (m *Message) Marshal() ([]byte, error) {
-	n, err := m.size()
-	if err != nil {
-		return nil, err
-	}
-	return m.appendTo(make([]byte, 0, n)), nil
-}
-
-// AppendMarshal appends the message's datagram to b and returns the
-// extended buffer; a caller that reuses b encodes without allocating. On
-// error b comes back unchanged.
+// AppendMarshal appends the message's canonical bencoded datagram to b and
+// returns the extended buffer; a caller that reuses b encodes without
+// allocating, and a nil b gets one buffer of exactly the datagram's size.
+// On error b comes back unchanged.
 func (m *Message) AppendMarshal(b []byte) ([]byte, error) {
 	n, err := m.size()
 	if err != nil {
 		return b, err
+	}
+	if b == nil {
+		b = make([]byte, 0, n)
 	}
 	return m.appendTo(slices.Grow(b, n)), nil
 }
@@ -359,16 +323,6 @@ func stringLen(n int) int { return intLen(int64(n)) + 1 + n }
 func intLen(n int64) int {
 	var buf [20]byte
 	return len(strconv.AppendInt(buf[:0], n, 10))
-}
-
-// Unmarshal decodes a bencoded datagram into a new Message that shares no
-// memory with data: UnmarshalInto on a private copy of the datagram.
-func Unmarshal(data []byte) (*Message, error) {
-	m := new(Message)
-	if err := UnmarshalInto(bytes.Clone(data), m); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // UnmarshalInto decodes a bencoded datagram into m, overwriting every field.

@@ -9,6 +9,12 @@ import (
 	"github.com/reuseblock/reuseblock/internal/iputil"
 )
 
+// decode decodes data into a fresh Message.
+func decode(data []byte) (*Message, error) {
+	m := new(Message)
+	return m, UnmarshalInto(data, m)
+}
+
 func testID(fill byte) NodeID {
 	var id NodeID
 	for i := range id {
@@ -77,20 +83,23 @@ func TestCompactNodesRoundTrip(t *testing.T) {
 		{testID(1), iputil.MustParseAddr("192.0.2.1"), 6881},
 		{testID(2), iputil.MustParseAddr("203.0.113.77"), 65535},
 	}
-	data := MarshalCompactNodes(nodes)
+	data := appendCompactNodes(nil, nodes)
 	if len(data) != 2*CompactNodeLen {
 		t.Fatalf("compact length = %d", len(data))
 	}
-	back, err := UnmarshalCompactNodes(data)
-	if err != nil {
+	if err := checkCompactNodes(data); err != nil {
 		t.Fatal(err)
+	}
+	back := appendNodeInfos(nil, data)
+	if len(back) != len(nodes) {
+		t.Fatalf("decoded %d nodes, want %d", len(back), len(nodes))
 	}
 	for i := range nodes {
 		if back[i] != nodes[i] {
 			t.Errorf("node %d = %+v, want %+v", i, back[i], nodes[i])
 		}
 	}
-	if _, err := UnmarshalCompactNodes(data[:10]); err == nil {
+	if err := checkCompactNodes(data[:10]); err == nil {
 		t.Error("truncated compact data should error")
 	}
 }
@@ -98,11 +107,11 @@ func TestCompactNodesRoundTrip(t *testing.T) {
 func TestPingRoundTrip(t *testing.T) {
 	self := testID(7)
 	q := NewPing([]byte("aa"), self)
-	data, err := q.Marshal()
+	data, err := q.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Unmarshal(data)
+	m, err := decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +123,11 @@ func TestPingRoundTrip(t *testing.T) {
 func TestFindNodeRoundTrip(t *testing.T) {
 	self, target := testID(1), testID(9)
 	q := NewFindNode([]byte("tx"), self, target)
-	data, err := q.Marshal()
+	data, err := q.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Unmarshal(data)
+	m, err := decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +143,11 @@ func TestFindNodeResponseRoundTrip(t *testing.T) {
 		{testID(5), iputil.MustParseAddr("198.51.100.5"), 6881},
 	}
 	r := NewFindNodeResponse([]byte("tx"), self, nodes, []byte("LT0101"))
-	data, err := r.Marshal()
+	data, err := r.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Unmarshal(data)
+	m, err := decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +161,11 @@ func TestFindNodeResponseRoundTrip(t *testing.T) {
 
 func TestErrorRoundTrip(t *testing.T) {
 	e := NewError([]byte("tx"), ErrCodeMethodUnknown, "Method Unknown")
-	data, err := e.Marshal()
+	data, err := e.AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Unmarshal(data)
+	m, err := decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +187,8 @@ func TestUnmarshalMalformed(t *testing.T) {
 		[]byte("d1:ele1:t2:aa1:y1:ee"),     // short error body
 	}
 	for _, in := range bad {
-		if _, err := Unmarshal(in); err == nil {
-			t.Errorf("Unmarshal(%q) succeeded, want error", in)
+		if _, err := decode(in); err == nil {
+			t.Errorf("UnmarshalInto(%q) succeeded, want error", in)
 		}
 	}
 }
@@ -187,14 +196,14 @@ func TestUnmarshalMalformed(t *testing.T) {
 func TestUnmarshalShortNodeID(t *testing.T) {
 	// Query with an 8-byte id.
 	data := []byte("d1:ad2:id8:shortide1:q4:ping1:t2:aa1:y1:qe")
-	if _, err := Unmarshal(data); !errors.Is(err, ErrMalformed) {
+	if _, err := decode(data); !errors.Is(err, ErrMalformed) {
 		t.Errorf("short id: %v", err)
 	}
 }
 
 func TestMarshalUnknownMethod(t *testing.T) {
 	m := &Message{TxID: []byte("t"), Kind: KindQuery, Method: "bogus"}
-	if _, err := m.Marshal(); err == nil {
+	if _, err := m.AppendMarshal(nil); err == nil {
 		t.Error("unknown method should not marshal")
 	}
 	// BEP 5 methods outside ping and find_node still decode, so a node can
@@ -203,14 +212,14 @@ func TestMarshalUnknownMethod(t *testing.T) {
 		"get_peers":     getPeersQuery,
 		"announce_peer": announcePeerQuery,
 	} {
-		m, err := Unmarshal([]byte(raw))
+		m, err := decode([]byte(raw))
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
 		if m.Kind != KindQuery || m.Method != method {
 			t.Fatalf("%s decoded as %+v", method, m)
 		}
-		if _, err := m.Marshal(); err == nil {
+		if _, err := m.AppendMarshal(nil); err == nil {
 			t.Errorf("%s should not marshal", method)
 		}
 	}
@@ -238,15 +247,15 @@ func TestRoundTripRandomised(t *testing.T) {
 		}
 		msgs = append(msgs, NewFindNodeResponse([]byte("t5"), id, nodes, nil))
 		for _, m := range msgs {
-			data, err := m.Marshal()
+			data, err := m.AppendMarshal(nil)
 			if err != nil {
-				t.Fatalf("Marshal(%+v): %v", m, err)
+				t.Fatalf("AppendMarshal(%+v): %v", m, err)
 			}
-			back, err := Unmarshal(data)
+			back, err := decode(data)
 			if err != nil {
-				t.Fatalf("Unmarshal: %v", err)
+				t.Fatalf("UnmarshalInto: %v", err)
 			}
-			data2, err := back.Marshal()
+			data2, err := back.AppendMarshal(nil)
 			if err != nil || !bytes.Equal(data, data2) {
 				t.Fatalf("re-encode mismatch: %q vs %q", data, data2)
 			}

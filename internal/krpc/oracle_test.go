@@ -12,7 +12,7 @@ import (
 	"github.com/reuseblock/reuseblock/internal/bencode"
 )
 
-// oracleMarshal is the generic encoder the direct Marshal replaced: it
+// oracleMarshal is the generic encoder the direct AppendMarshal replaced: it
 // builds a bencode.Value dict and hands it to bencode.Encode.
 func oracleMarshal(m *Message) ([]byte, error) {
 	root := map[string]bencode.Value{
@@ -37,7 +37,7 @@ func oracleMarshal(m *Message) ([]byte, error) {
 	case KindResponse:
 		resp := map[string]bencode.Value{"id": string(m.ID[:])}
 		if len(m.Nodes) > 0 {
-			resp["nodes"] = string(MarshalCompactNodes(m.Nodes))
+			resp["nodes"] = string(appendCompactNodes(nil, m.Nodes))
 		}
 		root["r"] = resp
 	case KindError:
@@ -48,7 +48,7 @@ func oracleMarshal(m *Message) ([]byte, error) {
 	return bencode.Encode(root)
 }
 
-// oracleUnmarshal is the generic decoder the direct Unmarshal replaced: it
+// oracleUnmarshal is the generic decoder the direct UnmarshalInto replaced: it
 // decodes the datagram to a map[string]bencode.Value and reads the fields
 // out of it.
 func oracleUnmarshal(data []byte) (*Message, error) {
@@ -102,11 +102,10 @@ func oracleUnmarshal(data []byte) (*Message, error) {
 			return nil, err
 		}
 		if nodesRaw, ok := resp["nodes"].(string); ok {
-			nodes, err := UnmarshalCompactNodes([]byte(nodesRaw))
-			if err != nil {
+			if err := checkCompactNodes([]byte(nodesRaw)); err != nil {
 				return nil, err
 			}
-			m.Nodes = nodes
+			m.Nodes = appendNodeInfos(make([]NodeInfo, 0, len(nodesRaw)/CompactNodeLen), []byte(nodesRaw))
 		}
 	case KindError:
 		e, ok := dict["e"].([]bencode.Value)

@@ -80,7 +80,7 @@ type eslot struct {
 	payload  []byte
 }
 
-// Target receives typed timer events. A long-lived object (a DHT node, a
+// Target receives timer events. A long-lived object (a DHT node, a
 // crawler) implements it once and tells its timers apart by the argument,
 // so arming a timer stores two words and allocates nothing.
 type Target interface {
@@ -93,12 +93,6 @@ type Target interface {
 type deliveries Network
 
 func (*deliveries) Fire(uint64) { panic("netsim: delivery fired as a timer") }
-
-// funcTarget runs a closure timer. A func value is one pointer, so it sits
-// in the Target interface without an allocation of its own.
-type funcTarget func()
-
-func (f funcTarget) Fire(uint64) { f() }
 
 // NewClock returns a clock positioned at Epoch.
 func NewClock() *Clock {
@@ -129,14 +123,9 @@ func (t Timer) Stop() bool {
 	return true
 }
 
-// After schedules fn to run d after the current virtual time.
-func (c *Clock) After(d time.Duration, fn func()) Timer {
-	return c.AfterEvent(d, funcTarget(fn), 0)
-}
-
-// AfterEvent schedules t.Fire(arg) to run d after the current virtual time.
-// It shares After's same-instant order: timers fire in scheduling order,
-// whichever kind they are.
+// AfterEvent schedules t.Fire(arg) to run d after the current virtual time;
+// a negative d fires on the next step. Timers due at one instant fire in
+// scheduling order, whatever their targets.
 func (c *Clock) AfterEvent(d time.Duration, t Target, arg uint64) Timer {
 	if d < 0 {
 		d = 0
@@ -148,12 +137,8 @@ func (c *Clock) AfterEvent(d time.Duration, t Target, arg uint64) Timer {
 	return c.at(at, t, arg)
 }
 
-// At schedules fn at an absolute virtual time; times in the past fire on the
-// next step.
-func (c *Clock) At(t time.Time, fn func()) Timer {
-	return c.at(sinceEpoch(t), funcTarget(fn), 0)
-}
-
+// at schedules t.Fire(arg) at an absolute time (ns since Epoch); times in
+// the past fire on the next step.
 func (c *Clock) at(at int64, t Target, arg uint64) Timer {
 	idx, s := c.schedule(at, c.seq)
 	c.seq++

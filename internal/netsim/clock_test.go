@@ -9,9 +9,9 @@ import (
 func TestClockOrdering(t *testing.T) {
 	c := NewClock()
 	var order []int
-	c.After(2*time.Second, func() { order = append(order, 2) })
-	c.After(1*time.Second, func() { order = append(order, 1) })
-	c.After(3*time.Second, func() { order = append(order, 3) })
+	c.AfterEvent(2*time.Second, fn(func() { order = append(order, 2) }), 0)
+	c.AfterEvent(1*time.Second, fn(func() { order = append(order, 1) }), 0)
+	c.AfterEvent(3*time.Second, fn(func() { order = append(order, 3) }), 0)
 	c.Drain(0)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("order = %v", order)
@@ -26,7 +26,7 @@ func TestClockSameInstantFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		c.After(time.Second, func() { order = append(order, i) })
+		c.AfterEvent(time.Second, fn(func() { order = append(order, i) }), 0)
 	}
 	c.Drain(0)
 	for i, v := range order {
@@ -39,9 +39,9 @@ func TestClockSameInstantFIFO(t *testing.T) {
 func TestClockNestedScheduling(t *testing.T) {
 	c := NewClock()
 	fired := false
-	c.After(time.Second, func() {
-		c.After(time.Second, func() { fired = true })
-	})
+	c.AfterEvent(time.Second, fn(func() {
+		c.AfterEvent(time.Second, fn(func() { fired = true }), 0)
+	}), 0)
 	c.RunFor(1500 * time.Millisecond)
 	if fired {
 		t.Error("inner event fired too early")
@@ -66,7 +66,7 @@ func TestClockRunUntilAdvancesTime(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	c := NewClock()
 	fired := false
-	tm := c.After(time.Second, func() { fired = true })
+	tm := c.AfterEvent(time.Second, fn(func() { fired = true }), 0)
 	if !tm.Stop() {
 		t.Error("first Stop should report true")
 	}
@@ -86,7 +86,7 @@ func TestClockPastEventClamps(t *testing.T) {
 	c := NewClock()
 	c.RunUntil(Epoch.Add(time.Minute))
 	fired := false
-	c.At(Epoch, func() { fired = true }) // in the past
+	c.at(0, fn(func() { fired = true }), 0) // Epoch, in the past
 	c.Step()
 	if !fired {
 		t.Error("past event should fire immediately")
@@ -99,12 +99,12 @@ func TestClockPastEventClamps(t *testing.T) {
 func TestClockDrainLimit(t *testing.T) {
 	c := NewClock()
 	count := 0
-	var reschedule func()
+	var reschedule fn
 	reschedule = func() {
 		count++
-		c.After(time.Second, reschedule)
+		c.AfterEvent(time.Second, reschedule, 0)
 	}
-	c.After(time.Second, reschedule)
+	c.AfterEvent(time.Second, reschedule, 0)
 	if n := c.Drain(10); n != 10 {
 		t.Errorf("Drain ran %d events", n)
 	}
@@ -116,20 +116,26 @@ func TestClockDrainLimit(t *testing.T) {
 func TestNegativeAfterClamps(t *testing.T) {
 	c := NewClock()
 	fired := false
-	c.After(-time.Hour, func() { fired = true })
+	c.AfterEvent(-time.Hour, fn(func() { fired = true }), 0)
 	c.Step()
 	if !fired {
 		t.Error("negative delay should fire immediately")
 	}
 }
 
-// recorder is a typed timer target that logs its arguments.
+// fn is a closure as a timer target.
+type fn func()
+
+func (f fn) Fire(uint64) { f() }
+
+// recorder is a timer target that logs its arguments.
 type recorder struct{ args []uint64 }
 
 func (r *recorder) Fire(arg uint64) { r.args = append(r.args, arg) }
 
-// TestTypedAndClosureTimersShareOrder interleaves typed and closure timers
-// due at one instant: they fire in scheduling order, whatever their kind.
+// TestTypedAndClosureTimersShareOrder interleaves timers on a recorder and
+// on closures due at one instant: they fire in scheduling order, whatever
+// their target.
 func TestTypedAndClosureTimersShareOrder(t *testing.T) {
 	c := NewClock()
 	r := &recorder{}
@@ -137,7 +143,7 @@ func TestTypedAndClosureTimersShareOrder(t *testing.T) {
 		if i%2 == 0 {
 			c.AfterEvent(time.Second, r, i)
 		} else {
-			c.After(time.Second, func() { r.Fire(i) })
+			c.AfterEvent(time.Second, fn(func() { r.Fire(i) }), 0)
 		}
 	}
 	c.Drain(0)

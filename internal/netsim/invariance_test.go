@@ -12,6 +12,11 @@ import (
 	"github.com/reuseblock/reuseblock/internal/netsim"
 )
 
+// timerFunc is a closure as a timer target.
+type timerFunc func()
+
+func (f timerFunc) Fire(uint64) { f() }
+
 // invarianceRun is the outcome of one run of the invariance workload: one
 // delivery transcript per host plus the fabric and injector counters.
 type invarianceRun struct {
@@ -80,7 +85,7 @@ func runInvariance(t *testing.T, shards, workers int, jitter time.Duration, scn 
 
 	var id krpc.NodeID
 	nodes := []krpc.NodeInfo{{Addr: public[0].Addr, Port: 1}, {Addr: public[1].Addr, Port: 2}}
-	reply, err := krpc.NewFindNodeResponse([]byte("tx"), id, nodes, []byte("RB01")).Marshal()
+	reply, err := krpc.NewFindNodeResponse([]byte("tx"), id, nodes, []byte("RB01")).AppendMarshal(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,25 +95,26 @@ func runInvariance(t *testing.T, shards, workers int, jitter time.Duration, scn 
 		i, h := i, h
 		h.sock.SetHandler(func(from netsim.Endpoint, payload []byte) {
 			logs[i] = append(logs[i], fmt.Sprintf("%d %s %x", h.clock.Now().Sub(netsim.Epoch), from, payload))
-			if m, err := krpc.Unmarshal(payload); err == nil && m.Kind == krpc.KindQuery {
+			var m krpc.Message
+			if krpc.UnmarshalInto(payload, &m) == nil && m.Kind == krpc.KindQuery {
 				h.sock.Send(from, reply)
 			}
 		})
 		round := 0
-		var tick func()
+		var tick timerFunc
 		tick = func() {
 			round++
-			ping, err := krpc.NewPing(fmt.Appendf(nil, "%d.%d", i, round), id).Marshal()
+			ping, err := krpc.NewPing(fmt.Appendf(nil, "%d.%d", i, round), id).AppendMarshal(nil)
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			h.sock.Send(public[(i+round)%len(public)], ping)
 			if h.clock.Now().Sub(netsim.Epoch) < horizon {
-				h.clock.After(100*time.Millisecond, tick)
+				h.clock.AfterEvent(100*time.Millisecond, tick, 0)
 			}
 		}
-		h.clock.After(100*time.Millisecond, tick)
+		h.clock.AfterEvent(100*time.Millisecond, tick, 0)
 	}
 	// Two calls, so a run also crosses a RunFor boundary mid-traffic.
 	g.RunFor(horizon / 2)

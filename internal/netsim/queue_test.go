@@ -16,7 +16,7 @@ type modelEvent struct {
 	handle Timer
 }
 
-// TestClockMatchesModel drives random interleavings of At, After, Stop,
+// TestClockMatchesModel drives random interleavings of at, AfterEvent, Stop,
 // Step, Drain and RunUntil on a Clock and on a reference queue sorted by
 // (time, seq), and requires the same firing order, the same Stop verdicts
 // and the same Pending count after every operation. Every fourth event
@@ -73,17 +73,17 @@ func runClockModel(t *testing.T, seed int64, ops int) clockModelCoverage {
 		seq := len(model)
 		ev := &modelEvent{at: max(at, modelNow), seq: seq, state: 'p'}
 		model = append(model, ev)
-		fn := func() {
+		f := fn(func() {
 			fired = append(fired, [2]int64{int64(seq), c.now})
 			if seq%4 == 0 {
 				d := childDelay(seq)
 				schedule(c.now+int64(d), true, d)
 			}
-		}
+		})
 		if viaAfter {
-			ev.handle = c.After(d, fn)
+			ev.handle = c.AfterEvent(d, f, 0)
 		} else {
-			ev.handle = c.At(Epoch.Add(time.Duration(at)), fn)
+			ev.handle = c.at(at, f, 0)
 		}
 	}
 	// fireModel runs the model's earliest pending event, if any lies at or
@@ -129,10 +129,10 @@ func runClockModel(t *testing.T, seed int64, ops int) clockModelCoverage {
 	for step := 0; step < ops; step++ {
 		mark := len(fired)
 		switch op := rng.Intn(11); {
-		case op < 3: // At, possibly in the past or on an existing instant
+		case op < 3: // at, possibly in the past or on an existing instant
 			at := modelNow + int64(rng.Intn(5)-2)*int64(time.Second)
 			schedule(at, false, 0)
-		case op < 5: // After, possibly negative
+		case op < 5: // AfterEvent, possibly negative
 			d := time.Duration(rng.Intn(4)-1) * time.Second
 			schedule(modelNow+int64(max(d, 0)), true, d)
 		case op < 7 && len(model) > 0: // Stop any handle, live or not
@@ -239,14 +239,14 @@ func warmPair(tb testing.TB) (*Network, Socket, Endpoint) {
 // its payload, also when it leaves or enters through a NAT.
 func TestEventLoopAllocs(t *testing.T) {
 	c := NewClock()
-	fn := func() {}
-	c.After(time.Second, fn)
+	nop := fn(func() {})
+	c.AfterEvent(time.Second, nop, 0)
 	c.Step()
 	if got := testing.AllocsPerRun(100, func() {
-		c.After(time.Second, fn)
+		c.AfterEvent(time.Second, nop, 0)
 		c.Step()
 	}); got != 0 {
-		t.Errorf("warm After+Step: %v allocs, want 0", got)
+		t.Errorf("warm AfterEvent+Step: %v allocs, want 0", got)
 	}
 	n, src, to := warmPair(t)
 	payload := []byte("d1:rd2:id20:SSSSSSSSSSSSSSSSSSSSe1:t2:cc1:y1:re")
@@ -289,15 +289,15 @@ func TestEventLoopAllocs(t *testing.T) {
 
 func BenchmarkClockAfterStep(b *testing.B) {
 	c := NewClock()
-	fn := func() {}
+	nop := fn(func() {})
 	// A standing backlog keeps the heap as deep as a crawl's.
 	for i := 0; i < 4096; i++ {
-		c.After(time.Duration(i)*time.Hour, fn)
+		c.AfterEvent(time.Duration(i)*time.Hour, nop, 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.After(time.Millisecond, fn)
+		c.AfterEvent(time.Millisecond, nop, 0)
 		c.Step()
 	}
 }

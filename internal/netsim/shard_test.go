@@ -52,7 +52,7 @@ func TestShardGroupDeadAirJump(t *testing.T) {
 		t.Fatal(err)
 	}
 	fired := false
-	g.Shards()[1].Clock.After(23*time.Hour+time.Millisecond, func() { fired = true })
+	g.Shards()[1].Clock.AfterEvent(23*time.Hour+time.Millisecond, fn(func() { fired = true }), 0)
 	start := time.Now()
 	g.RunFor(24 * time.Hour)
 	if !fired {

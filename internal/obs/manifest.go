@@ -50,27 +50,14 @@ type Manifest struct {
 }
 
 // ServingStatus is a server's dataset lifecycle in the manifest: whether hot
-// reload is watching the input files, how many reloads have landed, and how
-// the last attempt fared. All wall-clock-grade (a serving process is not a
+// reload is watching the input files, and each dataset's reloads and how its
+// last attempt fared. All wall-clock-grade (a serving process is not a
 // deterministic study).
 type ServingStatus struct {
 	// Watching reports whether a file watcher is polling for new datasets.
 	Watching bool `json:"watching"`
-	// Reloads counts dataset swaps since startup (mirrors the
-	// wall_dataset_reloads_total counter).
-	Reloads int64 `json:"dataset_reloads"`
-	// LastReload is when the latest successful swap landed (zero when the
-	// startup dataset is still serving).
-	LastReload time.Time `json:"last_reload"`
-	// LastError is the most recent failed reload attempt's error; a later
-	// successful reload clears it.
-	LastError string `json:"last_reload_error,omitempty"`
-	// DatasetGenerated is the served dataset's build stamp.
-	DatasetGenerated time.Time `json:"dataset_generated"`
 	// Datasets carries one block per served dataset, default first; a
-	// single-file server has exactly one, named "default". The top-level
-	// fields above repeat the default dataset's, so readers that predate
-	// this array keep working.
+	// single-file server has exactly one, named "default".
 	Datasets []DatasetServingStatus `json:"datasets,omitempty"`
 }
 
