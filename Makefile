@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test ci bench bench-obs bench-serve bench-scale report fuzz clean verify-props coverage e2e e2e-smoke
+.PHONY: all build vet test ci bench report fuzz clean verify-props coverage e2e e2e-smoke
 
 all: build vet test
 
@@ -22,29 +22,10 @@ ci: build vet
 	$(GO) test -race -short ./...
 
 # Regenerates every paper table/figure into bench_artifacts/ (including the
-# deterministic metric snapshot metrics.txt), the worker-scaling curve in
-# BENCH_parallel.json, and the instrumentation-overhead curve in
-# BENCH_obs.json.
+# deterministic metric snapshot metrics.txt). Performance is measured by the
+# benchmark/ harness (benchmark/run.sh), not here.
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# Just the observability overhead: the BenchmarkStudyParallel-shaped study
-# with instrumentation off vs on, recorded to BENCH_obs.json.
-bench-obs:
-	$(GO) test -bench=BenchmarkStudyObs -benchmem -run='^$$' .
-
-# Serving-layer benchmarks: the compiled-snapshot reuseapi server against a
-# locked-map replica of the old design on /v1/check and /v1/list, plus batch
-# throughput, recorded to BENCH_serve.json.
-bench-serve:
-	$(GO) test -bench=BenchmarkServe -benchmem -run='^$$' .
-
-# Paper-scale footprint ratchet: sharded swarms at world scales 1, 10 and
-# 100, rows appended to BENCH_scale.json; fails if bytes/host at scale >= 10
-# is not 5x under the pre-refactor baseline. Set SCALE_BENCH_MAX=10 for a
-# quick local pass without the 950K-host world.
-bench-scale:
-	$(GO) test -bench=BenchmarkStudyScale -benchtime=1x -run='^$$' -timeout 50m .
 
 # Full default-scale study: every table and figure on stdout.
 report:
@@ -83,10 +64,8 @@ coverage:
 
 # End-to-end scenario suite: every scenario builds the cmd binaries and
 # boots blcrawl shards + pipeline + blserve as real processes over loopback,
-# asserting on the served API against the ground-truth oracles. The load-gen
-# scenario appends its latency record to the file E2E_BENCH_OUT names, and
-# writes nothing when it is unset, so a local run leaves the committed
-# BENCH_e2e.json alone. On failure, process logs land under E2E_LOG_DIR.
+# asserting on the served API against the ground-truth oracles. On failure,
+# process logs land under E2E_LOG_DIR.
 e2e:
 	$(GO) test -tags e2e -v -timeout 15m ./internal/e2e/
 

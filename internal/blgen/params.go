@@ -98,7 +98,7 @@ type Params struct {
 	Workers int
 }
 
-// DefaultParams returns the calibrated bench-scale world.
+// DefaultParams returns the calibrated default-scale (Scale 1) world.
 func DefaultParams(seed int64) Params {
 	return Params{
 		Seed:  seed,

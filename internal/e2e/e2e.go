@@ -17,8 +17,7 @@
 //     fault catalogue name plus a WorldSpec seed, with a -short smoke subset
 //     and shrink-on-failure reporting of the offending seed.
 //   - Load generation (loadgen.go): a concurrent driver for the zero-alloc
-//     /v1/check path recording p50/p99 latency and error count, appended
-//     to the bench history file E2E_BENCH_OUT names, when it is set.
+//     /v1/check path counting requests and errors.
 //
 // The scenario tests themselves live behind the `e2e` build tag (they build
 // binaries and fork processes); the helpers in this package are plain

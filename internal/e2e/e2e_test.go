@@ -1,11 +1,9 @@
 package e2e
 
 import (
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 	"time"
 
@@ -66,31 +64,6 @@ func TestMetricValue(t *testing.T) {
 	}
 }
 
-func TestPercentileMs(t *testing.T) {
-	var sorted []time.Duration
-	for i := 1; i <= 100; i++ {
-		sorted = append(sorted, time.Duration(i)*time.Millisecond)
-	}
-	for _, tc := range []struct {
-		p    float64
-		want float64
-	}{{0.50, 50}, {0.95, 95}, {0.99, 99}} {
-		if got := percentileMs(sorted, tc.p); got != tc.want {
-			t.Errorf("p%.0f = %v ms, want %v", tc.p*100, got, tc.want)
-		}
-	}
-	if got := percentileMs(nil, 0.5); got != 0 {
-		t.Errorf("empty sample p50 = %v, want 0", got)
-	}
-	one := []time.Duration{7 * time.Millisecond}
-	if got := percentileMs(one, 0.99); got != 7 {
-		t.Errorf("single-sample p99 = %v, want 7", got)
-	}
-	if got := percentileMs(sorted, 0.0001); got != 1 {
-		t.Errorf("tiny quantile must clamp to the first sample, got %v", got)
-	}
-}
-
 func TestMergeNATedShards(t *testing.T) {
 	dir := t.TempDir()
 	shard := func(name, content string) string {
@@ -129,41 +102,5 @@ func TestParseAddrLines(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("parsed %v, want %v", got, want)
 		}
-	}
-}
-
-func TestAppendBenchRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_e2e.json")
-	first := BenchRecord{Scenario: "check-load", When: "2026-08-07T00:00:00Z", Concurrency: 8,
-		LoadResult: LoadResult{Requests: 100, RPS: 50, P99Ms: 4}}
-	if err := AppendBenchRecord(path, first); err != nil {
-		t.Fatal(err)
-	}
-	second := first
-	second.When = "2026-08-07T01:00:00Z"
-	if err := AppendBenchRecord(path, second); err != nil {
-		t.Fatal(err)
-	}
-
-	var recs []BenchRecord
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &recs); err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("bench file holds %d records, want 2", len(recs))
-	}
-	if !reflect.DeepEqual(recs[0], first) || !reflect.DeepEqual(recs[1], second) {
-		t.Fatalf("bench file round-trip mismatch: %+v", recs)
-	}
-
-	if err := os.WriteFile(path, []byte("{not an array"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendBenchRecord(path, first); err == nil {
-		t.Fatal("AppendBenchRecord overwrote a malformed history")
 	}
 }

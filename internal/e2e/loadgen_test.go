@@ -3,9 +3,6 @@ package e2e
 import (
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,8 +10,7 @@ import (
 
 // TestLoadGenCountsRequestsAndErrors runs the check workload against a stub
 // that fails every request for one address: the result's request count
-// matches what the server saw, non-200 answers are errors, and latency
-// percentiles come from the successes.
+// matches what the server saw, and non-200 answers are errors.
 func TestLoadGenCountsRequestsAndErrors(t *testing.T) {
 	var seen, failed atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -45,9 +41,6 @@ func TestLoadGenCountsRequestsAndErrors(t *testing.T) {
 	}
 	if res.Errors != int(failed.Load()) || res.Errors == 0 || res.Errors == res.Requests {
 		t.Fatalf("errors = %d, server failed %d of %d", res.Errors, failed.Load(), res.Requests)
-	}
-	if res.RPS <= 0 || res.P50Ms <= 0 || res.P99Ms < res.P50Ms || res.MaxMs < res.P99Ms {
-		t.Fatalf("implausible rate or latency: %+v", res)
 	}
 }
 
@@ -91,20 +84,5 @@ func TestLoadGenValidation(t *testing.T) {
 		if _, err := lg.Run(); err == nil {
 			t.Errorf("%s: Run accepted an invalid config", name)
 		}
-	}
-}
-
-func TestAppendRecordRejectsCorruptHistory(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_e2e.json")
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err := AppendBenchRecord(path, BenchRecord{Scenario: "x"})
-	if err == nil || !strings.Contains(err.Error(), "not a bench-record array") {
-		t.Fatalf("append onto a corrupt history file: err = %v", err)
-	}
-	// The corrupt file must be left untouched for post-mortem, not clobbered.
-	if data, _ := os.ReadFile(path); string(data) != "not json" {
-		t.Fatalf("corrupt history was rewritten to %q", data)
 	}
 }

@@ -98,73 +98,91 @@ func TestVerdictEncodingMatchesJSON(t *testing.T) {
 // TestGoldenEndpointBytes re-renders every endpoint body the way the
 // pre-snapshot server did — per request, from the raw dataset — and requires
 // the compiled snapshot to serve identical bytes. The published artifact
-// must not change under the refactor.
+// must not change under the refactor. The segmented dataset is above both
+// layout thresholds (listSegMin addresses, prefixSegMin prefixes), so its
+// list and prefix bodies are assembled from per-top-byte gzip members.
 func TestGoldenEndpointBytes(t *testing.T) {
-	d := goldenDataset(1, 500, 80)
-	srv := NewServer(d)
-	ts := httptest.NewServer(handlerFor(t, srv))
-	defer ts.Close()
-
-	// Reference /v1/list: re-sort into a Set, WritePlain with the header.
-	var wantList bytes.Buffer
-	addrs := iputil.NewSet()
-	for a := range d.NATUsers {
-		addrs.Add(a)
-	}
-	_ = blocklist.WritePlain(&wantList, addrs,
-		fmt.Sprintf("NATed reused addresses, generated %s", d.Generated.UTC().Format(time.RFC3339)))
-
-	// Reference /v1/prefixes.
-	var wantPrefixes bytes.Buffer
-	fmt.Fprintf(&wantPrefixes, "# dynamic prefixes, generated %s\n", d.Generated.UTC().Format(time.RFC3339))
-	for _, p := range d.DynamicPrefixes.Sorted() {
-		fmt.Fprintln(&wantPrefixes, p)
-	}
-
-	// Reference /v1/stats.
-	st := Stats{NATedAddresses: len(d.NATUsers), DynamicPrefixes: d.DynamicPrefixes.Len(), Generated: d.Generated}
-	for _, u := range d.NATUsers {
-		if u > st.MaxUsers {
-			st.MaxUsers = u
-		}
-	}
-	var wantStats bytes.Buffer
-	_ = json.NewEncoder(&wantStats).Encode(st)
-
 	for _, tc := range []struct {
-		path string
-		want []byte
+		name      string
+		d         *Dataset
+		segmented bool
 	}{
-		{"/v1/list", wantList.Bytes()},
-		{"/v1/prefixes", wantPrefixes.Bytes()},
-		{"/v1/stats", wantStats.Bytes()},
+		{"small", goldenDataset(1, 500, 80), false},
+		{"segmented", goldenDataset(2, 20_000, 600), true},
 	} {
-		resp, err := http.Get(ts.URL + tc.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if !bytes.Equal(got, tc.want) {
-			t.Errorf("%s body diverged from the pre-snapshot rendering\ngot:  %q\nwant: %q",
-				tc.path, truncate(got), truncate(tc.want))
-		}
-	}
+		t.Run(tc.name, func(t *testing.T) {
+			d := tc.d
+			srv := NewServer(d)
+			snap := srv.Snapshot()
+			if segmented := len(snap.list.segs) > 2 && len(snap.prefixesB.segs) > 2; segmented != tc.segmented {
+				t.Fatalf("list/prefix bodies have %d/%d segments, want segmented=%v",
+					len(snap.list.segs), len(snap.prefixesB.segs), tc.segmented)
+			}
+			ts := httptest.NewServer(handlerFor(t, srv))
+			defer ts.Close()
 
-	// Reference /v1/check bodies for a spread of addresses.
-	rng := rand.New(rand.NewSource(3))
-	for _, addr := range sampleAddrs(d, rng, 200) {
-		resp, err := http.Get(ts.URL + "/v1/check?ip=" + addr.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		var wantBuf bytes.Buffer
-		_ = json.NewEncoder(&wantBuf).Encode(d.Verdict(addr))
-		if !bytes.Equal(got, wantBuf.Bytes()) {
-			t.Fatalf("/v1/check?ip=%v = %q, want %q", addr, got, wantBuf.Bytes())
-		}
+			// Reference /v1/list: re-sort into a Set, WritePlain with the header.
+			var wantList bytes.Buffer
+			addrs := iputil.NewSet()
+			for a := range d.NATUsers {
+				addrs.Add(a)
+			}
+			_ = blocklist.WritePlain(&wantList, addrs,
+				fmt.Sprintf("NATed reused addresses, generated %s", d.Generated.UTC().Format(time.RFC3339)))
+
+			// Reference /v1/prefixes.
+			var wantPrefixes bytes.Buffer
+			fmt.Fprintf(&wantPrefixes, "# dynamic prefixes, generated %s\n", d.Generated.UTC().Format(time.RFC3339))
+			for _, p := range d.DynamicPrefixes.Sorted() {
+				fmt.Fprintln(&wantPrefixes, p)
+			}
+
+			// Reference /v1/stats.
+			st := Stats{NATedAddresses: len(d.NATUsers), DynamicPrefixes: d.DynamicPrefixes.Len(), Generated: d.Generated}
+			for _, u := range d.NATUsers {
+				if u > st.MaxUsers {
+					st.MaxUsers = u
+				}
+			}
+			var wantStats bytes.Buffer
+			_ = json.NewEncoder(&wantStats).Encode(st)
+
+			for _, ep := range []struct {
+				path string
+				want []byte
+			}{
+				{"/v1/list", wantList.Bytes()},
+				{"/v1/prefixes", wantPrefixes.Bytes()},
+				{"/v1/stats", wantStats.Bytes()},
+			} {
+				resp, err := http.Get(ts.URL + ep.path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if !bytes.Equal(got, ep.want) {
+					t.Errorf("%s body diverged from the pre-snapshot rendering\ngot:  %q\nwant: %q",
+						ep.path, truncate(got), truncate(ep.want))
+				}
+			}
+
+			// Reference /v1/check bodies for a spread of addresses.
+			rng := rand.New(rand.NewSource(3))
+			for _, addr := range sampleAddrs(d, rng, 200) {
+				resp, err := http.Get(ts.URL + "/v1/check?ip=" + addr.String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				var wantBuf bytes.Buffer
+				_ = json.NewEncoder(&wantBuf).Encode(d.Verdict(addr))
+				if !bytes.Equal(got, wantBuf.Bytes()) {
+					t.Fatalf("/v1/check?ip=%v = %q, want %q", addr, got, wantBuf.Bytes())
+				}
+			}
+		})
 	}
 }
 
