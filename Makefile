@@ -63,7 +63,7 @@ coverage:
 	./scripts/coverage_ratchet.sh
 
 # End-to-end scenario suite: every scenario builds the cmd binaries and
-# boots blcrawl shards + pipeline + blserve as real processes over loopback,
+# boots blcrawl + pipeline + blserve as real processes over loopback,
 # asserting on the served API against the ground-truth oracles. On failure,
 # process logs land under E2E_LOG_DIR.
 e2e:

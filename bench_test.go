@@ -257,21 +257,3 @@ func BenchmarkSection5TopListConcentration(b *testing.B) {
 		r.TopNATedFeeds, r.TopDynamicFeeds)
 	writeArtifact(b, "section5.txt", content)
 }
-
-// BenchmarkFullStudy measures a complete end-to-end run at reduced scale —
-// the cost of reproducing the entire paper once.
-func BenchmarkFullStudy(b *testing.B) {
-	wp := blgen.DefaultParams(1)
-	wp.Scale = 0.1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := core.NewStudy(core.Config{
-			Seed:          1,
-			World:         &wp,
-			CrawlDuration: 12 * time.Hour,
-		})
-		if _, err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

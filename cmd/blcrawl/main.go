@@ -8,21 +8,14 @@
 // With -replay it instead reproduces NAT determination offline from a
 // message log that an earlier crawl wrote with -log.
 //
-// -shard I/N (1-based, 1 <= I <= N) restricts this instance's probing scope
-// to the I-th of N address shards; the world itself is regenerated
-// identically from the seed. Each shard's -out file holds only addresses of
-// its shard (plus, possibly, the bootstrap address, which every shard may
-// probe), in the crawl observation format. The union of the N files is not
-// a full-world dataset: each shard's crawler walks the DHT only through its
-// own addresses, so it learns fewer neighbours and confirms fewer NATs (at
-// scale 10, the union of a 2-shard split holds 11% fewer NATed addresses
-// than one whole crawl). A malformed or out-of-range -shard is a usage error
-// (exit 2). -replay runs no simulated crawl, so combining it with -shard or
-// -faults is a usage error too.
+// The crawl covers the world's whole blocklisted space from one vantage, as
+// the paper's does; -out writes the detected addresses in the crawl
+// observation format. -replay runs no simulated crawl, so combining it with
+// -faults is a usage error (exit 2).
 //
 // Usage:
 //
-//	blcrawl [-seed N] [-scale F] [-duration DUR] [-loss F] [-faults SCENARIO] [-shard I/N] [-out FILE] [-log FILE]
+//	blcrawl [-seed N] [-scale F] [-duration DUR] [-loss F] [-faults SCENARIO] [-out FILE] [-log FILE]
 //	blcrawl -replay crawl.log [-window DUR]
 package main
 
@@ -64,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		replay   = fs.String("replay", "", "post-process an existing message log instead of crawling")
 		window   = fs.Duration("window", 30*time.Second, "ping-window for -replay scoring")
 		faultScn = fs.String("faults", "", "fault scenario to inject (simulated mode; one of: "+strings.Join(faults.Names(), ", ")+")")
-		shard    = fs.String("shard", "", "crawl only the I-th of N address shards, as I/N with 1 <= I <= N (simulated mode)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -73,42 +65,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	usageErr := func(err error) int {
-		// A wrong shard scope is a usage error, not a runtime failure: treat
-		// it like any other bad flag value (exit 2 with usage) so a launcher
-		// fails loudly instead of crawling a hole into the dataset.
-		fmt.Fprintln(stderr, "blcrawl:", err)
+	if *replay != "" && *faultScn != "" {
+		// -replay runs no simulated crawl, so a fault scenario given with
+		// it would be silently dropped: a usage error, like a bad flag.
+		fmt.Fprintln(stderr, "blcrawl: invalid -faults with -replay: a fault scenario applies only to the simulated crawl")
 		fs.Usage()
 		return 2
-	}
-	if *replay != "" {
-		// -replay runs no simulated crawl, so a shard or fault scenario
-		// given with it would be silently dropped.
-		var bad string
-		fs.Visit(func(f *flag.Flag) {
-			if bad == "" && simulatedOnly[f.Name] {
-				bad = f.Name
-			}
-		})
-		if bad != "" {
-			return usageErr(fmt.Errorf("invalid -%s with -replay: shard and fault flags apply only to the simulated crawl", bad))
-		}
 	}
 	scenario, err := faults.Lookup(*faultScn)
 	if err != nil {
 		fmt.Fprintln(stderr, "blcrawl:", err)
 		return 1
 	}
-	sh, err := parseShard(*shard)
-	if err != nil {
-		return usageErr(err)
-	}
 	if *replay != "" {
 		err = runReplay(*replay, *window, stdout)
 	} else {
 		err = runSimulated(simJob{
 			seed: *seed, scale: *scale, duration: *duration, loss: *loss,
-			scenario: scenario, shard: sh, out: *out, msgLog: *msgLog,
+			scenario: scenario, out: *out, msgLog: *msgLog,
 		}, stdout, stderr)
 	}
 	if err != nil {
@@ -117,9 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	return 0
 }
-
-// simulatedOnly names the flags that configure only the simulated crawl.
-var simulatedOnly = map[string]bool{"shard": true, "faults": true}
 
 // runReplay reproduces NAT determination offline from a message log — the
 // paper's post-processing step.
@@ -149,7 +120,6 @@ type simJob struct {
 	duration time.Duration
 	loss     float64
 	scenario *faults.Scenario
-	shard    shardSpec
 	out      string // detected-address file; "" writes none
 	msgLog   string // crawler message log; "" writes none
 }
@@ -192,12 +162,7 @@ func runSimulated(job simJob, stdout, stderr io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	cover := scope.Covers
-	if !job.shard.whole() {
-		cover = job.shard.scope(scope.Covers, swarm.Bootstrap.Addr)
-		fmt.Fprintf(stderr, "crawling shard %s of the address space\n", job.shard)
-	}
-	c, err := swarm.StartCrawler(0, crawler.Config{Scope: cover, Seed: job.seed, EventLog: eventLog})
+	c, err := swarm.StartCrawler(0, crawler.Config{Scope: scope.Covers, Seed: job.seed, EventLog: eventLog})
 	if err != nil {
 		return err
 	}

@@ -8,18 +8,16 @@ import (
 	"testing"
 
 	"github.com/reuseblock/reuseblock/internal/blocklist"
-	"github.com/reuseblock/reuseblock/internal/iputil"
 )
 
-// TestRunSimulatedOnlyFlags: -replay runs no simulated crawl, so a shard or
-// fault scenario given with it would be silently dropped; instead it exits
-// 2 and prints both the offending flag and the usage text.
+// TestRunSimulatedOnlyFlags: -replay runs no simulated crawl, so a fault
+// scenario given with it would be silently dropped; instead it exits 2 and
+// prints both the offending flag and the usage text.
 func TestRunSimulatedOnlyFlags(t *testing.T) {
 	cases := []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-replay", "crawl.log", "-shard", "1/2"}, "invalid -shard with -replay"},
 		{[]string{"-replay", "crawl.log", "-faults", "bursty"}, "invalid -faults with -replay"},
 	}
 	for _, c := range cases {
@@ -37,115 +35,34 @@ func TestRunSimulatedOnlyFlags(t *testing.T) {
 	}
 }
 
-// TestRunBadShard pins the usage-error contract: any rejected -shard exits
-// 2 (like other flag errors) and prints both the offending value and the
-// usage text, so a launcher's log explains itself.
-func TestRunBadShard(t *testing.T) {
-	for _, bad := range []string{"3/2", "0/2", "x/y", "1/0", "2"} {
-		var out, errb bytes.Buffer
-		if code := run([]string{"-shard", bad}, &out, &errb); code != 2 {
-			t.Errorf("-shard %s exited %d, want 2", bad, code)
-		}
-		if !strings.Contains(errb.String(), "invalid -shard") {
-			t.Errorf("-shard %s did not report the bad value:\n%s", bad, errb.String())
-		}
-		if !strings.Contains(errb.String(), "Usage of blcrawl") {
-			t.Errorf("-shard %s did not print usage:\n%s", bad, errb.String())
-		}
-	}
-}
-
-// TestShardOutputsRespectPartition runs the same seeded world once whole
-// and once split across two shards. Every file must parse in the list
-// format the pipeline serves from, with user lower bounds of at least 2,
-// and every address a shard detects must belong to that shard, the
-// bootstrap address excepted. It asserts nothing about the union of the
-// shards against the whole crawl: a shard walks the DHT only through its
-// own addresses and finds fewer NATs.
-func TestShardOutputsRespectPartition(t *testing.T) {
+// TestRunOutParsesAsNATedList runs one whole crawl of a seeded world. Its
+// -out file must parse in the list format the pipeline serves from, with
+// user lower bounds of at least 2.
+func TestRunOutParsesAsNATedList(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated crawl")
 	}
-	dir := t.TempDir()
-	crawl := func(name string, extra ...string) map[iputil.Addr]int {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		args := append([]string{
-			"-seed", "7", "-scale", "0.05", "-duration", "6h", "-out", path,
-		}, extra...)
-		var out, errb bytes.Buffer
-		if code := run(args, &out, &errb); code != 0 {
-			t.Fatalf("crawl %s exited %d\nstderr: %s", name, code, errb.String())
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		users, err := blocklist.ParseNATedList(f)
-		if err != nil {
-			t.Fatalf("shard output %s does not round-trip: %v", name, err)
-		}
-		return users
+	path := filepath.Join(t.TempDir(), "nated.txt")
+	var out, errb bytes.Buffer
+	if code := run([]string{"-seed", "7", "-scale", "0.05", "-duration", "6h", "-out", path}, &out, &errb); code != 0 {
+		t.Fatalf("crawl exited %d\nstderr: %s", code, errb.String())
 	}
-
-	full := crawl("full.txt")
-	shard0 := crawl("s0.txt", "-shard", "1/2")
-	shard1 := crawl("s1.txt", "-shard", "2/2")
-
-	if len(full) == 0 {
-		t.Fatal("unsharded crawl detected nothing; scenario operating point is broken")
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, list := range []map[iputil.Addr]int{full, shard0, shard1} {
-		for addr, users := range list {
-			if users < 2 {
-				t.Errorf("%s written with users=%d; the list format floors at 2", addr, users)
-			}
+	defer f.Close()
+	users, err := blocklist.ParseNATedList(f)
+	if err != nil {
+		t.Fatalf("crawl output does not round-trip: %v", err)
+	}
+	if len(users) == 0 {
+		t.Fatal("crawl detected nothing; scenario operating point is broken")
+	}
+	for addr, n := range users {
+		if n < 2 {
+			t.Errorf("%s written with users=%d; the list format floors at 2", addr, n)
 		}
-	}
-	// Every shard detection must respect the shard split — except the
-	// bootstrap address, which stays in every shard's scope so the crawl
-	// can take its first step.
-	for i, shard := range []map[iputil.Addr]int{shard0, shard1} {
-		for addr := range shard {
-			if _, inOther := []map[iputil.Addr]int{shard1, shard0}[i][addr]; inOther {
-				continue // bootstrap carve-out: in both shards by design
-			}
-			if got := int(uint32(addr) % 2); got != i {
-				t.Errorf("shard %d detected %s which hashes to shard %d", i, addr, got)
-			}
-		}
-	}
-}
-
-// TestRunShardOneOfOneMatchesWhole: -shard 1/1 is the whole scope, so it
-// writes the same -out bytes and the same counter lines as a run without
-// -shard.
-func TestRunShardOneOfOneMatchesWhole(t *testing.T) {
-	dir := t.TempDir()
-	crawl := func(name string, extra ...string) ([]byte, string) {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		args := append([]string{"-seed", "1", "-scale", "0.05", "-duration", "2h", "-out", path}, extra...)
-		var out, errb bytes.Buffer
-		if code := run(args, &out, &errb); code != 0 {
-			t.Fatalf("crawl %v exited %d\nstderr: %s", extra, code, errb.String())
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The first line reports wall time; the rest are counters.
-		_, counters, _ := strings.Cut(out.String(), "\n")
-		return data, counters
-	}
-	whole, wholeOut := crawl("whole.txt")
-	one, oneOut := crawl("one.txt", "-shard", "1/1")
-	if len(whole) == 0 || !bytes.Equal(whole, one) {
-		t.Fatalf("-shard 1/1 output differs from the whole crawl:\nwhole:\n%s\n1/1:\n%s", whole, one)
-	}
-	if !strings.Contains(wholeOut, "NATed IPs:") || wholeOut != oneOut {
-		t.Fatalf("-shard 1/1 counters differ from the whole crawl:\nwhole:\n%s\n1/1:\n%s", wholeOut, oneOut)
 	}
 }
 

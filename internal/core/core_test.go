@@ -251,7 +251,7 @@ func TestChurnDisabled(t *testing.T) {
 // GC with the world kept live. Each node's generator sits inside the node,
 // so the arena slot, the routing table and the socket are what is left.
 func TestSwarmFootprint(t *testing.T) {
-	const maxBytesPerHost = 1250 // reads 1,140
+	const maxBytesPerHost = 1250 // reads 1,122
 	wp := blgen.DefaultParams(1)
 	wp.Scale = 1
 	w := blgen.Generate(wp)

@@ -107,18 +107,24 @@ func (s *Swarm) StartCrawler(v int, cfg crawler.Config) (*crawler.Crawler, error
 	return c, nil
 }
 
+// The swarm's fixed fabric and node timings.
+const (
+	// latencyBase and latencyJitter shape the simulated fabric's one-way
+	// delay.
+	latencyBase   = 20 * time.Millisecond
+	latencyJitter = 60 * time.Millisecond
+	// meshDegree is how many random neighbours seed each node's table.
+	meshDegree = 8
+	// natMappingTTL and natKeepalive govern NATed nodes' reachability;
+	// keepalives refresh mappings, at simulation cost.
+	natMappingTTL = time.Hour
+	natKeepalive  = 20 * time.Minute
+)
+
 // SwarmConfig tunes swarm instantiation.
 type SwarmConfig struct {
-	// Loss, LatencyBase and LatencyJitter shape the simulated fabric.
-	Loss          float64
-	LatencyBase   time.Duration
-	LatencyJitter time.Duration
-	// MeshDegree is how many random neighbours seed each node's table.
-	MeshDegree int
-	// NATMappingTTL and NATKeepalive govern NATed nodes' reachability;
-	// keepalives refresh mappings, at simulation cost.
-	NATMappingTTL time.Duration
-	NATKeepalive  time.Duration
+	// Loss is the simulated fabric's datagram loss rate.
+	Loss float64
 	// RestartsPerDay is each public user's daily client-restart rate: a
 	// restarted client rebinds on a new port with a regenerated node ID,
 	// producing exactly the multi-port-one-user confound the paper's
@@ -150,21 +156,6 @@ type SwarmConfig struct {
 }
 
 func (c *SwarmConfig) applyDefaults() {
-	if c.LatencyBase <= 0 {
-		c.LatencyBase = 20 * time.Millisecond
-	}
-	if c.LatencyJitter <= 0 {
-		c.LatencyJitter = 60 * time.Millisecond
-	}
-	if c.MeshDegree <= 0 {
-		c.MeshDegree = 8
-	}
-	if c.NATMappingTTL <= 0 {
-		c.NATMappingTTL = time.Hour
-	}
-	if c.NATKeepalive <= 0 {
-		c.NATKeepalive = 20 * time.Minute
-	}
 	if c.Shards <= 0 {
 		c.Shards = max(c.ShardWorkers, 1)
 	}
@@ -178,8 +169,8 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 	cfg.applyDefaults()
 	netCfg := netsim.Config{
 		Loss:          cfg.Loss,
-		LatencyBase:   cfg.LatencyBase,
-		LatencyJitter: cfg.LatencyJitter,
+		LatencyBase:   latencyBase,
+		LatencyJitter: latencyJitter,
 		Seed:          cfg.Seed ^ 0x4e455453, // "NETS"
 	}
 	inj, err := faults.NewInjector(cfg.Faults, cfg.Seed^0x464c5453) // "FLTS"
@@ -218,7 +209,7 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 				nat, err = netsim.NewNAT(s.Group.ShardFor(u.PublicAddr).Net, netsim.NATConfig{
 					PublicAddr: u.PublicAddr,
 					Filtering:  filtering,
-					MappingTTL: cfg.NATMappingTTL,
+					MappingTTL: natMappingTTL,
 				})
 				if err != nil {
 					return nil, fmt.Errorf("core: NAT at %s: %w", u.PublicAddr, err)
@@ -239,7 +230,7 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 			Version:   "RB01",
 		}
 		if u.BehindNAT {
-			nodeCfg.KeepaliveInterval = cfg.NATKeepalive
+			nodeCfg.KeepaliveInterval = natKeepalive
 		}
 		// Hash-selected byzantine users fabricate find_node neighbours;
 		// the selection is a pure function of (seed, user ID), so it is
@@ -253,7 +244,7 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 		s.Endpoints = append(s.Endpoints, netsim.Endpoint{Addr: u.PublicAddr, Port: u.Port})
 	}
 
-	// Mesh: every node learns MeshDegree random public users, so crawls
+	// Mesh: every node learns meshDegree random public users, so crawls
 	// can reach the entire swarm from any entry point. NATed users'
 	// entries enter tables organically once their mappings open.
 	publicIdx := make([]int, 0, len(w.BTUsers))
@@ -273,7 +264,7 @@ func BuildSwarm(w *blgen.World, cfg SwarmConfig, inScope func(iputil.Addr) bool)
 		publicInfo[k] = infoOf(s.Nodes[j], s.Endpoints[j])
 	}
 	for _, node := range s.Nodes {
-		for d := 0; d < cfg.MeshDegree; d++ {
+		for d := 0; d < meshDegree; d++ {
 			node.AddNode(publicInfo[rng.Intn(len(publicInfo))])
 		}
 	}

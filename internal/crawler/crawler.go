@@ -29,6 +29,17 @@ import (
 	"github.com/reuseblock/reuseblock/internal/obs"
 )
 
+// The crawl's fixed timings.
+const (
+	// pingInterval is the period of bt_ping verification rounds (paper:
+	// hourly).
+	pingInterval = time.Hour
+	// pingWindow is how long a round waits before scoring replies.
+	pingWindow = 30 * time.Second
+	// tick is the pump granularity: BatchPerTick messages go out per tick.
+	tick = time.Second
+)
+
 // Config tunes the crawler.
 type Config struct {
 	// ID is the crawler's DHT identity; zero derives one from Seed.
@@ -40,17 +51,11 @@ type Config struct {
 	Scope func(iputil.Addr) bool
 	// Cooldown is the per-IP recontact interval (paper: 20 minutes).
 	Cooldown time.Duration
-	// PingInterval is the period of bt_ping verification rounds (paper:
-	// hourly).
-	PingInterval time.Duration
-	// PingWindow is how long a round waits before scoring replies.
-	PingWindow time.Duration
 	// SweepInterval is the period of discovery sweeps re-querying known
 	// endpoints for new neighbours.
 	SweepInterval time.Duration
-	// Tick is the pump granularity; BatchPerTick messages are issued per
-	// tick so the crawler is rate-limited as the paper describes.
-	Tick         time.Duration
+	// BatchPerTick messages are issued per tick so the crawler is
+	// rate-limited as the paper describes.
 	BatchPerTick int
 	// QueryTimeout bounds response waits.
 	QueryTimeout time.Duration
@@ -89,17 +94,8 @@ func (c *Config) applyDefaults() {
 	if c.Cooldown <= 0 {
 		c.Cooldown = 20 * time.Minute
 	}
-	if c.PingInterval <= 0 {
-		c.PingInterval = time.Hour
-	}
-	if c.PingWindow <= 0 {
-		c.PingWindow = 30 * time.Second
-	}
 	if c.SweepInterval <= 0 {
 		c.SweepInterval = time.Hour
-	}
-	if c.Tick <= 0 {
-		c.Tick = time.Second
 	}
 	if c.BatchPerTick <= 0 {
 		c.BatchPerTick = 256
@@ -439,7 +435,7 @@ func (c *Crawler) enqueue(s uint32) {
 }
 
 func (c *Crawler) scheduleTick() {
-	c.tickTimer = c.clock.AfterEvent(c.cfg.Tick, (*crawlerTimers)(c), evTick)
+	c.tickTimer = c.clock.AfterEvent(tick, (*crawlerTimers)(c), evTick)
 }
 
 func (c *Crawler) scheduleSweep() {
@@ -447,7 +443,7 @@ func (c *Crawler) scheduleSweep() {
 }
 
 func (c *Crawler) schedulePingRound() {
-	c.pingTimer = c.clock.AfterEvent(c.cfg.PingInterval, (*crawlerTimers)(c), evPingRound)
+	c.pingTimer = c.clock.AfterEvent(pingInterval, (*crawlerTimers)(c), evPingRound)
 }
 
 // pump issues up to BatchPerTick get_nodes messages from the front of the
@@ -506,7 +502,7 @@ func (c *Crawler) sweep() {
 }
 
 // pingRound sends bt_ping to every discovered port of every multi-port IP
-// and scores replies after PingWindow.
+// and scores replies after pingWindow.
 func (c *Crawler) pingRound() {
 	c.stats.PingRoundsRun++
 	sp := c.cfg.Trace.Child(fmt.Sprintf("ping round %04d", c.stats.PingRoundsRun))
@@ -534,9 +530,7 @@ func (c *Crawler) pingRound() {
 	if n == 0 {
 		return
 	}
-	// A window longer than PingInterval outlives its handle; the running
-	// check keeps such a window from scoring after Stop.
-	c.windowTimer = c.clock.AfterEvent(c.cfg.PingWindow, (*crawlerTimers)(c), uint64(n)<<timerKindBits|evPingWindow)
+	c.windowTimer = c.clock.AfterEvent(pingWindow, (*crawlerTimers)(c), uint64(n)<<timerKindBits|evPingWindow)
 }
 
 // closeWindow scores the oldest pending round, whose n candidates head

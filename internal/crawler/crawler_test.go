@@ -132,10 +132,7 @@ func (s *swarm) newCrawler(t *testing.T, cfg Config) *Crawler {
 func fastConfig() Config {
 	return Config{
 		Cooldown:      20 * time.Minute,
-		PingInterval:  time.Hour,
-		PingWindow:    30 * time.Second,
 		SweepInterval: time.Hour,
-		Tick:          time.Second,
 		BatchPerTick:  512,
 		QueryTimeout:  5 * time.Second,
 	}

@@ -122,7 +122,7 @@ func TestOnlineOfflineAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offline := Replay(events, cfg.PingWindow)
+	offline := Replay(events, pingWindow)
 
 	onlineSet := map[iputil.Addr]int{}
 	for _, o := range online {

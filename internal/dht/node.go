@@ -19,6 +19,14 @@ import (
 	"github.com/reuseblock/reuseblock/internal/netsim"
 )
 
+const (
+	// queryTimeout bounds how long an issued query waits for a response.
+	queryTimeout = 2 * time.Second
+	// tableStaleAfter is how long a routing-table entry may go unseen
+	// before a newcomer may replace it.
+	tableStaleAfter = 15 * time.Minute
+)
+
 // Config tunes a DHT node.
 type Config struct {
 	// ID is the node's identity; zero means "derive from IDSeed".
@@ -32,14 +40,10 @@ type Config struct {
 	PrivateIP iputil.Addr
 	// Version is the client version string placed in responses ("v" key).
 	Version string
-	// QueryTimeout bounds how long an issued query waits for a response.
-	QueryTimeout time.Duration
 	// KeepaliveInterval is how often the node pings a random routing-table
 	// entry. Besides table maintenance, this outbound traffic is what
 	// keeps a NAT mapping alive. Zero disables keepalives.
 	KeepaliveInterval time.Duration
-	// TableStaleAfter configures routing-table eviction.
-	TableStaleAfter time.Duration
 	// Seed is the initial state of the node's private splitmix64
 	// generator (transaction IDs, keepalive targets, byzantine fabrication).
 	Seed int64
@@ -179,9 +183,6 @@ func NewNode(sock netsim.Socket, clock *netsim.Clock, cfg Config) *Node {
 }
 
 func newNode(alloc func() *Node, sock netsim.Socket, clock *netsim.Clock, cfg Config) *Node {
-	if cfg.QueryTimeout <= 0 {
-		cfg.QueryTimeout = 2 * time.Second
-	}
 	id := cfg.ID
 	if id == (krpc.NodeID{}) {
 		id = krpc.GenerateNodeID(cfg.PrivateIP, cfg.IDSeed)
@@ -194,7 +195,7 @@ func newNode(alloc func() *Node, sock netsim.Socket, clock *netsim.Clock, cfg Co
 		clock: clock,
 		rng:   splitmix{state: uint64(cfg.Seed)},
 	}
-	n.table.init(id, cfg.TableStaleAfter)
+	n.table.init(id, tableStaleAfter)
 	sock.SetHandler(n.handle)
 	if cfg.KeepaliveInterval > 0 {
 		n.scheduleKeepalive()
@@ -275,7 +276,7 @@ func (n *Node) Close() {
 	n.sock.Close()
 }
 
-// Ping sends a ping query to to. A reply within QueryTimeout adds the
+// Ping sends a ping query to to. A reply within queryTimeout adds the
 // responder to the routing table; otherwise the query counts as a timeout.
 func (n *Node) Ping(to netsim.Endpoint) {
 	tx := n.newTx()
@@ -283,7 +284,7 @@ func (n *Node) Ping(to netsim.Endpoint) {
 		return
 	}
 	v := binary.BigEndian.Uint32(tx[:])
-	timeout := n.clock.AfterEvent(n.cfg.QueryTimeout, (*nodeTimers)(n), uint64(v))
+	timeout := n.clock.AfterEvent(queryTimeout, (*nodeTimers)(n), uint64(v))
 	n.pending.add(pendingQuery{tx: v, timeout: timeout})
 	n.stats.QueriesSent++
 }

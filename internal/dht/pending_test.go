@@ -172,7 +172,7 @@ func TestNewTxSkipsInFlightID(t *testing.T) {
 	taken := next.Uint32()
 	a.pending.add(pendingQuery{
 		tx:      taken,
-		timeout: a.clock.AfterEvent(a.cfg.QueryTimeout, (*nodeTimers)(a), uint64(taken)),
+		timeout: a.clock.AfterEvent(queryTimeout, (*nodeTimers)(a), uint64(taken)),
 	})
 	a.Ping(peer.endpoint())
 	w.clock.RunFor(100 * time.Millisecond)

@@ -51,9 +51,6 @@ func newRoutingTable(self krpc.NodeID, staleAfter time.Duration) *routingTable {
 
 // init prepares an embedded (by-value) table in place.
 func (rt *routingTable) init(self krpc.NodeID, staleAfter time.Duration) {
-	if staleAfter <= 0 {
-		staleAfter = 15 * time.Minute
-	}
 	rt.self, rt.staleAfter = self, staleAfter
 }
 

@@ -1,6 +1,6 @@
 // Package e2e is the multi-process scenario harness: it boots the paper's
-// pipeline as real OS processes over loopback — one blcrawl process per
-// address shard, the blgen/bldetect dataset steps, and a blserve instance — and drives
+// pipeline as real OS processes over loopback — one blcrawl process, the
+// blgen/bldetect dataset steps, and a blserve instance — and drives
 // assertions against the *served* HTTP API, cross-checked against the
 // testkit ground-truth oracles. It is the integration layer the unit-level
 // property suite cannot cover: a fault scenario is asserted all the way from
@@ -10,8 +10,8 @@
 //
 //   - Process lifecycle (proc.go): spawn, captured stdout/stderr, readiness
 //     polling, graceful drain, log dumps on failure.
-//   - Stack assembly (stack.go): one BootStack call runs crawlers → merge →
-//     bldetect → blserve and hands back a live base URL plus the in-process
+//   - Stack assembly (stack.go): one BootStack call runs blcrawl → bldetect
+//     → blserve and hands back a live base URL plus the in-process
 //     ground-truth world for oracle checks.
 //   - Scenarios (suite.go): a hivesim-style Suite of named scenarios, each a
 //     fault catalogue name plus a WorldSpec seed, with a -short smoke subset

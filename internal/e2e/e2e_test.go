@@ -2,12 +2,8 @@ package e2e
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
-
-	"github.com/reuseblock/reuseblock/internal/iputil"
 )
 
 func TestWaitFor(t *testing.T) {
@@ -61,33 +57,6 @@ func TestMetricValue(t *testing.T) {
 	}
 	if _, ok := MetricValue(metrics, "wall_absent_total"); ok {
 		t.Fatal("MetricValue found an absent metric")
-	}
-}
-
-func TestMergeNATedShards(t *testing.T) {
-	dir := t.TempDir()
-	shard := func(name, content string) string {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	a := shard("a.txt", "# shard a\n1.2.3.4\t5\n9.9.9.9\t2\n")
-	b := shard("b.txt", "# shard b\n1.2.3.4\t11\n8.8.4.4\t3\n")
-
-	merged, err := MergeNATedShards([]string{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]int{"1.2.3.4": 11, "9.9.9.9": 2, "8.8.4.4": 3}
-	if len(merged) != len(want) {
-		t.Fatalf("merged %d addresses, want %d", len(merged), len(want))
-	}
-	for ip, users := range want {
-		if got := merged[iputil.MustParseAddr(ip)]; got != users {
-			t.Errorf("%s merged to %d users, want max %d", ip, got, users)
-		}
 	}
 }
 

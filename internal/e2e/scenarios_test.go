@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/reuseblock/reuseblock/internal/core"
+	"github.com/reuseblock/reuseblock/internal/crawler"
 	"github.com/reuseblock/reuseblock/internal/iputil"
 	"github.com/reuseblock/reuseblock/internal/obs"
 )
@@ -29,27 +31,25 @@ func TestMain(m *testing.M) {
 }
 
 // TestE2EScenarios is the scenario suite: every entry boots the full
-// pipeline as processes — one blcrawl per address shard, blgen/bldetect
-// dataset steps, blserve — and asserts on the served API, cross-checked
-// against the regenerated ground-truth world.
+// pipeline as processes — one whole blcrawl crawl, blgen/bldetect dataset
+// steps, blserve — and asserts on the served API, cross-checked against the
+// regenerated ground-truth world.
 func TestE2EScenarios(t *testing.T) {
 	var su Suite
 
 	su.Add(Scenario{
 		Name:        "baseline",
 		CrawlHours:  12,
-		Description: "fault-free two-shard crawl; served verdicts must match ground truth",
+		Description: "fault-free crawl; served verdicts must match ground truth and the served list the in-process crawl",
 		Seed:        42,
-		Crawlers:    2,
 		Smoke:       true,
-		Run:         checkHealthyStack(""),
+		Run:         runBaseline,
 	})
 	su.Add(Scenario{
 		Name:        "bursty-loss",
 		CrawlHours:  12,
 		Description: "crawl under bursty datagram loss; precision must survive end to end",
 		Seed:        43,
-		Crawlers:    2,
 		Faults:      "bursty",
 		Run:         checkHealthyStack("bursty"),
 	})
@@ -59,17 +59,15 @@ func TestE2EScenarios(t *testing.T) {
 		Description: "crawl through a total connectivity blackout window",
 		// Seed chosen so the tiny test-scale world still yields a dynamic
 		// pool for bldetect (not every seed does at scale 0.05).
-		Seed:     49,
-		Crawlers: 2,
-		Faults:   "blackout",
-		Run:      checkHealthyStack("blackout"),
+		Seed:   49,
+		Faults: "blackout",
+		Run:    checkHealthyStack("blackout"),
 	})
 	su.Add(Scenario{
 		Name:        "restart-storm",
 		CrawlHours:  12,
 		Description: "crawl through mass peer restarts; port churn must not poison the list",
 		Seed:        45,
-		Crawlers:    3,
 		Faults:      "storm",
 		Run:         checkHealthyStack("storm"),
 	})
@@ -95,9 +93,8 @@ func TestE2EScenarios(t *testing.T) {
 		Description: "three named datasets behind one server; routing, stats, manifest and metrics stay per-dataset",
 		// Seed shared with baseline: proven to yield both NATed addresses
 		// and a dynamic pool at the test scale (not every seed does).
-		Seed:     42,
-		Crawlers: 2,
-		Smoke:    true,
+		Seed:  42,
+		Smoke: true,
 		Datasets: []DatasetSpec{
 			{Name: "all", Nated: true, Dynamic: true},
 			{Name: "pools", Nated: true},
@@ -111,17 +108,15 @@ func TestE2EScenarios(t *testing.T) {
 		Description: "/v1/greylist tempfails reused addresses with a retry window and blocks clean ones",
 		// Seed shared with blackout: a world with reachable users and a
 		// dynamic pool at the test scale.
-		Seed:     49,
-		Crawlers: 2,
-		Smoke:    true,
-		Run:      runGreylist,
+		Seed:  49,
+		Smoke: true,
+		Run:   runGreylist,
 	})
 	su.Add(Scenario{
 		Name:        "check-load",
 		CrawlHours:  12,
 		Description: "concurrent load on /v1/check; zero errors",
 		Seed:        48,
-		Crawlers:    2,
 		Run:         runCheckLoad,
 	})
 	su.Run(t)
@@ -174,6 +169,51 @@ func checkHealthyStack(faults string) func(*Stack) error {
 		}
 		return nil
 	}
+}
+
+// blcrawlLoss is blcrawl's -loss default; BootStack passes no -loss.
+const blcrawlLoss = 0.28
+
+// runBaseline checks the healthy-stack contract, then pins the process
+// pipeline to the in-process crawl: the served NATed list must hold exactly
+// the addresses Crawler.NATed finds when the same world is crawled the way
+// blcrawl's simulated mode crawls it (same seed, duration, loss and scope).
+func runBaseline(s *Stack) error {
+	if err := checkHealthyStack("")(s); err != nil {
+		return err
+	}
+	scope := s.World.BlocklistedSpace()
+	swarm, err := core.BuildSwarm(s.World, core.SwarmConfig{
+		Loss:         blcrawlLoss,
+		Seed:         s.Cfg.Seed,
+		ChurnHorizon: s.Cfg.CrawlDuration,
+	}, scope.Covers)
+	if err != nil {
+		return err
+	}
+	c, err := swarm.StartCrawler(0, crawler.Config{Scope: scope.Covers, Seed: s.Cfg.Seed})
+	if err != nil {
+		return err
+	}
+	swarm.RunFor(s.Cfg.CrawlDuration)
+	c.Stop()
+	want := make(map[string]bool)
+	for _, o := range c.NATed() {
+		want[o.Addr.String()] = true
+	}
+	served, err := s.ServedNATed()
+	if err != nil {
+		return err
+	}
+	for _, ip := range served {
+		if !want[ip] {
+			return fmt.Errorf("served NATed %s, which the in-process crawl did not detect", ip)
+		}
+	}
+	if len(served) != len(want) {
+		return fmt.Errorf("served %d NATed addresses, the in-process crawl detected %d", len(served), len(want))
+	}
+	return nil
 }
 
 // waitReloads polls the manifest until the server has seen want reloads.

@@ -22,15 +22,15 @@ import (
 )
 
 // StackConfig describes one full-pipeline boot: the seeded world every
-// process regenerates, how many blcrawl shards split it, which fault
-// scenario the crawl runs under, and whether blserve watches its inputs.
+// process regenerates, which fault scenario the crawl runs under, and
+// whether blserve watches its inputs.
 type StackConfig struct {
 	Seed          int64
 	Scale         float64
 	CrawlDuration time.Duration
-	Crawlers      int
-	// Faults names an internal/faults scenario for every blcrawl ("" for
-	// fault-free); it also stamps the served dataset's manifest provenance.
+	// Faults names an internal/faults scenario for the blcrawl process (""
+	// for fault-free); it also stamps the served dataset's manifest
+	// provenance.
 	Faults string
 	// Watch starts blserve with -watch so scenarios can drive hot reloads.
 	Watch         bool
@@ -45,7 +45,7 @@ type StackConfig struct {
 }
 
 // DatasetSpec names one blserve dataset and selects which of the pipeline's
-// outputs it serves: the merged NATed list, the detected dynamic prefixes,
+// outputs it serves: the crawl's NATed list, the detected dynamic prefixes,
 // or both.
 type DatasetSpec struct {
 	Name    string
@@ -60,9 +60,6 @@ func (c StackConfig) withDefaults() StackConfig {
 	if c.CrawlDuration == 0 {
 		c.CrawlDuration = 12 * time.Hour
 	}
-	if c.Crawlers == 0 {
-		c.Crawlers = 2
-	}
 	if c.WatchInterval == 0 {
 		c.WatchInterval = 25 * time.Millisecond
 	}
@@ -72,7 +69,7 @@ func (c StackConfig) withDefaults() StackConfig {
 	return c
 }
 
-// Stack is one booted scenario: every blcrawl shard has run to completion, the
+// Stack is one booted scenario: the blcrawl crawl has run to completion, the
 // dataset steps have produced list files, and blserve is live on loopback.
 // The in-process World is the byte-identical ground truth every process
 // regenerated from the seed, so oracle checks need no side channel.
@@ -81,8 +78,8 @@ type Stack struct {
 	World  *blgen.World
 	Oracle testkit.Oracle
 
-	// Dir is the scenario workspace: shard outputs, merged lists, the
-	// generated RIPE logs, and saved process logs on failure.
+	// Dir is the scenario workspace: the list files, the generated RIPE
+	// logs, and saved process logs on failure.
 	Dir          string
 	NatedPath    string
 	PrefixesPath string
@@ -93,7 +90,7 @@ type Stack struct {
 	BaseURL string
 	Serve   *Proc
 
-	// finished holds run-to-completion processes (crawlers, blgen,
+	// finished holds run-to-completion processes (blcrawl, blgen,
 	// bldetect) for log salvage.
 	finished []*Proc
 
@@ -115,15 +112,16 @@ func BootStack(cfg StackConfig) (*Stack, error) {
 		return st, err
 	}
 
-	// Ground truth: the same deterministic world the crawler processes
-	// regenerate from (seed, scale).
+	// Ground truth: the same deterministic world the blcrawl process
+	// regenerates from (seed, scale).
 	wp := blgen.DefaultParams(cfg.Seed)
 	wp.Scale = cfg.Scale
 	st.World = blgen.Generate(wp)
 	st.Oracle = testkit.Oracle{World: st.World}
 
-	// Stage 1 — dataset sources, concurrently: the blcrawl shard processes and
-	// the world generator (for the RIPE connection logs bldetect consumes).
+	// Stage 1 — dataset sources, concurrently: one whole blcrawl crawl,
+	// whose -out file is the served NATed list, and the world generator (for
+	// the RIPE connection logs bldetect consumes).
 	worldDir := filepath.Join(st.Dir, "world")
 	gen, err := StartProc("blgen", bins["blgen"],
 		"-out", worldDir, "-seed", strconv.FormatInt(cfg.Seed, 10),
@@ -133,51 +131,29 @@ func BootStack(cfg StackConfig) (*Stack, error) {
 	}
 	st.finished = append(st.finished, gen)
 
-	shardOuts := make([]string, cfg.Crawlers)
-	crawlers := make([]*Proc, cfg.Crawlers)
-	for i := range crawlers {
-		shardOuts[i] = filepath.Join(st.Dir, fmt.Sprintf("nated_shard%d.txt", i))
-		args := []string{
-			"-seed", strconv.FormatInt(cfg.Seed, 10),
-			"-scale", fmt.Sprintf("%g", cfg.Scale),
-			"-duration", cfg.CrawlDuration.String(),
-			"-out", shardOuts[i],
-		}
-		if cfg.Crawlers > 1 {
-			// blcrawl numbers shards 1-based: I/N with 1 <= I <= N.
-			args = append(args, "-shard", fmt.Sprintf("%d/%d", i+1, cfg.Crawlers))
-		}
-		if cfg.Faults != "" {
-			args = append(args, "-faults", cfg.Faults)
-		}
-		name := fmt.Sprintf("blcrawl-%d", i)
-		crawlers[i], err = StartProc(name, bins["blcrawl"], args...)
-		if err != nil {
-			return st, err
-		}
-		st.finished = append(st.finished, crawlers[i])
+	st.NatedPath = filepath.Join(st.Dir, "nated.txt")
+	args := []string{
+		"-seed", strconv.FormatInt(cfg.Seed, 10),
+		"-scale", fmt.Sprintf("%g", cfg.Scale),
+		"-duration", cfg.CrawlDuration.String(),
+		"-out", st.NatedPath,
 	}
-	for _, c := range crawlers {
-		if err := c.WaitExit(cfg.BootTimeout); err != nil {
-			return st, fmt.Errorf("%s: %w\nstderr: %s", c.Name, err, c.Stderr())
-		}
+	if cfg.Faults != "" {
+		args = append(args, "-faults", cfg.Faults)
+	}
+	crawl, err := StartProc("blcrawl", bins["blcrawl"], args...)
+	if err != nil {
+		return st, err
+	}
+	st.finished = append(st.finished, crawl)
+	if err := crawl.WaitExit(cfg.BootTimeout); err != nil {
+		return st, fmt.Errorf("blcrawl: %w\nstderr: %s", err, crawl.Stderr())
 	}
 	if err := gen.WaitExit(cfg.BootTimeout); err != nil {
 		return st, fmt.Errorf("blgen: %w\nstderr: %s", err, gen.Stderr())
 	}
 
-	// Stage 2 — pipeline: merge the shard observations into one NATed list
-	// and run the dynamic-address detector over the RIPE logs.
-	merged, err := MergeNATedShards(shardOuts)
-	if err != nil {
-		return st, err
-	}
-	st.NatedPath = filepath.Join(st.Dir, "nated.txt")
-	header := fmt.Sprintf("merged from %d blcrawl shards (seed %d)", cfg.Crawlers, cfg.Seed)
-	if err := writeNATedFile(st.NatedPath, merged, header); err != nil {
-		return st, err
-	}
-
+	// Stage 2 — run the dynamic-address detector over the RIPE logs.
 	st.PrefixesPath = filepath.Join(st.Dir, "prefixes.txt")
 	det, err := StartProc("bldetect", bins["bldetect"],
 		"-logs", filepath.Join(worldDir, "ripe-connection-logs.csv"),
@@ -268,41 +244,6 @@ func (s *Stack) SaveLogs(dir string) error {
 		}
 	}
 	return nil
-}
-
-// CrawlerOutputs returns each crawler process's stdout, for fault-catalogue
-// assertions (retries, injector drop counts).
-func (s *Stack) CrawlerOutputs() []string {
-	var outs []string
-	for _, p := range s.finished {
-		if strings.HasPrefix(p.Name, "blcrawl") {
-			outs = append(outs, p.Stdout())
-		}
-	}
-	return outs
-}
-
-// MergeNATedShards unions per-shard NATed lists, keeping the largest user
-// lower bound seen for an address — the shard-merge pipeline step.
-func MergeNATedShards(paths []string) (map[iputil.Addr]int, error) {
-	merged := map[iputil.Addr]int{}
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		users, err := blocklist.ParseNATedList(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("e2e: merging %s: %w", path, err)
-		}
-		for a, n := range users {
-			if n > merged[a] {
-				merged[a] = n
-			}
-		}
-	}
-	return merged, nil
 }
 
 // writeNATedFile writes a NATed list atomically (temp file + rename), so a

@@ -22,12 +22,12 @@ import (
 
 func TestStackConfigWithDefaults(t *testing.T) {
 	d := StackConfig{}.withDefaults()
-	if d.Scale == 0 || d.CrawlDuration == 0 || d.Crawlers == 0 ||
+	if d.Scale == 0 || d.CrawlDuration == 0 ||
 		d.WatchInterval == 0 || d.BootTimeout == 0 {
 		t.Errorf("zero config not fully defaulted: %+v", d)
 	}
 	set := StackConfig{Seed: 7, Scale: 0.5, CrawlDuration: time.Hour,
-		Crawlers: 3, WatchInterval: time.Second, BootTimeout: time.Minute}
+		WatchInterval: time.Second, BootTimeout: time.Minute}
 	if got := set.withDefaults(); !reflect.DeepEqual(got, set) {
 		t.Errorf("explicit config altered by defaulting: %+v -> %+v", set, got)
 	}

@@ -22,7 +22,6 @@ type Scenario struct {
 	Seed       int64
 	Scale      float64
 	CrawlHours int
-	Crawlers   int
 	Faults     string
 	Watch      bool
 	// Datasets, when non-empty, boots blserve in multi-dataset mode (one
@@ -56,7 +55,6 @@ func (sc Scenario) config(spec testkit.WorldSpec) StackConfig {
 		Seed:          spec.Seed,
 		Scale:         spec.Scale,
 		CrawlDuration: time.Duration(spec.CrawlHours) * time.Hour,
-		Crawlers:      sc.Crawlers,
 		Faults:        sc.Faults,
 		Watch:         sc.Watch,
 		Datasets:      sc.Datasets,

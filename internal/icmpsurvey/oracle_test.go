@@ -96,9 +96,9 @@ func surveyBlockPerProbe(r Responder, block iputil.Prefix, cfg Config, steps int
 		sort.Slice(medUptimes, func(i, j int) bool { return medUptimes[i] < medUptimes[j] })
 		summary.MedianUptime = medUptimes[len(medUptimes)/2]
 	}
-	summary.Dynamic = summary.Responsive >= cfg.MinResponsive &&
-		summary.MedianUptime <= cfg.MaxMedianUptime &&
-		summary.MeanA <= cfg.MaxAvailability
+	summary.Dynamic = summary.Responsive >= minResponsive &&
+		summary.MedianUptime <= maxMedianUptime &&
+		summary.MeanA <= maxAvailability
 	out.summary = summary
 	return out
 }

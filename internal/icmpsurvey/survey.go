@@ -25,6 +25,19 @@ import (
 	"github.com/reuseblock/reuseblock/internal/parallel"
 )
 
+// Classification thresholds, tuned to mimic the published behaviour.
+const (
+	// maxMedianUptime: a block whose responsive addresses have a median
+	// up-time at or below this is a dynamic candidate.
+	maxMedianUptime = 24 * time.Hour
+	// minResponsive is the minimum number of ever-responsive addresses a
+	// block needs before it is classified at all.
+	minResponsive = 8
+	// maxAvailability: dynamic candidates must also have mean
+	// availability at or below this (stable servers have A ≈ 1).
+	maxAvailability = 0.95
+)
+
 // Responder answers whether an address would reply to an ICMP ECHO at a
 // given instant. The survey asks it once per block: Block resolves
 // everything the answers share (for the synthetic world, the /24's
@@ -62,20 +75,6 @@ type Config struct {
 	// probes each address every 11 minutes; coarser is fine at scale).
 	Interval time.Duration
 
-	// Classification thresholds (zero values pick the defaults used in
-	// our reproduction, tuned to mimic the published behaviour).
-
-	// MaxMedianUptime: a block whose responsive addresses have a median
-	// up-time at or below this is a dynamic candidate. Default 24h.
-	MaxMedianUptime time.Duration
-	// MinResponsive is the minimum number of ever-responsive addresses a
-	// block needs before it is classified at all. Default 8.
-	MinResponsive int
-	// MaxAvailability: dynamic candidates must also have mean
-	// availability at or below this (stable servers have A ≈ 1).
-	// Default 0.95.
-	MaxAvailability float64
-
 	// ProbeLoss is the per-transmission probability that an ECHO or its
 	// reply is lost in transit, independent of whether the address would
 	// answer. Zero (the default) keeps the survey loss-free and consumes
@@ -110,15 +109,6 @@ type Config struct {
 func (c *Config) applyDefaults() {
 	if c.Interval <= 0 {
 		c.Interval = time.Hour
-	}
-	if c.MaxMedianUptime <= 0 {
-		c.MaxMedianUptime = 24 * time.Hour
-	}
-	if c.MinResponsive <= 0 {
-		c.MinResponsive = 8
-	}
-	if c.MaxAvailability <= 0 {
-		c.MaxAvailability = 0.95
 	}
 }
 
@@ -301,9 +291,9 @@ func surveyBlock(r Responder, block iputil.Prefix, cfg Config, steps int) blockR
 		sort.Slice(medUptimes, func(i, j int) bool { return medUptimes[i] < medUptimes[j] })
 		summary.MedianUptime = medUptimes[len(medUptimes)/2]
 	}
-	summary.Dynamic = summary.Responsive >= cfg.MinResponsive &&
-		summary.MedianUptime <= cfg.MaxMedianUptime &&
-		summary.MeanA <= cfg.MaxAvailability
+	summary.Dynamic = summary.Responsive >= minResponsive &&
+		summary.MedianUptime <= maxMedianUptime &&
+		summary.MeanA <= maxAvailability
 	out.summary = summary
 	if len(addrs) > 0 {
 		out.addrs = slices.Clone(addrs)

@@ -162,58 +162,6 @@ func (s *Set) Iterate(fn func(uint32) bool) {
 	}
 }
 
-// IterateFrom calls fn for every member >= lo in ascending order until fn
-// returns false. It seeks directly to lo's container, so walking an address
-// window costs the window's population, not the set's.
-func (s *Set) IterateFrom(lo uint32, fn func(uint32) bool) {
-	key, suf := uint16(lo>>16), uint16(lo)
-	i, ok := s.findBlock(key)
-	if ok {
-		if !s.ctrs[i].iterateFrom(uint32(key)<<16, suf, fn) {
-			return
-		}
-		i++
-	}
-	for ; i < len(s.keys); i++ {
-		if !s.ctrs[i].iterate(uint32(s.keys[i])<<16, fn) {
-			return
-		}
-	}
-}
-
-// Rank returns the number of members strictly less than v.
-func (s *Set) Rank(v uint32) int {
-	key, suf := uint16(v>>16), uint16(v)
-	rank := 0
-	for i, k := range s.keys {
-		if k < key {
-			rank += int(s.ctrs[i].n)
-			continue
-		}
-		if k == key {
-			rank += s.ctrs[i].rank(suf)
-		}
-		break
-	}
-	return rank
-}
-
-// Select returns the i'th smallest member (0-based); ok is false when i is
-// out of range.
-func (s *Set) Select(i int) (uint32, bool) {
-	if i < 0 || i >= s.n {
-		return 0, false
-	}
-	for j, key := range s.keys {
-		c := &s.ctrs[j]
-		if i < int(c.n) {
-			return uint32(key)<<16 | uint32(c.sel(i)), true
-		}
-		i -= int(c.n)
-	}
-	return 0, false // unreachable while s.n is consistent
-}
-
 // UnionWith adds every member of t to s, container-wise and in place:
 // bitmap receivers absorb any container shape with zero allocation, and
 // array/run receivers reuse capacity where they can.
@@ -507,106 +455,6 @@ func (c *container) iterate(base uint32, fn func(uint32) bool) bool {
 		}
 	}
 	return true
-}
-
-// iterateFrom is iterate restricted to suffixes >= from.
-func (c *container) iterateFrom(base uint32, from uint16, fn func(uint32) bool) bool {
-	switch c.kind {
-	case arrKind:
-		for _, v := range c.arr[searchU16(c.arr, from):] {
-			if !fn(base | uint32(v)) {
-				return false
-			}
-		}
-	case runKind:
-		i, in := c.findRun(from)
-		for ; i < len(c.arr)/2; i++ {
-			lo := uint32(c.arr[2*i])
-			if in { // first run contains from: start mid-run
-				lo = uint32(from)
-				in = false
-			}
-			for v := lo; v <= uint32(c.arr[2*i+1]); v++ {
-				if !fn(base | v) {
-					return false
-				}
-			}
-		}
-	default:
-		w := int(from >> 6)
-		word := c.bmp[w] &^ (1<<(from&63) - 1)
-		for {
-			for word != 0 {
-				bit := bits.TrailingZeros64(word)
-				if !fn(base | uint32(w<<6+bit)) {
-					return false
-				}
-				word &= word - 1
-			}
-			w++
-			if w >= bmpWords {
-				break
-			}
-			word = c.bmp[w]
-		}
-	}
-	return true
-}
-
-func (c *container) rank(v uint16) int {
-	switch c.kind {
-	case arrKind:
-		return searchU16(c.arr, v)
-	case runKind:
-		r := 0
-		for i := 0; i < len(c.arr); i += 2 {
-			if c.arr[i] >= v {
-				break
-			}
-			hi := c.arr[i+1]
-			if hi >= v {
-				hi = v - 1
-			}
-			r += int(hi-c.arr[i]) + 1
-		}
-		return r
-	default:
-		r := 0
-		for w := 0; w < int(v>>6); w++ {
-			r += bits.OnesCount64(c.bmp[w])
-		}
-		r += bits.OnesCount64(c.bmp[v>>6] & (1<<(v&63) - 1))
-		return r
-	}
-}
-
-func (c *container) sel(i int) uint16 {
-	switch c.kind {
-	case arrKind:
-		return c.arr[i]
-	case runKind:
-		for j := 0; j < len(c.arr); j += 2 {
-			span := int(c.arr[j+1]-c.arr[j]) + 1
-			if i < span {
-				return c.arr[j] + uint16(i)
-			}
-			i -= span
-		}
-	default:
-		for w, word := range c.bmp {
-			pc := bits.OnesCount64(word)
-			if i < pc {
-				for ; ; word &= word - 1 {
-					if i == 0 {
-						return uint16(w<<6 + bits.TrailingZeros64(word))
-					}
-					i--
-				}
-			}
-			i -= pc
-		}
-	}
-	return 0 // unreachable while n is consistent
 }
 
 func (c *container) unionWith(t *container) {

@@ -107,8 +107,7 @@ func applyOps(ops []op) error {
 			return fmt.Errorf("op %d %v: Len=%d want %d", i, o, s.Len(), len(ref))
 		}
 	}
-	// Full-state agreement: membership both ways, ascending iteration,
-	// rank/select round-trip.
+	// Full-state agreement: membership both ways and ascending iteration.
 	want := make([]uint32, 0, len(ref))
 	for v := range ref {
 		want = append(want, v)
@@ -124,53 +123,12 @@ func applyOps(ops []op) error {
 			return fmt.Errorf("iterate[%d]=%#x want %#x", i, got[i], want[i])
 		}
 	}
-	// Rank/Select are O(containers) each; verify on a stride-sample plus
-	// both ends rather than every member.
+	// Membership of a stride-sample of the members.
 	stride := len(want)/64 + 1
 	for i := 0; i < len(want); i += stride {
-		v := want[i]
-		if !s.Contains(v) {
+		if v := want[i]; !s.Contains(v) {
 			return fmt.Errorf("Contains(%#x)=false, in ref", v)
 		}
-		if r := s.Rank(v); r != i {
-			return fmt.Errorf("Rank(%#x)=%d want %d", v, r, i)
-		}
-		sv, ok := s.Select(i)
-		if !ok || sv != v {
-			return fmt.Errorf("Select(%d)=%#x,%v want %#x", i, sv, ok, v)
-		}
-	}
-	if n := len(want); n > 0 {
-		if sv, ok := s.Select(n - 1); !ok || sv != want[n-1] {
-			return fmt.Errorf("Select(last)=%#x,%v want %#x", sv, ok, want[n-1])
-		}
-	}
-	// IterateFrom must resume exactly at Rank(lo) for arbitrary lo,
-	// including mid-run and mid-bitmap-word starts.
-	for i := 0; i < len(want); i += stride {
-		lo := want[i]
-		if lo > 0 {
-			lo-- // usually a non-member, exercising the seek path
-		}
-		j := s.Rank(lo)
-		var mismatch error
-		s.IterateFrom(lo, func(v uint32) bool {
-			if j >= len(want) || want[j] != v {
-				mismatch = fmt.Errorf("IterateFrom(%#x): got %#x at pos %d", lo, v, j)
-				return false
-			}
-			j++
-			return j < len(want)
-		})
-		if mismatch != nil {
-			return mismatch
-		}
-	}
-	if _, ok := s.Select(len(want)); ok {
-		return fmt.Errorf("Select(Len) should be out of range")
-	}
-	if _, ok := s.Select(-1); ok {
-		return fmt.Errorf("Select(-1) should be out of range")
 	}
 	// Compact must preserve content exactly.
 	s.Compact()
@@ -223,12 +181,6 @@ func TestSetBoundaries(t *testing.T) {
 		}
 		if !s.Contains(0) || !s.Contains(0xffffffff) {
 			t.Fatal("extremes not contained")
-		}
-		if s.Rank(0) != 0 || s.Rank(0xffffffff) != 1 {
-			t.Fatalf("Rank extremes: got %d,%d", s.Rank(0), s.Rank(0xffffffff))
-		}
-		if v, ok := s.Select(1); !ok || v != 0xffffffff {
-			t.Fatalf("Select(1)=%#x,%v", v, ok)
 		}
 		// Ranges touching both ends of a block must not wrap the uint16
 		// suffix arithmetic.
@@ -293,9 +245,6 @@ func TestSetBoundaries(t *testing.T) {
 		}
 		if s.Contains(0x0001fffd) || s.Contains(0x00050002) {
 			t.Fatal("range edges leaked")
-		}
-		if r := s.Rank(0x00020000); r != 2 {
-			t.Fatalf("Rank across blocks=%d want 2", r)
 		}
 		s.Compact()
 		if s.Len() != want || !s.Contains(0x0003abcd) {
@@ -433,39 +382,11 @@ func TestSetBitmapDensePaths(t *testing.T) {
 		}
 	}
 
-	// IterateFrom starting inside the bitmap, on and off a member.
-	for _, lo := range []uint32{0x000a0000 + 11*2000, 0x000a0000 + 11*2000 + 1} {
-		want := 0
-		for _, v := range ref {
-			if v >= lo {
-				want++
-			}
-		}
-		n := 0
-		s.IterateFrom(lo, func(uint32) bool { n++; return true })
-		if n != want {
-			t.Fatalf("IterateFrom(%#x) yielded %d, want %d", lo, n, want)
-		}
-	}
 	// Early termination must stop mid-bitmap.
 	n := 0
-	s.IterateFrom(0x000a0000, func(uint32) bool { n++; return n < 10 })
+	s.Iterate(func(uint32) bool { n++; return n < 10 })
 	if n != 10 {
 		t.Fatalf("early stop after %d values", n)
-	}
-
-	// Rank/Select round-trip across the bitmap.
-	for _, i := range []int{0, 1, 100, 2500, len(ref) - 2, len(ref) - 1} {
-		v, ok := s.Select(i)
-		if !ok || v != ref[i] {
-			t.Fatalf("Select(%d) = %#x,%v want %#x", i, v, ok, ref[i])
-		}
-		if r := s.Rank(v); r != i {
-			t.Fatalf("Rank(%#x) = %d, want %d", v, r, i)
-		}
-	}
-	if _, ok := s.Select(len(ref)); ok {
-		t.Fatal("Select past the end succeeded")
 	}
 
 	// Union of a run container into the bitmap block and vice versa.

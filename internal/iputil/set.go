@@ -72,18 +72,6 @@ func (s *Set) Iterate(fn func(Addr) bool) {
 	s.s.Iterate(func(v uint32) bool { return fn(Addr(v)) })
 }
 
-// IterateRange calls fn for every member in [lo, hi] (inclusive) in
-// ascending order until fn returns false — the primitive windowed artifact
-// streaming walks address space with.
-func (s *Set) IterateRange(lo, hi Addr, fn func(Addr) bool) {
-	s.s.IterateFrom(uint32(lo), func(v uint32) bool {
-		if v > uint32(hi) {
-			return false
-		}
-		return fn(Addr(v))
-	})
-}
-
 // Intersect returns a new set holding the addresses present in both s and t.
 func (s *Set) Intersect(t *Set) *Set {
 	small, big := s, t

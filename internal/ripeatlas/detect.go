@@ -20,9 +20,10 @@ type DetectOptions struct {
 	// ExpandBits is the prefix length dynamic addresses are expanded to;
 	// 0 means /24 (paper). Ablations use other lengths.
 	ExpandBits int
-	// KneeSensitivity is the kneedle S parameter; 0 means 1.
-	KneeSensitivity float64
 }
+
+// kneeSensitivity is the kneedle S parameter.
+const kneeSensitivity = 1
 
 func (o *DetectOptions) applyDefaults() {
 	if o.MaxMeanChangeInterval <= 0 {
@@ -30,9 +31,6 @@ func (o *DetectOptions) applyDefaults() {
 	}
 	if o.ExpandBits <= 0 {
 		o.ExpandBits = 24
-	}
-	if o.KneeSensitivity <= 0 {
-		o.KneeSensitivity = 1
 	}
 }
 
@@ -193,7 +191,7 @@ func Detect(entries []LogEntry, opts DetectOptions) *Result {
 	if res.KneeThreshold <= 0 {
 		// The knee is judged on the log-scale curve, as plotted in Fig 2.
 		knee, _, err := kneedle.FindSortedCounts(res.AllocationCounts,
-			kneedle.Options{Sensitivity: opts.KneeSensitivity, LogY: true})
+			kneedle.Options{Sensitivity: kneeSensitivity, LogY: true})
 		if err != nil || knee < 2 {
 			// Degenerate inputs (tiny fleets, no churners): fall back to
 			// the paper's published threshold.

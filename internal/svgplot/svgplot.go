@@ -15,9 +15,9 @@ import (
 type Options struct {
 	// Width and Height of the SVG canvas in pixels; zero means 640×420.
 	Width, Height int
-	// LogX / LogY plot the axis on a log10 scale (values must be > 0;
+	// LogY plots the y axis on a log10 scale (values must be > 0;
 	// non-positive values are clamped to the smallest positive value).
-	LogX, LogY bool
+	LogY bool
 }
 
 // palette holds the series stroke colours (colour-blind-safe-ish).
@@ -63,7 +63,7 @@ func Render(f *stats.Figure, opt Options) string {
 		maxY = minY + 1
 	}
 	sx := func(x float64) float64 {
-		return float64(marginLeft) + (scale(x, opt.LogX)-minX)/(maxX-minX)*float64(plotW)
+		return float64(marginLeft) + (x-minX)/(maxX-minX)*float64(plotW)
 	}
 	sy := func(y float64) float64 {
 		return float64(marginTop) + float64(plotH) - (scale(y, opt.LogY)-minY)/(maxY-minY)*float64(plotH)
@@ -76,13 +76,13 @@ func Render(f *stats.Figure, opt Options) string {
 		marginLeft, marginTop, marginLeft, marginTop+plotH)
 	// Axis labels and extremes.
 	fmt.Fprintf(&b, `<text x="%d" y="%d" font-family="sans-serif" font-size="11" text-anchor="middle">%s</text>`+"\n",
-		marginLeft+plotW/2, opt.Height-12, esc(axisLabel(f.XLabel, opt.LogX)))
+		marginLeft+plotW/2, opt.Height-12, esc(f.XLabel))
 	fmt.Fprintf(&b, `<text x="14" y="%d" font-family="sans-serif" font-size="11" text-anchor="middle" transform="rotate(-90 14 %d)">%s</text>`+"\n",
 		marginTop+plotH/2, marginTop+plotH/2, esc(axisLabel(f.YLabel, opt.LogY)))
 	fmt.Fprintf(&b, `<text x="%d" y="%d" font-family="sans-serif" font-size="10">%s</text>`+"\n",
-		marginLeft, marginTop+plotH+16, fmtTick(minX, opt.LogX))
+		marginLeft, marginTop+plotH+16, fmtTick(minX, false))
 	fmt.Fprintf(&b, `<text x="%d" y="%d" font-family="sans-serif" font-size="10" text-anchor="end">%s</text>`+"\n",
-		marginLeft+plotW, marginTop+plotH+16, fmtTick(maxX, opt.LogX))
+		marginLeft+plotW, marginTop+plotH+16, fmtTick(maxX, false))
 	fmt.Fprintf(&b, `<text x="%d" y="%d" font-family="sans-serif" font-size="10" text-anchor="end">%s</text>`+"\n",
 		marginLeft-6, marginTop+plotH, fmtTick(minY, opt.LogY))
 	fmt.Fprintf(&b, `<text x="%d" y="%d" font-family="sans-serif" font-size="10" text-anchor="end">%s</text>`+"\n",
@@ -118,13 +118,13 @@ func axisLabel(base string, log bool) string {
 	return base
 }
 
-// bounds computes the scaled extents over all series.
+// bounds computes the extents over all series, y scaled.
 func bounds(f *stats.Figure, opt Options) (minX, maxX, minY, maxY float64, any bool) {
 	minX, minY = math.Inf(1), math.Inf(1)
 	maxX, maxY = math.Inf(-1), math.Inf(-1)
 	for _, s := range f.Series {
 		for _, p := range s.Points {
-			x, y := scale(p.X, opt.LogX), scale(p.Y, opt.LogY)
+			x, y := p.X, scale(p.Y, opt.LogY)
 			minX, maxX = math.Min(minX, x), math.Max(maxX, x)
 			minY, maxY = math.Min(minY, y), math.Max(maxY, y)
 			any = true
