@@ -28,28 +28,75 @@ var Epoch = time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC)
 // scheduling order because every timer is scheduled by an event of its own
 // shard, whose order is itself canonical.
 //
-// The queue holds values, not pointers: a 4-ary min-heap of (time, key)
-// entries, each naming a slot in a pooled event array with a freelist. A slot
-// is either a timer (a Target and its argument) or a datagram delivery (the
-// receiving network, the endpoints and the payload), so neither a recurring
-// timer whose Target is a long-lived object nor a delivery allocates a
-// closure. Every slot has a generation that increments when it is vacated;
-// heap entries and Timers remember the generation they were made under, so
-// a stopped event is skipped when it surfaces and a stale Timer can never
-// cancel the slot's next occupant. Generations sit in their own dense array
-// beside the slots, so telling a live entry from a stopped one loads four
-// bytes instead of a slot's cache line.
+// The queue holds values, not pointers: (time, key) entries, each naming a
+// slot in a pooled event array with a freelist. A slot is either a timer (a
+// Target and its argument) or a datagram delivery (the receiving network,
+// the endpoints and the payload), so neither a recurring timer whose Target
+// is a long-lived object nor a delivery allocates a closure. Every slot has
+// a generation that increments when it is vacated; queue entries and Timers
+// remember the generation they were made under, so a stopped event is
+// skipped when it surfaces and a stale Timer can never cancel the slot's
+// next occupant. Generations sit in their own dense array beside the slots,
+// so telling a live entry from a stopped one loads four bytes instead of a
+// slot's cache line.
+//
+// The entries live in one queue of two parts. Nearly every timer uses one of
+// a few fixed delays (a query timeout, a keepalive), and the timers of one
+// delay are armed in (time, key) order, because the clock never goes back
+// and the key only grows: each such class is already a sorted FIFO, so it
+// sits in a ring of its own (a power-of-two circular buffer) and is never
+// sifted. A delay's class is learned from AfterEvent: a delay armed without
+// a ring is written to a round-robin memory of the last maxRings such
+// delays, and claims a ring when it is armed again while still remembered,
+// so a one-off delay (the swarm's random restart offsets) passes to the
+// heap without claiming one. At most maxRings rings are claimed, for the
+// clock's life; later delays go to the heap. The heap, a 4-ary min-heap,
+// keeps deliveries, absolute arms and those delays. An event leaves from
+// whichever part holds the earliest (time, key) entry, the heap top or the
+// earliest ring head (which the clock tracks); keys are unique, so the
+// firing order does not depend on where an entry was queued. A stopped ring
+// entry is dropped in O(1) when it reaches its ring's head.
 type Clock struct {
-	now   int64 // ns since Epoch
-	heap  []qent
-	slots []eslot
-	gens  []uint32 // gens[i] is slots[i]'s generation
-	free  []int32  // vacated slot indices
-	seq   uint64   // next timer sequence number
-	live  int      // events scheduled and neither fired nor stopped
+	now     int64  // ns since Epoch
+	heap    []qent // deliveries, absolute arms and delays without a ring
+	rings   [maxRings]ring
+	nrings  int             // rings[:nrings] are claimed
+	early   int             // the ring with the earliest head; empty only when all are
+	missed  [maxRings]int64 // delays recently armed without a ring, round-robin
+	nmissed int             // delays ever written to missed
+	slots   []eslot
+	gens    []uint32 // gens[i] is slots[i]'s generation
+	free    []int32  // vacated slot indices
+	seq     uint64   // next timer sequence number
+	live    int      // events scheduled and neither fired nor stopped
 }
 
-// qent is a heap entry: the ordering key and the slot it fires.
+// maxRings bounds the fixed-delay classes that get a ring: the crawl arms
+// four delays for nearly all of its timers.
+const maxRings = 8
+
+// ring is the FIFO of one fixed-delay class: a power-of-two circular buffer
+// of the class's entries in (time, key) order.
+type ring struct {
+	delay int64 // the AfterEvent delay of every entry, in ns
+	buf   []qent
+	head  int // index of the earliest entry
+	n     int // entries queued
+}
+
+// push appends e, doubling the buffer when it is full.
+func (q *ring) push(e qent) {
+	if q.n == len(q.buf) {
+		buf := make([]qent, max(2*len(q.buf), 16))
+		k := copy(buf, q.buf[q.head:])
+		copy(buf[k:], q.buf[:q.head])
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = e
+	q.n++
+}
+
+// qent is a queue entry: the ordering key and the slot it fires.
 type qent struct {
 	at   int64  // ns since Epoch
 	key  uint64 // same-instant order: the timer sequence, or deliveryKey
@@ -134,14 +181,62 @@ func (c *Clock) AfterEvent(d time.Duration, t Target, arg uint64) Timer {
 	if at < c.now {
 		at = math.MaxInt64
 	}
-	return c.at(at, t, arg)
+	r := c.ringFor(int64(d))
+	if r < 0 {
+		return c.at(at, t, arg)
+	}
+	idx := c.take()
+	c.ringPush(r, qent{at: at, key: c.seq, slot: idx, gen: c.gens[idx]})
+	return c.arm(idx, t, arg)
 }
 
-// at schedules t.Fire(arg) at an absolute time (ns since Epoch); times in
-// the past fire on the next step.
+// ringFor returns the index of delay d's ring. A delay without one claims a
+// free ring if it is in the memory of recent misses, and is otherwise
+// written there; -1 sends the timer to the heap.
+func (c *Clock) ringFor(d int64) int {
+	for i := range c.rings[:c.nrings] {
+		if c.rings[i].delay == d {
+			return i
+		}
+	}
+	if c.nrings == maxRings {
+		return -1
+	}
+	for _, m := range c.missed[:min(c.nmissed, maxRings)] {
+		if m == d {
+			c.rings[c.nrings].delay = d
+			c.nrings++
+			return c.nrings - 1
+		}
+	}
+	c.missed[c.nmissed%maxRings] = d
+	c.nmissed++
+	return -1
+}
+
+// ringPush appends e to ring r. Every entry of r is before e, so e can
+// become the earliest ring head only when r was empty.
+func (c *Clock) ringPush(r int, e qent) {
+	q := &c.rings[r]
+	if q.n == 0 {
+		if h := &c.rings[c.early]; h.n == 0 || e.before(h.buf[h.head]) {
+			c.early = r
+		}
+	}
+	q.push(e)
+}
+
+// at schedules t.Fire(arg) on the heap at an absolute time (ns since
+// Epoch); times in the past fire on the next step.
 func (c *Clock) at(at int64, t Target, arg uint64) Timer {
-	idx, s := c.schedule(at, c.seq)
+	idx, _ := c.schedule(at, c.seq)
+	return c.arm(idx, t, arg)
+}
+
+// arm makes the queued slot idx a timer under the next sequence number.
+func (c *Clock) arm(idx int32, t Target, arg uint64) Timer {
 	c.seq++
+	s := &c.slots[idx]
 	s.target, s.seq = t, arg
 	return Timer{c: c, slot: idx, gen: c.gens[idx]}
 }
@@ -153,25 +248,30 @@ func (c *Clock) deliverAt(at int64, n *Network, from, to Endpoint, seq uint64, p
 	s.target, s.from, s.to, s.seq, s.payload = (*deliveries)(n), from, to, seq, payload
 }
 
-// schedule takes a slot and queues it at at (clamped to now) under the
-// given same-instant key. The returned pointer is valid until the next
-// schedule call.
+// schedule takes a slot and queues it on the heap at at (clamped to now)
+// under the given same-instant key. The returned pointer is valid until the
+// next slot is taken.
 func (c *Clock) schedule(at int64, key uint64) (int32, *eslot) {
 	if at < c.now {
 		at = c.now
 	}
-	var idx int32
-	if k := len(c.free); k > 0 {
-		idx = c.free[k-1]
-		c.free = c.free[:k-1]
-	} else {
-		c.slots = append(c.slots, eslot{})
-		c.gens = append(c.gens, 0)
-		idx = int32(len(c.slots) - 1)
-	}
+	idx := c.take()
 	c.push(qent{at: at, key: key, slot: idx, gen: c.gens[idx]})
-	c.live++
 	return idx, &c.slots[idx]
+}
+
+// take returns a vacant slot, from the freelist or a new one, and counts it
+// live.
+func (c *Clock) take() int32 {
+	c.live++
+	if k := len(c.free); k > 0 {
+		idx := c.free[k-1]
+		c.free = c.free[:k-1]
+		return idx
+	}
+	c.slots = append(c.slots, eslot{})
+	c.gens = append(c.gens, 0)
+	return int32(len(c.slots) - 1)
 }
 
 // release vacates a slot whose event fired or was stopped.
@@ -185,16 +285,20 @@ func (c *Clock) release(idx int32) {
 // Step runs the earliest pending event, advancing the clock to its time.
 // It reports whether an event ran.
 func (c *Clock) Step() bool {
-	for len(c.heap) > 0 {
-		if e := c.pop(); c.gens[e.slot] == e.gen {
+	for {
+		e, src, ok := c.first()
+		if !ok {
+			return false
+		}
+		c.drop(src)
+		if c.gens[e.slot] == e.gen {
 			c.fire(e)
 			return true
 		}
 	}
-	return false
 }
 
-// fire runs the live event e, which has left the heap.
+// fire runs the live event e, which has left the queue.
 func (c *Clock) fire(e qent) {
 	c.now = e.at
 	s := &c.slots[e.slot]
@@ -215,16 +319,16 @@ func (c *Clock) RunUntil(t time.Time) int {
 }
 
 // runTo runs every event due before end (and at end when inclusive), then
-// sets the clock to end unless it is already later. Each due entry is popped
-// once; stopped entries past end stay in the heap until they surface.
+// sets the clock to end unless it is already later. Each due entry is
+// dropped once; stopped entries past end stay queued until they surface.
 func (c *Clock) runTo(end int64, inclusive bool) int {
 	n := 0
-	for len(c.heap) > 0 {
-		e := c.heap[0]
-		if e.at > end || e.at == end && !inclusive {
+	for {
+		e, src, ok := c.first()
+		if !ok || e.at > end || e.at == end && !inclusive {
 			break
 		}
-		c.pop()
+		c.drop(src)
 		if c.gens[e.slot] == e.gen {
 			c.fire(e)
 			n++
@@ -267,14 +371,48 @@ func (c *Clock) Pending() int { return c.live }
 // peek returns the earliest live entry, discarding stopped ones that
 // surface on the way.
 func (c *Clock) peek() (qent, bool) {
-	for len(c.heap) > 0 {
-		e := c.heap[0]
-		if c.gens[e.slot] == e.gen {
-			return e, true
+	for {
+		e, src, ok := c.first()
+		if !ok || c.gens[e.slot] == e.gen {
+			return e, ok
 		}
-		c.pop()
+		c.drop(src)
 	}
-	return qent{}, false
+}
+
+// first returns the earliest queued entry, live or stopped, and where it
+// sits: ring src, or the heap when src is -1. ok is false when the queue is
+// empty.
+func (c *Clock) first() (e qent, src int, ok bool) {
+	src = -1
+	if len(c.heap) > 0 {
+		e, ok = c.heap[0], true
+	}
+	if q := &c.rings[c.early]; q.n > 0 {
+		if h := q.buf[q.head]; !ok || h.before(e) {
+			e, src, ok = h, c.early, true
+		}
+	}
+	return e, src, ok
+}
+
+// drop removes the entry first found at src. A ring's head then moves on,
+// so the earliest ring is found again.
+func (c *Clock) drop(src int) {
+	if src < 0 {
+		c.pop()
+		return
+	}
+	q := &c.rings[src]
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	for i := range c.rings[:c.nrings] {
+		if r := &c.rings[i]; r.n > 0 {
+			if h := &c.rings[c.early]; h.n == 0 || r.buf[r.head].before(h.buf[h.head]) {
+				c.early = i
+			}
+		}
+	}
 }
 
 func (c *Clock) push(e qent) {

@@ -200,3 +200,89 @@ func TestSlotIsOneCacheLine(t *testing.T) {
 		t.Errorf("eslot is %d bytes, want 64", got)
 	}
 }
+
+// TestClockRingRouting pins where AfterEvent queues a timer: a delay's
+// first arm goes to the heap and its later arms to its ring, one-off delays
+// claim no ring, a delay that finds every ring claimed stays on the heap,
+// and Stop answers the same on both parts of the queue.
+func TestClockRingRouting(t *testing.T) {
+	nop := fn(func() {})
+
+	c := NewClock()
+	c.AfterEvent(2*time.Second, nop, 0)
+	for i := 0; i < 200; i++ {
+		h := len(c.heap)
+		c.AfterEvent(2*time.Second, nop, 0)
+		if len(c.heap) > h {
+			t.Fatalf("arm %d of a repeated delay grew the heap to %d", i+2, len(c.heap))
+		}
+		if i%3 == 0 {
+			c.RunFor(time.Second)
+		}
+	}
+	if c.nrings != 1 || c.rings[0].n == 0 {
+		t.Fatalf("repeated delay: %d rings, %d entries in the first", c.nrings, c.rings[0].n)
+	}
+
+	// One-off delays, as many as a scale-1 swarm's churn restarts.
+	c = NewClock()
+	for i := 0; i < 26; i++ {
+		c.AfterEvent(11*time.Hour+time.Duration(i)*time.Minute+time.Duration(i*i)*time.Millisecond, nop, 0)
+	}
+	if c.nrings != 0 || len(c.heap) != 26 {
+		t.Fatalf("26 one-off delays: %d rings claimed, %d heap entries", c.nrings, len(c.heap))
+	}
+
+	// maxRings classes armed in turn, as a crawl interleaves its delays: each
+	// is still remembered at its second arm.
+	c = NewClock()
+	for round := 0; round < 2; round++ {
+		for k := 1; k <= maxRings; k++ {
+			c.AfterEvent(time.Duration(k)*time.Second, nop, 0)
+		}
+	}
+	if c.nrings != maxRings || len(c.heap) != maxRings {
+		t.Fatalf("%d classes armed twice: %d rings, %d heap entries", maxRings, c.nrings, len(c.heap))
+	}
+	for i := 1; i <= 3; i++ {
+		c.AfterEvent(time.Minute, nop, 0)
+		if len(c.heap) != maxRings+i || c.nrings != maxRings {
+			t.Fatalf("arm %d of a delay past a full ring table: %d heap entries, %d rings", i, len(c.heap), c.nrings)
+		}
+	}
+
+	c = NewClock()
+	r := &recorder{}
+	onHeap := c.AfterEvent(time.Second, r, 1)
+	onRing := c.AfterEvent(time.Second, r, 2)
+	if len(c.heap) != 1 || c.nrings != 1 || c.rings[0].n != 1 {
+		t.Fatalf("heap %d, rings %d: want one timer on each part", len(c.heap), c.nrings)
+	}
+	for i, tm := range []Timer{onHeap, onRing} {
+		if !tm.Stop() {
+			t.Errorf("part %d: first Stop of a pending timer reported false", i)
+		}
+		if tm.Stop() {
+			t.Errorf("part %d: second Stop reported true", i)
+		}
+		if got := c.Pending(); got != 1-i {
+			t.Errorf("part %d: Pending = %d after Stop, want %d", i, got, 1-i)
+		}
+	}
+	onHeap = c.AfterEvent(3*time.Second, r, 3) // a new delay: the heap
+	onRing = c.AfterEvent(time.Second, r, 4)
+	if c.Pending() != 2 {
+		t.Errorf("Pending = %d, want 2", c.Pending())
+	}
+	if n := c.Drain(0); n != 2 || len(r.args) != 2 || r.args[0] != 4 || r.args[1] != 3 {
+		t.Fatalf("Drain ran %d and fired %v, want [4 3]: stopped timers fired or order broke", n, r.args)
+	}
+	for i, tm := range []Timer{onHeap, onRing} {
+		if tm.Stop() {
+			t.Errorf("part %d: Stop after firing reported true", i)
+		}
+	}
+	if c.Pending() != 0 {
+		t.Errorf("Pending = %d after Drain", c.Pending())
+	}
+}

@@ -5,23 +5,30 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"github.com/reuseblock/reuseblock/internal/iputil"
 )
 
 // modelEvent is one event in the reference queue: a plain list kept in
-// (at, seq) order by sorting.
+// (at, key) order by sorting.
 type modelEvent struct {
 	at     int64
 	seq    int
-	state  byte // 'p' pending, 'f' fired, 's' stopped
+	key    uint64 // seq for a timer, deliveryKey for a delivery
+	state  byte   // 'p' pending, 'f' fired, 's' stopped
 	handle Timer
+	parent *modelEvent // the event whose firing scheduled this one, or nil
 }
 
 // TestClockMatchesModel drives random interleavings of at, AfterEvent, Stop,
 // Step, Drain and RunUntil on a Clock and on a reference queue sorted by
-// (time, seq), and requires the same firing order, the same Stop verdicts
+// (time, key), and requires the same firing order, the same Stop verdicts
 // and the same Pending count after every operation. Every fourth event
 // schedules a child when it fires, so scheduling from inside the loop is
-// covered too.
+// covered too. AfterEvent draws from more delays than the clock has rings,
+// so timers go both to rings and to the heap, and delivery-keyed entries
+// share instants with them, so timers-before-deliveries is checked across
+// both parts of the queue.
 func TestClockMatchesModel(t *testing.T) {
 	var cov clockModelCoverage
 	for seed := int64(1); seed <= 20; seed++ {
@@ -31,7 +38,13 @@ func TestClockMatchesModel(t *testing.T) {
 		t.Error("no Stop landed on a fired event whose slot was reused")
 	}
 	if cov.stoppedTops == 0 {
-		t.Error("no RunUntil left a stopped entry at the heap top past its end")
+		t.Error("no RunUntil left a stopped entry at the heap top or a ring head past its end")
+	}
+	if cov.stoppedRingTops == 0 {
+		t.Error("no RunUntil left a stopped entry at a ring head past its end")
+	}
+	if cov.overflows == 0 {
+		t.Error("no AfterEvent found every ring claimed by other delays")
 	}
 }
 
@@ -41,6 +54,7 @@ func FuzzClockModel(f *testing.F) {
 	f.Add(int64(1), uint16(400))
 	f.Add(int64(7), uint16(2000))
 	f.Add(int64(-3), uint16(40))
+	f.Add(int64(11), uint16(600)) // claims every ring, then overflows to the heap
 	f.Fuzz(func(t *testing.T, seed int64, ops uint16) {
 		runClockModel(t, seed, int(ops)%4000)
 	})
@@ -48,13 +62,40 @@ func FuzzClockModel(f *testing.F) {
 
 // clockModelCoverage counts the corner cases one interleaving reached.
 type clockModelCoverage struct {
-	reusedStops int // Stops of a fired event whose slot a pending event holds
-	stoppedTops int // RunUntils that returned with a stopped entry at the heap top
+	reusedStops     int // Stops of a fired event whose slot a pending event holds
+	stoppedTops     int // RunUntils that returned with a stopped entry at the heap top or a ring head
+	stoppedRingTops int // RunUntils that returned with a stopped entry at a ring head
+	overflows       int // AfterEvents of a delay without a ring, every ring claimed
 }
 
 func (c *clockModelCoverage) add(o clockModelCoverage) {
 	c.reusedStops += o.reusedStops
 	c.stoppedTops += o.stoppedTops
+	c.stoppedRingTops += o.stoppedRingTops
+	c.overflows += o.overflows
+}
+
+// stoppedHeads reports whether a stopped entry sits at the heap top and
+// whether one sits at a ring head.
+func stoppedHeads(c *Clock) (heap, ring bool) {
+	stopped := func(e qent) bool { return c.gens[e.slot] != e.gen }
+	heap = len(c.heap) > 0 && stopped(c.heap[0])
+	for _, q := range c.rings[:c.nrings] {
+		if q.n > 0 && stopped(q.buf[q.head]) {
+			ring = true
+		}
+	}
+	return heap, ring
+}
+
+// hasRing reports whether delay d has a ring on c.
+func hasRing(c *Clock, d time.Duration) bool {
+	for _, q := range c.rings[:c.nrings] {
+		if q.delay == int64(d) {
+			return true
+		}
+	}
+	return false
 }
 
 // runClockModel runs ops operations of one seeded interleaving.
@@ -67,33 +108,55 @@ func runClockModel(t *testing.T, seed int64, ops int) clockModelCoverage {
 		modelNow int64
 		cov      clockModelCoverage
 	)
-	var schedule func(at int64, viaAfter bool, d time.Duration)
+	var schedule func(parent *modelEvent, at int64, viaAfter bool, d time.Duration)
 	childDelay := func(seq int) time.Duration { return time.Duration(seq%3) * time.Second }
-	schedule = func(at int64, viaAfter bool, d time.Duration) {
-		seq := len(model)
-		ev := &modelEvent{at: max(at, modelNow), seq: seq, state: 'p'}
-		model = append(model, ev)
-		f := fn(func() {
+	// target is event seq's callback: it logs the firing and, for every
+	// fourth event, schedules a child.
+	target := func(seq int) fn {
+		return func() {
 			fired = append(fired, [2]int64{int64(seq), c.now})
 			if seq%4 == 0 {
 				d := childDelay(seq)
-				schedule(c.now+int64(d), true, d)
+				schedule(model[seq], c.now+int64(d), true, d)
 			}
-		})
-		if viaAfter {
-			ev.handle = c.AfterEvent(d, f, 0)
-		} else {
-			ev.handle = c.at(at, f, 0)
 		}
+	}
+	schedule = func(parent *modelEvent, at int64, viaAfter bool, d time.Duration) {
+		seq := len(model)
+		ev := &modelEvent{at: max(at, modelNow), seq: seq, key: uint64(seq), state: 'p', parent: parent}
+		model = append(model, ev)
+		if viaAfter {
+			if c.nrings == maxRings && !hasRing(c, max(d, 0)) {
+				cov.overflows++
+			}
+			ev.handle = c.AfterEvent(d, target(seq), 0)
+		} else {
+			ev.handle = c.at(at, target(seq), 0)
+		}
+	}
+	// deliver queues a delivery-keyed entry at at from one of three sources.
+	// Its slot holds a timer target rather than a network, so it fires the
+	// same callback as a timer, child included.
+	sent := map[Endpoint]uint64{}
+	deliver := func(at int64, from Endpoint) {
+		seq := len(model)
+		key := deliveryKey(from, sent[from])
+		sent[from]++
+		ev := &modelEvent{at: max(at, modelNow), seq: seq, key: key, state: 'p'}
+		model = append(model, ev)
+		idx, s := c.schedule(at, key)
+		s.target = target(seq)
+		ev.handle = Timer{c: c, slot: idx, gen: c.gens[idx]}
 	}
 	// fireModel runs the model's earliest pending event, if any lies at or
 	// before end, and returns its seq and time. Children the clock's
-	// callbacks scheduled are already in the model; their (at, seq) keys
-	// exceed their parents', so they cannot be picked too early.
+	// callbacks scheduled are already in the model. A delivery's child can
+	// sort before it (a timer key is below every delivery key), so a child
+	// is a candidate only once the model has fired its parent.
 	fireModel := func(end int64) ([2]int64, bool) {
 		var pending []*modelEvent
 		for _, ev := range model {
-			if ev.state == 'p' {
+			if ev.state == 'p' && (ev.parent == nil || ev.parent.state == 'f') {
 				pending = append(pending, ev)
 			}
 		}
@@ -104,7 +167,7 @@ func runClockModel(t *testing.T, seed int64, ops int) clockModelCoverage {
 			if pending[i].at != pending[j].at {
 				return pending[i].at < pending[j].at
 			}
-			return pending[i].seq < pending[j].seq
+			return pending[i].key < pending[j].key
 		})
 		ev := pending[0]
 		if ev.at > end {
@@ -128,13 +191,13 @@ func runClockModel(t *testing.T, seed int64, ops int) clockModelCoverage {
 	}
 	for step := 0; step < ops; step++ {
 		mark := len(fired)
-		switch op := rng.Intn(11); {
+		switch op := rng.Intn(14); {
 		case op < 3: // at, possibly in the past or on an existing instant
 			at := modelNow + int64(rng.Intn(5)-2)*int64(time.Second)
-			schedule(at, false, 0)
+			schedule(nil, at, false, 0)
 		case op < 5: // AfterEvent, possibly negative
 			d := time.Duration(rng.Intn(4)-1) * time.Second
-			schedule(modelNow+int64(max(d, 0)), true, d)
+			schedule(nil, modelNow+int64(max(d, 0)), true, d)
 		case op < 7 && len(model) > 0: // Stop any handle, live or not
 			ev := model[rng.Intn(len(model))]
 			if ev.state == 'f' {
@@ -176,6 +239,12 @@ func runClockModel(t *testing.T, seed int64, ops int) clockModelCoverage {
 				t.Fatalf("seed %d: Drain(%d) ran %d, model %d", seed, limit, n, len(want))
 			}
 			expect("Drain", mark, want)
+		case op < 12: // AfterEvent from more repeating delays than there are rings
+			d := time.Duration(1+rng.Intn(maxRings+4)) * 250 * time.Millisecond
+			schedule(nil, modelNow+int64(d), true, d)
+		case op < 13: // a delivery, often on a ring timer's instant
+			at := modelNow + int64(rng.Intn(13))*int64(250*time.Millisecond)
+			deliver(at, Endpoint{Addr: iputil.Addr(1 + rng.Intn(3)), Port: 1})
 		default: // RunUntil a point up to 3 s ahead
 			end := modelNow + int64(rng.Intn(4))*int64(time.Second)
 			n := c.RunUntil(Epoch.Add(time.Duration(end)))
@@ -192,8 +261,12 @@ func runClockModel(t *testing.T, seed int64, ops int) clockModelCoverage {
 			}
 			expect("RunUntil", mark, want)
 			modelNow = max(modelNow, end)
-			if len(c.heap) > 0 && c.gens[c.heap[0].slot] != c.heap[0].gen {
+			heap, ring := stoppedHeads(c)
+			if heap || ring {
 				cov.stoppedTops++
+			}
+			if ring {
+				cov.stoppedRingTops++
 			}
 		}
 		if got := c.Now().Sub(Epoch); int64(got) != modelNow {

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -41,6 +43,64 @@ func TestShardGroupLookaheadSafety(t *testing.T) {
 	// on a window barrier: 1s/10ms = 100 deliveries.
 	if want := int(time.Second / lat); hops != want {
 		t.Fatalf("observed %d hops, want %d (barrier-instant sends lost?)", hops, want)
+	}
+}
+
+// TestShardGroupRingOnlyShard runs a shard whose queue holds only ring
+// timers: three hosts on keepalive-like timers of one delay, which send to a
+// host on the other shard and receive nothing. The windows must open at
+// those timers, as they do at heap events, so every keepalive fires and
+// arrives at the instant it does on a one-shard fabric.
+func TestShardGroupRingOnlyShard(t *testing.T) {
+	const lat, keepalive = 10 * time.Millisecond, 1500 * time.Millisecond
+	run := func(shards int) (fires, arrivals []string) {
+		g, err := NewShardGroup(shards, 1, Config{LatencyBase: lat, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := Endpoint{Addr: 0x0001000a, Port: 1} // shard 1 of 2
+		sb, err := g.ShardFor(b.Addr).Net.Listen(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bClock := g.ShardFor(b.Addr).Clock
+		sb.SetHandler(func(from Endpoint, p []byte) {
+			arrivals = append(arrivals, fmt.Sprintf("%v %v %s", bClock.Now().Sub(Epoch), from, p))
+		})
+		var ringOnly *Clock
+		for i := 0; i < 3; i++ {
+			a := Endpoint{Addr: 0x0000000a + iputil.Addr(i), Port: 1} // shard 0
+			sa, err := g.ShardFor(a.Addr).Net.Listen(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clock := g.ShardFor(a.Addr).Clock
+			ringOnly = clock
+			var tick fn
+			tick = func() {
+				fires = append(fires, fmt.Sprintf("%v %v", clock.Now().Sub(Epoch), a))
+				sa.Send(b, fmt.Appendf(nil, "%v", a))
+				clock.AfterEvent(keepalive, tick, 0)
+			}
+			clock.AfterEvent(time.Duration(i+1)*333*time.Millisecond, tick, 0) // a one-off start
+		}
+		g.RunFor(4 * time.Second)
+		g.RunFor(7 * time.Second)
+		if shards > 1 && (len(ringOnly.heap) != 0 || ringOnly.nrings != 1) {
+			t.Fatalf("keepalive shard holds %d heap entries and %d rings, want only one ring", len(ringOnly.heap), ringOnly.nrings)
+		}
+		return fires, arrivals
+	}
+	wantFires, wantArrivals := run(1)
+	if len(wantFires) < 18 || len(wantArrivals) != len(wantFires) {
+		t.Fatalf("one shard: %d fires, %d arrivals", len(wantFires), len(wantArrivals))
+	}
+	fires, arrivals := run(2)
+	if !slices.Equal(fires, wantFires) {
+		t.Fatalf("two shards fired\n%v\nwant\n%v", fires, wantFires)
+	}
+	if !slices.Equal(arrivals, wantArrivals) {
+		t.Fatalf("two shards delivered\n%v\nwant\n%v", arrivals, wantArrivals)
 	}
 }
 
