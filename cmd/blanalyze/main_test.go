@@ -2,13 +2,20 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/reuseblock/reuseblock/internal/analysis"
+	"github.com/reuseblock/reuseblock/internal/blgen"
+	"github.com/reuseblock/reuseblock/internal/blocklist"
+	"github.com/reuseblock/reuseblock/internal/core"
 	"github.com/reuseblock/reuseblock/internal/iputil"
 	"github.com/reuseblock/reuseblock/internal/pfx2as"
+	"github.com/reuseblock/reuseblock/internal/stats"
 )
 
 func TestRunHelp(t *testing.T) {
@@ -106,4 +113,120 @@ func TestRunAnalyzesSnapshots(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
 	}
+}
+
+// TestAnalyzeMatchesStudyReport pins the operator path to the study: a small
+// study's datasets, written to disk in the formats blgen, blcrawl and
+// bldetect write, must give back the report's Figures 5-8 byte for byte.
+// Figure 3 differs in two inputs blanalyze does not have, and the pin names
+// both: without the crawl's observed addresses it has no "blocklisted
+// BitTorrent addresses" series, and without the RIPE probes' prefixes its
+// RIPE series counts the detected dynamic prefixes instead. The study skips
+// the ICMP baseline, for which blanalyze has no input either, so Figure 6's
+// Cai et al. series is empty on both sides.
+func TestAnalyzeMatchesStudyReport(t *testing.T) {
+	wp := blgen.DefaultParams(1)
+	wp.Scale = 0.05
+	st := core.NewStudy(core.Config{Seed: 1, World: &wp, CrawlDuration: 2 * time.Hour, SkipICMP: true})
+	rep, err := st.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := st.World
+	dir := t.TempDir()
+	create := func(name string, write func(f *os.File) error) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	// Feeds: one snapshot per feed per day it lists anything, as blgen
+	// writes them.
+	if err := os.Mkdir(filepath.Join(dir, "feeds"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for fi, feed := range w.Registry.Feeds {
+		listed := w.Collection.FeedAddrs(fi).Sorted()
+		for d, day := range w.Collection.Days() {
+			addrs := iputil.NewSet()
+			for _, a := range listed {
+				if w.Collection.Present(fi, d, a) {
+					addrs.Add(a)
+				}
+			}
+			if addrs.Len() == 0 {
+				continue
+			}
+			create(filepath.Join("feeds", fmt.Sprintf("%s_%s.txt", feed.Name, day.Format("2006-01-02"))),
+				func(f *os.File) error { return blocklist.WritePlain(f, addrs, feed.Name+" snapshot") })
+		}
+	}
+	pfxPath := create("pfx2as.txt", func(f *os.File) error {
+		tbl := pfx2as.New()
+		for _, a := range w.ASes {
+			for _, pi := range a.Prefixes {
+				tbl.Add(pi.Prefix, pi.ASN)
+			}
+		}
+		return pfx2as.Write(f, tbl)
+	})
+	natedPath := create("nated.txt", func(f *os.File) error {
+		users := make(map[iputil.Addr]int, len(st.NATed))
+		for _, o := range st.NATed {
+			users[o.Addr] = o.Users
+		}
+		return blocklist.WriteNATedList(f, users, "NATed addresses detected by blcrawl (addr<TAB>users lower bound)")
+	})
+	dynPath := create("dynamic.txt", func(f *os.File) error {
+		for _, p := range st.RIPE.DynamicPrefixes.Sorted() {
+			if _, err := fmt.Fprintln(f, p); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+
+	var out, errb bytes.Buffer
+	if err := analyze(filepath.Join(dir, "feeds"), natedPath, dynPath, pfxPath, 1, &out, &errb); err != nil {
+		t.Fatalf("analyze: %v\nstderr: %s", err, errb.String())
+	}
+	if len(st.NATed) == 0 || st.RIPE.DynamicPrefixes.Len() == 0 {
+		t.Fatalf("study found %d NATed addresses and %d dynamic prefixes; the pin needs both",
+			len(st.NATed), st.RIPE.DynamicPrefixes.Len())
+	}
+	onDisk := *st.Inputs
+	onDisk.BTObserved = nil
+	onDisk.RIPEPrefixes = onDisk.DynamicPrefixes
+	for _, want := range []*stats.Figure{
+		rep.PerList.Figure5(), rep.PerList.Figure6(), rep.Durations.Figure7(), rep.NATUsers.Figure8(),
+		analysis.ComputeASOverlap(&onDisk).Figure3(),
+	} {
+		if got := section(out.String(), want.Title); got != want.Render() {
+			t.Errorf("blanalyze's %q differs from the report's\nblanalyze:\n%s\nreport:\n%s",
+				want.Title, got, want.Render())
+		}
+	}
+}
+
+// section returns the block of out that starts with the "== title ==" line
+// and runs to the next blank line.
+func section(out, title string) string {
+	i := strings.Index(out, "== "+title+" ==\n")
+	if i < 0 {
+		return ""
+	}
+	if n := strings.Index(out[i:], "\n\n"); n >= 0 {
+		return out[i : i+n+1]
+	}
+	return out[i:]
 }

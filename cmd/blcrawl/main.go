@@ -1,9 +1,9 @@
 // Command blcrawl runs the paper's BitTorrent NAT-detection crawler.
 //
-// In the default simulated mode it generates a synthetic world, instantiates
-// its BitTorrent population on the deterministic network simulator and
-// crawls it for the given simulated duration, printing crawl statistics and
-// the detected NATed addresses.
+// In the default simulated mode it generates the synthetic world for -seed
+// and -scale and runs the study's crawl stage on it (core.Study.Crawl, the
+// crawl blreport runs for the same seed, scale and duration), printing crawl
+// statistics and the detected NATed addresses.
 //
 // With -replay it instead reproduces NAT determination offline from a
 // message log that an earlier crawl wrote with -log.
@@ -15,7 +15,7 @@
 //
 // Usage:
 //
-//	blcrawl [-seed N] [-scale F] [-duration DUR] [-loss F] [-faults SCENARIO] [-out FILE] [-log FILE]
+//	blcrawl [-seed N] [-scale F] [-duration DUR] [-faults SCENARIO] [-out FILE] [-log FILE]
 //	blcrawl -replay crawl.log [-window DUR]
 package main
 
@@ -51,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Int64("seed", 1, "world seed")
 		scale    = fs.Float64("scale", 0.5, "world scale")
 		duration = fs.Duration("duration", 24*time.Hour, "simulated crawl duration")
-		loss     = fs.Float64("loss", 0.28, "datagram loss probability (simulated mode)")
 		out      = fs.String("out", "", "write detected NATed addresses to this file")
 		msgLog   = fs.String("log", "", "write the crawler message log to this file (replayable with crawler.Replay)")
 		replay   = fs.String("replay", "", "post-process an existing message log instead of crawling")
@@ -81,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = runReplay(*replay, *window, stdout)
 	} else {
 		err = runSimulated(simJob{
-			seed: *seed, scale: *scale, duration: *duration, loss: *loss,
+			seed: *seed, scale: *scale, duration: *duration,
 			scenario: scenario, out: *out, msgLog: *msgLog,
 		}, stdout, stderr)
 	}
@@ -118,15 +117,13 @@ type simJob struct {
 	seed     int64
 	scale    float64
 	duration time.Duration
-	loss     float64
 	scenario *faults.Scenario
 	out      string // detected-address file; "" writes none
 	msgLog   string // crawler message log; "" writes none
 }
 
-// runSimulated generates the world, builds its swarm, crawls it from the
-// vantage Swarm.StartCrawler brings up for the job's duration, and prints
-// the crawl's statistics.
+// runSimulated generates the world and runs the study's crawl stage on it
+// for the job's duration, then prints the crawl's statistics.
 func runSimulated(job simJob, stdout, stderr io.Writer) (err error) {
 	var eventLog io.Writer
 	if job.msgLog != "" {
@@ -149,46 +146,30 @@ func runSimulated(job simJob, stdout, stderr io.Writer) (err error) {
 	start := time.Now()
 	wp := blgen.DefaultParams(job.seed)
 	wp.Scale = job.scale
-	w := blgen.Generate(wp)
+	s := core.NewStudy(core.Config{Seed: job.seed, World: &wp, CrawlDuration: job.duration, Faults: job.scenario})
+	w := s.World
 	fmt.Fprintf(stderr, "world: %d BT users, %d NAT gateways\n", len(w.BTUsers), len(w.NATs))
-
-	scope := w.BlocklistedSpace()
-	swarm, err := core.BuildSwarm(w, core.SwarmConfig{
-		Loss:         job.loss,
-		Seed:         job.seed,
-		ChurnHorizon: job.duration,
-		Faults:       job.scenario,
-	}, scope.Covers)
-	if err != nil {
+	if err := s.Crawl(eventLog); err != nil {
 		return err
 	}
-	c, err := swarm.StartCrawler(0, crawler.Config{Scope: scope.Covers, Seed: job.seed, EventLog: eventLog})
-	if err != nil {
-		return err
-	}
-	swarm.RunFor(job.duration)
-	c.Stop()
 
-	st := c.Stats()
+	st := s.CrawlStats
 	fmt.Fprintf(stdout, "crawled %v of simulated time in %v\n", job.duration, time.Since(start).Round(time.Millisecond))
 	fmt.Fprintf(stdout, "messages sent:      %d (get_nodes %d, bt_ping %d)\n", st.MessagesSent, st.GetNodesSent, st.PingsSent)
 	fmt.Fprintf(stdout, "responses received: %d (%.1f%%)\n", st.MessagesReceived, st.ResponseRate*100)
 	fmt.Fprintf(stdout, "unique IPs:         %d\n", st.UniqueIPs)
 	fmt.Fprintf(stdout, "unique node IDs:    %d\n", st.UniqueNodeIDs)
-	fmt.Fprintf(stdout, "multi-port IPs:     %d\n", st.MultiPortIPs)
 	fmt.Fprintf(stdout, "NATed IPs:          %d (max %d simultaneous users)\n", st.NATedIPs, st.SimultaneousMax)
 	if job.scenario != nil {
 		fmt.Fprintf(stdout, "resilience:         %d retries, %d late replies, %d endpoints evicted\n",
 			st.Retries, st.LateReplies, st.Evicted)
-		if swarm.Injector != nil {
-			fs := swarm.Injector.Stats()
-			fmt.Fprintf(stdout, "%-20s%d burst-dropped, %d blackout-dropped, %d rate-limited, %d corrupted\n",
-				"faults ("+job.scenario.Name+"):", fs.BurstDropped, fs.BlackoutDropped, fs.RateLimited, fs.Corrupted)
-		}
+		fs := s.FaultStats
+		fmt.Fprintf(stdout, "%-20s%d burst-dropped, %d blackout-dropped, %d rate-limited, %d corrupted\n",
+			"faults ("+job.scenario.Name+"):", fs.BurstDropped, fs.BlackoutDropped, fs.RateLimited, fs.Corrupted)
 	}
 	detected := make(map[iputil.Addr]int)
 	truePositives := 0
-	for _, o := range c.NATed() {
+	for _, o := range s.NATed {
 		detected[o.Addr] = o.Users
 		if _, ok := w.NATByIP[o.Addr]; ok {
 			truePositives++

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -99,7 +100,8 @@ func TestRunReplayMissingLog(t *testing.T) {
 
 // TestRunSimulatedCrawlAndReplay runs a short simulated crawl that writes a
 // message log and a detection list, then replays the log through the CLI —
-// the paper's collect-then-post-process loop end to end.
+// the paper's collect-then-post-process loop end to end. The replay must
+// list exactly the -out file's addresses with the same user bounds.
 func TestRunSimulatedCrawlAndReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated crawl")
@@ -124,7 +126,27 @@ func TestRunSimulatedCrawlAndReplay(t *testing.T) {
 	if code := run([]string{"-replay", msgLog}, &rout, &rerrb); code != 0 {
 		t.Fatalf("replay exited %d\nstderr: %s", code, rerrb.String())
 	}
-	if !strings.Contains(rout.String(), "replayed ") {
-		t.Errorf("replay output missing summary:\n%s", rout.String())
+	summary, lines, ok := strings.Cut(rout.String(), "\n")
+	if !ok || !strings.HasPrefix(summary, "replayed ") {
+		t.Fatalf("replay output missing summary:\n%s", rout.String())
+	}
+	replayed, err := blocklist.ParseNATedList(strings.NewReader(lines))
+	if err != nil {
+		t.Fatalf("replay lines do not parse: %v", err)
+	}
+	f, err := os.Open(outList)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	crawled, err := blocklist.ParseNATedList(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(crawled) == 0 {
+		t.Fatal("crawl detected nothing, so the replay compares nothing")
+	}
+	if !maps.Equal(replayed, crawled) {
+		t.Errorf("replay and -out differ:\nreplay: %v\n-out:   %v", replayed, crawled)
 	}
 }

@@ -394,11 +394,11 @@ func TestCrawlWithoutRepliesFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	swarm.Nodes[indexOf(t, swarm, swarm.Bootstrap)].Close()
-	run := st.crawlVantage(0, swarm, nil, nil)
+	run := st.crawlVantage(0, swarm, nil, nil, nil)
 	if run.err == nil {
 		t.Fatalf("crawl with a dead bootstrap succeeded: %+v", run.stats)
 	}
-	if err := st.mergeVantages([]vantageRun{run}, map[iputil.Addr]int{}); err == nil {
+	if err := st.mergeVantages([]vantageRun{run}); err == nil {
 		t.Fatal("a study whose only vantage heard nothing did not fail")
 	}
 	if len(st.NATed) != 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"time"
 
@@ -133,7 +134,8 @@ type Study struct {
 	Config Config
 	World  *blgen.World
 
-	// Results, populated by Run.
+	// Results, populated by Run. Crawl fills the crawl stage's four:
+	// CrawlStats, NATed, BTObserved and FaultStats.
 	CrawlStats crawler.Stats
 	NATed      []crawler.NATObservation
 	BTObserved *iputil.Set
@@ -197,12 +199,10 @@ func (s *Study) Run() (*Report, error) {
 		obs.String("faults", s.faultName()),
 	)
 
-	natUsers := make(map[iputil.Addr]int)
-	s.BTObserved = iputil.NewSet()
 	var crawlErr error
 	parallel.Do(s.Config.Workers,
 		// Stage 1: the BitTorrent crawl over the simulated network.
-		s.stage(root, "crawl", func(sp *obs.Span) { crawlErr = s.runCrawl(natUsers, sp) }),
+		s.stage(root, "crawl", func(sp *obs.Span) { crawlErr = s.crawl(nil, sp) }),
 		// Stage 2: the RIPE dynamic-address pipeline over the fleet logs.
 		s.stage(root, "ripe", func(*obs.Span) {
 			s.RIPE = ripeatlas.Detect(w.RIPELogs, ripeatlas.DetectOptions{})
@@ -241,6 +241,10 @@ func (s *Study) Run() (*Report, error) {
 	}
 
 	// Stage 5: joins.
+	natUsers := make(map[iputil.Addr]int, len(s.NATed))
+	for _, o := range s.NATed {
+		natUsers[o.Addr] = o.Users
+	}
 	s.Inputs = &analysis.Inputs{
 		Collection:      w.Collection,
 		NATUsers:        natUsers,
@@ -282,12 +286,28 @@ type vantageRun struct {
 	err                        error
 }
 
-// runCrawl runs the crawl stage: Config.Vantages crawler vantage points in
+// Crawl runs the study's crawl stage alone, as Run's stage 1 runs it, and
+// fills NATed, CrawlStats, BTObserved and FaultStats. A non-nil log
+// receives the crawler's message log (crawler.ParseLog reads it back, and
+// crawler.Replay re-derives NATed from it). A log records one crawler, so it
+// needs Config.Vantages 1.
+func (s *Study) Crawl(log io.Writer) error {
+	if err := s.Config.Faults.Validate(); err != nil {
+		return err
+	}
+	if log != nil && s.Config.Vantages > 1 {
+		return fmt.Errorf("core: a message log records one crawler, not %d vantages", s.Config.Vantages)
+	}
+	return s.crawl(log, nil)
+}
+
+// crawl runs the crawl stage: Config.Vantages crawler vantage points in
 // distinct networks (Swarm.StartCrawler). Each vantage drives its own
 // simulator instance seeded only by (Config.Seed, vantage index), and the
 // per-vantage results merge in vantage order, so the outcome is independent
 // of scheduling.
-func (s *Study) runCrawl(natUsers map[iputil.Addr]int, crawlSpan *obs.Span) error {
+func (s *Study) crawl(log io.Writer, crawlSpan *obs.Span) error {
+	s.BTObserved = iputil.NewSet()
 	if s.Config.SkipCrawl {
 		return nil
 	}
@@ -314,25 +334,27 @@ func (s *Study) runCrawl(natUsers map[iputil.Addr]int, crawlSpan *obs.Span) erro
 			vsp.SetAttr(obs.String("error", err.Error()))
 			return vantageRun{err: err}
 		}
-		r := s.crawlVantage(v, swarm, scope, vsp)
+		r := s.crawlVantage(v, swarm, scope, log, vsp)
 		if r.err != nil {
 			vsp.SetAttr(obs.String("error", r.err.Error()))
 		}
 		return r
 	})
-	return s.mergeVantages(runs, natUsers)
+	return s.mergeVantages(runs)
 }
 
 // crawlVantage crawls swarm from vantage v, within scope, for the
-// configured duration. A crawl that heard no reply at all learned nothing
-// about the swarm — its bootstrap was unreachable — so it is a failed
-// vantage, not an empty success.
-func (s *Study) crawlVantage(v int, swarm *Swarm, scope func(iputil.Addr) bool, vsp *obs.Span) vantageRun {
+// configured duration, writing its message log to log when non-nil. A crawl
+// that heard no reply at all learned nothing about the swarm — its
+// bootstrap was unreachable — so it is a failed vantage, not an empty
+// success.
+func (s *Study) crawlVantage(v int, swarm *Swarm, scope func(iputil.Addr) bool, log io.Writer, vsp *obs.Span) vantageRun {
 	c, err := swarm.StartCrawler(v, crawler.Config{
-		Scope: scope,
-		Seed:  s.Config.Seed ^ 0x4352574c ^ int64(v)<<32, // "CRWL"
-		Obs:   s.Config.Obs,
-		Trace: vsp,
+		Scope:    scope,
+		Seed:     s.Config.Seed ^ 0x4352574c ^ int64(v)<<32, // "CRWL"
+		EventLog: log,
+		Obs:      s.Config.Obs,
+		Trace:    vsp,
 	})
 	if err != nil {
 		return vantageRun{err: err}
@@ -356,7 +378,7 @@ func (s *Study) crawlVantage(v int, swarm *Swarm, scope func(iputil.Addr) bool, 
 // mergeVantages merges the vantage runs in vantage order. A failed vantage
 // becomes a "failed" stage in the degradation report; under a fault
 // scenario the study goes on with the survivors, otherwise it fails.
-func (s *Study) mergeVantages(runs []vantageRun, natUsers map[iputil.Addr]int) error {
+func (s *Study) mergeVantages(runs []vantageRun) error {
 	var statParts []crawler.Stats
 	var obsParts [][]crawler.NATObservation
 	salvage := s.Config.Faults != nil
@@ -418,9 +440,6 @@ func (s *Study) mergeVantages(runs []vantageRun, natUsers map[iputil.Addr]int) e
 	}
 	s.CrawlStats.UniqueNodeIDs = uniqueIDs
 	s.CrawlStats.NATedIPs = len(s.NATed)
-	for _, o := range s.NATed {
-		natUsers[o.Addr] = o.Users
-	}
 	return nil
 }
 

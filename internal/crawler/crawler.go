@@ -176,9 +176,10 @@ type Crawler struct {
 	// messages, so neither allocates per datagram.
 	nodeBuf []krpc.NodeInfo
 	buf     []byte
-	// roundCands holds the candidates of every ping round whose window
-	// has yet to close, oldest round first; idScratch dedups one
-	// candidate's reply IDs when a window scores it.
+	// roundCands holds the last ping round's candidates, which its window
+	// scores (pingWindow is shorter than pingInterval, so a window closes
+	// before the next round opens); idScratch dedups one candidate's reply
+	// IDs when the window scores it.
 	roundCands []uint32
 	idScratch  []krpc.NodeID
 }
@@ -186,7 +187,7 @@ type Crawler struct {
 // crawlerTimers is a Crawler as the target of its timers, which keeps
 // Fire out of Crawler's method set. A timer's argument holds its kind in
 // the low timerKindBits bits and, above them, the transaction ID of a
-// per-query timer or the candidate count of a ping-round window.
+// per-query timer.
 type crawlerTimers Crawler
 
 // Timer kinds.
@@ -228,7 +229,7 @@ func (t *crawlerTimers) Fire(arg uint64) {
 	case evRetransmit:
 		c.retransmit(tx)
 	case evPingWindow:
-		c.closeWindow(int(arg >> timerKindBits))
+		c.scoreRound(c.roundCands)
 	}
 }
 
@@ -507,7 +508,7 @@ func (c *Crawler) pingRound() {
 	c.stats.PingRoundsRun++
 	sp := c.cfg.Trace.Child(fmt.Sprintf("ping round %04d", c.stats.PingRoundsRun))
 	now := c.now()
-	first := len(c.roundCands)
+	c.roundCands = c.roundCands[:0]
 	for _, h := range c.st.sorted() {
 		if c.st.ports[h].seen < 2 {
 			continue
@@ -524,23 +525,12 @@ func (c *Crawler) pingRound() {
 			}
 		}
 	}
-	n := len(c.roundCands) - first
-	sp.SetAttr(obs.Int("candidates", int64(n)))
+	sp.SetAttr(obs.Int("candidates", int64(len(c.roundCands))))
 	sp.End()
-	if n == 0 {
+	if len(c.roundCands) == 0 {
 		return
 	}
-	c.windowTimer = c.clock.AfterEvent(pingWindow, (*crawlerTimers)(c), uint64(n)<<timerKindBits|evPingWindow)
-}
-
-// closeWindow scores the oldest pending round, whose n candidates head
-// roundCands: windows close in the order their rounds ran.
-func (c *Crawler) closeWindow(n int) {
-	if !c.running {
-		return
-	}
-	c.scoreRound(c.roundCands[:n])
-	c.roundCands = c.roundCands[:copy(c.roundCands, c.roundCands[n:])]
+	c.windowTimer = c.clock.AfterEvent(pingWindow, (*crawlerTimers)(c), evPingWindow)
 }
 
 // scoreRound applies the paper's rule: an IP is NATed when at least two

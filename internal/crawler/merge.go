@@ -1,10 +1,6 @@
 package crawler
 
-import (
-	"sort"
-
-	"github.com/reuseblock/reuseblock/internal/iputil"
-)
+import "github.com/reuseblock/reuseblock/internal/iputil"
 
 // The paper notes its single-vantage crawler concentrated all reply traffic
 // on one network and suggests "having the crawler at multiple vantage
@@ -16,27 +12,14 @@ import (
 // the maximum any vantage established (each is a valid lower bound); ports
 // seen and the earliest confirmation are combined.
 //
-// It is a k-way merge that exploits Crawler.NATed returning observations
-// sorted by address. Every combining operation is a max or a min, so the
-// result is invariant under group order. On sorted groups — the crawl
-// pipeline's steady state — the result slice is the only allocation. An
-// unsorted group (legal, but nothing in the repo produces one) is merged
-// from a sorted private copy; the caller's groups are never modified.
+// Each group must be sorted by address, as Crawler.NATed returns it: the
+// merge is a k-way merge over the groups' heads. Every combining operation
+// is a max or a min, so the result is invariant under group order, and the
+// result slice is the only allocation.
 func MergeObservations(groups ...[]NATObservation) []NATObservation {
 	total := 0
-	copied := false
-	for g, group := range groups {
+	for _, group := range groups {
 		total += len(group)
-		if obsSorted(group) {
-			continue
-		}
-		if !copied {
-			groups = append([][]NATObservation(nil), groups...)
-			copied = true
-		}
-		cp := append([]NATObservation(nil), group...)
-		sort.Slice(cp, func(i, j int) bool { return cp[i].Addr < cp[j].Addr })
-		groups[g] = cp
 	}
 	dst := make([]NATObservation, 0, total)
 	var idxBuf [16]int
@@ -81,15 +64,6 @@ func MergeObservations(groups ...[]NATObservation) []NATObservation {
 		}
 		dst = append(dst, merged)
 	}
-}
-
-func obsSorted(g []NATObservation) bool {
-	for i := 1; i < len(g); i++ {
-		if g[i].Addr < g[i-1].Addr {
-			return false
-		}
-	}
-	return true
 }
 
 // MergeStats combines per-vantage crawl statistics: counters add up, unique

@@ -32,8 +32,9 @@ type refCrawler struct {
 	txSeq    uint64
 	stats    Stats
 	sent     []refSend
-	// windows holds each open ping round's candidates, oldest first.
-	windows [][]*refRecord
+	// window holds the open ping round's candidates; nil when no window
+	// is open.
+	window []*refRecord
 }
 
 type refRecord struct {
@@ -191,13 +192,13 @@ func (r *refCrawler) pingRound() {
 		}
 	}
 	if len(candidates) > 0 {
-		r.windows = append(r.windows, candidates)
+		r.window = candidates
 	}
 }
 
 func (r *refCrawler) closeWindow() {
-	candidates := r.windows[0]
-	r.windows = r.windows[1:]
+	candidates := r.window
+	r.window = nil
 	for _, rec := range candidates {
 		if !rec.inRound {
 			continue
@@ -311,17 +312,17 @@ func (r *refCrawler) addrs(multi bool) []iputil.Addr {
 }
 
 // manualClock is a crawlClock whose time moves only when told and whose timers
-// never fire; it records the ping-round windows the crawler arms so a test
-// can close them.
+// never fire; it records whether the crawler armed a ping-round window so a
+// test can close it.
 type manualClock struct {
-	now     time.Time
-	windows []uint64
+	now    time.Time
+	window bool
 }
 
 func (c *manualClock) Now() time.Time { return c.now }
 func (c *manualClock) AfterEvent(_ time.Duration, _ netsim.Target, arg uint64) netsim.Timer {
-	if arg&(1<<timerKindBits-1) == evPingWindow {
-		c.windows = append(c.windows, arg)
+	if arg == evPingWindow {
+		c.window = true
 	}
 	return netsim.Timer{}
 }
@@ -440,16 +441,12 @@ func (s *stateRun) step(t *testing.T, data []byte) int {
 	case 4:
 		s.c.sweep()
 		s.r.sweep()
-	case 5:
+	case 5: // a ping round, after the last round's window (pingWindow < pingInterval)
+		s.closeWindow()
 		s.c.pingRound()
 		s.r.pingRound()
-	case 6: // the oldest open ping window closes
-		if len(s.clock.windows) > 0 {
-			arg := s.clock.windows[0]
-			s.clock.windows = s.clock.windows[1:]
-			(*crawlerTimers)(s.c).Fire(arg)
-			s.r.closeWindow()
-		}
+	case 6:
+		s.closeWindow()
 	case 7:
 		d := time.Duration(arg(1)) * time.Minute / 4
 		s.clock.now = s.clock.now.Add(d)
@@ -460,6 +457,15 @@ func (s *stateRun) step(t *testing.T, data []byte) int {
 		s.r.boot()
 	}
 	return 1
+}
+
+// closeWindow closes the open ping window, if any, in both crawlers.
+func (s *stateRun) closeWindow() {
+	if s.clock.window {
+		s.clock.window = false
+		(*crawlerTimers)(s.c).Fire(evPingWindow)
+		s.r.closeWindow()
+	}
 }
 
 // reply delivers a response to the crawler and the reference.
@@ -525,7 +531,7 @@ func runStateOps(t *testing.T, data []byte) {
 }
 
 // stateSeeds are hand-written streams that reach every operation: a crawl
-// that boots, pumps, discovers multi-port addresses, runs overlapping ping
+// that boots, pumps, discovers multi-port addresses, runs back-to-back ping
 // rounds, times queries out into eviction and hears late replies.
 func stateSeeds() [][]byte {
 	return [][]byte{
@@ -539,9 +545,8 @@ func stateSeeds() [][]byte {
 		[]byte("110Z001%"),
 		[]byte("710Z00010Z1702Z2C00270Z000!"),
 		[]byte("010010011070071707"),
-		// Two ping rounds whose windows overlap: the first window must
-		// score only its own round, leaving the second round's new
-		// candidate to collect its replies.
+		// Two ping rounds back to back, the second with a new candidate:
+		// the first round's window closes before the second round opens.
 		{0x00, 8, 3, 0, 0, 0x00, 2, 0x01, 0x29, 5, 3, 0, 2, 0x00, 2, 0x42, 0x6a, 5, 6, 0, 4, 0x20, 0, 0, 4, 0x30, 0, 6},
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/reuseblock/reuseblock/internal/core"
-	"github.com/reuseblock/reuseblock/internal/crawler"
 	"github.com/reuseblock/reuseblock/internal/iputil"
 	"github.com/reuseblock/reuseblock/internal/obs"
 )
@@ -171,47 +170,45 @@ func checkHealthyStack(faults string) func(*Stack) error {
 	}
 }
 
-// blcrawlLoss is blcrawl's -loss default; BootStack passes no -loss.
-const blcrawlLoss = 0.28
-
 // runBaseline checks the healthy-stack contract, then pins the process
-// pipeline to the in-process crawl: the served NATed list must hold exactly
-// the addresses Crawler.NATed finds when the same world is crawled the way
-// blcrawl's simulated mode crawls it (same seed, duration, loss and scope).
+// pipeline to the study's crawl stage: the served NATed list, and the users
+// in blcrawl's -out file, must equal Study.NATed for the same world, seed
+// and duration.
 func runBaseline(s *Stack) error {
 	if err := checkHealthyStack("")(s); err != nil {
 		return err
 	}
-	scope := s.World.BlocklistedSpace()
-	swarm, err := core.BuildSwarm(s.World, core.SwarmConfig{
-		Loss:         blcrawlLoss,
-		Seed:         s.Cfg.Seed,
-		ChurnHorizon: s.Cfg.CrawlDuration,
-	}, scope.Covers)
-	if err != nil {
+	st := core.NewStudyFromWorld(s.World, core.Config{Seed: s.Cfg.Seed, CrawlDuration: s.Cfg.CrawlDuration})
+	if err := st.Crawl(nil); err != nil {
 		return err
 	}
-	c, err := swarm.StartCrawler(0, crawler.Config{Scope: scope.Covers, Seed: s.Cfg.Seed})
-	if err != nil {
-		return err
-	}
-	swarm.RunFor(s.Cfg.CrawlDuration)
-	c.Stop()
-	want := make(map[string]bool)
-	for _, o := range c.NATed() {
-		want[o.Addr.String()] = true
+	want := make(map[string]int, len(st.NATed))
+	for _, o := range st.NATed {
+		want[o.Addr.String()] = o.Users
 	}
 	served, err := s.ServedNATed()
 	if err != nil {
 		return err
 	}
 	for _, ip := range served {
-		if !want[ip] {
-			return fmt.Errorf("served NATed %s, which the in-process crawl did not detect", ip)
+		if _, ok := want[ip]; !ok {
+			return fmt.Errorf("served NATed %s, which the study's crawl did not detect", ip)
 		}
 	}
 	if len(served) != len(want) {
-		return fmt.Errorf("served %d NATed addresses, the in-process crawl detected %d", len(served), len(want))
+		return fmt.Errorf("served %d NATed addresses, the study's crawl detected %d", len(served), len(want))
+	}
+	users, err := s.ServedNATedInput()
+	if err != nil {
+		return err
+	}
+	for a, n := range users {
+		if want[a.String()] != n {
+			return fmt.Errorf("blcrawl -out gives %s %d users, the study's crawl %d", a, n, want[a.String()])
+		}
+	}
+	if len(users) != len(want) {
+		return fmt.Errorf("blcrawl -out holds %d addresses, the study's crawl detected %d", len(users), len(want))
 	}
 	return nil
 }
