@@ -21,11 +21,13 @@ test:
 ci: build vet
 	$(GO) test -race -short ./...
 
-# Regenerates every paper table/figure into bench_artifacts/ (including the
-# deterministic metric snapshot metrics.txt). Performance is measured by the
-# benchmark/ harness (benchmark/run.sh), not here.
+# Regenerates every file under bench_artifacts/ (the paper's tables and
+# figures, the deterministic metric snapshot metrics.txt and the ablations)
+# from the artifacts table in golden_test.go, the same table
+# TestGoldenArtifacts checks. Performance is measured by the benchmark/
+# harness (benchmark/run.sh), not here.
 bench:
-	$(GO) test -bench=. -benchmem .
+	$(GO) test -run '^TestGoldenArtifacts$$' -update .
 
 # Full default-scale study: every table and figure on stdout.
 report:

@@ -14,7 +14,7 @@
 // (internal/icmpsurvey), and the operator survey (internal/survey).
 //
 // internal/core ties the stages into a Study whose Report reproduces every
-// table and figure of the paper; bench_test.go in this directory holds one
-// benchmark per table and figure. See README.md, DESIGN.md and
-// EXPERIMENTS.md.
+// table and figure of the paper; golden_test.go in this directory pins each
+// of them, and each ablation, to its committed file under bench_artifacts/.
+// See README.md, DESIGN.md and EXPERIMENTS.md.
 package reuseblock

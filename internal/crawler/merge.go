@@ -76,8 +76,10 @@ func MergeObservations(groups ...[]NATObservation) []NATObservation {
 // address, established by one ping round's distinct (port, node_id) count.
 // Two vantages may count the same users, so adding the bounds could exceed
 // the truth; the largest single bound is the tightest claim that is still
-// guaranteed valid. The merge is order-invariant: every field is a sum, a
-// max, or derived from sums.
+// guaranteed valid. MultiPortIPs is likewise the maximum, a lower bound on
+// the merged count: vantages see overlapping addresses, and the union of
+// their multi-port sets is not kept. The merge is order-invariant: every
+// field is a sum, a max, or derived from sums.
 func MergeStats(stats ...Stats) Stats {
 	var out Stats
 	for _, s := range stats {
@@ -92,9 +94,8 @@ func MergeStats(stats ...Stats) Stats {
 		out.ScopeSuppressed += s.ScopeSuppressed
 		out.PingRoundsRun += s.PingRoundsRun
 		out.SweepsRun += s.SweepsRun
-		if s.SimultaneousMax > out.SimultaneousMax {
-			out.SimultaneousMax = s.SimultaneousMax
-		}
+		out.SimultaneousMax = max(out.SimultaneousMax, s.SimultaneousMax)
+		out.MultiPortIPs = max(out.MultiPortIPs, s.MultiPortIPs)
 	}
 	out.MessagesSent = out.GetNodesSent + out.PingsSent
 	out.MessagesReceived = out.GetNodesReplies + out.PingReplies

@@ -39,15 +39,20 @@ func TestMergeStatsZeroStaysZero(t *testing.T) {
 // TestMergeStatsSimultaneousMaxIsMaxNotSum: each vantage's SimultaneousMax
 // is a lower bound on users behind one address; vantages can count the same
 // users, so the merge takes the largest single bound rather than adding
-// them (a sum could exceed the true population).
+// them (a sum could exceed the true population). MultiPortIPs merges the
+// same way: vantages see overlapping addresses, and the union of their
+// multi-port sets is not kept.
 func TestMergeStatsSimultaneousMaxIsMaxNotSum(t *testing.T) {
 	m := MergeStats(
-		Stats{SimultaneousMax: 17},
-		Stats{SimultaneousMax: 41},
-		Stats{SimultaneousMax: 23},
+		Stats{SimultaneousMax: 17, MultiPortIPs: 187},
+		Stats{SimultaneousMax: 41, MultiPortIPs: 160},
+		Stats{SimultaneousMax: 23, MultiPortIPs: 210},
 	)
 	if m.SimultaneousMax != 41 {
 		t.Fatalf("SimultaneousMax = %d, want max 41 (not sum 81)", m.SimultaneousMax)
+	}
+	if m.MultiPortIPs != 210 {
+		t.Fatalf("MultiPortIPs = %d, want max 210 (not sum 557)", m.MultiPortIPs)
 	}
 	if m := MergeStats(Stats{SimultaneousMax: 7}); m.SimultaneousMax != 7 {
 		t.Fatalf("single-vantage SimultaneousMax = %d, want 7", m.SimultaneousMax)
@@ -71,6 +76,7 @@ func TestMergeStatsOrderInvariant(t *testing.T) {
 			Evicted:         int64(rng.Intn(50)),
 			ScopeSuppressed: int64(rng.Intn(200)),
 			SimultaneousMax: rng.Intn(60),
+			MultiPortIPs:    rng.Intn(300),
 			PingRoundsRun:   rng.Intn(40),
 			SweepsRun:       rng.Intn(40),
 		}

@@ -36,72 +36,74 @@ func renderStudy(t *testing.T, seed int64, scale float64, workers int) string {
 	return rep.Render()
 }
 
-// TestParallelEquivalentToSequential checks Workers=4 against the Workers=1
-// legacy path across several seeds and world scales. Run it under -race:
+// reportDigests pins SHA-256 digests of the reports renderStudy produces
+// for seven small-world configurations, re-captured when every DHT node
+// moved to its by-value splitmix64 generator. They pin every byte of every
+// table and figure, so any change to the simulator, the crawler, the
+// detectors or the joins shows here. Seed 3's 0.05-scale world has no
+// publicly reachable swarm, so only its 0.15 scale is pinned.
+var reportDigests = []struct {
+	seed   int64
+	scale  float64
+	digest string
+}{
+	{1, 0.05, "9b2009653b4650f4b1b74f6f1880b7383ebea48647fe5f7731c2ba4f47c001dc"},
+	{1, 0.15, "cfff642e9a4c15ec42f01e5a6f2e5596a4502795680a83ceb4c520316044243c"},
+	{2, 0.05, "20c718db7ada2c2376f8aac9d529bc4ae5b327ef1a1e696b66db8ba948c6533f"},
+	{2, 0.15, "f010179ee7c0b035868742dab03ec41064b4eb48bfcd4c31c9c307733fb89fad"},
+	{3, 0.15, "ceaac91f1db67881ef2eab846295b9692d3efd279085838fb3678b15545d3737"},
+	{4, 0.05, "0cdcc320b1f460b002e38748010f948b1fa9937a7953177189643dc29b142a2b"},
+	{4, 0.15, "491c9e7e98c3fe40cd6840d0d4e3688716a19502782c46c1e2a14449186c2fb6"},
+}
+
+// seqReports memoises the 1-worker render of each reportDigests entry, so
+// the equivalence and digest tests below share one sequential study each.
+var seqReports = map[int]string{}
+
+// sequentialReport renders reportDigests[i] with 1 worker, once per process.
+func sequentialReport(t *testing.T, i int) string {
+	if r, ok := seqReports[i]; ok {
+		return r
+	}
+	c := reportDigests[i]
+	r := renderStudy(t, c.seed, c.scale, 1)
+	seqReports[i] = r
+	return r
+}
+
+// digestConfigs returns how many reportDigests entries to run: all of them,
+// or only the first in -short mode.
+func digestConfigs() int {
+	if testing.Short() {
+		return 1
+	}
+	return len(reportDigests)
+}
+
+// TestParallelEquivalentToSequential renders each pinned configuration with
+// 4 workers and checks it against the 1-worker render. Run it under -race:
 // with 4 workers the fan-outs genuinely interleave (even on one CPU), so
 // this test doubles as the race-detection workload for the whole pipeline.
 func TestParallelEquivalentToSequential(t *testing.T) {
-	// Seed 3's 0.05-scale world has no publicly reachable swarm, so the
-	// seed set skips to 4.
-	seeds := []int64{1, 2, 4}
-	scales := []float64{0.05, 0.15}
-	if testing.Short() {
-		seeds = seeds[:1]
-		scales = scales[:1]
-	}
-	for _, seed := range seeds {
-		for _, scale := range scales {
-			t.Run(fmt.Sprintf("seed=%d/scale=%g", seed, scale), func(t *testing.T) {
-				seq := renderStudy(t, seed, scale, 1)
-				par := renderStudy(t, seed, scale, 4)
-				if seq != par {
-					t.Errorf("workers=4 diverged from workers=1 at %s", firstDiff(seq, par))
-				}
-			})
-		}
-	}
-}
-
-// reportDigests pins SHA-256 digests of the reports renderStudy produces
-// for seven small-world configurations, re-captured when every DHT node
-// moved to its by-value splitmix64 generator. They pin every byte of every table and figure, so any change
-// to the simulator, the crawler, the detectors or the joins shows here.
-// Seed 3's 0.05-scale world has no publicly reachable swarm, so only its
-// 0.15 scale is pinned.
-var reportDigests = map[string]string{
-	"seed=1/scale=0.05": "9b2009653b4650f4b1b74f6f1880b7383ebea48647fe5f7731c2ba4f47c001dc",
-	"seed=1/scale=0.15": "cfff642e9a4c15ec42f01e5a6f2e5596a4502795680a83ceb4c520316044243c",
-	"seed=2/scale=0.05": "20c718db7ada2c2376f8aac9d529bc4ae5b327ef1a1e696b66db8ba948c6533f",
-	"seed=2/scale=0.15": "f010179ee7c0b035868742dab03ec41064b4eb48bfcd4c31c9c307733fb89fad",
-	"seed=3/scale=0.15": "ceaac91f1db67881ef2eab846295b9692d3efd279085838fb3678b15545d3737",
-	"seed=4/scale=0.05": "0cdcc320b1f460b002e38748010f948b1fa9937a7953177189643dc29b142a2b",
-	"seed=4/scale=0.15": "491c9e7e98c3fe40cd6840d0d4e3688716a19502782c46c1e2a14449186c2fb6",
-}
-
-// TestReportDigests re-renders each pinned configuration and compares
-// digests: one flipped byte anywhere in any table or figure fails the run.
-// In -short mode only the first key runs.
-func TestReportDigests(t *testing.T) {
-	keys := []string{
-		"seed=1/scale=0.05", "seed=1/scale=0.15",
-		"seed=2/scale=0.05", "seed=2/scale=0.15",
-		"seed=3/scale=0.15",
-		"seed=4/scale=0.05", "seed=4/scale=0.15",
-	}
-	if testing.Short() {
-		keys = keys[:1]
-	}
-	for _, key := range keys {
-		key := key
-		t.Run(key, func(t *testing.T) {
-			var seed int64
-			var scale float64
-			if _, err := fmt.Sscanf(key, "seed=%d/scale=%g", &seed, &scale); err != nil {
-				t.Fatalf("bad key %q: %v", key, err)
+	for i, c := range reportDigests[:digestConfigs()] {
+		t.Run(fmt.Sprintf("seed=%d/scale=%g", c.seed, c.scale), func(t *testing.T) {
+			seq := sequentialReport(t, i)
+			if par := renderStudy(t, c.seed, c.scale, 4); par != seq {
+				t.Errorf("workers=4 diverged from workers=1 at %s", firstDiff(seq, par))
 			}
-			sum := sha256.Sum256([]byte(renderStudy(t, seed, scale, 1)))
-			if got := hex.EncodeToString(sum[:]); got != reportDigests[key] {
-				t.Errorf("report digest %s, want %s", got, reportDigests[key])
+		})
+	}
+}
+
+// TestReportDigests checks the 1-worker render of each pinned configuration
+// against its digest, so one flipped byte anywhere in any table or figure
+// fails the run.
+func TestReportDigests(t *testing.T) {
+	for i, c := range reportDigests[:digestConfigs()] {
+		t.Run(fmt.Sprintf("seed=%d/scale=%g", c.seed, c.scale), func(t *testing.T) {
+			sum := sha256.Sum256([]byte(sequentialReport(t, i)))
+			if got := hex.EncodeToString(sum[:]); got != c.digest {
+				t.Errorf("report digest %s, want %s", got, c.digest)
 			}
 		})
 	}
