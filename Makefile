@@ -33,22 +33,10 @@ bench:
 report:
 	$(GO) run ./cmd/blreport
 
+# Fuzzes every Fuzz* target in the module for 30 s each (scripts/fuzz.sh
+# discovers them with go test -list).
 fuzz:
-	$(GO) test -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/bencode/
-	$(GO) test -fuzz '^FuzzUnmarshal$$' -fuzztime 30s ./internal/krpc/
-	$(GO) test -fuzz '^FuzzCodecDifferential$$' -fuzztime 30s ./internal/krpc/
-	$(GO) test -fuzz '^FuzzUnmarshalInto$$' -fuzztime 30s ./internal/krpc/
-	$(GO) test -fuzz '^FuzzParseLog$$' -fuzztime 30s ./internal/crawler/
-	$(GO) test -fuzz '^FuzzCrawlerState$$' -fuzztime 30s ./internal/crawler/
-	$(GO) test -fuzz '^FuzzParseNATedList$$' -fuzztime 30s ./internal/blocklist/
-	$(GO) test -fuzz '^FuzzParsePrefixList$$' -fuzztime 30s ./internal/blocklist/
-	$(GO) test -fuzz '^FuzzReadLogs$$' -fuzztime 30s ./internal/ripeatlas/
-	$(GO) test -fuzz '^FuzzSurveyRuns$$' -fuzztime 30s ./internal/icmpsurvey/
-	$(GO) test -fuzz '^FuzzDeltaCompile$$' -fuzztime 30s ./internal/reuseapi/
-	$(GO) test -fuzz '^FuzzCheckBatchBody$$' -fuzztime 30s ./internal/reuseapi/
-	$(GO) test -fuzz '^FuzzFabric$$' -fuzztime 30s ./internal/netsim/
-	$(GO) test -fuzz '^FuzzClockModel$$' -fuzztime 30s ./internal/netsim/
-	$(GO) test -fuzz '^FuzzRoutingTable$$' -fuzztime 30s ./internal/dht/
+	./scripts/fuzz.sh 30
 
 # Property-based verification: the fast metamorphic suite, the per-package
 # property tests, then the slow 50-world seed sweep (oracles, determinism,

@@ -92,7 +92,7 @@ func drawProfile(rng *rand.Rand, profiles []typeProfile) []blocklist.Type {
 
 // drawCampaignSpan picks start and duration (in observation days).
 func (w *World) drawCampaignSpan(rng *rand.Rand, shortFrac, meanDays float64) (start, end int) {
-	n := len(w.Params.Days)
+	n := len(w.Collection.Days())
 	start = rng.Intn(n)
 	var dur int
 	if rng.Float64() < shortFrac {
@@ -109,7 +109,6 @@ func (w *World) drawCampaignSpan(rng *rand.Rand, shortFrac, meanDays float64) (s
 
 // generateAbuse creates the campaign population.
 func (w *World) generateAbuse(rng *rand.Rand) {
-	p := &w.Params
 	btAddrs := iputil.NewSet()
 	for _, u := range w.BTUsers {
 		if !u.BehindNAT {
@@ -121,16 +120,16 @@ func (w *World) generateAbuse(rng *rand.Rand) {
 			pi := &a.Prefixes[i]
 			switch pi.Kind {
 			case KindStatic:
-				for h := 1; h <= p.StaticHostsPerPrefix; h++ {
+				for h := 1; h <= staticHostsPerPrefix; h++ {
 					addr := pi.Prefix.Nth(h)
-					prob := p.StaticCompromiseFrac
+					prob := staticCompromiseFrac
 					if btAddrs.Contains(addr) {
-						prob = math.Min(1, prob*p.BTCompromiseBoost)
+						prob = math.Min(1, prob*btCompromiseBoost)
 					}
 					if rng.Float64() >= prob {
 						continue
 					}
-					start, end := w.drawCampaignSpan(rng, p.ShortCampaignFrac, p.MeanCampaignDays)
+					start, end := w.drawCampaignSpan(rng, shortCampaignFrac, meanCampaignDays)
 					w.Campaigns = append(w.Campaigns, &Campaign{
 						Actor: ActorStatic, Types: drawProfile(rng, eyeballProfiles),
 						StartDay: start, EndDay: end, Addr: addr, ASN: pi.ASN,
@@ -138,10 +137,10 @@ func (w *World) generateAbuse(rng *rand.Rand) {
 				}
 			case KindServer:
 				for h := 1; h <= 128; h++ {
-					if rng.Float64() >= p.ServerCompromiseFrac {
+					if rng.Float64() >= serverCompromiseFrac {
 						continue
 					}
-					start, end := w.drawCampaignSpan(rng, p.ShortCampaignFrac, p.MeanCampaignDays*1.5)
+					start, end := w.drawCampaignSpan(rng, shortCampaignFrac, meanCampaignDays*1.5)
 					w.Campaigns = append(w.Campaigns, &Campaign{
 						Actor: ActorServer, Types: drawProfile(rng, serverProfiles),
 						StartDay: start, EndDay: end, Addr: pi.Prefix.Nth(h), ASN: pi.ASN,
@@ -150,13 +149,13 @@ func (w *World) generateAbuse(rng *rand.Rand) {
 			case KindDynamic:
 				// Compromised users whose abuse follows them across the
 				// pool as leases turn over.
-				users := poisson(rng, p.DynamicUsersPerPrefix)
+				users := poisson(rng, dynamicUsersPerPrefix)
 				leaseDays := pi.MeanLeaseHours / 24
 				if leaseDays < 1 {
 					leaseDays = 1
 				}
 				for u := 0; u < users; u++ {
-					start, end := w.drawCampaignSpan(rng, p.ShortCampaignFrac, p.MeanCampaignDays)
+					start, end := w.drawCampaignSpan(rng, shortCampaignFrac, meanCampaignDays)
 					w.Campaigns = append(w.Campaigns, &Campaign{
 						Actor: ActorDynamic, Types: drawProfile(rng, eyeballProfiles),
 						StartDay: start, EndDay: end,
@@ -172,11 +171,11 @@ func (w *World) generateAbuse(rng *rand.Rand) {
 	// are harder to notify and clean).
 	for _, nat := range w.NATs {
 		for u := 0; u < nat.TotalUsers; u++ {
-			if rng.Float64() >= p.NATUserCompromiseFrac {
+			if rng.Float64() >= natUserCompromiseFrac {
 				continue
 			}
 			nat.CompromisedUsers++
-			start, end := w.drawCampaignSpan(rng, p.NATShortCampaignFrac, p.NATMeanCampaignDays)
+			start, end := w.drawCampaignSpan(rng, natShortCampaignFrac, natMeanCampaignDays)
 			w.Campaigns = append(w.Campaigns, &Campaign{
 				Actor: ActorNAT, Types: drawProfile(rng, eyeballProfiles),
 				StartDay: start, EndDay: end, Addr: nat.Addr, ASN: nat.ASN,
@@ -244,7 +243,6 @@ type listingSpan struct {
 // concurrently under p.Workers with bit-for-bit deterministic output.
 func (w *World) buildFeeds(rng *rand.Rand) {
 	p := &w.Params
-	w.Collection = blocklist.NewCollection(w.Registry, p.Days)
 
 	// Feed population is bimodal, which is what produces the paper's
 	// "40-47% of lists carry no reused addresses" alongside substantial
@@ -254,7 +252,7 @@ func (w *World) buildFeeds(rng *rand.Rand) {
 	// from the world RNG sequentially (cheap, order-dependent).
 	profiles := make([]feedProfile, w.Registry.Len())
 	for i, f := range w.Registry.Feeds {
-		prof := feedProfile{lag1P: p.DelistLag1P, lag2P: p.DelistLag2P}
+		prof := feedProfile{lag1P: p.DelistLag1P, lag2P: delistLag2P}
 		switch {
 		case topFeeds[f.Name]:
 			prof.detectP = p.TopFeedDetectP * (0.8 + rng.Float64()*0.4)
@@ -298,7 +296,7 @@ func (w *World) playFeed(fi int, prof *feedProfile) []listingSpan {
 	p := &w.Params
 	feed := &w.Registry.Feeds[fi]
 	frng := rand.New(rand.NewSource(feedSeed(p.Seed, fi)))
-	nDays := len(p.Days)
+	nDays := len(w.Collection.Days())
 	var spans []listingSpan
 	for _, c := range w.Campaigns {
 		if !typeMatch(feed.Type, c.Types) {

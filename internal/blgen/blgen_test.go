@@ -116,7 +116,7 @@ func TestBTUserInvariants(t *testing.T) {
 
 func TestCampaignInvariants(t *testing.T) {
 	w := Generate(TestParams(7))
-	n := len(w.Params.Days)
+	n := len(w.Collection.Days())
 	for _, c := range w.Campaigns {
 		if c.StartDay < 0 || c.EndDay >= n || c.StartDay > c.EndDay {
 			t.Fatalf("campaign span [%d, %d] outside [0, %d)", c.StartDay, c.EndDay, n)
@@ -241,7 +241,7 @@ func TestCollectionPopulated(t *testing.T) {
 		if _, ok := w.PrefixOf(l.Addr); !ok {
 			t.Fatalf("listed address %v outside the world", l.Addr)
 		}
-		if l.Days < 1 || l.Days > len(w.Params.Days) {
+		if l.Days < 1 || l.Days > len(w.Collection.Days()) {
 			t.Fatalf("listing days = %d", l.Days)
 		}
 	}

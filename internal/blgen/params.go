@@ -11,24 +11,56 @@
 // EXPERIMENTS.md for paper-vs-measured numbers).
 package blgen
 
-import (
-	"time"
+// World-model constants: the calibrated quantities no caller varies.
+const (
+	// Topology.
+	eyeballASes = 220 // consumer ISPs: mixed static/dynamic/CGN space
+	hostingASes = 50  // datacenters: server space, no BitTorrent
+	stubASes    = 30  // tiny enterprise ASes
 
-	"github.com/reuseblock/reuseblock/internal/blocklist"
+	// Address usage.
+	staticHostsPerPrefix = 96  // used addresses per static /24
+	dynamicOccupancy     = 0.6 // fraction of a pool leased at any time
+
+	// BitTorrent population.
+	btPopularASFrac = 0.35 // fraction of eyeball ASes where BT is popular
+	btStaticFrac    = 0.10 // BT adoption among static hosts (popular ASes)
+	btDynamicFrac   = 0.07 // BT adoption among dynamic users
+
+	// RIPE Atlas deployment.
+	ripeMonths    = 16 // observation length (paper: 16)
+	slowLeaseDays = 30 // mean lease of slow-churn pools, days
+
+	// Abuse model.
+	staticCompromiseFrac  = 0.035 // static hosts compromised during study
+	btCompromiseBoost     = 3.0   // multiplier for BT hosts ([31])
+	serverCompromiseFrac  = 0.06  // hosting servers running abuse
+	dynamicUsersPerPrefix = 1.0   // compromised users per dynamic /24
+	natUserCompromiseFrac = 0.13  // compromised internal users per NAT user
+	shortCampaignFrac     = 0.15  // one-to-two-day campaigns (scanners)
+	meanCampaignDays      = 18    // mean of the long-campaign exponential
+	// NAT campaigns are bimodal (Fig 7): many brief bursts from individual
+	// users plus a long tail of persistently infected shared machines.
+	natShortCampaignFrac = 0.82
+	natMeanCampaignDays  = 38
+	// natRestrictedFrac is the share of gateways with address-restricted
+	// filtering (invisible to the crawler's unsolicited pings).
+	natRestrictedFrac = 0.10
+
+	// delistLag2P is P(2 days) of the delist lag distribution (Params'
+	// DelistLag1P is P(1 day)); the tail is geometric.
+	delistLag2P = 0.22
 )
 
-// Params configures world generation. The zero value is unusable; start
-// from DefaultParams.
+// Params configures world generation: the dimensions the property sweep
+// varies. The zero value is unusable; start from DefaultParams. Every world
+// spans the paper's 83 measurement days (blocklist.MeasurementDays) and
+// observes blocklist.StandardRegistry's feeds.
 type Params struct {
 	Seed int64
 	// Scale multiplies every population count; 1 is the default bench
 	// world, tests use much smaller values.
 	Scale float64
-
-	// Topology.
-	EyeballASes int // consumer ISPs: mixed static/dynamic/CGN space
-	HostingASes int // datacenters: server space, no BitTorrent
-	StubASes    int // tiny enterprise ASes
 
 	// Prefix-kind mix inside eyeball ASes (fractions summing to <= 1;
 	// the remainder is unused dark space).
@@ -37,41 +69,17 @@ type Params struct {
 	CGNFrac     float64
 
 	// Address usage.
-	StaticHostsPerPrefix int     // used addresses per static /24
-	DynamicOccupancy     float64 // fraction of a pool leased at any time
-	GatewaysPerCGNPrefix int     // NAT gateway addresses per CGN /24
+	GatewaysPerCGNPrefix int // NAT gateway addresses per CGN /24
 
-	// BitTorrent population.
-	BTPopularASFrac float64 // fraction of eyeball ASes where BT is popular
-	BTStaticFrac    float64 // BT adoption among static hosts (popular ASes)
-	BTDynamicFrac   float64 // BT adoption among dynamic users
 	// NAT gateway BT user count distribution: probability of zero, one,
 	// or 2+ users; the 2+ tail shape is fixed (Fig 8 calibration).
 	NATZeroBTFrac float64
 	NATOneBTFrac  float64
 
 	// RIPE Atlas deployment.
-	ProbeASFrac   float64 // fraction of eyeball ASes hosting probes
-	ProbesPerAS   int     // probes per covered AS
-	MoverFrac     float64 // probes that relocate across ASes
-	RIPEMonths    int     // observation length (paper: 16)
-	SlowLeaseDays int     // mean lease of slow-churn pools, days
-
-	// Abuse model.
-	StaticCompromiseFrac  float64 // static hosts compromised during study
-	BTCompromiseBoost     float64 // multiplier for BT hosts ([31])
-	ServerCompromiseFrac  float64 // hosting servers running abuse
-	DynamicUsersPerPrefix float64 // compromised users per dynamic /24
-	NATUserCompromiseFrac float64 // compromised internal users per NAT user
-	ShortCampaignFrac     float64 // one-to-two-day campaigns (scanners)
-	MeanCampaignDays      float64 // mean of the long-campaign exponential
-	// NAT campaigns are bimodal (Fig 7): many brief bursts from individual
-	// users plus a long tail of persistently infected shared machines.
-	NATShortCampaignFrac float64
-	NATMeanCampaignDays  float64
-	// NATRestrictedFrac is the share of gateways with address-restricted
-	// filtering (invisible to the crawler's unsolicited pings).
-	NATRestrictedFrac float64
+	ProbeASFrac float64 // fraction of eyeball ASes hosting probes
+	ProbesPerAS int     // probes per covered AS
+	MoverFrac   float64 // probes that relocate across ASes
 
 	// Feed observation model. Every feed has a vantage: the set of ASes
 	// whose traffic its sensors see. The paper's big community feeds
@@ -80,15 +88,8 @@ type Params struct {
 	// addresses at all (Figs 5–6).
 	TopFeedDetectP  float64 // per-campaign detection probability, global feeds
 	BaseFeedDetectP float64 // mean detection probability, small feeds
-	// Delist lag distribution: P(1 day), P(2 days); the tail is geometric.
+	// DelistLag1P is P(1 day) of the delist lag distribution.
 	DelistLag1P float64
-	DelistLag2P float64
-
-	// Measurement windows (default: the paper's 83 days).
-	Days []time.Time
-
-	// Registry is the feed registry (default: blocklist.StandardRegistry).
-	Registry *blocklist.Registry
 
 	// Workers bounds the parallelism of feed generation. Each maintainer
 	// feed plays the campaign population against its own sub-seeded RNG
@@ -104,47 +105,22 @@ func DefaultParams(seed int64) Params {
 		Seed:  seed,
 		Scale: 1,
 
-		EyeballASes: 220,
-		HostingASes: 50,
-		StubASes:    30,
-
 		StaticFrac:  0.55,
 		DynamicFrac: 0.30,
 		CGNFrac:     0.13,
 
-		StaticHostsPerPrefix: 96,
-		DynamicOccupancy:     0.6,
 		GatewaysPerCGNPrefix: 56,
 
-		BTPopularASFrac: 0.35,
-		BTStaticFrac:    0.10,
-		BTDynamicFrac:   0.07,
-		NATZeroBTFrac:   0.46,
-		NATOneBTFrac:    0.12,
+		NATZeroBTFrac: 0.46,
+		NATOneBTFrac:  0.12,
 
-		ProbeASFrac:   0.20,
-		ProbesPerAS:   10,
-		MoverFrac:     0.13,
-		RIPEMonths:    16,
-		SlowLeaseDays: 30,
-
-		StaticCompromiseFrac:  0.035,
-		BTCompromiseBoost:     3.0,
-		ServerCompromiseFrac:  0.06,
-		DynamicUsersPerPrefix: 1.0,
-		NATUserCompromiseFrac: 0.13,
-		ShortCampaignFrac:     0.15,
-		MeanCampaignDays:      18,
-		NATShortCampaignFrac:  0.82,
-		NATMeanCampaignDays:   38,
-		NATRestrictedFrac:     0.10,
+		ProbeASFrac: 0.20,
+		ProbesPerAS: 10,
+		MoverFrac:   0.13,
 
 		TopFeedDetectP:  0.75,
 		BaseFeedDetectP: 0.30,
 		DelistLag1P:     0.62,
-		DelistLag2P:     0.22,
-
-		Days: blocklist.MeasurementDays(),
 	}
 }
 

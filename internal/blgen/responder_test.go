@@ -21,7 +21,7 @@ func respondsOracle(w *World, addr iputil.Addr, at time.Time) bool {
 	case KindServer:
 		return host >= 1 && host <= 128
 	case KindStatic:
-		if host < 1 || host > w.Params.StaticHostsPerPrefix {
+		if host < 1 || host > staticHostsPerPrefix {
 			return false
 		}
 		return hashMix(uint64(addr), 0)%10 < 9
@@ -34,7 +34,7 @@ func respondsOracle(w *World, addr iputil.Addr, at time.Time) bool {
 		lease := time.Duration(pi.MeanLeaseHours) * time.Hour
 		slot := uint64(at.Sub(w.RIPEStart) / lease)
 		occupied := float64(hashMix(uint64(addr), slot)%1000) / 1000
-		return occupied < w.Params.DynamicOccupancy
+		return occupied < dynamicOccupancy
 	default:
 		return false
 	}

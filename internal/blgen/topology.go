@@ -115,7 +115,7 @@ func buildTopology(rng *rand.Rand, p *Params) []*AS {
 
 	// Eyeball ASes: Zipf-ish sizes so a few giants dominate (the paper's
 	// AS4134 holds 9% of all blocklisted addresses).
-	nEye := p.scaled(p.EyeballASes)
+	nEye := p.scaled(eyeballASes)
 	for i := 0; i < nEye; i++ {
 		size := 1 + int(6/(rng.Float64()*3+0.25))
 		if size > 64 {
@@ -125,7 +125,7 @@ func buildTopology(rng *rand.Rand, p *Params) []*AS {
 			size = 48 + rng.Intn(17) // the giant
 		}
 		a := mkAS(ASEyeball, size)
-		a.BTPop = rng.Float64() < p.BTPopularASFrac
+		a.BTPop = rng.Float64() < btPopularASFrac
 		a.Probes = (a.Region == RegionEU || a.Region == RegionNA) &&
 			rng.Float64() < p.ProbeASFrac/0.7 // concentrate in EU/NA
 		icmpFiltered := rng.Float64() < 0.15 // whole-AS ICMP policy
@@ -142,7 +142,7 @@ func buildTopology(rng *rand.Rand, p *Params) []*AS {
 				// heavy-tailed curve of Fig 2 rather than discrete bands;
 				// the 1.5 exponent weights daily-or-faster pools to
 				// roughly a third of dynamic space.
-				maxLease := float64(p.SlowLeaseDays) * 24 * 5
+				maxLease := float64(slowLeaseDays) * 24 * 5
 				u := math.Pow(rng.Float64(), 1.5)
 				pi.MeanLeaseHours = int(6 * math.Pow(maxLease/6, u))
 				if pi.MeanLeaseHours < 6 {
@@ -156,7 +156,7 @@ func buildTopology(rng *rand.Rand, p *Params) []*AS {
 		}
 	}
 	// Hosting ASes: server space.
-	for i := 0; i < p.scaled(p.HostingASes); i++ {
+	for i := 0; i < p.scaled(hostingASes); i++ {
 		size := 2 + rng.Intn(12)
 		a := mkAS(ASHosting, size)
 		for j := range a.Prefixes {
@@ -165,7 +165,7 @@ func buildTopology(rng *rand.Rand, p *Params) []*AS {
 		}
 	}
 	// Stub ASes: one small static prefix each.
-	for i := 0; i < p.scaled(p.StubASes); i++ {
+	for i := 0; i < p.scaled(stubASes); i++ {
 		a := mkAS(ASStub, 1)
 		a.Prefixes[0].Kind = KindStatic
 	}

@@ -67,21 +67,16 @@ func Generate(p Params) *World {
 	if p.Scale <= 0 {
 		p.Scale = 1
 	}
-	if p.Registry == nil {
-		p.Registry = blocklist.StandardRegistry()
-	}
-	if len(p.Days) == 0 {
-		p.Days = blocklist.MeasurementDays()
-	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	w := &World{
 		Params:          p,
-		Registry:        p.Registry,
+		Registry:        blocklist.StandardRegistry(),
 		PrefixTable:     iputil.NewTable[*PrefixInfo](),
 		NATByIP:         make(map[iputil.Addr]*NATTruth),
 		TrueFastDynamic: iputil.NewPrefixSet(),
 		TrueAnyDynamic:  iputil.NewPrefixSet(),
 	}
+	w.Collection = blocklist.NewCollection(w.Registry, blocklist.MeasurementDays())
 	w.ASes = buildTopology(rng, &p)
 	for _, a := range w.ASes {
 		for i := range a.Prefixes {
@@ -117,7 +112,7 @@ func (w *World) populateNATs(rng *rand.Rand) {
 					Addr:       pi.Prefix.Nth(g + 1),
 					ASN:        pi.ASN,
 					TotalUsers: drawNATUsers(rng),
-					Restricted: rng.Float64() < p.NATRestrictedFrac,
+					Restricted: rng.Float64() < natRestrictedFrac,
 				}
 				nat.BTUsers = drawBTUsers(rng, nat.TotalUsers, a.BTPop, p)
 				w.NATs = append(w.NATs, nat)
@@ -174,7 +169,6 @@ func drawBTUsers(rng *rand.Rand, total int, btPopular bool, p *Params) int {
 
 // populateBitTorrent instantiates the BT user population.
 func (w *World) populateBitTorrent(rng *rand.Rand) {
-	p := &w.Params
 	id := 1
 	for _, a := range w.ASes {
 		if a.Kind != ASEyeball {
@@ -187,8 +181,8 @@ func (w *World) populateBitTorrent(rng *rand.Rand) {
 				if !a.BTPop {
 					continue
 				}
-				for h := 0; h < p.StaticHostsPerPrefix; h++ {
-					if rng.Float64() >= p.BTStaticFrac {
+				for h := 0; h < staticHostsPerPrefix; h++ {
+					if rng.Float64() >= btStaticFrac {
 						continue
 					}
 					addr := pi.Prefix.Nth(h + 1)
@@ -205,7 +199,7 @@ func (w *World) populateBitTorrent(rng *rand.Rand) {
 				// Each occupied lease holds one distinct user; a BT user's
 				// address during the crawl window is their current lease.
 				for h := 1; h <= pi.Prefix.Size()-2; h++ {
-					if rng.Float64() >= p.DynamicOccupancy*p.BTDynamicFrac {
+					if rng.Float64() >= dynamicOccupancy*btDynamicFrac {
 						continue
 					}
 					addr := pi.Prefix.Nth(h)
@@ -234,11 +228,11 @@ func (w *World) populateBitTorrent(rng *rand.Rand) {
 	}
 }
 
-// generateRIPE deploys probes and plays the fleet over RIPEMonths.
+// generateRIPE deploys probes and plays the fleet over ripeMonths.
 func (w *World) generateRIPE(rng *rand.Rand) {
 	p := &w.Params
 	w.RIPEStart = time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC)
-	duration := time.Duration(p.RIPEMonths) * 30 * 24 * time.Hour
+	duration := time.Duration(ripeMonths) * 30 * 24 * time.Hour
 	var specs []ripeatlas.ProbeSpec
 	probeID := 1
 	// Collect candidate prefixes of other ASes for movers.
@@ -295,7 +289,7 @@ func (w *World) generateRIPE(rng *rand.Rand) {
 				for dst.ASN == pi.ASN {
 					dst = allPrefixes[rng.Intn(len(allPrefixes))]
 				}
-				spec.MoveAt = time.Duration(60+rng.Intn(p.RIPEMonths*30-120)) * 24 * time.Hour
+				spec.MoveAt = time.Duration(60+rng.Intn(ripeMonths*30-120)) * 24 * time.Hour
 				spec.MovePool = dst.Prefix
 				spec.MoveASN = dst.ASN
 			}
@@ -341,10 +335,9 @@ func (w *World) Block(block iputil.Prefix) func(addr iputil.Addr, at time.Time) 
 			return host >= 1 && host <= 128, time.Time{} // dense, always-on farms
 		}
 	case KindStatic:
-		hosts := w.Params.StaticHostsPerPrefix
 		return func(addr iputil.Addr, _ time.Time) (bool, time.Time) {
 			host := int(addr) & 0xff
-			if host < 1 || host > hosts {
+			if host < 1 || host > staticHostsPerPrefix {
 				return false, time.Time{}
 			}
 			return hashMix(uint64(addr), 0)%10 < 9, time.Time{} // 90% of hosts answer
@@ -358,7 +351,7 @@ func (w *World) Block(block iputil.Prefix) func(addr iputil.Addr, at time.Time) 
 		}
 	case KindDynamic:
 		leaseNs := int64(time.Duration(pi.MeanLeaseHours) * time.Hour)
-		occupancy, startNs := w.Params.DynamicOccupancy, w.RIPEStart.UnixNano()
+		startNs := w.RIPEStart.UnixNano()
 		return func(addr iputil.Addr, at time.Time) (bool, time.Time) {
 			host := int(addr) & 0xff
 			if host < 1 || host > 254 {
@@ -375,7 +368,7 @@ func (w *World) Block(block iputil.Prefix) func(addr iputil.Addr, at time.Time) 
 				endNs = startNs + q*leaseNs + 1
 			}
 			occupied := float64(hashMix(uint64(addr), uint64(q))%1000) / 1000
-			return occupied < occupancy, at.Add(time.Duration(endNs - atNs))
+			return occupied < dynamicOccupancy, at.Add(time.Duration(endNs - atNs))
 		}
 	default:
 		return silent

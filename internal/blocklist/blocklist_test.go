@@ -234,7 +234,7 @@ func TestParsePlain(t *testing.T) {
 not-an-ip
 192.0.2.1
 `
-	res, err := Parse(strings.NewReader(in), FormatPlain)
+	res, err := Parse(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,67 +243,6 @@ not-an-ip
 	}
 	if res.Skipped != 1 {
 		t.Errorf("Skipped = %d", res.Skipped)
-	}
-}
-
-func TestParseCIDR(t *testing.T) {
-	in := "192.0.2.0/24\n10.0.0.1\nbad/99\n"
-	res, err := Parse(strings.NewReader(in), FormatCIDR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Prefixes.Len() != 1 || res.Addrs.Len() != 1 || res.Skipped != 1 {
-		t.Errorf("res = %d prefixes %d addrs %d skipped", res.Prefixes.Len(), res.Addrs.Len(), res.Skipped)
-	}
-	expanded := res.Expand(24)
-	if expanded.Len() != 257 { // the /24 plus the lone address
-		t.Errorf("Expand = %d", expanded.Len())
-	}
-	if res.Expand(25).Len() != 1 {
-		t.Error("Expand should skip prefixes shorter than the cutoff")
-	}
-}
-
-// TestExpandBoundary pins the inclusive boundary Expand documents: a prefix
-// exactly at maxExpandBits expands, one bit shorter stays prefix-only.
-func TestExpandBoundary(t *testing.T) {
-	in := "198.51.0.0/16\n203.0.0.0/15\n192.0.2.0/24\n"
-	res, err := Parse(strings.NewReader(in), FormatCIDR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		maxExpandBits int
-		want          int
-	}{
-		{16, 1<<16 + 1<<8},         // the /16 (boundary: Bits == max) and the /24; the /15 stays unexpanded
-		{15, 1<<17 + 1<<16 + 1<<8}, // everything expands
-		{17, 1 << 8},               // only the /24
-		{25, 0},                    // nothing reaches the cutoff
-	} {
-		if got := res.Expand(tc.maxExpandBits).Len(); got != tc.want {
-			t.Errorf("Expand(%d) = %d addresses, want %d", tc.maxExpandBits, got, tc.want)
-		}
-	}
-}
-
-func TestParseDShield(t *testing.T) {
-	in := "# DShield block list\n192.0.2.0\t192.0.2.255\t24\textra\tfields\nbadline\n10.0.0.0\t10.0.0.255\tx\n"
-	res, err := Parse(strings.NewReader(in), FormatDShield)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Prefixes.Len() != 1 || !res.Prefixes.Contains(iputil.MustParsePrefix("192.0.2.0/24")) {
-		t.Errorf("prefixes = %v", res.Prefixes.Sorted())
-	}
-	if res.Skipped != 2 {
-		t.Errorf("Skipped = %d", res.Skipped)
-	}
-}
-
-func TestParseUnknownFormat(t *testing.T) {
-	if _, err := Parse(strings.NewReader(""), Format(99)); err == nil {
-		t.Error("unknown format accepted")
 	}
 }
 
@@ -320,7 +259,7 @@ func TestWritePlainRoundTrip(t *testing.T) {
 	if !strings.HasPrefix(out, "# reused addresses\n") {
 		t.Errorf("missing header: %q", out)
 	}
-	back, err := Parse(strings.NewReader(out), FormatPlain)
+	back, err := Parse(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,40 +319,6 @@ func TestListingDays(t *testing.T) {
 		if n := want[l.FeedIndex][l.Addr][0]; l.Days != n {
 			t.Errorf("Listings: %v on feed %d has %d days, ListingDays %d", l.Addr, l.FeedIndex, l.Days, n)
 		}
-	}
-}
-
-func TestSplitByReuse(t *testing.T) {
-	addrs := iputil.SetOf(1, 2, 3, 4)
-	reused := func(a iputil.Addr) bool { return a%2 == 0 }
-	block, grey := SplitByReuse(addrs, reused)
-	if block.Len() != 2 || grey.Len() != 2 {
-		t.Fatalf("split = %d/%d", block.Len(), grey.Len())
-	}
-	if !grey.Contains(2) || !grey.Contains(4) || !block.Contains(1) {
-		t.Error("split membership wrong")
-	}
-}
-
-func TestPublishSplit(t *testing.T) {
-	addrs := iputil.SetOf(
-		iputil.MustParseAddr("10.0.0.1"),
-		iputil.MustParseAddr("100.64.0.1"),
-	)
-	reusedSet := iputil.SetOf(iputil.MustParseAddr("100.64.0.1"))
-	var blockBuf, greyBuf strings.Builder
-	err := PublishSplit(&blockBuf, &greyBuf, "nixspam", addrs, reusedSet.Contains)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(blockBuf.String(), "10.0.0.1") || strings.Contains(blockBuf.String(), "100.64.0.1") {
-		t.Errorf("blocklist = %q", blockBuf.String())
-	}
-	if !strings.Contains(greyBuf.String(), "100.64.0.1") {
-		t.Errorf("greylist = %q", greyBuf.String())
-	}
-	if !strings.Contains(greyBuf.String(), "# nixspam greylist") {
-		t.Errorf("greylist header = %q", greyBuf.String())
 	}
 }
 

@@ -68,7 +68,7 @@ func LoadSnapshotDir(dir string, registry *Registry) (c *Collection, skipped []s
 		if ferr != nil {
 			return nil, skipped, ferr
 		}
-		res, perr := Parse(f, FormatPlain)
+		res, perr := Parse(f)
 		f.Close()
 		if perr != nil {
 			return nil, skipped, fmt.Errorf("%s: %w", s.path, perr)

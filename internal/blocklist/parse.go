@@ -4,72 +4,24 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"github.com/reuseblock/reuseblock/internal/iputil"
 )
 
-// Format identifies a published blocklist wire format.
-type Format int
-
-// Supported publication formats.
-const (
-	// FormatPlain is one IPv4 address per line; '#' and ';' start
-	// comments. The most common format (Nixspam, Stopforumspam, ...).
-	FormatPlain Format = iota
-	// FormatCIDR is one address or CIDR prefix per line (Spamhaus DROP,
-	// Emerging Threats fwrules).
-	FormatCIDR
-	// FormatDShield is the DShield block format: tab-separated
-	// "start<TAB>end<TAB>netmask..." records.
-	FormatDShield
-)
-
-// ParseResult carries the addresses and prefixes found in a feed file.
+// ParseResult carries the addresses found in a feed file.
 type ParseResult struct {
-	Addrs    *iputil.Set
-	Prefixes *iputil.PrefixSet
+	Addrs *iputil.Set
 	// Skipped counts unparseable non-comment lines (published lists are
 	// frequently dirty; parsers tolerate and count).
 	Skipped int
 }
 
-// Expand folds prefixes into the address set. The boundary is inclusive: a
-// prefix with Bits() >= maxExpandBits is expanded into individual addresses
-// (a /16 with maxExpandBits=16 contributes all 65536), while a strictly
-// shorter prefix — Bits() < maxExpandBits — is kept only in Prefixes
-// (expanding a /8 would be absurd).
-func (p *ParseResult) Expand(maxExpandBits int) *iputil.Set {
-	out := iputil.NewSet()
-	out.AddSet(p.Addrs)
-	for _, pref := range p.Prefixes.Sorted() {
-		if pref.Bits() < maxExpandBits {
-			continue
-		}
-		for i := 0; i < pref.Size(); i++ {
-			out.Add(pref.Nth(i))
-		}
-	}
-	return out
-}
-
-// Parse reads a feed file in the given format.
-func Parse(r io.Reader, format Format) (*ParseResult, error) {
-	switch format {
-	case FormatPlain:
-		return parseLines(r, false)
-	case FormatCIDR:
-		return parseLines(r, true)
-	case FormatDShield:
-		return parseDShield(r)
-	default:
-		return nil, fmt.Errorf("blocklist: unknown format %d", format)
-	}
-}
-
-func parseLines(r io.Reader, allowCIDR bool) (*ParseResult, error) {
-	res := &ParseResult{Addrs: iputil.NewSet(), Prefixes: iputil.NewPrefixSet()}
+// Parse reads a feed file in the plain format, the most common one
+// (Nixspam, Stopforumspam, ...): one IPv4 address per line; '#' and ';'
+// start comments.
+func Parse(r io.Reader) (*ParseResult, error) {
+	res := &ParseResult{Addrs: iputil.NewSet()}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 64<<10)
 	for sc.Scan() {
@@ -81,51 +33,12 @@ func parseLines(r io.Reader, allowCIDR bool) (*ParseResult, error) {
 		if i := strings.IndexAny(line, " \t"); i >= 0 {
 			line = line[:i]
 		}
-		if allowCIDR && strings.ContainsRune(line, '/') {
-			p, err := iputil.ParsePrefix(line)
-			if err != nil {
-				res.Skipped++
-				continue
-			}
-			res.Prefixes.Add(p)
-			continue
-		}
 		a, err := iputil.ParseAddr(line)
 		if err != nil {
 			res.Skipped++
 			continue
 		}
 		res.Addrs.Add(a)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// parseDShield reads the DShield "block" format: lines of
-// "startIP<TAB>endIP<TAB>prefixLen<TAB>..."; header lines start with '#'.
-func parseDShield(r io.Reader) (*ParseResult, error) {
-	res := &ParseResult{Addrs: iputil.NewSet(), Prefixes: iputil.NewPrefixSet()}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 64<<10)
-	for sc.Scan() {
-		line := stripComment(sc.Text())
-		if line == "" {
-			continue
-		}
-		fields := strings.Split(line, "\t")
-		if len(fields) < 3 {
-			res.Skipped++
-			continue
-		}
-		start, err1 := iputil.ParseAddr(strings.TrimSpace(fields[0]))
-		bits, err2 := strconv.Atoi(strings.TrimSpace(fields[2]))
-		if err1 != nil || err2 != nil || bits < 0 || bits > 32 {
-			res.Skipped++
-			continue
-		}
-		res.Prefixes.Add(iputil.PrefixFrom(start, bits))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -1,7 +1,7 @@
 // Package blocklist models IPv4 blocklists: feed identities (the paper's
 // 151-list BLAG-derived dataset, Table 2), daily snapshot collections over
 // the measurement windows, listing histories with durations (Fig 7), and
-// parsers for the common published formats.
+// the plain-format list parser.
 package blocklist
 
 import (

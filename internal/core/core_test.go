@@ -230,7 +230,7 @@ func TestChurnDoesNotBreakPrecision(t *testing.T) {
 	}
 	// Churn must have left traces: multi-port IPs beyond the NATs.
 	if s.CrawlStats.MultiPortIPs <= s.CrawlStats.NATedIPs {
-		t.Logf("multi-port %d vs NATed %d (churn may not have hit crawled IPs in a tiny world)",
+		t.Errorf("multi-port %d vs NATed %d: churn left no multi-port trace beyond the NATs",
 			s.CrawlStats.MultiPortIPs, s.CrawlStats.NATedIPs)
 	}
 }

@@ -70,7 +70,8 @@ func TestCrawlReplayMatchesNATed(t *testing.T) {
 	// The simulated world gives every client one port at a time, so no
 	// crawl above meets one client on two live ports. Add one: a twin of
 	// the bootstrap node with its node ID, on the same address, known to
-	// every node.
+	// every node: the same private address and ID seed as the bootstrap
+	// user derive the same node ID.
 	wp := blgen.DefaultParams(1)
 	wp.Scale = 0.1
 	w := blgen.Generate(wp)
@@ -80,13 +81,17 @@ func TestCrawlReplayMatchesNATed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boot := swarm.Nodes[indexOf(t, swarm, swarm.Bootstrap)]
+	bi := indexOf(t, swarm, swarm.Bootstrap)
+	boot, bootUser := swarm.Nodes[bi], w.BTUsers[bi]
 	twinEp := netsim.Endpoint{Addr: swarm.Bootstrap.Addr, Port: swarm.Bootstrap.Port ^ 0x8000}
 	sock, err := swarm.Listen(twinEp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin := swarm.newNode(twinEp.Addr, sock, dht.Config{ID: boot.ID(), Seed: 1})
+	twin := swarm.newNode(twinEp.Addr, sock, dht.Config{PrivateIP: bootUser.PrivateAddr, IDSeed: uint64(bootUser.ID), Seed: 1})
+	if twin.ID() != boot.ID() {
+		t.Fatal("the twin's node ID differs from the bootstrap node's")
+	}
 	for _, n := range swarm.Nodes {
 		n.AddNode(infoOf(twin, twinEp))
 	}

@@ -114,7 +114,7 @@ func (s *Study) finishObs(rep *Report) {
 // Manifest builds the run's audit record: parameters, build provenance,
 // per-stage statuses, and the full metric snapshot (wall namespace
 // included — consumers wanting the golden-stable subset filter by
-// obs.WallPrefix or use Config.Obs.DeterministicSnapshot directly). Call
+// obs.WallPrefix or use Config.Obs.Snapshot(false) directly). Call
 // after Run; before Run it carries the parameters only.
 func (s *Study) Manifest() *obs.Manifest {
 	m := obs.NewManifest()

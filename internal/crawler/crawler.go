@@ -42,14 +42,15 @@ const (
 
 // Config tunes the crawler.
 type Config struct {
-	// ID is the crawler's DHT identity; zero derives one from Seed.
-	ID krpc.NodeID
 	// Bootstrap endpoints seed discovery (the DHT bootstrap node of §3.1).
 	Bootstrap []netsim.Endpoint
 	// Scope restricts probing to addresses for which it returns true; nil
 	// crawls everything. The paper restricts to blocklisted /24 space.
 	Scope func(iputil.Addr) bool
-	// Cooldown is the per-IP recontact interval (paper: 20 minutes).
+	// Cooldown is the per-IP recontact interval (paper: 20 minutes). Any
+	// value from 1 to 59 minutes gives the same crawl: an endpoint comes
+	// back to the queue only at the hourly discovery sweep, so a cool-down
+	// below the sweep interval never binds before it.
 	Cooldown time.Duration
 	// SweepInterval is the period of discovery sweeps re-querying known
 	// endpoints for new neighbours.
@@ -73,7 +74,8 @@ type Config struct {
 	// many consecutive queries to it failed (all retries exhausted); any
 	// reply — even a late one — resurrects it. Zero disables eviction.
 	EvictAfter int
-	// Seed drives the crawler's RNG (lookup targets, transaction IDs).
+	// Seed drives the crawler's RNG (lookup targets, transaction IDs) and
+	// derives its DHT identity.
 	Seed int64
 	// EventLog, when non-nil, receives one line per message sent and
 	// received (the paper's message log); Replay reprocesses such logs
@@ -248,16 +250,12 @@ func New(sock netsim.Socket, clock *netsim.Clock, cfg Config) *Crawler {
 
 func newCrawler(sock netsim.Socket, clock crawlClock, cfg Config) *Crawler {
 	cfg.applyDefaults()
-	id := cfg.ID
-	if id == (krpc.NodeID{}) {
-		id = krpc.GenerateNodeID(iputil.Addr(cfg.Seed), uint64(cfg.Seed))
-	}
 	c := &Crawler{
 		cfg:     cfg,
 		sock:    sock,
 		clock:   clock,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		id:      id,
+		id:      krpc.GenerateNodeID(iputil.Addr(cfg.Seed), uint64(cfg.Seed)),
 		tx:      NewTxManager(lateWindowMax),
 		st:      newAddrTable(),
 		nodeIDs: make(map[krpc.NodeID]struct{}),

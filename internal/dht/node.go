@@ -29,10 +29,8 @@ const (
 
 // Config tunes a DHT node.
 type Config struct {
-	// ID is the node's identity; zero means "derive from IDSeed".
-	ID krpc.NodeID
-	// IDSeed feeds GenerateNodeID when ID is zero; combined with the
-	// node's (possibly private) IP the way real clients do.
+	// IDSeed and PrivateIP derive the node's identity through
+	// GenerateNodeID, the way real clients combine a seed with their IP.
 	IDSeed uint64
 	// PrivateIP is the address hashed into the node ID; for NATed users
 	// this is the RFC 1918 address, so siblings behind one NAT still get
@@ -183,10 +181,7 @@ func NewNode(sock netsim.Socket, clock *netsim.Clock, cfg Config) *Node {
 }
 
 func newNode(alloc func() *Node, sock netsim.Socket, clock *netsim.Clock, cfg Config) *Node {
-	id := cfg.ID
-	if id == (krpc.NodeID{}) {
-		id = krpc.GenerateNodeID(cfg.PrivateIP, cfg.IDSeed)
-	}
+	id := krpc.GenerateNodeID(cfg.PrivateIP, cfg.IDSeed)
 	n := alloc()
 	*n = Node{
 		id:    id,

@@ -215,7 +215,7 @@ func runBaseline(s *Stack) error {
 
 // waitReloads polls the manifest until the server has seen want reloads.
 func waitReloads(s *Stack, want int64) error {
-	return WaitFor(10*time.Second, s.Cfg.WatchInterval, func() (bool, error) {
+	return WaitFor(10*time.Second, watchInterval, func() (bool, error) {
 		m, err := s.Manifest()
 		if err != nil {
 			return false, err
@@ -337,7 +337,7 @@ func runWatchBadReload(s *Stack) error {
 	if err := s.CorruptNATedInput(); err != nil {
 		return err
 	}
-	err = WaitFor(10*time.Second, s.Cfg.WatchInterval, func() (bool, error) {
+	err = WaitFor(10*time.Second, watchInterval, func() (bool, error) {
 		m, merr := s.Manifest()
 		if merr != nil {
 			return false, merr

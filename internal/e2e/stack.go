@@ -32,17 +32,22 @@ type StackConfig struct {
 	// for fault-free); it also stamps the served dataset's manifest
 	// provenance.
 	Faults string
-	// Watch starts blserve with -watch so scenarios can drive hot reloads.
-	Watch         bool
-	WatchInterval time.Duration
+	// Watch starts blserve with -watch (polling every watchInterval) so
+	// scenarios can drive hot reloads.
+	Watch bool
 	// Datasets, when non-empty, boots blserve in multi-dataset mode with one
 	// repeated -dataset flag per spec, each slicing the pipeline's two list
 	// files. The first entry is the default dataset the unprefixed /v1/*
 	// routes alias.
 	Datasets []DatasetSpec
-	// BootTimeout bounds each pipeline stage (crawl, detect, serve-ready).
-	BootTimeout time.Duration
 }
+
+const (
+	// watchInterval is blserve's -watch-interval under Watch.
+	watchInterval = 25 * time.Millisecond
+	// bootTimeout bounds each pipeline stage (crawl, detect, serve-ready).
+	bootTimeout = 2 * time.Minute
+)
 
 // DatasetSpec names one blserve dataset and selects which of the pipeline's
 // outputs it serves: the crawl's NATed list, the detected dynamic prefixes,
@@ -59,12 +64,6 @@ func (c StackConfig) withDefaults() StackConfig {
 	}
 	if c.CrawlDuration == 0 {
 		c.CrawlDuration = 12 * time.Hour
-	}
-	if c.WatchInterval == 0 {
-		c.WatchInterval = 25 * time.Millisecond
-	}
-	if c.BootTimeout == 0 {
-		c.BootTimeout = 2 * time.Minute
 	}
 	return c
 }
@@ -146,10 +145,10 @@ func BootStack(cfg StackConfig) (*Stack, error) {
 		return st, err
 	}
 	st.finished = append(st.finished, crawl)
-	if err := crawl.WaitExit(cfg.BootTimeout); err != nil {
+	if err := crawl.WaitExit(bootTimeout); err != nil {
 		return st, fmt.Errorf("blcrawl: %w\nstderr: %s", err, crawl.Stderr())
 	}
-	if err := gen.WaitExit(cfg.BootTimeout); err != nil {
+	if err := gen.WaitExit(bootTimeout); err != nil {
 		return st, fmt.Errorf("blgen: %w\nstderr: %s", err, gen.Stderr())
 	}
 
@@ -162,7 +161,7 @@ func BootStack(cfg StackConfig) (*Stack, error) {
 		return st, err
 	}
 	st.finished = append(st.finished, det)
-	if err := det.WaitExit(cfg.BootTimeout); err != nil {
+	if err := det.WaitExit(bootTimeout); err != nil {
 		return st, fmt.Errorf("bldetect: %w\nstderr: %s", err, det.Stderr())
 	}
 
@@ -183,7 +182,7 @@ func BootStack(cfg StackConfig) (*Stack, error) {
 		serveArgs = append(serveArgs, "-nated", st.NatedPath, "-dynamic", st.PrefixesPath)
 	}
 	if cfg.Watch {
-		serveArgs = append(serveArgs, "-watch", "-watch-interval", cfg.WatchInterval.String())
+		serveArgs = append(serveArgs, "-watch", "-watch-interval", watchInterval.String())
 	}
 	if cfg.Faults != "" {
 		serveArgs = append(serveArgs, "-dataset-faults", cfg.Faults)
@@ -192,7 +191,7 @@ func BootStack(cfg StackConfig) (*Stack, error) {
 	if err != nil {
 		return st, err
 	}
-	err = WaitFor(cfg.BootTimeout, 10*time.Millisecond, func() (bool, error) {
+	err = WaitFor(bootTimeout, 10*time.Millisecond, func() (bool, error) {
 		if st.Serve.Exited() {
 			return false, fmt.Errorf("blserve exited during startup\nstderr: %s", st.Serve.Stderr())
 		}
@@ -203,7 +202,7 @@ func BootStack(cfg StackConfig) (*Stack, error) {
 	if err != nil {
 		return st, err
 	}
-	if err := WaitHTTPOK(st.BaseURL+"/v1/stats", cfg.BootTimeout); err != nil {
+	if err := WaitHTTPOK(st.BaseURL+"/v1/stats", bootTimeout); err != nil {
 		return st, fmt.Errorf("blserve never became ready: %w", err)
 	}
 	return st, nil

@@ -22,12 +22,10 @@ import (
 
 func TestStackConfigWithDefaults(t *testing.T) {
 	d := StackConfig{}.withDefaults()
-	if d.Scale == 0 || d.CrawlDuration == 0 ||
-		d.WatchInterval == 0 || d.BootTimeout == 0 {
+	if d.Scale == 0 || d.CrawlDuration == 0 {
 		t.Errorf("zero config not fully defaulted: %+v", d)
 	}
-	set := StackConfig{Seed: 7, Scale: 0.5, CrawlDuration: time.Hour,
-		WatchInterval: time.Second, BootTimeout: time.Minute}
+	set := StackConfig{Seed: 7, Scale: 0.5, CrawlDuration: time.Hour}
 	if got := set.withDefaults(); !reflect.DeepEqual(got, set) {
 		t.Errorf("explicit config altered by defaulting: %+v -> %+v", set, got)
 	}

@@ -172,14 +172,6 @@ func (p Prefix) Contains(a Addr) bool {
 	return a.Masked(int(p.bits)) == p.base
 }
 
-// Overlaps reports whether the two prefixes share any address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	if p.bits <= q.bits {
-		return p.Contains(q.base)
-	}
-	return q.Contains(p.base)
-}
-
 // Nth returns the i'th address inside the prefix; it panics when i is out of
 // range.
 func (p Prefix) Nth(i int) Addr {
@@ -192,17 +184,4 @@ func (p Prefix) Nth(i int) Addr {
 // String renders CIDR notation.
 func (p Prefix) String() string {
 	return p.base.String() + "/" + strconv.Itoa(int(p.bits))
-}
-
-// CompareAddrs orders addresses numerically; it is a convenience for
-// sort.Slice callers.
-func CompareAddrs(a, b Addr) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }

@@ -103,18 +103,6 @@ func TestParsePrefixErrors(t *testing.T) {
 	}
 }
 
-func TestPrefixOverlaps(t *testing.T) {
-	a := MustParsePrefix("10.0.0.0/8")
-	b := MustParsePrefix("10.5.0.0/16")
-	c := MustParsePrefix("11.0.0.0/8")
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Error("nested prefixes must overlap")
-	}
-	if a.Overlaps(c) || c.Overlaps(a) {
-		t.Error("disjoint prefixes must not overlap")
-	}
-}
-
 func TestPrefixNth(t *testing.T) {
 	p := MustParsePrefix("192.0.2.0/30")
 	want := []string{"192.0.2.0", "192.0.2.1", "192.0.2.2", "192.0.2.3"}
@@ -149,11 +137,5 @@ func TestPrefixContainmentProperty(t *testing.T) {
 		if !p.Contains(inside) {
 			t.Fatalf("%v should contain %v", p, inside)
 		}
-	}
-}
-
-func TestCompareAddrs(t *testing.T) {
-	if CompareAddrs(1, 2) != -1 || CompareAddrs(2, 1) != 1 || CompareAddrs(5, 5) != 0 {
-		t.Error("CompareAddrs misordered")
 	}
 }

@@ -72,22 +72,6 @@ func (s *Set) Iterate(fn func(Addr) bool) {
 	s.s.Iterate(func(v uint32) bool { return fn(Addr(v)) })
 }
 
-// Intersect returns a new set holding the addresses present in both s and t.
-func (s *Set) Intersect(t *Set) *Set {
-	small, big := s, t
-	if big.Len() < small.Len() {
-		small, big = big, small
-	}
-	out := NewSet()
-	small.Iterate(func(a Addr) bool {
-		if big.Contains(a) {
-			out.Add(a)
-		}
-		return true
-	})
-	return out
-}
-
 // Sorted returns the addresses in ascending numeric order.
 func (s *Set) Sorted() []Addr {
 	out := make([]Addr, 0, s.Len())

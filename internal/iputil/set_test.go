@@ -23,20 +23,6 @@ func TestSetBasics(t *testing.T) {
 	}
 }
 
-func TestSetIntersect(t *testing.T) {
-	a := SetOf(1, 2, 3, 4)
-	b := SetOf(3, 4, 5)
-	got := a.Intersect(b)
-	if got.Len() != 2 || !got.Contains(3) || !got.Contains(4) {
-		t.Errorf("Intersect = %v", got.Sorted())
-	}
-	// Symmetric.
-	got2 := b.Intersect(a)
-	if got2.Len() != got.Len() {
-		t.Error("Intersect not symmetric")
-	}
-}
-
 func TestSetSorted(t *testing.T) {
 	s := SetOf(9, 3, 7, 1)
 	got := s.Sorted()
@@ -101,33 +87,6 @@ func TestPrefixSetSorted(t *testing.T) {
 		if got[i].String() != w {
 			t.Errorf("Sorted[%d] = %v, want %s", i, got[i], w)
 		}
-	}
-}
-
-func TestSetIntersectRandomised(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a, b := NewSet(), NewSet()
-	naive := map[Addr]int{}
-	for i := 0; i < 2000; i++ {
-		addr := Addr(rng.Intn(500))
-		if rng.Intn(2) == 0 {
-			if a.Add(addr) {
-				naive[addr] |= 1
-			}
-		} else {
-			if b.Add(addr) {
-				naive[addr] |= 2
-			}
-		}
-	}
-	want := 0
-	for _, bits := range naive {
-		if bits == 3 {
-			want++
-		}
-	}
-	if got := a.Intersect(b).Len(); got != want {
-		t.Errorf("Intersect len = %d, want %d", got, want)
 	}
 }
 

@@ -31,7 +31,7 @@ import (
 )
 
 // WallPrefix marks wall-clock (non-deterministic) metric names. Metrics in
-// this namespace are excluded from DeterministicSnapshot and from the golden
+// this namespace are excluded from Snapshot(false) and from the golden
 // artifacts derived from it.
 const WallPrefix = "wall_"
 
@@ -312,10 +312,6 @@ func (r *Registry) Snapshot(includeWall bool) []Metric {
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
-
-// DeterministicSnapshot returns only the count-valued (golden-stable)
-// metrics, sorted by name.
-func (r *Registry) DeterministicSnapshot() []Metric { return r.Snapshot(false) }
 
 func formatBound(b float64) string {
 	if math.IsInf(b, 1) {

@@ -108,7 +108,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	for _, v := range []float64{1, 2, 2.0001, 4, 7.9, 8, 8.1, 1e9} {
 		h.Observe(v)
 	}
-	snap := r.DeterministicSnapshot()
+	snap := r.Snapshot(false)
 	if len(snap) != 1 || snap[0].Kind != "histogram" {
 		t.Fatalf("snapshot = %+v", snap)
 	}
@@ -181,7 +181,7 @@ func TestConcurrentCountsSumExactly(t *testing.T) {
 	if got := r.Counter("n_total").Value(); got != 8000 {
 		t.Errorf("counter = %d, want 8000", got)
 	}
-	snap := r.DeterministicSnapshot()
+	snap := r.Snapshot(false)
 	for _, m := range snap {
 		if m.Kind == "histogram" && m.Count != 8000 {
 			t.Errorf("histogram count = %d, want 8000", m.Count)

@@ -350,8 +350,8 @@ func TestRegistryValidation(t *testing.T) {
 	if err := g.Register("ok-name_1.2", srv); err == nil {
 		t.Error("duplicate Register accepted")
 	}
-	if got := g.DefaultName(); got != "ok-name_1.2" {
-		t.Errorf("DefaultName = %q", got)
+	if got := g.Names(); len(got) != 1 || got[0] != "ok-name_1.2" {
+		t.Errorf("Names = %q", got)
 	}
 
 	defer func() {

@@ -91,14 +91,6 @@ func (g *Registry) Names() []string {
 	return append([]string(nil), g.order...)
 }
 
-// DefaultName returns the default dataset's name ("" when none registered).
-func (g *Registry) DefaultName() string {
-	if len(g.order) == 0 {
-		return ""
-	}
-	return g.order[0]
-}
-
 // Handler returns the multi-dataset HTTP handler. At least one dataset must
 // be registered. Observability hooks are bound here, so set them (and
 // register every dataset) before calling.

@@ -124,20 +124,6 @@ func trimFloat(v float64) string {
 	return fmt.Sprintf("%.4g", v)
 }
 
-// LogBuckets returns log-spaced bucket boundaries between lo and hi
-// inclusive, e.g. for the paper's log-scale count axes.
-func LogBuckets(lo, hi float64, perDecade int) []float64 {
-	if lo <= 0 || hi <= lo || perDecade <= 0 {
-		panic("stats: invalid log bucket parameters")
-	}
-	var out []float64
-	step := math.Pow(10, 1/float64(perDecade))
-	for v := lo; v <= hi*(1+1e-9); v *= step {
-		out = append(out, v)
-	}
-	return out
-}
-
 // RankDescending returns the values sorted from largest to smallest; used
 // for "per-blocklist count, sorted" figures (Fig 5, Fig 6).
 func RankDescending(values []int) []int {

@@ -39,21 +39,9 @@ func TestFigureRender(t *testing.T) {
 
 func TestFigureAddCDF(t *testing.T) {
 	f := NewFigure("c", "x", "y")
-	f.AddCDF("s", NewCDFInts([]int{1, 2, 3}), 3)
+	f.AddCDF("s", NewCDF([]float64{1, 2, 3}), 3)
 	if len(f.Series) != 1 || len(f.Series[0].Points) == 0 {
 		t.Fatal("AddCDF produced no points")
-	}
-}
-
-func TestLogBuckets(t *testing.T) {
-	b := LogBuckets(1, 1000, 1)
-	if len(b) != 4 || b[0] != 1 {
-		t.Fatalf("LogBuckets = %v", b)
-	}
-	for i := 1; i < len(b); i++ {
-		if b[i] <= b[i-1] {
-			t.Fatal("buckets not increasing")
-		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit the analysis and
-// figure code is built on: empirical CDFs, summaries, histograms, and
+// figure code is built on: empirical CDFs, summaries, and
 // fixed-width text rendering of the paper's tables and figures.
 package stats
 
@@ -18,16 +18,6 @@ type CDF struct {
 func NewCDF(samples []float64) *CDF {
 	s := make([]float64, len(samples))
 	copy(s, samples)
-	sort.Float64s(s)
-	return &CDF{sorted: s}
-}
-
-// NewCDFInts builds a CDF from integer samples.
-func NewCDFInts(samples []int) *CDF {
-	s := make([]float64, len(samples))
-	for i, v := range samples {
-		s[i] = float64(v)
-	}
 	sort.Float64s(s)
 	return &CDF{sorted: s}
 }
@@ -150,47 +140,6 @@ func Summarize(samples []float64) Summary {
 		P90:    c.Quantile(0.9),
 		P99:    c.Quantile(0.99),
 	}
-}
-
-// Histogram counts samples in equal-width bins over [lo, hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Under  int // samples below Lo
-	Over   int // samples at or above Hi
-}
-
-// NewHistogram builds a histogram with the given number of bins.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i == len(h.Counts) { // float edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of recorded samples including out-of-range ones.
-func (h *Histogram) Total() int {
-	n := h.Under + h.Over
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
 }
 
 // Fraction returns count/total as a ratio in [0,1]; it returns 0 when total

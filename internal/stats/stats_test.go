@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -42,7 +41,7 @@ func TestCDFEmpty(t *testing.T) {
 }
 
 func TestCDFQuantile(t *testing.T) {
-	c := NewCDFInts([]int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	c := NewCDF([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	if got := c.Quantile(0.5); got != 5 {
 		t.Errorf("median = %v, want 5", got)
 	}
@@ -120,37 +119,6 @@ func TestCDFPoints(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 11} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("Under=%d Over=%d", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Errorf("bin1 = %d", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.99
-		t.Errorf("bin4 = %d", h.Counts[4])
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d", h.Total())
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic on invalid bounds")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
 func TestFractionAndPercent(t *testing.T) {
 	if Fraction(1, 0) != 0 {
 		t.Error("Fraction with zero total should be 0")
@@ -160,17 +128,5 @@ func TestFractionAndPercent(t *testing.T) {
 	}
 	if Percent(0.123) != "12.3%" {
 		t.Errorf("Percent = %s", Percent(0.123))
-	}
-}
-
-func TestHistogramRandomisedTotal(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	h := NewHistogram(0, 100, 10)
-	n := 5000
-	for i := 0; i < n; i++ {
-		h.Add(rng.Float64()*140 - 20)
-	}
-	if h.Total() != n {
-		t.Errorf("Total = %d, want %d", h.Total(), n)
 	}
 }

@@ -13,8 +13,6 @@ import (
 
 // Options tune a rendering.
 type Options struct {
-	// Width and Height of the SVG canvas in pixels; zero means 640×420.
-	Width, Height int
 	// LogY plots the y axis on a log10 scale (values must be > 0;
 	// non-positive values are clamped to the smallest positive value).
 	LogY bool
@@ -24,6 +22,9 @@ type Options struct {
 var palette = []string{"#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"}
 
 const (
+	// width and height of the SVG canvas in pixels.
+	width, height = 640, 420
+
 	marginLeft   = 70
 	marginRight  = 20
 	marginTop    = 40
@@ -32,25 +33,19 @@ const (
 
 // Render returns the figure as an SVG document.
 func Render(f *stats.Figure, opt Options) string {
-	if opt.Width <= 0 {
-		opt.Width = 640
-	}
-	if opt.Height <= 0 {
-		opt.Height = 420
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
-		opt.Width, opt.Height, opt.Width, opt.Height)
-	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="white"/>`+"\n", opt.Width, opt.Height)
+		width, height, width, height)
+	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="white"/>`+"\n", width, height)
 	esc := escape
 	fmt.Fprintf(&b, `<text x="%d" y="22" font-family="sans-serif" font-size="14" font-weight="bold">%s</text>`+"\n",
 		marginLeft, esc(f.Title))
 
-	plotW := opt.Width - marginLeft - marginRight
-	plotH := opt.Height - marginTop - marginBottom
+	const plotW = width - marginLeft - marginRight
+	const plotH = height - marginTop - marginBottom
 
 	minX, maxX, minY, maxY, any := bounds(f, opt)
-	if !any || plotW <= 0 || plotH <= 0 {
+	if !any {
 		fmt.Fprintf(&b, `<text x="%d" y="%d" font-family="sans-serif" font-size="12">no data</text>`+"\n",
 			marginLeft, marginTop+20)
 		b.WriteString("</svg>\n")
@@ -76,7 +71,7 @@ func Render(f *stats.Figure, opt Options) string {
 		marginLeft, marginTop, marginLeft, marginTop+plotH)
 	// Axis labels and extremes.
 	fmt.Fprintf(&b, `<text x="%d" y="%d" font-family="sans-serif" font-size="11" text-anchor="middle">%s</text>`+"\n",
-		marginLeft+plotW/2, opt.Height-12, esc(f.XLabel))
+		marginLeft+plotW/2, height-12, esc(f.XLabel))
 	fmt.Fprintf(&b, `<text x="14" y="%d" font-family="sans-serif" font-size="11" text-anchor="middle" transform="rotate(-90 14 %d)">%s</text>`+"\n",
 		marginTop+plotH/2, marginTop+plotH/2, esc(axisLabel(f.YLabel, opt.LogY)))
 	fmt.Fprintf(&b, `<text x="%d" y="%d" font-family="sans-serif" font-size="10">%s</text>`+"\n",
